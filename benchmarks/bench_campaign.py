@@ -3,9 +3,12 @@
 The paper's economics, measured at batch scale: a debug campaign of many
 bug scenarios on one design pays the offline stage (generic + physical
 back-end, §IV-A) once when artifacts are cached by content, versus once
-*per scenario* cold.  The headline assertion is the acceptance criterion
-of the campaign layer: ≥2× wall-clock speedup on a ≥8-scenario campaign
-from offline-stage caching alone.
+*per scenario* under conventional recompilation.  A cold campaign already
+shares one build among a design's scenarios, so the conventional baseline
+is built here as one cold single-scenario campaign per scenario.  The
+headline assertion is the acceptance criterion of the campaign layer: ≥2×
+wall-clock speedup on a ≥8-scenario campaign from offline-stage caching
+alone.
 
 Also reports online-phase parallel scaling (worker pool vs serial) for
 reference — on single-core CI runners the pool can't win, so no shape is
@@ -17,7 +20,8 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import emit, emit_json
-from repro.campaign import CampaignConfig, OfflineCache, run_campaign
+from repro.campaign import ArtifactStore, CampaignConfig, run_campaign
+from repro.pipeline import GENERIC_STAGES, PHYSICAL_STAGES
 from repro.workloads import campaign_spec, stuck_at_scenarios
 
 #: Combinational design (the physical back-end does not route latches yet)
@@ -37,32 +41,40 @@ def scenarios():
 def test_campaign_cache_speedup(scenarios, results_dir):
     config = CampaignConfig(workers=1, with_physical=True)
 
-    # cold: every scenario pays its own full offline stage
-    cold = run_campaign(scenarios, config=config, cache=None)
-    # cached: the first scenario builds, the other seven hit
-    cache = OfflineCache()
-    warm = run_campaign(scenarios, config=config, cache=cache)
+    # conventional: every scenario pays its own full offline stage
+    cold = [
+        run_campaign([sc], config=config, cache=None) for sc in scenarios
+    ]
+    cold_wall_s = sum(r.wall_s for r in cold)
+    cold_offline_s = sum(r.offline_total_s for r in cold)
+    cold_online_s = sum(r.online_total_s for r in cold)
+    # cached: the design builds once, the other seven scenarios share it
+    store = ArtifactStore()
+    warm = run_campaign(scenarios, config=config, cache=store)
 
-    assert warm.outcomes() == cold.outcomes(), "caching changed results"
-    assert cache.stats.misses == 1
-    assert cache.stats.hits == N_SCENARIOS - 1
+    assert warm.outcomes() == [o for r in cold for o in r.outcomes()], (
+        "caching changed results"
+    )
+    stages = GENERIC_STAGES + PHYSICAL_STAGES
+    assert all(store.stats.for_stage(s).misses == 1 for s in stages)
+    hits = [r.offline_cache_hit for r in warm.results]
+    assert hits == [False] + [True] * (N_SCENARIOS - 1)
     statuses = {r.status for r in warm.results}
     assert "error" not in statuses and "undetected" not in statuses
 
-    speedup = cold.wall_s / warm.wall_s
+    speedup = cold_wall_s / warm.wall_s
     text = (
         "CAMPAIGN OFFLINE-STAGE AMORTIZATION (measured)\n"
         f"{N_SCENARIOS}-scenario stuck-at campaign on "
         f"{SPEC.name} ({SPEC.n_gates} gates), full offline stage "
         "(generic + pack/place/route + bitstream)\n\n"
-        f"cold (no cache):   {cold.wall_s:8.2f} s  "
-        f"({cold.offline_total_s:.2f} s offline, "
-        f"{cold.online_total_s:.2f} s online)\n"
-        f"content-keyed cache: {warm.wall_s:6.2f} s  "
+        f"cold, one build per scenario: {cold_wall_s:8.2f} s  "
+        f"({cold_offline_s:.2f} s offline, {cold_online_s:.2f} s online)\n"
+        f"content-keyed cache:          {warm.wall_s:8.2f} s  "
         f"({warm.offline_total_s:.2f} s offline, "
         f"{warm.online_total_s:.2f} s online)\n\n"
         f"cache-hit speedup: {speedup:.2f}x "
-        f"({cache.stats.misses} build + {cache.stats.hits} hits)\n\n"
+        f"(1 build + {N_SCENARIOS - 1} shared)\n\n"
         "warm-campaign report:\n" + warm.render()
     )
     emit(results_dir, "campaign_cache_speedup", text)
@@ -71,7 +83,7 @@ def test_campaign_cache_speedup(scenarios, results_dir):
         "campaign",
         {
             "scenarios": N_SCENARIOS,
-            "cold_wall_s": cold.wall_s,
+            "cold_wall_s": cold_wall_s,
             "warm_wall_s": warm.wall_s,
             "cache_speedup": speedup,
             # per-stage offline build cost of the single warm-run build —
@@ -93,7 +105,7 @@ def test_campaign_cache_speedup(scenarios, results_dir):
 
 @pytest.mark.slow
 def test_campaign_parallel_scaling(scenarios, results_dir):
-    cache = OfflineCache()
+    cache = ArtifactStore()
     # pre-warm so both runs measure the online phase only
     run_campaign(scenarios[:1], config=CampaignConfig(workers=1), cache=cache)
 

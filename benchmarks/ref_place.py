@@ -11,7 +11,7 @@ and speed baseline*:
 * ``benchmarks/bench_offline.py`` measures the physical-stage speedup by
   running both on identical packed designs.
 
-Not used by any production path — the compile pipeline routes through
+Not part of the package — the compile pipeline places through
 :func:`repro.place.tplace.place_design`.
 """
 

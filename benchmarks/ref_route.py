@@ -11,7 +11,7 @@ the *quality and speed baseline*:
 * ``benchmarks/bench_offline.py`` measures the physical-stage speedup by
   routing identical placements through both.
 
-Not used by any production path — the compile pipeline routes through
+Not part of the package — the compile pipeline routes through
 :class:`repro.route.pathfinder.PathFinder`.
 """
 

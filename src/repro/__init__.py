@@ -22,8 +22,6 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
 """
 
-from importlib import import_module
-
 from repro.errors import (
     ReproError,
     NetlistError,
@@ -33,55 +31,31 @@ from repro.errors import (
     SpecializationError,
     DebugFlowError,
 )
+from repro.netlist import (
+    LogicNetwork,
+    TruthTable,
+    check_equivalent,
+    parse_blif,
+    parse_blif_file,
+    write_blif,
+)
+from repro.workloads import generate_circuit, get_spec, inject_bug, paper_suite
+from repro.mapping import AbcMap, MappingResult, SimpleMap, TconMap
+from repro.core import (
+    DebugFlowConfig,
+    DebugSession,
+    OfflineStage,
+    ParameterizedBitstream,
+    SpecializedConfigGenerator,
+    TraceBuffer,
+    Virtex5Model,
+    build_trace_network,
+    run_generic_stage,
+)
+from repro.baselines import RecompileModel, run_conventional_flow
+from repro.engine import LaneEngine
 
 __version__ = "1.0.0"
-
-# The convenience re-exports below resolve lazily (PEP 562) so that
-# importing one subpackage does not drag the whole flow in: the
-# pure-python simulation path (``repro.netlist`` + ``repro.util``) stays
-# importable on a numpy-free interpreter even though mapping, placement
-# and the debug engine are hard numpy dependents.
-_LAZY_EXPORTS = {
-    "LogicNetwork": "repro.netlist",
-    "TruthTable": "repro.netlist",
-    "parse_blif": "repro.netlist",
-    "parse_blif_file": "repro.netlist",
-    "write_blif": "repro.netlist",
-    "check_equivalent": "repro.netlist",
-    "generate_circuit": "repro.workloads",
-    "get_spec": "repro.workloads",
-    "paper_suite": "repro.workloads",
-    "inject_bug": "repro.workloads",
-    "SimpleMap": "repro.mapping",
-    "AbcMap": "repro.mapping",
-    "TconMap": "repro.mapping",
-    "MappingResult": "repro.mapping",
-    "DebugFlowConfig": "repro.core",
-    "DebugSession": "repro.core",
-    "OfflineStage": "repro.core",
-    "ParameterizedBitstream": "repro.core",
-    "SpecializedConfigGenerator": "repro.core",
-    "TraceBuffer": "repro.core",
-    "Virtex5Model": "repro.core",
-    "build_trace_network": "repro.core",
-    "run_generic_stage": "repro.core",
-    "run_conventional_flow": "repro.baselines",
-    "RecompileModel": "repro.baselines",
-    "LaneEngine": "repro.engine",
-}
-
-
-def __getattr__(name: str):
-    module = _LAZY_EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(module), name)
-    globals()[name] = value  # cache: resolve each name at most once
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY_EXPORTS))
 
 __all__ = [
     "ReproError",

@@ -98,10 +98,8 @@ def run_benchmark_columns(
 
     ``offline_fn(net, config) -> OfflineStage`` overrides how the offline
     artifact is produced; pass
-    :meth:`repro.campaign.OfflineCache.as_offline_fn` (whole-artifact) or
-    :meth:`repro.pipeline.ArtifactStore.as_offline_fn` (stage-granular)
-    to share artifacts with a debug campaign instead of re-running the
-    generic stage here.
+    :meth:`repro.pipeline.ArtifactStore.as_offline_fn` to share artifacts
+    with a debug campaign instead of re-running the generic stage here.
     """
     key = (spec.name, seed)
     got = _CACHE.get(key)

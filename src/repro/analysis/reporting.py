@@ -127,12 +127,9 @@ def render_campaign_report(
     cache: Mapping | None = None,
     lane_width: int | None = None,
     lane_batches: Sequence[int] = (),
-    offline_workers: int | None = None,
     offline_wall_s: float | None = None,
     offline_stage_s: Mapping[str, float] | None = None,
-    intra_design_workers: int | None = None,
     notes: Sequence[str] = (),
-    schedule: str | None = None,
     sched_wall_s: float | None = None,
     overlap_ratio: float | None = None,
     stage_concurrency: Mapping[str, float] | None = None,
@@ -206,29 +203,18 @@ def render_campaign_report(
         breakdown = ", ".join(
             f"{name}={secs:.2f}s" for name, secs in offline_stage_s.items()
         )
-        par = (
-            f", {offline_workers} build worker(s)"
-            if offline_workers and offline_workers > 1
-            else ""
-        )
         wall = (
-            f" ({offline_wall_s:.2f} s wall{par})"
+            f" ({offline_wall_s:.2f} s wall)"
             if offline_wall_s is not None
             else ""
         )
         lines.append(f"offline stages built: {breakdown}{wall}")
-    if intra_design_workers:
-        lines.append(
-            f"intra-design parallelism: {intra_design_workers} worker(s) "
-            "(level-wave mapping; region-parallel place and round-parallel "
-            "route on physical runs)"
-        )
     if wall_s is not None:
         par = f", {workers} worker(s)" if workers else ""
         lines.append(f"wall clock: {wall_s:.2f} s{par}")
-    if schedule and sched_wall_s is not None:
+    if sched_wall_s is not None:
         line = (
-            f"schedule: {schedule}; task wall {sched_wall_s:.2f} s, "
+            f"scheduler: task wall {sched_wall_s:.2f} s, "
             f"offline/online overlap {100 * (overlap_ratio or 0.0):.0f}%"
         )
         if stage_concurrency:

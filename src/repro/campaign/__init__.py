@@ -7,39 +7,33 @@ pack/place/route) is expensive and runs once per design, while each
 package exploits that asymmetry at batch scale:
 
 * :func:`resolve_offline` — one entry point resolving a design's offline
-  artifact through any cache flavor: a stage-granular
+  artifact through the stage-granular
   :class:`~repro.pipeline.ArtifactStore` (each compile stage reused
   independently under its content-addressed key — a warm config-knob
-  change rebuilds only the invalidated stages), a whole-artifact
-  :class:`OfflineCache` (design ⊕ flow config keyed), or cold;
+  change rebuilds only the invalidated stages), or cold;
 * :mod:`~repro.workloads.scenarios` — deterministic (design, bug) scenario
   generators: emulation-level stuck-at faults (shared offline artifact)
   and netlist mutations (per-revision artifacts);
-* :func:`run_scenario` / :func:`localize_divergence` — the automated
-  online loop: detect the failure at the primary outputs, then walk the
-  divergence back through observable-frontier batches to the bug region;
-* :func:`run_campaign` — the orchestrator: serial offline resolution
-  through the cache, then a process-pool (or serial-fallback) online
-  fan-out, aggregated into a :class:`CampaignReport`;
+* :func:`run_scenario_batch` / :func:`localize_divergence` — the
+  automated online loop: detect the failure at the primary outputs, then
+  walk the divergence back through observable-frontier batches to the bug
+  region, many scenarios per packed emulation;
+* :func:`run_campaign` — the orchestrator: one build per distinct design
+  and lane batches launched as builds land, on one dataflow scheduler and
+  one worker pool, aggregated into a :class:`CampaignReport`;
 * ``python -m repro.campaign`` — the CLI front-end.
 
 Quick start::
 
-    from repro.campaign import OfflineCache, run_campaign
+    from repro.campaign import ArtifactStore, run_campaign
     from repro.workloads import stuck_at_scenarios
 
     scenarios = stuck_at_scenarios("stereov.", 4)
-    report = run_campaign(scenarios, cache=OfflineCache())
+    report = run_campaign(scenarios, cache=ArtifactStore())
     print(report.render())
 """
 
-from repro.campaign.cache import (
-    ArtifactStore,
-    CacheStats,
-    OfflineCache,
-    StoreStats,
-    resolve_offline,
-)
+from repro.campaign.cache import ArtifactStore, StoreStats, resolve_offline
 from repro.campaign.localize import (
     GoldenOracle,
     Localization,
@@ -49,7 +43,7 @@ from repro.campaign.localize import (
 )
 from repro.campaign.orchestrator import CampaignConfig, run_campaign
 from repro.campaign.results import STATUSES, CampaignReport, ScenarioResult
-from repro.campaign.runner import run_scenario, run_scenario_batch
+from repro.campaign.runner import run_scenario_batch
 from repro.engine import LaneEngine
 from repro.workloads.scenarios import (
     DebugScenario,
@@ -60,8 +54,6 @@ from repro.workloads.scenarios import (
 
 __all__ = [
     "ArtifactStore",
-    "CacheStats",
-    "OfflineCache",
     "StoreStats",
     "resolve_offline",
     "GoldenOracle",
@@ -75,7 +67,6 @@ __all__ = [
     "STATUSES",
     "CampaignReport",
     "ScenarioResult",
-    "run_scenario",
     "run_scenario_batch",
     "DebugScenario",
     "campaign_spec",

@@ -1,269 +1,57 @@
-"""Offline-artifact caching for campaigns: whole-artifact and stage-granular.
+"""Offline-artifact resolution for campaigns.
 
 The paper's amortization argument (§IV-A) is that the expensive generic
 stage runs *once per design* while every debugging turn pays only the
-microsecond-scale online specialization.  Two cache granularities lift
-that from "once per process" to "once per content":
+microsecond-scale online specialization.  The stage-granular
+:class:`~repro.pipeline.ArtifactStore` lifts that from "once per process"
+to "once per content": each compile stage (cleanup, initial-map,
+signal-parameterisation, tcon-map, pack, place, route, bitgen) is keyed
+by exactly the config fields it reads plus its upstream keys, so a warm
+single-knob change rebuilds only the invalidated suffix of the graph.
 
-* :class:`OfflineCache` — PR 1's **whole-artifact** cache: one entry per
-  ``(design BLIF, full flow config, flow version)`` key
-  (:func:`repro.core.flow.offline_cache_key`).  Any config knob change
-  misses and rebuilds everything.  Now a thin wrapper over an
-  :class:`~repro.pipeline.ArtifactStore` with the single pseudo-stage
-  ``"offline"``.
-* :class:`~repro.pipeline.ArtifactStore` — the **stage-granular** store
-  of the compile pipeline: each stage (cleanup, initial-map,
-  signal-parameterisation, tcon-map, pack, place, route, bitgen) is keyed
-  by exactly the config fields it reads plus its upstream keys, so a warm
-  single-knob change rebuilds only the invalidated suffix of the graph.
-
-:func:`resolve_offline` is the one public entry point that accepts
-either (or ``None`` for a cold build) and returns the offline artifact —
-what the orchestrator, the CLI and library users call.
+:func:`resolve_offline` is the one public entry point that returns a
+design's offline artifact — what the orchestrator, the CLI and library
+users call.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import replace
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
-from repro.core.flow import (
-    DebugFlowConfig,
-    OfflineStage,
-    offline_cache_key,
-    run_generic_stage,
-)
+from repro.core.flow import DebugFlowConfig, OfflineStage
 from repro.netlist.network import LogicNetwork
-from repro.pipeline import ArtifactStore, StageStats, StoreStats
+from repro.pipeline import ArtifactStore, StoreStats
 
-__all__ = [
-    "CacheStats",
-    "OfflineCache",
-    "ArtifactStore",
-    "StoreStats",
-    "resolve_offline",
-]
-
-#: Back-compat alias: whole-artifact cache stats are per-stage stats of
-#: the single pseudo-stage ``"offline"``.
-CacheStats = StageStats
-
-#: The pseudo-stage name whole-artifact entries live under.
-OFFLINE_STAGE = "offline"
-
-Builder = Callable[[LogicNetwork, DebugFlowConfig], OfflineStage]
-
-
-class OfflineCache:
-    """Two-level (memory, disk) whole-artifact cache of offline stages.
-
-    Parameters
-    ----------
-    cache_dir:
-        Optional directory for persistence across processes and campaign
-        invocations; created on demand.  ``None`` keeps the cache purely
-        in-memory.
-    keep_in_memory:
-        Whether disk-loaded and freshly built artifacts are retained in the
-        in-process map (the default; disable to bound memory on very large
-        campaigns while still deduplicating via disk).
-    store:
-        Optional pre-built :class:`~repro.pipeline.ArtifactStore` to share
-        storage and stats with (entries live under the ``"offline"``
-        pseudo-stage); by default one is created from ``cache_dir``.
-
-    Entries never expire: a key embeds the full design content, the flow
-    configuration and :data:`~repro.core.flow.FLOW_CACHE_VERSION`, so a
-    stale entry is unreachable rather than wrong.  For *incremental*
-    caching — reusing unaffected stages across config changes — use an
-    :class:`~repro.pipeline.ArtifactStore` directly (see
-    :func:`resolve_offline`).
-    """
-
-    def __init__(
-        self,
-        cache_dir: str | None = None,
-        keep_in_memory: bool = True,
-        store: ArtifactStore | None = None,
-    ) -> None:
-        self.store = store or ArtifactStore(
-            cache_dir=cache_dir, keep_in_memory=keep_in_memory
-        )
-        self._legacy_checked: set[str] = set()
-
-    @property
-    def cache_dir(self) -> str | None:
-        return self.store.cache_dir
-
-    @property
-    def keep_in_memory(self) -> bool:
-        return self.store.keep_in_memory
-
-    @property
-    def stats(self) -> StageStats:
-        """Hit/miss accounting (the ``"offline"`` pseudo-stage's stats)."""
-        return self.store.stats.for_stage(OFFLINE_STAGE)
-
-    def key(
-        self,
-        net: LogicNetwork,
-        config: DebugFlowConfig | None = None,
-        *,
-        extra: tuple = (),
-    ) -> str:
-        """The whole-artifact content key for ``(net, config, extra)``."""
-        return offline_cache_key(net, config, extra=extra)
-
-    def get(self, key: str, *, group: str | None = None) -> OfflineStage | None:
-        """Look up an artifact by key; ``None`` on miss (stats updated).
-
-        ``group`` optionally identifies the *design* behind the lookup
-        (:func:`~repro.pipeline.source_key` of the network) so the store
-        can count "same design, changed config" as an invalidation but a
-        genuinely-new design as a cold build.
-        """
-        if self.cache_dir is not None and key not in self._legacy_checked:
-            self._legacy_checked.add(key)
-            self._migrate_legacy(key)
-        found = self.store.get(
-            OFFLINE_STAGE, key, expect=OfflineStage, group=group
-        )
-        return found.value if found is not None else None
-
-    def _migrate_legacy(self, key: str) -> None:
-        """Move a PR 1-layout entry (``<cache_dir>/<key>.pkl``) into place.
-
-        Done once per key, *before* the counted store lookup, so a
-        migrated entry is served as an ordinary disk hit — type-checked
-        and accounted by the store itself, with no stats surgery here.
-        """
-        if self.cache_dir is None:
-            return
-        legacy = os.path.join(self.cache_dir, f"{key}.pkl")
-        if not os.path.exists(legacy):
-            return
-        new = self._path(key)
-        try:
-            os.makedirs(os.path.dirname(new), exist_ok=True)
-            if os.path.exists(new):
-                os.unlink(legacy)
-            else:
-                os.replace(legacy, new)
-        except OSError:
-            pass
-
-    def put(self, key: str, stage: OfflineStage) -> OfflineStage:
-        """Store ``stage`` under ``key`` (memory and, if configured, disk)."""
-        stage = replace(stage, cache_key=key)
-        self.store.put(OFFLINE_STAGE, key, stage)
-        return stage
-
-    def get_or_run(
-        self,
-        net: LogicNetwork,
-        config: DebugFlowConfig | None = None,
-        *,
-        extra: tuple = (),
-        builder: Builder | None = None,
-    ) -> tuple[OfflineStage, bool]:
-        """Return the cached artifact for ``net``, building it on a miss.
-
-        ``builder`` defaults to :func:`~repro.core.flow.run_generic_stage`;
-        the campaign layer passes a builder that additionally runs the
-        physical back-end (with a matching ``extra`` discriminator).
-        Returns ``(artifact, was_hit)``.
-        """
-        from repro.pipeline.graph import source_key
-
-        config = config or DebugFlowConfig()
-        key = self.key(net, config, extra=extra)
-        stage = self.get(key, group=source_key(net))
-        if stage is not None:
-            return stage, True
-        stage = (builder or run_generic_stage)(net, config)
-        return self.put(key, stage), False
-
-    def as_offline_fn(self) -> Builder:
-        """Adapter for :func:`repro.analysis.experiments.run_benchmark_columns`.
-
-        Lets the experiment drivers share this cache's artifacts instead of
-        re-running the generic stage per process.
-        """
-
-        def fn(net: LogicNetwork, config: DebugFlowConfig) -> OfflineStage:
-            return self.get_or_run(net, config)[0]
-
-        return fn
-
-    def clear(self) -> None:
-        """Drop in-memory entries (persisted files are left untouched)."""
-        self.store.clear()
-
-    def __len__(self) -> int:
-        """In-memory whole-artifact entries (this cache's pseudo-stage
-        only — a shared store's other stages are not counted)."""
-        return self.store.count(OFFLINE_STAGE)
-
-    def _path(self, key: str) -> str:
-        return self.store._path(OFFLINE_STAGE, key)
+__all__ = ["ArtifactStore", "StoreStats", "resolve_offline"]
 
 
 def resolve_offline(
     net: LogicNetwork,
     config: DebugFlowConfig | None = None,
     *,
-    cache: "OfflineCache | ArtifactStore | None" = None,
+    cache: ArtifactStore | None = None,
     with_physical: bool = False,
     params: Mapping[str, Any] | None = None,
 ) -> tuple[OfflineStage, bool]:
-    """Resolve the offline artifact for ``net`` through any cache flavor.
+    """Resolve the offline artifact for ``net`` through the stage store.
 
-    The one public entry point the orchestrator, the CLI and library users
-    share (replacing the private ``_build_offline`` of PR 1):
+    Runs the compile stage graph — the generic flow, plus the physical
+    back-end with ``with_physical`` — against ``cache``, reusing every
+    stage whose content-addressed key is unchanged; ``cache=None`` builds
+    every stage cold.  ``params`` (per-stage parameters — a ``taps``
+    override, placement ``seed``...) fold into the affected stage keys.
 
-    * ``cache=None`` — cold: run the generic stage (and, with
-      ``with_physical``, the physical back-end) unconditionally;
-    * ``cache=OfflineCache(...)`` — whole-artifact granularity: one
-      lookup under :func:`~repro.core.flow.offline_cache_key` (with the
-      ``"physical"`` extra discriminator when applicable);
-    * ``cache=ArtifactStore(...)`` — stage granularity: run the compile
-      stage graph against the store, reusing every stage whose
-      content-addressed key is unchanged.
-
-    ``params`` (per-stage parameters — a ``taps`` override, placement
-    ``seed``...) are honored on every path: the stage-granular store folds
-    them into the affected stage keys, the whole-artifact key carries them
-    as an ``extra`` discriminator, and cold builds pass them to the graph.
-
-    Returns ``(artifact, was_hit)``; for the stage-granular path
-    ``was_hit`` means *every* stage was served from the store (a partial
-    reuse counts as a build, with the store's per-stage stats telling the
-    detailed story).
+    Returns ``(artifact, was_hit)``; ``was_hit`` means *every* stage was
+    served from the store (a partial reuse counts as a build, with the
+    store's per-stage stats telling the detailed story).
     """
     from repro.pipeline import assemble_offline, compile_design
 
-    config = config or DebugFlowConfig()
-    if isinstance(cache, ArtifactStore):
-        result = compile_design(
-            net,
-            config,
-            store=cache,
-            with_physical=with_physical,
-            params=params,
-        )
-        return assemble_offline(result), result.full_hit
-
-    def build(n: LogicNetwork, c: DebugFlowConfig) -> OfflineStage:
-        return assemble_offline(
-            compile_design(n, c, with_physical=with_physical, params=params)
-        )
-
-    if cache is None:
-        return build(net, config), False
-    extra = ("physical",) if with_physical else ()
-    if params:
-        from repro.pipeline import canonical_param
-
-        extra = extra + (f"params={canonical_param(dict(params))!r}",)
-    return cache.get_or_run(net, config, extra=extra, builder=build)
+    result = compile_design(
+        net,
+        config or DebugFlowConfig(),
+        store=cache,
+        with_physical=with_physical,
+        params=params,
+    )
+    return assemble_offline(result), result.full_hit

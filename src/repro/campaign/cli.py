@@ -6,11 +6,8 @@ prints (optionally persists) the aggregated report.  Examples::
     # 3 stuck-at scenarios on each of two designs, stage-granular cache
     python -m repro.campaign --designs stereov. diffeq2 --per-design 3
 
-    # mixed fault kinds, 4 online workers, artifacts persisted on disk
+    # mixed fault kinds, a 4-process pool, artifacts persisted on disk
     python -m repro.campaign --kind mixed --workers 4 --cache-dir .repro-cache
-
-    # PR 1's whole-artifact cache granularity instead of per-stage
-    python -m repro.campaign --whole-artifact --cache-dir .repro-cache
 
     # cold baseline (no offline amortization), report saved to results/
     python -m repro.campaign --no-cache --save campaign_cold
@@ -29,8 +26,8 @@ prints (optionally persists) the aggregated report.  Examples::
 
 Exit status: 0 on success, 1 when any scenario ended in an error result
 (a failing design is isolated by default — ``--keep-going`` — or aborts
-the batch under ``--fail-fast``), 2 on usage errors, 3 when
-``--assert-warm`` saw a cache miss.
+the batch under ``--fail-fast``), 2 on usage errors (checked before any
+work starts), 3 when ``--assert-warm`` saw a cache miss.
 """
 
 from __future__ import annotations
@@ -39,14 +36,14 @@ import argparse
 import json
 import sys
 
-from repro.campaign.cache import ArtifactStore, OfflineCache, resolve_offline
+from repro.campaign.cache import ArtifactStore, resolve_offline
 from repro.campaign.orchestrator import (
     CampaignConfig,
     _offline_group_key,
     prebuild_offline,
     run_campaign,
 )
-from repro.netlist.compiled import BACKENDS, numpy_available
+from repro.netlist.compiled import BACKENDS
 from repro.errors import WorkloadError
 from repro.workloads.scenarios import (
     DebugScenario,
@@ -74,7 +71,7 @@ def _parser() -> argparse.ArgumentParser:
         "--per-design",
         type=int,
         default=3,
-        help="bug scenarios generated per design (default 3)",
+        help="bug scenarios generated per design, >= 1 (default 3)",
     )
     p.add_argument(
         "--kind",
@@ -87,29 +84,10 @@ def _parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="online-phase worker processes (default 1 = serial)",
-    )
-    p.add_argument(
-        "--offline-workers",
-        type=int,
-        default=1,
         metavar="N",
-        help="offline-phase build processes: distinct cold designs "
-        "pack/place/route concurrently, artifacts landing under the same "
-        "content-addressed cache keys as serial builds (default 1 = "
-        "serial; outcomes are byte-identical either way)",
-    )
-    p.add_argument(
-        "--intra-design-workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="intra-design parallelism: N >= 1 switches to level-wave "
-        "priority-cut mapping (always) plus, with --physical, the "
-        "region-parallel placer and round-parallel router, fanning waves "
-        "onto the shared pool with N slots (default 0 = historical "
-        "serial algorithms; outcomes are byte-identical across any "
-        "N >= 1)",
+        help="worker processes shared by cold design builds and online "
+        "lane batches, >= 1 (default 1 = everything in this process; "
+        "outcomes and built artifacts are byte-identical at any N)",
     )
     p.add_argument(
         "--lane-width",
@@ -117,20 +95,9 @@ def _parser() -> argparse.ArgumentParser:
         default=64,
         metavar="N",
         help="scenarios packed per emulation batch, >= 1 (default 64; "
-        "widths beyond 64 span multiple uint64 words); 1 runs the "
-        "historical one-session-per-scenario path — outcomes are "
-        "byte-identical at every width (the CI lane-equivalence job "
-        "diffs them)",
-    )
-    p.add_argument(
-        "--schedule",
-        choices=["dataflow", "barrier"],
-        default="dataflow",
-        help="campaign execution discipline: 'dataflow' (default) overlaps "
-        "offline builds with online lane batches on one shared worker "
-        "pool — a design's batches launch as soon as its artifact lands; "
-        "'barrier' keeps the historical offline-then-online phase "
-        "ordering (outcomes and cache stats are identical either way)",
+        "widths beyond 64 span multiple uint64 words; 1 runs one-lane "
+        "batches) — outcomes are byte-identical at every width (the CI "
+        "lane-equivalence job diffs them)",
     )
     p.add_argument(
         "--sim-backend",
@@ -139,8 +106,8 @@ def _parser() -> argparse.ArgumentParser:
         help="compiled simulation kernel backend: 'python' (big-int "
         "kernels), 'numpy' (vectorized whole-array kernels — the wide-"
         "lane fast path), or 'auto' (default: numpy at lane widths >= "
-        "256 when numpy is installed, python otherwise; the "
-        "REPRO_SIM_BACKEND environment variable overrides auto). "
+        "256, python below; the REPRO_SIM_BACKEND environment variable "
+        "overrides auto). "
         "Outcomes are byte-identical across backends",
     )
     p.add_argument(
@@ -164,13 +131,14 @@ def _parser() -> argparse.ArgumentParser:
         "--horizon",
         type=int,
         default=64,
-        help="stimulus cycles within which failures must appear (default 64)",
+        help="stimulus cycles within which failures must appear, >= 1 "
+        "(default 64)",
     )
     p.add_argument(
         "--max-turns",
         type=int,
         default=48,
-        help="debugging-turn budget per localization (default 48)",
+        help="debugging-turn budget per localization, >= 1 (default 48)",
     )
     p.add_argument(
         "--physical",
@@ -185,15 +153,10 @@ def _parser() -> argparse.ArgumentParser:
         help="persist offline artifacts under DIR (reused across runs)",
     )
     p.add_argument(
-        "--whole-artifact",
-        action="store_true",
-        help="cache whole offline artifacts (PR 1 granularity) instead of "
-        "the default per-stage store (incremental across config changes)",
-    )
-    p.add_argument(
         "--no-cache",
         action="store_true",
-        help="run cold: every scenario pays its own offline stage",
+        help="run cold: each distinct design builds once for this run and "
+        "nothing is kept",
     )
     p.add_argument(
         "--save",
@@ -242,7 +205,7 @@ def _parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="wall-clock budget per pooled task attempt; a timed-out "
+        help="wall-clock budget per pooled task attempt, > 0; a timed-out "
         "task is retried (see --task-retries) then reported as an error "
         "result (default: no timeout)",
     )
@@ -252,7 +215,7 @@ def _parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="extra attempts for a task that timed out or crashed its "
-        "worker (default 1; deterministic stage errors are never "
+        "worker, >= 0 (default 1; deterministic stage errors are never "
         "retried)",
     )
     fail = p.add_mutually_exclusive_group()
@@ -298,7 +261,7 @@ def _build_scenarios(
     # Stuck-at screening needs each design's offline artifact (its tap
     # directory picks the fault sites) before any scenario exists.  Warm
     # the cache for every distinct design in one pass through the same
-    # scheduler path the campaign's --offline-workers phase uses, and
+    # scheduler path and --workers pool the campaign uses, and
     # keep the returned {cache key: artifact} map — screening consumes
     # those build results directly instead of probing the cache for
     # warmth again (mutation-only runs never need it: each mutation is
@@ -313,8 +276,7 @@ def _build_scenarios(
             nets,
             cache=cache,
             with_physical=args.physical,
-            workers=args.offline_workers,
-            intra_workers=args.intra_design_workers,
+            workers=args.workers,
         )
 
     scenarios: list[DebugScenario] = []
@@ -327,15 +289,8 @@ def _build_scenarios(
                 return None
             spec = get_spec(design) if isinstance(design, str) else design
             net = generate_circuit(spec)
-            extras = (
-                ("place_regions=8",)
-                if args.intra_design_workers >= 1 and args.physical
-                else ()
-            )
             found = prebuilt.get(
-                _offline_group_key(
-                    net, CampaignConfig().flow, args.physical, extras
-                )
+                _offline_group_key(net, CampaignConfig().flow, args.physical)
             )
             if found is not None:
                 return found
@@ -367,36 +322,60 @@ def _build_scenarios(
     return scenarios
 
 
-def _make_cache(args: argparse.Namespace):
-    if args.no_cache:
-        return None
-    if args.whole_artifact:
-        return OfflineCache(cache_dir=args.cache_dir)
-    return ArtifactStore(cache_dir=args.cache_dir)
+def _make_cache(args: argparse.Namespace) -> ArtifactStore | None:
+    return None if args.no_cache else ArtifactStore(cache_dir=args.cache_dir)
+
+
+#: Lower bound of every integer option, checked before any work starts.
+_MINIMUMS = {
+    "workers": 1,
+    "lane_width": 1,
+    "per_design": 1,
+    "horizon": 1,
+    "max_turns": 1,
+    "task_retries": 0,
+}
+
+
+def _usage_error(args: argparse.Namespace) -> str | None:
+    """The first invalid option or option combination, else ``None``."""
+    for name, low in _MINIMUMS.items():
+        value = getattr(args, name)
+        if value < low:
+            flag = "--" + name.replace("_", "-")
+            return f"{flag} must be at least {low}, got {value}"
+    if args.task_timeout is not None and args.task_timeout <= 0:
+        return f"--task-timeout must be positive, got {args.task_timeout:g}"
+    if args.assert_warm and args.no_cache:
+        return "--assert-warm requires a cache (drop --no-cache)"
+    if args.resume is not None and args.campaign_id is not None:
+        return "--resume already names the campaign; drop --campaign-id"
+    journaled = args.resume is not None or args.campaign_id is not None
+    if journaled and (args.no_cache or args.cache_dir is None):
+        return (
+            "the campaign journal lives under the cache directory; "
+            "--campaign-id/--resume require --cache-dir"
+        )
+    if args.interpreted and args.lane_width > 64:
+        return (
+            "--interpreted is single-word; use --lane-width <= 64 "
+            "(multi-word lanes need the compiled kernels)"
+        )
+    if args.interpreted and args.sim_backend != "auto":
+        return (
+            "--interpreted bypasses the compiled kernels; drop "
+            "--sim-backend or drop --interpreted"
+        )
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    if args.assert_warm and args.no_cache:
-        print(
-            "error: --assert-warm requires a cache (drop --no-cache)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.resume is not None and args.campaign_id is not None:
-        print(
-            "error: --resume already names the campaign; drop --campaign-id",
-            file=sys.stderr,
-        )
+    error = _usage_error(args)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
         return 2
     campaign_id = args.resume if args.resume is not None else args.campaign_id
-    if campaign_id is not None and (args.no_cache or args.cache_dir is None):
-        print(
-            "error: the campaign journal lives under the cache directory; "
-            "--campaign-id/--resume require --cache-dir",
-            file=sys.stderr,
-        )
-        return 2
     names = (
         [f"synthetic-{args.synthetic_gates}"]
         if args.synthetic_gates is not None
@@ -413,40 +392,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
 
-    if args.lane_width < 1:
-        print("error: --lane-width must be at least 1", file=sys.stderr)
-        return 2
-    if args.interpreted and args.lane_width > 64:
-        print(
-            "error: --interpreted is single-word; use --lane-width <= 64 "
-            "(multi-word lanes need the compiled kernels)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.interpreted and args.sim_backend != "auto":
-        print(
-            "error: --interpreted bypasses the compiled kernels; drop "
-            "--sim-backend or drop --interpreted",
-            file=sys.stderr,
-        )
-        return 2
-    if args.sim_backend == "numpy" and not numpy_available():
-        print(
-            "error: --sim-backend numpy requires numpy, which is not "
-            "importable in this environment",
-            file=sys.stderr,
-        )
-        return 2
     config = CampaignConfig(
         workers=args.workers,
-        offline_workers=args.offline_workers,
         with_physical=args.physical,
-        intra_design_workers=args.intra_design_workers,
         max_turns=args.max_turns,
         lane_width=args.lane_width,
         interpreted=args.interpreted,
         backend=None if args.sim_backend == "auto" else args.sim_backend,
-        schedule=args.schedule,
         task_timeout_s=args.task_timeout,
         task_retries=args.task_retries,
         fail_fast=args.fail_fast,

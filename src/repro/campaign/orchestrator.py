@@ -1,14 +1,13 @@
-"""Batch campaign orchestration: one dataflow scheduler, two phases overlapped.
+"""Batch campaign orchestration: one dataflow scheduler, one shared pool.
 
 :func:`run_campaign` drives a whole batch of (design, bug-scenario) pairs
 through the two-stage debug flow:
 
-* **Offline work**: every scenario's design-under-debug is materialized
-  and resolved — against a whole-artifact
-  :class:`~repro.campaign.cache.OfflineCache`, a stage-granular
-  :class:`~repro.pipeline.ArtifactStore` (each compile stage reused
-  independently under its content-addressed key), or cold.  Structurally
-  identical designs share artifacts, so a campaign of N stuck-at
+* **Offline work**: scenarios are grouped by their design's offline
+  cache key and every distinct design is resolved once — against a
+  stage-granular :class:`~repro.pipeline.ArtifactStore` (each compile
+  stage reused independently under its content-addressed key) or cold.
+  Duplicate scenarios share that build, so a campaign of N stuck-at
   scenarios on one design pays the generic stage (and, with
   ``with_physical``, the full pack/place/route back-end) exactly once.
 * **Online work**: scenarios are grouped by **lane batch** — the finest
@@ -17,47 +16,45 @@ through the two-stage debug flow:
   ``lane_width`` scenarios runs as the lanes of a single
   :class:`~repro.engine.LaneEngine`
   (:func:`~repro.campaign.runner.run_scenario_batch`); ``lane_width=1``
-  falls back to the historical per-scenario path.
+  runs one-lane batches.
 
-Both phases are expressed as tasks on one
-:class:`~repro.pipeline.scheduler.DataflowScheduler` sharing one worker
-pool.  Under the default ``schedule="dataflow"`` there is **no phase
-barrier**: a design's lane batches launch the moment its last offline
-build lands, while other designs are still packing/placing/routing — and
-with ``offline_workers > 1`` a single design's independent stages
-(``rr-graph`` vs ``place``) overlap too, via the fused segment tasks of
-:func:`~repro.pipeline.scheduler.submit_compile`.  ``schedule="barrier"``
-keeps the historical offline-then-online ordering (the baseline
-``benchmarks/bench_overlap.py`` measures against).  The serial
-configuration (``workers=1``, ``offline_workers=1``) is the same
-scheduler with nothing pooled — the event loop degenerates to the
-historical serial loops.
+Both phases are tasks on one
+:class:`~repro.pipeline.scheduler.DataflowScheduler` sharing one pool of
+``workers`` processes.  There is no phase barrier: a design's lane
+batches launch the moment its build lands, while other designs are still
+packing/placing/routing, and a cold design's independent stages
+(``rr-graph`` vs ``place``) run as separate segment tasks
+(:func:`~repro.pipeline.scheduler.submit_compile`).  ``workers=1`` is the
+same scheduler with nothing pooled.
 
-Store semantics are identical across schedules and worker counts: the
-parent process performs every cache probe and store put, under the same
-content-addressed keys and in the same per-design order as a serial run,
-so outcomes are byte-identical and hit/miss/invalidation statistics
-match exactly.  Process pools degrade gracefully: a pool that cannot
-start (sandboxes, restricted containers) falls back to in-parent
-execution, reported in the notes.
+Store semantics are identical at any worker count: the parent process
+performs every compile-stage probe and store put, under the same
+content-addressed keys and in the same per-design order, so outcomes are
+byte-identical and the compile stages' hit/miss/invalidation statistics
+match exactly.  (Compiled simulation programs are stored only by lane
+batches that run in the parent; a pooled batch compiles its own.)  A
+pool that cannot start (sandboxes, restricted containers) falls back to
+in-parent execution, reported in the notes.
 
 Results aggregate into a :class:`~repro.campaign.results.CampaignReport`,
-whose ``workers`` field reports the *effective* parallelism (1 when the
-pool fell back to serial), whose ``lane_batches`` field records per-batch
-lane occupancy, and which now carries the critical-path breakdown —
-``sched_wall_s``, ``overlap_ratio`` and per-stage concurrency.
+whose ``workers`` field reports the *effective* pool size (1 when nothing
+ran pooled or the pool fell back to serial), whose ``lane_batches`` field
+records per-batch lane occupancy, and which carries the critical-path
+breakdown — ``sched_wall_s``, ``overlap_ratio`` and per-stage
+concurrency.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from repro.campaign.cache import ArtifactStore, OfflineCache, resolve_offline
+from repro.campaign.cache import ArtifactStore
 from repro.campaign.results import CampaignReport, ScenarioResult
-from repro.campaign.runner import run_scenario, run_scenario_batch
+from repro.campaign.runner import run_scenario_batch
 from repro.core.flow import DebugFlowConfig, OfflineStage, offline_cache_key
 from repro.pipeline.scheduler import (
     DataflowScheduler,
@@ -68,8 +65,6 @@ from repro.workloads.scenarios import DebugScenario
 
 __all__ = ["CampaignConfig", "prebuild_offline", "run_campaign"]
 
-CacheLike = OfflineCache | ArtifactStore | None
-
 
 @dataclass
 class CampaignConfig:
@@ -77,30 +72,16 @@ class CampaignConfig:
 
     flow: DebugFlowConfig = field(default_factory=DebugFlowConfig)
     workers: int = 1
-    """Online-phase parallelism; ``<= 1`` runs scenarios serially."""
-    offline_workers: int = 1
-    """Offline-phase parallelism: distinct cold designs (unique offline
-    cache keys) build concurrently in a process pool, each design's
-    independent stages running as separate segment tasks.  ``<= 1`` keeps
-    the historical serial build loop.  Artifacts land under the same
-    content-addressed keys either way, so outcomes and warm restarts are
-    byte-identical to serial builds."""
+    """Size of the one shared worker pool.  Distinct cold designs build
+    concurrently (each design's independent stages as separate segment
+    tasks) and lane batches run concurrently; ``<= 1`` runs everything
+    in the calling process.  Artifacts land under the same
+    content-addressed keys at any size, so outcomes and warm restarts are
+    byte-identical."""
     with_physical: bool = False
     """Include the physical back-end (pack/place/route, bitstream) in the
     offline artifact — the paper's full §IV-A stage.  Currently limited to
     combinational designs (the TPaR back-end does not yet route latches)."""
-    intra_design_workers: int = 0
-    """Intra-design parallelism.  ``0`` (default) keeps the historical
-    serial algorithms.  ``>= 1`` turns on the intra-parallel algorithms:
-    level-wave priority-cut mapping in the generic prefix (initial-map
-    and tcon-map, byte-identical to serial — see
-    :mod:`repro.mapping.parallel`) and, with ``with_physical``, the
-    region-parallel annealer (cache-keyed as ``place_regions=8``) plus
-    the round-parallel router (byte-identical to serial).  All waves fan
-    onto the campaign's one shared worker pool with this many slots;
-    ``1`` runs the same algorithms in-process.  Campaign outcomes are
-    therefore byte-identical across any ``>= 1`` setting — only the wall
-    clock changes."""
     max_turns: int = 48
     """Per-scenario budget of debugging turns for the localization walk."""
     lane_width: int = 64
@@ -108,8 +89,8 @@ class CampaignConfig:
     multiple ``uint64`` words — lane *k* is word ``k // 64``, bit
     ``k % 64``).  Scenarios sharing an offline artifact and a horizon are
     batched into lanes of one packed :class:`~repro.engine.LaneEngine`;
-    ``1`` runs the historical one-session-per-scenario path.  Outcomes
-    are byte-identical at every width — only the throughput changes."""
+    ``1`` runs one-lane batches.  Outcomes are byte-identical at every
+    width — only the throughput changes."""
     interpreted: bool = False
     """Run the online phase on the reference per-gate interpreter instead
     of the compiled simulation kernels — the escape hatch, and the
@@ -122,13 +103,6 @@ class CampaignConfig:
     :func:`repro.netlist.compiled.resolve_backend`.  Outcomes are
     byte-identical across backends (``tests/test_backend_parity.py``);
     only throughput changes.  Ignored when ``interpreted`` is set."""
-    schedule: str = "dataflow"
-    """Execution discipline: ``"dataflow"`` (default) overlaps offline
-    builds with online lane batches across designs on one shared worker
-    pool — a design's lane batches launch as soon as its artifact lands;
-    ``"barrier"`` keeps the historical offline-then-online phase
-    ordering.  Outcomes and cache statistics are identical either way —
-    only the wall-clock changes."""
     task_timeout_s: float | None = None
     """Wall-clock budget per pooled task attempt (offline segment or
     online lane batch).  ``None`` (default) never times out.  A timed-out
@@ -147,7 +121,7 @@ class CampaignConfig:
     going"): a failure is isolated to its own design's scenarios."""
     campaign_id: str | None = None
     """Enable the checkpoint journal under this identity (requires a
-    cache with a persistent ``cache_dir``).  Every finished scenario is
+    store with a persistent ``cache_dir``).  Every finished scenario is
     appended to ``<cache_dir>/journal/<campaign_id>.jsonl``; see
     ``resume``."""
     resume: bool = False
@@ -161,46 +135,27 @@ class CampaignConfig:
 
 
 #: One pool task: a stripped offline artifact, the scenarios of one lane
-#: batch (or serial chunk), the turn budget, the lane width, the
-#: interpreted-simulator flag and the kernel backend.  Each distinct
-#: artifact is pickled once per payload instead of once per scenario.
+#: batch, the turn budget, the interpreted-simulator flag and the kernel
+#: backend.  Each distinct artifact is pickled once per batch instead of
+#: once per scenario.
 GroupPayload = tuple[
-    OfflineStage, "list[tuple[int, DebugScenario]]", int, int, bool,
-    "str | None",
+    OfflineStage, "list[tuple[int, DebugScenario]]", int, bool, "str | None"
 ]
 
 
 def _online_group_worker(
     payload: GroupPayload, store=None
 ) -> list[tuple[int, ScenarioResult]]:
-    offline, items, max_turns, lane_width, interpreted, backend = payload
-    if lane_width > 1:
-        batch_results = run_scenario_batch(
-            [sc for _idx, sc in items],
-            offline,
-            max_turns=max_turns,
-            interpreted=interpreted,
-            store=store,
-            backend=backend,
-        )
-        return [
-            (idx, result)
-            for (idx, _sc), result in zip(items, batch_results)
-        ]
-    return [
-        (
-            idx,
-            run_scenario(
-                sc,
-                offline,
-                max_turns=max_turns,
-                interpreted=interpreted,
-                store=store,
-                backend=backend,
-            ),
-        )
-        for idx, sc in items
-    ]
+    offline, items, max_turns, interpreted, backend = payload
+    results = run_scenario_batch(
+        [sc for _idx, sc in items],
+        offline,
+        max_turns=max_turns,
+        interpreted=interpreted,
+        store=store,
+        backend=backend,
+    )
+    return [(idx, result) for (idx, _sc), result in zip(items, results)]
 
 
 def _lane_batch_key(sc: DebugScenario, stage: OfflineStage) -> tuple:
@@ -217,62 +172,39 @@ def _lane_batch_key(sc: DebugScenario, stage: OfflineStage) -> tuple:
 def _group_payloads(
     resolved: "list[tuple[int, DebugScenario, OfflineStage]]",
     max_turns: int,
-    workers: int,
     lane_width: int,
     interpreted: bool = False,
     backend: "str | None" = None,
 ) -> list[GroupPayload]:
-    """Group scenarios into lane batches (or serial chunks) per payload.
+    """Split scenarios into lane batches, one payload each.
 
-    With ``lane_width > 1``, scenarios are grouped by
-    :func:`_lane_batch_key` and split into batches of at most
-    ``lane_width`` lanes; each batch is one payload (one engine, one
-    worker task).  With ``lane_width == 1`` the historical scheme
-    applies: scenarios sharing a cache key are split into at most
-    ``workers`` chunks so pool parallelism is preserved.  Either way the
-    artifact is stripped of its physical stage **once** per group — the
-    online loop runs against the virtual PConf.
+    Scenarios are grouped by :func:`_lane_batch_key` and split into
+    batches of at most ``lane_width`` lanes; each batch is one payload
+    (one engine, one worker task).  The artifact is stripped of its
+    physical stage **once** per group — the online loop runs against the
+    virtual PConf.
     """
-    groups: dict[object, list[tuple[int, DebugScenario, OfflineStage]]] = {}
+    groups: dict[tuple, list[tuple[int, DebugScenario, OfflineStage]]] = {}
     for idx, sc, stage in resolved:
-        key = (
-            _lane_batch_key(sc, stage)
-            if lane_width > 1
-            else (stage.cache_key or id(stage))
+        groups.setdefault(_lane_batch_key(sc, stage), []).append(
+            (idx, sc, stage)
         )
-        groups.setdefault(key, []).append((idx, sc, stage))
     payloads: list[GroupPayload] = []
     for items in groups.values():
         # the online loop runs against the virtual PConf; don't ship the
         # physical stage (MBs of placement/routing state) to workers
         stripped = replace(items[0][2], physical=None)
-        if lane_width > 1:
-            for base in range(0, len(items), lane_width):
-                chunk = items[base : base + lane_width]
-                payloads.append(
-                    (
-                        stripped,
-                        [(idx, sc) for idx, sc, _ in chunk],
-                        max_turns,
-                        lane_width,
-                        interpreted,
-                        backend,
-                    )
+        for base in range(0, len(items), lane_width):
+            chunk = items[base : base + lane_width]
+            payloads.append(
+                (
+                    stripped,
+                    [(idx, sc) for idx, sc, _ in chunk],
+                    max_turns,
+                    interpreted,
+                    backend,
                 )
-        else:
-            n_chunks = max(1, min(workers, len(items)))
-            for c in range(n_chunks):
-                chunk = items[c::n_chunks]
-                payloads.append(
-                    (
-                        stripped,
-                        [(idx, sc) for idx, sc, _ in chunk],
-                        max_turns,
-                        1,
-                        interpreted,
-                        backend,
-                    )
-                )
+            )
     return payloads
 
 
@@ -283,19 +215,12 @@ def _make_pool(n: int):
 
 
 def _offline_group_key(
-    net,
-    flow: DebugFlowConfig,
-    with_physical: bool,
-    extras: tuple = (),
+    net, flow: DebugFlowConfig, with_physical: bool
 ) -> str:
-    """The identity under which scenarios share one offline build.
-
-    ``extras`` carries additional algorithm discriminators — e.g.
-    ``"place_regions=8"`` when the intra-parallel back-end is selected,
-    whose placement is a different (keyed) trajectory from serial.
-    """
-    extra = (("physical",) if with_physical else ()) + extras
-    return offline_cache_key(net, flow, extra=extra)
+    """The identity under which scenarios share one offline build."""
+    return offline_cache_key(
+        net, flow, extra=("physical",) if with_physical else ()
+    )
 
 
 def _offline_error(sc: DebugScenario, message: str) -> ScenarioResult:
@@ -319,29 +244,26 @@ def _submit_design_build(
     net,
     flow: DebugFlowConfig,
     with_physical: bool,
-    cache: CacheLike,
-    gkey: str,
+    store: ArtifactStore | None,
+    label: str,
     *,
     pooled: bool,
-    params: "dict | None" = None,
-    intra=None,
     timeout_s: "float | None" = None,
     max_retries: int = 0,
     on_complete,
 ) -> list[ScheduledTask]:
     """Register one design's offline build as dataflow tasks.
 
-    Probes the cache **now**, in the parent, with single-read lookups
-    (:meth:`~repro.pipeline.ArtifactStore.get_if_present` behind
-    ``store.get`` / ``OfflineCache.get``) — counted exactly like a serial
-    resolution, with no warmth pre-probe doubling the disk reads.  Warm
-    designs fire ``on_complete(stage, True, {}, None)`` synchronously and
-    create no task; cold designs become fused segment tasks
-    (:func:`~repro.pipeline.scheduler.submit_compile`) whose completion
-    assembles the artifact, lands it in the cache parent-side, and fires
-    ``on_complete(stage, False, stage_seconds, None)``.  Failures fire
-    ``on_complete(None, False, {}, message)``.  Returns the created
-    tasks (empty when the design resolved warm or failed to plan).
+    :func:`~repro.pipeline.scheduler.submit_compile` probes ``store``
+    **now**, in the parent, one single-read lookup per stage — counted
+    exactly like a serial resolution.  A warm design fires
+    ``on_complete(stage, True, {}, None)`` synchronously and creates no
+    task; a cold design becomes fused segment tasks whose completion
+    lands every built stage in the store parent-side, assembles the
+    artifact and fires ``on_complete(stage, False, stage_seconds,
+    None)``.  Failures fire ``on_complete(None, False, {}, message)``.
+    Returns the created tasks (empty when the design resolved warm or
+    failed to plan).
     """
     from repro.pipeline import (
         DEBUG_FLOW_GRAPH,
@@ -349,92 +271,41 @@ def _submit_design_build(
         PHYSICAL_STAGES,
         assemble_offline,
     )
-    from repro.pipeline.graph import source_key
 
     stages = (
         GENERIC_STAGES + PHYSICAL_STAGES if with_physical else GENERIC_STAGES
     )
-
-    def fail(exc: BaseException) -> None:
+    try:
+        plan = DEBUG_FLOW_GRAPH.plan(net, flow, stages=stages)
+    except Exception as exc:  # noqa: BLE001 — one bad design ≠ dead campaign
         on_complete(None, False, {}, f"{type(exc).__name__}: {exc}")
+        return []
 
-    if isinstance(cache, ArtifactStore):
-        # stage-granular: the probe inside submit_compile is the lookup
-        try:
-            plan = DEBUG_FLOW_GRAPH.plan(net, flow, params=params, stages=stages)
-        except Exception as exc:  # noqa: BLE001 — one bad design ≠ dead campaign
-            fail(exc)
-            return []
-
-        def complete(result, err):
-            if err is not None:
-                on_complete(None, False, {}, err)
-                return
+    def complete(result, err):
+        stage = None
+        if err is None:
             try:
                 stage = assemble_offline(result)
             except Exception as exc:  # noqa: BLE001
-                fail(exc)
-                return
+                err = f"{type(exc).__name__}: {exc}"
+        if stage is None:
+            on_complete(None, False, {}, err)
+        else:
             on_complete(
                 stage, result.full_hit, dict(result.timers.totals), None
             )
-
-        return submit_compile(
-            sched,
-            DEBUG_FLOW_GRAPH,
-            net,
-            plan,
-            store=cache,
-            pooled=pooled,
-            label=gkey[:12],
-            intra=intra,
-            timeout_s=timeout_s,
-            max_retries=max_retries,
-            on_complete=complete,
-        )
-
-    if isinstance(cache, OfflineCache):
-        # whole-artifact: one counted lookup, then (on miss) a cold build
-        try:
-            found = cache.get(gkey, group=source_key(net))
-        except Exception as exc:  # noqa: BLE001
-            fail(exc)
-            return []
-        if found is not None:
-            on_complete(found, True, {}, None)
-            return []
-
-    try:
-        plan = DEBUG_FLOW_GRAPH.plan(net, flow, params=params, stages=stages)
-    except Exception as exc:  # noqa: BLE001
-        fail(exc)
-        return []
-
-    def complete_cold(result, err):
-        if err is not None:
-            on_complete(None, False, {}, err)
-            return
-        try:
-            stage = assemble_offline(result)
-            if isinstance(cache, OfflineCache):
-                stage = cache.put(gkey, stage)
-        except Exception as exc:  # noqa: BLE001
-            fail(exc)
-            return
-        on_complete(stage, False, dict(result.timers.totals), None)
 
     return submit_compile(
         sched,
         DEBUG_FLOW_GRAPH,
         net,
         plan,
-        store=None,
+        store=store,
         pooled=pooled,
-        label=gkey[:12],
-        intra=intra,
+        label=label,
         timeout_s=timeout_s,
         max_retries=max_retries,
-        on_complete=complete_cold,
+        on_complete=complete,
     )
 
 
@@ -442,69 +313,47 @@ def prebuild_offline(
     nets: "Sequence[object]",
     *,
     flow: DebugFlowConfig | None = None,
-    cache: CacheLike = None,
+    cache: ArtifactStore | None = None,
     with_physical: bool = False,
     workers: int = 1,
-    intra_workers: int = 0,
     notes: "list[str] | None" = None,
 ) -> "dict[str, OfflineStage]":
-    """Warm the cache with offline artifacts for ``nets``, concurrently.
+    """Warm the store with offline artifacts for ``nets``, concurrently.
 
     The same scheduler path the campaign's offline work rides, exposed
     for callers that need artifacts *before* a campaign exists — e.g.
     stuck-at scenario screening, which needs each design's tap directory
     to pick fault sites.  Designs are deduped by offline cache key; warm
-    keys resolve in-process with one counted lookup, cold keys build as
-    segment tasks on a process pool of up to ``workers`` (in-process
-    when ``workers <= 1`` or the pool is unavailable), and every
+    keys resolve in-process with one counted lookup per stage, cold keys
+    build as segment tasks on a process pool of up to ``workers`` (in
+    process when ``workers <= 1`` or the pool is unavailable), and every
     artifact lands in ``cache`` under the same content-addressed keys a
     serial :func:`~repro.campaign.cache.resolve_offline` call would use —
     later resolutions of the same design are pure hits.
 
     Returns ``{offline cache key: artifact}`` for every design that
     built (or resolved warm) — the map the CLI's screening step consumes
-    directly instead of re-probing the cache.  Failed designs are simply
+    directly instead of re-probing the store.  Failed designs are simply
     absent; callers decide whether to retry without the physical stage
     or surface the error.  ``notes``, when given, collects
     human-readable fallback messages (pool unavailable etc.).
-
-    ``intra_workers >= 1`` selects the intra-parallel algorithms
-    (level-wave mapping always; region-parallel placement and
-    round-parallel routing with ``with_physical``) — see
-    :attr:`CampaignConfig.intra_design_workers` for the semantics.
     """
     flow = flow or DebugFlowConfig()
     if notes is None:
         notes = []
-    intra_enabled = intra_workers >= 1
-    # place_regions=8 (a keyed, different algorithm) only applies to the
-    # physical back-end; generic-prefix waves need no key discriminator
-    phys_intra = intra_enabled and with_physical
-    extras = ("place_regions=8",) if phys_intra else ()
-    params = {"place_regions": 8} if phys_intra else None
     keyed: "dict[str, object]" = {}
     for net in nets:
-        keyed.setdefault(
-            _offline_group_key(net, flow, with_physical, extras), net
-        )
+        keyed.setdefault(_offline_group_key(net, flow, with_physical), net)
     out: "dict[str, OfflineStage]" = {}
     sched = DataflowScheduler(
-        pool_size=max(
-            min(max(1, workers), max(1, len(keyed))),
-            intra_workers if intra_enabled else 1,
-        ),
+        pool_size=min(max(1, workers), max(1, len(keyed))),
         executor_factory=_make_pool,
     )
-    intra = None
-    if intra_enabled:
-        from repro.util.intra import IntraPool
-
-        intra = IntraPool(intra_workers, acquire=sched._acquire_pool)
     try:
         for key, net in keyed.items():
 
             def done(stage, _hit, _totals, err, key=key):
-                if err is None and stage is not None:
+                if err is None:
                     out[key] = stage
 
             _submit_design_build(
@@ -513,10 +362,8 @@ def prebuild_offline(
                 flow,
                 with_physical,
                 cache,
-                key,
+                key[:12],
                 pooled=workers > 1,
-                params=params,
-                intra=intra,
                 on_complete=done,
             )
         sched.run()
@@ -528,11 +375,6 @@ def prebuild_offline(
             f"({type(sched.pool_error).__name__}); built cold design(s) "
             "in-process"
         )
-    if intra is not None and intra.broken:
-        notes.append(
-            "intra-design pool unavailable; mapping/place/route waves ran "
-            "in-process"
-        )
     return out
 
 
@@ -540,7 +382,7 @@ def run_campaign(
     scenarios: Sequence[DebugScenario],
     *,
     config: CampaignConfig | None = None,
-    cache: CacheLike = None,
+    cache: ArtifactStore | None = None,
 ) -> CampaignReport:
     """Run a debug campaign over ``scenarios``.
 
@@ -551,42 +393,22 @@ def run_campaign(
         :mod:`repro.workloads.scenarios` for generators.
     config:
         Orchestration knobs; defaults to serial execution, generic-only
-        offline artifacts, dataflow scheduling and a 48-turn
-        localization budget.
+        offline artifacts and a 48-turn localization budget.
     cache:
-        Offline-artifact cache: an :class:`~repro.pipeline.ArtifactStore`
-        for stage-granular reuse, an
-        :class:`~repro.campaign.cache.OfflineCache` for whole-artifact
-        reuse, or ``None`` to run *cold* — every scenario pays its own
-        offline stage, the conventional-recompile baseline the caches'
-        amortization is measured against
-        (``benchmarks/bench_campaign.py``, ``bench_incremental.py``).
+        Offline-artifact store: an :class:`~repro.pipeline.ArtifactStore`
+        reuses every compile stage across scenarios, campaigns and (with
+        a ``cache_dir``) processes; ``None`` runs *cold* — each distinct
+        design builds once for this campaign and nothing is kept.
 
     Scenario outcomes are deterministic — the same scenarios and flow
-    config produce the same statuses, suspects and turn counts whether
-    the phases run serially, across a worker pool, overlapped under the
-    dataflow schedule or behind the historical barrier.
+    config produce the same statuses, suspects and turn counts at any
+    worker count, lane width, kernel backend and store state.
     """
     config = config or CampaignConfig()
     notes: list[str] = []
     t_wall = time.perf_counter()
     workers = max(1, config.workers)
     lane_width = max(1, config.lane_width)
-    barrier = config.schedule == "barrier"
-    intra_enabled = config.intra_design_workers >= 1
-    # the region-parallel annealer is a different (keyed) algorithm, so
-    # intra-enabled *physical* builds live under their own group keys and
-    # params; the generic prefix's level-wave mapping is byte-identical to
-    # serial, so without the physical back-end nothing is keyed
-    phys_intra = intra_enabled and config.with_physical
-    extras = ("place_regions=8",) if phys_intra else ()
-    build_params = {"place_regions": 8} if phys_intra else None
-    # offline build unit: one per distinct design when pooled (builds
-    # dedupe across duplicate scenarios), one per scenario when serial —
-    # the historical granularities, now just two task layouts.  Intra-
-    # parallel builds always take the dedup path: only the segment-task
-    # layout can thread the intra pool into place/route stage bodies.
-    dedup = config.offline_workers > 1 or intra_enabled
 
     # -- checkpoint journal ----------------------------------------------------
     journal = None
@@ -598,7 +420,7 @@ def run_campaign(
             journal_path,
         )
 
-        cache_dir = getattr(cache, "cache_dir", None)
+        cache_dir = cache.cache_dir if cache is not None else None
         if cache_dir is None:
             if config.resume:
                 raise ValueError(
@@ -616,8 +438,7 @@ def run_campaign(
                 # the previous run may have died mid-put; readers never
                 # touch .tmp files, so sweeping the leftovers is safe here
                 # (no concurrent writer exists yet)
-                store = cache if isinstance(cache, ArtifactStore) else cache.store
-                store.sweep_stale_tmp()
+                cache.sweep_stale_tmp()
                 journal, done_records = CampaignJournal.resume(
                     jpath, fingerprint=fp, fsync=config.journal_fsync
                 )
@@ -643,7 +464,6 @@ def run_campaign(
     hits: dict[int, bool] = {}
     failed: dict[int, ScenarioResult] = {}
     offline_stage_s: dict[str, float] = {}
-    resolved: list[tuple[int, DebugScenario, OfflineStage]] = []
     indexed: list[tuple[int, ScenarioResult]] = []
     payloads: list[GroupPayload] = []
     aborted: dict = {"err": None}
@@ -664,17 +484,14 @@ def run_campaign(
     t_offline = time.perf_counter()
     groups: dict[str, list[tuple[int, DebugScenario]]] = {}
     group_net: dict[str, object] = {}
-    nets: dict[int, object] = {}
-    lane_key_of: dict[int, object] = {}
+    lane_sizes: Counter = Counter()
     for idx, sc in enumerate(scenarios):
         if idx in resumed:
             continue
         t0 = time.perf_counter()
         try:
             net = sc.debug_network()
-            gkey = _offline_group_key(
-                net, config.flow, config.with_physical, extras
-            )
+            gkey = _offline_group_key(net, config.flow, config.with_physical)
         except Exception as exc:  # noqa: BLE001
             failed[idx] = _offline_error(sc, f"{type(exc).__name__}: {exc}")
             offline_s[idx] = time.perf_counter() - t0
@@ -686,38 +503,14 @@ def run_campaign(
         offline_s[idx] = time.perf_counter() - t0
         groups.setdefault(gkey, []).append((idx, sc))
         group_net.setdefault(gkey, net)
-        nets[idx] = net
         # within one campaign the flow config is fixed, so this key is
         # equivalent to _lane_batch_key over the resolved artifacts —
-        # known *before* any artifact exists, which is what lets online
-        # batches trigger the moment their builds land
-        lane_key_of[idx] = (
-            (gkey, sc.spec, sc.design_seed, sc.horizon)
-            if lane_width > 1
-            else gkey
-        )
+        # known *before* any artifact exists
+        lane_sizes[(gkey, sc.spec, sc.design_seed, sc.horizon)] += 1
 
-    # -- lane-group bookkeeping: when can each batch launch? -------------------
-    lane_groups: dict[object, dict] = {}
-    for idx in lane_key_of:
-        lg = lane_groups.setdefault(
-            lane_key_of[idx], {"pending": 0, "n": 0, "triples": []}
-        )
-        lg["n"] += 1
-    if dedup:
-        for gkey, items in groups.items():
-            for lkey in dict.fromkeys(lane_key_of[idx] for idx, _sc in items):
-                lane_groups[lkey]["pending"] += 1
-    else:
-        for idx in lane_key_of:
-            lane_groups[lane_key_of[idx]]["pending"] += 1
-
-    expected_payloads = 0
-    for lg in lane_groups.values():
-        if lane_width > 1:
-            expected_payloads += (lg["n"] + lane_width - 1) // lane_width
-        else:
-            expected_payloads += max(1, min(workers, lg["n"]))
+    expected_payloads = sum(
+        (n + lane_width - 1) // lane_width for n in lane_sizes.values()
+    )
     # a pool only pays for itself when there is more than one payload to
     # spread: a single lane batch would ride one worker anyway, while the
     # parent still paid pool startup plus artifact pickling — the
@@ -730,17 +523,6 @@ def run_campaign(
         )
 
     sched = DataflowScheduler(executor_factory=_make_pool)
-    intra = None
-    if intra_enabled:
-        from repro.util.intra import IntraPool
-
-        intra = IntraPool(
-            config.intra_design_workers, acquire=sched._acquire_pool
-        )
-    # compiled programs persist in the stage store when one is in play —
-    # worker processes compile their own (the store isn't shipped), but
-    # in-parent runs and warm restarts skip compilation entirely
-    program_store = cache if isinstance(cache, ArtifactStore) else None
 
     def fail_fast_abort(err: str) -> None:
         if not config.fail_fast or aborted["err"] is not None:
@@ -782,8 +564,12 @@ def run_campaign(
                 label=f"lanes[{len(payload[1])}]",
                 worker_fn=_online_group_worker,
                 payload=payload,
+                # compiled programs persist in the stage store when one is
+                # in play — worker processes compile their own (the store
+                # isn't shipped), but in-parent runs and warm restarts
+                # skip compilation entirely
                 inline_fn=lambda p=payload: _online_group_worker(
-                    p, store=program_store
+                    p, store=cache
                 ),
                 pooled=use_online_pool,
                 on_done=lambda _task, out: online_done(out),
@@ -794,195 +580,94 @@ def run_campaign(
             )
         )
 
-    def lane_unit_done(lkey: object) -> None:
-        lg = lane_groups[lkey]
-        lg["pending"] -= 1
-        if lg["pending"] > 0:
+    def design_done(gkey, stage, hit, totals, err):
+        items = groups[gkey]
+        first_idx = items[0][0]
+        if err is not None:
+            for idx, sc in items:
+                failed[idx] = _offline_error(sc, err)
+                hits[idx] = False
+                checkpoint(idx, failed[idx])
+            fail_fast_abort(err)
             return
-        triples = sorted(lg["triples"], key=lambda t: t[0])
-        resolved.extend(triples)
-        if barrier or not triples:
-            return
+        _accumulate_stage_s(offline_stage_s, totals)
+        offline_s[first_idx] += sum(totals.values())
+        # duplicates of a built design ride the group's artifact: a cache
+        # hit when a store holds it, plain build sharing when running
+        # cold (outcomes are unaffected, only the redundant rebuilds go)
+        for idx, _sc in items:
+            hits[idx] = hit if idx == first_idx else cache is not None
+        # lane batches launch the moment their design's build lands
         for payload in _group_payloads(
-            triples,
+            [(idx, sc, stage) for idx, sc in items],
             config.max_turns,
-            workers,
             lane_width,
             config.interpreted,
             config.backend,
         ):
             submit_online(payload)
 
-    # -- offline tasks ---------------------------------------------------------
+    # -- offline tasks: one build unit per distinct design ---------------------
     n_cold = 0
-    if dedup:
-
-        def design_done(gkey, stage, hit, totals, err):
-            items = groups[gkey]
-            first_idx = items[0][0]
-            if err is not None:
-                for idx, sc in items:
-                    failed[idx] = _offline_error(sc, err)
-                    hits[idx] = False
-                    checkpoint(idx, failed[idx])
-                fail_fast_abort(err)
-            else:
-                _accumulate_stage_s(offline_stage_s, totals)
-                offline_s[first_idx] += sum(totals.values())
-                # duplicates of a built design ride the group's artifact:
-                # a cache hit when a cache holds it, plain build sharing
-                # when running cold (outcomes are unaffected, only the
-                # redundant rebuilds go away)
-                dup_hit = cache is not None
-                for idx, sc in items:
-                    hits[idx] = hit if idx == first_idx else dup_hit
-                    lane_groups[lane_key_of[idx]]["triples"].append(
-                        (idx, sc, stage)
-                    )
-            for lkey in dict.fromkeys(lane_key_of[idx] for idx, _sc in items):
-                lane_unit_done(lkey)
-
-        for gkey, items in groups.items():
-            if aborted["err"] is not None:
-                break
-            first_idx = items[0][0]
-            t0 = time.perf_counter()
-            created = _submit_design_build(
-                sched,
-                group_net[gkey],
-                config.flow,
-                config.with_physical,
-                cache,
-                gkey,
-                pooled=config.offline_workers > 1,
-                params=build_params,
-                intra=intra,
-                timeout_s=config.task_timeout_s,
-                max_retries=max(0, config.task_retries),
-                on_complete=(
-                    lambda stage, hit, totals, err, g=gkey: design_done(
-                        g, stage, hit, totals, err
-                    )
-                ),
-            )
-            offline_s[first_idx] += time.perf_counter() - t0
-            if created:
-                n_cold += 1
-    else:
-
-        def submit_scenario_resolve(idx: int, sc: DebugScenario) -> None:
-            def inline():
-                t0 = time.perf_counter()
-                try:
-                    stage, hit = resolve_offline(
-                        nets[idx],
-                        config.flow,
-                        cache=cache,
-                        with_physical=config.with_physical,
-                    )
-                except Exception as exc:  # noqa: BLE001
-                    return (
-                        "err",
-                        f"{type(exc).__name__}: {exc}",
-                        time.perf_counter() - t0,
-                    )
-                return ("ok", stage, hit, time.perf_counter() - t0)
-
-            def done(_task, out):
-                if out[0] == "err":
-                    failed[idx] = _offline_error(sc, out[1])
-                    offline_s[idx] += out[2]
-                    hits[idx] = False
-                    checkpoint(idx, failed[idx])
-                    fail_fast_abort(out[1])
-                else:
-                    _tag, stage, hit, secs = out
-                    offline_s[idx] += secs
-                    hits[idx] = hit
-                    if not hit:
-                        _accumulate_stage_s(
-                            offline_stage_s, stage.timers.totals
-                        )
-                    lane_groups[lane_key_of[idx]]["triples"].append(
-                        (idx, sc, stage)
-                    )
-                lane_unit_done(lane_key_of[idx])
-
-            sched.add(
-                ScheduledTask(
-                    kind="offline",
-                    label=f"offline:{sc.name}",
-                    inline_fn=inline,
-                    on_done=done,
+    for gkey, items in groups.items():
+        if aborted["err"] is not None:
+            break
+        t0 = time.perf_counter()
+        created = _submit_design_build(
+            sched,
+            group_net[gkey],
+            config.flow,
+            config.with_physical,
+            cache,
+            gkey[:12],
+            pooled=workers > 1,
+            timeout_s=config.task_timeout_s,
+            max_retries=max(0, config.task_retries),
+            on_complete=(
+                lambda stage, hit, totals, err, g=gkey: design_done(
+                    g, stage, hit, totals, err
                 )
-            )
-
-        for idx in sorted(nets):
-            if aborted["err"] is not None:
-                break
-            submit_scenario_resolve(idx, scenarios[idx])
+            ),
+        )
+        offline_s[items[0][0]] += time.perf_counter() - t0
+        if created:
+            n_cold += 1
 
     t_probes_done = time.perf_counter()
     # one shared pool, sized for whichever phase needs more slots — the
     # pool is created lazily at the first pooled dispatch, so fully
     # inline configurations never pay process startup
     sched.pool_size = max(
-        1,
-        min(max(1, config.offline_workers), max(1, n_cold)) if dedup else 1,
+        min(workers, max(1, n_cold)),
         min(workers, expected_payloads) if use_online_pool else 1,
-        # intra-parallel mapping/place/route waves ride the same pool;
-        # size it for the widest wave only when there is cold build work
-        config.intra_design_workers if intra_enabled and n_cold else 1,
     )
 
     # -- drain -----------------------------------------------------------------
     try:
         sched.run()
-        if barrier:
-            resolved.sort(key=lambda t: t[0])
-            for payload in _group_payloads(
-                resolved,
-                config.max_turns,
-                workers,
-                lane_width,
-                config.interpreted,
-                config.backend,
-            ):
-                submit_online(payload)
-            sched.run()
     finally:
         sched.shutdown()
         if journal is not None:
             journal.close()
 
-    # -- fallback notes + effective parallelism --------------------------------
+    # -- fallback notes + effective pool size ----------------------------------
     if "offline" in sched.inline_fallbacks:
         notes.append(
             "offline build pool unavailable "
             f"({type(sched.pool_error).__name__}); built remaining cold "
             "design(s) in-process"
         )
-    if intra is not None and intra.broken:
-        notes.append(
-            "intra-design pool unavailable; mapping/place/route waves ran "
-            "in-process"
-        )
-    online_fell_back = "online" in sched.inline_fallbacks
-    if online_fell_back:
+    if "online" in sched.inline_fallbacks:
         notes.append(
             f"worker pool unavailable ({type(sched.pool_error).__name__}); "
             f"fell back to serial execution (effective workers: 1, requested "
             f"{workers})"
         )
-    effective_workers = (
-        min(workers, len(payloads))
-        if use_online_pool and payloads and not online_fell_back
-        else 1
+    ran_pooled = (workers > 1 and n_cold > 0) or (
+        use_online_pool and bool(payloads)
     )
-    offline_workers_eff = (
-        min(max(1, config.offline_workers), max(1, n_cold))
-        if dedup and "offline" not in sched.inline_fallbacks
-        else 1
+    effective_workers = (
+        sched.pool_size if ran_pooled and not sched.inline_fallbacks else 1
     )
 
     # -- critical-path metrics -------------------------------------------------
@@ -1039,19 +724,14 @@ def run_campaign(
         results=results,
         wall_s=time.perf_counter() - t_wall,
         workers=effective_workers,
-        offline_workers=offline_workers_eff,
         offline_total_s=sum(offline_s.values()),
         offline_wall_s=offline_wall_s,
         offline_stage_s=offline_stage_s,
         online_total_s=sum(r.online_s for r in results),
         cache_stats=cache.stats.as_dict() if cache is not None else None,
         lane_width=lane_width,
-        lane_batches=[len(p[1]) for p in payloads] if lane_width > 1 else [],
-        intra_design_workers=(
-            config.intra_design_workers if intra_enabled else 0
-        ),
+        lane_batches=[len(p[1]) for p in payloads],
         notes=notes,
-        schedule=config.schedule,
         sched_wall_s=sched_wall_s,
         overlap_ratio=overlap_ratio,
         stage_concurrency=stage_concurrency,

@@ -60,11 +60,11 @@ class ScenarioResult:
     frames_touched: int = 0
     lane: int = 0
     """SIMD lane this scenario occupied in its batch's packed emulation
-    (0 on the serial path).  Execution placement, not an outcome — kept
-    out of :meth:`outcome` so lane-batched and serial campaigns diff
+    (0 in a one-lane batch).  Execution placement, not an outcome — kept
+    out of :meth:`outcome` so campaigns at different lane widths diff
     clean."""
     lane_batch: int = 1
-    """Lanes in the scenario's batch (1 = solo / serial path)."""
+    """Lanes in the scenario's batch (1 = a one-lane batch)."""
     error: str = ""
 
     def as_record(self) -> dict:
@@ -97,9 +97,8 @@ class CampaignReport:
     results: list[ScenarioResult]
     wall_s: float = 0.0
     workers: int = 1
-    offline_workers: int = 1
-    """Effective offline-build parallelism (1 = serial builds, or the
-    pool fell back / every design was warm)."""
+    """Effective size of the shared worker pool (1 when nothing ran
+    pooled or the pool fell back to in-process execution)."""
     offline_total_s: float = 0.0
     offline_wall_s: float = 0.0
     """Wall-clock of the whole offline phase; less than
@@ -110,33 +109,21 @@ class CampaignReport:
     behind ``offline_total_s``."""
     online_total_s: float = 0.0
     cache_stats: dict | None = None
-    """Snapshot of the cache's stats ``as_dict()`` — whole-artifact
-    :class:`~repro.campaign.cache.CacheStats`, or a stage-granular
-    :class:`~repro.pipeline.StoreStats` including a ``per_stage``
-    breakdown.  ``None`` when the campaign ran cold, without a cache."""
+    """Snapshot of the store's :class:`~repro.pipeline.StoreStats`
+    ``as_dict()``, including a ``per_stage`` breakdown.  ``None`` when
+    the campaign ran cold, without a store."""
     lane_width: int = 1
-    """Configured scenarios-per-word limit of the online engine."""
+    """Configured scenarios-per-batch limit of the online engine."""
     lane_batches: list[int] = field(default_factory=list)
-    """Lane occupancy per online batch (empty on the serial path)."""
-    intra_design_workers: int = 0
-    """Intra-design parallelism the campaign ran with (0 = historical
-    serial algorithms; ``>= 1`` = level-wave priority-cut mapping, plus
-    region-parallel placement + round-parallel routing on physical
-    campaigns, fanning waves onto the shared pool — outcomes
-    byte-identical across any ``>= 1`` value)."""
+    """Lane occupancy per online batch."""
     notes: list[str] = field(default_factory=list)
-    schedule: str = "dataflow"
-    """Execution discipline the campaign ran under: ``"dataflow"``
-    (offline builds and online lane batches overlapped on one shared
-    pool) or ``"barrier"`` (historical offline-then-online ordering)."""
     sched_wall_s: float = 0.0
     """Wall-clock the dataflow scheduler's event loop ran — the
     critical-path time all task execution (offline and online) fit in."""
     overlap_ratio: float = 0.0
     """Fraction of ``sched_wall_s`` during which offline and online work
-    executed simultaneously — 0 under the barrier schedule (or with
-    nothing to overlap), approaching the smaller phase's share of the
-    wall when the dataflow schedule hides it behind the larger."""
+    executed simultaneously — 0 with nothing to overlap, approaching the
+    smaller phase's share of the wall when one hides behind the other."""
     stage_concurrency: dict[str, float] = field(default_factory=dict)
     """Per-stage busy-seconds / span-seconds over the campaign (pooled
     builds only; includes an ``"online"`` pseudo-stage).  Values above 1
@@ -195,12 +182,9 @@ class CampaignReport:
             cache=self.cache_stats,
             lane_width=self.lane_width,
             lane_batches=self.lane_batches,
-            offline_workers=self.offline_workers,
             offline_wall_s=self.offline_wall_s,
             offline_stage_s=self.offline_stage_s,
-            intra_design_workers=self.intra_design_workers,
             notes=self.notes,
-            schedule=self.schedule,
             sched_wall_s=self.sched_wall_s,
             overlap_ratio=self.overlap_ratio,
             stage_concurrency=self.stage_concurrency,

@@ -1,21 +1,21 @@
-"""Scenario execution: detection + localization, solo or lane-batched.
+"""Scenario execution: detection + localization as lanes of one engine.
 
-:func:`run_scenario` is the historical unit of work — one scenario, one
-:class:`~repro.core.debug.DebugSession`.  :func:`run_scenario_batch`
-binds any number of scenarios *sharing one offline artifact* (and one
-horizon) to the lanes of a single :class:`~repro.engine.LaneEngine` —
-64 per packed word, further words added beyond that — one packed golden
-pass, one packed detection run (with a per-lane early exit: the moment
-every live lane has diverged, the rest of the horizon is skipped), and a
-batched frontier walk where every observe+replay turn advances every
-still-active lane, retiring lanes as their walks converge.
+:func:`run_scenario_batch` binds any number of scenarios *sharing one
+offline artifact* (and one horizon) to the lanes of a single
+:class:`~repro.engine.LaneEngine` — 64 per packed word, further words
+added beyond that — one packed golden pass, one packed detection run
+(with a per-lane early exit: the moment every live lane has diverged, the
+rest of the horizon is skipped), and a batched frontier walk where every
+observe+replay turn advances every still-active lane, retiring lanes as
+their walks converge.  A lone scenario is a one-lane batch.
 
-Both are pure functions of ``(scenarios, offline artifact)`` — stimulus,
+It is a pure function of ``(scenarios, offline artifact)`` — stimulus,
 golden model and bug reproduction all derive deterministically from the
-scenario — and the batch path drives the *same*
+scenario — and every lane drives the same
 :func:`~repro.campaign.localize.divergence_walk` decision generator the
-serial path does, which is what guarantees byte-identical outcomes
-between serial, parallel and lane-batched campaigns at every lane width.
+interactive :func:`~repro.campaign.localize.localize_divergence` does,
+which is what guarantees byte-identical outcomes at every lane width and
+worker count.
 """
 
 from __future__ import annotations
@@ -24,12 +24,9 @@ import numpy as np
 
 from repro.campaign.localize import (
     divergence_walk,
-    golden_signal_traces,
-    localize_divergence,
     mapped_frontier_fn,
 )
 from repro.campaign.results import ScenarioResult
-from repro.core.debug import DebugSession
 from repro.core.flow import OfflineStage
 from repro.engine import LaneEngine
 from repro.util.timing import PhaseTimer
@@ -39,143 +36,7 @@ from repro.workloads.scenarios import (
     stimulus_script,
 )
 
-__all__ = ["run_scenario", "run_scenario_batch"]
-
-
-def run_scenario(
-    scenario: DebugScenario,
-    offline: OfflineStage,
-    *,
-    max_turns: int = 48,
-    interpreted: bool = False,
-    store=None,
-    backend: str | None = None,
-) -> ScenarioResult:
-    """Run one scenario's online debug loop against its offline artifact.
-
-    Phases (timed individually through :class:`PhaseTimer`):
-
-    1. *setup* — build the :class:`DebugSession`; for ``stuck_at``
-       scenarios, arm the emulation-level fault;
-    2. *golden* — one reference simulation pass recording every observable
-       tap and every primary output;
-    3. *detect* — emulate the (faulty) mapped design watching its primary
-       outputs until the first cycle diverging from golden; no divergence
-       within the horizon ⇒ ``undetected``;
-    4. *localize* — the frontier walk of
-       :func:`~repro.campaign.localize.localize_divergence`.
-
-    Never raises: failures are captured as ``status="error"`` results so a
-    single bad scenario cannot take down a campaign.
-    """
-    timers = PhaseTimer()
-    result = ScenarioResult(
-        scenario=scenario.name,
-        design=scenario.spec.name,
-        kind=scenario.kind,
-        status="error",
-        truth=scenario.fault_signal or "",
-    )
-    try:
-        golden = scenario.golden_network()
-        if scenario.kind == "mutation":
-            # reproduce the recorded bug (on a scratch copy) for its
-            # ground-truth site
-            bug = scenario.reproduce_bug(golden.copy())
-            result.truth = bug.node_name
-
-        with timers.phase("setup"):
-            # trace depth must cover the horizon, or the ring buffer wraps
-            # and waveform comparisons would misalign against golden
-            session = DebugSession(
-                offline,
-                trace_depth=max(
-                    scenario.horizon, offline.config.trace_depth
-                ),
-                interpreted=interpreted,
-                program_store=store,
-                backend=backend,
-            )
-            if scenario.kind == "stuck_at":
-                assert scenario.fault_signal is not None
-                session.force(
-                    scenario.fault_signal,
-                    scenario.fault_value,
-                    first_cycle=scenario.fault_from_cycle,
-                )
-
-        stim = stimulus_script(golden, scenario.horizon, scenario.stimulus_seed)
-        design = session.design
-        tap_names = [design.network.node_name(t) for t in design.taps]
-
-        with timers.phase("golden"):
-            golden_traces = golden_signal_traces(
-                golden,
-                stim,
-                tap_names + session.user_po_names,
-                interpreted=interpreted,
-            )
-
-        with timers.phase("detect"):
-            observed = session.output_trace(
-                scenario.horizon, stimulus=lambda c: stim[c]
-            )
-            failure = _first_divergence(observed, golden_traces)
-
-        if failure is None:
-            result.status = "undetected"
-        else:
-            fail_cycle, failing_po = failure
-            result.fail_cycle = fail_cycle
-            result.failing_po = failing_po
-            with timers.phase("localize"):
-                session.reset()
-                # walk over the full horizon, not just up to the failure:
-                # a short pre-failure window can hide slow-diverging
-                # signals and stall the walk one hop short of the bug
-                loc = localize_divergence(
-                    session,
-                    golden_traces,
-                    failing_po,
-                    stim,
-                    max_turns=max_turns,
-                    # forced faults propagate along mapped LUT connectivity
-                    frontier_fn=mapped_frontier_fn(session)
-                    if scenario.kind == "stuck_at"
-                    else None,
-                )
-            result.suspect = loc.suspect
-            result.region_size = len(loc.region)
-            result.turns = loc.turns
-            result.signals_checked = loc.signals_checked
-            hit = result.truth == loc.suspect or result.truth in loc.region
-            result.status = "localized" if hit else "missed"
-
-        result.modeled_overhead_s = session.total_modeled_overhead_s()
-        result.frames_touched = sum(t.frames_touched for t in session.turns)
-    except Exception as exc:  # noqa: BLE001 — campaign must survive any scenario
-        result.status = "error"
-        result.error = f"{type(exc).__name__}: {exc}"
-
-    result.setup_s = timers.totals.get("setup", 0.0)
-    result.golden_s = timers.totals.get("golden", 0.0)
-    result.detect_s = timers.totals.get("detect", 0.0)
-    result.localize_s = timers.totals.get("localize", 0.0)
-    result.online_s = timers.total()
-    return result
-
-
-def _first_divergence(
-    observed: list[dict[str, int]],
-    golden_traces: dict[str, "object"],
-) -> tuple[int, str] | None:
-    """First (cycle, po) where the emulated outputs leave the golden trace."""
-    for cyc, row in enumerate(observed):
-        for po, bit in row.items():
-            exp = golden_traces.get(po)
-            if exp is not None and cyc < len(exp) and int(exp[cyc]) != bit:
-                return cyc, po
-    return None
+__all__ = ["run_scenario_batch"]
 
 
 def _lane_slice(packed: dict[str, np.ndarray], lane: int) -> dict[str, np.ndarray]:
@@ -203,8 +64,7 @@ def run_scenario_batch(
     offline cache key) and the same horizon — lanes advance in lockstep,
     so one replay length must serve the whole batch.  Batches wider than
     64 simply span multiple packed words (lane *k* = word ``k // 64``,
-    bit ``k % 64``).  The phases mirror :func:`run_scenario`, vectorized
-    across lanes:
+    bit ``k % 64``).  Phases:
 
     1. *setup* — one :class:`~repro.engine.LaneEngine`; each ``stuck_at``
        scenario's fault is armed on its lane only (``lane_mask``);
@@ -224,14 +84,13 @@ def run_scenario_batch(
     Per-scenario timing fields report the batch phase time divided by the
     batch size — the amortized cost actually paid per scenario, keeping
     campaign-level ``online_total_s`` equal to wall clock spent.  The
-    deterministic outcome fields are byte-identical to the serial path's.
+    deterministic outcome fields are byte-identical at every batch size.
     ``interpreted`` runs the whole batch on the reference interpreter
     (benchmark baseline); ``store`` persists compiled programs;
     ``backend`` selects the compiled kernel implementation
     (:func:`repro.netlist.compiled.resolve_backend` — ``None`` auto-picks
-    numpy for wide batches when it is available).  Never
-    raises: per-lane failures degrade to ``status="error"`` results for
-    their lane only.
+    numpy for wide batches).  Never raises: per-lane failures degrade to
+    ``status="error"`` results for their lane only.
     """
     timers = PhaseTimer()
     n = len(scenarios)
@@ -318,8 +177,7 @@ def run_scenario_batch(
             # word-packed golden PO values per (cycle, po), built from the
             # per-lane slices so lanes from different golden groups land
             # on their own bits; po_lane_masks[j] marks the lanes whose
-            # golden model drives that PO at all (absent ⇒ cannot diverge,
-            # the same skip the serial scan applies via golden.get())
+            # golden model drives that PO at all (absent ⇒ cannot diverge)
             n_pos = len(po_names)
             golden_words = [[0] * n_pos for _ in range(horizon)]
             po_lane_masks = [0] * n_pos
@@ -340,7 +198,7 @@ def run_scenario_batch(
 
             def _all_diverged(c: int, row_ints: "list[int]") -> bool:
                 # scanning POs in order and retiring a lane at its first
-                # hit reproduces the serial scan's (cycle, po) tie-break
+                # hit records its earliest (cycle, po), ties by PO order
                 nonlocal undiverged
                 gw = golden_words[c]
                 for j, got in enumerate(row_ints):

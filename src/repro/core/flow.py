@@ -93,9 +93,7 @@ class OfflineStage:
     """Content key identifying this artifact.
 
     Set to the terminal generic stage's (``tcon-map``) content key by the
-    pipeline assembler, and overwritten with the whole-artifact key by
-    :class:`repro.campaign.OfflineCache` when cached there.  The whole
-    dataclass is picklable (networks, mappings and timers are plain
+    pipeline assembler.  The whole dataclass is picklable (networks, mappings and timers are plain
     containers), which is what lets campaign workers receive the artifact
     and what the disk caches serialize.
     """

@@ -16,9 +16,8 @@ from concurrent.futures import BrokenExecutor
 #: restricted containers), a worker process died (OOM-kill, SIGKILL), or
 #: the executor broke mid-flight.  ``BrokenProcessPool`` subclasses
 #: ``BrokenExecutor``, so this one tuple covers both the process-pool and
-#: generic executor flavors.  Every pool consumer in the library
-#: (:mod:`repro.pipeline.scheduler`, :mod:`repro.util.intra`) catches
-#: exactly this tuple and degrades — respawn, retry or in-process
+#: generic executor flavors.  The library's pool consumer
+#: (:mod:`repro.pipeline.scheduler`) catches exactly this tuple and degrades — respawn, retry or in-process
 #: fallback — instead of crashing the campaign.
 POOL_ERRORS: tuple = (OSError, PermissionError, BrokenExecutor)
 

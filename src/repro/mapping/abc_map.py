@@ -30,7 +30,6 @@ class AbcMap(PriorityCutMapper):
         free_leaves: Collection[int] = (),
         forced_roots: Collection[int] = (),
         macro_nodes: Collection[int] = (),
-        intra=None,
     ) -> None:
         super().__init__(
             k=k,
@@ -40,5 +39,4 @@ class AbcMap(PriorityCutMapper):
             free_leaves=free_leaves,
             forced_roots=forced_roots,
             macro_nodes=macro_nodes,
-            intra=intra,
         )

@@ -30,8 +30,8 @@ per-pass memo owned by :class:`~repro.mapping.mapper_base.PriorityCutMapper`
 (:func:`merge_ranked` fills them for the cuts it builds, under the stamp
 the caller supplies).  Cuts still behave as read-only sets (``in``,
 ``len``, iteration, ``==`` against ``frozenset``), so existing set-based
-callers keep working; :mod:`repro.mapping.ref` preserves the original
-frozenset implementation the property tests compare against.
+callers keep working; ``benchmarks/ref_mapping.py`` preserves the
+original frozenset implementation the property tests compare against.
 """
 
 from __future__ import annotations
@@ -182,8 +182,8 @@ def merge_ranked(
     Cost determinism: arrival composes as a max (order-free); area flow
     composes as ``af(a) + af(b) - 1 - overlap`` with the overlap summed in
     local-index order — every term is fully determined by the order of
-    ``lists`` and of the cuts within them, so the serial mapper and the
-    level-wave workers produce bit-identical floats.
+    ``lists`` and of the cuts within them, so repeated runs produce
+    bit-identical floats.
 
     With two or more lists the result is sorted by the rank mode (best
     first, first-occurrence tie-break) — callers may take element 0 as the

@@ -30,10 +30,7 @@ the depth cover, every recovery cover and TconMap's TLUT emission reuse
 them — and the underlying ``compose`` calls are value-cached process-wide,
 so re-mapping after a parameterisation change reuses unchanged cut
 functions.  The chosen mapping is a pure function of the network and the
-mapper configuration; when an :class:`~repro.util.intra.IntraPool` is
-supplied, cut enumeration fans out level by level
-(:mod:`repro.mapping.parallel`) and remains byte-identical to the serial
-pass at any worker count.
+mapper configuration.
 """
 
 from __future__ import annotations
@@ -116,21 +113,9 @@ class PriorityCutMapper:
         Observability boundaries (see module docstring).
     max_total_leaves:
         Cap on total cut leaves including free ones (truth-table width).
-    intra:
-        Optional :class:`~repro.util.intra.IntraPool`: cut enumeration
-        and recovery fan out level by level on the shared campaign pool
-        (:mod:`repro.mapping.parallel`).  Pure execution — the chosen
-        mapping is byte-identical at any worker count, so ``intra`` is
-        never part of any cache key.
     """
 
     name = "priority-cuts"
-
-    #: Which worker-side shell class reproduces this mapper's rank
-    #: functions (see repro.mapping.parallel); subclasses overriding
-    #: ``_rank_depth``/``_rank_area`` must register there or leave
-    #: ``intra`` unset.
-    wave_shell = "priority"
 
     def __init__(
         self,
@@ -143,7 +128,6 @@ class PriorityCutMapper:
         forced_roots: Collection[int] = (),
         macro_nodes: Collection[int] = (),
         max_total_leaves: int | None = None,
-        intra=None,
     ) -> None:
         if k < 2:
             raise MappingError(f"K must be >= 2, got {k}")
@@ -159,7 +143,6 @@ class PriorityCutMapper:
         # yet may still be duplicated into readers' cones
         self.forced_roots = frozenset(forced_roots)
         self.cap = max_total_leaves if max_total_leaves is not None else k + 6
-        self.intra = intra
 
         # per-run state (flat arrays indexed by dense node id)
         self._net: LogicNetwork | None = None
@@ -176,7 +159,6 @@ class PriorityCutMapper:
         self._stamp = 0
         self._cone_cache: dict[tuple[int, tuple[int, ...]], TruthTable] = {}
         self._lut_memo: dict[int, LutImpl] = {}
-        self._wave = None
 
     # -- hooks for subclasses ------------------------------------------------
 
@@ -287,7 +269,6 @@ class PriorityCutMapper:
         self._leaf_af = [0.0] * net.n_nodes
         self._cone_cache = {}
         self._lut_memo = {}
-        self._wave = None
         # split the topological order once: every pass walks the same
         # gate/trivial partition, so the kind checks run once per map()
         self._gate_order = []
@@ -330,9 +311,7 @@ class PriorityCutMapper:
 
     # -- per-node kernels ----------------------------------------------------
     #
-    # The serial passes and the level-wave parallel passes share these:
-    # each is a pure function of the committed fan-in state, so where a
-    # node runs (parent or pool worker) cannot change its outcome.
+    # Each is a pure function of the committed fan-in state.
 
     def _enumerate_node(self, nid: int, depth_mode: bool) -> tuple[Cut, list[Cut]]:
         """Forward-pass cut choice for one gate node: ``(best, visible)``."""
@@ -452,9 +431,6 @@ class PriorityCutMapper:
 
     # -- passes -----------------------------------------------------------------
 
-    def _use_waves(self) -> bool:
-        return self.intra is not None and self.intra.workers > 1
-
     def _forward_pass(self, depth_mode: bool) -> None:
         net = self._net
         assert net is not None
@@ -467,11 +443,6 @@ class PriorityCutMapper:
         self._stamp += 1
         for nid in self._trivial_order:
             self._commit_trivial(nid)
-        if self._use_waves():
-            from repro.mapping.parallel import wave_forward_pass
-
-            wave_forward_pass(self, depth_mode)
-            return
         for nid in self._gate_order:
             best, visible = self._enumerate_node(nid, depth_mode)
             self._commit_node(nid, best, visible)
@@ -484,16 +455,10 @@ class PriorityCutMapper:
         ``remerge=True`` re-enumerates cuts under the area rank mode;
         ``remerge=False`` only re-selects among each node's stored priority
         cuts (cheap: no merging), which is what later hybrid rounds run.
-        Re-selection is memory-bound and stays serial even under waves.
         """
         net = self._net
         assert net is not None
         self._stamp += 1
-        if remerge and self._use_waves():
-            from repro.mapping.parallel import wave_recover_pass
-
-            wave_recover_pass(self, required)
-            return
         if remerge:
             for nid in self._recover_order:
                 out = self._recover_node(nid, required.get(nid, _INF))

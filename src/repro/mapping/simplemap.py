@@ -21,7 +21,6 @@ class SimpleMap(PriorityCutMapper):
     """Depth-only structural mapper (no area recovery)."""
 
     name = "simplemap"
-    wave_shell = "simple"
 
     def __init__(
         self,
@@ -32,7 +31,6 @@ class SimpleMap(PriorityCutMapper):
         free_leaves: Collection[int] = (),
         forced_roots: Collection[int] = (),
         macro_nodes: Collection[int] = (),
-        intra=None,
     ) -> None:
         super().__init__(
             k=k,
@@ -42,7 +40,6 @@ class SimpleMap(PriorityCutMapper):
             free_leaves=free_leaves,
             forced_roots=forced_roots,
             macro_nodes=macro_nodes,
-            intra=intra,
         )
 
     def _rank_depth(self, cut: Cut):

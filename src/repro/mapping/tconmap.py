@@ -58,7 +58,6 @@ class TconMap(PriorityCutMapper):
         taps: Collection[int] = (),
         latch_adjacent: Collection[int] | None = None,
         fold_polarity: bool = True,
-        intra=None,
     ) -> None:
         """
         Parameters
@@ -73,9 +72,6 @@ class TconMap(PriorityCutMapper):
             omitted.
         fold_polarity:
             Enable the buffer/inverter configuration-bit fold.
-        intra:
-            Optional :class:`~repro.util.intra.IntraPool` for level-wave
-            parallel cut enumeration (byte-identical to serial).
         """
         super().__init__(
             k=k,
@@ -83,7 +79,6 @@ class TconMap(PriorityCutMapper):
             area_rounds=area_rounds,
             free_leaves=params,
             forced_roots=taps,
-            intra=intra,
         )
         self.taps = frozenset(taps)
         self._latch_adjacent = (

@@ -28,7 +28,6 @@ from repro.netlist.compiled import (
     CompiledSimulator,
     compile_network,
     network_signature,
-    numpy_available,
     program_for,
     resolve_backend,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "CompiledSimulator",
     "compile_network",
     "network_signature",
-    "numpy_available",
     "program_for",
     "resolve_backend",
     "network_stats",

@@ -57,12 +57,7 @@ from collections import OrderedDict
 from typing import Mapping
 from weakref import WeakKeyDictionary
 
-try:  # the numpy backend is optional: the python backend (and program
-    # compilation itself) must work on a numpy-free interpreter, which the
-    # CI backend-parity matrix exercises with an import shim
-    import numpy as np
-except ImportError:  # pragma: no cover — exercised by the no-numpy CI job
-    np = None
+import numpy as np
 
 from repro.errors import SimulationError
 from repro.netlist.network import LogicNetwork, NodeKind
@@ -76,7 +71,6 @@ __all__ = [
     "CompiledSimulator",
     "compile_network",
     "network_signature",
-    "numpy_available",
     "program_for",
     "resolve_backend",
 ]
@@ -119,35 +113,24 @@ BLOCK_TARGET_WORDS = 128
 MAX_BLOCK_CYCLES = 64
 
 
-def numpy_available() -> bool:
-    """Whether the numpy execution backend can be constructed here."""
-    return np is not None
-
-
 def resolve_backend(backend: "str | None" = None, *, n_words: int = 1) -> str:
     """Resolve a backend request to a concrete registered backend.
 
     ``None``/``"auto"`` consults the :data:`BACKEND_ENV` environment
     variable, then falls back to width-based auto selection: numpy when
-    available and ``n_words >= AUTO_NUMPY_MIN_WORDS`` (dispatch amortized
-    across the word axis), python otherwise.  Explicit requests are
-    validated — asking for numpy on a numpy-free interpreter is an error
-    rather than a silent fallback.
+    ``n_words >= AUTO_NUMPY_MIN_WORDS`` (dispatch amortized across the
+    word axis), python otherwise.  Explicit requests are validated.
     """
     if backend in (None, "auto"):
         backend = os.environ.get(BACKEND_ENV, "auto").strip().lower() or "auto"
     if backend == "auto":
-        if np is not None and n_words >= AUTO_NUMPY_MIN_WORDS:
+        if n_words >= AUTO_NUMPY_MIN_WORDS:
             return "numpy"
         return "python"
     if backend not in BACKENDS:
         raise SimulationError(
             f"unknown simulation backend {backend!r} (known: "
             f"{', '.join(BACKENDS)}, or 'auto')"
-        )
-    if backend == "numpy" and np is None:
-        raise SimulationError(
-            "numpy simulation backend requested but numpy is not importable"
         )
     return backend
 
@@ -437,8 +420,6 @@ def program_for(net: LogicNetwork, *, store=None) -> CompiledProgram:
 def int_to_words(value: int, n_words: int) -> "np.ndarray":
     """A word-packed integer as a little-endian ``uint64`` array (bits
     beyond ``64 * n_words`` are dropped)."""
-    if np is None:  # pragma: no cover — exercised by the no-numpy CI job
-        raise SimulationError("int_to_words needs numpy (array export path)")
     value &= (1 << (64 * n_words)) - 1
     return np.frombuffer(
         value.to_bytes(8 * n_words, "little"), dtype=np.uint64
@@ -447,8 +428,6 @@ def int_to_words(value: int, n_words: int) -> "np.ndarray":
 
 def words_to_int(arr: "np.ndarray") -> int:
     """Inverse of :func:`int_to_words` (any uint64 array, little-endian)."""
-    if np is None:  # pragma: no cover — exercised by the no-numpy CI job
-        raise SimulationError("words_to_int needs numpy (array import path)")
     return int.from_bytes(
         np.ascontiguousarray(arr, dtype=np.uint64).tobytes(), "little"
     )
@@ -622,8 +601,6 @@ class CompiledSimulator:
         result across steps must copy.  Row ``n`` word ``w`` bit ``k`` is
         lane ``64*w + k`` of node ``n``.
         """
-        if np is None:  # pragma: no cover — exercised by the no-numpy CI job
-            raise SimulationError("dense export needs numpy")
         if self._dense is None:
             self._dense = np.frombuffer(
                 self._dense_buf, dtype=np.uint64

@@ -24,12 +24,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-try:  # optional at import time: the pure-python compiled backend (and the
-    # no-numpy CI parity job) must be importable without numpy; every
-    # array-producing entry point here still requires it at call time
-    import numpy as np
-except ImportError:  # pragma: no cover — exercised by the no-numpy CI job
-    np = None
+import numpy as np
 
 from repro.errors import SimulationError
 from repro.netlist.compiled import (

@@ -115,25 +115,8 @@ def place_stage(
     *,
     seed: int = 2016,
     effort: float = 4.0,
-    regions: int = 0,
-    intra=None,
 ) -> Placement:
-    """The ``place`` stage body: simulated-annealing placement.
-
-    ``regions > 1`` selects the region-parallel annealer
-    (:func:`repro.place.parallel.place_design_regions`) — a *different*
-    (cache-keyed) algorithm whose result depends on ``regions`` but not
-    on the worker count of ``intra``, the optional
-    :class:`~repro.util.intra.IntraPool` its per-region move batches fan
-    out on.
-    """
-    if regions and regions > 1:
-        from repro.place.parallel import place_design_regions
-
-        return place_design_regions(
-            packed, grid, seed=seed, effort=effort, regions=regions,
-            intra=intra,
-        )
+    """The ``place`` stage body: simulated-annealing placement."""
     return place_design(packed, grid, seed=seed, effort=effort)
 
 
@@ -151,30 +134,16 @@ def route_stage(
     rr: RRGraph | None = None,
     *,
     max_route_iterations: int = 40,
-    intra=None,
 ) -> tuple[RRGraph, RoutingResult]:
     """The ``route`` stage body: PathFinder over the RR graph.
 
     ``rr`` is normally the ``rr-graph`` stage's artifact (built from the
     identical, pack-derived grid); when absent it is built here — the
     historical single-call path.
-
-    ``intra`` (an :class:`~repro.util.intra.IntraPool` with more than one
-    worker) switches to the round-parallel
-    :class:`~repro.route.parallel.RoundPathFinder`, whose result is
-    byte-identical to the serial router at any worker count — a pure
-    execution detail, so it never enters the stage's cache key.
     """
     if rr is None:
         rr = build_rr_graph(placement.grid)
-    rounds = intra is not None and getattr(intra, "workers", 1) > 1
-    return rr, route_design(
-        placement,
-        rr,
-        max_iterations=max_route_iterations,
-        rounds=rounds,
-        intra=intra,
-    )
+    return rr, route_design(placement, rr, max_iterations=max_route_iterations)
 
 
 def bitgen_stage(

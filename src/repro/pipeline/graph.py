@@ -57,13 +57,6 @@ class StageContext:
     config: DebugFlowConfig
     params: Mapping[str, Any]
     artifacts: dict[str, Any]
-    intra: Any = None
-    """Optional :class:`~repro.util.intra.IntraPool` for intra-stage
-    subtask parallelism.  Deliberately **not** part of any stage key:
-    stage bodies that consume it must produce results independent of its
-    worker count (region-parallel placement is keyed by the
-    ``place_regions`` *param* instead; round-parallel routing is
-    byte-identical to serial by construction)."""
 
     def __getitem__(self, name: str) -> Any:
         return self.artifacts[name]
@@ -375,7 +368,7 @@ class StageGraph:
 
         For the full debug flow this yields the linear generic prefix
         through ``pack`` as one segment, ``rr-graph`` and ``place`` as two
-        independent segments (the intra-design concurrency), and
+        independent segments (the concurrency inside one design), and
         ``route``+``bitgen`` fused at the join.
         """
         want = set(names)
@@ -431,7 +424,6 @@ class StageGraph:
         params: Mapping[str, Any] | None = None,
         stages: Sequence[str] | None = None,
         preset: Mapping[str, tuple[str, Any]] | None = None,
-        intra=None,
     ) -> CompileResult:
         """Execute the graph (or a dependency-closed subset of it).
 
@@ -450,19 +442,15 @@ class StageGraph:
             already-available upstream artifacts — how the
             :func:`~repro.core.flow.run_physical_stage` façade feeds an
             existing offline artifact into the physical sub-graph.
-        intra:
-            Optional :class:`~repro.util.intra.IntraPool` handed to stage
-            bodies via :attr:`StageContext.intra` (never keyed).
         """
         return self.execute(
             self.plan(net, config, params=params, stages=stages, preset=preset),
             net,
             store=store,
-            intra=intra,
         )
 
     def execute(
-        self, plan: StagePlan, net: LogicNetwork, *, store=None, intra=None
+        self, plan: StagePlan, net: LogicNetwork, *, store=None
     ) -> CompileResult:
         """Serially execute a :meth:`plan` — the barrier-free reference path.
 
@@ -488,10 +476,7 @@ class StageGraph:
                     value, hit = found.value, True
             if not hit:
                 ctx = StageContext(
-                    config=plan.config,
-                    params=plan.params,
-                    artifacts=values,
-                    intra=intra,
+                    config=plan.config, params=plan.params, artifacts=values
                 )
                 with result.timers.phase(stage.name):
                     value = stage.fn(ctx)

@@ -572,14 +572,8 @@ class DataflowScheduler:
 # -- compile-as-dataflow -------------------------------------------------------
 
 
-def _segment_worker(payload, intra=None):
+def _segment_worker(payload):
     """Run one fused chain of stage bodies (pool- or parent-side).
-
-    ``intra`` (an :class:`~repro.util.intra.IntraPool`) is handed to every
-    stage body via :attr:`StageContext.intra` so intra-parallel stages can
-    fan their move/route waves onto the campaign's shared pool.  It is
-    only ever non-``None`` when the segment runs in the parent — a worker
-    process must not (and cannot) drive the pool it runs on.
 
     Returns ``("ok", values, times, spans)`` with absolute
     ``perf_counter`` spans per stage, or ``("err", message)`` — stage
@@ -594,9 +588,7 @@ def _segment_worker(payload, intra=None):
     try:
         for name in names:
             stage = graph[name]
-            ctx = StageContext(
-                config=config, params=params, artifacts=values, intra=intra
-            )
+            ctx = StageContext(config=config, params=params, artifacts=values)
             s0 = time.perf_counter()
             value = stage.fn(ctx)
             s1 = time.perf_counter()
@@ -618,13 +610,6 @@ def submit_compile(
     pooled: bool = False,
     kind: str = "offline",
     label: str = "",
-    intra=None,
-    intra_stages: Sequence[str] = (
-        "initial-map",
-        "tcon-map",
-        "place",
-        "route",
-    ),
     timeout_s: float | None = None,
     max_retries: int = 0,
     on_complete: Callable[[CompileResult | None, str | None], None],
@@ -642,14 +627,6 @@ def submit_compile(
     *downstream of it* (independent siblings of the same design still
     complete and store their artifacts) and fires
     ``on_complete(None, message)`` once.
-
-    ``intra`` (an :class:`~repro.util.intra.IntraPool`) declares
-    *intra-design* parallelism: any segment touching a stage in
-    ``intra_stages`` is forced to run **in the parent** (never pooled) so
-    its stage bodies can fan sub-task waves onto the campaign's one
-    shared worker pool through ``intra`` — intra-parallel segments do not
-    nest a second pool, they *are* the parent feeding the existing one.
-    Other segments keep the caller's ``pooled`` setting.
 
     ``timeout_s`` and ``max_retries`` are applied to every created
     segment task (supervision: a hung or failing segment is retried with
@@ -761,22 +738,12 @@ def submit_compile(
             if state["left"] == 0 and not state["failed"]:
                 finish()
 
-        seg_intra = intra is not None and any(
-            n in seg_set for n in intra_stages
-        )
         task = ScheduledTask(
             kind=kind,
             label=f"{label or plan.group or 'design'}:{seg_names[0]}",
-            # intra-parallel segments run parent-side and drive the shared
-            # pool themselves; shipping them to a worker would strand the
-            # (unpicklable) pool handle and serialize the waves
-            worker_fn=(
-                (lambda payload, _i=intra: _segment_worker(payload, intra=_i))
-                if seg_intra
-                else _segment_worker
-            ),
+            worker_fn=_segment_worker,
             payload_fn=payload_fn,
-            pooled=pooled and not seg_intra,
+            pooled=pooled,
             on_done=seg_done,
             # seg_done already speaks the ("err", message) protocol, so
             # supervision failures (timeout, retries exhausted) flow

@@ -82,9 +82,6 @@ def _initial_map(ctx: StageContext) -> dict[str, Any]:
         k=ctx.config.k,
         cut_limit=ctx.config.cut_limit,
         area_rounds=ctx.config.area_rounds,
-        # level-wave parallel cut enumeration is byte-identical to serial
-        # (repro.mapping.parallel), so the worker count is never keyed
-        intra=ctx.intra,
     ).map(work)
     # the initial mapping's LUT roots (plus latch outputs) are the default
     # observable signal set — the nets that physically exist on the emulator
@@ -119,8 +116,6 @@ def _tcon_map(ctx: StageContext):
         params=instrumented.param_ids,
         taps=set(instrumented.taps),
         fold_polarity=ctx.config.fold_polarity,
-        # byte-identical at any worker count — never part of the cache key
-        intra=ctx.intra,
     ).map(instrumented.network)
 
 
@@ -154,8 +149,6 @@ def _place(ctx: StageContext):
         ctx["pack"],
         seed=ctx.params.get("seed", 2016),
         effort=ctx.params.get("effort", 4.0),
-        regions=ctx.params.get("place_regions") or 0,
-        intra=ctx.intra,
     )
 
 
@@ -166,7 +159,6 @@ def _route(ctx: StageContext):
         ctx["place"],
         ctx["rr-graph"],
         max_route_iterations=ctx.params.get("max_route_iterations", 40),
-        intra=ctx.intra,
     )
 
 
@@ -223,20 +215,16 @@ DEBUG_FLOW_GRAPH = StageGraph(
             "place",
             _place,
             inputs=("pack",),
-            # place_regions > 1 selects the region-parallel annealer — a
-            # different move trajectory, hence a key discriminator; the
-            # worker count executing it is NOT keyed (ctx.intra)
-            param_fields=("seed", "effort", "place_regions"),
-            # v3: place_regions key discriminator (region-parallel
-            # annealer); v2: incremental-HPWL annealer (PR 5)
-            version=3,
+            param_fields=("seed", "effort"),
+            # v4: the region-parallel annealer and its place_regions key
+            # discriminator are gone; v3 added them; v2: incremental-HPWL
+            # annealer (PR 5)
+            version=4,
         ),
         Stage(
             "route",
             _route,
             inputs=("place", "rr-graph"),
-            # the round-parallel router is byte-identical to serial at
-            # any worker count, so intra-parallel routing needs no key
             param_fields=("max_route_iterations",),
             # v2: array-backed PathFinder (PR 5) — different tie-breaking,
             # so persisted v1 routings are unreachable
@@ -345,8 +333,8 @@ def run_physical_stages(
     (recorded on ``offline.stage_keys`` by the assembler), so the façade
     path shares physical-stage cache entries with full-graph compiles
     when a ``store`` is supplied.  Artifacts from older caches that carry
-    no stage keys fall back to keys derived from the whole-artifact
-    content key — still content-stable, just a disjoint key space.
+    no stage keys fall back to keys derived from the artifact's
+    ``cache_key`` — still content-stable, just a disjoint key space.
     """
     from repro.core.flow import offline_cache_key
 

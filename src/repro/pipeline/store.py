@@ -1,10 +1,9 @@
 """Stage-granular artifact storage (memory + disk) with per-stage stats.
 
-:class:`ArtifactStore` generalizes PR 1's whole-artifact ``OfflineCache``:
-entries are keyed by ``(stage name, content key)``, so a single knob
-change re-fetches every unaffected stage and rebuilds only the invalidated
-suffix of the graph.  The campaign layer's ``OfflineCache`` is now a thin
-wrapper over this class with one pseudo-stage (``"offline"``).
+:class:`ArtifactStore` is the one artifact cache of the flow: entries are
+keyed by ``(stage name, content key)``, so a single knob change re-fetches
+every unaffected stage and rebuilds only the invalidated suffix of the
+graph.
 
 Entries never expire — a key embeds the source content, the read config
 fields, the stage version and the flow version, so a stale entry is
@@ -340,8 +339,7 @@ class ArtifactStore:
         """Adapter for :func:`repro.analysis.experiments.run_benchmark_columns`.
 
         Returns ``fn(net, config) -> OfflineStage`` that resolves the
-        generic flow through this store, stage by stage — the
-        stage-granular analogue of ``OfflineCache.as_offline_fn``.
+        generic flow through this store, stage by stage.
         """
         from repro.core.flow import DebugFlowConfig, OfflineStage
         from repro.netlist.network import LogicNetwork

@@ -2,14 +2,4 @@
 
 from repro.place.tplace import Placement, place_design
 
-
-def place_design_regions(*args, **kwargs):
-    """Region-parallel annealer — lazy proxy for
-    :func:`repro.place.parallel.place_design_regions` (keeps numpy and the
-    worker-pool machinery off the serial import path)."""
-    from repro.place.parallel import place_design_regions as fn
-
-    return fn(*args, **kwargs)
-
-
-__all__ = ["Placement", "place_design", "place_design_regions"]
+__all__ = ["Placement", "place_design"]

@@ -19,13 +19,11 @@ temperature step, and every net carries an **incremental bounding box**
 trial move then updates each affected net in O(1) — a full member rescan
 happens only when a block leaves a boundary it alone occupied.  The
 reference implementation this was rewritten from (and is quality-gated
-against) is :func:`repro.place.ref.place_design_ref`.
+against) is ``place_design_ref`` in ``benchmarks/ref_place.py``.
 
 The setup half of the anneal (blocks, grid, initial assignment, net
 tables, incremental state, the ``try_move`` evaluator) lives in
-:class:`_PlacerState`, shared with the deterministic region-parallel
-annealer of :mod:`repro.place.parallel` — both start from the identical
-initial placement and temperature estimate for a given seed.
+:class:`_PlacerState`; :func:`place_design` drives its move loop.
 """
 
 from __future__ import annotations
@@ -190,14 +188,12 @@ def _axis_move(mn: int, nmn: int, mx: int, nmx: int, old: int, new: int):
 
 
 class _PlacerState:
-    """Everything an annealer needs, built identically for every variant.
+    """Everything the annealer needs, built from the packed design.
 
     Blocks, grid, the seed-derived RNG stream, the random initial
     assignment, net tables, the incremental bounding-box state and the
-    ``try_move`` evaluator.  The serial :func:`place_design` and the
-    region-parallel :func:`repro.place.parallel.place_design_regions`
-    both drive this state — same seed ⇒ same initial placement, same
-    temperature estimate — and differ only in their move loops.
+    ``try_move`` evaluator — same seed ⇒ same initial placement, same
+    temperature estimate.
     """
 
     def __init__(
@@ -391,9 +387,8 @@ class _PlacerState:
     def estimate_temp(self) -> float:
         """Initial temperature: std of random move deltas (trials reverted).
 
-        Draws from the shared stream in the exact order the serial anneal
-        always has, so the serial and region-parallel paths start from
-        the same temperature for a given seed.
+        Draws from the seed-derived stream in a fixed order, so a given
+        seed always starts from the same temperature.
         """
         movable = self.movable
         site_of, block_at = self.site_of, self.block_at

@@ -29,14 +29,8 @@ router works on flat array state instead of per-node dictionaries:
   are skipped via the visited stamp) instead of a pure-Python
   decrease-key heap.
 
-numpy is optional: the vectorized cost rebuild and overuse scan fall
-back to plain loops when it is absent (same values, just slower), so the
-module imports clean on numpy-free interpreters.
-
 The dictionary-based implementation this was rewritten from (and is
-quality-gated against) is :class:`repro.route.ref.PathFinderRef`.  The
-iteration-parallel variant routing frozen-snapshot rounds on top of this
-class is :class:`repro.route.parallel.RoundPathFinder`.
+quality-gated against) is ``PathFinderRef`` in ``benchmarks/ref_route.py``.
 """
 
 from __future__ import annotations
@@ -44,10 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
-try:  # pragma: no cover - exercised via tests/no_numpy_shim
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
+import numpy as np
 
 from repro.arch.routing_graph import RRGraph, RRNodeType
 from repro.errors import RoutingError, UnroutableError
@@ -117,8 +108,7 @@ def _grow_tree(
     """Grow one connection's route tree by repeated A* (sink by sink).
 
     Pure function of its arguments plus the scratch arrays (validated by
-    the ``sid`` stamp, so stale contents never leak between searches) —
-    shared verbatim by the serial router and the round-parallel workers.
+    the ``sid`` stamp, so stale contents never leak between searches).
     Returns ``(tree, new_sid)``.
     """
     tree = RouteTree(conn_id=conn_id)
@@ -214,14 +204,9 @@ class PathFinder:
                 base[i] = 0.6
             elif ti == _SOURCE or ti == _SINK:
                 base[i] = 0.2
-        if np is not None:
-            self.base_cost = np.asarray(base, dtype=np.float64)
-            self.acc_cost = np.zeros(n, dtype=np.float64)
-            self.occ = np.zeros(n, dtype=np.int32)
-        else:
-            self.base_cost = base[:]
-            self.acc_cost = [0.0] * n
-            self.occ = [0] * n
+        self.base_cost = np.asarray(base, dtype=np.float64)
+        self.acc_cost = np.zeros(n, dtype=np.float64)
+        self.occ = np.zeros(n, dtype=np.int32)
         # occupancy bookkeeping: per node the sharing keys using it, and
         # per key the nodes it uses (for the self-sharing discount)
         self._users: dict[int, dict[int, int]] = {}
@@ -302,27 +287,14 @@ class PathFinder:
         return self._base[node] * pres + self._acc[node]
 
     def _rebuild_cost(self) -> None:
-        """Recompute the cost table (pres_fac/acc changed at an iteration
-        boundary) — vectorized under numpy, plain loop otherwise."""
-        if np is not None:
-            occ = np.asarray(self._occ, dtype=np.int64)
-            cap = np.asarray(self._cap, dtype=np.int64)
-            over = occ + 1 - cap
-            pres = np.where(over > 0, 1.0 + self._pres_fac * over, 1.0)
-            self._acc = self.acc_cost.tolist()
-            self._cost = (self.base_cost * pres + self.acc_cost).tolist()
-            return
-        pf = self._pres_fac
-        acc = _tolist(self.acc_cost)
-        self._acc = acc
-        base, cap, occ = self._base, self._cap, self._occ
-        cost = self._cost
-        for i in range(len(cost)):
-            over = occ[i] + 1 - cap[i]
-            if over > 0:
-                cost[i] = base[i] * (1.0 + pf * over) + acc[i]
-            else:
-                cost[i] = base[i] + acc[i]
+        """Recompute the cost table, vectorized (pres_fac/acc changed at
+        an iteration boundary)."""
+        occ = np.asarray(self._occ, dtype=np.int64)
+        cap = np.asarray(self._cap, dtype=np.int64)
+        over = occ + 1 - cap
+        pres = np.where(over > 0, 1.0 + self._pres_fac * over, 1.0)
+        self._acc = self.acc_cost.tolist()
+        self._cost = (self.base_cost * pres + self.acc_cost).tolist()
 
     # -- search -------------------------------------------------------------
 
@@ -380,37 +352,14 @@ class PathFinder:
         trees[req.conn_id] = tree
         return tree
 
-    def _serial_pass(
-        self, requests: list[ConnectionRequest], trees: dict[int, RouteTree]
-    ) -> None:
-        """One rip-up-and-reroute sweep over all requests, in order."""
-        for req in requests:
-            self._reroute_one(req, trees)
-
-    def _route_pass(
-        self, requests: list[ConnectionRequest], trees: dict[int, RouteTree]
-    ) -> None:
-        """One iteration's routing pass; subclasses may parallelize it."""
-        self._serial_pass(requests, trees)
-
     def _overused(self) -> list[int]:
         """Publish ``self.occ`` and return the over-capacity node ids."""
-        if np is not None:
-            self.occ = np.asarray(self._occ, dtype=np.int32)
-            return np.nonzero(self.occ > self.rr.capacity)[0].tolist()
-        occ = self._occ
-        cap = self._cap
-        self.occ = occ[:]
-        return [i for i in range(len(occ)) if occ[i] > cap[i]]
+        self.occ = np.asarray(self._occ, dtype=np.int32)
+        return np.nonzero(self.occ > self.rr.capacity)[0].tolist()
 
     def _end_iteration(self, over: list[int]) -> None:
         """Bump history on overused nodes and sharpen ``pres_fac``."""
-        if np is not None:
-            self.acc_cost[over] += self.acc_fac
-        else:
-            acc = self.acc_cost
-            for i in over:
-                acc[i] += self.acc_fac
+        self.acc_cost[over] += self.acc_fac
         self._pres_fac *= self.pres_fac_mult
 
     def route(
@@ -429,7 +378,9 @@ class PathFinder:
         for iteration in range(1, self.max_iterations + 1):
             self.iterations_run = iteration
             self._rebuild_cost()
-            self._route_pass(requests, trees)
+            # one rip-up-and-reroute sweep over all requests, in order
+            for req in requests:
+                self._reroute_one(req, trees)
             over = self._overused()
             if not over:
                 return trees

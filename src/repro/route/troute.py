@@ -108,19 +108,13 @@ def route_design(
     *,
     max_iterations: int = 40,
     pathfinder: type = PathFinder,
-    rounds: bool = False,
-    intra=None,
 ) -> RoutingResult:
     """Route a placed design; returns the full routing result.
 
     ``pathfinder`` selects the router class — the default array-backed
-    :class:`~repro.route.pathfinder.PathFinder`, or
-    :class:`~repro.route.ref.PathFinderRef` when benchmarks/tests need
-    the pre-optimization baseline on identical requests.  ``rounds``
-    switches to the iteration-parallel
-    :class:`~repro.route.parallel.RoundPathFinder` (a different — but
-    worker-count-independent — algorithm), optionally fanning rounds out
-    over the :class:`~repro.util.intra.IntraPool` ``intra``.
+    :class:`~repro.route.pathfinder.PathFinder`, or the pre-optimization
+    ``PathFinderRef`` (``benchmarks/ref_route.py``) when benchmarks and
+    tests need the baseline on identical requests.
     """
     packed = placement.packed
     physical = packed.physical
@@ -182,12 +176,7 @@ def route_design(
         meta[conn_id] = (true_expr, sig, None)
         conn_id += 1
 
-    if rounds:
-        from repro.route.parallel import RoundPathFinder
-
-        pf = RoundPathFinder(rr, max_iterations=max_iterations, intra=intra)
-    else:
-        pf = pathfinder(rr, max_iterations=max_iterations)
+    pf = pathfinder(rr, max_iterations=max_iterations)
     t0 = time.perf_counter()
     trees = pf.route(requests)
     runtime = time.perf_counter() - t0

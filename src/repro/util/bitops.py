@@ -8,19 +8,12 @@ differing bits — the inner loop of partial-reconfiguration diffing.
 
 from __future__ import annotations
 
-try:  # optional at import time so the pure-python simulation path (and
-    # the no-numpy CI parity job) can import this module; every packing
-    # helper still requires numpy at call time
-    import numpy as np
-except ImportError:  # pragma: no cover — exercised by the no-numpy CI job
-    np = None
+import numpy as np
 
 __all__ = ["words_for_bits", "pack_bits", "unpack_bits", "popcount64", "xor_popcount"]
 
-_POP8 = (
-    np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
-    if np is not None
-    else None
+_POP8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
+    axis=1
 )
 
 

@@ -4,7 +4,7 @@ A priority queue with *decrease-key*: when a shorter path to a node is
 found mid-search, its queue priority drops without leaving stale entries
 behind.  Python's :mod:`heapq` has no decrease-key, so we keep an explicit
 position index per key.  The reference PathFinder
-(:mod:`repro.route.ref`) searches through it; the production router
+(``benchmarks/ref_route.py``) searches through it; the production router
 (:mod:`repro.route.pathfinder`) switched to C-level :mod:`heapq` with
 lazy deletion, which benchmarked faster despite the stale entries.
 

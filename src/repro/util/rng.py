@@ -11,11 +11,7 @@ from __future__ import annotations
 
 import hashlib
 
-try:  # optional at import time (the no-numpy CI parity job imports the
-    # package without it); stream construction still requires numpy
-    import numpy as np
-except ImportError:  # pragma: no cover — exercised by the no-numpy CI job
-    np = None
+import numpy as np
 
 __all__ = ["derive_seed", "RngHub"]
 

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
-try:  # optional so the no-numpy CI backend-parity job can collect the
-    # suite; fixtures that need numpy are only requested by numpy tests
-    import numpy as np
-except ImportError:  # pragma: no cover — exercised by the no-numpy CI job
-    np = None
+import os
+import sys
+
+import numpy as np
 import pytest
 
 from repro.netlist import parse_blif
+
+# the reference mapper, placer and router are benchmark baselines kept in
+# benchmarks/; tests import them as ``benchmarks.ref_*`` however pytest
+# was started
+sys.path.append(os.path.join(os.path.dirname(__file__), os.pardir))
 
 
 TINY_SEQ_BLIF = """

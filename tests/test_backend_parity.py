@@ -16,10 +16,6 @@ This harness treats every implementation as an oracle that must agree
   backend must produce byte-identical outcomes JSON — fast multi-word
   version always, the full 1024-scenario single-batch version on the
   slow tier.
-
-Everything not explicitly marked ``needs_numpy`` runs without numpy
-installed: the CI backend-parity matrix re-executes this file with
-numpy masked out to pin the python backend's zero-dependency claim.
 """
 
 from __future__ import annotations
@@ -29,10 +25,7 @@ import random
 
 import pytest
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover — exercised by the no-numpy CI job
-    np = None
+import numpy as np
 
 from parity import (
     random_network,
@@ -45,13 +38,8 @@ from repro.netlist.compiled import (
     AUTO_NUMPY_MIN_WORDS,
     BACKEND_ENV,
     CompiledSimulator,
-    numpy_available,
     program_for,
     resolve_backend,
-)
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend not importable"
 )
 
 #: Lane widths the sweep covers: single word, exact word boundary, ragged
@@ -96,7 +84,7 @@ def _compiled_cycles(net, backend, nw, stim_rows, overrides):
 
 
 def _interpreted_cycles(net, nw, stim_rows, overrides):
-    """Same trace from the reference per-gate interpreter (needs numpy)."""
+    """Same trace from the reference per-gate interpreter."""
     from repro.netlist.simulate import SequentialSimulator
 
     def row(v):
@@ -145,7 +133,7 @@ def _seq_net(seed: int):
 
 class TestPythonBackendVsReference:
     """Pure-python leg: generated big-int kernels vs the independent
-    big-int reference.  Runs (and must pass) without numpy installed."""
+    big-int reference."""
 
     @pytest.mark.parametrize("width", WIDTHS)
     @pytest.mark.parametrize("seed", [1, 2])
@@ -166,7 +154,6 @@ class TestPythonBackendVsReference:
         _assert_traces_equal(net, got, want, f"python w={width}")
 
 
-@needs_numpy
 class TestAllBackendsAgree:
     """Four-way diff: reference vs python-compiled vs numpy-compiled vs
     the per-gate interpreter, every node, every cycle."""
@@ -196,8 +183,6 @@ class TestAllBackendsAgree:
 
 @pytest.fixture(scope="module")
 def mapped_parity_net():
-    if not numpy_available():  # pragma: no cover — no-numpy CI job
-        pytest.skip("mapping flow needs numpy")
     from repro.core.flow import run_generic_stage
     from repro.workloads import campaign_spec, generate_circuit
 
@@ -217,7 +202,7 @@ class TestBackendResolution:
         monkeypatch.delenv(BACKEND_ENV, raising=False)
         assert resolve_backend(None, n_words=1) == "python"
         wide = resolve_backend(None, n_words=AUTO_NUMPY_MIN_WORDS)
-        assert wide == ("numpy" if numpy_available() else "python")
+        assert wide == "numpy"
         assert resolve_backend("auto", n_words=16) == wide
 
     def test_env_overrides_auto(self, monkeypatch):
@@ -228,18 +213,7 @@ class TestBackendResolution:
 
     def test_env_does_not_override_explicit(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "python")
-        if numpy_available():
-            assert resolve_backend("numpy", n_words=1) == "numpy"
-        else:
-            with pytest.raises(SimulationError, match="not importable"):
-                resolve_backend("numpy", n_words=1)
-
-    @pytest.mark.skipif(
-        numpy_available(), reason="needs a numpy-free interpreter"
-    )
-    def test_explicit_numpy_without_numpy_errors(self):
-        with pytest.raises(SimulationError, match="not importable"):
-            resolve_backend("numpy", n_words=16)
+        assert resolve_backend("numpy", n_words=1) == "numpy"
 
 
 # -- full-campaign outcome diffs ----------------------------------------------
@@ -259,16 +233,15 @@ def _campaign_outcomes_json(scenarios, backend, cache, *, max_turns=16):
     return json.dumps(report.outcomes(), sort_keys=True)
 
 
-@needs_numpy
 def test_campaign_outcomes_identical_multiword():
     """96-scenario stuck-at campaign (two-word batch at ``lane_width=1024``)
     run per backend: the outcomes JSON must be byte-identical."""
-    from repro.campaign import OfflineCache
+    from repro.campaign import ArtifactStore
     from repro.workloads import campaign_spec, stuck_at_scenarios
 
     spec = campaign_spec("parity-fast", n_gates=420, depth=8, n_pis=32, n_pos=24)
     scenarios = stuck_at_scenarios(spec, 96, horizon=24)
-    cache = OfflineCache()
+    cache = ArtifactStore()
     py = _campaign_outcomes_json(scenarios, "python", cache)
     vec = _campaign_outcomes_json(scenarios, "numpy", cache)
     assert py == vec
@@ -295,13 +268,12 @@ def memoized_designs(monkeypatch):
     monkeypatch.setattr(scenarios_mod, "generate_circuit", memoized)
 
 
-@needs_numpy
 @pytest.mark.slow
 def test_campaign_outcomes_identical_width_1024(memoized_designs):
     """The flagship diff: a full 1024-scenario stuck-at campaign — one
     single 1024-lane (16-word) batch — run once per backend against a
     shared offline cache.  Outcomes JSON must match byte for byte."""
-    from repro.campaign import OfflineCache
+    from repro.campaign import ArtifactStore
     from repro.workloads import campaign_spec, stuck_at_scenarios
 
     spec = campaign_spec(
@@ -309,7 +281,7 @@ def test_campaign_outcomes_identical_width_1024(memoized_designs):
     )
     scenarios = stuck_at_scenarios(spec, 1024, horizon=24)
     assert len(scenarios) == 1024
-    cache = OfflineCache()
+    cache = ArtifactStore()
     py = _campaign_outcomes_json(scenarios, "python", cache)
     vec = _campaign_outcomes_json(scenarios, "numpy", cache)
     assert py == vec

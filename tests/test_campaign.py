@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from repro.campaign import (
+    ArtifactStore,
     CampaignConfig,
-    OfflineCache,
+    resolve_offline,
     run_campaign,
-    run_scenario,
+    run_scenario_batch,
 )
 from repro.core.debug import DebugSession
 from repro.core.flow import DebugFlowConfig, offline_cache_key, run_generic_stage
 from repro.errors import DebugFlowError
+from repro.pipeline import GENERIC_STAGES
 from repro.workloads import (
     campaign_spec,
     generate_circuit,
@@ -35,6 +37,12 @@ def offline():
     return run_generic_stage(generate_circuit(SPEC))
 
 
+def run_scenario(sc, offline):
+    """One scenario's online loop: a one-lane batch."""
+    (result,) = run_scenario_batch([sc], offline)
+    return result
+
+
 class TestCacheKey:
     def test_content_keyed(self):
         a = generate_circuit(SPEC)
@@ -54,67 +62,45 @@ class TestCacheKey:
 
 
 class TestOfflineCache:
+    """Offline artifacts cached by content in the stage store."""
+
     def test_hit_returns_same_artifact(self):
-        cache = OfflineCache()
-        net = generate_circuit(SPEC)
-        first, hit1 = cache.get_or_run(net)
-        second, hit2 = cache.get_or_run(generate_circuit(SPEC))
+        store = ArtifactStore()
+        first, hit1 = resolve_offline(generate_circuit(SPEC), cache=store)
+        second, hit2 = resolve_offline(generate_circuit(SPEC), cache=store)
         assert (hit1, hit2) == (False, True)
-        assert second is first
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
-        assert first.cache_key == offline_cache_key(net)
+        assert second.mapping is first.mapping
+        assert second.cache_key == first.cache_key
+        n = len(GENERIC_STAGES)
+        assert store.stats.hits == n and store.stats.misses == n
 
     def test_config_miss(self):
-        cache = OfflineCache()
+        store = ArtifactStore()
         net = generate_circuit(SPEC)
-        cache.get_or_run(net)
-        _, hit = cache.get_or_run(net, DebugFlowConfig(k=4))
+        resolve_offline(net, cache=store)
+        _, hit = resolve_offline(net, DebugFlowConfig(k=4), cache=store)
         assert not hit
-        assert cache.stats.misses == 2
+        assert store.stats.for_stage("initial-map").misses == 2
 
     def test_disk_roundtrip(self, tmp_path):
         d = str(tmp_path / "cache")
-        warm = OfflineCache(cache_dir=d)
-        warm.get_or_run(generate_circuit(SPEC))
-        # a fresh cache (new process, same directory) hits from disk
-        cold = OfflineCache(cache_dir=d)
-        stage, hit = cold.get_or_run(generate_circuit(SPEC))
-        assert hit and cold.stats.disk_hits == 1
+        resolve_offline(generate_circuit(SPEC), cache=ArtifactStore(cache_dir=d))
+        # a fresh store (new process, same directory) hits from disk
+        cold = ArtifactStore(cache_dir=d)
+        stage, hit = resolve_offline(generate_circuit(SPEC), cache=cold)
+        assert hit and cold.stats.disk_hits == cold.stats.hits > 0
         assert stage.summary()  # artifact survived pickling intact
-
-    def test_legacy_pr1_disk_layout_migrates(self, tmp_path):
-        import os
-        import pickle
-
-        d = str(tmp_path / "cache")
-        os.makedirs(d)
-        builder = OfflineCache()
-        net = generate_circuit(SPEC)
-        stage, _ = builder.get_or_run(net)
-        key = stage.cache_key
-        # PR 1 persisted whole artifacts at <cache_dir>/<key>.pkl
-        with open(os.path.join(d, f"{key}.pkl"), "wb") as fh:
-            pickle.dump(stage, fh)
-        fresh = OfflineCache(cache_dir=d)
-        got, hit = fresh.get_or_run(generate_circuit(SPEC))
-        assert hit and got.summary()
-        assert fresh.stats.disk_hits == 1 and fresh.stats.misses == 0
-        # a migration is a read, not a build
-        assert fresh.stats.stores == 0
-        # the entry moved to the stage-granular location (old file removed)
-        assert os.path.exists(fresh._path(key))
-        assert not os.path.exists(os.path.join(d, f"{key}.pkl"))
 
     def test_corrupt_disk_entry_is_miss(self, tmp_path):
         d = str(tmp_path / "cache")
-        warm = OfflineCache(cache_dir=d)
-        stage, _ = warm.get_or_run(generate_circuit(SPEC))
-        path = warm._path(stage.cache_key)
-        with open(path, "wb") as fh:
+        warm = ArtifactStore(cache_dir=d)
+        stage, _ = resolve_offline(generate_circuit(SPEC), cache=warm)
+        with open(warm._path("tcon-map", stage.cache_key), "wb") as fh:
             fh.write(b"not a pickle")
-        cold = OfflineCache(cache_dir=d)
-        _, hit = cold.get_or_run(generate_circuit(SPEC))
+        cold = ArtifactStore(cache_dir=d)
+        _, hit = resolve_offline(generate_circuit(SPEC), cache=cold)
         assert not hit and cold.stats.misses == 1
+        assert cold.stats.corrupt == 1
 
 
 class TestScenarioGeneration:
@@ -193,6 +179,7 @@ class TestRunScenario:
         assert result.turns >= 1
         assert result.fail_cycle >= 0 and result.failing_po
         assert result.online_s > 0 and result.detect_s > 0
+        assert (result.lane, result.lane_batch) == (0, 1)
 
     def test_mutation_localizes(self, scenarios):
         sc = mutation_scenarios(SPEC, 1, horizon=HORIZON)[0]
@@ -212,35 +199,52 @@ class TestRunScenario:
 
 class TestCampaign:
     def test_cache_amortizes_offline(self, scenarios):
-        cache = OfflineCache()
-        report = run_campaign(scenarios, cache=cache)
+        store = ArtifactStore()
+        report = run_campaign(scenarios, cache=store)
         hits = [r.offline_cache_hit for r in report.results]
         assert hits == [False, True, True]
-        assert cache.stats.as_dict()["misses"] == 1
+        # one build: every compile stage missed exactly once
+        per_stage = store.stats.as_dict()["per_stage"]
+        assert all(per_stage[s]["misses"] == 1 for s in GENERIC_STAGES)
         assert report.counts().get("localized") == len(scenarios)
 
     def test_serial_parallel_deterministic(self, scenarios):
         serial = run_campaign(
-            scenarios, config=CampaignConfig(workers=1), cache=OfflineCache()
+            scenarios, config=CampaignConfig(workers=1), cache=ArtifactStore()
         )
         parallel = run_campaign(
-            scenarios, config=CampaignConfig(workers=2), cache=OfflineCache()
+            scenarios, config=CampaignConfig(workers=2), cache=ArtifactStore()
         )
         assert serial.outcomes() == parallel.outcomes()
         # repeated runs are also reproducible
         again = run_campaign(
-            scenarios, config=CampaignConfig(workers=1), cache=OfflineCache()
+            scenarios, config=CampaignConfig(workers=1), cache=ArtifactStore()
         )
         assert serial.outcomes() == again.outcomes()
 
-    def test_cold_run_pays_per_scenario(self, scenarios):
-        report = run_campaign(scenarios, cache=None)
+    def test_cold_run_builds_each_design_once(self, scenarios, monkeypatch):
+        """A cold campaign shares one build among a design's scenarios."""
+        import repro.pipeline.stages as stages
+
+        built = []
+        real = stages.validate_network
+
+        def counting(net):
+            built.append(net.name)
+            return real(net)
+
+        monkeypatch.setattr(stages, "validate_network", counting)
+        report = run_campaign(
+            scenarios, config=CampaignConfig(workers=1), cache=None
+        )
+        assert len(built) == 1
         assert report.cache_stats is None
         assert all(not r.offline_cache_hit for r in report.results)
         assert all(r.offline_s > 0 for r in report.results)
+        assert report.counts().get("localized") == len(scenarios)
 
     def test_report_renders_and_saves(self, scenarios, tmp_path):
-        report = run_campaign(scenarios, cache=OfflineCache())
+        report = run_campaign(scenarios, cache=ArtifactStore())
         text = report.render()
         assert "DEBUG-CAMPAIGN REPORT" in text
         assert "localization rate" in text
@@ -256,7 +260,7 @@ class TestReportingAggregation:
     def test_aggregate_campaign(self, scenarios):
         from repro.analysis.reporting import aggregate_campaign
 
-        report = run_campaign(scenarios, cache=OfflineCache())
+        report = run_campaign(scenarios, cache=ArtifactStore())
         agg = aggregate_campaign([r.as_record() for r in report.results])
         assert agg["n_scenarios"] == len(scenarios)
         assert agg["counts"]["localized"] == len(scenarios)
@@ -267,12 +271,12 @@ class TestReportingAggregation:
         from repro.analysis.experiments import _CACHE, run_benchmark_columns
         from repro.workloads import get_spec
 
-        cache = OfflineCache()
+        store = ArtifactStore()
         spec = get_spec("stereov.")
         _CACHE.pop((spec.name, 2016), None)
         try:
-            cols = run_benchmark_columns(spec, offline_fn=cache.as_offline_fn())
-            assert cache.stats.stores == 1
+            cols = run_benchmark_columns(spec, offline_fn=store.as_offline_fn())
+            assert store.stats.stores == len(GENERIC_STAGES)
             assert cols.offline.cache_key is not None
         finally:
             _CACHE.pop((spec.name, 2016), None)
@@ -312,6 +316,33 @@ class TestReportingAggregation:
 
 
 class TestCli:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--workers", "0"),
+            ("--workers", "-3"),
+            ("--lane-width", "0"),
+            ("--per-design", "0"),
+            ("--horizon", "0"),
+            ("--max-turns", "0"),
+            ("--task-retries", "-2"),
+            ("--task-timeout", "0"),
+            ("--task-timeout", "-1"),
+        ],
+    )
+    def test_bad_numbers_exit_2_before_any_work(
+        self, flag, value, monkeypatch, capsys
+    ):
+        import repro.campaign.cli as cli
+
+        generated = []
+        monkeypatch.setattr(
+            cli, "_build_scenarios", lambda *a: generated.append(a) or []
+        )
+        assert cli.main(["--physical", flag, value]) == 2
+        assert generated == []
+        assert flag in capsys.readouterr().err
+
     def test_cli_runs_small_campaign(self, capsys):
         from repro.campaign.cli import main
 

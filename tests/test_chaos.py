@@ -70,11 +70,32 @@ class TestWorkerFaults:
             scenarios,
             # lane_width=1 keeps one online payload per scenario — a
             # single packed batch would make the orchestrator skip the
-            # pool entirely (serial is cheaper than pool startup)
+            # pool for the online phase.  The cold build is pooled too,
+            # so the first pooled task, and the one killed, is the build
             CampaignConfig(workers=workers, lane_width=1),
             kill_worker_at_task=1,
         )
         assert _outcomes_json(report) == baseline
+
+    def test_worker_sigkill_in_lane_batch_recovers(
+        self, tmp_path, scenarios, baseline
+    ):
+        # a warm store leaves only lane batches to pool, so the kill
+        # lands on an online task instead of the build segment
+        store = ArtifactStore()
+        run_campaign(
+            scenarios[:1], config=CampaignConfig(workers=1), cache=store
+        )
+        report = _armed_run(
+            tmp_path,
+            scenarios,
+            CampaignConfig(workers=4, lane_width=1),
+            cache=store,
+            kill_worker_at_task=1,
+        )
+        assert _outcomes_json(report) == baseline
+        assert report.offline_stage_s == {}
+        assert report.pool_respawns >= 1
 
     @pytest.mark.parametrize("workers", WORKERS)
     def test_injected_pool_error_recovers(

@@ -13,12 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.campaign import (
-    ArtifactStore,
-    CampaignConfig,
-    OfflineCache,
-    run_campaign,
-)
+from repro.campaign import ArtifactStore, CampaignConfig, run_campaign
 from repro.core.debug import DebugSession
 from repro.core.flow import run_generic_stage
 from repro.emu.fault import ALL_LANES, FaultInjector, active_override_ints, ForcedFault
@@ -430,7 +425,7 @@ class TestWideCampaignEquivalence:
             "wide-camp", n_gates=400, depth=8, n_pis=25, n_pos=12
         )
         scenarios = stuck_at_scenarios(spec, 128, horizon=32)
-        cache = OfflineCache()
+        cache = ArtifactStore()
         run_campaign(
             scenarios[:1], config=CampaignConfig(lane_width=1), cache=cache
         )

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from repro.campaign import (
+    ArtifactStore,
     CampaignConfig,
-    OfflineCache,
     run_campaign,
-    run_scenario,
     run_scenario_batch,
 )
 from repro.core.debug import DebugSession
@@ -295,9 +294,14 @@ class TestFacade:
         # 1-lane engine ever reads
 
 
+def _one_lane(sc, offline, **kw):
+    (result,) = run_scenario_batch([sc], offline, **kw)
+    return result
+
+
 class TestBatchEquivalence:
     def test_batch_outcomes_identical_to_serial(self, offline, scenarios):
-        serial = [run_scenario(sc, offline, max_turns=48) for sc in scenarios]
+        serial = [_one_lane(sc, offline, max_turns=48) for sc in scenarios]
         batch = run_scenario_batch(scenarios, offline, max_turns=48)
         assert [r.outcome() for r in batch] == [r.outcome() for r in serial]
         assert [r.modeled_overhead_s for r in batch] == [
@@ -314,7 +318,7 @@ class TestBatchEquivalence:
             [broken] + list(scenarios[1:]), offline, max_turns=48
         )
         assert batch[0].status == "error" and "nope" in batch[0].error
-        good = [run_scenario(sc, offline) for sc in scenarios[1:]]
+        good = [_one_lane(sc, offline) for sc in scenarios[1:]]
         assert [r.outcome() for r in batch[1:]] == [r.outcome() for r in good]
 
     def test_campaign_lane_width_equivalence_mixed(self):
@@ -322,24 +326,27 @@ class TestBatchEquivalence:
             mutation_scenarios(SPEC, 1, horizon=HORIZON)
         )
         serial = run_campaign(
-            scenarios, config=CampaignConfig(lane_width=1), cache=OfflineCache()
+            scenarios, config=CampaignConfig(lane_width=1), cache=ArtifactStore()
         )
         lanes = run_campaign(
             scenarios,
             config=CampaignConfig(lane_width=64),
-            cache=OfflineCache(),
+            cache=ArtifactStore(),
         )
         assert serial.outcomes() == lanes.outcomes()
-        assert serial.lane_batches == [] and lanes.lane_batches
+        assert serial.lane_batches == [1] * len(scenarios)
+        assert [(r.lane, r.lane_batch) for r in serial.results] == [
+            (0, 1)
+        ] * len(scenarios)
         assert sum(lanes.lane_batches) == len(scenarios)
         assert "lane batch" in lanes.render()
 
     def test_narrow_lane_width_still_identical(self, offline, scenarios):
         wide = run_campaign(
-            scenarios, config=CampaignConfig(lane_width=64), cache=OfflineCache()
+            scenarios, config=CampaignConfig(lane_width=64), cache=ArtifactStore()
         )
         narrow = run_campaign(
-            scenarios, config=CampaignConfig(lane_width=2), cache=OfflineCache()
+            scenarios, config=CampaignConfig(lane_width=2), cache=ArtifactStore()
         )
         assert wide.outcomes() == narrow.outcomes()
         assert max(narrow.lane_batches) <= 2
@@ -349,7 +356,7 @@ class TestBatchEquivalence:
 class TestAcceptance:
     def test_32_scenario_mixed_campaign_byte_identical(self):
         """The PR's correctness bar: ≥32 mixed scenarios, lane-batched
-        outcomes byte-identical to the serial per-session path."""
+        outcomes byte-identical to one-lane batches."""
         spec = campaign_spec(
             "engine-accept", n_gates=120, depth=8, n_pis=20, n_pos=10
         )
@@ -358,12 +365,12 @@ class TestAcceptance:
         )
         assert len(scenarios) >= 32
         serial = run_campaign(
-            scenarios, config=CampaignConfig(lane_width=1), cache=OfflineCache()
+            scenarios, config=CampaignConfig(lane_width=1), cache=ArtifactStore()
         )
         lanes = run_campaign(
             scenarios,
             config=CampaignConfig(lane_width=64),
-            cache=OfflineCache(),
+            cache=ArtifactStore(),
         )
         assert serial.outcomes() == lanes.outcomes()
         # the stuck-at group actually packed into a >1-lane batch

@@ -1,74 +1,35 @@
-"""Flat bitset cut engine + level-wave parallel mapping (PR 10).
+"""Flat bitset cut engine vs the set-based reference (PR 10).
 
-The generic prefix's priority-cut mapper was rewritten twice over:
-
-* the **flat bitset engine** (``mapping/cuts.py`` / ``mapper_base.py``)
-  replaces frozenset cut algebra with local-domain integer bitmasks and
-  stamp-memoized costs — a pure speedup that must choose the *same
-  mapping* as the preserved set-based reference (``mapping/ref.py``),
-  which is the argument for not bumping the ``initial-map`` /
-  ``tcon-map`` stage versions;
-* the **level-wave parallel passes** (``mapping/parallel.py``) fan cut
-  enumeration and re-merging recovery over the shared
-  :class:`~repro.util.intra.IntraPool`, byte-identical to serial at any
-  worker count — which is why ``intra`` is never part of any cache key.
+The generic prefix's priority-cut mapper runs on the **flat bitset
+engine** (``mapping/cuts.py`` / ``mapper_base.py``): local-domain integer
+bitmasks and stamp-memoized costs instead of frozenset cut algebra — a
+pure speedup that must choose the *same mapping* as the preserved
+set-based reference (``benchmarks/ref_mapping.py``), which is the
+argument for not bumping the ``initial-map`` / ``tcon-map`` stage
+versions.
 
 This module pins the cut algebra against the reference operators
-(hypothesis), the engine-level mapping equality, the wave-layer
-byte-identity at workers 1/2/4 (in-process and on a real pool), and the
-stage-key stability that keeps warm caches valid.  The ≥2× speedup floor
-over the reference engine lives in ``benchmarks/bench_mapping.py``.
+(hypothesis) and the engine-level mapping equality on paper-suite
+designs.  The ≥2× speedup floor over the reference engine lives in
+``benchmarks/bench_mapping.py``.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.muxnet import build_trace_network
-from repro.mapping import AbcMap, SimpleMap, TconMap
-from repro.mapping.cuts import cut_size, enumerate_cuts
-from repro.mapping.ref import (
+from benchmarks.ref_mapping import (
     RefAbcMap,
     ref_cut_size,
     ref_enumerate_cuts,
     ref_prune,
 )
+from repro.mapping import AbcMap
+from repro.mapping.cuts import cut_size, enumerate_cuts
 from repro.netlist import LogicNetwork
 from repro.netlist.truthtable import TruthTable
-from repro.pipeline.stages import DEBUG_FLOW_GRAPH, GENERIC_STAGES
-from repro.util.intra import IntraPool
-from repro.workloads import campaign_spec, generate_circuit, get_spec
-
-
-@contextmanager
-def _pool(workers: int):
-    """An IntraPool backed by its own executor (in-process at <= 1)."""
-    if workers <= 1:
-        yield IntraPool(workers)
-        return
-    ex = ProcessPoolExecutor(max_workers=workers)
-    try:
-        yield IntraPool(workers, acquire=lambda: ex)
-    finally:
-        ex.shutdown()
-
-
-def _mapping_fingerprint(res):
-    """Everything the downstream pipeline consumes, value-hashable."""
-    luts = tuple(
-        (nid, l.leaves, l.func.bits, l.param_leaves)
-        for nid, l in sorted(res.luts.items())
-    )
-    tcons = tuple(
-        (nid, t.source0, t.source1, t.sel)
-        for nid, t in sorted(res.tcons.items())
-    )
-    return luts, tcons, res.depth()
+from repro.workloads import generate_circuit, get_spec
 
 
 # -- cut-algebra property tests (flat bitset vs set-based reference) -----------
@@ -171,96 +132,3 @@ def test_flat_engine_matches_reference_mapping(name):
     # aggregate is pinned in benchmarks/bench_mapping.py)
     n_new, n_ref = len(new.luts), len(ref.luts)
     assert abs(n_new - n_ref) <= max(2, 0.02 * n_ref)
-
-
-# -- level-wave parallel passes ------------------------------------------------
-
-
-def _wave_design():
-    spec = campaign_spec("wave-mid", n_gates=900, depth=12, n_pis=24, n_pos=12)
-    return generate_circuit(spec)
-
-
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_abcmap_waves_byte_identical(workers):
-    """AbcMap under level waves equals serial exactly at every worker
-    count — both depth passes and the re-merging recovery round."""
-    net = _wave_design()
-    base = _mapping_fingerprint(AbcMap(k=6, cut_limit=8, area_rounds=2).map(net))
-    with _pool(workers) as pool:
-        par = AbcMap(k=6, cut_limit=8, area_rounds=2, intra=pool).map(net)
-    assert _mapping_fingerprint(par) == base
-
-
-def test_simplemap_waves_byte_identical():
-    """SimpleMap ships the "simple" wave shell (depth-size rank)."""
-    net = _wave_design()
-    base = _mapping_fingerprint(SimpleMap(k=6).map(net))
-    with _pool(2) as pool:
-        par = SimpleMap(k=6, intra=pool).map(net)
-    assert _mapping_fingerprint(par) == base
-
-
-def test_tconmap_waves_byte_identical():
-    """TconMap (free parameter leaves, taps as boundaries, TCON diversion)
-    under waves equals serial — the property that keeps ``tcon-map``
-    cache keys worker-count-free."""
-    net = _wave_design()
-    instr = build_trace_network(net, n_buffer_inputs=4)
-    kw = dict(params=instr.param_ids, taps=set(instr.taps))
-    base = _mapping_fingerprint(TconMap(**kw).map(instr.network))
-    for workers in (2, 4):
-        with _pool(workers) as pool:
-            par = TconMap(**kw, intra=pool).map(instr.network)
-        assert _mapping_fingerprint(par) == base
-
-
-def test_waves_survive_broken_pool():
-    """A dead pool degrades waves to in-process rounds with identical
-    results — the campaign-wide IntraPool failure contract."""
-    net = _wave_design()
-    base = _mapping_fingerprint(AbcMap(k=6).map(net))
-
-    def acquire():
-        raise OSError("no pool in this sandbox")
-
-    pool = IntraPool(4, acquire=acquire)
-    par = AbcMap(k=6, intra=pool).map(net)
-    assert pool.broken
-    assert _mapping_fingerprint(par) == base
-
-
-def test_small_designs_stay_inline():
-    """Waves below MIN_WAVE never round-trip the pool: tiny designs pay
-    zero pickling overhead even with an intra pool attached."""
-    spec = campaign_spec("wave-tiny", n_gates=30, depth=5, n_pis=8, n_pos=4)
-    net = generate_circuit(spec)
-
-    class _Exploding:
-        workers = 4
-
-        def chunks(self, n):  # pragma: no cover - must not be reached
-            raise AssertionError("tiny wave was shipped to the pool")
-
-        map_round = chunks
-
-    base = _mapping_fingerprint(AbcMap(k=6).map(net))
-    par = AbcMap(k=6, intra=_Exploding()).map(net)
-    assert _mapping_fingerprint(par) == base
-
-
-# -- cache-key stability -------------------------------------------------------
-
-
-def test_stage_keys_unchanged_by_intra():
-    """``initial-map`` / ``tcon-map`` keys are identical with and without
-    an intra pool (byte-identical output ⇒ no discriminator), so warm
-    caches stay valid whatever ``--intra-design-workers`` says."""
-    net = _wave_design()
-    serial = DEBUG_FLOW_GRAPH.run(net, stages=GENERIC_STAGES)
-    with _pool(2) as pool:
-        waved = DEBUG_FLOW_GRAPH.run(net, stages=GENERIC_STAGES, intra=pool)
-    assert serial.keys() == waved.keys()
-    assert _mapping_fingerprint(
-        serial.value("tcon-map")
-    ) == _mapping_fingerprint(waved.value("tcon-map"))

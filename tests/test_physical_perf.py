@@ -1,7 +1,7 @@
 """PR 5's fast offline physical pipeline: determinism, quality, parity.
 
 Three families of guarantees around the vectorized placer/router rewrite
-and the parallel offline build scheduler:
+and the pooled offline builds:
 
 * **seed determinism** — the rewritten annealer and PathFinder produce
   bit-identical results for a fixed seed (and different placements for
@@ -10,10 +10,11 @@ and the parallel offline build scheduler:
 * **quality gates** — on the paper-suite design, the rewritten placer's
   final HPWL and the rewritten router's wirelength/overuse are
   equal-or-better than the reference implementations they replaced
-  (:mod:`repro.place.ref`, :mod:`repro.route.ref`);
-* **offline-workers parity** — a campaign run with ``offline_workers=4``
-  produces byte-identical outcomes JSON to serial offline builds, for
-  memory-only and disk-backed stores, cold and warm.
+  (``benchmarks/ref_place.py``, ``benchmarks/ref_route.py``);
+* **worker parity** — a campaign run at ``workers=2`` produces
+  byte-identical outcomes JSON and store statistics to ``workers=1``,
+  for memory-only and disk-backed stores and cold (``cache=None``), and
+  a warm restart over the pooled build's store hits every stage.
 """
 
 from __future__ import annotations
@@ -22,17 +23,18 @@ import json
 
 import pytest
 
+from benchmarks.ref_place import _net_hpwl, place_design_ref
+from benchmarks.ref_route import PathFinderRef
 from repro.arch import ArchSpec
 from repro.arch.routing_graph import build_rr_graph
 from repro.campaign import CampaignConfig, run_campaign
-from repro.campaign.cache import ArtifactStore, OfflineCache
+from repro.campaign.cache import ArtifactStore
 from repro.core.muxnet import build_trace_network
 from repro.mapping import TconMap
+from repro.netlist.compiled import COMPILED_SIM_STAGE
 from repro.pack import build_atoms, pack_design
 from repro.place import place_design
-from repro.place.ref import _net_hpwl, place_design_ref
 from repro.route import route_design
-from repro.route.ref import PathFinderRef
 from repro.workloads import campaign_spec, generate_circuit, mutation_scenarios
 
 ARCH = ArchSpec(k=6, n_ble=4, n_cluster_inputs=14, channel_width=24, io_capacity=4)
@@ -166,7 +168,20 @@ def _outcomes_json(report) -> str:
     return json.dumps(report.outcomes(), indent=2, default=str)
 
 
+def _build_stats(report) -> dict:
+    """Per-stage store counters of the compile stages.  Compiled
+    simulation programs are stored only by lane batches that run in the
+    parent (a pooled batch compiles its own), so that pseudo-stage is
+    left out of worker-count comparisons."""
+    per_stage = dict(report.cache_stats["per_stage"])
+    per_stage.pop(COMPILED_SIM_STAGE, None)
+    return per_stage
+
+
 class TestOfflineWorkersParity:
+    """One worker knob, one build layout: ``workers`` ∈ {1, 2} must agree
+    on outcomes JSON and on every store counter."""
+
     @pytest.fixture(scope="class")
     def scenarios(self):
         spec = campaign_spec(
@@ -175,78 +190,57 @@ class TestOfflineWorkersParity:
         # mutations: each scenario is its own design → 5 distinct builds
         return mutation_scenarios(spec, 5, seed=3, horizon=32)
 
+    def _pair(self, scenarios, make_cache):
+        return [
+            run_campaign(
+                scenarios,
+                config=CampaignConfig(workers=w),
+                cache=make_cache(w),
+            )
+            for w in (1, 2)
+        ]
+
     def test_memory_store_parity(self, scenarios):
-        serial = run_campaign(
-            scenarios,
-            config=CampaignConfig(offline_workers=1),
-            cache=ArtifactStore(),
-        )
-        parallel = run_campaign(
-            scenarios,
-            config=CampaignConfig(offline_workers=4),
-            cache=ArtifactStore(),
-        )
-        assert _outcomes_json(parallel) == _outcomes_json(serial)
-        assert parallel.offline_workers >= 1
+        serial, pooled = self._pair(scenarios, lambda _w: ArtifactStore())
+        assert _outcomes_json(pooled) == _outcomes_json(serial)
+        assert _build_stats(pooled) == _build_stats(serial)
+        assert pooled.workers == 2
 
     def test_disk_store_parity_and_warm_restart(self, scenarios, tmp_path):
-        serial = run_campaign(
+        serial, pooled = self._pair(
             scenarios,
-            config=CampaignConfig(offline_workers=1),
-            cache=ArtifactStore(cache_dir=str(tmp_path / "serial")),
+            lambda w: ArtifactStore(cache_dir=str(tmp_path / f"w{w}")),
         )
-        par_store = ArtifactStore(cache_dir=str(tmp_path / "par"))
-        parallel = run_campaign(
-            scenarios,
-            config=CampaignConfig(offline_workers=4),
-            cache=par_store,
-        )
-        assert _outcomes_json(parallel) == _outcomes_json(serial)
-        # artifacts landed under the same content-addressed keys: a serial
-        # run over the parallel-built store must be fully warm
+        assert _outcomes_json(pooled) == _outcomes_json(serial)
+        assert _build_stats(pooled) == _build_stats(serial)
+        # artifacts landed under the same content-addressed keys: a
+        # serial run over the pooled build's store hits every stage
         warm = run_campaign(
             scenarios,
-            config=CampaignConfig(offline_workers=1),
-            cache=ArtifactStore(cache_dir=str(tmp_path / "par")),
+            config=CampaignConfig(workers=1),
+            cache=ArtifactStore(cache_dir=str(tmp_path / "w2")),
         )
         assert _outcomes_json(warm) == _outcomes_json(serial)
-        assert warm.cache_stats["misses"] == 0
+        stats = _build_stats(warm).values()
+        assert all(st["misses"] == 0 for st in stats)
+        assert all(st["hits"] == st["disk_hits"] > 0 for st in stats)
         assert all(r.offline_cache_hit for r in warm.results)
 
-    def test_whole_artifact_cache_parity(self, scenarios):
-        serial = run_campaign(
-            scenarios,
-            config=CampaignConfig(offline_workers=1),
-            cache=OfflineCache(),
-        )
-        parallel = run_campaign(
-            scenarios,
-            config=CampaignConfig(offline_workers=4),
-            cache=OfflineCache(),
-        )
-        assert _outcomes_json(parallel) == _outcomes_json(serial)
-
     def test_cold_parity_no_cache(self, scenarios):
-        serial = run_campaign(
-            scenarios, config=CampaignConfig(offline_workers=1), cache=None
-        )
-        parallel = run_campaign(
-            scenarios, config=CampaignConfig(offline_workers=4), cache=None
-        )
-        assert _outcomes_json(parallel) == _outcomes_json(serial)
+        serial, pooled = self._pair(scenarios, lambda _w: None)
+        assert _outcomes_json(pooled) == _outcomes_json(serial)
+        assert pooled.cache_stats is serial.cache_stats is None
 
     def test_warm_groups_resolve_in_process(self, scenarios):
         """A fully warm store dispatches no build workers."""
         store = ArtifactStore()
-        run_campaign(
-            scenarios, config=CampaignConfig(offline_workers=1), cache=store
-        )
+        run_campaign(scenarios, config=CampaignConfig(workers=1), cache=store)
         warm = run_campaign(
-            scenarios, config=CampaignConfig(offline_workers=4), cache=store
+            scenarios, config=CampaignConfig(workers=4), cache=store
         )
-        assert warm.offline_workers == 1  # nothing cold to parallelize
         assert warm.offline_stage_s == {}  # nothing was built
         assert all(r.offline_cache_hit for r in warm.results)
+        assert set(warm.stage_concurrency) <= {"online"}
 
     def test_single_design_campaign_groups_once(self):
         """Stuck-at scenarios share one design: one build group, and the
@@ -257,24 +251,17 @@ class TestOfflineWorkersParity:
             "perf-single", n_gates=60, depth=6, n_pis=12, n_pos=6
         )
         scenarios = stuck_at_scenarios(spec, 4, seed=5, horizon=32)
-        serial = run_campaign(
-            scenarios,
-            config=CampaignConfig(offline_workers=1),
-            cache=ArtifactStore(),
-        )
-        parallel = run_campaign(
-            scenarios,
-            config=CampaignConfig(offline_workers=4),
-            cache=ArtifactStore(),
-        )
-        assert _outcomes_json(parallel) == _outcomes_json(serial)
-        hits = [r.offline_cache_hit for r in parallel.results]
+        serial, pooled = self._pair(scenarios, lambda _w: ArtifactStore())
+        assert _outcomes_json(pooled) == _outcomes_json(serial)
+        assert pooled.cache_stats == serial.cache_stats
+        assert pooled.workers == 1  # one cold build, one lane batch
+        hits = [r.offline_cache_hit for r in pooled.results]
         assert hits == [False, True, True, True]
 
     def test_per_stage_offline_timings_recorded(self, scenarios):
         report = run_campaign(
             scenarios,
-            config=CampaignConfig(offline_workers=2),
+            config=CampaignConfig(workers=2),
             cache=ArtifactStore(),
         )
         assert "tcon-map" in report.offline_stage_s

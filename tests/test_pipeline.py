@@ -9,7 +9,6 @@ import pytest
 from repro.campaign import (
     ArtifactStore,
     CampaignConfig,
-    OfflineCache,
     resolve_offline,
     run_campaign,
 )
@@ -321,16 +320,6 @@ class TestResolveOffline:
         assert not hit_a and not hit_b
         assert a is not b
 
-    def test_whole_artifact_flavor(self, net):
-        cache = OfflineCache()
-        _, h1 = resolve_offline(net, cache=cache)
-        _, h2 = resolve_offline(net, cache=cache)
-        # any knob change misses the whole-artifact key entirely
-        _, h3 = resolve_offline(
-            net, DebugFlowConfig(trace_depth=2048), cache=cache
-        )
-        assert (h1, h2, h3) == (False, True, False)
-
     def test_stage_granular_flavor(self, net):
         store = ArtifactStore()
         _, h1 = resolve_offline(net, cache=store)
@@ -355,38 +344,29 @@ class TestResolveOfflineParams:
         cold, _ = resolve_offline(net, params={"taps": sub})
         assert cold.instrumented.taps == list(sub)
 
-        whole = OfflineCache()
-        resolve_offline(net, cache=whole)
-        overridden, hit = resolve_offline(
-            net, cache=whole, params={"taps": sub}
-        )
-        # a params-bearing request may not be served the default-taps hit
-        assert not hit and overridden.instrumented.taps == list(sub)
-
         store = ArtifactStore()
-        staged, _ = resolve_offline(net, cache=store, params={"taps": sub})
-        assert staged.instrumented.taps == list(sub)
+        resolve_offline(net, cache=store)
+        staged, hit = resolve_offline(net, cache=store, params={"taps": sub})
+        # a params-bearing request may not be served the default-taps hit
+        assert not hit and staged.instrumented.taps == list(sub)
 
     def test_wrong_typed_disk_entry_degrades_to_miss(self, net, tmp_path):
         import os
         import pickle
 
+        from repro.netlist.compiled import COMPILED_SIM_STAGE, CompiledProgram
+
         d = str(tmp_path / "cache")
-        cache = OfflineCache(cache_dir=d)
-        key = cache.key(net)
-        os.makedirs(os.path.join(d, "offline"))
-        with open(cache._path(key), "wb") as fh:
-            pickle.dump({"not": "an offline stage"}, fh)
-        stage, hit = resolve_offline(net, cache=cache)
-        assert not hit and stage.summary()
+        store = ArtifactStore(cache_dir=d)
+        os.makedirs(os.path.join(d, COMPILED_SIM_STAGE))
+        with open(store._path(COMPILED_SIM_STAGE, "k"), "wb") as fh:
+            pickle.dump({"not": "a compiled program"}, fh)
+        found = store.get(COMPILED_SIM_STAGE, "k", expect=CompiledProgram)
+        assert found is None
+        assert store.stats.for_stage(COMPILED_SIM_STAGE).misses == 1
 
 
 class TestCampaignWithStageStore:
-    def test_same_outcomes_as_whole_artifact(self, scenarios):
-        whole = run_campaign(scenarios, cache=OfflineCache())
-        staged = run_campaign(scenarios, cache=ArtifactStore())
-        assert whole.outcomes() == staged.outcomes()
-
     def test_stage_hits_and_report_breakdown(self, scenarios):
         store = ArtifactStore()
         report = run_campaign(scenarios, cache=store)
@@ -395,7 +375,9 @@ class TestCampaignWithStageStore:
             True,
             True,
         ]
-        assert report.cache_stats["per_stage"]["tcon-map"]["hits"] == 2
+        # one build plan per design: the duplicates share it unprobed
+        tcon = report.cache_stats["per_stage"]["tcon-map"]
+        assert (tcon["misses"], tcon["hits"], tcon["stores"]) == (1, 0, 1)
         text = report.render()
         assert "stage tcon-map:" in text
 
@@ -418,30 +400,25 @@ class TestOrchestratorPolish:
     def test_payloads_deduped_per_cache_key(self, scenarios):
         from repro.campaign.orchestrator import _group_payloads
 
-        cache = OfflineCache()
+        store = ArtifactStore()
         resolved = [
-            (i, sc, resolve_offline(sc.debug_network(), cache=cache)[0])
+            (i, sc, resolve_offline(sc.debug_network(), cache=store)[0])
             for i, sc in enumerate(scenarios)
         ]
-        # serial (lane_width=1): one payload for the shared-artifact group
-        serial = _group_payloads(resolved, 48, workers=1, lane_width=1)
-        assert len(serial) == 1
-        stage, items, max_turns, lane_width, interpreted, backend = serial[0]
-        assert stage.physical is None and max_turns == 48 and lane_width == 1
+        # the shared-artifact group packs into one 64-lane batch, its
+        # artifact stripped of the physical stage and shipped once
+        lanes = _group_payloads(resolved, 48, lane_width=64)
+        assert len(lanes) == 1
+        stage, items, max_turns, interpreted, backend = lanes[0]
+        assert stage.physical is None and max_turns == 48
         assert interpreted is False and backend is None
-        assert sorted(idx for idx, _ in items) == [0, 1, 2]
-        # pooled: split into at most `workers` chunks, artifact shipped
-        # once per chunk instead of once per scenario
-        pooled = _group_payloads(resolved, 48, workers=2, lane_width=1)
-        assert len(pooled) == 2
-        assert sorted(idx for p in pooled for idx, _ in p[1]) == [0, 1, 2]
-        # lane mode: the shared-artifact group packs into one 64-lane batch
-        lanes = _group_payloads(resolved, 48, workers=2, lane_width=64)
-        assert len(lanes) == 1 and lanes[0][3] == 64
-        assert sorted(idx for idx, _ in lanes[0][1]) == [0, 1, 2]
+        assert [idx for idx, _ in items] == [0, 1, 2]
         # narrow lanes split the group into ceil(n / lane_width) batches
-        narrow = _group_payloads(resolved, 48, workers=1, lane_width=2)
+        narrow = _group_payloads(resolved, 48, lane_width=2)
         assert sorted(len(p[1]) for p in narrow) == [1, 2]
+        # lane_width=1: one one-lane batch per scenario
+        solo = _group_payloads(resolved, 48, lane_width=1)
+        assert [[idx for idx, _ in p[1]] for p in solo] == [[0], [1], [2]]
 
     def test_pool_fallback_reports_effective_workers(
         self, scenarios, monkeypatch
@@ -458,7 +435,7 @@ class TestOrchestratorPolish:
         report = run_campaign(
             scenarios,
             config=CampaignConfig(workers=4, lane_width=1),
-            cache=OfflineCache(),
+            cache=ArtifactStore(),
         )
         assert report.workers == 1
         assert any("effective workers: 1" in n for n in report.notes)
@@ -473,9 +450,12 @@ class TestOrchestratorPolish:
         def explode(*a, **kw):  # the pool must not even be constructed
             raise AssertionError("pool should have been skipped")
 
+        # a warm store leaves no cold build to pool either
+        store = ArtifactStore()
+        resolve_offline(scenarios[0].debug_network(), cache=store)
         monkeypatch.setattr(orch, "ProcessPoolExecutor", explode)
         report = run_campaign(
-            scenarios, config=CampaignConfig(workers=4), cache=OfflineCache()
+            scenarios, config=CampaignConfig(workers=4), cache=store
         )
         assert report.workers == 1
         assert any("worker pool skipped" in n for n in report.notes)

@@ -18,7 +18,6 @@ from repro.pipeline.scheduler import (
     retry_delay,
 )
 from repro.util import chaos
-from repro.util.intra import POOL_ERRORS as INTRA_POOL_ERRORS
 
 
 def _real_pool(n):
@@ -51,11 +50,9 @@ def _slow_first_attempt(payload):
 
 class TestUnifiedPoolErrors:
     def test_one_definition_everywhere(self):
-        # satellite: scheduler and intra-pool used to carry divergent
-        # tuples (BrokenProcessPool vs BrokenExecutor); both must now be
-        # the single canonical errors.POOL_ERRORS object
+        # the scheduler must use the single canonical errors.POOL_ERRORS
+        # object, not a divergent copy of the tuple
         assert POOL_ERRORS is ERRORS_CANONICAL
-        assert INTRA_POOL_ERRORS is ERRORS_CANONICAL
 
     def test_covers_both_executor_flavors(self):
         from concurrent.futures import BrokenExecutor
