@@ -40,7 +40,7 @@ from repro.campaign.cache import ArtifactStore, resolve_offline
 from repro.campaign.orchestrator import (
     CampaignConfig,
     _offline_group_key,
-    prebuild_offline,
+    _prebuild_keyed,
     run_campaign,
 )
 from repro.netlist.compiled import BACKENDS
@@ -259,39 +259,39 @@ def _build_scenarios(
         ]
 
     # Stuck-at screening needs each design's offline artifact (its tap
-    # directory picks the fault sites) before any scenario exists.  Warm
-    # the cache for every distinct design in one pass through the same
-    # scheduler path and --workers pool the campaign uses, and
-    # keep the returned {cache key: artifact} map — screening consumes
-    # those build results directly instead of probing the cache for
-    # warmth again (mutation-only runs never need it: each mutation is
-    # its own design content).
+    # directory picks the fault sites) before any scenario exists.  Each
+    # design is generated and keyed once; its (net, key) warms the cache
+    # in one pass through the same scheduler path and --workers pool the
+    # campaign uses, and screening looks its key up in the returned
+    # {cache key: artifact} map instead of probing the cache for warmth
+    # again (mutation-only runs never need it: each mutation is its own
+    # design content).
+    keyed: list = []
     prebuilt: dict = {}
     if args.kind != "mutation" and cache is not None:
-        nets = []
+        flow = CampaignConfig().flow
         for design in designs:
             spec = get_spec(design) if isinstance(design, str) else design
-            nets.append(generate_circuit(spec))
-        prebuilt = prebuild_offline(
-            nets,
+            net = generate_circuit(spec)
+            keyed.append((net, _offline_group_key(net, flow, args.physical)))
+        prebuilt = _prebuild_keyed(
+            {key: net for net, key in keyed},
+            flow=flow,
             cache=cache,
             with_physical=args.physical,
             workers=args.workers,
         )
 
     scenarios: list[DebugScenario] = []
-    for design in designs:
+    for i, design in enumerate(designs):
         n = args.per_design
         kw = dict(seed=args.seed, horizon=args.horizon)
 
         def screening_offline():
             if cache is None:
                 return None
-            spec = get_spec(design) if isinstance(design, str) else design
-            net = generate_circuit(spec)
-            found = prebuilt.get(
-                _offline_group_key(net, CampaignConfig().flow, args.physical)
-            )
+            net, key = keyed[i]
+            found = prebuilt.get(key)
             if found is not None:
                 return found
             # only a failed prebuild (e.g. physical back-end rejection)

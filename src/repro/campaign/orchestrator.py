@@ -7,9 +7,12 @@ through the two-stage debug flow:
   cache key and every distinct design is resolved once — against a
   stage-granular :class:`~repro.pipeline.ArtifactStore` (each compile
   stage reused independently under its content-addressed key) or cold.
-  Duplicate scenarios share that build, so a campaign of N stuck-at
-  scenarios on one design pays the generic stage (and, with
-  ``with_physical``, the full pack/place/route back-end) exactly once.
+  The network and key are derived once per design identity
+  (:meth:`~repro.workloads.scenarios.DebugScenario.design_identity`),
+  and duplicate scenarios share the build, so a campaign of N stuck-at
+  scenarios on one design generates, keys and pays the generic stage
+  (and, with ``with_physical``, the full pack/place/route back-end)
+  exactly once.
 * **Online work**: scenarios are grouped by **lane batch** — the finest
   key that lets them share one packed emulation: the offline artifact's
   identity plus the golden design and the horizon.  Each batch of up to
@@ -339,11 +342,32 @@ def prebuild_offline(
     human-readable fallback messages (pool unavailable etc.).
     """
     flow = flow or DebugFlowConfig()
-    if notes is None:
-        notes = []
     keyed: "dict[str, object]" = {}
     for net in nets:
         keyed.setdefault(_offline_group_key(net, flow, with_physical), net)
+    return _prebuild_keyed(
+        keyed,
+        flow=flow,
+        cache=cache,
+        with_physical=with_physical,
+        workers=workers,
+        notes=notes,
+    )
+
+
+def _prebuild_keyed(
+    keyed: "dict[str, object]",
+    *,
+    flow: DebugFlowConfig,
+    cache: ArtifactStore | None,
+    with_physical: bool,
+    workers: int,
+    notes: "list[str] | None" = None,
+) -> "dict[str, OfflineStage]":
+    """:func:`prebuild_offline` over designs its caller already keyed:
+    ``keyed`` maps each :func:`_offline_group_key` to its network."""
+    if notes is None:
+        notes = []
     out: "dict[str, OfflineStage]" = {}
     sched = DataflowScheduler(
         pool_size=min(max(1, workers), max(1, len(keyed))),
@@ -480,27 +504,37 @@ def run_campaign(
         result.offline_cache_hit = hits.get(idx, False)
         journal.append_scenario(idx, result.as_record())
 
-    # -- registration: design identity per scenario ----------------------------
+    # -- registration: one network and key per design identity ----------------
     t_offline = time.perf_counter()
     groups: dict[str, list[tuple[int, DebugScenario]]] = {}
     group_net: dict[str, object] = {}
     lane_sizes: Counter = Counter()
+    # design identity -> (group key, network, error message)
+    designs: dict[tuple, tuple] = {}
     for idx, sc in enumerate(scenarios):
         if idx in resumed:
             continue
         t0 = time.perf_counter()
-        try:
-            net = sc.debug_network()
-            gkey = _offline_group_key(net, config.flow, config.with_physical)
-        except Exception as exc:  # noqa: BLE001
-            failed[idx] = _offline_error(sc, f"{type(exc).__name__}: {exc}")
-            offline_s[idx] = time.perf_counter() - t0
+        identity = sc.design_identity()
+        if identity not in designs:
+            try:
+                net = sc.debug_network()
+                gkey = _offline_group_key(
+                    net, config.flow, config.with_physical
+                )
+                designs[identity] = (gkey, net, None)
+            except Exception as exc:  # noqa: BLE001
+                err = f"{type(exc).__name__}: {exc}"
+                designs[identity] = (None, None, err)
+        gkey, net, err = designs[identity]
+        offline_s[idx] = time.perf_counter() - t0
+        if err is not None:
+            failed[idx] = _offline_error(sc, err)
             hits[idx] = False
             checkpoint(idx, failed[idx])
             if config.fail_fast and aborted["err"] is None:
                 aborted["err"] = failed[idx].error
             continue
-        offline_s[idx] = time.perf_counter() - t0
         groups.setdefault(gkey, []).append((idx, sc))
         group_net.setdefault(gkey, net)
         # within one campaign the flow config is fixed, so this key is

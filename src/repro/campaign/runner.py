@@ -29,6 +29,7 @@ from repro.campaign.localize import (
 from repro.campaign.results import ScenarioResult
 from repro.core.flow import OfflineStage
 from repro.engine import LaneEngine
+from repro.netlist.network import LogicNetwork
 from repro.util.timing import PhaseTimer
 from repro.workloads.scenarios import (
     DebugScenario,
@@ -112,7 +113,16 @@ def run_scenario_batch(
     live: list[int] = []
 
     try:
-        goldens = [sc.golden_network() for sc in scenarios]
+        # a golden design is a pure function of (spec, design_seed) and a
+        # stimulus of (golden, stimulus_seed): generate each distinct one
+        # once and share it (read-only) among its lanes
+        by_design: dict[tuple, LogicNetwork] = {}
+        goldens: list[LogicNetwork] = []
+        for sc in scenarios:
+            key = (sc.spec, sc.design_seed)
+            if key not in by_design:
+                by_design[key] = sc.golden_network()
+            goldens.append(by_design[key])
         for lane, sc in enumerate(scenarios):
             if sc.kind == "mutation":
                 bug = sc.reproduce_bug(goldens[lane].copy())
@@ -129,11 +139,15 @@ def run_scenario_batch(
                 program_store=store,
                 backend=backend,
             )
-            stims = [
-                stimulus_script(goldens[lane], horizon, sc.stimulus_seed)
-                for lane, sc in enumerate(scenarios)
-            ]
+            by_stim: dict[tuple, list[dict[str, int]]] = {}
+            stims: list[list[dict[str, int]]] = []
             for lane, sc in enumerate(scenarios):
+                key = (sc.spec, sc.design_seed, sc.stimulus_seed)
+                if key not in by_stim:
+                    by_stim[key] = stimulus_script(
+                        goldens[lane], horizon, sc.stimulus_seed
+                    )
+                stims.append(by_stim[key])
                 engine.bind_stimulus(lane, stims[lane])
                 try:
                     if sc.kind == "stuck_at":
@@ -154,9 +168,8 @@ def run_scenario_batch(
         trace_names = tap_names + engine.user_po_names
 
         with timers.phase("golden"):
-            # a golden design is a pure function of (spec, design_seed):
-            # lanes sharing both share one packed reference pass — the
-            # common all-stuck-at batch pays for exactly one
+            # lanes sharing a golden design share one packed reference
+            # pass — the common all-stuck-at batch pays for exactly one
             packed_golden: list[dict[str, np.ndarray] | None] = [None] * n
             by_golden: dict[tuple, list[int]] = {}
             for lane in live:

@@ -32,7 +32,7 @@ the packed PI words.  ``tests/test_engine.py`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -52,7 +52,7 @@ from repro.emu.fault import (
 from repro.errors import DebugFlowError
 from repro.netlist.compiled import int_to_words
 from repro.netlist.simulate import SequentialSimulator
-from repro.util.bitops import words_for_bits
+from repro.util.bitops import pack_lane_scripts, words_for_bits
 
 __all__ = ["DebugTurnLog", "LaneEngine", "Stimulus"]
 
@@ -171,17 +171,23 @@ class LaneEngine:
         self._blk_po: np.ndarray | None = None
 
         # -- per-lane state -------------------------------------------------
+        # every lane starts on the all-zeros configuration: specialize it
+        # once and give each lane its own SCG over those (read-only) bits —
+        # respecialization replaces a lane's bits, never writes into them
         zeros = self.design.param_space.zeros()
-        self.scgs: list[SpecializedConfigGenerator] = []
-        for _ in range(n_lanes):
-            scg = SpecializedConfigGenerator(
-                self.pconf.bitstream, model=self.model
-            )
-            scg.load_full(zeros)
-            self.scgs.append(scg)
+        initial = SpecializedConfigGenerator(
+            self.pconf.bitstream, model=self.model
+        )
+        initial.load_full(zeros)
+        initial.current_bits.flags.writeable = False
+        self.scgs: list[SpecializedConfigGenerator] = [
+            replace(initial, history=list(initial.history))
+            for _ in range(n_lanes)
+        ]
         self.assignments: list[ParameterAssignment] = [zeros] * n_lanes
+        observed = self.design.observed_at({})
         self._observed: list[dict[str, str]] = [
-            self.design.observed_at({}) for _ in range(n_lanes)
+            dict(observed) for _ in range(n_lanes)
         ]
         self.turns: list[list[DebugTurnLog]] = [[] for _ in range(n_lanes)]
         self._forces: list[list[ForcedFault]] = [[] for _ in range(n_lanes)]
@@ -346,16 +352,9 @@ class LaneEngine:
                 (len(s) for s in self._stim_scripts if s is not None),
                 default=0,
             )
-            packed = {pi: [0] * horizon for pi in self._user_pis}
-            for lane, script in enumerate(self._stim_scripts):
-                if script is None:
-                    continue
-                lane_bit = 1 << lane
-                for cyc, row in enumerate(script):
-                    for pi, name in self._user_pi_names.items():
-                        if int(row.get(name, 0)) & 1:
-                            packed[pi][cyc] |= lane_bit
-            self._packed_stim = packed
+            self._packed_stim = pack_lane_scripts(
+                self._stim_scripts, self._user_pi_names, horizon
+            )
         return self._packed_stim
 
     def _pi_values_ints(self, cycle: int) -> dict[int, int]:

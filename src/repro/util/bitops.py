@@ -2,15 +2,25 @@
 
 Bitstreams (:mod:`repro.bitgen`) and bit-parallel simulation
 (:mod:`repro.netlist.simulate`) both store bits densely in ``uint64`` words;
-these helpers convert between boolean vectors and packed words and count
-differing bits — the inner loop of partial-reconfiguration diffing.
+these helpers convert between boolean vectors and packed words, count
+differing bits — the inner loop of partial-reconfiguration diffing — and
+pack per-lane stimulus scripts into lane-packed integers.
 """
 
 from __future__ import annotations
 
+from typing import Mapping, Sequence
+
 import numpy as np
 
-__all__ = ["words_for_bits", "pack_bits", "unpack_bits", "popcount64", "xor_popcount"]
+__all__ = [
+    "words_for_bits",
+    "pack_bits",
+    "unpack_bits",
+    "popcount64",
+    "xor_popcount",
+    "pack_lane_scripts",
+]
 
 _POP8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
     axis=1
@@ -78,3 +88,34 @@ def xor_popcount(a: np.ndarray, b: np.ndarray) -> int:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return popcount64(np.bitwise_xor(a, b))
+
+
+def pack_lane_scripts(
+    scripts: "Sequence[Sequence[Mapping[str, int]] | None]",
+    names: "Mapping[int, str]",
+    n_cycles: int,
+) -> dict[int, list[int]]:
+    """Pack per-lane stimulus scripts into lane-packed integers.
+
+    ``scripts[k]`` is lane *k*'s per-cycle ``{name: 0/1}`` rows (``None``
+    for an unbound lane); bit *k* of ``out[i][c]`` is lane *k*'s value of
+    ``names[i]`` on cycle ``c``.  Missing names and cycles beyond a
+    script's end read 0.  Lanes bound to the same script *object* pack
+    together under one lane mask, so a batch sharing one stimulus pays
+    one pass over it instead of one per lane.
+
+    >>> script = [{"a": 1}, {"a": 0}]
+    >>> pack_lane_scripts([script, None, script], {7: "a"}, 2)
+    {7: [5, 0]}
+    """
+    masks: dict[int, list] = {}
+    for lane, script in enumerate(scripts):
+        if script is not None:
+            masks.setdefault(id(script), [script, 0])[1] |= 1 << lane
+    packed = {i: [0] * n_cycles for i in names}
+    for script, mask in masks.values():
+        for cyc, row in zip(range(n_cycles), script):
+            for i, name in names.items():
+                if int(row.get(name, 0)) & 1:
+                    packed[i][cyc] |= mask
+    return packed

@@ -11,12 +11,15 @@ stage, exactly like a fresh RTL revision would).
 Generators are pure functions of their arguments: the same ``(spec, seed)``
 always yields the same scenario list, which is what makes campaign results
 reproducible across serial and parallel execution (see
-``tests/test_campaign.py``).  Candidate faults are screened against a
-golden source-level simulation so that campaigns are not dominated by
-silent faults; mapped-level observability is re-checked by the campaign
-runner, since technology mapping may duplicate the faulted logic into LUT
-cones (scenarios whose fault stays invisible on the emulated design are
-reported as ``undetected`` — the paper's motivating problem).
+``tests/test_campaign.py``).  Candidates are screened against the golden
+primary outputs so that campaigns are not dominated by silent faults:
+stuck-at candidates on the *mapped emulation* — packed two lanes per
+candidate on one :class:`~repro.engine.LaneEngine`, since technology
+mapping may duplicate the faulted logic into LUT cones where the override
+never lands — and mutations on a source-level simulation of the mutated
+copy.  The campaign runner still reports a scenario whose fault stays
+invisible on the emulated design as ``undetected`` (the paper's
+motivating problem).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from repro.errors import WorkloadError
 from repro.netlist.compiled import int_to_words
 from repro.netlist.network import LogicNetwork
 from repro.netlist.simulate import SequentialSimulator
-from repro.util.bitops import words_for_bits
+from repro.util.bitops import pack_lane_scripts, words_for_bits
 from repro.util.rng import RngHub, derive_seed
 from repro.workloads.generator import generate_circuit
 from repro.workloads.perturb import InjectedBug, inject_bug
@@ -77,6 +80,16 @@ class DebugScenario:
     def golden_network(self) -> LogicNetwork:
         """The bug-free reference design (the engineer's specification)."""
         return generate_circuit(self.spec, self.design_seed)
+
+    def design_identity(self) -> tuple:
+        """Exactly the fields :meth:`debug_network` reads: scenarios with
+        equal identities instrument byte-identical designs, so a campaign
+        derives each identity's network and offline key once."""
+        return (
+            self.spec,
+            self.design_seed,
+            self.bug_seed if self.kind == "mutation" else None,
+        )
 
     def debug_network(self) -> LogicNetwork:
         """The design the offline stage instruments.
@@ -221,16 +234,10 @@ def packed_signal_traces(
     names = [n for n in names if net.find(n) is not None]
     traces = {n: np.zeros((n_cycles, n_words), dtype=np.uint64) for n in names}
     name_ids = {n: net.require(n) for n in names}
-    pi_names = {p: net.node_name(p) for p in net.pis}
     # pack each PI's whole script once: one word-packed integer per cycle
-    packed_pis: dict[int, list[int]] = {p: [0] * n_cycles for p in pi_names}
-    for lane, stim in enumerate(stims):
-        lane_bit = 1 << lane
-        for cyc in range(n_cycles):
-            row = stim[cyc]
-            for p, pname in pi_names.items():
-                if int(row.get(pname, 0)) & 1:
-                    packed_pis[p][cyc] |= lane_bit
+    packed_pis = pack_lane_scripts(
+        stims, {p: net.node_name(p) for p in net.pis}, n_cycles
+    )
     for cyc in range(n_cycles):
         values = sim.step(
             {
@@ -250,7 +257,8 @@ def po_trace(
 
     The golden reference trace failure detection and scenario screening
     compare against (stuck-at candidates themselves are screened on the
-    mapped emulation via :meth:`repro.core.debug.DebugSession.force`).
+    mapped emulation, as forced faults on the lanes of a
+    :class:`~repro.engine.LaneEngine`).
     """
     traces = signal_traces(net, stim, list(net.po_names))
     return [
@@ -261,6 +269,48 @@ def po_trace(
 
 def _resolve_spec(spec: BenchmarkSpec | str) -> BenchmarkSpec:
     return get_spec(spec) if isinstance(spec, str) else spec
+
+
+def _observable_faults(
+    engine,
+    signals: list[str],
+    golden_pos: list[dict[str, int]],
+    po_names: set[str],
+    horizon: int,
+) -> list[tuple[bool, bool]]:
+    """Which stuck values of ``signals`` show at a golden primary output.
+
+    Lane ``2 * i + v`` of ``engine`` forces ``signals[i]`` to ``v`` (any
+    further lanes stay clean and unchecked); one packed run from reset
+    compares every lane's primary outputs with ``golden_pos`` and stops
+    once every forced lane has diverged.  Returns ``(stuck-at-0
+    observable, stuck-at-1 observable)`` per signal.
+    """
+    live = (1 << 2 * len(signals)) - 1
+    for lane in range(engine.n_lanes):
+        engine.clear_forces(lane)
+    for i, signal in enumerate(signals):
+        for value in (0, 1):
+            engine.force(signal, value, lane=2 * i + value)
+    engine.reset()
+    checked = [
+        (j, po) for j, po in enumerate(engine.user_po_names) if po in po_names
+    ]
+    undiverged = live
+
+    def all_diverged(cycle: int, row_ints: "list[int]") -> bool:
+        nonlocal undiverged
+        want = golden_pos[cycle]
+        for j, po in checked:
+            undiverged &= ~(row_ints[j] ^ (live if want[po] else 0))
+        return undiverged == 0
+
+    engine.run_outputs(horizon, stop=all_diverged)
+    diverged = live & ~undiverged
+    return [
+        (bool(diverged >> (2 * i) & 1), bool(diverged >> (2 * i + 1) & 1))
+        for i in range(len(signals))
+    ]
 
 
 def stuck_at_scenarios(
@@ -275,22 +325,31 @@ def stuck_at_scenarios(
 ) -> list[DebugScenario]:
     """Generate ``n`` emulation-level stuck-at scenarios for one design.
 
-    Candidate sites are drawn from the design's observable taps and
-    screened on the *mapped emulation* (one shared
-    :class:`~repro.core.debug.DebugSession`, re-armed per candidate):
-    a scenario is kept only if forcing the stuck value diverges from the
-    golden primary outputs within ``horizon`` cycles.  Mapped-level
-    screening matters because technology mapping duplicates logic — a
-    fault that propagates in the source netlist can be absorbed into LUT
-    cones and stay invisible on the emulated design.
+    Candidate sites are the design's observable taps in a seeded order,
+    screened on the *mapped emulation*: a scenario is kept only if
+    forcing the stuck value diverges from the golden primary outputs
+    within ``horizon`` cycles.  Mapped-level screening matters because
+    technology mapping duplicates logic — a fault that propagates in the
+    source netlist can be absorbed into LUT cones and stay invisible on
+    the emulated design.
+
+    Screening runs as packed lanes of one
+    :class:`~repro.engine.LaneEngine`: each round takes the next
+    ``n − accepted`` candidates, forces both stuck values of each on a
+    lane of its own and emulates them together
+    (:func:`_observable_faults`).  The seeded selection then reads those
+    verdicts candidate by candidate; a round can accept at most one fault
+    per candidate, so it never screens a candidate the selection would
+    not visit, and the accepted list equals a one-candidate-at-a-time
+    screen's.
 
     ``offline`` optionally supplies the design's offline artifact (e.g.
     from a campaign cache); by default one generic-stage run is performed
     here.  Raises :class:`WorkloadError` when the design cannot yield
     ``n`` observable faults.
     """
-    from repro.core.debug import DebugSession
     from repro.core.flow import run_generic_stage
+    from repro.engine import LaneEngine
 
     spec = _resolve_spec(spec)
     golden = generate_circuit(spec, design_seed)
@@ -298,7 +357,6 @@ def stuck_at_scenarios(
     golden_pos = po_trace(golden, stim)
     if offline is None:
         offline = run_generic_stage(golden)
-    session = DebugSession(offline)
     po_names = set(golden.po_names)
     candidates = [
         t
@@ -308,24 +366,25 @@ def stuck_at_scenarios(
     rng = RngHub(seed).stream(f"campaign/stuck_at/{spec.name}")
     order = [candidates[i] for i in rng.permutation(len(candidates))]
 
-    def observable(signal: str, value: int) -> bool:
-        session.clear_forces()
-        session.force(signal, value)
-        session.reset()
-        observed = session.output_trace(horizon, stimulus=lambda c: stim[c])
-        return any(
-            po in want and row[po] != want[po]
-            for row, want in zip(observed, golden_pos)
-            for po in row
-        )
-
     scenarios: list[DebugScenario] = []
-    for signal in order:
-        if len(scenarios) >= n:
-            break
-        first_value = int(rng.integers(0, 2))
-        for value in (first_value, 1 - first_value):
-            if observable(signal, value):
+    if n > 0 and order:
+        engine = LaneEngine(offline, n_lanes=2 * min(n, len(order)))
+        for lane in range(engine.n_lanes):
+            engine.bind_stimulus(lane, stim)
+        screened = 0
+        while len(scenarios) < n and screened < len(order):
+            batch = order[screened : screened + n - len(scenarios)]
+            screened += len(batch)
+            verdicts = _observable_faults(
+                engine, batch, golden_pos, po_names, horizon
+            )
+            for signal, observable in zip(batch, verdicts):
+                first = int(rng.integers(0, 2))
+                value = next(
+                    (v for v in (first, 1 - first) if observable[v]), None
+                )
+                if value is None:
+                    continue
                 scenarios.append(
                     DebugScenario(
                         name=f"{spec.name}/sa{value}@{signal}",
@@ -339,7 +398,6 @@ def stuck_at_scenarios(
                         description=f"{signal} stuck at {value}",
                     )
                 )
-                break
     if len(scenarios) < n:
         raise WorkloadError(
             f"only {len(scenarios)}/{n} observable stuck-at faults found "

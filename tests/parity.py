@@ -1,11 +1,11 @@
-"""Shared helpers for the cross-backend differential parity harness.
+"""Shared helpers for the differential parity harnesses.
 
 The compiled simulation kernels exist in two independent implementations
 (the generated big-int python kernels and the vectorized numpy lowering),
 next to the reference per-gate interpreter.  Differential testing treats
 each as an independent oracle that must agree bit-for-bit; this module
-supplies the two harness ingredients both test files and the CI
-backend-parity matrix share:
+supplies the harness ingredients the test files and the CI
+backend-parity job share:
 
 * a **pure-python seeded network generator** — random ISOP-shaped
   networks over the full structural envelope (multi-fanin gates with
@@ -14,12 +14,10 @@ backend-parity matrix share:
   emit;
 * an **independent big-int reference evaluator** — walks the network's
   topo order evaluating ISOP covers directly, sharing no code with
-  either compiled backend's lowering or the interpreter's array path.
-
-Everything here is importable (and runnable) **without numpy**: the CI
-matrix re-runs the pure-python parity cases against this reference with
-numpy masked out, pinning that the python backend never quietly grows a
-numpy dependency.
+  either compiled backend's lowering or the interpreter's array path;
+* a **one-candidate-at-a-time stuck-at screen**
+  (:func:`reference_stuck_at_scenarios`) — the oracle for the packed
+  screening of :func:`repro.workloads.scenarios.stuck_at_scenarios`.
 """
 
 from __future__ import annotations
@@ -36,6 +34,7 @@ __all__ = [
     "random_override_ints",
     "reference_eval",
     "reference_sequential",
+    "reference_stuck_at_scenarios",
 ]
 
 
@@ -183,3 +182,91 @@ def reference_sequential(
         state = {latch.q: values[latch.driver] for latch in net.latches}
         out.append(values)
     return out
+
+
+def reference_stuck_at_scenarios(
+    spec,
+    n: int,
+    *,
+    seed: int = 2016,
+    design_seed: int = 2016,
+    horizon: int = 64,
+    stimulus_seed: int = 7,
+    offline=None,
+):
+    """Stuck-at screening one candidate at a time, on one-lane sessions.
+
+    The screen :func:`repro.workloads.scenarios.stuck_at_scenarios` ran
+    before it packed candidates into lanes: one shared
+    :class:`~repro.core.debug.DebugSession`, re-armed per candidate, whose
+    full-horizon primary-output trace is compared with the golden one.
+    Same seeded candidate order, same per-candidate value draw, same
+    accepted list and the same :class:`~repro.errors.WorkloadError` when
+    too few faults show.
+    """
+    from repro.core.debug import DebugSession
+    from repro.core.flow import run_generic_stage
+    from repro.errors import WorkloadError
+    from repro.util.rng import RngHub
+    from repro.workloads.generator import generate_circuit
+    from repro.workloads.scenarios import (
+        DebugScenario,
+        po_trace,
+        stimulus_script,
+    )
+    from repro.workloads.suites import get_spec
+
+    spec = get_spec(spec) if isinstance(spec, str) else spec
+    golden = generate_circuit(spec, design_seed)
+    stim = stimulus_script(golden, horizon, stimulus_seed)
+    golden_pos = po_trace(golden, stim)
+    if offline is None:
+        offline = run_generic_stage(golden)
+    session = DebugSession(offline)
+    po_names = set(golden.po_names)
+    candidates = [
+        t
+        for t in offline.annotation.tap_names
+        if golden.find(t) is not None and t not in po_names
+    ]
+    rng = RngHub(seed).stream(f"campaign/stuck_at/{spec.name}")
+    order = [candidates[i] for i in rng.permutation(len(candidates))]
+
+    def observable(signal: str, value: int) -> bool:
+        session.clear_forces()
+        session.force(signal, value)
+        session.reset()
+        observed = session.output_trace(horizon, stimulus=lambda c: stim[c])
+        return any(
+            po in want and row[po] != want[po]
+            for row, want in zip(observed, golden_pos)
+            for po in row
+        )
+
+    scenarios = []
+    for signal in order:
+        if len(scenarios) >= n:
+            break
+        first_value = int(rng.integers(0, 2))
+        for value in (first_value, 1 - first_value):
+            if observable(signal, value):
+                scenarios.append(
+                    DebugScenario(
+                        name=f"{spec.name}/sa{value}@{signal}",
+                        kind="stuck_at",
+                        spec=spec,
+                        design_seed=design_seed,
+                        horizon=horizon,
+                        stimulus_seed=stimulus_seed,
+                        fault_signal=signal,
+                        fault_value=value,
+                        description=f"{signal} stuck at {value}",
+                    )
+                )
+                break
+    if len(scenarios) < n:
+        raise WorkloadError(
+            f"only {len(scenarios)}/{n} observable stuck-at faults found "
+            f"for {spec.name} within {horizon} cycles"
+        )
+    return scenarios

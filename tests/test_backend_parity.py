@@ -247,29 +247,8 @@ def test_campaign_outcomes_identical_multiword():
     assert py == vec
 
 
-@pytest.fixture()
-def memoized_designs(monkeypatch):
-    """Cache circuit generation per ``(spec, seed)`` for the full-width
-    campaign diff: every scenario of a stuck-at campaign shares one golden
-    design, but scenario objects regenerate it on demand — at 3000 gates
-    that regeneration, not simulation, would dominate the test."""
-    import repro.workloads.scenarios as scenarios_mod
-
-    real = scenarios_mod.generate_circuit
-    cache = {}
-
-    def memoized(spec, seed=2016, **kwargs):
-        key = (spec, seed, tuple(sorted(kwargs.items())))
-        net = cache.get(key)
-        if net is None:
-            net = cache[key] = real(spec, seed, **kwargs)
-        return net.copy()
-
-    monkeypatch.setattr(scenarios_mod, "generate_circuit", memoized)
-
-
 @pytest.mark.slow
-def test_campaign_outcomes_identical_width_1024(memoized_designs):
+def test_campaign_outcomes_identical_width_1024():
     """The flagship diff: a full 1024-scenario stuck-at campaign — one
     single 1024-lane (16-word) batch — run once per backend against a
     shared offline cache.  Outcomes JSON must match byte for byte."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.campaign import (
     ArtifactStore,
@@ -17,6 +18,7 @@ from repro.core.flow import DebugFlowConfig, offline_cache_key, run_generic_stag
 from repro.errors import DebugFlowError
 from repro.pipeline import GENERIC_STAGES
 from repro.workloads import (
+    DebugScenario,
     campaign_spec,
     generate_circuit,
     mutation_scenarios,
@@ -41,6 +43,17 @@ def run_scenario(sc, offline):
     """One scenario's online loop: a one-lane batch."""
     (result,) = run_scenario_batch([sc], offline)
     return result
+
+
+def _count_calls(monkeypatch, calls: dict, owner, name: str) -> None:
+    """Count every call of ``owner.name`` into ``calls[name]``."""
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
 
 
 class TestCacheKey:
@@ -256,6 +269,105 @@ class TestCampaign:
         assert 0.0 <= report.localization_rate <= 1.0
 
 
+#: Two small designs for the design-identity property: two specs, each
+#: generated from two design seeds.
+IDENTITY_SPECS = (
+    campaign_spec("ident-a", n_gates=40, depth=5, n_pis=8, n_pos=4),
+    campaign_spec("ident-b", n_gates=40, depth=5, n_pis=8, n_pos=4),
+)
+
+_identity_scenarios = st.lists(
+    st.one_of(
+        st.builds(
+            lambda spec, seed: DebugScenario(
+                name="sa", kind="stuck_at", spec=spec, design_seed=seed
+            ),
+            st.sampled_from(IDENTITY_SPECS),
+            st.sampled_from([1, 2]),
+        ),
+        st.builds(
+            lambda spec, seed, bug: DebugScenario(
+                name="mut",
+                kind="mutation",
+                spec=spec,
+                design_seed=seed,
+                bug_seed=bug,
+            ),
+            st.sampled_from(IDENTITY_SPECS),
+            st.sampled_from([1, 2]),
+            st.integers(0, 2),
+        ),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+class TestDesignIdentity:
+    """A campaign derives each design's network and offline key once per
+    design identity; the groups it builds must be exactly the ones a
+    per-scenario key derivation gives."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(_identity_scenarios)
+    def test_offline_groups_equal_partition_by_key(self, scenarios):
+        import repro.campaign.orchestrator as orch
+
+        def tag_group(*_args, on_complete, **_kw):
+            # fail each group's build with its own tag: a scenario's error
+            # names the offline group it was registered in
+            on_complete(None, False, {}, f"group{next(tags)}")
+            return []
+
+        tags = iter(range(len(scenarios)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orch, "_submit_design_build", tag_group)
+            report = run_campaign(scenarios, cache=None)
+        by_group: dict[str, set[int]] = {}
+        for idx, r in enumerate(report.results):
+            by_group.setdefault(r.error, set()).add(idx)
+        by_key: dict[str, set[int]] = {}
+        for idx, sc in enumerate(scenarios):
+            key = offline_cache_key(sc.debug_network(), DebugFlowConfig())
+            by_key.setdefault(key, set()).add(idx)
+        assert sorted(map(sorted, by_group.values())) == sorted(
+            map(sorted, by_key.values())
+        )
+
+    def test_one_design_generated_and_keyed_once(self, monkeypatch):
+        import repro.campaign.orchestrator as orch
+        import repro.core.flow as flow
+        import repro.workloads.scenarios as scenarios_mod
+
+        spec = campaign_spec(
+            "ident-24", n_gates=300, depth=8, n_pis=32, n_pos=24
+        )
+        scenarios = stuck_at_scenarios(spec, 24, horizon=24)
+        calls = {"generate_circuit": 0, "offline_cache_key": 0}
+        _count_calls(monkeypatch, calls, scenarios_mod, "generate_circuit")
+        _count_calls(monkeypatch, calls, flow, "offline_cache_key")
+        _count_calls(monkeypatch, calls, orch, "offline_cache_key")
+        report = run_campaign(
+            scenarios, config=CampaignConfig(max_turns=16), cache=None
+        )
+        assert report.counts().get("error") is None
+        # one debug network at registration, one golden for the lane batch
+        assert calls["generate_circuit"] <= 2
+        assert calls["offline_cache_key"] == 1
+
+    def test_failing_design_fails_each_of_its_scenarios(self):
+        # a gate depth three gates cannot reach: generation raises
+        spec = campaign_spec("ident-bad", n_gates=3, depth=10)
+        bad = [
+            DebugScenario(name=f"bad{i}", kind="stuck_at", spec=spec)
+            for i in range(3)
+        ]
+        report = run_campaign(bad, cache=None)
+        assert [r.status for r in report.results] == ["error"] * 3
+        assert len({r.error for r in report.results}) == 1
+        assert "offline stage failed" in report.results[0].error
+
+
 class TestReportingAggregation:
     def test_aggregate_campaign(self, scenarios):
         from repro.analysis.reporting import aggregate_campaign
@@ -342,6 +454,22 @@ class TestCli:
         assert cli.main(["--physical", flag, value]) == 2
         assert generated == []
         assert flag in capsys.readouterr().err
+
+    def test_screening_reuses_the_prebuilt_design_and_key(self, monkeypatch):
+        import repro.campaign.cli as cli
+        import repro.campaign.orchestrator as orch
+        import repro.workloads as workloads
+
+        calls = {"generate_circuit": 0, "_offline_group_key": 0}
+        _count_calls(monkeypatch, calls, workloads, "generate_circuit")
+        _count_calls(monkeypatch, calls, cli, "_offline_group_key")
+        _count_calls(monkeypatch, calls, orch, "_offline_group_key")
+        args = cli._parser().parse_args(
+            ["--designs", "stereov.", "--per-design", "2", "--horizon", "48"]
+        )
+        scenarios = cli._build_scenarios(args, ArtifactStore())
+        assert len(scenarios) == 2
+        assert calls == {"generate_circuit": 1, "_offline_group_key": 1}
 
     def test_cli_runs_small_campaign(self, capsys):
         from repro.campaign.cli import main

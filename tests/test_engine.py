@@ -267,6 +267,25 @@ class TestLaneIsolation:
         assert engine.total_cycles(0) == 16
         assert engine.total_cycles(1) == 8
 
+    def test_lane_scgs_independent_after_shared_initial_load(self, offline):
+        engine = LaneEngine(offline, n_lanes=2)
+        first, second = engine.scgs
+        # one initial load serves every lane
+        assert first.history[0] is second.history[0]
+        bits, history = second.current_bits.copy(), list(second.history)
+        sig = next(
+            s
+            for s in engine.observable_signals
+            if any(engine.design.selection_for([s]).values())
+        )
+        engine.observe([sig], lane=0)
+        assert len(first.history) == 2
+        assert not np.array_equal(first.current_bits, bits)
+        assert second.history == history
+        assert np.array_equal(second.current_bits, bits)
+        # the shared bits are read-only: no lane can write through them
+        assert not second.current_bits.flags.writeable
+
     def test_engine_validates_lanes_and_signals(self, offline):
         engine = LaneEngine(offline, n_lanes=2)
         with pytest.raises(DebugFlowError):

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
+from parity import reference_stuck_at_scenarios
+from repro.core.flow import run_generic_stage
 from repro.errors import WorkloadError
 from repro.netlist import (
     check_equivalent,
@@ -15,7 +18,14 @@ from repro.netlist import (
     validate_network,
     write_blif,
 )
-from repro.workloads import generate_circuit, get_spec, inject_bug, paper_suite
+from repro.workloads import (
+    campaign_spec,
+    generate_circuit,
+    get_spec,
+    inject_bug,
+    paper_suite,
+    stuck_at_scenarios,
+)
 from repro.workloads.perturb import BUG_KINDS
 from repro.workloads.suites import PAPER_SUITE
 
@@ -127,3 +137,41 @@ class TestBugInjection:
                 found = True
                 break
         assert found, "20 random bugs all invisible — suspicious"
+
+
+SCREEN_SPECS = [
+    campaign_spec("screen-comb", n_gates=100, depth=7, n_pis=16, n_pos=8),
+    campaign_spec(
+        "screen-seq", n_gates=100, depth=7, n_latches=6, n_pis=16, n_pos=8
+    ),
+]
+
+
+@pytest.fixture(scope="module", params=SCREEN_SPECS, ids=lambda s: s.name)
+def screen_design(request):
+    spec = request.param
+    return spec, run_generic_stage(generate_circuit(spec))
+
+
+class TestStuckAtScreening:
+    """Packed-lane screening against the one-candidate-at-a-time
+    reference in ``tests/parity.py``."""
+
+    @pytest.mark.parametrize("seed", [1, 7, 2016])
+    def test_packed_screen_matches_sequential_reference(
+        self, screen_design, seed
+    ):
+        spec, offline = screen_design
+        kw = dict(seed=seed, horizon=24, offline=offline)
+        with pytest.raises(WorkloadError) as ref_err:
+            reference_stuck_at_scenarios(spec, 10**6, **kw)
+        observable = int(re.match(r"only (\d+)/", str(ref_err.value))[1])
+        assert observable > 5
+        # none, one, a typical count, and every observable fault
+        for n in (0, 1, 5, observable):
+            assert stuck_at_scenarios(
+                spec, n, **kw
+            ) == reference_stuck_at_scenarios(spec, n, **kw)
+        with pytest.raises(WorkloadError) as err:
+            stuck_at_scenarios(spec, 10**6, **kw)
+        assert str(err.value) == str(ref_err.value)
