@@ -5,15 +5,17 @@ Three measurements, one per acceptance criterion:
 * **per-step** (fast; the CI bench-smoke floor): a single packed
   emulation step of the mapped campaign design, compiled
   (:mod:`repro.netlist.compiled` — generated straight-line kernel over
-  word-packed integers) vs interpreted (per-gate numpy cover
-  evaluation).  Target: **≥5× single-word step speedup**.
+  word-packed integers) vs interpreted (the per-gate numpy cover
+  evaluation of ``benchmarks/ref_simulate.py``).  Target: **≥5×
+  single-word step speedup**.
 * **backend axis** (fast; the CI backend floor): the same compiled
   program executed by the python big-int kernels vs the vectorized
   numpy lowering at **512 lanes** (8 words, cycle-batched), on a larger
   mapped design.  Target: **≥3× numpy-over-python step throughput at
   width ≥512**.
 * **end-to-end** (slow tier): the PR 3 32-scenario stuck-at campaign at
-  ``lane_width=64`` run compiled vs ``interpreted=True``, offline cache
+  ``lane_width=64`` run compiled vs on the reference simulator
+  (:func:`~benchmarks.ref_simulate.reference_online`), offline cache
   pre-warmed so only the online phase is compared.  Target: **≥2×
   online-phase speedup** with byte-identical outcomes.
 
@@ -28,6 +30,7 @@ import time
 import numpy as np
 import pytest
 
+from benchmarks import ref_simulate
 from benchmarks.conftest import emit, emit_json
 from repro.campaign import ArtifactStore, CampaignConfig, run_campaign
 from repro.core.flow import run_generic_stage
@@ -63,7 +66,7 @@ def mapped_net():
     return offline.mapping.to_lut_network()
 
 
-def _time_steps(sim: SequentialSimulator, stims: list[dict]) -> float:
+def _time_steps(sim, stims: list[dict]) -> float:
     t0 = time.perf_counter()
     for stim in stims:
         sim.step(stim)
@@ -86,7 +89,7 @@ def test_step_kernel_speedup(mapped_net, results_dir):
         for _ in range(STEP_CYCLES)
     ]
 
-    interp = SequentialSimulator(mapped_net, interpreted=True)
+    interp = ref_simulate.SequentialSimulator(mapped_net)
     compiled = SequentialSimulator(mapped_net)
 
     # parity spot-check before timing: same stimulus, identical values
@@ -233,11 +236,10 @@ def test_online_phase_speedup(results_dir):
     # pre-warm the offline artifact so both runs measure the online phase
     run_campaign(scenarios[:1], config=CampaignConfig(), cache=cache)
 
-    interp = run_campaign(
-        scenarios,
-        config=CampaignConfig(lane_width=64, interpreted=True),
-        cache=cache,
-    )
+    with ref_simulate.reference_online():
+        interp = run_campaign(
+            scenarios, config=CampaignConfig(lane_width=64), cache=cache
+        )
     compiled = run_campaign(
         scenarios, config=CampaignConfig(lane_width=64), cache=cache
     )

@@ -15,7 +15,8 @@ what packing buys at campaign scale: a 32-scenario stuck-at campaign
 
 The headline assertion is floored against the **interpreted serial
 engine** — the historical baseline the lane engine was introduced
-against.  PR 4's compiled kernels made the serial path itself ~3× faster,
+against, run here on the reference simulator of
+``benchmarks/ref_simulate.py``.  PR 4's compiled kernels made the serial path itself ~3× faster,
 which left the old compiled-vs-compiled 4× floor nearly touching the
 measured 4.99× packing speedup; re-basing on the interpreted baseline
 (PR 4 follow-up) keeps the floor meaningful: **≥8× online-phase
@@ -31,6 +32,7 @@ import os
 
 import pytest
 
+from benchmarks import ref_simulate
 from benchmarks.conftest import emit, emit_json
 from repro.analysis.reporting import lane_occupancy
 from repro.campaign import ArtifactStore, CampaignConfig, run_campaign
@@ -58,11 +60,10 @@ def test_lane_engine_speedup(scenarios, results_dir):
     # pre-warm the offline artifact so every run measures the online phase
     run_campaign(scenarios[:1], config=CampaignConfig(lane_width=1), cache=cache)
 
-    baseline = run_campaign(
-        scenarios,
-        config=CampaignConfig(lane_width=1, interpreted=True),
-        cache=cache,
-    )
+    with ref_simulate.reference_online():
+        baseline = run_campaign(
+            scenarios, config=CampaignConfig(lane_width=1), cache=cache
+        )
     serial = run_campaign(
         scenarios, config=CampaignConfig(lane_width=1), cache=cache
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from benchmarks import ref_simulate
 from benchmarks.conftest import emit_json
 from repro.core.boolfunc import bf_conj, bf_var
 from repro.core.parameters import ParameterSpace
@@ -80,17 +81,16 @@ def test_bit_parallel_simulation_speed(benchmark, results_dir):
 
 
 def test_interpreted_simulation_speed(benchmark, results_dir):
-    """The reference interpreter on the same workload — the denominator
-    of the compiled-kernel speedup tracked in BENCH_micro.json."""
+    """The reference per-gate simulator on the same workload — the
+    denominator of the compiled-kernel speedup tracked in
+    BENCH_micro.json."""
     net = generate_circuit(get_spec("stereov."))
     rng = RngHub(5).stream("sim")
     stim_named = random_stimulus(net, n_vectors=4096, rng=rng)
     stim = {net.require(k): v for k, v in stim_named.items()}
     for latch in net.latches:
         stim[latch.q] = np.zeros(64, dtype=np.uint64)
-    values = benchmark(
-        simulate_combinational, net, stim, interpreted=True
-    )
+    values = benchmark(ref_simulate.simulate_combinational, net, stim)
     assert len(values) == net.n_nodes
     emit_json(
         results_dir,

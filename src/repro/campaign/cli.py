@@ -43,7 +43,6 @@ from repro.campaign.orchestrator import (
     _prebuild_keyed,
     run_campaign,
 )
-from repro.netlist.compiled import BACKENDS
 from repro.errors import WorkloadError
 from repro.workloads.scenarios import (
     DebugScenario,
@@ -98,24 +97,6 @@ def _parser() -> argparse.ArgumentParser:
         "widths beyond 64 span multiple uint64 words; 1 runs one-lane "
         "batches) — outcomes are byte-identical at every width (the CI "
         "lane-equivalence job diffs them)",
-    )
-    p.add_argument(
-        "--sim-backend",
-        choices=("auto",) + BACKENDS,
-        default="auto",
-        help="compiled simulation kernel backend: 'python' (big-int "
-        "kernels), 'numpy' (vectorized whole-array kernels — the wide-"
-        "lane fast path), or 'auto' (default: numpy at lane widths >= "
-        "256, python below; the REPRO_SIM_BACKEND environment variable "
-        "overrides auto). "
-        "Outcomes are byte-identical across backends",
-    )
-    p.add_argument(
-        "--interpreted",
-        action="store_true",
-        help="run the online phase on the reference per-gate interpreter "
-        "instead of the compiled simulation kernels (escape hatch / "
-        "benchmark baseline; outcomes are bit-identical)",
     )
     p.add_argument(
         "--synthetic-gates",
@@ -356,16 +337,6 @@ def _usage_error(args: argparse.Namespace) -> str | None:
             "the campaign journal lives under the cache directory; "
             "--campaign-id/--resume require --cache-dir"
         )
-    if args.interpreted and args.lane_width > 64:
-        return (
-            "--interpreted is single-word; use --lane-width <= 64 "
-            "(multi-word lanes need the compiled kernels)"
-        )
-    if args.interpreted and args.sim_backend != "auto":
-        return (
-            "--interpreted bypasses the compiled kernels; drop "
-            "--sim-backend or drop --interpreted"
-        )
     return None
 
 
@@ -397,8 +368,6 @@ def main(argv: list[str] | None = None) -> int:
         with_physical=args.physical,
         max_turns=args.max_turns,
         lane_width=args.lane_width,
-        interpreted=args.interpreted,
-        backend=None if args.sim_backend == "auto" else args.sim_backend,
         task_timeout_s=args.task_timeout,
         task_retries=args.task_retries,
         fail_fast=args.fail_fast,

@@ -71,8 +71,6 @@ def golden_signal_traces(
     net: LogicNetwork,
     stim: list[dict[str, int]],
     names: list[str],
-    *,
-    interpreted: bool = False,
 ) -> dict[str, np.ndarray]:
     """Simulate ``net`` under ``stim`` recording the named signals.
 
@@ -84,7 +82,7 @@ def golden_signal_traces(
     """
     from repro.workloads.scenarios import signal_traces
 
-    return signal_traces(net, stim, names, interpreted=interpreted)
+    return signal_traces(net, stim, names)
 
 
 def _frontier_walk(net: LogicNetwork, is_tap, nid: int) -> list[str]:

@@ -94,18 +94,6 @@ class CampaignConfig:
     batched into lanes of one packed :class:`~repro.engine.LaneEngine`;
     ``1`` runs one-lane batches.  Outcomes are byte-identical at every
     width — only the throughput changes."""
-    interpreted: bool = False
-    """Run the online phase on the reference per-gate interpreter instead
-    of the compiled simulation kernels — the escape hatch, and the
-    baseline ``benchmarks/bench_kernels.py`` measures the compiled path
-    against.  Outcomes are bit-identical either way."""
-    backend: str | None = None
-    """Compiled-kernel backend for the online phase: ``"python"`` (big-int
-    kernels), ``"numpy"`` (vectorized whole-array kernels, the wide-lane
-    fast path) or ``None``/``"auto"`` to pick by lane width — see
-    :func:`repro.netlist.compiled.resolve_backend`.  Outcomes are
-    byte-identical across backends (``tests/test_backend_parity.py``);
-    only throughput changes.  Ignored when ``interpreted`` is set."""
     task_timeout_s: float | None = None
     """Wall-clock budget per pooled task attempt (offline segment or
     online lane batch).  ``None`` (default) never times out.  A timed-out
@@ -138,25 +126,17 @@ class CampaignConfig:
 
 
 #: One pool task: a stripped offline artifact, the scenarios of one lane
-#: batch, the turn budget, the interpreted-simulator flag and the kernel
-#: backend.  Each distinct artifact is pickled once per batch instead of
-#: once per scenario.
-GroupPayload = tuple[
-    OfflineStage, "list[tuple[int, DebugScenario]]", int, bool, "str | None"
-]
+#: batch and the turn budget.  Each distinct artifact is pickled once per
+#: batch instead of once per scenario.
+GroupPayload = tuple[OfflineStage, "list[tuple[int, DebugScenario]]", int]
 
 
 def _online_group_worker(
     payload: GroupPayload, store=None
 ) -> list[tuple[int, ScenarioResult]]:
-    offline, items, max_turns, interpreted, backend = payload
+    offline, items, max_turns = payload
     results = run_scenario_batch(
-        [sc for _idx, sc in items],
-        offline,
-        max_turns=max_turns,
-        interpreted=interpreted,
-        store=store,
-        backend=backend,
+        [sc for _idx, sc in items], offline, max_turns=max_turns, store=store
     )
     return [(idx, result) for (idx, _sc), result in zip(items, results)]
 
@@ -176,8 +156,6 @@ def _group_payloads(
     resolved: "list[tuple[int, DebugScenario, OfflineStage]]",
     max_turns: int,
     lane_width: int,
-    interpreted: bool = False,
-    backend: "str | None" = None,
 ) -> list[GroupPayload]:
     """Split scenarios into lane batches, one payload each.
 
@@ -200,13 +178,7 @@ def _group_payloads(
         for base in range(0, len(items), lane_width):
             chunk = items[base : base + lane_width]
             payloads.append(
-                (
-                    stripped,
-                    [(idx, sc) for idx, sc, _ in chunk],
-                    max_turns,
-                    interpreted,
-                    backend,
-                )
+                (stripped, [(idx, sc) for idx, sc, _ in chunk], max_turns)
             )
     return payloads
 
@@ -636,8 +608,6 @@ def run_campaign(
             [(idx, sc, stage) for idx, sc in items],
             config.max_turns,
             lane_width,
-            config.interpreted,
-            config.backend,
         ):
             submit_online(payload)
 

@@ -7,7 +7,8 @@ added beyond that — one packed golden pass, one packed detection run
 (with a per-lane early exit: the moment every live lane has diverged, the
 rest of the horizon is skipped), and a batched frontier walk where every
 observe+replay turn advances every still-active lane, retiring lanes as
-their walks converge.  A lone scenario is a one-lane batch.
+their walks converge.  A lone scenario is a one-lane batch.  The
+batch's lane width picks the engine's kernel backend.
 
 It is a pure function of ``(scenarios, offline artifact)`` — stimulus,
 golden model and bug reproduction all derive deterministically from the
@@ -55,9 +56,7 @@ def run_scenario_batch(
     offline: OfflineStage,
     *,
     max_turns: int = 48,
-    interpreted: bool = False,
     store=None,
-    backend: str | None = None,
 ) -> list[ScenarioResult]:
     """Run many scenarios' online loops as lanes of one packed engine.
 
@@ -86,11 +85,8 @@ def run_scenario_batch(
     batch size — the amortized cost actually paid per scenario, keeping
     campaign-level ``online_total_s`` equal to wall clock spent.  The
     deterministic outcome fields are byte-identical at every batch size.
-    ``interpreted`` runs the whole batch on the reference interpreter
-    (benchmark baseline); ``store`` persists compiled programs;
-    ``backend`` selects the compiled kernel implementation
-    (:func:`repro.netlist.compiled.resolve_backend` — ``None`` auto-picks
-    numpy for wide batches).  Never raises: per-lane failures degrade to
+    ``store`` persists compiled programs; the kernel backend follows the
+    batch's lane width.  Never raises: per-lane failures degrade to
     ``status="error"`` results for their lane only.
     """
     timers = PhaseTimer()
@@ -135,9 +131,7 @@ def run_scenario_batch(
                 offline,
                 n_lanes=n,
                 trace_depth=max(horizon, offline.config.trace_depth),
-                interpreted=interpreted,
                 program_store=store,
-                backend=backend,
             )
             by_stim: dict[tuple, list[dict[str, int]]] = {}
             stims: list[list[dict[str, int]]] = []
@@ -180,7 +174,6 @@ def run_scenario_batch(
                     goldens[lanes[0]],
                     [stims[l] for l in lanes],
                     trace_names,
-                    interpreted=interpreted,
                 )
                 for pos, l in enumerate(lanes):
                     packed_golden[l] = _lane_slice(packed, pos)

@@ -22,9 +22,8 @@ whole campaign batches (64 scenarios per word, words added beyond that)
 into one compiled-kernel emulation serves a single interactive session
 bound to lane 0.  The public API is unchanged; batch users who want many
 scenarios per emulation step should use the engine (or the campaign
-layer) directly.  ``interpreted=True`` selects the reference per-gate
-interpreter instead of the compiled kernels (bit-identical, much
-slower); ``program_store`` persists compiled programs across restarts.
+layer) directly.  :attr:`DebugSession.sim` is the engine's
+:class:`~repro.netlist.compiled.CompiledSimulator`.
 """
 
 from __future__ import annotations
@@ -65,18 +64,9 @@ class DebugSession:
         *,
         model: Virtex5Model | None = None,
         trace_depth: int | None = None,
-        interpreted: bool = False,
-        program_store=None,
-        backend: str | None = None,
     ) -> None:
         self._engine = LaneEngine(
-            offline,
-            n_lanes=1,
-            model=model,
-            trace_depth=trace_depth,
-            interpreted=interpreted,
-            program_store=program_store,
-            backend=backend,
+            offline, n_lanes=1, model=model, trace_depth=trace_depth
         )
         self.trace = LaneView(self._engine.trace, lane=0)
 
@@ -105,6 +95,7 @@ class DebugSession:
 
     @property
     def sim(self):
+        """The engine's compiled simulator (one word, lane 0)."""
         return self._engine.sim
 
     @property

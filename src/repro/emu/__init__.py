@@ -9,7 +9,7 @@ bitgen → SCG specialization) end to end.
 """
 
 from repro.emu.emulator import DecodedDesign, decode_bitstream, FpgaEmulator
-from repro.emu.fault import FaultInjector, ForcedFault, active_overrides
+from repro.emu.fault import FaultInjector, ForcedFault, active_override_ints
 from repro.emu.vcd import VcdWriter, write_vcd
 
 __all__ = [
@@ -18,7 +18,7 @@ __all__ = [
     "FpgaEmulator",
     "FaultInjector",
     "ForcedFault",
-    "active_overrides",
+    "active_override_ints",
     "VcdWriter",
     "write_vcd",
 ]

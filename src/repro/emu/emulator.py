@@ -245,12 +245,10 @@ class FpgaEmulator:
 
     def __init__(
         self, bits: np.ndarray, gen: GeneratedBitstream, rr: RRGraph,
-        *, n_words: int = 1, interpreted: bool = False,
+        *, n_words: int = 1,
     ) -> None:
         self.decoded = decode_bitstream(bits, gen, rr)
-        self.sim = SequentialSimulator(
-            self.decoded.network, n_words=n_words, interpreted=interpreted
-        )
+        self.sim = SequentialSimulator(self.decoded.network, n_words=n_words)
 
     def reset(self) -> None:
         self.sim.reset()

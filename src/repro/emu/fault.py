@@ -6,12 +6,12 @@ modeling transient upsets or environment-dependent bugs that only internal
 observability can catch, the motivating scenario of the paper's
 introduction.
 
-:class:`ForcedFault` and :func:`active_overrides` are the one shared
+:class:`ForcedFault` and :func:`active_override_ints` are the one shared
 implementation of stuck-at semantics: :class:`FaultInjector` (plain
-netlist simulation) and :meth:`repro.core.debug.DebugSession.force`
-(mapped-network emulation inside a debug session) both apply faults
-through them, so the two layers can never drift apart on windowing or
-value-packing rules.
+netlist simulation) and :meth:`repro.engine.LaneEngine.force` (mapped-network
+emulation, behind every debug session) both apply faults through them,
+so the two layers can never drift apart on windowing or lane-masking
+rules.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.netlist.simulate import SequentialSimulator
 __all__ = [
     "ALL_LANES",
     "ForcedFault",
-    "active_overrides",
     "active_override_ints",
     "FaultInjector",
 ]
@@ -36,8 +35,8 @@ __all__ = [
 #: Effectively "forever" for fault windows (cycle counters are int64-safe).
 NEVER_ENDS = 2**62
 
-#: Lane mask covering every lane of a 64-bit simulation word.
-ALL_LANES = 0xFFFFFFFFFFFFFFFF
+#: Lane mask covering every lane of every word: all bits set at any width.
+ALL_LANES = -1
 
 
 @dataclass(frozen=True)
@@ -53,18 +52,12 @@ class ForcedFault:
     ``lane_mask`` selects which SIMD lanes the fault afflicts as an
     *absolute lane-index* mask: lane *k* is bit *k*, so with
     ``n_words > 1`` lane 77 is word 1, bit 13 (``1 << 77``).  The
-    :data:`ALL_LANES` default is a sentinel meaning *every lane of every
-    word* — the historical whole-value force; note this means a literal
-    mask of exactly ``(1 << 64) - 1`` cannot express "word 0's 64 lanes
-    only" on a multi-word simulation (split such a fault into two masks).
-    The lane-parallel engine arms each scenario's fault with
-    ``1 << lane`` so that concurrent scenarios each carry a *different*
-    bug through one packed emulation: the simulator blends
-    ``value = (clean & ~mask) | (forced & mask)`` per node.  (The legacy
-    array path, :func:`active_overrides`, predates multi-word lanes and
-    replicates any mask across words; the integer path
-    :func:`active_override_ints` is what the engine and
-    :class:`FaultInjector` use.)
+    :data:`ALL_LANES` default (``-1``) has every bit set, so it covers
+    every lane of every word — the whole-value force.  The lane-parallel
+    engine arms each scenario's fault with ``1 << lane`` so that
+    concurrent scenarios each carry a *different* bug through one packed
+    emulation: the simulator blends ``value = (clean & ~mask) | (forced &
+    mask)`` per node.
     """
 
     node: int
@@ -78,59 +71,18 @@ class ForcedFault:
         return self.first_cycle <= cycle <= self.last_cycle
 
 
-def active_overrides(
-    faults: Iterable[ForcedFault], cycle: int, *, n_words: int = 1
-) -> dict[int, "np.ndarray | tuple[np.ndarray, np.ndarray]"] | None:
-    """Simulator overrides for the faults active on ``cycle``.
-
-    Returns ``None`` when no fault is in window, so callers can pass the
-    result straight to ``SequentialSimulator.step(..., overrides=...)``.
-    Full-lane faults produce plain value arrays (wholesale replacement,
-    the historical form); lane-masked faults produce ``(forced, mask)``
-    pairs the simulator blends with the clean value.  Faults on the same
-    node accumulate lane-wise, later faults winning on overlapping lanes.
-    """
-    acc: dict[int, tuple[int, int]] | None = None
-    for f in faults:
-        if not f.active_at(cycle):
-            continue
-        if acc is None:
-            acc = {}
-        lm = f.lane_mask & ALL_LANES
-        forced_bits = lm if f.value else 0
-        prev_forced, prev_mask = acc.get(f.node, (0, 0))
-        acc[f.node] = (
-            (prev_forced & ~lm & ALL_LANES) | forced_bits,
-            prev_mask | lm,
-        )
-    if acc is None:
-        return None
-    overrides: dict[int, np.ndarray | tuple[np.ndarray, np.ndarray]] = {}
-    for node, (forced, mask) in acc.items():
-        if mask == ALL_LANES:
-            overrides[node] = np.full(n_words, np.uint64(forced), dtype=np.uint64)
-        else:
-            overrides[node] = (
-                np.full(n_words, np.uint64(forced), dtype=np.uint64),
-                np.full(n_words, np.uint64(mask), dtype=np.uint64),
-            )
-    return overrides
-
-
 def active_override_ints(
     faults: Iterable[ForcedFault], cycle: int, *, n_words: int = 1
 ) -> "dict[int, tuple[int, int]] | None":
     """Word-packed integer overrides for the faults active on ``cycle``.
 
-    The multi-word counterpart of :func:`active_overrides`, feeding the
-    compiled simulator directly: each entry is a ``(forced, mask)`` pair
-    of plain integers spanning all ``64 * n_words`` lanes.  Unlike the
-    historical array form (which *replicates* a 64-bit mask across
-    words), ``lane_mask`` here is an absolute lane-index mask — a fault
-    on lane 77 carries ``lane_mask = 1 << 77`` and lands in word 1, bit
-    13 — except the :data:`ALL_LANES` default, which expands to every
-    lane of every word (the historical whole-value force).  Faults on the
-    same node accumulate lane-wise, later faults winning on overlap.
+    Feeds the compiled simulator directly: each entry is a ``(forced,
+    mask)`` pair of plain integers spanning all ``64 * n_words`` lanes,
+    and ``None`` means no fault is in window.  ``lane_mask`` is an
+    absolute lane-index mask cut to the simulation's width — a fault on
+    lane 77 carries ``lane_mask = 1 << 77`` and lands in word 1, bit 13;
+    :data:`ALL_LANES` covers every lane.  Faults on the same node
+    accumulate lane-wise, later faults winning on overlap.
     """
     full = (1 << (64 * n_words)) - 1
     acc: dict[int, tuple[int, int]] | None = None
@@ -139,7 +91,7 @@ def active_override_ints(
             continue
         if acc is None:
             acc = {}
-        lm = full if f.lane_mask == ALL_LANES else f.lane_mask & full
+        lm = f.lane_mask & full
         forced_bits = lm if f.value else 0
         prev_forced, prev_mask = acc.get(f.node, (0, 0))
         acc[f.node] = (
@@ -163,13 +115,9 @@ class FaultInjector:
     >>> # fi.stuck_at("n9", 1, lane_mask=1 << 77)   # lane 77 only
     """
 
-    def __init__(
-        self, net: LogicNetwork, *, n_words: int = 1, interpreted: bool = False
-    ) -> None:
+    def __init__(self, net: LogicNetwork, *, n_words: int = 1) -> None:
         self.net = net
-        self.sim = SequentialSimulator(
-            net, n_words=n_words, interpreted=interpreted
-        )
+        self.sim = SequentialSimulator(net, n_words=n_words)
         self._faults: list[ForcedFault] = []
 
     def stuck_at(
@@ -184,7 +132,7 @@ class FaultInjector:
         """Force ``signal`` to ``value`` during [first_cycle, last_cycle].
 
         ``lane_mask`` selects the afflicted lanes (default: all of them —
-        the historical whole-value force).
+        the whole-value force).
         """
         nid = self.net.find(signal)
         if nid is None:

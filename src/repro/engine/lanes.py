@@ -1,7 +1,7 @@
 """The lane-parallel engine core (§IV-B at SIMD width).
 
-A :class:`LaneEngine` drives one packed
-:class:`~repro.netlist.simulate.SequentialSimulator` over the mapped
+A :class:`LaneEngine` steps one packed
+:class:`~repro.netlist.compiled.CompiledSimulator` over the mapped
 network of an offline artifact, with debug scenarios bound to the lanes
 of its packed words.  All shared state (the mapped network, the virtual
 PConf layout, the tap/PO directories) is built once; everything a
@@ -9,18 +9,22 @@ scenario owns — stimulus, forced faults, the current observation
 (select-parameter values), the SCG accounting, the captured trace — is
 per lane.
 
-Since the compiled-kernel refactor the emulation step executes the
-mapped network's :class:`~repro.netlist.compiled.CompiledProgram` (built
-once per network content key, optionally persisted through an
-:class:`~repro.pipeline.ArtifactStore`): per cycle the engine hands the
-kernel word-packed integer stimulus and lane-blended override indices,
-and reads trace samples and PO words straight out of the flat value
-list — no per-node dicts, no per-cycle array allocation.  Because a
-word-packed integer spans ``n_words`` 64-lane words, ``n_lanes`` may
-exceed 64: lane *k* lives at word ``k // 64``, bit ``k % 64`` everywhere
-(stimulus, faults, trace memory, PO captures).  ``interpreted=True``
-falls back to the historical per-gate interpreter (single-word only) —
-the escape hatch and the benchmark baseline.
+The emulation step executes the mapped network's
+:class:`~repro.netlist.compiled.CompiledProgram` (built once per network
+content key, optionally persisted through an
+:class:`~repro.pipeline.ArtifactStore`), on the kernel backend the lane
+width selects: per cycle the engine hands the kernel word-packed integer
+stimulus and lane-blended override indices, and reads trace samples and
+PO words straight out of the kernel state — no per-node dicts, no
+per-cycle array allocation.  Because a word-packed integer spans
+``n_words`` 64-lane words, ``n_lanes`` may exceed 64: lane *k* lives at
+word ``k // 64``, bit ``k % 64`` everywhere (stimulus, faults, trace
+memory, PO captures).  :meth:`LaneEngine.run` and
+:meth:`LaneEngine.run_outputs` each have one emulation loop over blocks
+of :attr:`~repro.netlist.compiled.CompiledSimulator.block_cycles`
+cycles: one cycle per block on the python backend and for sequential
+programs, a vectorized batch of independent cycles on the numpy backend
+for combinational programs.
 
 Correctness bar: lane *k* of a packed run is bit-for-bit what a solo
 :class:`~repro.core.debug.DebugSession` produces for the same scenario,
@@ -43,15 +47,9 @@ from repro.core.parameters import ParameterAssignment
 from repro.core.scg import SpecializedConfigGenerator
 from repro.core.tracebuffer import LaneTraceBuffer
 from repro.core.virtual import build_virtual_pconf
-from repro.emu.fault import (
-    NEVER_ENDS,
-    ForcedFault,
-    active_override_ints,
-    active_overrides,
-)
+from repro.emu.fault import NEVER_ENDS, ForcedFault, active_override_ints
 from repro.errors import DebugFlowError
-from repro.netlist.compiled import int_to_words
-from repro.netlist.simulate import SequentialSimulator
+from repro.netlist.compiled import CompiledSimulator, int_to_words, program_for
 from repro.util.bitops import pack_lane_scripts, words_for_bits
 
 __all__ = ["DebugTurnLog", "LaneEngine", "Stimulus"]
@@ -91,32 +89,21 @@ class LaneEngine:
         n_lanes: int = 1,
         model: Virtex5Model | None = None,
         trace_depth: int | None = None,
-        interpreted: bool = False,
         program_store=None,
-        backend: str | None = None,
     ) -> None:
         if n_lanes < 1:
             raise DebugFlowError("lane count must be at least 1")
-        if interpreted and n_lanes > 64:
-            raise DebugFlowError(
-                "the interpreted escape hatch is single-word: lane counts "
-                "beyond 64 need the compiled kernels (interpreted=False)"
-            )
         self.offline = offline
         self.design = offline.instrumented
         self.model = model or Virtex5Model()
         self.n_lanes = n_lanes
         self.n_words = max(1, words_for_bits(n_lanes))
         self.mapped_net = offline.mapping.to_lut_network()
-        self.sim = SequentialSimulator(
-            self.mapped_net,
+        self.sim = CompiledSimulator(
+            program_for(self.mapped_net, store=program_store),
             n_words=self.n_words,
-            interpreted=interpreted,
-            store=program_store,
-            backend=backend,
         )
-        self._csim = self.sim.compiled  # None on the interpreted path
-        self.backend = self.sim.backend  # resolved name; None if interpreted
+        self.backend = self.sim.backend  # chosen by lane width
         self.pconf = build_virtual_pconf(offline.mapping, self.design)
         depth = trace_depth or offline.config.trace_depth
         self.trace = LaneTraceBuffer(
@@ -165,8 +152,8 @@ class LaneEngine:
         self._sample_view = np.frombuffer(
             self._sample_buf, dtype=np.uint64
         ).reshape(len(self._tb_nodes), self.n_words)
-        # cycle-batched gather buffers (numpy backend, combinational
-        # programs): allocated on first blocked run
+        # block gather buffers (numpy backend, combinational programs):
+        # allocated on the first run with more than one cycle per block
         self._blk_tb: np.ndarray | None = None
         self._blk_po: np.ndarray | None = None
 
@@ -379,37 +366,35 @@ class LaneEngine:
             pi_vals[pi] = word
         return pi_vals
 
-    def _step_compiled(self) -> None:
-        """One packed cycle on the compiled kernel (no array traffic)."""
-        cycle = self._csim.cycle
-        self._csim.step(
-            self._pi_values_ints(cycle),
-            overrides=self._cycle_overrides_ints(cycle),
+    def _advance(self, cycle: int, n_batch: int) -> None:
+        """Emulate ``n_batch`` cycles from ``cycle`` with every lane's
+        stimulus and active faults: one kernel step, or one vectorized
+        block when ``n_batch > 1``."""
+        if n_batch == 1:
+            self.sim.step(
+                self._pi_values_ints(cycle),
+                overrides=self._cycle_overrides_ints(cycle),
+            )
+            return
+        cycles = range(cycle, cycle + n_batch)
+        self.sim.run_block(
+            [self._pi_values_ints(cy) for cy in cycles],
+            [self._cycle_overrides_ints(cy) for cy in cycles],
         )
 
-    def _step_interpreted(self) -> dict[int, np.ndarray]:
-        cycle = self.sim.cycle
-        pi_arrays = {
-            pi: int_to_words(word, self.n_words)
-            for pi, word in self._pi_values_ints(cycle).items()
-        }
-        flat = [f for lane_faults in self._forces for f in lane_faults]
-        overrides = active_overrides(flat, cycle, n_words=self.n_words)
-        return self.sim.step(pi_arrays, overrides=overrides)
-
-    def _trigger_mask(self, triggers, cycle: int, lane_bit) -> int:
+    def _trigger_mask(self, triggers, cycle: int, sample: np.ndarray) -> int:
         """Evaluate each lane's trigger against its view of this cycle's
-        trace-buffer inputs.  ``lane_bit(group_index, lane)`` extracts one
-        lane's 0/1 sample — the only piece that differs between the
-        compiled and interpreted step paths."""
+        trace-buffer inputs (``sample`` is the ``(n_groups, n_words)``
+        packed row the trace captures)."""
         if not triggers:
             return 0
         mask = 0
         for lane, trig in triggers.items():
             if trig is None:
                 continue
+            word, bit = lane >> 6, np.uint64(lane & 63)
             named = {
-                g.po_name: lane_bit(i, lane)
+                g.po_name: int(sample[i, word] >> bit) & 1
                 for i, g in enumerate(self.design.groups)
             }
             if trig(cycle, named):
@@ -447,91 +432,40 @@ class LaneEngine:
         facade's per-session trigger).  ``lanes`` restricts which lanes'
         turn logs the cycles are charged to (emulation always advances
         every lane — they share the simulator).  Waveforms are read back
-        per lane via :meth:`waveforms`.
+        per lane via :meth:`waveforms`.  Each block of cycles settles in
+        one kernel pass; captures and triggers then replay per cycle.
         """
         if n_cycles < 0:
             raise DebugFlowError("n_cycles must be non-negative")
+        sim = self.sim
         tb_nodes = self._tb_nodes
-        csim = self._csim
-        if csim is not None:
-            if csim.block_cycles > 1:
-                self._run_blocked(n_cycles, triggers)
-                self._account_cycles(n_cycles, lanes)
-                return
-            vals = csim.values
-            for _ in range(n_cycles):
-                self._step_compiled()
-                csim.export_words(tb_nodes, self._sample_buf)
-                trigger_mask = self._trigger_mask(
-                    triggers,
-                    csim.cycle - 1,
-                    lambda i, lane: (vals[tb_nodes[i]] >> lane) & 1,
-                )
-                self.trace.capture(
-                    self._sample_view, trigger_mask=trigger_mask
-                )
-            self._account_cycles(n_cycles, lanes)
-            return
-        width = len(tb_nodes)
-        for _ in range(n_cycles):
-            values = self._step_interpreted()
-            sample = np.fromiter(
-                (values[n][0] for n in tb_nodes),
-                dtype=np.uint64,
-                count=width,
+        blk = sim.block_cycles
+        if blk > 1 and self._blk_tb is None:
+            self._blk_tb = np.empty(
+                (len(tb_nodes), blk * self.n_words), dtype=np.uint64
             )
-            trigger_mask = self._trigger_mask(
-                triggers,
-                self.sim.cycle - 1,
-                lambda i, lane: int(
-                    (sample[i] >> np.uint64(lane)) & np.uint64(1)
-                ),
-            )
-            self.trace.capture(sample, trigger_mask=trigger_mask)
-        self._account_cycles(n_cycles, lanes)
-
-    def _run_blocked(
-        self, n_cycles: int, triggers
-    ) -> None:
-        """Cycle-batched body of :meth:`run` (numpy backend, combinational
-        program): each batch of up to ``block_cycles`` cycles settles in
-        one vectorized pass; trace captures then replay per cycle out of
-        the batch's gathered trace-buffer rows."""
-        csim = self._csim
-        tb_nodes = self._tb_nodes
-        n_tb = len(tb_nodes)
-        blk = csim.block_cycles
-        nw = self.n_words
-        if self._blk_tb is None:
-            self._blk_tb = np.empty((n_tb, blk * nw), dtype=np.uint64)
-        v3 = self._blk_tb.reshape(n_tb, blk, nw)
         done = 0
-        base = csim.cycle
+        base = sim.cycle
         while done < n_cycles:
             n_batch = min(blk, n_cycles - done)
-            cycles = range(base + done, base + done + n_batch)
-            rows = [self._pi_values_ints(cy) for cy in cycles]
-            ovs = [self._cycle_overrides_ints(cy) for cy in cycles]
+            self._advance(base + done, n_batch)
             if n_batch == 1:
-                csim.step(rows[0], overrides=ovs[0])
-                csim.export_words(tb_nodes, self._sample_buf)
-                sample = self._sample_view
+                sim.export_words(tb_nodes, self._sample_buf)
+                samples = (self._sample_view,)
             else:
-                csim.run_block(rows, ovs)
-                csim.block_export(tb_nodes, self._blk_tb)
-            for c in range(n_batch):
-                if n_batch > 1:
-                    sample = v3[:, c, :]
-                trigger_mask = self._trigger_mask(
-                    triggers,
-                    base + done + c,
-                    lambda i, lane, s=sample: int(
-                        s[i, lane >> 6] >> np.uint64(lane & 63)
-                    )
-                    & 1,
+                sim.block_export(tb_nodes, self._blk_tb)
+                samples = self._blk_tb.reshape(
+                    len(tb_nodes), blk, self.n_words
+                ).swapaxes(0, 1)[:n_batch]
+            for c, sample in enumerate(samples):
+                self.trace.capture(
+                    sample,
+                    trigger_mask=self._trigger_mask(
+                        triggers, base + done + c, sample
+                    ),
                 )
-                self.trace.capture(sample, trigger_mask=trigger_mask)
             done += n_batch
+        self._account_cycles(n_cycles, lanes)
 
     @property
     def user_po_names(self) -> list[str]:
@@ -560,89 +494,54 @@ class LaneEngine:
         the run early (the packed-detection early exit: once every active
         lane has diverged there is nothing left to learn from the rest of
         the horizon).  Only the cycles actually emulated are charged and
-        returned.
+        returned: a stop inside a block rewinds the block's overshoot
+        (:meth:`~repro.netlist.compiled.CompiledSimulator.rewind_block`),
+        leaving the state a cycle-by-cycle run stopping there would.
         """
         if n_cycles < 0:
             raise DebugFlowError("n_cycles must be non-negative")
-        po_ids = self._user_po_ids
-        out = np.zeros((n_cycles, len(po_ids), self.n_words), dtype=np.uint64)
-        csim = self._csim
-        ran = 0
-        if csim is not None and csim.block_cycles > 1:
-            ran = self._run_outputs_blocked(n_cycles, out, stop)
-            self._account_cycles(ran, lanes)
-            return out[:ran]
-        for c in range(n_cycles):
-            if csim is not None:
-                self._step_compiled()
-                vals = csim.values
-                row_ints = [vals[nid] for nid in po_ids]
-            else:
-                values = self._step_interpreted()
-                row_ints = [int(values[nid][0]) for nid in po_ids]
-            if self.n_words == 1:
-                for j, x in enumerate(row_ints):
-                    out[c, j, 0] = x
-            else:
-                for j, x in enumerate(row_ints):
-                    out[c, j] = int_to_words(x, self.n_words)
-            ran += 1
-            if stop is not None and stop(c, row_ints):
-                break
-        self._account_cycles(ran, lanes)
-        return out[:ran]
-
-    def _run_outputs_blocked(self, n_cycles: int, out: np.ndarray, stop) -> int:
-        """Cycle-batched body of :meth:`run_outputs`: batches settle in
-        one vectorized pass, PO rows gather once per batch, and the stop
-        predicate replays per cycle — an early stop rewinds the batch's
-        overshoot (:meth:`~repro.netlist.compiled.CompiledSimulator.rewind_block`)
-        so cycle accounting and final state match the per-cycle path."""
-        csim = self._csim
+        sim = self.sim
         po_ids = self._user_po_ids
         n_po = len(po_ids)
-        blk = csim.block_cycles
         nw = self.n_words
-        if self._blk_po is None:
+        out = np.zeros((n_cycles, n_po, nw), dtype=np.uint64)
+        blk = sim.block_cycles
+        if blk > 1 and self._blk_po is None:
             self._blk_po = np.empty((n_po, blk * nw), dtype=np.uint64)
-        v3 = self._blk_po.reshape(n_po, blk, nw)
         ran = 0
-        base = csim.cycle
-        while ran < n_cycles:
+        base = sim.cycle
+        stopped = False
+        while ran < n_cycles and not stopped:
             n_batch = min(blk, n_cycles - ran)
-            cycles = range(base + ran, base + ran + n_batch)
-            rows = [self._pi_values_ints(cy) for cy in cycles]
-            ovs = [self._cycle_overrides_ints(cy) for cy in cycles]
+            self._advance(base + ran, n_batch)
             if n_batch == 1:
-                csim.step(rows[0], overrides=ovs[0])
-                row_ints = csim.node_ints(po_ids)
-                for j, x in enumerate(row_ints):
-                    out[ran, j] = int_to_words(x, nw)
-                ran += 1
-                if stop is not None and stop(ran - 1, row_ints):
-                    return ran
-                continue
-            csim.run_block(rows, ovs)
-            csim.block_export(po_ids, self._blk_po)
-            consumed = n_batch
-            stopped = False
-            for c in range(n_batch):
-                out[ran + c] = v3[:, c, :]
-                if stop is not None:
-                    row_ints = [
-                        int.from_bytes(v3[j, c].tobytes(), "little")
-                        for j in range(n_po)
-                    ]
-                    if stop(ran + c, row_ints):
-                        consumed = c + 1
-                        stopped = True
+                block = None
+                row = sim.node_ints(po_ids)
+                if nw == 1:
+                    for j, x in enumerate(row):
+                        out[ran, j, 0] = x
+                else:
+                    for j, x in enumerate(row):
+                        out[ran, j] = int_to_words(x, nw)
+            else:
+                sim.block_export(po_ids, self._blk_po)
+                block = self._blk_po.reshape(n_po, blk, nw)
+                out[ran : ran + n_batch] = block[:, :n_batch].swapaxes(0, 1)
+            if stop is not None:
+                for c in range(n_batch):
+                    if block is not None:
+                        row = [
+                            int.from_bytes(block[j, c].tobytes(), "little")
+                            for j in range(n_po)
+                        ]
+                    if stop(ran + c, row):
+                        if c + 1 < n_batch:
+                            sim.rewind_block(c + 1)
+                        n_batch, stopped = c + 1, True
                         break
-            if stopped:
-                if consumed < n_batch:
-                    csim.rewind_block(consumed)
-                return ran + consumed
             ran += n_batch
-        return ran
+        self._account_cycles(ran, lanes)
+        return out[:ran]
 
     # -- results --------------------------------------------------------------------
 

@@ -1,16 +1,15 @@
 """Compiled simulation kernels: per-network evaluation programs.
 
-The interpreted simulator (:mod:`repro.netlist.simulate`) walks the gate
-list every cycle, paying per node for dict lookups, cover-cache hits and
-fresh small-array allocations — with ``n_words`` typically 1, numpy
-dispatch overhead dominates the packed emulation step.  This module
-follows the ESSENT-style "compile the design into a program" idiom from
-the HPC simulation literature: a :class:`LogicNetwork` is lowered **once**
-into a :class:`CompiledProgram` — a topo-ordered straight-line op list
-with integer-indexed fanins, ISOP cube masks/polarities flattened into
-the op stream, constants folded, and PI/latch/PO index tables — and that
+This is the only way the package simulates.  It follows the ESSENT-style
+"compile the design into a program" idiom from the HPC simulation
+literature: a :class:`LogicNetwork` is lowered **once** into a
+:class:`CompiledProgram` — a topo-ordered straight-line op list with
+integer-indexed fanins, ISOP cube masks/polarities flattened into the op
+stream, constants folded, and PI/latch/PO index tables — and that
 program is code-generated into a Python kernel whose only per-cycle work
-is bitwise integer arithmetic over the dense lane state.
+is bitwise integer arithmetic over the dense lane state.  Walking the
+gate list every cycle instead would pay, per node, for dict lookups,
+cover-cache hits and fresh small-array allocations.
 
 Lane state representation
 -------------------------
@@ -22,16 +21,14 @@ preallocated flat list — no per-node dicts, no per-cycle array
 allocation — and :meth:`CompiledSimulator.dense` exports the state as the
 contiguous ``(n_nodes, n_words)`` ``uint64`` matrix (into a preallocated
 buffer) whenever an array view is wanted.  Bit *k* of word *w* of row *n*
-is lane ``64*w + k`` of node ``n`` — exactly the layout the interpreted
-simulator spreads across its per-node arrays, which is what makes the
-two paths bit-for-bit comparable (``tests/test_compiled.py``).
+is lane ``64*w + k`` of node ``n`` — the layout the dict-of-arrays façade
+of :mod:`repro.netlist.simulate` hands out per node.
 
 Overrides (fault forcing) resolve through precomputed node indices: gate
 overrides blend inside a second generated kernel via per-node
 ``(forced, ~mask)`` tables (``value = (clean & ~mask) | (forced & mask)``
-per lane, the same formula as
-:func:`repro.netlist.simulate.apply_override`), while source and
-folded-constant overrides blend before the kernel runs.
+per lane), while source and folded-constant overrides blend before the
+kernel runs.
 
 Program caching
 ---------------
@@ -52,7 +49,6 @@ programs are cached at three levels by :func:`program_for`:
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import OrderedDict
 from typing import Mapping
 from weakref import WeakKeyDictionary
@@ -97,11 +93,6 @@ _OPS_PER_CHUNK = 2000
 #: (amortizes dispatch across words — the high-lane-width fast path).
 BACKENDS = ("python", "numpy")
 
-#: Environment override consulted when no explicit backend is requested
-#: (values: ``auto`` / ``python`` / ``numpy``); the CLI's ``--sim-backend``
-#: flag sets the same choice per campaign.
-BACKEND_ENV = "REPRO_SIM_BACKEND"
-
 #: Auto selection switches to numpy at this many words (256 lanes): below
 #: it, big-int ops are cheap and numpy dispatch dominates; above it, the
 #: vectorized kernels amortize dispatch across the word axis.
@@ -116,14 +107,12 @@ MAX_BLOCK_CYCLES = 64
 def resolve_backend(backend: "str | None" = None, *, n_words: int = 1) -> str:
     """Resolve a backend request to a concrete registered backend.
 
-    ``None``/``"auto"`` consults the :data:`BACKEND_ENV` environment
-    variable, then falls back to width-based auto selection: numpy when
-    ``n_words >= AUTO_NUMPY_MIN_WORDS`` (dispatch amortized across the
-    word axis), python otherwise.  Explicit requests are validated.
+    ``None``/``"auto"`` selects by width: numpy when ``n_words >=
+    AUTO_NUMPY_MIN_WORDS`` (dispatch amortized across the word axis),
+    python otherwise.  Explicit requests (kernel tests and benchmarks
+    comparing the two backends) are validated.
     """
     if backend in (None, "auto"):
-        backend = os.environ.get(BACKEND_ENV, "auto").strip().lower() or "auto"
-    if backend == "auto":
         if n_words >= AUTO_NUMPY_MIN_WORDS:
             return "numpy"
         return "python"
@@ -433,24 +422,6 @@ def words_to_int(arr: "np.ndarray") -> int:
     )
 
 
-class _RowIntView:
-    """Read-only ``values``-style adapter over the numpy backend's state:
-    indexing by node id yields the word-packed integer, so code written
-    against the python backend's flat value list keeps working."""
-
-    __slots__ = ("_state", "_n")
-
-    def __init__(self, state, n_nodes: int) -> None:
-        self._state = state
-        self._n = n_nodes
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, node: int) -> int:
-        return int.from_bytes(self._state[node].tobytes(), "little")
-
-
 class CompiledSimulator:
     """Executes a :class:`CompiledProgram` cycle by cycle.
 
@@ -468,14 +439,14 @@ class CompiledSimulator:
       per-op dispatch is amortized across the word axis, and
       combinational programs additionally support cycle batching through
       :meth:`run_block` (up to :attr:`block_cycles` cycles per
-      vectorized pass — the 512+-lane fast path).  ``values`` stays
-      indexable by node id (a read-only view yielding word-packed
-      integers), so both backends present one API.
+      vectorized pass — the 512+-lane fast path).
 
-    This is the engine-facing fast path; the drop-in replacement for the
-    historical dict-of-arrays API is
-    :class:`repro.netlist.simulate.SequentialSimulator`, which wraps this
-    class and converts at its boundary.
+    Both backends serve node values through :meth:`value`,
+    :meth:`node_ints`, :meth:`export_words` and :meth:`dense`.
+
+    The lane engine steps this class directly; the dict-of-arrays API
+    is :class:`repro.netlist.simulate.SequentialSimulator`, which wraps
+    this class and converts at its boundary.
     """
 
     def __init__(
@@ -503,9 +474,6 @@ class CompiledSimulator:
 
             self._plan = plan_for(program)
             self._vec = VectorState(self._plan, self.n_words)
-            self.values: "list[int] | _RowIntView" = _RowIntView(
-                self._vec.state, n
-            )
             self._block_cycles = (
                 1
                 if program.latch_qs
@@ -527,7 +495,7 @@ class CompiledSimulator:
         else:
             self._plan = None
             self._vec = None
-            self.values = [0] * n
+            self.values: list[int] = [0] * n
             self._forced: list[int] = [0] * n
             self._notmask: list[int] = [self.full_mask] * n
             self._armed: list[int] = []
@@ -556,7 +524,7 @@ class CompiledSimulator:
 
     def value(self, node: int) -> int:
         """Node's current word-packed value (all lanes, one integer)."""
-        return self.values[node]
+        return self.node_ints((node,))[0]
 
     def word(self, node: int, word: int = 0) -> int:
         """One 64-lane word of a node's value."""
@@ -640,9 +608,9 @@ class CompiledSimulator:
         ``overrides`` maps node → ``(forced, mask)`` word-packed integer
         pairs.  Source and folded-constant overrides blend into the value
         state before the kernel runs; gate overrides blend the moment the
-        gate is evaluated — its fanouts see the forced value, exactly
-        like the interpreted path (python: the forced kernel's per-node
-        tables; numpy: per-level fixups applied between level passes).
+        gate is evaluated — its fanouts see the forced value (python: the
+        forced kernel's per-node tables; numpy: per-level fixups applied
+        between level passes).
         """
         if self._vec is not None:
             fixups = self._vec_overrides(

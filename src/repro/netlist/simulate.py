@@ -1,23 +1,24 @@
-"""Bit-parallel functional simulation.
+"""Bit-parallel functional simulation: the dict-of-arrays API.
 
 Values are packed 64 test vectors per ``numpy.uint64`` word: a node's value
 is a vector of ``n_words`` words, so lane ``k`` of a packed run lives at
 word ``k // 64``, bit ``k % 64``.
 
 Both entry points are **façades over the compiled kernels** of
-:mod:`repro.netlist.compiled` by default: the network is lowered once into
-a :class:`~repro.netlist.compiled.CompiledProgram` (cached per content
-key) and every step executes generated straight-line bitwise code instead
-of walking the gate list.  Pass ``interpreted=True`` to run the historical
-reference interpreter — a per-gate loop evaluating ISOP covers
-(:func:`repro.netlist.sop.truthtable_to_cover`) with numpy ops — which the
-compiled path is tested bit-for-bit against (``tests/test_compiled.py``).
-
-Two entry points:
+:mod:`repro.netlist.compiled`: the network is lowered once into a
+:class:`~repro.netlist.compiled.CompiledProgram` (cached per content key)
+and every step executes generated bitwise code, with the kernel backend
+chosen by lane width.  The façades convert packed arrays to word-packed
+integers at their boundary and export every node's value back as an
+array:
 
 * :func:`simulate_combinational` — evaluate every node given source values;
 * :class:`SequentialSimulator` — cycle-accurate simulation with latch state,
-  used by the emulation layer and the debug-loop examples.
+  used by golden reference passes, the bitstream emulator and the
+  debug-loop examples.
+
+The lane engine steps a :class:`~repro.netlist.compiled.CompiledSimulator`
+directly and never builds the per-node arrays.
 """
 
 from __future__ import annotations
@@ -33,40 +34,15 @@ from repro.netlist.compiled import (
     program_for,
     words_to_int,
 )
-from repro.netlist.network import LogicNetwork, NodeKind
-from repro.netlist.sop import truthtable_to_cover
+from repro.netlist.network import LogicNetwork
 from repro.util.bitops import words_for_bits
 
 __all__ = [
     "random_stimulus",
-    "apply_override",
     "simulate_combinational",
     "SequentialSimulator",
     "check_equivalent",
 ]
-
-#: An override entry: either a packed value array (the node's value is
-#: replaced wholesale — the historical behavior) or a ``(forced, mask)``
-#: pair of packed arrays, where only the lanes selected by ``mask`` are
-#: forced and every other lane keeps the *clean* computed value:
-#: ``value = (clean & ~mask) | (forced & mask)``.  Lane-masked overrides
-#: are how the lane-parallel debug engine injects one scenario's fault
-#: into one SIMD lane without disturbing its 63 neighbours.
-Override = "np.ndarray | tuple[np.ndarray, np.ndarray]"
-
-
-def apply_override(clean: np.ndarray, override) -> np.ndarray:
-    """Resolve one override against the clean (computed) value.
-
-    Full-array overrides replace ``clean``; ``(forced, mask)`` pairs blend
-    per lane: ``(clean & ~mask) | (forced & mask)``.
-    """
-    if isinstance(override, tuple):
-        forced, mask = override
-        forced = np.asarray(forced, dtype=np.uint64)
-        mask = np.asarray(mask, dtype=np.uint64)
-        return (clean & ~mask) | (forced & mask)
-    return np.asarray(override, dtype=np.uint64)
 
 
 def random_stimulus(
@@ -82,53 +58,12 @@ def random_stimulus(
     }
 
 
-def _eval_gate(
-    func, fanin_values: list[np.ndarray], n_words: int
-) -> np.ndarray:
-    """Evaluate one gate's truth table over packed words."""
-    const = func.const_value()
-    if const is not None:
-        if const:
-            return np.full(n_words, np.iinfo(np.uint64).max, dtype=np.uint64)
-        return np.zeros(n_words, dtype=np.uint64)
-    cover = truthtable_to_cover(func)
-    acc = np.zeros(n_words, dtype=np.uint64)
-    for cube in cover.cubes:
-        term = np.full(n_words, np.iinfo(np.uint64).max, dtype=np.uint64)
-        for i, val in enumerate(fanin_values):
-            bit = (cube.mask >> i) & 1
-            if not bit:
-                continue
-            if (cube.polarity >> i) & 1:
-                np.bitwise_and(term, val, out=term)
-            else:
-                np.bitwise_and(term, ~val, out=term)
-        np.bitwise_or(acc, term, out=acc)
-    return acc
-
-
-def _override_to_arrays(override, n_words: int):
-    """Normalize integer-form overrides to the array forms the reference
-    interpreter consumes (arrays pass through untouched)."""
-    if isinstance(override, tuple):
-        forced, mask = override
-        if isinstance(forced, int):
-            forced = int_to_words(forced, n_words)
-        if isinstance(mask, int):
-            mask = int_to_words(mask, n_words)
-        return forced, mask
-    if isinstance(override, int):
-        return int_to_words(override, n_words)
-    return override
-
-
 def _override_to_ints(override, n_words: int) -> tuple[int, int]:
     """Normalize one override entry to a ``(forced, mask)`` integer pair.
 
-    Accepts every form the stack produces: packed arrays (full
-    replacement), ``(forced, mask)`` array pairs (lane blends), plain
-    integers and ``(forced, mask)`` integer pairs (the word-packed form
-    multi-word lane engines use natively).
+    Accepts packed arrays (full replacement), ``(forced, mask)`` array
+    pairs (lane blends), plain integers and ``(forced, mask)`` integer
+    pairs (the word-packed form multi-word lane engines use natively).
     """
     full = (1 << (64 * n_words)) - 1
     if isinstance(override, tuple):
@@ -155,13 +90,18 @@ def _overrides_to_ints(
     }
 
 
+def _export_values(csim: CompiledSimulator) -> dict[int, np.ndarray]:
+    """Materialize a compiled simulator's state as a dict of arrays (one
+    fresh matrix per call, rows are views)."""
+    matrix = csim.dense().copy()
+    return {nid: matrix[nid] for nid in range(csim.program.n_nodes)}
+
+
 def simulate_combinational(
     net: LogicNetwork,
     source_values: Mapping[int, np.ndarray],
     *,
     overrides: Mapping[int, np.ndarray] | None = None,
-    interpreted: bool = False,
-    backend: str | None = None,
 ) -> dict[int, np.ndarray]:
     """Evaluate all nodes given values for every combinational source.
 
@@ -173,81 +113,11 @@ def simulate_combinational(
         Optional forced values for arbitrary nodes (used by fault injection:
         the override wins over the computed value).  Each entry is either a
         packed array (full replacement) or a ``(forced, mask)`` pair that
-        forces only the masked lanes — see :func:`apply_override`; the
-        word-packed integer forms are accepted too.
-    interpreted:
-        ``False`` (default) runs the compiled per-network kernel of
-        :mod:`repro.netlist.compiled`; ``True`` runs the reference
-        per-gate interpreter.  Results are bit-identical.
-    backend:
-        Compiled kernel backend (``"python"`` / ``"numpy"`` / ``None``
-        for auto — see :func:`repro.netlist.compiled.resolve_backend`).
-        Ignored when ``interpreted=True``.
+        forces only the masked lanes, ``value = (clean & ~mask) | (forced
+        & mask)``; the word-packed integer forms are accepted too.
 
     Returns a dict mapping *every* node id to its packed value array.
     """
-    if not interpreted:
-        return _simulate_combinational_compiled(
-            net, source_values, overrides=overrides, backend=backend
-        )
-    values: dict[int, np.ndarray] = {}
-    overrides = overrides or {}
-    n_words: int | None = None
-    for nid in net.sources():
-        if nid not in source_values:
-            raise SimulationError(
-                f"no stimulus for source {net.node_name(nid)!r}"
-            )
-        arr = np.asarray(source_values[nid], dtype=np.uint64)
-        if n_words is None:
-            n_words = arr.size
-        elif arr.size != n_words:
-            raise SimulationError("stimulus arrays must share length")
-        values[nid] = arr
-    if n_words is None:
-        raise SimulationError("network has no sources")
-    overrides = {
-        nid: _override_to_arrays(ov, n_words)
-        for nid, ov in overrides.items()
-    }
-
-    for nid in net.topo_order():
-        ov = overrides.get(nid)
-        if nid in values and ov is None:
-            continue
-        kind = net.kind(nid)
-        if kind != NodeKind.GATE:
-            if ov is not None:
-                clean = values.get(nid)
-                if clean is None and isinstance(ov, tuple):
-                    clean = np.zeros(n_words, dtype=np.uint64)
-                values[nid] = apply_override(clean, ov)
-            continue
-        if ov is not None and not isinstance(ov, tuple):
-            values[nid] = np.asarray(ov, dtype=np.uint64)
-            continue
-        func = net.func(nid)
-        assert func is not None
-        fanin_vals = [values[f] for f in net.fanins(nid)]
-        clean = _eval_gate(func, fanin_vals, n_words)
-        values[nid] = apply_override(clean, ov) if ov is not None else clean
-    return values
-
-
-def _export_values(csim: CompiledSimulator) -> dict[int, np.ndarray]:
-    """Materialize a compiled simulator's state as the historical
-    dict-of-arrays result (one fresh matrix per call, rows are views)."""
-    matrix = csim.dense().copy()
-    return {nid: matrix[nid] for nid in range(csim.program.n_nodes)}
-
-
-def _simulate_combinational_compiled(
-    net: LogicNetwork,
-    source_values: Mapping[int, np.ndarray],
-    *,
-    overrides=None,
-    backend: str | None = None,
-) -> dict[int, np.ndarray]:
     ints: dict[int, int] = {}
     n_words: int | None = None
     for nid in net.sources():
@@ -263,7 +133,7 @@ def _simulate_combinational_compiled(
         ints[nid] = words_to_int(arr)
     if n_words is None:
         raise SimulationError("network has no sources")
-    csim = CompiledSimulator(program_for(net), n_words=n_words, backend=backend)
+    csim = CompiledSimulator(program_for(net), n_words=n_words)
     csim.eval_combinational(
         ints, overrides=_overrides_to_ints(overrides, n_words)
     )
@@ -278,16 +148,9 @@ class SequentialSimulator:
     from the D inputs at the end of the cycle.
 
     ``64 * n_words`` parallel *runs* share each step, so a testbench can
-    drive that many independent stimulus streams at once.
-
-    By default steps execute the network's compiled kernel
-    (:mod:`repro.netlist.compiled`); ``interpreted=True`` selects the
-    reference per-gate interpreter (bit-identical, an order of magnitude
-    slower — the escape hatch and the parity-test baseline).  ``program``
-    injects a pre-compiled program; ``store`` threads an
-    :class:`~repro.pipeline.ArtifactStore` through
-    :func:`~repro.netlist.compiled.program_for` so program compilation is
-    skipped on warm restarts.
+    drive that many independent stimulus streams at once.  Steps run the
+    network's compiled kernel (:attr:`compiled`); this class converts
+    packed arrays at its boundary.
 
     >>> from repro.netlist.blif import parse_blif
     >>> net = parse_blif('''
@@ -308,45 +171,19 @@ class SequentialSimulator:
     True
     """
 
-    def __init__(
-        self,
-        net: LogicNetwork,
-        n_words: int = 1,
-        *,
-        interpreted: bool = False,
-        program=None,
-        store=None,
-        backend: str | None = None,
-    ) -> None:
+    def __init__(self, net: LogicNetwork, n_words: int = 1) -> None:
         self.net = net
         self.n_words = int(n_words)
-        self.interpreted = bool(interpreted)
-        if self.interpreted:
-            self.compiled: CompiledSimulator | None = None
-            self.backend: str | None = None
-        else:
-            self.compiled = CompiledSimulator(
-                program if program is not None else program_for(net, store=store),
-                n_words=self.n_words,
-                backend=backend,
-            )
-            self.backend = self.compiled.backend
-        self._cycle = 0
-        self._state: dict[int, np.ndarray] = {}
-        self.reset()
+        self.compiled = CompiledSimulator(program_for(net), n_words=self.n_words)
 
     @property
     def cycle(self) -> int:
-        """Cycles stepped since reset (shared with the compiled core)."""
-        if self.compiled is not None:
-            return self.compiled.cycle
-        return self._cycle
+        """Cycles stepped since reset."""
+        return self.compiled.cycle
 
     @property
     def state(self) -> dict[int, np.ndarray]:
         """Current latch state, keyed by latch-output node id."""
-        if self.compiled is None:
-            return self._state
         return {
             q: int_to_words(s, self.n_words)
             for q, s in zip(
@@ -356,17 +193,7 @@ class SequentialSimulator:
 
     def reset(self) -> None:
         """Load latch initial values (init=1 → all-ones, else zeros)."""
-        self._cycle = 0
-        if self.compiled is not None:
-            self.compiled.reset()
-            return
-        self._state = {}
-        ones = np.full(self.n_words, np.iinfo(np.uint64).max, dtype=np.uint64)
-        for latch in self.net.latches:
-            if latch.init == 1:
-                self._state[latch.q] = ones.copy()
-            else:
-                self._state[latch.q] = np.zeros(self.n_words, dtype=np.uint64)
+        self.compiled.reset()
 
     def _pi_ints(self, pi_values: Mapping[int, np.ndarray]) -> dict[int, int]:
         ints: dict[int, int] = {}
@@ -393,33 +220,11 @@ class SequentialSimulator:
         overrides: Mapping[int, np.ndarray] | None = None,
     ) -> dict[int, np.ndarray]:
         """Advance one clock cycle; returns every node's value this cycle."""
-        if self.compiled is not None:
-            self.compiled.step(
-                self._pi_ints(pi_values),
-                overrides=_overrides_to_ints(overrides, self.n_words),
-            )
-            return _export_values(self.compiled)
-        sources: dict[int, np.ndarray] = {}
-        for pi in self.net.pis:
-            if pi not in pi_values:
-                raise SimulationError(
-                    f"cycle {self.cycle}: no value for PI "
-                    f"{self.net.node_name(pi)!r}"
-                )
-            arr = np.asarray(pi_values[pi], dtype=np.uint64)
-            if arr.size != self.n_words:
-                raise SimulationError("PI value width mismatch")
-            sources[pi] = arr
-        sources.update(self._state)
-        values = simulate_combinational(
-            self.net, sources, overrides=overrides, interpreted=True
+        self.compiled.step(
+            self._pi_ints(pi_values),
+            overrides=_overrides_to_ints(overrides, self.n_words),
         )
-        next_state: dict[int, np.ndarray] = {}
-        for latch in self.net.latches:
-            next_state[latch.q] = values[latch.driver].copy()
-        self._state = next_state
-        self._cycle += 1
-        return values
+        return _export_values(self.compiled)
 
 
 def check_equivalent(

@@ -174,8 +174,6 @@ def signal_traces(
     net: LogicNetwork,
     stim: list[dict[str, int]],
     names: list[str],
-    *,
-    interpreted: bool = False,
 ) -> dict[str, np.ndarray]:
     """Simulate ``net`` under ``stim`` recording the named signals.
 
@@ -184,9 +182,8 @@ def signal_traces(
     and PO traces (:func:`po_trace`) are views over it, so value packing
     can never diverge between them.  One simulation pass serves any
     number of signals; names absent from ``net`` are skipped.
-    ``interpreted`` bypasses the compiled kernels (benchmark baseline).
     """
-    sim = SequentialSimulator(net, n_words=1, interpreted=interpreted)
+    sim = SequentialSimulator(net, n_words=1)
     traces: dict[str, list[int]] = {
         n: [] for n in names if net.find(n) is not None
     }
@@ -209,8 +206,6 @@ def packed_signal_traces(
     net: LogicNetwork,
     stims: list[list[dict[str, int]]],
     names: list[str],
-    *,
-    interpreted: bool = False,
 ) -> dict[str, np.ndarray]:
     """Lane-packed golden traces: one simulation pass for many stimuli.
 
@@ -230,7 +225,7 @@ def packed_signal_traces(
     n_cycles = len(stims[0])
     if any(len(s) != n_cycles for s in stims):
         raise WorkloadError("stimulus lanes must share one horizon")
-    sim = SequentialSimulator(net, n_words=n_words, interpreted=interpreted)
+    sim = SequentialSimulator(net, n_words=n_words)
     names = [n for n in names if net.find(n) is not None]
     traces = {n: np.zeros((n_cycles, n_words), dtype=np.uint64) for n in names}
     name_ids = {n: net.require(n) for n in names}

@@ -2,7 +2,7 @@
 
 The compiled simulation kernels exist in two independent implementations
 (the generated big-int python kernels and the vectorized numpy lowering),
-next to the reference per-gate interpreter.  Differential testing treats
+next to the reference per-gate simulator of ``benchmarks/ref_simulate.py``.  Differential testing treats
 each as an independent oracle that must agree bit-for-bit; this module
 supplies the harness ingredients the test files and the CI
 backend-parity job share:
@@ -14,10 +14,13 @@ backend-parity job share:
   emit;
 * an **independent big-int reference evaluator** — walks the network's
   topo order evaluating ISOP covers directly, sharing no code with
-  either compiled backend's lowering or the interpreter's array path;
+  either compiled backend's lowering or the reference simulator's
+  array path;
 * a **one-candidate-at-a-time stuck-at screen**
   (:func:`reference_stuck_at_scenarios`) — the oracle for the packed
-  screening of :func:`repro.workloads.scenarios.stuck_at_scenarios`.
+  screening of :func:`repro.workloads.scenarios.stuck_at_scenarios`;
+* :func:`pin_backend`, which makes whole campaigns and engines run on one
+  kernel backend at any lane width.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from repro.netlist.sop import truthtable_to_cover
 from repro.netlist.truthtable import TruthTable
 
 __all__ = [
+    "pin_backend",
     "random_network",
     "random_stimulus_ints",
     "random_override_ints",
@@ -36,6 +40,16 @@ __all__ = [
     "reference_sequential",
     "reference_stuck_at_scenarios",
 ]
+
+
+def pin_backend(monkeypatch, backend: str) -> None:
+    """Pin width-based kernel selection to ``backend`` at every lane width
+    (the lane width alone picks the backend; nothing above the kernel
+    overrides it)."""
+    import repro.netlist.compiled as compiled
+
+    min_words = {"python": 1 << 30, "numpy": 1}[backend]
+    monkeypatch.setattr(compiled, "AUTO_NUMPY_MIN_WORDS", min_words)
 
 
 def random_network(

@@ -1,21 +1,22 @@
 """Cross-backend differential parity harness.
 
-The compiled simulation layer now has two independent kernel
+The compiled simulation layer has two independent kernel
 implementations — the generated big-int python kernels and the
-vectorized numpy lowering — next to the reference per-gate interpreter.
-This harness treats every implementation as an oracle that must agree
-**bit-for-bit** with an independent big-int reference evaluator
-(:mod:`tests.parity`, which shares no lowering code with any of them):
+vectorized numpy lowering — and ``benchmarks/ref_simulate.py`` keeps
+the reference per-gate simulator as a third.  This harness treats every
+implementation as an oracle that must agree **bit-for-bit** with an
+independent big-int reference evaluator (:mod:`tests.parity`, which
+shares no lowering code with any of them):
 
 * a seeded random-network sweep over unmapped/mapped × combinational/
   sequential shapes at lane widths 1, 64, 96, 128 and 1024, with
   fault-style (lane-masked) and mutation-style (full-mask) overrides;
-* backend resolution rules (width-based auto selection, environment
-  override, explicit-request validation);
+* backend resolution rules (width-based auto selection, explicit-request
+  validation);
 * full-campaign outcome diffs: the same stuck-at campaign run once per
-  backend must produce byte-identical outcomes JSON — fast multi-word
-  version always, the full 1024-scenario single-batch version on the
-  slow tier.
+  backend (pinned through ``AUTO_NUMPY_MIN_WORDS``) must produce
+  byte-identical outcomes JSON — fast multi-word version always, the
+  full 1024-scenario single-batch version on the slow tier.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ import pytest
 
 import numpy as np
 
+from benchmarks import ref_simulate
 from parity import (
+    pin_backend,
     random_network,
     random_override_ints,
     random_stimulus_ints,
@@ -36,7 +39,6 @@ from parity import (
 from repro.errors import SimulationError
 from repro.netlist.compiled import (
     AUTO_NUMPY_MIN_WORDS,
-    BACKEND_ENV,
     CompiledSimulator,
     program_for,
     resolve_backend,
@@ -84,13 +86,12 @@ def _compiled_cycles(net, backend, nw, stim_rows, overrides):
 
 
 def _interpreted_cycles(net, nw, stim_rows, overrides):
-    """Same trace from the reference per-gate interpreter."""
-    from repro.netlist.simulate import SequentialSimulator
+    """Same trace from the reference per-gate simulator."""
 
     def row(v):
         return np.frombuffer(v.to_bytes(8 * nw, "little"), dtype=np.uint64)
 
-    sim = SequentialSimulator(net, n_words=nw, interpreted=True)
+    sim = ref_simulate.SequentialSimulator(net, n_words=nw)
     out = []
     for cyc, stim in enumerate(stim_rows):
         ov = overrides.get(cyc)
@@ -156,7 +157,7 @@ class TestPythonBackendVsReference:
 
 class TestAllBackendsAgree:
     """Four-way diff: reference vs python-compiled vs numpy-compiled vs
-    the per-gate interpreter, every node, every cycle."""
+    the reference per-gate simulator, every node, every cycle."""
 
     def _sweep(self, net, width: int, seed: int):
         nw, stim, ov = _scenario(net, width, seed)
@@ -198,42 +199,32 @@ class TestBackendResolution:
         with pytest.raises(SimulationError, match="unknown simulation backend"):
             resolve_backend("fortran")
 
-    def test_auto_is_width_based(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
+    def test_auto_is_width_based(self):
         assert resolve_backend(None, n_words=1) == "python"
+        assert resolve_backend(None, n_words=AUTO_NUMPY_MIN_WORDS - 1) == "python"
         wide = resolve_backend(None, n_words=AUTO_NUMPY_MIN_WORDS)
         assert wide == "numpy"
         assert resolve_backend("auto", n_words=16) == wide
 
-    def test_env_overrides_auto(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "python")
-        assert resolve_backend(None, n_words=16) == "python"
-        monkeypatch.setenv(BACKEND_ENV, "auto")
-        assert resolve_backend(None, n_words=1) == "python"
-
-    def test_env_does_not_override_explicit(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "python")
-        assert resolve_backend("numpy", n_words=1) == "numpy"
-
 
 # -- full-campaign outcome diffs ----------------------------------------------
 
-
-def _campaign_outcomes_json(scenarios, backend, cache, *, max_turns=16):
+def _campaign_outcomes_json(scenarios, backend, cache, monkeypatch, *, max_turns=16):
     from repro.campaign import CampaignConfig, run_campaign
 
+    pin_backend(monkeypatch, backend)
+    assert resolve_backend(None, n_words=1) == backend
+    assert resolve_backend(None, n_words=16) == backend
     report = run_campaign(
         scenarios,
-        config=CampaignConfig(
-            lane_width=1024, backend=backend, max_turns=max_turns
-        ),
+        config=CampaignConfig(lane_width=1024, max_turns=max_turns),
         cache=cache,
     )
     assert "error" not in {r.status for r in report.results}
     return json.dumps(report.outcomes(), sort_keys=True)
 
 
-def test_campaign_outcomes_identical_multiword():
+def test_campaign_outcomes_identical_multiword(monkeypatch):
     """96-scenario stuck-at campaign (two-word batch at ``lane_width=1024``)
     run per backend: the outcomes JSON must be byte-identical."""
     from repro.campaign import ArtifactStore
@@ -242,13 +233,13 @@ def test_campaign_outcomes_identical_multiword():
     spec = campaign_spec("parity-fast", n_gates=420, depth=8, n_pis=32, n_pos=24)
     scenarios = stuck_at_scenarios(spec, 96, horizon=24)
     cache = ArtifactStore()
-    py = _campaign_outcomes_json(scenarios, "python", cache)
-    vec = _campaign_outcomes_json(scenarios, "numpy", cache)
+    py = _campaign_outcomes_json(scenarios, "python", cache, monkeypatch)
+    vec = _campaign_outcomes_json(scenarios, "numpy", cache, monkeypatch)
     assert py == vec
 
 
 @pytest.mark.slow
-def test_campaign_outcomes_identical_width_1024():
+def test_campaign_outcomes_identical_width_1024(monkeypatch):
     """The flagship diff: a full 1024-scenario stuck-at campaign — one
     single 1024-lane (16-word) batch — run once per backend against a
     shared offline cache.  Outcomes JSON must match byte for byte."""
@@ -261,6 +252,6 @@ def test_campaign_outcomes_identical_width_1024():
     scenarios = stuck_at_scenarios(spec, 1024, horizon=24)
     assert len(scenarios) == 1024
     cache = ArtifactStore()
-    py = _campaign_outcomes_json(scenarios, "python", cache)
-    vec = _campaign_outcomes_json(scenarios, "numpy", cache)
+    py = _campaign_outcomes_json(scenarios, "python", cache, monkeypatch)
+    vec = _campaign_outcomes_json(scenarios, "numpy", cache, monkeypatch)
     assert py == vec

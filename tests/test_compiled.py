@@ -1,11 +1,12 @@
 """Compiled simulation kernels: parity, caching, multi-word lanes.
 
-The compiled path must be **bit-identical** to the reference interpreter
-over every node, every cycle, for every network shape the stack
-produces — mapped and unmapped, sequential and combinational, with and
-without lane-masked overrides, single- and multi-word.  These tests pin
-that down with randomized sweeps, then cover the program caches, the
->64-lane engine and the 128-scenario campaign equivalence.
+The compiled path must be **bit-identical** to the reference per-gate
+simulator (``benchmarks/ref_simulate.py``) over every node, every cycle,
+for every network shape the stack produces — mapped and unmapped,
+sequential and combinational, with and without lane-masked overrides,
+single- and multi-word.  These tests pin that down with randomized
+sweeps, then cover the program caches, the >64-lane engine and the
+128-scenario campaign equivalence.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from benchmarks import ref_simulate
 from repro.campaign import ArtifactStore, CampaignConfig, run_campaign
 from repro.core.debug import DebugSession
 from repro.core.flow import run_generic_stage
-from repro.emu.fault import ALL_LANES, FaultInjector, active_override_ints, ForcedFault
+from repro.emu.fault import FaultInjector, active_override_ints, ForcedFault
 from repro.engine import LaneEngine
 from repro.errors import SimulationError
 from repro.netlist import parse_blif
@@ -53,7 +55,7 @@ def _rand_overrides(rng, net, n_words, *, lane_masked: bool):
 
 
 def _assert_step_parity(net, n_words, rng, n_cycles=10, *, lane_masked=True):
-    interp = SequentialSimulator(net, n_words=n_words, interpreted=True)
+    interp = ref_simulate.SequentialSimulator(net, n_words=n_words)
     compiled = SequentialSimulator(net, n_words=n_words)
     for cyc in range(n_cycles):
         stim = {p: _rand_words(rng, n_words) for p in net.pis}
@@ -111,14 +113,14 @@ class TestRandomizedParity:
             _rand_overrides(rng, net, 1, lane_masked=True),
             _rand_overrides(rng, net, 1, lane_masked=False),
         ):
-            vi = simulate_combinational(net, stim, overrides=ov, interpreted=True)
+            vi = ref_simulate.simulate_combinational(net, stim, overrides=ov)
             vc = simulate_combinational(net, stim, overrides=ov)
             for nid in net.nodes():
                 assert np.array_equal(vi[nid], vc[nid])
 
     def test_constant_gate_override_parity(self):
         # constants are folded out of the kernel; an override on one must
-        # still blend and un-blend exactly like the interpreter
+        # still blend and un-blend exactly like the reference simulator
         net = parse_blif(
             ".model c\n.inputs a\n.outputs y\n.names k\n"
             "\n.names a k y\n11 1\n.end"
@@ -130,7 +132,7 @@ class TestRandomizedParity:
             np.array([np.uint64(0xFF)], dtype=np.uint64),
         )
         for ov in ({k: forced}, None, {k: forced}, None):
-            vi = simulate_combinational(net, stim, overrides=ov, interpreted=True)
+            vi = ref_simulate.simulate_combinational(net, stim, overrides=ov)
             vc = simulate_combinational(net, stim, overrides=ov)
             for nid in net.nodes():
                 assert np.array_equal(vi[nid], vc[nid]), (ov, nid)
@@ -368,7 +370,22 @@ class TestMultiWordLanes:
         lane70 = ForcedFault(node=3, value=1, lane_mask=1 << 70)
         forced, mask = active_override_ints([lane70], 0, n_words=2)[3]
         assert mask == 1 << 70
-        assert active_override_ints([f], 5, n_words=1)[3][1] == ALL_LANES
+        assert active_override_ints([f], 5, n_words=1)[3][1] == (1 << 64) - 1
+
+    def test_word0_lane_mask_stays_in_word0(self):
+        # a literal mask of word 0's 64 lanes is a mask, not "all lanes"
+        word0 = (1 << 64) - 1
+        f = ForcedFault(node=3, value=1, lane_mask=word0)
+        forced, mask = active_override_ints([f], 0, n_words=2)[3]
+        assert forced == mask == word0
+        net = parse_blif(
+            ".model m\n.inputs a\n.outputs y\n.names a y\n1 1\n.end"
+        )
+        fi = FaultInjector(net, n_words=2)
+        fi.stuck_at("a", 0, lane_mask=word0)
+        vals = fi.step({net.pis[0]: np.full(2, U64MAX, dtype=np.uint64)})
+        y = vals[net.require("y")]
+        assert y[0] == 0 and y[1] == U64MAX
 
     def test_engine_lane_beyond_64_matches_solo_session(self):
         spec = campaign_spec("wide-eng", n_gates=100, depth=7, n_pis=16, n_pos=8)

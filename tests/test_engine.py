@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from parity import pin_backend
 from repro.campaign import (
     ArtifactStore,
     CampaignConfig,
@@ -14,11 +15,11 @@ from repro.campaign import (
 from repro.core.debug import DebugSession
 from repro.core.flow import run_generic_stage
 from repro.core.tracebuffer import LaneTraceBuffer, TraceBuffer
-from repro.emu.fault import ALL_LANES, ForcedFault, active_overrides
+from repro.emu.fault import ForcedFault, active_override_ints
 from repro.engine import LaneEngine
 from repro.errors import DebugFlowError
 from repro.netlist import parse_blif
-from repro.netlist.simulate import apply_override, simulate_combinational
+from repro.netlist.simulate import simulate_combinational
 from repro.workloads import (
     campaign_spec,
     generate_circuit,
@@ -51,16 +52,6 @@ def scenarios():
 
 
 class TestMaskedOverrides:
-    def test_apply_override_blend_formula(self):
-        clean = np.array([0b1100], dtype=np.uint64)
-        forced = np.array([0b0011], dtype=np.uint64)
-        mask = np.array([0b1010], dtype=np.uint64)
-        out = apply_override(clean, (forced, mask))
-        # value = (clean & ~mask) | (forced & mask), lane by lane
-        assert out[0] == np.uint64(0b0110)
-        # full-array form replaces wholesale
-        assert apply_override(clean, forced)[0] == forced[0]
-
     def test_masked_gate_override_isolates_lanes(self):
         net = parse_blif(
             ".model m\n.inputs a b\n.outputs y\n.names a b y\n11 1\n.end"
@@ -79,30 +70,40 @@ class TestMaskedOverrides:
             overrides={y: forced},
         )
         assert int(vals[y][0]) == 1 << 3
+        # the pair blend is (clean & ~mask) | (forced & mask), lane by lane:
+        # y computes 0b1100 from a=0b1100, b=ones
+        pair = (
+            np.array([0b0011], dtype=np.uint64),
+            np.array([0b1010], dtype=np.uint64),
+        )
+        stim = {a: np.array([0b1100], dtype=np.uint64), b: ones.copy()}
+        vals = simulate_combinational(net, stim, overrides={y: pair})
+        assert int(vals[y][0]) == 0b0110
+        # a plain array replaces the value wholesale
+        vals = simulate_combinational(net, stim, overrides={y: pair[0]})
+        assert int(vals[y][0]) == 0b0011
 
     def test_active_overrides_full_vs_masked_forms(self):
         full = ForcedFault(node=7, value=1)
-        got = active_overrides([full], 0)
-        assert isinstance(got[7], np.ndarray)
-        assert got[7][0] == np.uint64(ALL_LANES)
+        forced, mask = active_override_ints([full], 0)[7]
+        assert forced == mask == (1 << 64) - 1
 
         lane5 = ForcedFault(node=7, value=1, lane_mask=1 << 5)
-        got = active_overrides([lane5], 0)
-        forced, mask = got[7]
-        assert int(forced[0]) == 1 << 5 and int(mask[0]) == 1 << 5
+        forced, mask = active_override_ints([lane5], 0)[7]
+        assert forced == mask == 1 << 5
 
     def test_active_overrides_accumulates_lanes_per_node(self):
         f0 = ForcedFault(node=3, value=1, lane_mask=1 << 0)
         f1 = ForcedFault(node=3, value=0, lane_mask=1 << 1)
-        forced, mask = active_overrides([f0, f1], 0)[3]
-        assert int(mask[0]) == 0b11
-        assert int(forced[0]) == 0b01  # lane 0 forced high, lane 1 low
+        forced, mask = active_override_ints([f0, f1], 0)[3]
+        assert mask == 0b11
+        assert forced == 0b01  # lane 0 forced high, lane 1 low
 
     def test_window_respected(self):
         f = ForcedFault(node=1, value=1, first_cycle=2, last_cycle=3)
-        assert active_overrides([f], 1) is None
-        assert active_overrides([f], 2) is not None
-        assert active_overrides([f], 4) is None
+        assert active_override_ints([f], 1) is None
+        assert active_override_ints([f], 2) is not None
+        assert active_override_ints([f], 4) is None
 
 
 class TestLaneTraceBuffer:
@@ -294,9 +295,106 @@ class TestLaneIsolation:
             engine.force("no_such_signal", 1, lane=0)
         with pytest.raises(DebugFlowError):
             LaneEngine(offline, n_lanes=0)
-        with pytest.raises(DebugFlowError):
-            # the interpreted escape hatch stays single-word
-            LaneEngine(offline, n_lanes=65, interpreted=True)
+
+
+MERGED_COMB = campaign_spec("merged-comb", n_gates=80, depth=6, n_pis=12, n_pos=6)
+MERGED_SEQ = campaign_spec(
+    "merged-seq", n_gates=80, depth=6, n_latches=8, n_pis=10, n_pos=5
+)
+
+
+class TestMergedLoopBackends:
+    """``run`` and ``run_outputs`` each have one loop over blocks of
+    ``block_cycles`` cycles: 25-cycle blocks on the numpy backend at 320
+    lanes (5 words) for a combinational design, one cycle per step on the
+    python backend and for sequential designs.  Both backends must give
+    identical traces, triggers, PO arrays, early stops and state."""
+
+    N_LANES = 320
+    CYCLES = 48
+    #: trigger lane -> first cycle its trigger may fire (block boundary 25)
+    TRIGGERS = {5: 10, 63: 3, 64: 30, 200: 12, 319: 40}
+    STOP_AT = 30  # inside the second 25-cycle block
+    FORCED = {3: 0, 64: 20, 130: 30, 319: 0}  # lane -> fault first cycle
+
+    def _run(self, spec, backend, monkeypatch):
+        pin_backend(monkeypatch, backend)
+        golden = generate_circuit(spec)
+        offline = run_generic_stage(golden)
+        engine = LaneEngine(offline, n_lanes=self.N_LANES, trace_depth=self.CYCLES)
+        assert engine.backend == backend
+        sigs = engine.observable_signals
+        for lane in range(self.N_LANES):
+            engine.bind_stimulus(
+                lane, stimulus_script(golden, self.CYCLES + 8, lane % 17)
+            )
+        for i, lane in enumerate(sorted({*self.TRIGGERS, *self.FORCED})):
+            engine.observe([sigs[(3 * i) % len(sigs)]], lane=lane)
+        for i, (lane, first) in enumerate(self.FORCED.items()):
+            engine.force(sigs[i % len(sigs)], i % 2, lane=lane, first_cycle=first)
+
+        seen: dict[int, list] = {lane: [] for lane in self.TRIGGERS}
+
+        def trigger(lane, k):
+            def fire(cycle, named):
+                seen[lane].append((cycle, dict(named)))
+                return cycle >= k and any(named.values())
+
+            return fire
+
+        engine.reset()
+        engine.run(
+            self.CYCLES,
+            triggers={lane: trigger(lane, k) for lane, k in self.TRIGGERS.items()},
+        )
+        # every trigger saw its lane's own samples: the captured window
+        groups = [g.po_name for g in engine.design.groups]
+        for lane, calls in seen.items():
+            window = engine.trace.window(lane)
+            for c, named in calls[: len(window)]:
+                assert [named[g] for g in groups] == list(window[c]), (lane, c)
+        runs = {
+            "block_cycles": engine.sim.block_cycles,
+            "seen": seen,
+            "windows": [engine.trace.window(l) for l in range(self.N_LANES)],
+            "triggered": {l: engine.trace.triggered_at(l) for l in self.TRIGGERS},
+        }
+        rows: list = []
+        engine.reset()
+        runs["stopped"] = engine.run_outputs(
+            self.CYCLES,
+            stop=lambda c, row: rows.append(list(row)) or c == self.STOP_AT,
+        )
+        runs["rows"] = rows
+        runs["cycle_after_stop"] = engine.sim.cycle
+        runs["total_cycles"] = {
+            l: engine.total_cycles(l) for l in sorted({*self.TRIGGERS, *self.FORCED})
+        }
+        runs["follow_up"] = engine.run_outputs(8)
+        return runs
+
+    @pytest.mark.parametrize("spec", [MERGED_COMB, MERGED_SEQ], ids=["comb", "seq"])
+    def test_backends_agree(self, spec, monkeypatch):
+        py = self._run(spec, "python", monkeypatch)
+        vec = self._run(spec, "numpy", monkeypatch)
+        assert py["block_cycles"] == 1
+        assert vec["block_cycles"] == (1 if spec is MERGED_SEQ else 25)
+        fired = [t for t in py["triggered"].values() if t is not None]
+        assert min(fired) < 25 <= max(fired)  # both sides of the boundary
+        assert py["triggered"] == vec["triggered"]
+        for lane in self.TRIGGERS:
+            assert len(py["seen"][lane]) == self.CYCLES
+            assert py["seen"][lane] == vec["seen"][lane], f"lane {lane}"
+        for lane in range(self.N_LANES):
+            assert np.array_equal(py["windows"][lane], vec["windows"][lane]), lane
+        n_stop = self.STOP_AT + 1
+        assert py["stopped"].shape[0] == vec["stopped"].shape[0] == n_stop
+        assert np.array_equal(py["stopped"], vec["stopped"])
+        assert py["rows"] == vec["rows"] and len(py["rows"]) == n_stop
+        assert py["cycle_after_stop"] == vec["cycle_after_stop"] == n_stop
+        assert py["total_cycles"] == vec["total_cycles"]
+        assert set(py["total_cycles"].values()) == {self.CYCLES + n_stop}
+        assert np.array_equal(py["follow_up"], vec["follow_up"])
 
 
 class TestFacade:

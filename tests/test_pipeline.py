@@ -409,9 +409,9 @@ class TestOrchestratorPolish:
         # artifact stripped of the physical stage and shipped once
         lanes = _group_payloads(resolved, 48, lane_width=64)
         assert len(lanes) == 1
-        stage, items, max_turns, interpreted, backend = lanes[0]
+        assert len(lanes[0]) == 3
+        stage, items, max_turns = lanes[0]
         assert stage.physical is None and max_turns == 48
-        assert interpreted is False and backend is None
         assert [idx for idx, _ in items] == [0, 1, 2]
         # narrow lanes split the group into ceil(n / lane_width) batches
         narrow = _group_payloads(resolved, 48, lane_width=2)
@@ -470,24 +470,23 @@ class TestFaultUnification:
         assert SessionFault is EmuFault
 
     def test_injector_and_session_share_semantics(self, offline):
-        import numpy as np
-
         from repro.core.debug import DebugSession
-        from repro.emu.fault import FaultInjector, active_overrides
+        from repro.emu.fault import FaultInjector, active_override_ints
 
         session = DebugSession(offline)
         sig = session.observable_signals[0]
         fault = session.force(sig, 1, first_cycle=2, last_cycle=3)
-        # the session's per-cycle overrides are exactly active_overrides
+        # the session's per-cycle overrides are exactly active_override_ints
         for cycle in range(5):
-            direct = active_overrides([fault], cycle, n_words=1)
+            direct = active_override_ints([fault], cycle, n_words=1)
             assert (direct is not None) == (2 <= cycle <= 3)
+            assert session.engine._cycle_overrides_ints(cycle) == direct
         fi = FaultInjector(offline.source)
         returned = fi.stuck_at(sig, 1, first_cycle=2, last_cycle=3)
         assert returned.active_at(2) and not returned.active_at(4)
         assert type(returned) is type(fault)
-        ones = np.uint64(0xFFFFFFFFFFFFFFFF)
-        assert active_overrides([returned], 2)[returned.node][0] == ones
+        ones = (1 << 64) - 1
+        assert active_override_ints([returned], 2)[returned.node] == (ones, ones)
 
 
 @pytest.mark.slow

@@ -215,8 +215,10 @@ class TestLaneMaskAlgebra:
             st.tuples(
                 st.integers(0, 2),  # node
                 st.integers(0, 1),  # forced value
-                st.one_of(  # absolute lane-index mask, or the sentinel
-                    st.just(ALL_LANES), st.integers(0, (1 << 192) - 1)
+                st.one_of(  # absolute lane-index mask, word 0, or all lanes
+                    st.just(ALL_LANES),
+                    st.just((1 << 64) - 1),
+                    st.integers(0, (1 << 192) - 1),
                 ),
                 st.integers(0, 3),  # first_cycle
                 st.integers(0, 3),  # last_cycle (clamped >= first)
@@ -266,7 +268,7 @@ class TestLaneMaskAlgebra:
             n_words=n_words,
         )
         forced, mask = ov[0]
-        words = [(mask >> (64 * w)) & ALL_LANES for w in range(n_words)]
+        words = [(mask >> (64 * w)) & ((1 << 64) - 1) for w in range(n_words)]
         assert words[lane >> 6] == 1 << (lane & 63)
         assert sum(1 for w in words if w) == 1
         assert forced == mask
