@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from benchmarks.ref_simulate import apply_override
 from parity import pin_backend
 from repro.campaign import (
     ArtifactStore,
@@ -52,6 +53,17 @@ def scenarios():
 
 
 class TestMaskedOverrides:
+    def test_apply_override_blend_formula(self):
+        # the reference simulator's blend, which the kernels must reproduce
+        clean = np.array([0b1100], dtype=np.uint64)
+        forced = np.array([0b0011], dtype=np.uint64)
+        mask = np.array([0b1010], dtype=np.uint64)
+        out = apply_override(clean, (forced, mask))
+        # value = (clean & ~mask) | (forced & mask), lane by lane
+        assert out[0] == np.uint64(0b0110)
+        # full-array form replaces wholesale
+        assert apply_override(clean, forced)[0] == forced[0]
+
     def test_masked_gate_override_isolates_lanes(self):
         net = parse_blif(
             ".model m\n.inputs a b\n.outputs y\n.names a b y\n11 1\n.end"
