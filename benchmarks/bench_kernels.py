@@ -12,7 +12,8 @@ Three measurements, one per acceptance criterion:
   program executed by the python big-int kernels vs the vectorized
   numpy lowering at **512 lanes** (8 words, cycle-batched), on a larger
   mapped design.  Target: **≥3× numpy-over-python step throughput at
-  width ≥512**.
+  width ≥512**.  Its block legs time python steps, python blocks and
+  numpy blocks per cycle at 64, 256, 512 and 1024 lanes (no floor).
 * **end-to-end** (slow tier): the PR 3 32-scenario stuck-at campaign at
   ``lane_width=64`` run compiled vs on the reference simulator
   (:func:`~benchmarks.ref_simulate.reference_online`), offline cache
@@ -56,6 +57,8 @@ WIDE_SPEC = campaign_spec(
 )
 WIDE_WORDS = 8  # 512 lanes
 WIDE_CYCLES = 192
+#: Widths (words) of the backend axis's block legs: 64 to 1024 lanes.
+AXIS_WORDS = (1, 4, 8, 16)
 
 
 @pytest.fixture(scope="module")
@@ -275,4 +278,114 @@ def test_online_phase_speedup(results_dir):
     )
     assert speedup >= 2.0, (
         f"compiled kernels gained only {speedup:.2f}x online"
+    )
+
+
+def test_backend_axis_block_legs(results_dir):
+    """Backend axis, block legs: per-cycle kernel cost of python steps,
+    python blocks and numpy blocks on the wide design at 64, 256, 512
+    and 1024 lanes.  Every leg is fed its native stimulus format,
+    prepared up front (block-wide integers for python blocks, dense
+    matrices for numpy blocks), so only kernel passes are timed."""
+    import random
+
+    from repro.netlist.compiled import CompiledSimulator, program_for
+
+    offline = run_generic_stage(generate_circuit(WIDE_SPEC))
+    net = offline.mapping.to_lut_network()
+    program = program_for(net)
+    nodes = list(net.nodes())
+    legs: dict[str, dict[str, float]] = {
+        "python_step": {}, "python_block": {}, "numpy_block": {},
+    }
+    lines = []
+    for nw in AXIS_WORDS:
+        rng = random.Random(nw)
+        stims = [
+            {p: rng.getrandbits(64 * nw) for p in net.pis}
+            for _ in range(WIDE_CYCLES)
+        ]
+        step = CompiledSimulator(program, nw, backend="python")
+        pyb = CompiledSimulator(program, nw, backend="python")
+        vec = CompiledSimulator(program, nw, backend="numpy")
+        blk = pyb.block_cycles
+        assert vec.block_cycles == blk
+        width, wb = 64 * nw, 8 * nw
+        chunks = [stims[at : at + blk] for at in range(0, WIDE_CYCLES, blk)]
+        words = [
+            {
+                p: sum(row[p] << (c * width) for c, row in enumerate(chunk))
+                for p in program.pi_nodes
+            }
+            for chunk in chunks
+        ]
+        arrays = [
+            np.frombuffer(
+                b"".join(
+                    row[p].to_bytes(wb, "little")
+                    for p in program.pi_nodes
+                    for row in chunk
+                ),
+                dtype=np.uint64,
+            ).reshape(len(program.pi_nodes), len(chunk) * nw)
+            for chunk in chunks
+        ]
+
+        def time_step() -> float:
+            step.reset()
+            t0 = time.perf_counter()
+            for stim in stims:
+                step.step(stim)
+            return (time.perf_counter() - t0) / WIDE_CYCLES
+
+        def time_python_block() -> float:
+            pyb.reset()
+            t0 = time.perf_counter()
+            for w, chunk in zip(words, chunks):
+                pyb.run_block(w, len(chunk))
+            return (time.perf_counter() - t0) / WIDE_CYCLES
+
+        def time_numpy_block() -> float:
+            vec.reset()
+            t0 = time.perf_counter()
+            for arr in arrays:
+                vec.run_block_array(arr)
+            return (time.perf_counter() - t0) / WIDE_CYCLES
+
+        timings = {
+            "python_step": min(time_step() for _ in range(3)),
+            "python_block": min(time_python_block() for _ in range(3)),
+            "numpy_block": min(time_numpy_block() for _ in range(3)),
+        }
+        # the three legs end on the same cycle with identical values
+        assert step.node_ints(nodes) == pyb.node_ints(nodes)
+        assert step.node_ints(nodes) == vec.node_ints(nodes)
+        for leg, t in timings.items():
+            legs[leg][str(64 * nw)] = t * 1e6
+        lines.append(
+            f"{64 * nw:5d} lanes  x{blk:<3d}  "
+            + "  ".join(f"{timings[leg] * 1e6:9.1f}" for leg in legs)
+        )
+
+    text = (
+        "COMPILED SIMULATION KERNELS — backend axis, block legs (measured)\n"
+        f"mapped {WIDE_SPEC.name} ({net.n_gates} LUT/TCON gates, "
+        f"{net.n_pis} PIs), {WIDE_CYCLES} cycles, us per cycle, "
+        f"{os.cpu_count()} core(s)\n\n"
+        "lanes       block  python-step  python-block  numpy-block\n"
+        + "\n".join(lines)
+        + "\nvalues bit-identical across every node\n"
+    )
+    emit(results_dir, "kernel_backend_axis_blocks", text)
+    emit_json(
+        results_dir,
+        "kernels",
+        {
+            "axis_design": WIDE_SPEC.name,
+            "axis_cycles": WIDE_CYCLES,
+            "axis_python_step_us_per_cycle": legs["python_step"],
+            "axis_python_block_us_per_cycle": legs["python_block"],
+            "axis_numpy_block_us_per_cycle": legs["numpy_block"],
+            "host_cores": os.cpu_count(),
+        },
     )

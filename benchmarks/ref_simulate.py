@@ -211,7 +211,7 @@ class ReferenceKernel:
     """The reference simulator behind the part of
     :class:`~repro.netlist.compiled.CompiledSimulator`'s API the lane
     engine steps through: word-packed integer stimulus and overrides in,
-    word-packed node values out, one cycle per block."""
+    word-packed node values out, one cycle per pass."""
 
     backend = "interpreted"
     block_cycles = 1
@@ -224,6 +224,9 @@ class ReferenceKernel:
     @property
     def cycle(self) -> int:
         return self._sim.cycle
+
+    def block_span(self, n_cycles: int) -> int:
+        return 1
 
     def reset(self) -> None:
         self._sim.reset()

@@ -85,12 +85,24 @@ class InstrumentedDesign:
         return len(self.groups)
 
     def group_of(self, tap: int) -> TraceGroup:
-        for g in self.groups:
-            if tap in g.path:
-                return g
-        raise DebugFlowError(
-            f"signal {self.network.node_name(tap)!r} is not tapped"
-        )
+        group = self._group_lookup.get(tap)
+        if group is None:
+            raise DebugFlowError(
+                f"signal {self.network.node_name(tap)!r} is not tapped"
+            )
+        return group
+
+    @property
+    def _group_lookup(self) -> dict[int, TraceGroup]:
+        """Tapped node → its trace group (the first group tapping it)."""
+        cache = getattr(self, "_group_lookup_cache", None)
+        if cache is None:
+            cache = {}
+            for g in self.groups:
+                for tap in g.path:
+                    cache.setdefault(tap, g)
+            object.__setattr__(self, "_group_lookup_cache", cache)
+        return cache
 
     def selection_for(self, signals: list[str]) -> dict[str, int]:
         """Parameter values observing the named signals simultaneously.

@@ -20,11 +20,17 @@ per-cycle array allocation.  Because a word-packed integer spans
 ``n_words`` 64-lane words, ``n_lanes`` may exceed 64: lane *k* lives at
 word ``k // 64``, bit ``k % 64`` everywhere (stimulus, faults, trace
 memory, PO captures).  :meth:`LaneEngine.run` and
-:meth:`LaneEngine.run_outputs` each have one emulation loop over blocks
-of :attr:`~repro.netlist.compiled.CompiledSimulator.block_cycles`
-cycles: one cycle per block on the python backend and for sequential
-programs, a vectorized batch of independent cycles on the numpy backend
-for combinational programs.
+:meth:`LaneEngine.run_outputs` each have one emulation loop over kernel
+passes: each pass covers
+:meth:`~repro.netlist.compiled.CompiledSimulator.block_span` cycles
+(on both backends, up to
+:attr:`~repro.netlist.compiled.CompiledSimulator.block_cycles`; for a
+sequential design as far as the kernel's latch record predicts) and
+consumes the exact prefix the kernel's prediction check accepts, so the
+loops advance by the cycles each pass consumed.  Block stimulus is built
+without per-cycle dicts: select-parameter words are replicated across
+the block, script words are sliced out of the packed script, and only
+callable stimuli are consulted cycle by cycle.
 
 Correctness bar: lane *k* of a packed run is bit-for-bit what a solo
 :class:`~repro.core.debug.DebugSession` produces for the same scenario,
@@ -152,8 +158,8 @@ class LaneEngine:
         self._sample_view = np.frombuffer(
             self._sample_buf, dtype=np.uint64
         ).reshape(len(self._tb_nodes), self.n_words)
-        # block gather buffers (numpy backend, combinational programs):
-        # allocated on the first run with more than one cycle per block
+        # block gather buffers: allocated on the first run with more than
+        # one cycle per block
         self._blk_tb: np.ndarray | None = None
         self._blk_po: np.ndarray | None = None
 
@@ -182,7 +188,10 @@ class LaneEngine:
         self._stim_scripts: list[Sequence[Mapping[str, int]] | None] = [
             None
         ] * n_lanes
-        self._packed_stim: dict[int, list[int]] | None = None
+        # packed scripts as per-PI little-endian bytes, one word per
+        # cycle (block stimulus slices them); rebuilt when a script changes
+        self._script_words: dict[int, bytes] | None = None
+        self._reps: dict[int, int] = {}
 
     # -- lanes ------------------------------------------------------------------
 
@@ -198,20 +207,23 @@ class LaneEngine:
 
         Scripts (sequences of per-cycle PI rows) are packed into lane
         bits once and replayed from the packed form every run — the fast
-        path batch campaigns use.  Callables are consulted cycle by
-        cycle, exactly like the historical session's ``stimulus``
-        argument.  Missing PIs default to 0 either way.
+        path batch campaigns use.  Rebinding a lane to the *same* script
+        object keeps the packed form, so scripts must not be mutated in
+        place after binding (bind a new object instead).  Callables are
+        consulted cycle by cycle, exactly like the historical session's
+        ``stimulus`` argument.  Missing PIs default to 0 either way.
         """
         self._check_lane(lane)
         if stimulus is not None and not callable(stimulus):
-            self._stim_scripts[lane] = stimulus
+            if self._stim_scripts[lane] is not stimulus:
+                self._stim_scripts[lane] = stimulus
+                self._script_words = None
             self._stim_fns[lane] = None
-            self._packed_stim = None
         else:
             self._stim_fns[lane] = stimulus
             if self._stim_scripts[lane] is not None:
                 self._stim_scripts[lane] = None
-                self._packed_stim = None
+                self._script_words = None
 
     # -- observation ------------------------------------------------------------
 
@@ -317,10 +329,25 @@ class LaneEngine:
         self._check_lane(lane)
         return list(self._forces[lane])
 
-    def _cycle_overrides_ints(self, cycle: int):
-        """Word-packed blended overrides for all lanes' faults, one cycle."""
+    def _block_overrides(self, cycle: int, n_cycles: int):
+        """Block-wide blended overrides for all lanes' faults: cycle *c*
+        of the block on bits ``[c * W, (c+1) * W)``."""
         flat = [f for lane_faults in self._forces for f in lane_faults]
-        return active_override_ints(flat, cycle, n_words=self.n_words)
+        if not flat:
+            return None
+        width = 64 * self.n_words
+        acc: dict[int, tuple[int, int]] | None = None
+        for c in range(n_cycles):
+            ov = active_override_ints(flat, cycle + c, n_words=self.n_words)
+            if not ov:
+                continue
+            if acc is None:
+                acc = {}
+            sh = c * width
+            for node, (forced, mask) in ov.items():
+                f0, m0 = acc.get(node, (0, 0))
+                acc[node] = (f0 | (forced << sh), m0 | (mask << sh))
+        return acc
 
     # -- execution ----------------------------------------------------------------
 
@@ -333,54 +360,64 @@ class LaneEngine:
         """Reset only the (shared) trace memory."""
         self.trace.reset()
 
-    def _ensure_packed_stim(self) -> dict[int, list[int]]:
-        if self._packed_stim is None:
+    def _packed_script_words(self) -> dict[int, bytes]:
+        """Every user PI's packed script words as little-endian bytes
+        (prepared once per packing)."""
+        if self._script_words is None:
             horizon = max(
                 (len(s) for s in self._stim_scripts if s is not None),
                 default=0,
             )
-            self._packed_stim = pack_lane_scripts(
-                self._stim_scripts, self._user_pi_names, horizon
-            )
-        return self._packed_stim
+            wb = self._word_bytes
+            self._script_words = {
+                pi: b"".join([w.to_bytes(wb, "little") for w in words])
+                for pi, words in pack_lane_scripts(
+                    self._stim_scripts, self._user_pi_names, horizon
+                ).items()
+            }
+        return self._script_words
 
-    def _pi_values_ints(self, cycle: int) -> dict[int, int]:
-        """Word-packed PI values for one cycle: parameters + lane stimulus."""
-        pi_vals = dict(self._param_pi_values)
-        packed = self._ensure_packed_stim()
-        rows: list[Mapping[str, int] | None] | None = None
-        if any(fn is not None for fn in self._stim_fns):
-            rows = [fn(cycle) if fn is not None else None for fn in self._stim_fns]
-        for pi in self._user_pis:
-            script = packed.get(pi)
-            word = script[cycle] if script is not None and cycle < len(script) else 0
-            if rows is not None:
+    def _block_pi_words(self, cycle: int, n_cycles: int) -> dict[int, int]:
+        """Block-wide PI words for ``n_cycles`` cycles from ``cycle``:
+        select parameters replicated across the block, lane stimulus
+        from the packed scripts, callable stimuli row by row."""
+        rep = self._reps.get(n_cycles)
+        if rep is None:
+            one = b"\x01" + bytes(self._word_bytes - 1)
+            rep = self._reps[n_cycles] = int.from_bytes(
+                one * n_cycles, "little"
+            )
+        words = {pid: v * rep for pid, v in self._param_pi_values.items()}
+        lo = cycle * self._word_bytes
+        hi = lo + n_cycles * self._word_bytes
+        for pi, data in self._packed_script_words().items():
+            words[pi] = int.from_bytes(data[lo:hi], "little")
+        fns = [(lane, fn) for lane, fn in enumerate(self._stim_fns) if fn]
+        width = 64 * self.n_words
+        for c in range(n_cycles if fns else 0):
+            rows = [(1 << lane, fn(cycle + c)) for lane, fn in fns]
+            for pi in self._user_pis:
                 name = self._user_pi_names[pi]
-                for lane, row in enumerate(rows):
-                    if row is None:
-                        continue
+                bits = 0
+                for bit, row in rows:
                     if int(row.get(name, 0)) & 1:
-                        word |= 1 << lane
-                    else:
-                        word &= ~(1 << lane)
-            pi_vals[pi] = word
-        return pi_vals
+                        bits |= bit
+                words[pi] |= bits << (c * width)
+        return words
 
-    def _advance(self, cycle: int, n_batch: int) -> None:
-        """Emulate ``n_batch`` cycles from ``cycle`` with every lane's
-        stimulus and active faults: one kernel step, or one vectorized
-        block when ``n_batch > 1``."""
-        if n_batch == 1:
-            self.sim.step(
-                self._pi_values_ints(cycle),
-                overrides=self._cycle_overrides_ints(cycle),
-            )
-            return
-        cycles = range(cycle, cycle + n_batch)
-        self.sim.run_block(
-            [self._pi_values_ints(cy) for cy in cycles],
-            [self._cycle_overrides_ints(cy) for cy in cycles],
-        )
+    def _advance(self, cycle: int, n_cycles: int) -> int:
+        """Emulate up to ``n_cycles`` cycles from ``cycle`` with every
+        lane's stimulus and active faults; return the cycles consumed.
+        One kernel step when the kernel's block span is one cycle, else
+        one :meth:`~repro.netlist.compiled.CompiledSimulator.run_block`
+        pass, which may consume fewer cycles than it evaluated."""
+        n = self.sim.block_span(n_cycles)
+        pi_words = self._block_pi_words(cycle, n)
+        overrides = self._block_overrides(cycle, n)
+        if n == 1:
+            self.sim.step(pi_words, overrides=overrides)
+            return 1
+        return self.sim.run_block(pi_words, n, overrides)
 
     def _trigger_mask(self, triggers, cycle: int, sample: np.ndarray) -> int:
         """Evaluate each lane's trigger against its view of this cycle's
@@ -433,7 +470,8 @@ class LaneEngine:
         turn logs the cycles are charged to (emulation always advances
         every lane — they share the simulator).  Waveforms are read back
         per lane via :meth:`waveforms`.  Each block of cycles settles in
-        one kernel pass; captures and triggers then replay per cycle.
+        one kernel pass; captures and triggers then replay per consumed
+        cycle.
         """
         if n_cycles < 0:
             raise DebugFlowError("n_cycles must be non-negative")
@@ -447,8 +485,7 @@ class LaneEngine:
         done = 0
         base = sim.cycle
         while done < n_cycles:
-            n_batch = min(blk, n_cycles - done)
-            self._advance(base + done, n_batch)
+            n_batch = self._advance(base + done, n_cycles - done)
             if n_batch == 1:
                 sim.export_words(tb_nodes, self._sample_buf)
                 samples = (self._sample_view,)
@@ -512,8 +549,7 @@ class LaneEngine:
         base = sim.cycle
         stopped = False
         while ran < n_cycles and not stopped:
-            n_batch = min(blk, n_cycles - ran)
-            self._advance(base + ran, n_batch)
+            n_batch = self._advance(base + ran, n_cycles - ran)
             if n_batch == 1:
                 block = None
                 row = sim.node_ints(po_ids)

@@ -24,6 +24,17 @@ buffer) whenever an array view is wanted.  Bit *k* of word *w* of row *n*
 is lane ``64*w + k`` of node ``n`` — the layout the dict-of-arrays façade
 of :mod:`repro.netlist.simulate` hands out per node.
 
+Cycle batching
+--------------
+Both backends evaluate *blocks* of cycles in one pass: cycle *c* of a
+block occupies bits ``[c * W, (c+1) * W)`` of every value (``W = 64 *
+n_words``), so the same generated kernels run over wider integers with
+``M`` set to the block mask (numpy: over extra word columns).
+Sequential programs batch by checked prediction: the simulator records
+the latch state at the start of every cycle since reset, feeds a block's
+later cycles the recorded states, and consumes only the prefix whose
+predictions its latch drivers confirm (:meth:`CompiledSimulator.run_block`).
+
 Overrides (fault forcing) resolve through precomputed node indices: gate
 overrides blend inside a second generated kernel via per-node
 ``(forced, ~mask)`` tables (``value = (clean & ~mask) | (forced & mask)``
@@ -98,10 +109,15 @@ BACKENDS = ("python", "numpy")
 #: vectorized kernels amortize dispatch across the word axis.
 AUTO_NUMPY_MIN_WORDS = 4
 
-#: Cycle batching (combinational programs only) targets this total state
-#: width per evaluation pass, capped at :data:`MAX_BLOCK_CYCLES` cycles.
+#: Cycle batching targets this total state width per evaluation pass,
+#: capped at :data:`MAX_BLOCK_CYCLES` cycles.
 BLOCK_TARGET_WORDS = 128
 MAX_BLOCK_CYCLES = 64
+
+#: Memory cap, in uint64 words, of a sequential simulator's latch-state
+#: record (``cycles * latches * n_words``; 8 MiB).  Cycles past the cap
+#: are not recorded, so they run one per evaluation pass.
+RECORD_MAX_WORDS = 1 << 20
 
 
 def resolve_backend(backend: "str | None" = None, *, n_words: int = 1) -> str:
@@ -423,7 +439,8 @@ def words_to_int(arr: "np.ndarray") -> int:
 
 
 class CompiledSimulator:
-    """Executes a :class:`CompiledProgram` cycle by cycle.
+    """Executes a :class:`CompiledProgram`, one cycle or one block of
+    cycles per evaluation pass.
 
     ``backend`` selects the kernel implementation (see
     :func:`resolve_backend`; ``None`` auto-selects by word count):
@@ -436,13 +453,15 @@ class CompiledSimulator:
       next latch state — nothing allocates an array.
     * ``"numpy"`` — the vectorized whole-array lowering of
       :mod:`repro.netlist.vector` over a dense ``uint64`` state matrix;
-      per-op dispatch is amortized across the word axis, and
-      combinational programs additionally support cycle batching through
-      :meth:`run_block` (up to :attr:`block_cycles` cycles per
-      vectorized pass — the 512+-lane fast path).
+      per-op dispatch is amortized across the word axis.
 
-    Both backends serve node values through :meth:`value`,
-    :meth:`node_ints`, :meth:`export_words` and :meth:`dense`.
+    Both backends batch cycles through :meth:`run_block` (up to
+    :attr:`block_cycles` cycles per pass) and serve node values through
+    :meth:`value`, :meth:`node_ints`, :meth:`export_words` and
+    :meth:`dense`.  Sequential programs batch by checked prediction: the
+    simulator records the latch state at the start of every cycle since
+    reset, keeps that record across resets, and feeds a block's later
+    cycles the recorded states (see :meth:`run_block`).
 
     The lane engine steps this class directly; the dict-of-arrays API
     is :class:`repro.netlist.simulate.SequentialSimulator`, which wraps
@@ -464,63 +483,96 @@ class CompiledSimulator:
         self.full_mask = (1 << (64 * self.n_words)) - 1
         self.cycle = 0
         n = program.n_nodes
-        self.latch_state: list[int] = [0] * len(program.latch_qs)
+        n_latches = len(program.latch_qs)
+        self.latch_state: list[int] = [0] * n_latches
         self._dirty_consts: list[int] = []
+        self._dirty_consts_blk: list[int] = []
         self._word_bytes = 8 * self.n_words
         self._dense_buf = bytearray(n * self._word_bytes)
         self._dense = None  # numpy view over _dense_buf, built on demand
+        self._block_cycles = max(
+            1, min(MAX_BLOCK_CYCLES, BLOCK_TARGET_WORDS // self.n_words)
+        )
+        # the last run_block pass: cycles evaluated and consumed, its
+        # latch-driver rows, and the slot per-cycle reads see (None: the
+        # per-cycle state of the last step)
+        self._blk_len = 0
+        self._last_block = 0
+        self._blk_drivers: "np.ndarray | None" = None
+        self._slot: "int | None" = None
+        # latch state at the start of every cycle since reset: entries up
+        # to the current cycle are true, later ones predictions
+        self._rec: "np.ndarray | None" = None
+        self._rec_len = 0
+        self._rec_cap = (
+            RECORD_MAX_WORDS // (n_latches * self.n_words) if n_latches else 0
+        )
         if self.backend == "numpy":
             from repro.netlist.vector import VectorState, plan_for
 
             self._plan = plan_for(program)
             self._vec = VectorState(self._plan, self.n_words)
-            self._block_cycles = (
-                1
-                if program.latch_qs
-                else max(
-                    1,
-                    min(MAX_BLOCK_CYCLES, BLOCK_TARGET_WORDS // self.n_words),
-                )
-            )
             self._blk = None  # cycle-batched VectorState, built on demand
-            self._dirty_consts_blk: list[int] = []
-            # block stimulus marshalling: PI scatter indices (built on
-            # first run_block) and the broadcast zero-row byte constant
-            self._pi_idx = None
-            self._pi_inv_sel = None
-            self._pi_inv_pos = None
-            self._pi_inv_rows = None
-            self._inv_buf = None
-            self._zero_row_bytes = b"\x00" * self._word_bytes
+            self._scatter: dict = {}  # node tuple -> block scatter indices
         else:
             self._plan = None
             self._vec = None
-            self.values: list[int] = [0] * n
+            self._v: list[int] = [0] * n
+            self._bv: list[int] = [0] * n  # block values, C cycles wide
+            self._blk_mask = 0  # the block width _bv's constants hold
             self._forced: list[int] = [0] * n
             self._notmask: list[int] = [self.full_mask] * n
+            self._blk_notmask: list[int] = []
             self._armed: list[int] = []
-            self._block_cycles = 1
             self._clean_kernel, self._forced_kernel = program.kernels()
         self.reset()
 
     # -- state ---------------------------------------------------------------
 
     def reset(self) -> None:
-        """Reload latch initial values and re-fold constants."""
+        """Reload latch initial values and re-fold constants (the latch
+        record is kept: it predicts the next run from this reset)."""
         self.cycle = 0
+        self._slot = None
+        self._last_block = 0
         full = self.full_mask
         if self._vec is not None:
             self._vec.reset_consts()
             if self._blk is not None:
                 self._blk.reset_consts()
-                self._dirty_consts_blk.clear()
         else:
-            v = self.values
+            v = self._v
             for node, const in self.program.const_nodes:
                 v[node] = full if const else 0
+            self._blk_mask = 0  # re-fold block constants on the next block
+        self._dirty_consts.clear()
+        self._dirty_consts_blk.clear()
         for i, init in enumerate(self.program.latch_inits):
             self.latch_state[i] = full if init == 1 else 0
-        self._dirty_consts.clear()
+        if self._rec_cap and self._rec is None:
+            self._rec = np.zeros(
+                (self._rec_cap, len(self.latch_state), self.n_words),
+                dtype=np.uint64,
+            )
+            self._rec[0] = self._state_rows()
+            self._rec_len = 1
+
+    @property
+    def values(self) -> "list[int]":
+        """Every node's word-packed value on the current cycle (python
+        backend; after a :meth:`run_block`, a fresh read-only list)."""
+        if self._slot is None:
+            return self._v
+        sh = 64 * self.n_words * self._slot
+        full = self.full_mask
+        return [(x >> sh) & full for x in self._bv]
+
+    def _state_view(self) -> "np.ndarray":
+        """Numpy backend: the state matrix of the current cycle."""
+        if self._slot is None:
+            return self._vec.state
+        nw = self.n_words
+        return self._blk.state[:, self._slot * nw : (self._slot + 1) * nw]
 
     def value(self, node: int) -> int:
         """Node's current word-packed value (all lanes, one integer)."""
@@ -529,19 +581,24 @@ class CompiledSimulator:
     def word(self, node: int, word: int = 0) -> int:
         """One 64-lane word of a node's value."""
         if self._vec is not None:
-            return int(self._vec.state[node, word])
-        return (self.values[node] >> (64 * word)) & _MASK64
+            return int(self._state_view()[node, word])
+        return (self.value(node) >> (64 * word)) & _MASK64
 
     def node_ints(self, nodes) -> "list[int]":
         """Word-packed integer values for a list of node ids — the bulk
         read both backends serve without materializing the full state."""
         if self._vec is not None:
-            state = self._vec.state
+            state = self._state_view()
             return [
                 int.from_bytes(state[n].tobytes(), "little") for n in nodes
             ]
-        v = self.values
-        return [v[n] for n in nodes]
+        if self._slot is None:
+            v = self._v
+            return [v[n] for n in nodes]
+        bv = self._bv
+        sh = 64 * self.n_words * self._slot
+        full = self.full_mask
+        return [(bv[n] >> sh) & full for n in nodes]
 
     def export_words(self, nodes, buf: bytearray) -> None:
         """Serialize ``nodes``' word-packed values into ``buf``
@@ -553,13 +610,12 @@ class CompiledSimulator:
             view = np.frombuffer(buf, dtype=np.uint64).reshape(
                 idx.size, self.n_words
             )
-            np.take(self._vec.state, idx, axis=0, out=view)
+            np.take(self._state_view(), idx, axis=0, out=view)
             return
         bl = self._word_bytes
-        v = self.values
         pos = 0
-        for n in nodes:
-            buf[pos : pos + bl] = v[n].to_bytes(bl, "little")
+        for x in self.node_ints(nodes):
+            buf[pos : pos + bl] = x.to_bytes(bl, "little")
             pos += bl
 
     def dense(self) -> "np.ndarray":
@@ -574,9 +630,9 @@ class CompiledSimulator:
                 self._dense_buf, dtype=np.uint64
             ).reshape(self.program.n_nodes, self.n_words)
         if self._vec is not None:
-            self._dense[:] = self._vec.state[: self.program.n_nodes]
+            self._dense[:] = self._state_view()[: self.program.n_nodes]
         else:
-            self.export_words(range(len(self.values)), self._dense_buf)
+            self.export_words(range(self.program.n_nodes), self._dense_buf)
         return self._dense
 
     # -- evaluation ----------------------------------------------------------
@@ -595,7 +651,7 @@ class CompiledSimulator:
                 )
                 state[node + n] = ~state[node]
         else:
-            v = self.values
+            v = self._v
             for node in self._dirty_consts:
                 v[node] = full if cv[node] else 0
         self._dirty_consts.clear()
@@ -603,7 +659,7 @@ class CompiledSimulator:
     def _eval(
         self, overrides: "Mapping[int, tuple[int, int]] | None"
     ) -> None:
-        """Run one combinational settle with overrides already split out.
+        """Run one combinational settle of the per-cycle state.
 
         ``overrides`` maps node → ``(forced, mask)`` word-packed integer
         pairs.  Source and folded-constant overrides blend into the value
@@ -614,12 +670,23 @@ class CompiledSimulator:
         """
         if self._vec is not None:
             fixups = self._vec_overrides(
-                self._vec, overrides, self._dirty_consts
+                self._vec,
+                overrides,
+                self._dirty_consts,
+                self._word_bytes,
+                self.full_mask,
             )
             self._vec.eval_levels(fixups)
             return
-        v = self.values
-        full = self.full_mask
+        self._py_eval(
+            self._v, self.full_mask, self._notmask, self._dirty_consts,
+            overrides,
+        )
+
+    def _py_eval(self, v, full: int, nm, dirty, overrides) -> None:
+        """Python backend: settle value list ``v`` whose values are
+        ``full`` wide, with ``nm`` the not-mask table neutral at
+        ``full``; overridden constants are noted in ``dirty``."""
         if not overrides:
             self._clean_kernel(v, full)
             return
@@ -627,7 +694,6 @@ class CompiledSimulator:
         const_value = self.program.const_value
         armed = self._armed
         f = self._forced
-        nm = self._notmask
         for node, (forced, mask) in overrides.items():
             forced &= full
             mask &= full
@@ -638,7 +704,7 @@ class CompiledSimulator:
             else:
                 v[node] = (v[node] & (full ^ mask)) | (forced & mask)
                 if node in const_value:
-                    self._dirty_consts.append(node)
+                    dirty.append(node)
         if armed:
             self._forced_kernel(v, full, f, nm)
             for node in armed:
@@ -656,18 +722,23 @@ class CompiledSimulator:
             dtype=np.uint64,
         )
 
-    def _vec_overrides(self, vec, overrides, dirty):
+    def _vec_overrides(self, vec, overrides, dirty, n_bytes: int, full: int):
         """Blend source/const overrides into ``vec`` now; return the gate
-        overrides grouped by level index for mid-eval fixups."""
+        overrides grouped by level index for mid-eval fixups.  Override
+        integers are ``full`` wide and land as ``n_bytes``-byte rows."""
         if not overrides:
             return None
         is_op = self.program.is_op
         const_value = self.program.const_value
-        full = self.full_mask
         fixups: "dict[int, list] | None" = None
         for node, (forced, mask) in overrides.items():
-            farr = self._row_from_int(forced & mask)
-            nmarr = self._row_from_int(full ^ mask)
+            mask &= full
+            farr = np.frombuffer(
+                (forced & mask).to_bytes(n_bytes, "little"), dtype=np.uint64
+            )
+            nmarr = ~np.frombuffer(
+                mask.to_bytes(n_bytes, "little"), dtype=np.uint64
+            )
             if is_op[node]:
                 if fixups is None:
                     fixups = {}
@@ -690,6 +761,8 @@ class CompiledSimulator:
     ) -> None:
         """Advance one clock cycle over word-packed integer stimulus."""
         self._restore_consts()
+        self._slot = None
+        self._last_block = 0
         full = self.full_mask
         state = self.latch_state
         if self._vec is not None:
@@ -707,22 +780,22 @@ class CompiledSimulator:
             st = vec.state
             for i, d in enumerate(self.program.latch_drivers):
                 state[i] = int.from_bytes(st[d].tobytes(), "little")
-            self.cycle += 1
-            return
-        v = self.values
-        try:
-            for pid in self.program.pi_nodes:
-                v[pid] = pi_values[pid] & full
-        except KeyError as exc:
-            raise SimulationError(
-                f"cycle {self.cycle}: no value for PI node {exc.args[0]}"
-            ) from exc
-        for i, q in enumerate(self.program.latch_qs):
-            v[q] = state[i]
-        self._eval(overrides)
-        for i, d in enumerate(self.program.latch_drivers):
-            state[i] = v[d]
+        else:
+            v = self._v
+            try:
+                for pid in self.program.pi_nodes:
+                    v[pid] = pi_values[pid] & full
+            except KeyError as exc:
+                raise SimulationError(
+                    f"cycle {self.cycle}: no value for PI node {exc.args[0]}"
+                ) from exc
+            for i, q in enumerate(self.program.latch_qs):
+                v[q] = state[i]
+            self._eval(overrides)
+            for i, d in enumerate(self.program.latch_drivers):
+                state[i] = v[d]
         self.cycle += 1
+        self._record_state()
 
     def eval_combinational(
         self,
@@ -735,6 +808,8 @@ class CompiledSimulator:
         counter — the compiled counterpart of
         :func:`repro.netlist.simulate.simulate_combinational`."""
         self._restore_consts()
+        self._slot = None
+        self._last_block = 0
         if self._vec is not None:
             vec = self._vec
             for src in self.program.source_nodes:
@@ -743,7 +818,7 @@ class CompiledSimulator:
                 vec.set_source(src, self._row_from_int(source_values[src]))
             self._eval(overrides)
             return
-        v = self.values
+        v = self._v
         full = self.full_mask
         for src in self.program.source_nodes:
             if src not in source_values:
@@ -751,193 +826,102 @@ class CompiledSimulator:
             v[src] = source_values[src] & full
         self._eval(overrides)
 
-    # -- cycle batching (numpy backend, combinational programs) ---------------
+    # -- latch-state record ----------------------------------------------------
+
+    def _state_rows(self) -> "np.ndarray":
+        """The current latch state as an ``(n_latches, n_words)`` array."""
+        wb = self._word_bytes
+        return np.frombuffer(
+            b"".join([x.to_bytes(wb, "little") for x in self.latch_state]),
+            dtype=np.uint64,
+        ).reshape(len(self.latch_state), self.n_words)
+
+    def _set_state_rows(self, rows: "np.ndarray") -> None:
+        wb = self._word_bytes
+        data = np.ascontiguousarray(rows).tobytes()
+        state = self.latch_state
+        for i in range(len(state)):
+            state[i] = int.from_bytes(data[i * wb : (i + 1) * wb], "little")
+
+    def _record_state(self) -> None:
+        """Record the state a step reached; a state that differs from the
+        recorded one ends the record there (what follows was predicted
+        from another trajectory)."""
+        c = self.cycle
+        if c >= self._rec_cap:
+            return
+        rows = self._state_rows()
+        if c < self._rec_len and np.array_equal(self._rec[c], rows):
+            return
+        self._rec[c] = rows
+        self._rec_len = c + 1
+
+    # -- cycle batching ----------------------------------------------------------
 
     @property
     def block_cycles(self) -> int:
-        """Cycles one :meth:`run_block` call can evaluate vectorized
-        (``1`` on the python backend and for sequential programs)."""
+        """Cycles one :meth:`run_block` pass can evaluate at most:
+        :data:`BLOCK_TARGET_WORDS` words of state per pass, capped at
+        :data:`MAX_BLOCK_CYCLES` cycles (both backends, every program)."""
         return self._block_cycles
+
+    def block_span(self, n_cycles: int) -> int:
+        """Cycles of the next ``n_cycles`` that one :meth:`run_block`
+        pass evaluates: up to :attr:`block_cycles`, and for sequential
+        programs only as far as the latch record predicts (the current
+        cycle plus the recorded states ahead of it).  ``1`` means the
+        next cycle is best stepped."""
+        span = min(n_cycles, self._block_cycles)
+        if self.program.latch_qs:
+            span = min(span, self._rec_len - self.cycle)
+        return max(1, span)
 
     def run_block(
         self,
-        pi_rows: "Sequence[Mapping[int, int]]",
-        overrides_rows: "Sequence[Mapping[int, tuple[int, int]] | None] | None" = None,
-    ) -> None:
-        """Advance ``len(pi_rows)`` cycles in one evaluation pass.
+        pi_words: "Mapping[int, int]",
+        n_cycles: int,
+        overrides: "Mapping[int, tuple[int, int]] | None" = None,
+    ) -> int:
+        """Evaluate up to ``n_cycles`` cycles in one pass; return how many
+        were consumed (at least one).
 
-        Combinational cycles are independent, so the numpy backend lays
-        cycle *c* of the batch on word columns ``[c * n_words,
-        (c+1) * n_words)`` of an extra-wide state and settles them all in
-        one vectorized pass — gather and dispatch overhead amortized
-        ``C``-fold.  Per-cycle overrides keep exact per-cycle semantics
-        (each cycle's ``(forced, mask)`` lands only on its columns).
-        After the call the ordinary per-cycle state reflects the *last*
-        cycle of the batch and :meth:`block_export` serves every cycle's
-        values.  Backends/programs without batching (``block_cycles ==
-        1``) fall back to looped :meth:`step` calls — callers need no
-        backend-specific logic, only an optional fast path.
+        Cycle *c* of the block occupies bits ``[c * W, (c+1) * W)`` of
+        every value (``W = 64 * n_words``): ``pi_words`` maps each PI
+        node to its block-wide integer, and ``overrides`` maps nodes to
+        block-wide ``(forced, mask)`` pairs, so each cycle's forcing
+        lands only on its own bits.  The generated kernels (python) and
+        the level passes (numpy) run unchanged over the wider values.
+
+        Combinational cycles are independent, so every evaluated cycle is
+        consumed.  A sequential program's cycle 0 gets the true latch
+        state and cycles ``1..C-1`` the recorded states; each latch
+        driver's value at cycle *c* is then checked against the state fed
+        to cycle *c+1*.  By induction from the true start state every
+        cycle up to the first mismatch is exact: those are consumed, the
+        rest rewound, and the corrected state recorded.  A wrong
+        prediction costs a pass, never a wrong value.  The pass covers
+        :meth:`block_span` cycles, so cycles with no prediction are
+        evaluated one per pass.
+
+        After the call, per-cycle reads (:attr:`values`, :meth:`value`,
+        :meth:`node_ints`, :meth:`export_words`, :meth:`dense`) see the
+        last consumed cycle and :meth:`block_export` serves every
+        evaluated cycle's values.
         """
-        n_cycles = len(pi_rows)
-        if overrides_rows is None:
-            overrides_rows = [None] * n_cycles
-        if self._block_cycles <= 1 or n_cycles <= 1:
-            for row, ov in zip(pi_rows, overrides_rows):
-                self.step(row, overrides=ov)
-            return
-        blk = self._block_begin(n_cycles)
-        full = self.full_mask
-        wb = self._word_bytes
-        pis = self.program.pi_nodes
-        # one python-level pass converts every (PI, cycle) integer to its
-        # 8*n_words little-endian bytes, then a single fancy-index scatter
-        # lands the whole stimulus matrix — per-call numpy overhead is
-        # paid once per block, not once per source.  The hot path assumes
-        # in-range non-negative values (to_bytes raises on anything else,
-        # and the masking fallback re-runs the conversion).  Padding
-        # columns past n_cycles stay stale; nothing reads them.
-        zb = self._zero_row_bytes
-        try:
-            try:
-                data = b"".join(
-                    [
-                        zb if not (v := row[pid]) else v.to_bytes(wb, "little")
-                        for pid in pis
-                        for row in pi_rows
-                    ]
-                )
-            except OverflowError:  # out-of-range/negative stimulus: mask
-                data = b"".join(
-                    [
-                        (row[pid] & full).to_bytes(wb, "little")
-                        for pid in pis
-                        for row in pi_rows
-                    ]
-                )
-        except KeyError as exc:
-            raise SimulationError(
-                f"cycle {self.cycle}: no value for PI node {exc.args[0]}"
-            ) from exc
-        cols = n_cycles * self.n_words
-        stim = np.frombuffer(data, dtype=np.uint64).reshape(len(pis), cols)
-        self._block_scatter_stim(blk, stim, cols)
-        fixups = None
-        if any(overrides_rows):
-            per_node: "dict[int, tuple[bytearray, bytearray]]" = {}
-            blank = bytes(wb * self._block_cycles)
-            for c, ov in enumerate(overrides_rows):
-                if not ov:
-                    continue
-                for node, (forced, mask) in ov.items():
-                    fb, mb = per_node.setdefault(
-                        node, (bytearray(blank), bytearray(blank))
-                    )
-                    fb[c * wb : (c + 1) * wb] = (
-                        forced & mask & full
-                    ).to_bytes(wb, "little")
-                    mb[c * wb : (c + 1) * wb] = (mask & full).to_bytes(
-                        wb, "little"
-                    )
-            is_op = self.program.is_op
-            const_value = self.program.const_value
-            for node, (fb, mb) in per_node.items():
-                farr = np.frombuffer(bytes(fb), dtype=np.uint64)
-                nmarr = ~np.frombuffer(bytes(mb), dtype=np.uint64)
-                if is_op[node]:
-                    if fixups is None:
-                        fixups = {}
-                    fixups.setdefault(self._plan.op_level[node], []).append(
-                        (node, farr, nmarr)
-                    )
-                else:
-                    blk.blend(node, farr, nmarr)
-                    if node in const_value:
-                        self._dirty_consts_blk.append(node)
-        blk.eval_levels(fixups)
-        self._block_finish(blk, n_cycles)
+        return self._run_block(n_cycles, pi_words, None, overrides)
 
-    def _block_begin(self, n_cycles: int):
-        """Validate capacity and return the cycle-batched state, consts
-        restored and PI scatter indices ready."""
-        if n_cycles > self._block_cycles:
-            raise SimulationError(
-                f"run_block of {n_cycles} cycles exceeds block capacity "
-                f"{self._block_cycles}"
-            )
-        if self._blk is None:
-            from repro.netlist.vector import VectorState
-
-            self._blk = VectorState(
-                self._plan, self.n_words * self._block_cycles
-            )
-        blk = self._blk
-        if self._dirty_consts_blk:
-            blk.reset_consts()
-            self._dirty_consts_blk.clear()
-        self._restore_consts()
-        if self._pi_idx is None:
-            self._pi_idx = np.asarray(self.program.pi_nodes, dtype=np.intp)
-            self._pi_inv_sel = np.asarray(
-                [
-                    bool(self._plan.needs_inv[p])
-                    for p in self.program.pi_nodes
-                ],
-                dtype=bool,
-            )
-            self._pi_inv_pos = np.flatnonzero(self._pi_inv_sel)
-            self._pi_inv_rows = (
-                self._pi_idx[self._pi_inv_sel] + self._plan.n_nodes
-            )
-            self._inv_buf = np.empty(
-                (
-                    self._pi_inv_pos.size,
-                    self.n_words * self._block_cycles,
-                ),
-                dtype=np.uint64,
-            )
-        return blk
-
-    def _block_scatter_stim(self, blk, stim: "np.ndarray", cols: int) -> None:
-        """Land the ``(n_pis, cols)`` stimulus matrix (rows in
-        ``program.pi_nodes`` order) plus the complement rows literals
-        read inverted — the complements pass through a preallocated
-        buffer so the scatter is allocation-free."""
-        blk.state[self._pi_idx, :cols] = stim
-        if self._pi_inv_pos.size:
-            buf = self._inv_buf[:, :cols]
-            np.take(stim, self._pi_inv_pos, axis=0, out=buf)
-            np.invert(buf, out=buf)
-            blk.state[self._pi_inv_rows, :cols] = buf
-
-    def _block_finish(self, blk, n_cycles: int) -> None:
-        # the ordinary per-cycle state tracks the batch's last cycle, so
-        # single-cycle reads after a block see a consistent snapshot
-        nw = self.n_words
-        self._vec.state[:, :] = blk.state[
-            :, (n_cycles - 1) * nw : n_cycles * nw
-        ]
-        self._last_block = n_cycles
-        self.cycle += n_cycles
-
-    def run_block_array(self, stim: "np.ndarray") -> None:
-        """Advance a batch of clean cycles from a dense stimulus matrix.
+    def run_block_array(self, stim: "np.ndarray") -> int:
+        """:meth:`run_block` from a dense stimulus matrix, clean cycles.
 
         ``stim`` is a ``(n_pis, C * n_words)`` uint64 array, rows aligned
         to ``program.pi_nodes`` order, cycle ``c`` of the batch on word
         columns ``[c * n_words, (c+1) * n_words)`` — the numpy backend's
         native stimulus format.  Callers that already hold word-packed
         arrays (trace replays, generated stimulus matrices, the kernel
-        benchmark) skip :meth:`run_block`'s per-integer marshalling
-        entirely; semantics are otherwise identical to a clean
-        (override-free) :meth:`run_block`, including :meth:`block_export`
-        and :meth:`rewind_block` on the result.  Requires the numpy
-        backend on a combinational program (``block_cycles > 1``).
+        benchmark) skip the per-integer marshalling on that backend;
+        semantics are otherwise identical to an override-free
+        :meth:`run_block`.
         """
-        if self._vec is None or self._block_cycles <= 1:
-            raise SimulationError(
-                "run_block_array requires the numpy backend on a "
-                "combinational program"
-            )
         nw = self.n_words
         n_pis = len(self.program.pi_nodes)
         if (
@@ -951,37 +935,221 @@ class CompiledSimulator:
                 f"run_block_array stimulus must be uint64 of shape "
                 f"({n_pis}, C * {nw}), got {stim.dtype} {stim.shape}"
             )
-        n_cycles = stim.shape[1] // nw
-        blk = self._block_begin(n_cycles)
-        self._block_scatter_stim(blk, stim, stim.shape[1])
-        blk.eval_levels(None)
-        self._block_finish(blk, n_cycles)
+        return self._run_block(stim.shape[1] // nw, None, stim, None)
+
+    def _run_block(self, n_cycles: int, pi_words, stim, overrides) -> int:
+        if not 0 < n_cycles <= self._block_cycles:
+            raise SimulationError(
+                f"run_block of {n_cycles} cycles outside block capacity "
+                f"1..{self._block_cycles}"
+            )
+        program = self.program
+        n = self.block_span(n_cycles)
+        mask = (1 << (64 * self.n_words * n)) - 1
+        self._blk_begin(mask)
+        if pi_words is None:
+            self._blk_write(program.pi_nodes, stim, n)
+        else:
+            self._blk_write_ints(program.pi_nodes, pi_words, n, mask)
+        pred = self._predict(n) if program.latch_qs else None
+        if pred is not None:
+            self._blk_write(program.latch_qs, pred, n)
+        self._blk_eval(overrides, mask)
+        consumed = n
+        if pred is not None:
+            drivers = self._blk_rows(program.latch_drivers, n)
+            consumed = self._check(pred, drivers, n)
+        self._blk_len = n
+        self._last_block = consumed
+        self._slot = consumed - 1
+        self.cycle += consumed
+        return consumed
+
+    def _predict(self, n: int) -> "np.ndarray":
+        """Latch-output rows for an ``n``-cycle block: the true state in
+        cycle 0, the recorded states in cycles ``1..n-1``."""
+        nw = self.n_words
+        pred = np.empty((len(self.latch_state), n, nw), dtype=np.uint64)
+        pred[:, 0] = self._state_rows()
+        if n > 1:
+            b = self.cycle
+            pred[:, 1:] = self._rec[b + 1 : b + n].transpose(1, 0, 2)
+        return pred.reshape(len(self.latch_state), n * nw)
+
+    def _check(self, pred: "np.ndarray", drivers: "np.ndarray", n: int) -> int:
+        """Consume the exact prefix of a predicted block: cycle *c* is
+        exact when the drivers of every earlier cycle matched the state
+        fed to the cycle after it.  Records the true states reached and
+        moves the latch state to the end of the prefix."""
+        n_latches, nw = len(self.latch_state), self.n_words
+        fed = pred.reshape(n_latches, n, nw)
+        got = drivers.reshape(n_latches, n, nw)
+        miss = np.flatnonzero((got[:, :-1] != fed[:, 1:]).any(axis=(0, 2)))
+        consumed = int(miss[0]) + 1 if miss.size else n
+        # got[:, c] is the true state at the start of cycle b + c + 1
+        b, end = self.cycle, self.cycle + consumed
+        top = min(end + 1, self._rec_cap)
+        if b + 1 < top:
+            rec = self._rec
+            agrees = end < self._rec_len and np.array_equal(
+                rec[end], got[:, consumed - 1]
+            )
+            rec[b + 1 : top] = got[:, : top - b - 1].transpose(1, 0, 2)
+            if not agrees:  # the rest of the record left this trajectory
+                self._rec_len = top
+        self._blk_drivers = got
+        self._set_state_rows(got[:, consumed - 1])
+        return consumed
+
+    # -- block backends ------------------------------------------------------
+
+    def _blk_begin(self, mask: int) -> None:
+        """Ready the block state for values ``mask`` wide: constants
+        folded (python: with the not-mask table neutral at ``mask``)."""
+        if self._vec is not None:
+            if self._blk is None:
+                from repro.netlist.vector import VectorState
+
+                self._blk = VectorState(
+                    self._plan, self.n_words * self._block_cycles
+                )
+            elif self._dirty_consts_blk:
+                self._blk.reset_consts()
+        else:
+            bv = self._bv
+            if mask != self._blk_mask:
+                for node, const in self.program.const_nodes:
+                    bv[node] = mask if const else 0
+                self._blk_notmask = [mask] * self.program.n_nodes
+                self._blk_mask = mask
+            else:
+                cv = self.program.const_value
+                for node in self._dirty_consts_blk:
+                    bv[node] = mask if cv[node] else 0
+        self._dirty_consts_blk.clear()
+
+    def _blk_eval(self, overrides, mask: int) -> None:
+        """Settle the block state, overrides ``mask`` wide."""
+        if self._vec is not None:
+            self._blk.eval_levels(
+                self._vec_overrides(
+                    self._blk,
+                    overrides,
+                    self._dirty_consts_blk,
+                    self._word_bytes * self._block_cycles,
+                    mask,
+                )
+            )
+            return
+        self._py_eval(
+            self._bv, mask, self._blk_notmask, self._dirty_consts_blk,
+            overrides,
+        )
+
+    def _blk_write_ints(self, nodes, words, n: int, mask: int) -> None:
+        """Land block-wide integer source values (``words[node]``)."""
+        try:
+            if self._vec is None:
+                bv = self._bv
+                for x in nodes:
+                    bv[x] = words[x] & mask
+                return
+            nb = self._word_bytes * n
+            try:
+                data = b"".join([words[x].to_bytes(nb, "little") for x in nodes])
+            except OverflowError:  # out-of-range/negative stimulus: mask
+                data = b"".join(
+                    [(words[x] & mask).to_bytes(nb, "little") for x in nodes]
+                )
+        except KeyError as exc:
+            raise SimulationError(
+                f"cycle {self.cycle}: no value for PI node {exc.args[0]}"
+            ) from exc
+        rows = np.frombuffer(data, dtype=np.uint64)
+        self._blk_write(nodes, rows.reshape(len(nodes), n * self.n_words), n)
+
+    def _scatter_of(self, nodes: tuple):
+        """Numpy backend: row indices of ``nodes`` in the block state,
+        plus the complement rows literals read inverted (cached)."""
+        sc = self._scatter.get(nodes)
+        if sc is None:
+            idx = np.asarray(nodes, dtype=np.intp)
+            inv_pos = np.flatnonzero(self._plan.needs_inv[idx])
+            sc = (
+                idx,
+                inv_pos,
+                idx[inv_pos] + self._plan.n_nodes,
+                np.empty(
+                    (inv_pos.size, self.n_words * self._block_cycles),
+                    dtype=np.uint64,
+                ),
+            )
+            self._scatter[nodes] = sc
+        return sc
+
+    def _blk_write(self, nodes: tuple, rows: "np.ndarray", n: int) -> None:
+        """Land ``(len(nodes), >= n * n_words)`` source rows on the block
+        state (numpy: with complement rows, through a preallocated
+        buffer)."""
+        cols = n * self.n_words
+        if self._vec is None:
+            nb = cols * 8
+            data = np.ascontiguousarray(rows[:, :cols]).tobytes()
+            bv = self._bv
+            for i, x in enumerate(nodes):
+                bv[x] = int.from_bytes(data[i * nb : (i + 1) * nb], "little")
+            return
+        idx, inv_pos, inv_rows, inv_buf = self._scatter_of(nodes)
+        state = self._blk.state
+        state[idx, :cols] = rows[:, :cols]
+        if inv_pos.size:
+            buf = inv_buf[:, :cols]
+            np.take(rows[:, :cols], inv_pos, axis=0, out=buf)
+            np.invert(buf, out=buf)
+            state[inv_rows, :cols] = buf
+
+    def _blk_rows(self, nodes, n: int) -> "np.ndarray":
+        """``nodes``' values over the first ``n`` cycles of the block."""
+        cols = n * self.n_words
+        if self._vec is None:
+            nb = cols * 8
+            bv = self._bv
+            return np.frombuffer(
+                b"".join([bv[x].to_bytes(nb, "little") for x in nodes]),
+                dtype=np.uint64,
+            ).reshape(len(nodes), cols)
+        return self._blk.state[np.asarray(nodes, dtype=np.intp), :cols]
 
     def rewind_block(self, n_consumed: int) -> None:
         """Declare that only the first ``n_consumed`` cycles of the last
-        :meth:`run_block` batch were used (an early-stop predicate fired
-        mid-block): the cycle counter rewinds past the overshoot and the
-        per-cycle state re-mirrors cycle ``n_consumed - 1`` — exactly the
-        state a cycle-by-cycle run stopping there would leave."""
-        last = getattr(self, "_last_block", 0)
+        :meth:`run_block` pass were used (an early-stop predicate fired
+        mid-block): the cycle counter and latch state rewind past the
+        overshoot and per-cycle reads see cycle ``n_consumed - 1`` —
+        exactly the state a cycle-by-cycle run stopping there would
+        leave."""
+        last = self._last_block
         if not 0 < n_consumed <= last:
             raise SimulationError(
                 f"rewind_block({n_consumed}) without a matching run_block"
             )
-        nw = self.n_words
-        self._vec.state[:, :] = self._blk.state[
-            :, (n_consumed - 1) * nw : n_consumed * nw
-        ]
+        if self._blk_drivers is not None:
+            self._set_state_rows(self._blk_drivers[:, n_consumed - 1])
         self.cycle -= last - n_consumed
         self._last_block = n_consumed
+        self._slot = n_consumed - 1
 
     def block_export(self, nodes, out: "np.ndarray") -> None:
-        """Gather the last :meth:`run_block` batch's rows for ``nodes``
+        """Gather the last :meth:`run_block` pass's rows for ``nodes``
         into preallocated ``out`` of shape ``(len(nodes), block_cycles *
         n_words)`` — reshape to ``(len(nodes), block_cycles, n_words)``
-        for per-cycle views."""
-        if self._blk is None:
+        for per-cycle views.  Only the consumed cycles are meaningful."""
+        if not self._blk_len:
             raise SimulationError("block_export before any run_block")
+        if self._vec is None:
+            out[:, : self._blk_len * self.n_words] = self._blk_rows(
+                nodes, self._blk_len
+            )
+            return
         np.take(
             self._blk.state,
             np.asarray(nodes, dtype=np.intp),

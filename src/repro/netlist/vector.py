@@ -30,11 +30,13 @@ output scatters, independent of op count.
 
 Cycle batching (:class:`VectorState` with ``n_words > engine words``)
 ---------------------------------------------------------------------
-For combinational programs consecutive cycles are independent, so the
-engine evaluates *blocks* of ``C`` cycles as one extra-wide pass (cycle
-*c* occupies word columns ``[c * NW, (c+1) * NW)``), amortizing gather
-and dispatch overhead ``C``-fold — the lever that takes 512-lane steps
-past the python backend (sequential programs stay cycle-by-cycle).
+The simulator evaluates *blocks* of ``C`` cycles as one extra-wide pass
+(cycle *c* occupies word columns ``[c * NW, (c+1) * NW)``), amortizing
+gather and dispatch overhead ``C``-fold.  Combinational cycles are
+independent; a sequential program's later cycles are fed recorded latch
+states that :class:`~repro.netlist.compiled.CompiledSimulator` checks
+after the pass (the prediction and its check sit above this module, so
+both backends batch sequential programs the same way).
 
 All buffers (state, per-level literal/cube/complement scratch) are
 allocated once at construction; the clean evaluation path performs zero

@@ -32,6 +32,8 @@ from repro.netlist.sop import truthtable_to_cover
 from repro.netlist.truthtable import TruthTable
 
 __all__ = [
+    "block_overrides",
+    "block_words",
     "pin_backend",
     "random_network",
     "random_stimulus_ints",
@@ -50,6 +52,37 @@ def pin_backend(monkeypatch, backend: str) -> None:
 
     min_words = {"python": 1 << 30, "numpy": 1}[backend]
     monkeypatch.setattr(compiled, "AUTO_NUMPY_MIN_WORDS", min_words)
+
+
+def block_words(
+    rows: "list[dict[int, int]]", nodes, n_words: int
+) -> dict[int, int]:
+    """Per-cycle ``{node: int}`` rows side by side as the block-wide
+    integers ``CompiledSimulator.run_block`` takes: cycle *c* on bits
+    ``[c * W, (c+1) * W)``, ``W = 64 * n_words``."""
+    width = 64 * n_words
+    return {
+        x: sum(row[x] << (c * width) for c, row in enumerate(rows))
+        for x in nodes
+    }
+
+
+def block_overrides(
+    rows: "list[dict[int, tuple[int, int]] | None]", n_words: int
+) -> "dict[int, tuple[int, int]] | None":
+    """Per-cycle ``node -> (forced, mask)`` overrides (``None`` for a
+    clean cycle) as one block-wide override mapping."""
+    width = 64 * n_words
+    full = (1 << width) - 1
+    out: dict[int, tuple[int, int]] = {}
+    for c, row in enumerate(rows):
+        for node, (forced, mask) in (row or {}).items():
+            f0, m0 = out.get(node, (0, 0))
+            out[node] = (
+                f0 | (forced & mask & full) << (c * width),
+                m0 | (mask & full) << (c * width),
+            )
+    return out or None
 
 
 def random_network(

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
-from benchmarks.ref_simulate import apply_override
-from parity import pin_backend
+from benchmarks.ref_simulate import ReferenceLaneEngine, apply_override
+from parity import pin_backend, random_network
 from repro.campaign import (
     ArtifactStore,
     CampaignConfig,
@@ -20,6 +22,12 @@ from repro.emu.fault import ForcedFault, active_override_ints
 from repro.engine import LaneEngine
 from repro.errors import DebugFlowError
 from repro.netlist import parse_blif
+from repro.netlist.compiled import (
+    BLOCK_TARGET_WORDS,
+    MAX_BLOCK_CYCLES,
+    CompiledSimulator,
+    words_to_int,
+)
 from repro.netlist.simulate import simulate_combinational
 from repro.workloads import (
     campaign_spec,
@@ -309,6 +317,14 @@ class TestLaneIsolation:
             LaneEngine(offline, n_lanes=0)
 
 
+def _latch_ints(engine) -> list[int]:
+    """Latch state of a compiled or reference engine, as integers."""
+    if isinstance(engine, ReferenceLaneEngine):
+        state = engine.sim._sim.state
+        return [words_to_int(state[l.q]) for l in engine.mapped_net.latches]
+    return list(engine.sim.latch_state)
+
+
 MERGED_COMB = campaign_spec("merged-comb", n_gates=80, depth=6, n_pis=12, n_pos=6)
 MERGED_SEQ = campaign_spec(
     "merged-seq", n_gates=80, depth=6, n_latches=8, n_pis=10, n_pos=5
@@ -316,11 +332,12 @@ MERGED_SEQ = campaign_spec(
 
 
 class TestMergedLoopBackends:
-    """``run`` and ``run_outputs`` each have one loop over blocks of
-    ``block_cycles`` cycles: 25-cycle blocks on the numpy backend at 320
-    lanes (5 words) for a combinational design, one cycle per step on the
-    python backend and for sequential designs.  Both backends must give
-    identical traces, triggers, PO arrays, early stops and state."""
+    """``run`` and ``run_outputs`` each have one loop over kernel passes
+    of up to ``block_cycles`` cycles: 25-cycle blocks on both backends at
+    320 lanes (5 words), sequential designs included (their later passes
+    run on the checked latch prediction).  Both backends must give the
+    traces, triggers, PO arrays, early stops and state of the reference
+    engine, which emulates one cycle per pass."""
 
     N_LANES = 320
     CYCLES = 48
@@ -330,11 +347,18 @@ class TestMergedLoopBackends:
     FORCED = {3: 0, 64: 20, 130: 30, 319: 0}  # lane -> fault first cycle
 
     def _run(self, spec, backend, monkeypatch):
-        pin_backend(monkeypatch, backend)
         golden = generate_circuit(spec)
         offline = run_generic_stage(golden)
-        engine = LaneEngine(offline, n_lanes=self.N_LANES, trace_depth=self.CYCLES)
-        assert engine.backend == backend
+        if backend == "reference":
+            engine = ReferenceLaneEngine(
+                offline, n_lanes=self.N_LANES, trace_depth=self.CYCLES
+            )
+        else:
+            pin_backend(monkeypatch, backend)
+            engine = LaneEngine(
+                offline, n_lanes=self.N_LANES, trace_depth=self.CYCLES
+            )
+        assert engine.backend == {"reference": "interpreted"}.get(backend, backend)
         sigs = engine.observable_signals
         for lane in range(self.N_LANES):
             engine.bind_stimulus(
@@ -382,31 +406,38 @@ class TestMergedLoopBackends:
         runs["total_cycles"] = {
             l: engine.total_cycles(l) for l in sorted({*self.TRIGGERS, *self.FORCED})
         }
+        runs["latches_after_stop"] = _latch_ints(engine)
         runs["follow_up"] = engine.run_outputs(8)
         return runs
 
     @pytest.mark.parametrize("spec", [MERGED_COMB, MERGED_SEQ], ids=["comb", "seq"])
     def test_backends_agree(self, spec, monkeypatch):
-        py = self._run(spec, "python", monkeypatch)
-        vec = self._run(spec, "numpy", monkeypatch)
-        assert py["block_cycles"] == 1
-        assert vec["block_cycles"] == (1 if spec is MERGED_SEQ else 25)
-        fired = [t for t in py["triggered"].values() if t is not None]
+        ref = self._run(spec, "reference", monkeypatch)
+        assert ref["block_cycles"] == 1
+        fired = [t for t in ref["triggered"].values() if t is not None]
         assert min(fired) < 25 <= max(fired)  # both sides of the boundary
-        assert py["triggered"] == vec["triggered"]
-        for lane in self.TRIGGERS:
-            assert len(py["seen"][lane]) == self.CYCLES
-            assert py["seen"][lane] == vec["seen"][lane], f"lane {lane}"
-        for lane in range(self.N_LANES):
-            assert np.array_equal(py["windows"][lane], vec["windows"][lane]), lane
         n_stop = self.STOP_AT + 1
-        assert py["stopped"].shape[0] == vec["stopped"].shape[0] == n_stop
-        assert np.array_equal(py["stopped"], vec["stopped"])
-        assert py["rows"] == vec["rows"] and len(py["rows"]) == n_stop
-        assert py["cycle_after_stop"] == vec["cycle_after_stop"] == n_stop
-        assert py["total_cycles"] == vec["total_cycles"]
-        assert set(py["total_cycles"].values()) == {self.CYCLES + n_stop}
-        assert np.array_equal(py["follow_up"], vec["follow_up"])
+        assert ref["stopped"].shape[0] == n_stop
+        assert len(ref["rows"]) == n_stop
+        assert ref["cycle_after_stop"] == n_stop
+        assert set(ref["total_cycles"].values()) == {self.CYCLES + n_stop}
+        for backend in ("python", "numpy"):
+            got = self._run(spec, backend, monkeypatch)
+            assert got["block_cycles"] == 25, backend
+            assert got["triggered"] == ref["triggered"], backend
+            for lane in self.TRIGGERS:
+                assert len(got["seen"][lane]) == self.CYCLES
+                assert got["seen"][lane] == ref["seen"][lane], (backend, lane)
+            for lane in range(self.N_LANES):
+                assert np.array_equal(
+                    got["windows"][lane], ref["windows"][lane]
+                ), (backend, lane)
+            assert np.array_equal(got["stopped"], ref["stopped"]), backend
+            assert got["rows"] == ref["rows"], backend
+            assert got["cycle_after_stop"] == n_stop, backend
+            assert got["latches_after_stop"] == ref["latches_after_stop"]
+            assert got["total_cycles"] == ref["total_cycles"], backend
+            assert np.array_equal(got["follow_up"], ref["follow_up"]), backend
 
 
 class TestFacade:
@@ -504,3 +535,203 @@ class TestAcceptance:
         assert serial.outcomes() == lanes.outcomes()
         # the stuck-at group actually packed into a >1-lane batch
         assert max(lanes.lane_batches) >= 26
+
+
+@functools.lru_cache(maxsize=None)
+def _sequential_design(name: str):
+    """(offline artifact, source network) of a sequential test design."""
+    if name == "merged-seq":
+        golden = generate_circuit(MERGED_SEQ)
+    else:
+        golden = random_network(5, n_pis=10, n_gates=70, n_latches=8, n_pos=6)
+    return run_generic_stage(golden), golden
+
+
+class TestPredictedBlocks:
+    """Sequential designs batch cycles on the kernel's latch record.
+
+    A session's whole life must equal the reference engine, which
+    emulates one cycle per pass: a first run with no record, a repeat the
+    record predicts, new stimulus, a new force, a force moved later, a run
+    split without a reset, an early stop inside a block and triggers on
+    both sides of a block boundary — windows, trigger cycles, PO arrays,
+    cycle counter, latch state and turn accounting after every step."""
+
+    CYCLES = 72
+
+    @staticmethod
+    def _counting(engine) -> dict[str, int]:
+        """Count the kernel steps and block passes an engine makes."""
+        counts = {"step": 0, "run_block": 0}
+        sim = engine.sim
+        for name in counts:
+            inner = getattr(sim, name)
+
+            def wrapped(*args, _inner=inner, _name=name, **kwargs):
+                counts[_name] += 1
+                return _inner(*args, **kwargs)
+
+            setattr(sim, name, wrapped)
+        return counts
+
+    def _drive(self, engine, golden, boundary: int) -> list:
+        C = self.CYCLES
+        n = engine.n_lanes
+        lanes = sorted({0, n // 2, n - 1})
+        sigs = engine.observable_signals
+        design = engine.design.network
+        forced = [design.node_name(l.q) for l in design.latches][:2] + sigs[:1]
+        snaps: list = []
+        counts = (
+            self._counting(engine) if isinstance(engine.sim, CompiledSimulator)
+            else None
+        )
+
+        def snap(label, outputs=None):
+            snaps.append(
+                (
+                    label,
+                    {
+                        "windows": [engine.trace.window(l) for l in range(n)],
+                        "triggered": [
+                            engine.trace.triggered_at(l) for l in range(n)
+                        ],
+                        "cycle": engine.sim.cycle,
+                        "latches": _latch_ints(engine),
+                        "turns": [
+                            [t.cycles_run for t in engine.turns[l]]
+                            for l in range(n)
+                        ],
+                        "outputs": outputs,
+                        "passes": dict(counts) if counts else None,
+                    },
+                )
+            )
+            if counts:
+                counts.update(step=0, run_block=0)
+
+        def bind(seed0, n_scripts):
+            scripts = [
+                stimulus_script(golden, C + 8, seed0 + k)
+                for k in range(n_scripts)
+            ]
+            for lane in range(n):
+                engine.bind_stimulus(lane, scripts[lane % n_scripts])
+
+        def run(n_cycles=C, triggers=None):
+            engine.reset()
+            engine.run(n_cycles, triggers=triggers)
+
+        bind(0, 5)
+        for i, lane in enumerate(lanes):
+            engine.observe([sigs[(3 * i) % len(sigs)]], lane=lane)
+        run()
+        snap("first run, no record")
+        run()
+        snap("repeat")
+        bind(11, 3)
+        run()
+        snap("new stimulus")
+        for i, lane in enumerate(lanes):
+            engine.force(forced[i % len(forced)], i % 2, lane=lane)
+        run()
+        snap("new force")
+        for i, lane in enumerate(lanes):
+            engine.clear_forces(lane)
+            engine.force(
+                forced[i % len(forced)], i % 2, lane=lane, first_cycle=20
+            )
+        run()
+        snap("force moved later")
+        engine.reset()
+        engine.run(10)
+        engine.run(38)
+        snap("run(10) then run(38)")
+        engine.reset()
+        stopped = engine.run_outputs(C, stop=lambda c, row: c == 30)
+        snap("stop inside a block", stopped)
+        snap("after the stop", engine.run_outputs(8))
+        for k in (boundary - 3, boundary + 2):
+            run(triggers={l: (lambda c, named, k=k: c >= k) for l in lanes})
+            snap(f"trigger at {k}")
+        return snaps
+
+    @pytest.mark.parametrize("n_lanes", [1, 64, 65, 320])
+    @pytest.mark.parametrize("design", ["merged-seq", "random-seq"])
+    def test_matches_reference_engine(self, design, n_lanes, monkeypatch):
+        offline, golden = _sequential_design(design)
+        C = self.CYCLES
+        n_words = (n_lanes + 63) // 64
+        boundary = min(MAX_BLOCK_CYCLES, BLOCK_TARGET_WORDS // n_words)
+        assert boundary + 2 < C
+        ref = self._drive(
+            ReferenceLaneEngine(offline, n_lanes=n_lanes, trace_depth=C),
+            golden,
+            boundary,
+        )
+        for label, snap in ref:
+            if label.startswith("trigger at"):
+                k = int(label.rsplit(" ", 1)[1])
+                assert {snap["triggered"][l] for l in (0, n_lanes - 1)} == {k}
+        for backend in ("python", "numpy"):
+            pin_backend(monkeypatch, backend)
+            engine = LaneEngine(offline, n_lanes=n_lanes, trace_depth=C)
+            assert engine.backend == backend
+            assert engine.sim.block_cycles == boundary
+            got = self._drive(engine, golden, boundary)
+            assert [l for l, _ in got] == [l for l, _ in ref]
+            for (label, g), (_, r) in zip(got, ref):
+                where = (backend, label)
+                for lane, (gw, rw) in enumerate(zip(g["windows"], r["windows"])):
+                    assert np.array_equal(gw, rw), (where, lane)
+                for key in ("triggered", "cycle", "latches", "turns"):
+                    assert g[key] == r[key], (where, key)
+                if r["outputs"] is not None:
+                    assert np.array_equal(g["outputs"], r["outputs"]), where
+            passes = dict((label, s["passes"]) for label, s in got)
+            # the first run has nothing to predict from: one step per
+            # cycle; the repeat is predicted whole: full blocks only
+            assert passes["first run, no record"] == {"step": C, "run_block": 0}
+            assert passes["repeat"] == {
+                "step": 0,
+                "run_block": -(-C // boundary),
+            }, backend
+
+
+class TestScriptPacking:
+    def test_rebinding_the_same_script_packs_once(self, offline, monkeypatch):
+        import repro.engine.lanes as lanes_mod
+
+        calls = []
+        real = lanes_mod.pack_lane_scripts
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lanes_mod, "pack_lane_scripts", counting)
+        golden = offline.source
+        script = stimulus_script(golden, 12, 3)
+        session = DebugSession(offline)
+        sig = session.observable_signals[0]
+        for _ in range(3):
+            session.observe([sig])
+            session.reset()
+            session.run(12, stimulus=script)
+        assert len(calls) == 1
+        first = session.waveforms()
+        # an equal but different object repacks, and so does a callable
+        session.reset()
+        session.run(12, stimulus=[dict(row) for row in script])
+        assert len(calls) == 2
+        session.reset()
+        session.run(12, stimulus=lambda c: script[c])
+        assert session.waveforms().keys() == first.keys()
+        for name in first:
+            assert np.array_equal(session.waveforms()[name], first[name])
+        session.reset()
+        session.run(12, stimulus=script)
+        assert len(calls) == 4
+        session.reset()
+        session.output_trace(12, stimulus=script)
+        assert len(calls) == 4

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,36 @@ class TestSelection:
     def test_unknown_signal_rejected(self, instrumented):
         with pytest.raises(DebugFlowError):
             instrumented.selection_for(["who"])
+
+    def test_group_index_matches_group_scan(self, instrumented):
+        d = instrumented
+        for tap in d.taps:
+            first = next(g for g in d.groups if tap in g.path)
+            assert d.group_of(tap) is first
+        assert d._group_lookup is d._group_lookup  # built once, then cached
+
+    def test_selection_error_messages(self, instrumented):
+        d = instrumented
+        net = d.network
+        with pytest.raises(DebugFlowError, match=r"^unknown signal 'who'$"):
+            d.selection_for(["who"])
+        param = next(iter(d.param_nodes.values()))
+        untapped = net.node_name(param)
+        message = f"^signal {re.escape(repr(untapped))} is not tapped$"
+        with pytest.raises(DebugFlowError, match=message):
+            d.selection_for([untapped])
+        with pytest.raises(DebugFlowError, match=message):
+            d.group_of(param)
+        g = next(g for g in d.groups if len(g.leaves) >= 2)
+        names = [net.node_name(leaf) for leaf in g.leaves[:2]]
+        with pytest.raises(
+            DebugFlowError,
+            match=re.escape(
+                f"signals {names!r} collide in trace group {g.index} "
+                "(one signal per buffer input)"
+            ),
+        ):
+            d.selection_for(names)
 
     def test_selection_is_functionally_correct(self, instrumented, rng):
         """Simulating the instrumented net, tb_g equals the selected signal."""
