@@ -5,8 +5,8 @@ compiled kernels of :mod:`repro.netlist.compiled` became the only way
 the package simulates: every step walks the network's topological order
 and evaluates each gate's ISOP cover (:func:`repro.netlist.sop.
 truthtable_to_cover`) cube by cube with numpy ops over packed ``uint64``
-words.  It shares no lowering or code generation with either compiled
-backend, which makes it useful twice:
+words.  It shares no lowering or code generation with the compiled
+kernels, which makes it useful twice:
 
 * as an **independent oracle** — ``tests/test_compiled.py`` and
   ``tests/test_backend_parity.py`` diff the compiled kernels against it

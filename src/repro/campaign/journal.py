@@ -29,9 +29,9 @@ means real corruption: loading stops at the first bad line and the
 remainder of the campaign is recomputed (never trusted).
 
 The fingerprint deliberately excludes execution knobs (workers and lane
-width, which also picks the kernel backend) — outcomes are byte-identical
-across those by construction, so a campaign interrupted at ``--workers 4`` may be
-resumed at ``--workers 1`` and vice versa.
+width) — outcomes are byte-identical across those by construction, so a
+campaign interrupted at ``--workers 4`` may be resumed at ``--workers 1``
+and vice versa.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ def campaign_fingerprint(scenarios: Sequence, config) -> str:
 
     Hashes each scenario's defining fields plus the flow config,
     physical-stage flag and turn budget — everything that can change a
-    deterministic outcome.  Worker counts and lane width (and with it the
-    kernel backend) are excluded on purpose (outcome-neutral knobs).
+    deterministic outcome.  Worker counts and lane width are excluded on
+    purpose (outcome-neutral knobs).
     """
     h = hashlib.blake2b(digest_size=16)
     h.update(repr(config.flow).encode("utf-8"))

@@ -398,7 +398,7 @@ def run_campaign(
 
     Scenario outcomes are deterministic — the same scenarios and flow
     config produce the same statuses, suspects and turn counts at any
-    worker count, lane width, kernel backend and store state.
+    worker count, lane width and store state.
     """
     config = config or CampaignConfig()
     notes: list[str] = []

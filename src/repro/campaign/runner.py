@@ -7,8 +7,7 @@ added beyond that — one packed golden pass, one packed detection run
 (with a per-lane early exit: the moment every live lane has diverged, the
 rest of the horizon is skipped), and a batched frontier walk where every
 observe+replay turn advances every still-active lane, retiring lanes as
-their walks converge.  A lone scenario is a one-lane batch.  The
-batch's lane width picks the engine's kernel backend.
+their walks converge.  A lone scenario is a one-lane batch.
 
 It is a pure function of ``(scenarios, offline artifact)`` — stimulus,
 golden model and bug reproduction all derive deterministically from the
@@ -85,9 +84,8 @@ def run_scenario_batch(
     batch size — the amortized cost actually paid per scenario, keeping
     campaign-level ``online_total_s`` equal to wall clock spent.  The
     deterministic outcome fields are byte-identical at every batch size.
-    ``store`` persists compiled programs; the kernel backend follows the
-    batch's lane width.  Never raises: per-lane failures degrade to
-    ``status="error"`` results for their lane only.
+    ``store`` persists compiled programs.  Never raises: per-lane
+    failures degrade to ``status="error"`` results for their lane only.
     """
     timers = PhaseTimer()
     n = len(scenarios)

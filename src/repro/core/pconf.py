@@ -78,7 +78,8 @@ class ParameterizedBitstream:
     def set_tunable(self, index: int, expr: BoolExpr) -> None:
         """Make a bit a Boolean function of the parameters."""
         self._check_index(index)
-        bad = expr.support() - frozenset(range(len(self.space)))
+        n_params = len(self.space)
+        bad = [i for i in expr.support() if not 0 <= i < n_params]
         if bad:
             raise SpecializationError(
                 f"bit {index}: expression uses unknown parameter indices "

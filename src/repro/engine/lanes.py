@@ -12,8 +12,8 @@ per lane.
 The emulation step executes the mapped network's
 :class:`~repro.netlist.compiled.CompiledProgram` (built once per network
 content key, optionally persisted through an
-:class:`~repro.pipeline.ArtifactStore`), on the kernel backend the lane
-width selects: per cycle the engine hands the kernel word-packed integer
+:class:`~repro.pipeline.ArtifactStore`): per cycle the engine hands the
+kernel word-packed integer
 stimulus and lane-blended override indices, and reads trace samples and
 PO words straight out of the kernel state — no per-node dicts, no
 per-cycle array allocation.  Because a word-packed integer spans
@@ -23,7 +23,7 @@ memory, PO captures).  :meth:`LaneEngine.run` and
 :meth:`LaneEngine.run_outputs` each have one emulation loop over kernel
 passes: each pass covers
 :meth:`~repro.netlist.compiled.CompiledSimulator.block_span` cycles
-(on both backends, up to
+(up to
 :attr:`~repro.netlist.compiled.CompiledSimulator.block_cycles`; for a
 sequential design as far as the kernel's latch record predicts) and
 consumes the exact prefix the kernel's prediction check accepts, so the
@@ -109,7 +109,7 @@ class LaneEngine:
             program_for(self.mapped_net, store=program_store),
             n_words=self.n_words,
         )
-        self.backend = self.sim.backend  # chosen by lane width
+        self.backend = self.sim.backend
         self.pconf = build_virtual_pconf(offline.mapping, self.design)
         depth = trace_depth or offline.config.trace_depth
         self.trace = LaneTraceBuffer(

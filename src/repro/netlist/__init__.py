@@ -22,14 +22,12 @@ from repro.netlist.simulate import (
     check_equivalent,
 )
 from repro.netlist.compiled import (
-    BACKENDS,
     COMPILED_SIM_STAGE,
     CompiledProgram,
     CompiledSimulator,
     compile_network,
     network_signature,
     program_for,
-    resolve_backend,
 )
 from repro.netlist.stats import network_stats, NetworkStats, logic_depth
 
@@ -53,14 +51,12 @@ __all__ = [
     "SequentialSimulator",
     "random_stimulus",
     "check_equivalent",
-    "BACKENDS",
     "COMPILED_SIM_STAGE",
     "CompiledProgram",
     "CompiledSimulator",
     "compile_network",
     "network_signature",
     "program_for",
-    "resolve_backend",
     "network_stats",
     "NetworkStats",
     "logic_depth",

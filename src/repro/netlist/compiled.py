@@ -26,10 +26,10 @@ of :mod:`repro.netlist.simulate` hands out per node.
 
 Cycle batching
 --------------
-Both backends evaluate *blocks* of cycles in one pass: cycle *c* of a
+The simulator evaluates *blocks* of cycles in one pass: cycle *c* of a
 block occupies bits ``[c * W, (c+1) * W)`` of every value (``W = 64 *
 n_words``), so the same generated kernels run over wider integers with
-``M`` set to the block mask (numpy: over extra word columns).
+``M`` set to the block mask.
 Sequential programs batch by checked prediction: the simulator records
 the latch state at the start of every cycle since reset, feeds a block's
 later cycles the recorded states, and consumes only the prefix whose
@@ -71,7 +71,6 @@ from repro.netlist.network import LogicNetwork, NodeKind
 from repro.netlist.sop import truthtable_to_cover
 
 __all__ = [
-    "BACKENDS",
     "COMPILED_SIM_STAGE",
     "PROGRAM_VERSION",
     "CompiledProgram",
@@ -90,24 +89,9 @@ COMPILED_SIM_STAGE = "compiled-sim"
 #: kernel semantics change so persisted programs from older versions miss.
 PROGRAM_VERSION = 1
 
-_MASK64 = (1 << 64) - 1
-
 #: Straight-line ops per generated kernel function; very large networks
 #: are split into several functions to keep CPython's compiler happy.
 _OPS_PER_CHUNK = 2000
-
-# -- execution backends -------------------------------------------------------
-
-#: Registered kernel execution backends: ``"python"`` runs the generated
-#: big-int kernels (arbitrary lane width, no dependencies); ``"numpy"``
-#: runs the vectorized whole-array lowering of :mod:`repro.netlist.vector`
-#: (amortizes dispatch across words — the high-lane-width fast path).
-BACKENDS = ("python", "numpy")
-
-#: Auto selection switches to numpy at this many words (256 lanes): below
-#: it, big-int ops are cheap and numpy dispatch dominates; above it, the
-#: vectorized kernels amortize dispatch across the word axis.
-AUTO_NUMPY_MIN_WORDS = 4
 
 #: Cycle batching targets this total state width per evaluation pass,
 #: capped at :data:`MAX_BLOCK_CYCLES` cycles.
@@ -121,23 +105,18 @@ RECORD_MAX_WORDS = 1 << 20
 
 
 def resolve_backend(backend: "str | None" = None, *, n_words: int = 1) -> str:
-    """Resolve a backend request to a concrete registered backend.
+    """The kernel backend a request names.
 
-    ``None``/``"auto"`` selects by width: numpy when ``n_words >=
-    AUTO_NUMPY_MIN_WORDS`` (dispatch amortized across the word axis),
-    python otherwise.  Explicit requests (kernel tests and benchmarks
-    comparing the two backends) are validated.
+    The generated big-int kernels (``"python"``) are the only backend, at
+    every width; ``n_words`` stays for callers that report the backend of
+    a lane width.  ``None`` and ``"auto"`` resolve to it, and any other
+    name raises :class:`SimulationError`.
     """
-    if backend in (None, "auto"):
-        if n_words >= AUTO_NUMPY_MIN_WORDS:
-            return "numpy"
-        return "python"
-    if backend not in BACKENDS:
+    if backend not in (None, "auto", "python"):
         raise SimulationError(
-            f"unknown simulation backend {backend!r} (known: "
-            f"{', '.join(BACKENDS)}, or 'auto')"
+            f"unknown simulation backend {backend!r} (known: python, or 'auto')"
         )
-    return backend
+    return "python"
 
 
 def network_signature(net: LogicNetwork) -> str:
@@ -388,26 +367,25 @@ def program_for(net: LogicNetwork, *, store=None) -> CompiledProgram:
     process, programs are memoized per network instance (signature-
     revalidated, so in-place rewires recompile) and per signature (so
     regenerated identical networks — every ``to_lut_network()`` call —
-    share one program).
+    share one program and its generated kernels, store hit or not).
     """
     sig = network_signature(net)
     hit = _BY_NET.get(net)
     if hit is not None and hit.signature == sig:
         return hit
-    program = None
+    program = _BY_KEY.get(sig)
     if store is not None:
+        # looked up even when memoized, so store statistics do not
+        # depend on this process's history
         found = store.get(COMPILED_SIM_STAGE, sig, expect=CompiledProgram)
-        if found is not None:
-            program = found.value
-        else:
-            program = _BY_KEY.get(sig)
+        if found is None:
             if program is None:
                 program = compile_network(net, signature=sig)
             store.put(COMPILED_SIM_STAGE, sig, program)
-    else:
-        program = _BY_KEY.get(sig)
-        if program is None:
-            program = compile_network(net, signature=sig)
+        elif program is None:
+            program = found.value
+    elif program is None:
+        program = compile_network(net, signature=sig)
     _BY_KEY[sig] = program
     _BY_KEY.move_to_end(sig)
     while len(_BY_KEY) > _BY_KEY_LIMIT:
@@ -442,44 +420,34 @@ class CompiledSimulator:
     """Executes a :class:`CompiledProgram`, one cycle or one block of
     cycles per evaluation pass.
 
-    ``backend`` selects the kernel implementation (see
-    :func:`resolve_backend`; ``None`` auto-selects by word count):
+    The generated big-int kernels are the one kernel implementation.  All
+    per-cycle state lives in preallocated containers: the flat value list
+    (one word-packed integer per node), the latch-state list, the forced/
+    not-mask override tables and the dense export buffer.  A step is:
+    write PI and latch-output slots, run the generated kernel, capture
+    next latch state — nothing allocates an array.
 
-    * ``"python"`` — the generated big-int kernels.  All per-cycle state
-      lives in preallocated containers: the flat value list (one
-      word-packed integer per node), the latch-state list, the forced/
-      not-mask override tables and the dense export buffer.  A step is:
-      write PI and latch-output slots, run the generated kernel, capture
-      next latch state — nothing allocates an array.
-    * ``"numpy"`` — the vectorized whole-array lowering of
-      :mod:`repro.netlist.vector` over a dense ``uint64`` state matrix;
-      per-op dispatch is amortized across the word axis.
-
-    Both backends batch cycles through :meth:`run_block` (up to
-    :attr:`block_cycles` cycles per pass) and serve node values through
-    :meth:`value`, :meth:`node_ints`, :meth:`export_words` and
-    :meth:`dense`.  Sequential programs batch by checked prediction: the
-    simulator records the latch state at the start of every cycle since
-    reset, keeps that record across resets, and feeds a block's later
-    cycles the recorded states (see :meth:`run_block`).
+    :meth:`run_block` batches cycles (up to :attr:`block_cycles` per
+    pass), and :attr:`values`, :meth:`value`, :meth:`node_ints`,
+    :meth:`export_words` and :meth:`dense` serve node values.  Sequential
+    programs batch by checked prediction: the simulator records the latch
+    state at the start of every cycle since reset, keeps that record
+    across resets, and feeds a block's later cycles the recorded states
+    (see :meth:`run_block`).
 
     The lane engine steps this class directly; the dict-of-arrays API
     is :class:`repro.netlist.simulate.SequentialSimulator`, which wraps
     this class and converts at its boundary.
     """
 
-    def __init__(
-        self,
-        program: CompiledProgram,
-        n_words: int = 1,
-        *,
-        backend: "str | None" = None,
-    ) -> None:
+    #: The kernel backend, as reports name it (see :func:`resolve_backend`).
+    backend = "python"
+
+    def __init__(self, program: CompiledProgram, n_words: int = 1) -> None:
         if n_words < 1:
             raise SimulationError("n_words must be at least 1")
         self.program = program
         self.n_words = int(n_words)
-        self.backend = resolve_backend(backend, n_words=self.n_words)
         self.full_mask = (1 << (64 * self.n_words)) - 1
         self.cycle = 0
         n = program.n_nodes
@@ -507,24 +475,14 @@ class CompiledSimulator:
         self._rec_cap = (
             RECORD_MAX_WORDS // (n_latches * self.n_words) if n_latches else 0
         )
-        if self.backend == "numpy":
-            from repro.netlist.vector import VectorState, plan_for
-
-            self._plan = plan_for(program)
-            self._vec = VectorState(self._plan, self.n_words)
-            self._blk = None  # cycle-batched VectorState, built on demand
-            self._scatter: dict = {}  # node tuple -> block scatter indices
-        else:
-            self._plan = None
-            self._vec = None
-            self._v: list[int] = [0] * n
-            self._bv: list[int] = [0] * n  # block values, C cycles wide
-            self._blk_mask = 0  # the block width _bv's constants hold
-            self._forced: list[int] = [0] * n
-            self._notmask: list[int] = [self.full_mask] * n
-            self._blk_notmask: list[int] = []
-            self._armed: list[int] = []
-            self._clean_kernel, self._forced_kernel = program.kernels()
+        self._v: list[int] = [0] * n
+        self._bv: list[int] = [0] * n  # block values, C cycles wide
+        self._blk_mask = 0  # the block width _bv's constants hold
+        self._forced: list[int] = [0] * n
+        self._notmask: list[int] = [self.full_mask] * n
+        self._blk_notmask: list[int] = []
+        self._armed: list[int] = []
+        self._clean_kernel, self._forced_kernel = program.kernels()
         self.reset()
 
     # -- state ---------------------------------------------------------------
@@ -536,15 +494,10 @@ class CompiledSimulator:
         self._slot = None
         self._last_block = 0
         full = self.full_mask
-        if self._vec is not None:
-            self._vec.reset_consts()
-            if self._blk is not None:
-                self._blk.reset_consts()
-        else:
-            v = self._v
-            for node, const in self.program.const_nodes:
-                v[node] = full if const else 0
-            self._blk_mask = 0  # re-fold block constants on the next block
+        v = self._v
+        for node, const in self.program.const_nodes:
+            v[node] = full if const else 0
+        self._blk_mask = 0  # re-fold block constants on the next block
         self._dirty_consts.clear()
         self._dirty_consts_blk.clear()
         for i, init in enumerate(self.program.latch_inits):
@@ -559,39 +512,21 @@ class CompiledSimulator:
 
     @property
     def values(self) -> "list[int]":
-        """Every node's word-packed value on the current cycle (python
-        backend; after a :meth:`run_block`, a fresh read-only list)."""
+        """Every node's word-packed value on the current cycle (after a
+        :meth:`run_block`, a fresh read-only list)."""
         if self._slot is None:
             return self._v
         sh = 64 * self.n_words * self._slot
         full = self.full_mask
         return [(x >> sh) & full for x in self._bv]
 
-    def _state_view(self) -> "np.ndarray":
-        """Numpy backend: the state matrix of the current cycle."""
-        if self._slot is None:
-            return self._vec.state
-        nw = self.n_words
-        return self._blk.state[:, self._slot * nw : (self._slot + 1) * nw]
-
     def value(self, node: int) -> int:
         """Node's current word-packed value (all lanes, one integer)."""
         return self.node_ints((node,))[0]
 
-    def word(self, node: int, word: int = 0) -> int:
-        """One 64-lane word of a node's value."""
-        if self._vec is not None:
-            return int(self._state_view()[node, word])
-        return (self.value(node) >> (64 * word)) & _MASK64
-
     def node_ints(self, nodes) -> "list[int]":
-        """Word-packed integer values for a list of node ids — the bulk
-        read both backends serve without materializing the full state."""
-        if self._vec is not None:
-            state = self._state_view()
-            return [
-                int.from_bytes(state[n].tobytes(), "little") for n in nodes
-            ]
+        """Word-packed integer values for a list of node ids, without
+        materializing the full state."""
         if self._slot is None:
             v = self._v
             return [v[n] for n in nodes]
@@ -605,13 +540,6 @@ class CompiledSimulator:
         (little-endian, ``8 * n_words`` bytes per node) — the one
         int→uint64 conversion loop shared by :meth:`dense` and the
         engine's per-cycle trace-sample capture."""
-        if self._vec is not None:
-            idx = np.asarray(nodes, dtype=np.intp)
-            view = np.frombuffer(buf, dtype=np.uint64).reshape(
-                idx.size, self.n_words
-            )
-            np.take(self._state_view(), idx, axis=0, out=view)
-            return
         bl = self._word_bytes
         pos = 0
         for x in self.node_ints(nodes):
@@ -629,10 +557,7 @@ class CompiledSimulator:
             self._dense = np.frombuffer(
                 self._dense_buf, dtype=np.uint64
             ).reshape(self.program.n_nodes, self.n_words)
-        if self._vec is not None:
-            self._dense[:] = self._state_view()[: self.program.n_nodes]
-        else:
-            self.export_words(range(self.program.n_nodes), self._dense_buf)
+        self.export_words(range(self.program.n_nodes), self._dense_buf)
         return self._dense
 
     # -- evaluation ----------------------------------------------------------
@@ -642,51 +567,22 @@ class CompiledSimulator:
             return
         full = self.full_mask
         cv = self.program.const_value
-        if self._vec is not None:
-            state = self._vec.state
-            n = self.program.n_nodes
-            for node in self._dirty_consts:
-                state[node] = (
-                    ~np.uint64(0) if cv[node] else np.uint64(0)
-                )
-                state[node + n] = ~state[node]
-        else:
-            v = self._v
-            for node in self._dirty_consts:
-                v[node] = full if cv[node] else 0
+        v = self._v
+        for node in self._dirty_consts:
+            v[node] = full if cv[node] else 0
         self._dirty_consts.clear()
 
-    def _eval(
-        self, overrides: "Mapping[int, tuple[int, int]] | None"
-    ) -> None:
-        """Run one combinational settle of the per-cycle state.
+    def _eval(self, v, full: int, nm, dirty, overrides) -> None:
+        """Run one combinational settle of value list ``v``.
 
-        ``overrides`` maps node → ``(forced, mask)`` word-packed integer
-        pairs.  Source and folded-constant overrides blend into the value
-        state before the kernel runs; gate overrides blend the moment the
-        gate is evaluated — its fanouts see the forced value (python: the
-        forced kernel's per-node tables; numpy: per-level fixups applied
-        between level passes).
+        Values are ``full`` wide and ``nm`` is the not-mask table neutral
+        at ``full``.  ``overrides`` maps node → ``(forced, mask)``
+        word-packed integer pairs: source and folded-constant overrides
+        blend into ``v`` before the kernel runs (overridden constants are
+        noted in ``dirty``); gate overrides blend through the forced
+        kernel's per-node tables the moment the gate is evaluated, so its
+        fanouts see the forced value.
         """
-        if self._vec is not None:
-            fixups = self._vec_overrides(
-                self._vec,
-                overrides,
-                self._dirty_consts,
-                self._word_bytes,
-                self.full_mask,
-            )
-            self._vec.eval_levels(fixups)
-            return
-        self._py_eval(
-            self._v, self.full_mask, self._notmask, self._dirty_consts,
-            overrides,
-        )
-
-    def _py_eval(self, v, full: int, nm, dirty, overrides) -> None:
-        """Python backend: settle value list ``v`` whose values are
-        ``full`` wide, with ``nm`` the not-mask table neutral at
-        ``full``; overridden constants are noted in ``dirty``."""
         if not overrides:
             self._clean_kernel(v, full)
             return
@@ -714,43 +610,6 @@ class CompiledSimulator:
         else:
             self._clean_kernel(v, full)
 
-    # -- numpy-backend internals ---------------------------------------------
-
-    def _row_from_int(self, value: int) -> "np.ndarray":
-        return np.frombuffer(
-            (value & self.full_mask).to_bytes(self._word_bytes, "little"),
-            dtype=np.uint64,
-        )
-
-    def _vec_overrides(self, vec, overrides, dirty, n_bytes: int, full: int):
-        """Blend source/const overrides into ``vec`` now; return the gate
-        overrides grouped by level index for mid-eval fixups.  Override
-        integers are ``full`` wide and land as ``n_bytes``-byte rows."""
-        if not overrides:
-            return None
-        is_op = self.program.is_op
-        const_value = self.program.const_value
-        fixups: "dict[int, list] | None" = None
-        for node, (forced, mask) in overrides.items():
-            mask &= full
-            farr = np.frombuffer(
-                (forced & mask).to_bytes(n_bytes, "little"), dtype=np.uint64
-            )
-            nmarr = ~np.frombuffer(
-                mask.to_bytes(n_bytes, "little"), dtype=np.uint64
-            )
-            if is_op[node]:
-                if fixups is None:
-                    fixups = {}
-                fixups.setdefault(self._plan.op_level[node], []).append(
-                    (node, farr, nmarr)
-                )
-            else:
-                vec.blend(node, farr, nmarr)
-                if node in const_value:
-                    dirty.append(node)
-        return fixups
-
     # -- stepping -------------------------------------------------------------
 
     def step(
@@ -765,35 +624,19 @@ class CompiledSimulator:
         self._last_block = 0
         full = self.full_mask
         state = self.latch_state
-        if self._vec is not None:
-            vec = self._vec
-            try:
-                for pid in self.program.pi_nodes:
-                    vec.set_source(pid, self._row_from_int(pi_values[pid]))
-            except KeyError as exc:
-                raise SimulationError(
-                    f"cycle {self.cycle}: no value for PI node {exc.args[0]}"
-                ) from exc
-            for i, q in enumerate(self.program.latch_qs):
-                vec.set_source(q, self._row_from_int(state[i]))
-            self._eval(overrides)
-            st = vec.state
-            for i, d in enumerate(self.program.latch_drivers):
-                state[i] = int.from_bytes(st[d].tobytes(), "little")
-        else:
-            v = self._v
-            try:
-                for pid in self.program.pi_nodes:
-                    v[pid] = pi_values[pid] & full
-            except KeyError as exc:
-                raise SimulationError(
-                    f"cycle {self.cycle}: no value for PI node {exc.args[0]}"
-                ) from exc
-            for i, q in enumerate(self.program.latch_qs):
-                v[q] = state[i]
-            self._eval(overrides)
-            for i, d in enumerate(self.program.latch_drivers):
-                state[i] = v[d]
+        v = self._v
+        try:
+            for pid in self.program.pi_nodes:
+                v[pid] = pi_values[pid] & full
+        except KeyError as exc:
+            raise SimulationError(
+                f"cycle {self.cycle}: no value for PI node {exc.args[0]}"
+            ) from exc
+        for i, q in enumerate(self.program.latch_qs):
+            v[q] = state[i]
+        self._eval(v, full, self._notmask, self._dirty_consts, overrides)
+        for i, d in enumerate(self.program.latch_drivers):
+            state[i] = v[d]
         self.cycle += 1
         self._record_state()
 
@@ -810,21 +653,13 @@ class CompiledSimulator:
         self._restore_consts()
         self._slot = None
         self._last_block = 0
-        if self._vec is not None:
-            vec = self._vec
-            for src in self.program.source_nodes:
-                if src not in source_values:
-                    raise SimulationError(f"no stimulus for source node {src}")
-                vec.set_source(src, self._row_from_int(source_values[src]))
-            self._eval(overrides)
-            return
         v = self._v
         full = self.full_mask
         for src in self.program.source_nodes:
             if src not in source_values:
                 raise SimulationError(f"no stimulus for source node {src}")
             v[src] = source_values[src] & full
-        self._eval(overrides)
+        self._eval(v, full, self._notmask, self._dirty_consts, overrides)
 
     # -- latch-state record ----------------------------------------------------
 
@@ -862,7 +697,7 @@ class CompiledSimulator:
     def block_cycles(self) -> int:
         """Cycles one :meth:`run_block` pass can evaluate at most:
         :data:`BLOCK_TARGET_WORDS` words of state per pass, capped at
-        :data:`MAX_BLOCK_CYCLES` cycles (both backends, every program)."""
+        :data:`MAX_BLOCK_CYCLES` cycles (every program)."""
         return self._block_cycles
 
     def block_span(self, n_cycles: int) -> int:
@@ -889,8 +724,8 @@ class CompiledSimulator:
         every value (``W = 64 * n_words``): ``pi_words`` maps each PI
         node to its block-wide integer, and ``overrides`` maps nodes to
         block-wide ``(forced, mask)`` pairs, so each cycle's forcing
-        lands only on its own bits.  The generated kernels (python) and
-        the level passes (numpy) run unchanged over the wider values.
+        lands only on its own bits.  The generated kernels run unchanged
+        over the wider values.
 
         Combinational cycles are independent, so every evaluated cycle is
         consumed.  A sequential program's cycle 0 gets the true latch
@@ -915,12 +750,10 @@ class CompiledSimulator:
 
         ``stim`` is a ``(n_pis, C * n_words)`` uint64 array, rows aligned
         to ``program.pi_nodes`` order, cycle ``c`` of the batch on word
-        columns ``[c * n_words, (c+1) * n_words)`` — the numpy backend's
-        native stimulus format.  Callers that already hold word-packed
-        arrays (trace replays, generated stimulus matrices, the kernel
-        benchmark) skip the per-integer marshalling on that backend;
-        semantics are otherwise identical to an override-free
-        :meth:`run_block`.
+        columns ``[c * n_words, (c+1) * n_words)``.  Callers that already
+        hold word-packed arrays (trace replays, generated stimulus
+        matrices, the kernel benchmark) pass them as they are; semantics
+        are identical to an override-free :meth:`run_block`.
         """
         nw = self.n_words
         n_pis = len(self.program.pi_nodes)
@@ -950,11 +783,14 @@ class CompiledSimulator:
         if pi_words is None:
             self._blk_write(program.pi_nodes, stim, n)
         else:
-            self._blk_write_ints(program.pi_nodes, pi_words, n, mask)
+            self._blk_write_ints(program.pi_nodes, pi_words, mask)
         pred = self._predict(n) if program.latch_qs else None
         if pred is not None:
             self._blk_write(program.latch_qs, pred, n)
-        self._blk_eval(overrides, mask)
+        self._eval(
+            self._bv, mask, self._blk_notmask, self._dirty_consts_blk,
+            overrides,
+        )
         consumed = n
         if pred is not None:
             drivers = self._blk_rows(program.latch_drivers, n)
@@ -1001,124 +837,51 @@ class CompiledSimulator:
         self._set_state_rows(got[:, consumed - 1])
         return consumed
 
-    # -- block backends ------------------------------------------------------
+    # -- block state -----------------------------------------------------------
 
     def _blk_begin(self, mask: int) -> None:
-        """Ready the block state for values ``mask`` wide: constants
-        folded (python: with the not-mask table neutral at ``mask``)."""
-        if self._vec is not None:
-            if self._blk is None:
-                from repro.netlist.vector import VectorState
-
-                self._blk = VectorState(
-                    self._plan, self.n_words * self._block_cycles
-                )
-            elif self._dirty_consts_blk:
-                self._blk.reset_consts()
+        """Ready the block values for ``mask``-wide evaluation: constants
+        folded and the not-mask table neutral at ``mask``."""
+        bv = self._bv
+        if mask != self._blk_mask:
+            for node, const in self.program.const_nodes:
+                bv[node] = mask if const else 0
+            self._blk_notmask = [mask] * self.program.n_nodes
+            self._blk_mask = mask
         else:
-            bv = self._bv
-            if mask != self._blk_mask:
-                for node, const in self.program.const_nodes:
-                    bv[node] = mask if const else 0
-                self._blk_notmask = [mask] * self.program.n_nodes
-                self._blk_mask = mask
-            else:
-                cv = self.program.const_value
-                for node in self._dirty_consts_blk:
-                    bv[node] = mask if cv[node] else 0
+            cv = self.program.const_value
+            for node in self._dirty_consts_blk:
+                bv[node] = mask if cv[node] else 0
         self._dirty_consts_blk.clear()
 
-    def _blk_eval(self, overrides, mask: int) -> None:
-        """Settle the block state, overrides ``mask`` wide."""
-        if self._vec is not None:
-            self._blk.eval_levels(
-                self._vec_overrides(
-                    self._blk,
-                    overrides,
-                    self._dirty_consts_blk,
-                    self._word_bytes * self._block_cycles,
-                    mask,
-                )
-            )
-            return
-        self._py_eval(
-            self._bv, mask, self._blk_notmask, self._dirty_consts_blk,
-            overrides,
-        )
-
-    def _blk_write_ints(self, nodes, words, n: int, mask: int) -> None:
+    def _blk_write_ints(self, nodes, words, mask: int) -> None:
         """Land block-wide integer source values (``words[node]``)."""
+        bv = self._bv
         try:
-            if self._vec is None:
-                bv = self._bv
-                for x in nodes:
-                    bv[x] = words[x] & mask
-                return
-            nb = self._word_bytes * n
-            try:
-                data = b"".join([words[x].to_bytes(nb, "little") for x in nodes])
-            except OverflowError:  # out-of-range/negative stimulus: mask
-                data = b"".join(
-                    [(words[x] & mask).to_bytes(nb, "little") for x in nodes]
-                )
+            for x in nodes:
+                bv[x] = words[x] & mask
         except KeyError as exc:
             raise SimulationError(
                 f"cycle {self.cycle}: no value for PI node {exc.args[0]}"
             ) from exc
-        rows = np.frombuffer(data, dtype=np.uint64)
-        self._blk_write(nodes, rows.reshape(len(nodes), n * self.n_words), n)
 
-    def _scatter_of(self, nodes: tuple):
-        """Numpy backend: row indices of ``nodes`` in the block state,
-        plus the complement rows literals read inverted (cached)."""
-        sc = self._scatter.get(nodes)
-        if sc is None:
-            idx = np.asarray(nodes, dtype=np.intp)
-            inv_pos = np.flatnonzero(self._plan.needs_inv[idx])
-            sc = (
-                idx,
-                inv_pos,
-                idx[inv_pos] + self._plan.n_nodes,
-                np.empty(
-                    (inv_pos.size, self.n_words * self._block_cycles),
-                    dtype=np.uint64,
-                ),
-            )
-            self._scatter[nodes] = sc
-        return sc
-
-    def _blk_write(self, nodes: tuple, rows: "np.ndarray", n: int) -> None:
+    def _blk_write(self, nodes, rows: "np.ndarray", n: int) -> None:
         """Land ``(len(nodes), >= n * n_words)`` source rows on the block
-        state (numpy: with complement rows, through a preallocated
-        buffer)."""
-        cols = n * self.n_words
-        if self._vec is None:
-            nb = cols * 8
-            data = np.ascontiguousarray(rows[:, :cols]).tobytes()
-            bv = self._bv
-            for i, x in enumerate(nodes):
-                bv[x] = int.from_bytes(data[i * nb : (i + 1) * nb], "little")
-            return
-        idx, inv_pos, inv_rows, inv_buf = self._scatter_of(nodes)
-        state = self._blk.state
-        state[idx, :cols] = rows[:, :cols]
-        if inv_pos.size:
-            buf = inv_buf[:, :cols]
-            np.take(rows[:, :cols], inv_pos, axis=0, out=buf)
-            np.invert(buf, out=buf)
-            state[inv_rows, :cols] = buf
+        values."""
+        nb = n * self._word_bytes
+        data = np.ascontiguousarray(rows[:, : n * self.n_words]).tobytes()
+        bv = self._bv
+        for i, x in enumerate(nodes):
+            bv[x] = int.from_bytes(data[i * nb : (i + 1) * nb], "little")
 
     def _blk_rows(self, nodes, n: int) -> "np.ndarray":
         """``nodes``' values over the first ``n`` cycles of the block."""
-        cols = n * self.n_words
-        if self._vec is None:
-            nb = cols * 8
-            bv = self._bv
-            return np.frombuffer(
-                b"".join([bv[x].to_bytes(nb, "little") for x in nodes]),
-                dtype=np.uint64,
-            ).reshape(len(nodes), cols)
-        return self._blk.state[np.asarray(nodes, dtype=np.intp), :cols]
+        nb = n * self._word_bytes
+        bv = self._bv
+        return np.frombuffer(
+            b"".join([bv[x].to_bytes(nb, "little") for x in nodes]),
+            dtype=np.uint64,
+        ).reshape(len(nodes), n * self.n_words)
 
     def rewind_block(self, n_consumed: int) -> None:
         """Declare that only the first ``n_consumed`` cycles of the last
@@ -1145,14 +908,6 @@ class CompiledSimulator:
         for per-cycle views.  Only the consumed cycles are meaningful."""
         if not self._blk_len:
             raise SimulationError("block_export before any run_block")
-        if self._vec is None:
-            out[:, : self._blk_len * self.n_words] = self._blk_rows(
-                nodes, self._blk_len
-            )
-            return
-        np.take(
-            self._blk.state,
-            np.asarray(nodes, dtype=np.intp),
-            axis=0,
-            out=out,
+        out[:, : self._blk_len * self.n_words] = self._blk_rows(
+            nodes, self._blk_len
         )

@@ -7,10 +7,9 @@ word ``k // 64``, bit ``k % 64``.
 Both entry points are **façades over the compiled kernels** of
 :mod:`repro.netlist.compiled`: the network is lowered once into a
 :class:`~repro.netlist.compiled.CompiledProgram` (cached per content key)
-and every step executes generated bitwise code, with the kernel backend
-chosen by lane width.  The façades convert packed arrays to word-packed
-integers at their boundary and export every node's value back as an
-array:
+and every step executes generated bitwise code.  The façades convert
+packed arrays to word-packed integers at their boundary and export every
+node's value back as an array:
 
 * :func:`simulate_combinational` — evaluate every node given source values;
 * :class:`SequentialSimulator` — cycle-accurate simulation with latch state,

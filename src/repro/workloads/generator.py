@@ -202,8 +202,9 @@ def generate_circuit(
 
     # latch drivers: prefer unused signals from the deeper half of the circuit
     deep_pool = [g for lvl in by_level[depth // 2 :] for g in lvl]
+    deep_set = set(deep_pool)
     for latch in net.latches:
-        cand = [u for u in unused if u in set(deep_pool)]
+        cand = [u for u in unused if u in deep_set]
         if cand:
             drv = cand[int(rng.integers(0, len(cand)))]
         else:
@@ -215,7 +216,8 @@ def generate_circuit(
     # unused signals, then random deep gates.
     po_nodes: list[int] = [by_level[depth][0]]
     unused.discard(po_nodes[0])
-    unused_gates = [u for u in unused if u not in set(sources)]
+    source_set = set(sources)
+    unused_gates = [u for u in unused if u not in source_set]
     rng.shuffle(unused_gates)
     for u in unused_gates:
         if len(po_nodes) >= spec.n_pos:
@@ -234,7 +236,6 @@ def generate_circuit(
     # to rewire: make each leftover an extra fan-in of a same-or-deeper
     # inverter, upgrading it to a 2-input gate. This keeps gate count exact.
     po_set = set(po_nodes)
-    source_set = set(sources)
     leftovers = [u for u in unused if u not in source_set and u not in po_set]
     if leftovers:
         lvl_of = {g: lv for lv, nodes in enumerate(by_level) for g in nodes}

@@ -1,11 +1,11 @@
 """Shared helpers for the differential parity harnesses.
 
-The compiled simulation kernels exist in two independent implementations
-(the generated big-int python kernels and the vectorized numpy lowering),
-next to the reference per-gate simulator of ``benchmarks/ref_simulate.py``.  Differential testing treats
-each as an independent oracle that must agree bit-for-bit; this module
-supplies the harness ingredients the test files and the CI
-backend-parity job share:
+The compiled simulation kernels (the generated big-int kernels) are the
+implementation under test; the reference per-gate simulator of
+``benchmarks/ref_simulate.py`` and the evaluator below are two
+independent oracles it must agree with bit-for-bit.  This module supplies
+the harness ingredients the test files and the CI backend-parity job
+share:
 
 * a **pure-python seeded network generator** — random ISOP-shaped
   networks over the full structural envelope (multi-fanin gates with
@@ -14,13 +14,11 @@ backend-parity job share:
   emit;
 * an **independent big-int reference evaluator** — walks the network's
   topo order evaluating ISOP covers directly, sharing no code with
-  either compiled backend's lowering or the reference simulator's
-  array path;
+  the compiled kernels' lowering or the reference simulator's array
+  path;
 * a **one-candidate-at-a-time stuck-at screen**
   (:func:`reference_stuck_at_scenarios`) — the oracle for the packed
-  screening of :func:`repro.workloads.scenarios.stuck_at_scenarios`;
-* :func:`pin_backend`, which makes whole campaigns and engines run on one
-  kernel backend at any lane width.
+  screening of :func:`repro.workloads.scenarios.stuck_at_scenarios`.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from repro.netlist.truthtable import TruthTable
 __all__ = [
     "block_overrides",
     "block_words",
-    "pin_backend",
     "random_network",
     "random_stimulus_ints",
     "random_override_ints",
@@ -42,16 +39,6 @@ __all__ = [
     "reference_sequential",
     "reference_stuck_at_scenarios",
 ]
-
-
-def pin_backend(monkeypatch, backend: str) -> None:
-    """Pin width-based kernel selection to ``backend`` at every lane width
-    (the lane width alone picks the backend; nothing above the kernel
-    overrides it)."""
-    import repro.netlist.compiled as compiled
-
-    min_words = {"python": 1 << 30, "numpy": 1}[backend]
-    monkeypatch.setattr(compiled, "AUTO_NUMPY_MIN_WORDS", min_words)
 
 
 def block_words(
@@ -170,7 +157,7 @@ def reference_eval(
     literal over word-packed integers.  Overrides are ``(forced, mask)``
     integer pairs blended as ``(clean & ~mask) | (forced & mask)`` — on
     any node kind, exactly the engine's fault semantics.  Shares no
-    evaluation code with the backends under test.
+    evaluation code with the simulators under test.
     """
     full = (1 << (64 * n_words)) - 1
     ov = overrides or {}

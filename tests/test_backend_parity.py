@@ -1,20 +1,19 @@
-"""Cross-backend differential parity harness.
+"""Differential parity harness for the compiled simulation kernels.
 
-The compiled simulation layer has two independent kernel
-implementations — the generated big-int python kernels and the
-vectorized numpy lowering — and ``benchmarks/ref_simulate.py`` keeps
-the reference per-gate simulator as a third.  This harness treats every
-implementation as an oracle that must agree **bit-for-bit** with an
-independent big-int reference evaluator (:mod:`tests.parity`, which
-shares no lowering code with any of them):
+The generated big-int kernels are the one compiled implementation.
+``benchmarks/ref_simulate.py`` keeps the reference per-gate simulator as
+an independent second one, and :mod:`tests.parity` an independent
+big-int reference evaluator that shares no lowering code with either.
+Both simulators must agree with that evaluator **bit-for-bit**:
 
 * a seeded random-network sweep over unmapped/mapped × combinational/
   sequential shapes at lane widths 1, 64, 96, 128 and 1024, with
   fault-style (lane-masked) and mutation-style (full-mask) overrides;
-* backend resolution rules (width-based auto selection, explicit-request
-  validation);
-* full-campaign outcome diffs: the same stuck-at campaign run once per
-  backend (pinned through ``AUTO_NUMPY_MIN_WORDS``) must produce
+* backend resolution rules (``"python"`` at every width, unknown names
+  rejected);
+* full-campaign outcome diffs: the same stuck-at campaign run on the
+  compiled kernels and on the reference simulator
+  (:func:`benchmarks.ref_simulate.reference_online`) must produce
   byte-identical outcomes JSON — fast multi-word version always, the
   full 1024-scenario single-batch version on the slow tier.
 """
@@ -30,7 +29,6 @@ import numpy as np
 
 from benchmarks import ref_simulate
 from parity import (
-    pin_backend,
     random_network,
     random_override_ints,
     random_stimulus_ints,
@@ -38,7 +36,6 @@ from parity import (
 )
 from repro.errors import SimulationError
 from repro.netlist.compiled import (
-    AUTO_NUMPY_MIN_WORDS,
     CompiledSimulator,
     program_for,
     resolve_backend,
@@ -59,7 +56,7 @@ def _scenario(net, width: int, seed: int):
     """Deterministic stimulus + per-cycle overrides for one sweep case.
 
     Cycles alternate between clean, fault-style (lane-masked) and
-    mutation-style (full-mask) overrides so each backend's override
+    mutation-style (full-mask) overrides so each simulator's override
     blending is exercised in every combination.
     """
     rng = random.Random(seed * 7919 + width)
@@ -74,10 +71,9 @@ def _scenario(net, width: int, seed: int):
     return nw, stim_rows, overrides
 
 
-def _compiled_cycles(net, backend, nw, stim_rows, overrides):
-    """Per-cycle, per-node word-packed values from a compiled backend."""
-    sim = CompiledSimulator(program_for(net), nw, backend=backend)
-    assert sim.backend == backend
+def _compiled_cycles(net, nw, stim_rows, overrides):
+    """Per-cycle, per-node word-packed values from the compiled kernels."""
+    sim = CompiledSimulator(program_for(net), nw)
     out = []
     for cyc, stim in enumerate(stim_rows):
         sim.step(stim, overrides=overrides.get(cyc))
@@ -124,6 +120,18 @@ def _assert_traces_equal(net, got, want, label: str):
             )
 
 
+def _sweep(net, width: int, seed: int) -> None:
+    """Every node, every cycle: the compiled kernels and the reference
+    per-gate simulator each equal the independent reference evaluator."""
+    nw, stim, ov = _scenario(net, width, seed)
+    want = reference_sequential(net, stim, nw, ov)
+    for label, got in (
+        ("compiled", _compiled_cycles(net, nw, stim, ov)),
+        ("interpreted", _interpreted_cycles(net, nw, stim, ov)),
+    ):
+        _assert_traces_equal(net, got, want, f"{label} w={width}")
+
+
 def _comb_net(seed: int):
     return random_network(seed, n_pis=10, n_gates=70, n_pos=6)
 
@@ -133,53 +141,33 @@ def _seq_net(seed: int):
 
 
 class TestPythonBackendVsReference:
-    """Pure-python leg: generated big-int kernels vs the independent
-    big-int reference."""
+    """The sweep on seeds 1-4: two networks per unmapped shape."""
 
     @pytest.mark.parametrize("width", WIDTHS)
     @pytest.mark.parametrize("seed", [1, 2])
     def test_combinational(self, seed, width):
-        net = _comb_net(seed)
-        nw, stim, ov = _scenario(net, width, seed)
-        want = reference_sequential(net, stim, nw, ov)
-        got = _compiled_cycles(net, "python", nw, stim, ov)
-        _assert_traces_equal(net, got, want, f"python w={width}")
+        _sweep(_comb_net(seed), width, seed)
 
     @pytest.mark.parametrize("width", WIDTHS)
     @pytest.mark.parametrize("seed", [3, 4])
     def test_sequential(self, seed, width):
-        net = _seq_net(seed)
-        nw, stim, ov = _scenario(net, width, seed)
-        want = reference_sequential(net, stim, nw, ov)
-        got = _compiled_cycles(net, "python", nw, stim, ov)
-        _assert_traces_equal(net, got, want, f"python w={width}")
+        _sweep(_seq_net(seed), width, seed)
 
 
 class TestAllBackendsAgree:
-    """Four-way diff: reference vs python-compiled vs numpy-compiled vs
-    the reference per-gate simulator, every node, every cycle."""
-
-    def _sweep(self, net, width: int, seed: int):
-        nw, stim, ov = _scenario(net, width, seed)
-        want = reference_sequential(net, stim, nw, ov)
-        for label, got in (
-            ("python", _compiled_cycles(net, "python", nw, stim, ov)),
-            ("numpy", _compiled_cycles(net, "numpy", nw, stim, ov)),
-            ("interpreted", _interpreted_cycles(net, nw, stim, ov)),
-        ):
-            _assert_traces_equal(net, got, want, f"{label} w={width}")
+    """The sweep on seeds 11-13: one network per shape, mapped included."""
 
     @pytest.mark.parametrize("width", WIDTHS)
     def test_combinational(self, width):
-        self._sweep(_comb_net(11), width, 11)
+        _sweep(_comb_net(11), width, 11)
 
     @pytest.mark.parametrize("width", WIDTHS)
     def test_sequential(self, width):
-        self._sweep(_seq_net(12), width, 12)
+        _sweep(_seq_net(12), width, 12)
 
     @pytest.mark.parametrize("width", WIDTHS)
     def test_mapped(self, width, mapped_parity_net):
-        self._sweep(mapped_parity_net, width, 13)
+        _sweep(mapped_parity_net, width, 13)
 
 
 @pytest.fixture(scope="module")
@@ -196,25 +184,25 @@ class TestBackendResolution:
         assert resolve_backend("python", n_words=64) == "python"
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(SimulationError, match="unknown simulation backend"):
-            resolve_backend("fortran")
+        for name in ("fortran", "numpy"):
+            with pytest.raises(SimulationError, match="unknown simulation backend"):
+                resolve_backend(name)
 
-    def test_auto_is_width_based(self):
-        assert resolve_backend(None, n_words=1) == "python"
-        assert resolve_backend(None, n_words=AUTO_NUMPY_MIN_WORDS - 1) == "python"
-        wide = resolve_backend(None, n_words=AUTO_NUMPY_MIN_WORDS)
-        assert wide == "numpy"
-        assert resolve_backend("auto", n_words=16) == wide
+    def test_auto_is_python_at_every_width(self):
+        for n_words in (1, 3, 4, 16, 1024):
+            assert resolve_backend(None, n_words=n_words) == "python"
+            assert resolve_backend("auto", n_words=n_words) == "python"
+        net = _comb_net(1)
+        for n_words in (1, 4, 16):
+            sim = CompiledSimulator(program_for(net), n_words)
+            assert sim.backend == "python"
 
 
 # -- full-campaign outcome diffs ----------------------------------------------
 
-def _campaign_outcomes_json(scenarios, backend, cache, monkeypatch, *, max_turns=16):
+def _campaign_outcomes_json(scenarios, cache, *, max_turns=16):
     from repro.campaign import CampaignConfig, run_campaign
 
-    pin_backend(monkeypatch, backend)
-    assert resolve_backend(None, n_words=1) == backend
-    assert resolve_backend(None, n_words=16) == backend
     report = run_campaign(
         scenarios,
         config=CampaignConfig(lane_width=1024, max_turns=max_turns),
@@ -224,26 +212,34 @@ def _campaign_outcomes_json(scenarios, backend, cache, monkeypatch, *, max_turns
     return json.dumps(report.outcomes(), sort_keys=True)
 
 
-def test_campaign_outcomes_identical_multiword(monkeypatch):
-    """96-scenario stuck-at campaign (two-word batch at ``lane_width=1024``)
-    run per backend: the outcomes JSON must be byte-identical."""
+def _compiled_vs_reference(scenarios) -> None:
+    """One campaign on the compiled kernels, then on the reference
+    simulator (golden passes and lane batches), over a shared store: the
+    outcomes JSON must match byte for byte.  ``reference_online`` patches
+    in-process names, so both legs run with the default ``workers=1``."""
     from repro.campaign import ArtifactStore
+
+    cache = ArtifactStore()
+    compiled = _campaign_outcomes_json(scenarios, cache)
+    with ref_simulate.reference_online():
+        reference = _campaign_outcomes_json(scenarios, cache)
+    assert compiled == reference
+
+
+def test_campaign_outcomes_identical_multiword():
+    """96-scenario stuck-at campaign (two-word batch at ``lane_width=1024``)
+    on the compiled kernels and on the reference simulator."""
     from repro.workloads import campaign_spec, stuck_at_scenarios
 
     spec = campaign_spec("parity-fast", n_gates=420, depth=8, n_pis=32, n_pos=24)
-    scenarios = stuck_at_scenarios(spec, 96, horizon=24)
-    cache = ArtifactStore()
-    py = _campaign_outcomes_json(scenarios, "python", cache, monkeypatch)
-    vec = _campaign_outcomes_json(scenarios, "numpy", cache, monkeypatch)
-    assert py == vec
+    _compiled_vs_reference(stuck_at_scenarios(spec, 96, horizon=24))
 
 
 @pytest.mark.slow
-def test_campaign_outcomes_identical_width_1024(monkeypatch):
+def test_campaign_outcomes_identical_width_1024():
     """The flagship diff: a full 1024-scenario stuck-at campaign — one
-    single 1024-lane (16-word) batch — run once per backend against a
-    shared offline cache.  Outcomes JSON must match byte for byte."""
-    from repro.campaign import ArtifactStore
+    single 1024-lane (16-word) batch — on the compiled kernels and on the
+    reference simulator at the same width."""
     from repro.workloads import campaign_spec, stuck_at_scenarios
 
     spec = campaign_spec(
@@ -251,7 +247,4 @@ def test_campaign_outcomes_identical_width_1024(monkeypatch):
     )
     scenarios = stuck_at_scenarios(spec, 1024, horizon=24)
     assert len(scenarios) == 1024
-    cache = ArtifactStore()
-    py = _campaign_outcomes_json(scenarios, "python", cache, monkeypatch)
-    vec = _campaign_outcomes_json(scenarios, "numpy", cache, monkeypatch)
-    assert py == vec
+    _compiled_vs_reference(scenarios)

@@ -32,7 +32,6 @@ from parity import (
     reference_sequential,
 )
 from repro.netlist.compiled import (
-    BACKENDS,
     COMPILED_SIM_STAGE,
     CompiledProgram,
     CompiledSimulator,
@@ -184,40 +183,54 @@ class TestProgramCache:
         assert program_for(net1) is not p1
 
     def test_rewire_revalidates_across_backends(self):
-        """An in-place rewire queried under a *different* backend must
-        recompile and re-lower — the numpy vector plan hangs off the
-        program object, so a stale program would mean a stale plan."""
-        from repro.netlist.vector import plan_for
-
+        """An in-place rewire after the kernels were generated must
+        recompile — the kernels hang off the program object, so a stale
+        program would mean stale kernels."""
         spec = campaign_spec("cache-b", n_gates=40, depth=5, n_pis=8, n_pos=4)
         net = generate_circuit(spec, 2)
         p1 = program_for(net)
-        # warm both backends on the original program: python kernels and
-        # the vector plan are both cached on the program instance
-        py1 = CompiledSimulator(p1, 2, backend="python")
-        np1 = CompiledSimulator(p1, 2, backend="numpy")
+        sim1 = CompiledSimulator(p1, 2)
         stim = {p: 0x5A5A_5A5A_5A5A_5A5A for p in net.pis}
-        py1.step(stim)
-        np1.step(stim)
-        plan1 = plan_for(p1)
-        assert p1._vector_plan is plan1
+        sim1.step(stim)
+        kernels1 = p1.kernels()
 
         gate = next(net.gates())
         net.rewire(gate, net.fanins(gate), ~net.func(gate))
-        # first post-rewire query arrives from the numpy side
         p2 = program_for(net)
         assert p2 is not p1
-        assert plan_for(p2) is not plan1  # fresh lowering, not the stale plan
-        py2 = CompiledSimulator(p2, 2, backend="python")
-        np2 = CompiledSimulator(p2, 2, backend="numpy")
-        py2.step(stim)
-        np2.step(stim)
+        assert p2.kernels() is not kernels1  # fresh kernels, not the stale pair
+        sim2 = CompiledSimulator(p2, 2)
+        sim2.step(stim)
         nodes = list(net.nodes())
-        assert py2.node_ints(nodes) == np2.node_ints(nodes)
-        # the inverted gate actually changed value — a stale program or
-        # plan would have kept serving the old function
-        assert py2.value(gate) == py1.value(gate) ^ py1.full_mask
-        assert np2.value(gate) == np1.value(gate) ^ np1.full_mask
+        want = reference_sequential(net, [stim], 2)[0]
+        assert sim2.node_ints(nodes) == [want[x] for x in nodes]
+        # the inverted gate actually changed value — a stale program would
+        # have kept serving the old function
+        assert sim2.value(gate) == sim1.value(gate) ^ sim1.full_mask
+
+    def test_store_hit_keeps_in_process_program(self):
+        """A store hit returns the program this process already holds for
+        the signature, kernels built, and still counts as a hit."""
+        spec = campaign_spec("cache-w", n_gates=40, depth=5, n_pis=8, n_pos=4)
+        a = generate_circuit(spec, 5)
+        b = generate_circuit(spec, 5)  # structurally identical
+        assert a is not b
+        warm = ArtifactStore()
+        # the store's copy is another instance, as if a process filled it
+        warm.put(COMPILED_SIM_STAGE, network_signature(a), compile_network(a))
+        p = program_for(a)
+        kernels = p.kernels()
+        hits, misses = warm.stats.hits, warm.stats.misses
+        q = program_for(b, store=warm)
+        assert q is p
+        assert q._kernels is kernels
+        assert (warm.stats.hits, warm.stats.misses) == (hits + 1, misses)
+        # another signature is compiled and stored as before
+        c = generate_circuit(spec, 6)
+        r = program_for(c, store=warm)
+        assert r.signature == network_signature(c) != p.signature
+        assert (warm.stats.hits, warm.stats.misses) == (hits + 1, misses + 1)
+        assert warm.count(COMPILED_SIM_STAGE) == 2
 
     def test_store_persistence_round_trip(self, tmp_path):
         spec = campaign_spec("cache-d", n_gates=40, depth=5, n_pis=8, n_pos=4)
@@ -255,8 +268,8 @@ class TestProgramCache:
 
 
 class TestBlockEvaluation:
-    """Direct coverage for the cycle-batched entry points on both
-    backends (the lane engine and the kernel bench consume them)."""
+    """Direct coverage for the cycle-batched entry points (the lane
+    engine and the kernel bench consume them)."""
 
     def _program(self, seed=9):
         spec = campaign_spec("blk-t", n_gates=60, depth=6, n_pis=10, n_pos=5)
@@ -280,95 +293,93 @@ class TestBlockEvaluation:
         nw = 4
         gate = int(next(net.gates()))
         nodes = list(net.nodes())
-        for backend in BACKENDS:
-            rng = np.random.default_rng(9)
-            stepper = CompiledSimulator(program, nw, backend=backend)
-            blocker = CompiledSimulator(program, nw, backend=backend)
-            full = stepper.full_mask
-            rows, ovr = [], []
-            for c in range(blocker.block_cycles):
-                rows.append(
-                    {
-                        p: int.from_bytes(rng.bytes(8 * nw), "little")
-                        for p in net.pis
-                    }
-                )
-                ovr.append(
-                    {
-                        gate: (
-                            int(rng.integers(0, 2)) * full,
-                            0xFF << (64 * (c % nw)),
-                        )
-                    }
-                    if c % 2
-                    else None
-                )
-            expected = []
-            for row, ov in zip(rows, ovr):
-                stepper.step(row, overrides=ov)
-                expected.append(stepper.node_ints(nodes))
-            consumed = blocker.run_block(
-                block_words(rows, net.pis, nw),
-                len(rows),
-                block_overrides(ovr, nw),
+        rng = np.random.default_rng(9)
+        stepper = CompiledSimulator(program, nw)
+        blocker = CompiledSimulator(program, nw)
+        full = stepper.full_mask
+        rows, ovr = [], []
+        for c in range(blocker.block_cycles):
+            rows.append(
+                {
+                    p: int.from_bytes(rng.bytes(8 * nw), "little")
+                    for p in net.pis
+                }
             )
-            assert consumed == len(rows) == blocker.block_cycles > 1
-            assert blocker.cycle == stepper.cycle
-            assert blocker.node_ints(nodes) == expected[-1]
-            assert blocker.dense().tolist() == stepper.dense().tolist()
-            out = np.empty(
-                (len(nodes), blocker.block_cycles * nw), dtype=np.uint64
+            ovr.append(
+                {
+                    gate: (
+                        int(rng.integers(0, 2)) * full,
+                        0xFF << (64 * (c % nw)),
+                    )
+                }
+                if c % 2
+                else None
             )
-            blocker.block_export(nodes, out)
-            got = self._cycles(out, nodes, nw, len(rows))
-            for c in range(len(rows)):
-                assert got[c] == expected[c], (backend, c)
-            # rewinding re-mirrors an earlier cycle for per-cycle reads
-            blocker.rewind_block(5)
-            assert blocker.cycle == 5
-            assert blocker.node_ints(nodes) == expected[4]
+        expected = []
+        for row, ov in zip(rows, ovr):
+            stepper.step(row, overrides=ov)
+            expected.append(stepper.node_ints(nodes))
+        consumed = blocker.run_block(
+            block_words(rows, net.pis, nw),
+            len(rows),
+            block_overrides(ovr, nw),
+        )
+        assert consumed == len(rows) == blocker.block_cycles > 1
+        assert blocker.cycle == stepper.cycle
+        assert blocker.node_ints(nodes) == expected[-1]
+        assert blocker.dense().tolist() == stepper.dense().tolist()
+        out = np.empty(
+            (len(nodes), blocker.block_cycles * nw), dtype=np.uint64
+        )
+        blocker.block_export(nodes, out)
+        got = self._cycles(out, nodes, nw, len(rows))
+        for c in range(len(rows)):
+            assert got[c] == expected[c], c
+        # rewinding re-mirrors an earlier cycle for per-cycle reads
+        blocker.rewind_block(5)
+        assert blocker.cycle == 5
+        assert blocker.node_ints(nodes) == expected[4]
 
     def test_run_block_array_matches_run_block(self):
         net, program = self._program(10)
         nw = 4
         nodes = list(net.nodes())
-        for backend in BACKENDS:
-            rng = np.random.default_rng(10)
-            a = CompiledSimulator(program, nw, backend=backend)
-            b = CompiledSimulator(program, nw, backend=backend)
-            n_cycles = a.block_cycles
-            stim = rng.integers(
-                0,
-                U64MAX,
-                size=(len(program.pi_nodes), n_cycles * nw),
-                dtype=np.uint64,
-                endpoint=True,
-            )
-            words = {
-                int(p): int.from_bytes(stim[i].tobytes(), "little")
-                for i, p in enumerate(program.pi_nodes)
-            }
-            assert a.run_block(words, n_cycles) == n_cycles
-            assert b.run_block_array(stim) == n_cycles
-            assert a.cycle == b.cycle
-            assert a.node_ints(nodes) == b.node_ints(nodes)
-            outa = np.empty((len(nodes), n_cycles * nw), dtype=np.uint64)
-            outb = np.empty_like(outa)
-            a.block_export(nodes, outa)
-            b.block_export(nodes, outb)
-            assert np.array_equal(outa, outb), backend
+        rng = np.random.default_rng(10)
+        a = CompiledSimulator(program, nw)
+        b = CompiledSimulator(program, nw)
+        n_cycles = a.block_cycles
+        stim = rng.integers(
+            0,
+            U64MAX,
+            size=(len(program.pi_nodes), n_cycles * nw),
+            dtype=np.uint64,
+            endpoint=True,
+        )
+        words = {
+            int(p): int.from_bytes(stim[i].tobytes(), "little")
+            for i, p in enumerate(program.pi_nodes)
+        }
+        assert a.run_block(words, n_cycles) == n_cycles
+        assert b.run_block_array(stim) == n_cycles
+        assert a.cycle == b.cycle
+        assert a.node_ints(nodes) == b.node_ints(nodes)
+        outa = np.empty((len(nodes), n_cycles * nw), dtype=np.uint64)
+        outb = np.empty_like(outa)
+        a.block_export(nodes, outa)
+        b.block_export(nodes, outb)
+        assert np.array_equal(outa, outb)
 
     def test_run_block_array_rejects_bad_inputs(self):
         net, program = self._program(11)
         n_pis = len(program.pi_nodes)
-        # the python backend takes the dense format too, same result
+        # a short dense batch gives the run_block result
         rng = np.random.default_rng(11)
         stim = rng.integers(
             0, U64MAX, size=(n_pis, 3 * 4), dtype=np.uint64, endpoint=True
         )
-        py = CompiledSimulator(program, 4, backend="python")
-        ref = CompiledSimulator(program, 4, backend="python")
-        assert py.run_block_array(stim) == 3
+        arr = CompiledSimulator(program, 4)
+        ref = CompiledSimulator(program, 4)
+        assert arr.run_block_array(stim) == 3
         ref.run_block(
             {
                 int(p): int.from_bytes(stim[i].tobytes(), "little")
@@ -377,22 +388,19 @@ class TestBlockEvaluation:
             3,
         )
         nodes = list(net.nodes())
-        assert py.cycle == ref.cycle == 3
-        assert py.node_ints(nodes) == ref.node_ints(nodes)
-        for backend in BACKENDS:
-            sim = CompiledSimulator(program, 4, backend=backend)
-            with pytest.raises(SimulationError, match="shape"):
-                sim.run_block_array(np.zeros((n_pis + 1, 4), dtype=np.uint64))
-            with pytest.raises(SimulationError, match="shape"):
-                sim.run_block_array(np.zeros((n_pis, 3), dtype=np.uint64))
-            with pytest.raises(SimulationError, match="shape"):
-                sim.run_block_array(np.zeros((n_pis, 4), dtype=np.int64))
-            with pytest.raises(SimulationError):
-                sim.run_block_array(
-                    np.zeros(
-                        (n_pis, 4 * (sim.block_cycles + 1)), dtype=np.uint64
-                    )
-                )
+        assert arr.cycle == ref.cycle == 3
+        assert arr.node_ints(nodes) == ref.node_ints(nodes)
+        sim = CompiledSimulator(program, 4)
+        with pytest.raises(SimulationError, match="shape"):
+            sim.run_block_array(np.zeros((n_pis + 1, 4), dtype=np.uint64))
+        with pytest.raises(SimulationError, match="shape"):
+            sim.run_block_array(np.zeros((n_pis, 3), dtype=np.uint64))
+        with pytest.raises(SimulationError, match="shape"):
+            sim.run_block_array(np.zeros((n_pis, 4), dtype=np.int64))
+        with pytest.raises(SimulationError):
+            sim.run_block_array(
+                np.zeros((n_pis, 4 * (sim.block_cycles + 1)), dtype=np.uint64)
+            )
 
 
 _PREDICTION_CASES: dict = {}
@@ -457,7 +465,6 @@ class TestLatchPrediction:
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 3),
-        backend=st.sampled_from(BACKENDS),
         corruptions=st.lists(
             st.tuples(
                 st.integers(1, HORIZON - 1),
@@ -470,10 +477,10 @@ class TestLatchPrediction:
             unique_by=lambda t: t[:3],  # each corrupted word flipped once
         ),
     )
-    def test_corrupted_record(self, seed, backend, corruptions):
+    def test_corrupted_record(self, seed, corruptions):
         net, rows, values, states = self._case(seed)
         H = self.HORIZON
-        sim = CompiledSimulator(program_for(net), self.N_WORDS, backend=backend)
+        sim = CompiledSimulator(program_for(net), self.N_WORDS)
         for row in rows:  # stepping records the true trajectory
             sim.step(row)
         sim.reset()
@@ -493,8 +500,7 @@ class TestLatchPrediction:
         assert sim.block_span(H) == H
         self._run_to_horizon(sim, net, rows, values, states)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_record_memory_cap(self, backend, monkeypatch):
+    def test_record_memory_cap(self, monkeypatch):
         import repro.netlist.compiled as compiled
 
         net, rows, values, states = self._case(0)
@@ -504,7 +510,7 @@ class TestLatchPrediction:
             "RECORD_MAX_WORDS",
             cap * self.N_LATCHES * self.N_WORDS,
         )
-        sim = CompiledSimulator(program_for(net), self.N_WORDS, backend=backend)
+        sim = CompiledSimulator(program_for(net), self.N_WORDS)
         assert sim._rec.shape == (cap, self.N_LATCHES, self.N_WORDS)
         self._run_to_horizon(sim, net, rows, values, states)
         sim.reset()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from benchmarks.ref_simulate import ReferenceLaneEngine, apply_override
-from parity import pin_backend, random_network
+from parity import random_network
 from repro.campaign import (
     ArtifactStore,
     CampaignConfig,
@@ -333,9 +333,9 @@ MERGED_SEQ = campaign_spec(
 
 class TestMergedLoopBackends:
     """``run`` and ``run_outputs`` each have one loop over kernel passes
-    of up to ``block_cycles`` cycles: 25-cycle blocks on both backends at
-    320 lanes (5 words), sequential designs included (their later passes
-    run on the checked latch prediction).  Both backends must give the
+    of up to ``block_cycles`` cycles: 25-cycle blocks at 320 lanes (5
+    words), sequential designs included (their later passes run on the
+    checked latch prediction).  The compiled kernels must give the
     traces, triggers, PO arrays, early stops and state of the reference
     engine, which emulates one cycle per pass."""
 
@@ -346,7 +346,7 @@ class TestMergedLoopBackends:
     STOP_AT = 30  # inside the second 25-cycle block
     FORCED = {3: 0, 64: 20, 130: 30, 319: 0}  # lane -> fault first cycle
 
-    def _run(self, spec, backend, monkeypatch):
+    def _run(self, spec, backend):
         golden = generate_circuit(spec)
         offline = run_generic_stage(golden)
         if backend == "reference":
@@ -354,7 +354,6 @@ class TestMergedLoopBackends:
                 offline, n_lanes=self.N_LANES, trace_depth=self.CYCLES
             )
         else:
-            pin_backend(monkeypatch, backend)
             engine = LaneEngine(
                 offline, n_lanes=self.N_LANES, trace_depth=self.CYCLES
             )
@@ -411,8 +410,8 @@ class TestMergedLoopBackends:
         return runs
 
     @pytest.mark.parametrize("spec", [MERGED_COMB, MERGED_SEQ], ids=["comb", "seq"])
-    def test_backends_agree(self, spec, monkeypatch):
-        ref = self._run(spec, "reference", monkeypatch)
+    def test_backends_agree(self, spec):
+        ref = self._run(spec, "reference")
         assert ref["block_cycles"] == 1
         fired = [t for t in ref["triggered"].values() if t is not None]
         assert min(fired) < 25 <= max(fired)  # both sides of the boundary
@@ -421,24 +420,22 @@ class TestMergedLoopBackends:
         assert len(ref["rows"]) == n_stop
         assert ref["cycle_after_stop"] == n_stop
         assert set(ref["total_cycles"].values()) == {self.CYCLES + n_stop}
-        for backend in ("python", "numpy"):
-            got = self._run(spec, backend, monkeypatch)
-            assert got["block_cycles"] == 25, backend
-            assert got["triggered"] == ref["triggered"], backend
-            for lane in self.TRIGGERS:
-                assert len(got["seen"][lane]) == self.CYCLES
-                assert got["seen"][lane] == ref["seen"][lane], (backend, lane)
-            for lane in range(self.N_LANES):
-                assert np.array_equal(
-                    got["windows"][lane], ref["windows"][lane]
-                ), (backend, lane)
-            assert np.array_equal(got["stopped"], ref["stopped"]), backend
-            assert got["rows"] == ref["rows"], backend
-            assert got["cycle_after_stop"] == n_stop, backend
-            assert got["latches_after_stop"] == ref["latches_after_stop"]
-            assert got["total_cycles"] == ref["total_cycles"], backend
-            assert np.array_equal(got["follow_up"], ref["follow_up"]), backend
-
+        got = self._run(spec, "python")
+        assert got["block_cycles"] == 25
+        assert got["triggered"] == ref["triggered"]
+        for lane in self.TRIGGERS:
+            assert len(got["seen"][lane]) == self.CYCLES
+            assert got["seen"][lane] == ref["seen"][lane], lane
+        for lane in range(self.N_LANES):
+            assert np.array_equal(
+                got["windows"][lane], ref["windows"][lane]
+            ), lane
+        assert np.array_equal(got["stopped"], ref["stopped"])
+        assert got["rows"] == ref["rows"]
+        assert got["cycle_after_stop"] == n_stop
+        assert got["latches_after_stop"] == ref["latches_after_stop"]
+        assert got["total_cycles"] == ref["total_cycles"]
+        assert np.array_equal(got["follow_up"], ref["follow_up"])
 
 class TestFacade:
     def test_session_is_one_lane_engine(self, offline):
@@ -658,7 +655,7 @@ class TestPredictedBlocks:
 
     @pytest.mark.parametrize("n_lanes", [1, 64, 65, 320])
     @pytest.mark.parametrize("design", ["merged-seq", "random-seq"])
-    def test_matches_reference_engine(self, design, n_lanes, monkeypatch):
+    def test_matches_reference_engine(self, design, n_lanes):
         offline, golden = _sequential_design(design)
         C = self.CYCLES
         n_words = (n_lanes + 63) // 64
@@ -673,30 +670,23 @@ class TestPredictedBlocks:
             if label.startswith("trigger at"):
                 k = int(label.rsplit(" ", 1)[1])
                 assert {snap["triggered"][l] for l in (0, n_lanes - 1)} == {k}
-        for backend in ("python", "numpy"):
-            pin_backend(monkeypatch, backend)
-            engine = LaneEngine(offline, n_lanes=n_lanes, trace_depth=C)
-            assert engine.backend == backend
-            assert engine.sim.block_cycles == boundary
-            got = self._drive(engine, golden, boundary)
-            assert [l for l, _ in got] == [l for l, _ in ref]
-            for (label, g), (_, r) in zip(got, ref):
-                where = (backend, label)
-                for lane, (gw, rw) in enumerate(zip(g["windows"], r["windows"])):
-                    assert np.array_equal(gw, rw), (where, lane)
-                for key in ("triggered", "cycle", "latches", "turns"):
-                    assert g[key] == r[key], (where, key)
-                if r["outputs"] is not None:
-                    assert np.array_equal(g["outputs"], r["outputs"]), where
-            passes = dict((label, s["passes"]) for label, s in got)
-            # the first run has nothing to predict from: one step per
-            # cycle; the repeat is predicted whole: full blocks only
-            assert passes["first run, no record"] == {"step": C, "run_block": 0}
-            assert passes["repeat"] == {
-                "step": 0,
-                "run_block": -(-C // boundary),
-            }, backend
-
+        engine = LaneEngine(offline, n_lanes=n_lanes, trace_depth=C)
+        assert engine.backend == "python"
+        assert engine.sim.block_cycles == boundary
+        got = self._drive(engine, golden, boundary)
+        assert [l for l, _ in got] == [l for l, _ in ref]
+        for (label, g), (_, r) in zip(got, ref):
+            for lane, (gw, rw) in enumerate(zip(g["windows"], r["windows"])):
+                assert np.array_equal(gw, rw), (label, lane)
+            for key in ("triggered", "cycle", "latches", "turns"):
+                assert g[key] == r[key], (label, key)
+            if r["outputs"] is not None:
+                assert np.array_equal(g["outputs"], r["outputs"]), label
+        passes = dict((label, s["passes"]) for label, s in got)
+        # the first run has nothing to predict from: one step per
+        # cycle; the repeat is predicted whole: full blocks only
+        assert passes["first run, no record"] == {"step": C, "run_block": 0}
+        assert passes["repeat"] == {"step": 0, "run_block": -(-C // boundary)}
 
 class TestScriptPacking:
     def test_rebinding_the_same_script_packs_once(self, offline, monkeypatch):

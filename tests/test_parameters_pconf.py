@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.boolfunc import bf_conj, bf_const, bf_not, bf_var
+from repro.core.boolfunc import BoolExpr, bf_conj, bf_const, bf_not, bf_var
 from repro.core.parameters import ParameterSpace
 from repro.core.pconf import ParameterizedBitstream
 from repro.errors import ParameterError, SpecializationError
@@ -94,6 +94,23 @@ class TestPConf:
         sp, pb = self.make()
         with pytest.raises(SpecializationError):
             pb.set_tunable(1, bf_var(9))
+
+    def test_param_index_bounds(self):
+        # one past the last parameter and a negative index (which bf_var
+        # refuses to build, so it is made directly) are both unknown
+        sp, pb = self.make()
+        n = len(sp)
+        for bad in (n, -1):
+            expr = bf_var(0) & BoolExpr._make("var", var=bad)
+            with pytest.raises(
+                SpecializationError,
+                match=rf"bit 3: expression uses unknown parameter indices "
+                rf"\[{bad}\]$",
+            ):
+                pb.set_tunable(3, expr)
+        assert pb.n_tunable == 0
+        pb.set_tunable(3, bf_var(0) & bf_var(n - 1))  # the edges are known
+        assert pb.n_tunable == 1
 
     def test_wrong_space(self):
         sp, pb = self.make()

@@ -207,7 +207,8 @@ class TestBitops:
 
 class TestLaneMaskAlgebra:
     """Property tests for the word-packed lane-mask accumulation that
-    both simulation backends consume (``active_override_ints``)."""
+    the compiled kernels and the reference simulator consume
+    (``active_override_ints``)."""
 
     @given(
         n_words=st.integers(1, 3),

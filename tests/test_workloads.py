@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import re
 
 import numpy as np
@@ -50,7 +51,27 @@ class TestSuite:
         assert s.n_gates == 8381 and s.paper_sm_luts == 23694
 
 
+#: sha256 of ``write_blif(generate_circuit(spec))`` for every paper-suite
+#: design: generator changes that only speed it up must keep these.
+PAPER_SUITE_BLIF_SHA256 = {
+    "stereov.": "defade97fb98f8a8bfb816dd18a9c020d7609a9d958e92cb37d57754bb4b903a",
+    "diffeq2": "c1b8218849a00b4a644ebec875e08f9d412f9e6ca26bb8cc2c10b708be039b92",
+    "diffeq1": "ba1afb96de489fc01abaaa64ea20d66e8224226d9653d85351076835a1baca9e",
+    "clma": "f1d6d808c991ed4069ab78b3bb53c43b835a2d9ccbfdda5efe87d6f09f94af81",
+    "or1200": "9872c98f752d696de3e40851dce178509134879eeffddfb16dbab05a6e78389e",
+    "frisc": "b5b465a96dfac1f602e859a82cb2587153c84ab2af8309f30f140817c7e8b6b8",
+    "s38417": "9912b27b0dd6926009a0478a9b085a44737a24ed02d952e76d8cacb9a7c53362",
+    "s38584": "31ea207ebf4c95c778b35c16b673bf842f4854778e475d7c090bac184bfe34b0",
+}
+
+
 class TestGenerator:
+    @pytest.mark.parametrize("spec", paper_suite(), ids=lambda s: s.name)
+    def test_paper_suite_blif_pinned(self, spec):
+        blif = write_blif(generate_circuit(spec))
+        digest = hashlib.sha256(blif.encode()).hexdigest()
+        assert digest == PAPER_SUITE_BLIF_SHA256[spec.name]
+
     @pytest.mark.parametrize("spec", SMALL, ids=lambda s: s.name)
     def test_exact_gate_count(self, spec):
         net = generate_circuit(spec)
