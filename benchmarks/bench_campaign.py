@@ -20,13 +20,14 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import emit, emit_json
+from repro.analysis.reporting import RESILIENCE_COUNTERS
 from repro.campaign import ArtifactStore, CampaignConfig, run_campaign
 from repro.pipeline import GENERIC_STAGES, PHYSICAL_STAGES
 from repro.workloads import campaign_spec, stuck_at_scenarios
 
-#: Combinational design (the physical back-end does not route latches yet)
-#: sized so one full offline stage costs seconds while each online debug
-#: loop costs a fraction of that — the regime the paper targets.
+#: Combinational design sized so one full offline stage costs seconds while
+#: each online debug loop costs a fraction of that — the regime the paper
+#: targets.
 SPEC = campaign_spec("campaign-bench", n_gates=120, depth=8, n_pis=20, n_pos=10)
 N_SCENARIOS = 8
 HORIZON = 48
@@ -46,8 +47,8 @@ def test_campaign_cache_speedup(scenarios, results_dir):
         run_campaign([sc], config=config, cache=None) for sc in scenarios
     ]
     cold_wall_s = sum(r.wall_s for r in cold)
-    cold_offline_s = sum(r.offline_total_s for r in cold)
-    cold_online_s = sum(r.online_total_s for r in cold)
+    cold_offline_s = sum(r.aggregate()["offline_s"] for r in cold)
+    cold_online_s = sum(r.aggregate()["online_s"] for r in cold)
     # cached: the design builds once, the other seven scenarios share it
     store = ArtifactStore()
     warm = run_campaign(scenarios, config=config, cache=store)
@@ -63,6 +64,7 @@ def test_campaign_cache_speedup(scenarios, results_dir):
     assert "error" not in statuses and "undetected" not in statuses
 
     speedup = cold_wall_s / warm.wall_s
+    warm_agg = warm.aggregate()
     text = (
         "CAMPAIGN OFFLINE-STAGE AMORTIZATION (measured)\n"
         f"{N_SCENARIOS}-scenario stuck-at campaign on "
@@ -71,8 +73,8 @@ def test_campaign_cache_speedup(scenarios, results_dir):
         f"cold, one build per scenario: {cold_wall_s:8.2f} s  "
         f"({cold_offline_s:.2f} s offline, {cold_online_s:.2f} s online)\n"
         f"content-keyed cache:          {warm.wall_s:8.2f} s  "
-        f"({warm.offline_total_s:.2f} s offline, "
-        f"{warm.online_total_s:.2f} s online)\n\n"
+        f"({warm_agg['offline_s']:.2f} s offline, "
+        f"{warm_agg['online_s']:.2f} s online)\n\n"
         f"cache-hit speedup: {speedup:.2f}x "
         f"(1 build + {N_SCENARIOS - 1} shared)\n\n"
         "warm-campaign report:\n" + warm.render()
@@ -89,11 +91,18 @@ def test_campaign_cache_speedup(scenarios, results_dir):
             # per-stage offline build cost of the single warm-run build —
             # the physical-pipeline breakdown PR 5's rewrites target
             "offline_stage_s": {
-                k: round(v, 3) for k, v in warm.offline_stage_s.items()
+                k: round(v, 3)
+                for k, v in warm.trace.seconds("stage.").items()
             },
             # supervision counters: a healthy bench run is all zeros;
             # nonzero retries/timeouts/respawns flag an unstable runner
-            "resilience": warm.resilience(),
+            "resilience": {
+                **{
+                    k: warm.trace.counters.get(k, 0)
+                    for k in RESILIENCE_COUNTERS
+                },
+                "journal_path": warm.journal_path,
+            },
         },
     )
 

@@ -27,7 +27,7 @@ from benchmarks.conftest import emit, emit_json
 from repro.baselines.incremental import invalidation_table, stages_invalidated
 from repro.campaign import ArtifactStore, resolve_offline
 from repro.core.flow import DebugFlowConfig
-from repro.util.timing import Stopwatch
+from repro.util.trace import Trace
 from repro.workloads import campaign_spec, generate_circuit
 
 #: Sized so one generic stage costs a measurable fraction of a second —
@@ -49,11 +49,12 @@ def _sweep(cache) -> tuple[float, list[str]]:
     """Build the base config then every variant; returns (seconds, summaries)."""
     net = generate_circuit(SPEC)
     summaries = []
-    with Stopwatch() as sw:
+    trace = Trace()
+    with trace.span("sweep"):
         for _, cfg in [("base", BASE), *VARIANTS]:
             stage, _ = resolve_offline(net, cfg, cache=cache)
             summaries.append(stage.summary())
-    return sw.elapsed, summaries
+    return trace.seconds()["sweep"], summaries
 
 
 @pytest.mark.slow
@@ -112,21 +113,23 @@ def test_stage_cache_disk_warm_restart(results_dir, tmp_path):
     d = str(tmp_path / "cache")
     net = generate_circuit(SPEC)
     first = ArtifactStore(cache_dir=d)
-    with Stopwatch() as sw_cold:
+    trace = Trace()
+    with trace.span("cold"):
         resolve_offline(net, BASE, cache=first)
 
     restarted = ArtifactStore(cache_dir=d)
-    with Stopwatch() as sw_warm:
+    with trace.span("warm"):
         stage, hit = resolve_offline(net, BASE, cache=restarted)
+    cold_s, warm_s = trace.seconds()["cold"], trace.seconds()["warm"]
     assert hit and restarted.stats.misses == 0
     assert restarted.stats.disk_hits == restarted.stats.hits
     assert stage.summary()
 
-    ratio = sw_cold.elapsed / sw_warm.elapsed if sw_warm.elapsed else 0.0
+    ratio = cold_s / warm_s if warm_s else 0.0
     text = (
         "STAGE CACHE — CROSS-PROCESS WARM RESTART (measured)\n"
-        f"cold build: {sw_cold.elapsed:.2f} s; disk-warm restart: "
-        f"{sw_warm.elapsed:.2f} s ({ratio:.1f}x)\n"
+        f"cold build: {cold_s:.2f} s; disk-warm restart: "
+        f"{warm_s:.2f} s ({ratio:.1f}x)\n"
         f"stats: {restarted.stats.as_dict()}"
     )
     emit(results_dir, "incremental_disk_restart", text)
@@ -134,8 +137,8 @@ def test_stage_cache_disk_warm_restart(results_dir, tmp_path):
         results_dir,
         "incremental",
         {
-            "disk_cold_s": sw_cold.elapsed,
-            "disk_warm_s": sw_warm.elapsed,
+            "disk_cold_s": cold_s,
+            "disk_warm_s": warm_s,
             "disk_restart_speedup": ratio,
         },
     )

@@ -158,14 +158,16 @@ def test_offline_parallel_scaling(results_dir):
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
         os.cpu_count() or 1
     )
-    scaling = serial.offline_wall_s / parallel.offline_wall_s
+    serial_wall_s = serial.trace.window("offline")
+    parallel_wall_s = parallel.trace.window("offline")
+    scaling = serial_wall_s / parallel_wall_s
     text = (
         "CROSS-DESIGN OFFLINE BUILD SCALING (measured)\n"
         "8 distinct mutated designs, full offline stage (generic + "
         "pack/place/route + bitstream), cold\n\n"
-        f"serial builds:        {serial.offline_wall_s:8.2f} s offline "
+        f"serial builds:        {serial_wall_s:8.2f} s offline "
         f"wall ({serial.wall_s:.2f} s campaign)\n"
-        f"{WORKERS} workers:            {parallel.offline_wall_s:8.2f} s "
+        f"{WORKERS} workers:            {parallel_wall_s:8.2f} s "
         f"offline wall ({parallel.wall_s:.2f} s campaign)\n\n"
         f"offline scaling: {scaling:.2f}x  (pool size: "
         f"{parallel.workers}, host cores: {cores})\n"
@@ -177,13 +179,14 @@ def test_offline_parallel_scaling(results_dir):
         "offline",
         {
             "designs": 8,
-            "serial_offline_wall_s": serial.offline_wall_s,
-            "parallel_offline_wall_s": parallel.offline_wall_s,
+            "serial_offline_wall_s": serial_wall_s,
+            "parallel_offline_wall_s": parallel_wall_s,
             "offline_scaling": scaling,
             "workers": parallel.workers,
             "host_cores": cores,
             "offline_stage_s": {
-                k: round(v, 3) for k, v in serial.offline_stage_s.items()
+                k: round(v, 3)
+                for k, v in serial.trace.seconds("stage.").items()
             },
         },
     )

@@ -27,8 +27,8 @@ def main() -> None:
     offline = run_generic_stage(net)
     print("offline:", offline.summary())
     print("  flow phases:")
-    for line in offline.timers.report().splitlines():
-        print("   ", line)
+    for name, secs in offline.trace.seconds("stage.").items():
+        print(f"    {name:<24s} {secs:10.4f} s")
 
     # ---- online stage: each turn costs microseconds, not a recompile ----
     session = DebugSession(offline)

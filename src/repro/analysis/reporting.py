@@ -16,8 +16,16 @@ __all__ = [
     "results_dir",
     "aggregate_campaign",
     "lane_occupancy",
+    "RESILIENCE_COUNTERS",
+    "stage_busy_ratios",
     "render_campaign_report",
 ]
+
+#: Run-record counters the campaign report's ``resilience:`` line shows
+#: (retries change wall clock only, never outcomes).
+RESILIENCE_COUNTERS = (
+    "retries", "timeouts", "pool_respawns", "resumed_scenarios"
+)
 
 
 def results_dir(base: str | None = None) -> str:
@@ -119,27 +127,36 @@ def lane_occupancy(lane_batches: Sequence[int]) -> dict:
     }
 
 
+def stage_busy_ratios(trace) -> dict[str, float]:
+    """Busy over span seconds per built compile stage (by name), then
+    of the ``online`` lane batches — above 1 where that work ran
+    concurrently across designs or batches."""
+    names = sorted(trace.seconds("stage."))
+    ratios = {name: trace.busy_ratio(f"stage.{name}") for name in names}
+    if "online" in trace.seconds():
+        ratios["online"] = trace.busy_ratio("online")
+    return {name: round(value, 3) for name, value in ratios.items()}
+
+
 def render_campaign_report(
     records: Sequence[Mapping],
+    trace,
     *,
     wall_s: float | None = None,
     workers: int | None = None,
     cache: Mapping | None = None,
     lane_width: int | None = None,
     lane_batches: Sequence[int] = (),
-    offline_wall_s: float | None = None,
-    offline_stage_s: Mapping[str, float] | None = None,
     notes: Sequence[str] = (),
-    sched_wall_s: float | None = None,
-    overlap_ratio: float | None = None,
-    stage_concurrency: Mapping[str, float] | None = None,
-    resilience: Mapping | None = None,
+    journal_path: str = "",
     title: str = "DEBUG-CAMPAIGN REPORT",
 ) -> str:
     """Render per-scenario records plus campaign aggregates as plain text.
 
     The same conventions as the Table I/II drivers: a ``TextTable`` block,
-    aggregate lines below, persistable via :func:`save_result`.
+    aggregate lines below, persistable via :func:`save_result`.  Every
+    timing line below the table reads the run's ``trace`` (see
+    :class:`~repro.campaign.results.CampaignReport`).
     """
     from repro.util.tables import TextTable
 
@@ -199,31 +216,30 @@ def render_campaign_report(
         f"turn(s), {1e6 * agg['modeled_overhead_s']:.1f} us modeled "
         "specialization"
     )
-    if offline_stage_s:
+    built = trace.seconds("stage.")
+    if built:
         breakdown = ", ".join(
-            f"{name}={secs:.2f}s" for name, secs in offline_stage_s.items()
+            f"{name}={secs:.2f}s" for name, secs in built.items()
         )
-        wall = (
-            f" ({offline_wall_s:.2f} s wall)"
-            if offline_wall_s is not None
-            else ""
+        lines.append(
+            f"offline stages built: {breakdown} "
+            f"({trace.window('offline'):.2f} s wall)"
         )
-        lines.append(f"offline stages built: {breakdown}{wall}")
     if wall_s is not None:
         par = f", {workers} worker(s)" if workers else ""
         lines.append(f"wall clock: {wall_s:.2f} s{par}")
-    if sched_wall_s is not None:
-        line = (
-            f"scheduler: task wall {sched_wall_s:.2f} s, "
-            f"offline/online overlap {100 * (overlap_ratio or 0.0):.0f}%"
+    task_wall = trace.seconds().get("run", 0.0)
+    overlap = trace.overlap("offline", "online")
+    line = (
+        f"scheduler: task wall {task_wall:.2f} s, offline/online "
+        f"overlap {100 * overlap / task_wall if task_wall > 0 else 0:.0f}%"
+    )
+    conc = stage_busy_ratios(trace)
+    if conc:
+        line += "; stage concurrency: " + ", ".join(
+            f"{name}={value:.2f}" for name, value in conc.items()
         )
-        if stage_concurrency:
-            conc = ", ".join(
-                f"{name}={value:.2f}"
-                for name, value in stage_concurrency.items()
-            )
-            line += f"; stage concurrency: {conc}"
-        lines.append(line)
+    lines.append(line)
     if lane_batches:
         occ = lane_occupancy(lane_batches)
         width = f" (lane width {lane_width})" if lane_width else ""
@@ -247,19 +263,17 @@ def render_campaign_report(
                 f"  stage {stage}: "
                 + ", ".join(f"{k}={v}" for k, v in sorted(dict(stats).items()))
             )
-    if resilience:
-        # supervision counters + checkpoint state: only rendered when the
-        # campaign hit a fault, retried, resumed or kept a journal at all
-        parts = [
-            f"{k}={v}"
-            for k, v in resilience.items()
-            if k != "journal_path" and v
-        ]
-        path = resilience.get("journal_path")
-        if path:
-            parts.append(f"journal={path}")
-        if parts:
-            lines.append("resilience: " + ", ".join(parts))
+    # supervision counters + checkpoint state: only rendered when the
+    # campaign hit a fault, retried, resumed or kept a journal at all
+    parts = [
+        f"{k}={trace.counters[k]}"
+        for k in RESILIENCE_COUNTERS
+        if trace.counters.get(k)
+    ]
+    if journal_path:
+        parts.append(f"journal={journal_path}")
+    if parts:
+        lines.append("resilience: " + ", ".join(parts))
     for note in notes:
         lines.append(f"note: {note}")
     return "\n".join(lines)

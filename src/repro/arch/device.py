@@ -87,10 +87,6 @@ class DeviceGrid:
     def n_pads(self) -> int:
         return self.n_io_tiles * self.spec.io_capacity
 
-    @property
-    def lut_capacity(self) -> int:
-        return self.n_clbs * self.spec.n_ble
-
     # -- sizing ------------------------------------------------------------------
 
     @staticmethod

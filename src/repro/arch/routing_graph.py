@@ -105,15 +105,6 @@ class RRGraph:
         t = self.ntype[node]
         return t == _CHANX or t == _CHANY
 
-    def wirelength_nodes(self, nodes) -> int:
-        """Number of channel-wire nodes among ``nodes`` (wirelength metric)."""
-        ntype = self.ntype
-        return sum(
-            1
-            for n in nodes
-            if ntype[n] == _CHANX or ntype[n] == _CHANY
-        )
-
 
 def _spread(n_choose: int, total: int, offset: int) -> list[int]:
     """Deterministically pick ``n_choose`` of ``total`` indices, offset-rotated."""

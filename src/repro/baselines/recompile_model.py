@@ -55,8 +55,3 @@ class RecompileModel:
             coeff_s=self.coeff_s * scale,
             exponent=self.exponent,
         )
-
-    def debug_cycles_per_hour(self, n_luts: int) -> float:
-        """How many observe-new-signals cycles fit in an hour, conventionally."""
-        t = self.compile_time_s(n_luts)
-        return 3600.0 / t if t > 0 else float("inf")

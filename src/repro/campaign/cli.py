@@ -39,8 +39,7 @@ import sys
 from repro.campaign.cache import ArtifactStore, resolve_offline
 from repro.campaign.orchestrator import (
     CampaignConfig,
-    _offline_group_key,
-    _prebuild_keyed,
+    prebuild_offline,
     run_campaign,
 )
 from repro.errors import WorkloadError
@@ -124,8 +123,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--physical",
         action="store_true",
-        help="include pack/place/route + bitstream in the offline artifact "
-        "(combinational designs only)",
+        help="include pack/place/route + bitstream in the offline artifact",
     )
     p.add_argument(
         "--cache-dir",
@@ -241,23 +239,20 @@ def _build_scenarios(
 
     # Stuck-at screening needs each design's offline artifact (its tap
     # directory picks the fault sites) before any scenario exists.  Each
-    # design is generated and keyed once; its (net, key) warms the cache
-    # in one pass through the same scheduler path and --workers pool the
-    # campaign uses, and screening looks its key up in the returned
-    # {cache key: artifact} map instead of probing the cache for warmth
-    # again (mutation-only runs never need it: each mutation is its own
-    # design content).
-    keyed: list = []
-    prebuilt: dict = {}
+    # design is generated once and warms the cache in one pass through
+    # the same scheduler path and --workers pool the campaign uses, which
+    # hands screening each design's artifact instead of probing the cache
+    # for warmth again (mutation-only runs never need it: each mutation
+    # is its own design content).
+    nets: list = []
+    prebuilt: list = []
     if args.kind != "mutation" and cache is not None:
-        flow = CampaignConfig().flow
-        for design in designs:
-            spec = get_spec(design) if isinstance(design, str) else design
-            net = generate_circuit(spec)
-            keyed.append((net, _offline_group_key(net, flow, args.physical)))
-        prebuilt = _prebuild_keyed(
-            {key: net for net, key in keyed},
-            flow=flow,
+        nets = [
+            generate_circuit(get_spec(d) if isinstance(d, str) else d)
+            for d in designs
+        ]
+        prebuilt = prebuild_offline(
+            nets,
             cache=cache,
             with_physical=args.physical,
             workers=args.workers,
@@ -271,10 +266,9 @@ def _build_scenarios(
         def screening_offline():
             if cache is None:
                 return None
-            net, key = keyed[i]
-            found = prebuilt.get(key)
-            if found is not None:
-                return found
+            net = nets[i]
+            if prebuilt[i] is not None:
+                return prebuilt[i]
             # only a failed prebuild (e.g. physical back-end rejection)
             # falls through to a cache resolution here
             try:

@@ -39,21 +39,25 @@ batches that run in the parent; a pooled batch compiles its own.)  A
 pool that cannot start (sandboxes, restricted containers) falls back to
 in-parent execution, reported in the notes.
 
-Results aggregate into a :class:`~repro.campaign.results.CampaignReport`,
-whose ``workers`` field reports the *effective* pool size (1 when nothing
-ran pooled or the pool fell back to serial), whose ``lane_batches`` field
-records per-batch lane occupancy, and which carries the critical-path
-breakdown — ``sched_wall_s``, ``overlap_ratio`` and per-stage
-concurrency.
+:func:`run_campaign` is journal set-up, :func:`plan` (design identities,
+networks, group keys, lane batches and the pool decision, with no
+scheduler and no store), :func:`execute` (registers the builds and lane
+batches on the scheduler and drains it) and the report — the campaign-level mirror of
+:meth:`~repro.pipeline.StageGraph.plan` / ``execute``.  Results aggregate
+into a :class:`~repro.campaign.results.CampaignReport`, whose ``workers``
+field reports the *effective* pool size (1 when nothing ran pooled or the
+pool fell back to serial), whose ``lane_batches`` field records per-batch
+lane occupancy, and whose ``trace`` — the scheduler's
+:class:`~repro.util.trace.Trace` — is the one record every timing line of
+the report is derived from.
 """
 
 from __future__ import annotations
 
-import time
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from functools import partial
+from typing import Collection, Mapping, Sequence
 
 from repro.campaign.cache import ArtifactStore
 from repro.campaign.results import CampaignReport, ScenarioResult
@@ -64,9 +68,17 @@ from repro.pipeline.scheduler import (
     ScheduledTask,
     submit_compile,
 )
+from repro.util.trace import Trace
 from repro.workloads.scenarios import DebugScenario
 
-__all__ = ["CampaignConfig", "prebuild_offline", "run_campaign"]
+__all__ = [
+    "CampaignConfig",
+    "CampaignPlan",
+    "execute",
+    "plan",
+    "prebuild_offline",
+    "run_campaign",
+]
 
 
 @dataclass
@@ -83,8 +95,7 @@ class CampaignConfig:
     byte-identical."""
     with_physical: bool = False
     """Include the physical back-end (pack/place/route, bitstream) in the
-    offline artifact — the paper's full §IV-A stage.  Currently limited to
-    combinational designs (the TPaR back-end does not yet route latches)."""
+    offline artifact — the paper's full §IV-A stage."""
     max_turns: int = 48
     """Per-scenario budget of debugging turns for the localization walk."""
     lane_width: int = 64
@@ -141,46 +152,15 @@ def _online_group_worker(
     return [(idx, result) for (idx, _sc), result in zip(items, results)]
 
 
-def _lane_batch_key(sc: DebugScenario, stage: OfflineStage) -> tuple:
-    """The finest grouping under which scenarios can share lanes: one
-    offline artifact, one golden design, one replay horizon."""
-    return (
-        stage.cache_key or id(stage),
-        sc.spec,
-        sc.design_seed,
-        sc.horizon,
-    )
-
-
-def _group_payloads(
-    resolved: "list[tuple[int, DebugScenario, OfflineStage]]",
+def _payloads(
+    stage: OfflineStage, batches: "list[list[tuple[int, DebugScenario]]]",
     max_turns: int,
-    lane_width: int,
 ) -> list[GroupPayload]:
-    """Split scenarios into lane batches, one payload each.
-
-    Scenarios are grouped by :func:`_lane_batch_key` and split into
-    batches of at most ``lane_width`` lanes; each batch is one payload
-    (one engine, one worker task).  The artifact is stripped of its
-    physical stage **once** per group — the online loop runs against the
-    virtual PConf.
-    """
-    groups: dict[tuple, list[tuple[int, DebugScenario, OfflineStage]]] = {}
-    for idx, sc, stage in resolved:
-        groups.setdefault(_lane_batch_key(sc, stage), []).append(
-            (idx, sc, stage)
-        )
-    payloads: list[GroupPayload] = []
-    for items in groups.values():
-        # the online loop runs against the virtual PConf; don't ship the
-        # physical stage (MBs of placement/routing state) to workers
-        stripped = replace(items[0][2], physical=None)
-        for base in range(0, len(items), lane_width):
-            chunk = items[base : base + lane_width]
-            payloads.append(
-                (stripped, [(idx, sc) for idx, sc, _ in chunk], max_turns)
-            )
-    return payloads
+    """One payload per lane batch of a built design.  The online loop runs
+    against the virtual PConf: the artifact is stripped of its physical
+    stage (MBs of placement/routing state) once, not shipped per batch."""
+    stripped = replace(stage, physical=None)
+    return [(stripped, batch, max_turns) for batch in batches]
 
 
 def _make_pool(n: int):
@@ -198,20 +178,19 @@ def _offline_group_key(
     )
 
 
-def _offline_error(sc: DebugScenario, message: str) -> ScenarioResult:
+def _error(sc: DebugScenario, message: str, **fields) -> ScenarioResult:
     return ScenarioResult(
         scenario=sc.name,
         design=sc.spec.name,
         kind=sc.kind,
         status="error",
-        offline_ok=False,
-        error=f"offline stage failed: {message}",
+        error=message,
+        **fields,
     )
 
 
-def _accumulate_stage_s(into: dict[str, float], totals: dict) -> None:
-    for name, secs in totals.items():
-        into[name] = into.get(name, 0.0) + float(secs)
+def _offline_error(sc: DebugScenario, message: str) -> ScenarioResult:
+    return _error(sc, f"offline stage failed: {message}", offline_ok=False)
 
 
 def _submit_design_build(
@@ -232,13 +211,13 @@ def _submit_design_build(
     :func:`~repro.pipeline.scheduler.submit_compile` probes ``store``
     **now**, in the parent, one single-read lookup per stage — counted
     exactly like a serial resolution.  A warm design fires
-    ``on_complete(stage, True, {}, None)`` synchronously and creates no
+    ``on_complete(stage, True, None)`` synchronously and creates no
     task; a cold design becomes fused segment tasks whose completion
     lands every built stage in the store parent-side, assembles the
-    artifact and fires ``on_complete(stage, False, stage_seconds,
-    None)``.  Failures fire ``on_complete(None, False, {}, message)``.
-    Returns the created tasks (empty when the design resolved warm or
-    failed to plan).
+    artifact (its ``trace`` holds the stages built) and fires
+    ``on_complete(stage, False, None)``.  Failures fire
+    ``on_complete(None, False, message)``.  Returns the created tasks
+    (empty when the design resolved warm or failed to plan).
     """
     from repro.pipeline import (
         DEBUG_FLOW_GRAPH,
@@ -251,9 +230,9 @@ def _submit_design_build(
         GENERIC_STAGES + PHYSICAL_STAGES if with_physical else GENERIC_STAGES
     )
     try:
-        plan = DEBUG_FLOW_GRAPH.plan(net, flow, stages=stages)
+        stage_plan = DEBUG_FLOW_GRAPH.plan(net, flow, stages=stages)
     except Exception as exc:  # noqa: BLE001 — one bad design ≠ dead campaign
-        on_complete(None, False, {}, f"{type(exc).__name__}: {exc}")
+        on_complete(None, False, f"{type(exc).__name__}: {exc}")
         return []
 
     def complete(result, err):
@@ -264,17 +243,15 @@ def _submit_design_build(
             except Exception as exc:  # noqa: BLE001
                 err = f"{type(exc).__name__}: {exc}"
         if stage is None:
-            on_complete(None, False, {}, err)
+            on_complete(None, False, err)
         else:
-            on_complete(
-                stage, result.full_hit, dict(result.timers.totals), None
-            )
+            on_complete(stage, result.full_hit, None)
 
     return submit_compile(
         sched,
         DEBUG_FLOW_GRAPH,
         net,
-        plan,
+        stage_plan,
         store=store,
         pooled=pooled,
         label=label,
@@ -292,55 +269,22 @@ def prebuild_offline(
     with_physical: bool = False,
     workers: int = 1,
     notes: "list[str] | None" = None,
-) -> "dict[str, OfflineStage]":
+) -> "list[OfflineStage | None]":
     """Warm the store with offline artifacts for ``nets``, concurrently.
 
-    The same scheduler path the campaign's offline work rides, exposed
-    for callers that need artifacts *before* a campaign exists — e.g.
-    stuck-at scenario screening, which needs each design's tap directory
-    to pick fault sites.  Designs are deduped by offline cache key; warm
-    keys resolve in-process with one counted lookup per stage, cold keys
-    build as segment tasks on a process pool of up to ``workers`` (in
-    process when ``workers <= 1`` or the pool is unavailable), and every
-    artifact lands in ``cache`` under the same content-addressed keys a
-    serial :func:`~repro.campaign.cache.resolve_offline` call would use —
-    later resolutions of the same design are pure hits.
-
-    Returns ``{offline cache key: artifact}`` for every design that
-    built (or resolved warm) — the map the CLI's screening step consumes
-    directly instead of re-probing the store.  Failed designs are simply
-    absent; callers decide whether to retry without the physical stage
-    or surface the error.  ``notes``, when given, collects
-    human-readable fallback messages (pool unavailable etc.).
+    The campaign's scheduler path, for callers that need artifacts
+    *before* a campaign exists — e.g. stuck-at screening, which picks
+    fault sites from each design's tap directory.  Designs are deduped by
+    offline cache key; cold ones build on a pool of up to ``workers``,
+    under the keys a serial :func:`~repro.campaign.cache.resolve_offline`
+    would use.  Returns each net's artifact, ``None`` where its build
+    failed; ``notes`` collects fallback messages (pool unavailable etc.).
     """
     flow = flow or DebugFlowConfig()
-    keyed: "dict[str, object]" = {}
-    for net in nets:
-        keyed.setdefault(_offline_group_key(net, flow, with_physical), net)
-    return _prebuild_keyed(
-        keyed,
-        flow=flow,
-        cache=cache,
-        with_physical=with_physical,
-        workers=workers,
-        notes=notes,
-    )
-
-
-def _prebuild_keyed(
-    keyed: "dict[str, object]",
-    *,
-    flow: DebugFlowConfig,
-    cache: ArtifactStore | None,
-    with_physical: bool,
-    workers: int,
-    notes: "list[str] | None" = None,
-) -> "dict[str, OfflineStage]":
-    """:func:`prebuild_offline` over designs its caller already keyed:
-    ``keyed`` maps each :func:`_offline_group_key` to its network."""
-    if notes is None:
-        notes = []
-    out: "dict[str, OfflineStage]" = {}
+    keys = [_offline_group_key(net, flow, with_physical) for net in nets]
+    # nets sharing a key have the same content: any one of them builds it
+    keyed = dict(zip(keys, nets))
+    built: "dict[str, OfflineStage]" = {}
     sched = DataflowScheduler(
         pool_size=min(max(1, workers), max(1, len(keyed))),
         executor_factory=_make_pool,
@@ -348,9 +292,9 @@ def _prebuild_keyed(
     try:
         for key, net in keyed.items():
 
-            def done(stage, _hit, _totals, err, key=key):
+            def done(stage, _hit, err, key=key):
                 if err is None:
-                    out[key] = stage
+                    built[key] = stage
 
             _submit_design_build(
                 sched,
@@ -365,13 +309,345 @@ def _prebuild_keyed(
         sched.run()
     finally:
         sched.shutdown()
-    if sched.pool_broken:
+    if sched.pool_broken and notes is not None:
         notes.append(
             "offline prebuild pool unavailable "
             f"({type(sched.pool_error).__name__}); built cold design(s) "
             "in-process"
         )
+    return [built.get(key) for key in keys]
+
+
+@dataclass
+class CampaignPlan:
+    """What a campaign builds and runs, derived before anything runs."""
+
+    groups: dict = field(default_factory=dict)
+    """Offline group key -> ``[(index, scenario)]`` sharing its build."""
+    nets: dict = field(default_factory=dict)
+    """Offline group key -> the design's debug network."""
+    errors: dict[int, str] = field(default_factory=dict)
+    """Scenario index -> why its design could not be derived."""
+    spans: dict[int, int] = field(default_factory=dict)
+    """Scenario index -> its registration span in the trace."""
+    batches: dict = field(default_factory=dict)
+    """Offline group key -> its lane batches: scenarios sharing one
+    packed emulation (one artifact, golden design and horizon), at most
+    ``lane_width`` each."""
+    pooled_online: bool = False
+    """Lane batches go to the pool only with more than one to spread: a
+    lone batch rides one worker anyway, after the parent paid pool
+    startup and artifact pickling."""
+
+    @property
+    def n_batches(self) -> int:
+        return sum(map(len, self.batches.values()))
+
+
+def plan(
+    scenarios: Sequence[DebugScenario],
+    config: CampaignConfig,
+    trace: Trace,
+    *,
+    skip: Collection[int] = (),
+) -> CampaignPlan:
+    """Derive what a campaign over ``scenarios`` builds and runs.
+
+    One debug network and offline group key per design identity
+    (:meth:`~repro.workloads.scenarios.DebugScenario.design_identity`),
+    the scenarios of each group, the lane-batch sizes and the pool
+    decision — without a scheduler or a store.  Scenarios in ``skip``
+    (replayed from a journal) are left out.  Each scenario's
+    registration is one ``offline`` span of ``trace``.
+    """
+    out = CampaignPlan()
+    # design identity -> (group key, network, error message)
+    designs: dict[tuple, tuple] = {}
+    # group key -> (spec, design seed, horizon) -> scenarios
+    lanes: dict[str, dict[tuple, list]] = {}
+    for idx, sc in enumerate(scenarios):
+        if idx in skip:
+            continue
+        with trace.span("offline") as out.spans[idx]:
+            identity = sc.design_identity()
+            if identity not in designs:
+                try:
+                    net = sc.debug_network()
+                    gkey = _offline_group_key(
+                        net, config.flow, config.with_physical
+                    )
+                    designs[identity] = (gkey, net, None)
+                except Exception as exc:  # noqa: BLE001
+                    err = f"{type(exc).__name__}: {exc}"
+                    designs[identity] = (None, None, err)
+        gkey, net, err = designs[identity]
+        if err is not None:
+            out.errors[idx] = err
+            continue
+        out.groups.setdefault(gkey, []).append((idx, sc))
+        out.nets.setdefault(gkey, net)
+        lanes.setdefault(gkey, {}).setdefault(
+            (sc.spec, sc.design_seed, sc.horizon), []
+        ).append((idx, sc))
+    width = max(1, config.lane_width)
+    out.batches = {
+        gkey: [
+            items[base : base + width]
+            for items in by_golden.values()
+            for base in range(0, len(items), width)
+        ]
+        for gkey, by_golden in lanes.items()
+    }
+    out.pooled_online = config.workers > 1 and out.n_batches > 1
     return out
+
+
+def execute(
+    campaign: CampaignPlan,
+    scenarios: Sequence[DebugScenario],
+    sched: DataflowScheduler,
+    *,
+    config: CampaignConfig,
+    cache: ArtifactStore | None,
+    journal,
+    resumed: Mapping[int, ScenarioResult],
+    notes: list[str],
+) -> tuple[list[ScenarioResult], list[int], int]:
+    """Register the builds and lane batches of ``campaign`` on ``sched``
+    and drain it; ``campaign`` must be planned into ``sched.trace``.
+
+    Each design's store probe is one ``offline`` span of ``sched.trace``;
+    lane batches launch the moment their design's build lands.  Every
+    final outcome is journaled (when ``journal`` is given) as it lands.
+    Returns every scenario's result in scenario order (``resumed`` ones
+    as replayed), the lanes of each launched batch and the effective
+    pool size.
+    """
+    trace = sched.trace
+    workers = max(1, config.workers)
+    first_of = {items[0][0]: gkey for gkey, items in campaign.groups.items()}
+    probes: dict[str, int] = {}  # group key -> its store-probe span
+    built: dict[str, OfflineStage] = {}
+    hits: dict[int, bool] = {}
+    done: dict[int, ScenarioResult] = {}
+    payloads: list[GroupPayload] = []
+    aborted: list[str] = []
+
+    def offline_s(idx: int) -> float:
+        """Registration, plus the design's probe and stage builds for the
+        first scenario of each design."""
+        secs = trace.duration(campaign.spans[idx])
+        gkey = first_of.get(idx)
+        if gkey in probes:
+            secs += trace.duration(probes[gkey])
+        if gkey in built:
+            secs += sum(built[gkey].trace.seconds().values())
+        return secs
+
+    def keep(idx: int, result: ScenarioResult, journaled: bool = True):
+        done[idx] = result
+        if journal is not None and journaled:
+            # the full record a resumed campaign replays
+            record = result.as_record()
+            record["offline_s"] = offline_s(idx)
+            record["offline_cache_hit"] = hits.get(idx, False)
+            journal.append_scenario(idx, record)
+
+    def abort(err: str) -> None:
+        if config.fail_fast and not aborted:
+            aborted.append(err)
+            sched.abort()
+
+    def online_done(_task, out: "list[tuple[int, ScenarioResult]]"):
+        for idx, res in out:
+            keep(idx, res)
+
+    def online_failed(payload: GroupPayload, _task, msg: str) -> None:
+        # supervision gave up on this lane batch (timeout/retries
+        # exhausted).  The error message is wall-clock-dependent, so the
+        # results are NOT journaled — a resumed campaign re-runs them.
+        for idx, sc in payload[1]:
+            error = _error(sc, f"online stage failed: {msg}")
+            keep(idx, error, journaled=False)
+        abort(msg)
+
+    def design_done(gkey, stage, hit, err):
+        items = campaign.groups[gkey]
+        if err is not None:
+            for idx, sc in items:
+                keep(idx, _offline_error(sc, err))
+            abort(err)
+            return
+        built[gkey] = stage
+        # duplicates of a built design ride the group's artifact: a cache
+        # hit when a store holds it, plain build sharing when running
+        # cold (outcomes are unaffected, only the redundant rebuilds go)
+        for idx, _sc in items:
+            hits[idx] = hit if idx == items[0][0] else cache is not None
+        # lane batches launch the moment their design's build lands
+        for payload in _payloads(
+            stage, campaign.batches[gkey], config.max_turns
+        ):
+            if aborted:
+                return
+            payloads.append(payload)
+            sched.add(
+                ScheduledTask(
+                    kind="online",
+                    label=f"lanes[{len(payload[1])}]",
+                    worker_fn=_online_group_worker,
+                    payload=payload,
+                    # compiled programs persist in the stage store when
+                    # one is in play — worker processes compile their own
+                    # (the store isn't shipped), but in-parent runs and
+                    # warm restarts skip compilation entirely
+                    inline_fn=partial(_online_group_worker, payload, cache),
+                    pooled=campaign.pooled_online,
+                    on_done=online_done,
+                    on_fail=partial(online_failed, payload),
+                    timeout_s=config.task_timeout_s,
+                    max_retries=max(0, config.task_retries),
+                    key=f"online:{payload[1][0][0]}",
+                )
+            )
+
+    for idx, err in campaign.errors.items():
+        keep(idx, _offline_error(scenarios[idx], err))
+        abort(done[idx].error)
+    if workers > 1 and campaign.n_batches == 1:
+        notes.append(
+            "worker pool skipped: 1 online payload (serial is cheaper than "
+            f"pool startup; requested {workers} workers)"
+        )
+
+    # -- offline tasks: one build unit per distinct design ---------------------
+    n_cold = 0
+    for gkey in campaign.groups:
+        if aborted:
+            break
+        with trace.span("offline") as span:
+            created = _submit_design_build(
+                sched,
+                campaign.nets[gkey],
+                config.flow,
+                config.with_physical,
+                cache,
+                gkey[:12],
+                pooled=workers > 1,
+                timeout_s=config.task_timeout_s,
+                max_retries=max(0, config.task_retries),
+                on_complete=partial(design_done, gkey),
+            )
+        probes[gkey] = span
+        n_cold += bool(created)
+
+    # one shared pool, sized for whichever phase needs more slots — the
+    # pool is created lazily at the first pooled dispatch, so fully
+    # inline configurations never pay process startup
+    sched.pool_size = max(
+        min(workers, max(1, n_cold)),
+        min(workers, campaign.n_batches) if campaign.pooled_online else 1,
+    )
+    try:
+        sched.run()
+    finally:
+        sched.shutdown()
+
+    # -- fallback notes + effective pool size ----------------------------------
+    if "offline" in sched.inline_fallbacks:
+        notes.append(
+            "offline build pool unavailable "
+            f"({type(sched.pool_error).__name__}); built remaining cold "
+            "design(s) in-process"
+        )
+    if "online" in sched.inline_fallbacks:
+        notes.append(
+            f"worker pool unavailable ({type(sched.pool_error).__name__}); "
+            f"fell back to serial execution (effective workers: 1, requested "
+            f"{workers})"
+        )
+    ran_pooled = (workers > 1 and n_cold > 0) or (
+        campaign.pooled_online and bool(payloads)
+    )
+    effective_workers = (
+        sched.pool_size if ran_pooled and not sched.inline_fallbacks else 1
+    )
+    abort_err = aborted[0] if aborted else None
+    if abort_err is not None:
+        notes.append(f"campaign aborted (fail-fast): {abort_err}")
+
+    # re-interleave results — journal replays, offline-failure and
+    # fail-fast placeholders — in scenario order
+    results: list[ScenarioResult] = []
+    for idx, sc in enumerate(scenarios):
+        if idx in resumed:
+            # replayed records keep their original accounting
+            results.append(resumed[idx])
+            continue
+        # absent: cancelled by a fail-fast abort before any outcome
+        # existed; deliberately not journaled (a resume recomputes it)
+        r = done.get(idx) or _error(sc, f"aborted (fail-fast): {abort_err}")
+        r.offline_s = offline_s(idx)
+        r.offline_cache_hit = hits.get(idx, False)
+        results.append(r)
+    return results, [len(p[1]) for p in payloads], effective_workers
+
+
+def _open_journal(
+    scenarios: Sequence[DebugScenario],
+    config: CampaignConfig,
+    cache: ArtifactStore | None,
+    notes: list[str],
+):
+    """The campaign's checkpoint journal and the results it replays:
+    ``(journal or None, {scenario index: result})``."""
+    if not config.campaign_id:
+        return None, {}
+    from repro.campaign.journal import (
+        CampaignJournal,
+        campaign_fingerprint,
+        journal_path,
+    )
+
+    cache_dir = cache.cache_dir if cache is not None else None
+    if cache_dir is None:
+        if config.resume:
+            raise ValueError(
+                "resume requires a persistent cache directory "
+                "(the journal lives under cache_dir/journal/)"
+            )
+        notes.append(
+            "journal disabled: no persistent cache directory "
+            f"(campaign id {config.campaign_id!r})"
+        )
+        return None, {}
+    fp = campaign_fingerprint(scenarios, config)
+    jpath = journal_path(cache_dir, config.campaign_id)
+    if not config.resume:
+        journal = CampaignJournal.start(
+            jpath,
+            campaign_id=config.campaign_id,
+            fingerprint=fp,
+            n_scenarios=len(scenarios),
+            fsync=config.journal_fsync,
+        )
+        return journal, {}
+    # the previous run may have died mid-put; readers never touch .tmp
+    # files, so sweeping the leftovers is safe here (no concurrent writer
+    # exists yet)
+    cache.sweep_stale_tmp()
+    journal, done_records = CampaignJournal.resume(
+        jpath, fingerprint=fp, fsync=config.journal_fsync
+    )
+    resumed = {
+        idx: ScenarioResult(**rec)
+        for idx, rec in done_records.items()
+        if 0 <= idx < len(scenarios)
+    }
+    notes.append(
+        f"resumed {len(resumed)} of {len(scenarios)} scenario(s) from journal"
+    )
+    return journal, resumed
 
 
 def run_campaign(
@@ -398,350 +674,39 @@ def run_campaign(
 
     Scenario outcomes are deterministic — the same scenarios and flow
     config produce the same statuses, suspects and turn counts at any
-    worker count, lane width and store state.
+    worker count, lane width and store state.  Journal set-up, then
+    :func:`plan`, :func:`execute` and the report, all recorded in the
+    scheduler's trace.
     """
     config = config or CampaignConfig()
-    notes: list[str] = []
-    t_wall = time.perf_counter()
-    workers = max(1, config.workers)
-    lane_width = max(1, config.lane_width)
-
-    # -- checkpoint journal ----------------------------------------------------
-    journal = None
-    resumed: dict[int, ScenarioResult] = {}
-    if config.campaign_id:
-        from repro.campaign.journal import (
-            CampaignJournal,
-            campaign_fingerprint,
-            journal_path,
-        )
-
-        cache_dir = cache.cache_dir if cache is not None else None
-        if cache_dir is None:
-            if config.resume:
-                raise ValueError(
-                    "resume requires a persistent cache directory "
-                    "(the journal lives under cache_dir/journal/)"
-                )
-            notes.append(
-                "journal disabled: no persistent cache directory "
-                f"(campaign id {config.campaign_id!r})"
-            )
-        else:
-            fp = campaign_fingerprint(scenarios, config)
-            jpath = journal_path(cache_dir, config.campaign_id)
-            if config.resume:
-                # the previous run may have died mid-put; readers never
-                # touch .tmp files, so sweeping the leftovers is safe here
-                # (no concurrent writer exists yet)
-                cache.sweep_stale_tmp()
-                journal, done_records = CampaignJournal.resume(
-                    jpath, fingerprint=fp, fsync=config.journal_fsync
-                )
-                resumed = {
-                    idx: ScenarioResult(**rec)
-                    for idx, rec in done_records.items()
-                    if 0 <= idx < len(scenarios)
-                }
-                notes.append(
-                    f"resumed {len(resumed)} of {len(scenarios)} "
-                    f"scenario(s) from journal"
-                )
-            else:
-                journal = CampaignJournal.start(
-                    jpath,
-                    campaign_id=config.campaign_id,
-                    fingerprint=fp,
-                    n_scenarios=len(scenarios),
-                    fsync=config.journal_fsync,
-                )
-
-    offline_s: dict[int, float] = {}
-    hits: dict[int, bool] = {}
-    failed: dict[int, ScenarioResult] = {}
-    offline_stage_s: dict[str, float] = {}
-    indexed: list[tuple[int, ScenarioResult]] = []
-    payloads: list[GroupPayload] = []
-    aborted: dict = {"err": None}
-
-    def checkpoint(idx: int, result: ScenarioResult) -> None:
-        """Journal a finished scenario the moment its outcome is final.
-
-        Timing/hit fields are attached now (they are known by the time
-        any outcome exists) so the journaled record is the full record a
-        resumed campaign replays."""
-        if journal is None:
-            return
-        result.offline_s = offline_s.get(idx, 0.0)
-        result.offline_cache_hit = hits.get(idx, False)
-        journal.append_scenario(idx, result.as_record())
-
-    # -- registration: one network and key per design identity ----------------
-    t_offline = time.perf_counter()
-    groups: dict[str, list[tuple[int, DebugScenario]]] = {}
-    group_net: dict[str, object] = {}
-    lane_sizes: Counter = Counter()
-    # design identity -> (group key, network, error message)
-    designs: dict[tuple, tuple] = {}
-    for idx, sc in enumerate(scenarios):
-        if idx in resumed:
-            continue
-        t0 = time.perf_counter()
-        identity = sc.design_identity()
-        if identity not in designs:
-            try:
-                net = sc.debug_network()
-                gkey = _offline_group_key(
-                    net, config.flow, config.with_physical
-                )
-                designs[identity] = (gkey, net, None)
-            except Exception as exc:  # noqa: BLE001
-                err = f"{type(exc).__name__}: {exc}"
-                designs[identity] = (None, None, err)
-        gkey, net, err = designs[identity]
-        offline_s[idx] = time.perf_counter() - t0
-        if err is not None:
-            failed[idx] = _offline_error(sc, err)
-            hits[idx] = False
-            checkpoint(idx, failed[idx])
-            if config.fail_fast and aborted["err"] is None:
-                aborted["err"] = failed[idx].error
-            continue
-        groups.setdefault(gkey, []).append((idx, sc))
-        group_net.setdefault(gkey, net)
-        # within one campaign the flow config is fixed, so this key is
-        # equivalent to _lane_batch_key over the resolved artifacts —
-        # known *before* any artifact exists
-        lane_sizes[(gkey, sc.spec, sc.design_seed, sc.horizon)] += 1
-
-    expected_payloads = sum(
-        (n + lane_width - 1) // lane_width for n in lane_sizes.values()
-    )
-    # a pool only pays for itself when there is more than one payload to
-    # spread: a single lane batch would ride one worker anyway, while the
-    # parent still paid pool startup plus artifact pickling — the
-    # "pooled slower than serial" regression BENCH_campaign.json recorded
-    use_online_pool = workers > 1 and expected_payloads > 1
-    if workers > 1 and expected_payloads == 1:
-        notes.append(
-            "worker pool skipped: 1 online payload (serial is cheaper than "
-            f"pool startup; requested {workers} workers)"
-        )
-
     sched = DataflowScheduler(executor_factory=_make_pool)
-
-    def fail_fast_abort(err: str) -> None:
-        if not config.fail_fast or aborted["err"] is not None:
-            return
-        aborted["err"] = err
-        sched.abort()
-
-    def online_done(out: "list[tuple[int, ScenarioResult]]") -> None:
-        for idx, res in out:
-            indexed.append((idx, res))
-            checkpoint(idx, res)
-
-    def online_failed(payload: GroupPayload, msg: str) -> None:
-        # supervision gave up on this lane batch (timeout/retries
-        # exhausted).  The error message is wall-clock-dependent, so the
-        # results are NOT journaled — a resumed campaign re-runs them.
-        for idx, sc in payload[1]:
-            indexed.append(
-                (
-                    idx,
-                    ScenarioResult(
-                        scenario=sc.name,
-                        design=sc.spec.name,
-                        kind=sc.kind,
-                        status="error",
-                        error=f"online stage failed: {msg}",
-                    ),
-                )
+    trace = sched.trace
+    notes: list[str] = []
+    with trace.span("campaign"):
+        journal, resumed = _open_journal(scenarios, config, cache, notes)
+        trace.add("resumed_scenarios", len(resumed))
+        try:
+            results, lane_batches, workers = execute(
+                plan(scenarios, config, trace, skip=resumed),
+                scenarios,
+                sched,
+                config=config,
+                cache=cache,
+                journal=journal,
+                resumed=resumed,
+                notes=notes,
             )
-        fail_fast_abort(msg)
-
-    def submit_online(payload: GroupPayload) -> None:
-        if aborted["err"] is not None:
-            return
-        payloads.append(payload)
-        sched.add(
-            ScheduledTask(
-                kind="online",
-                label=f"lanes[{len(payload[1])}]",
-                worker_fn=_online_group_worker,
-                payload=payload,
-                # compiled programs persist in the stage store when one is
-                # in play — worker processes compile their own (the store
-                # isn't shipped), but in-parent runs and warm restarts
-                # skip compilation entirely
-                inline_fn=lambda p=payload: _online_group_worker(
-                    p, store=cache
-                ),
-                pooled=use_online_pool,
-                on_done=lambda _task, out: online_done(out),
-                on_fail=lambda _task, msg, p=payload: online_failed(p, msg),
-                timeout_s=config.task_timeout_s,
-                max_retries=max(0, config.task_retries),
-                key=f"online:{payload[1][0][0]}",
-            )
-        )
-
-    def design_done(gkey, stage, hit, totals, err):
-        items = groups[gkey]
-        first_idx = items[0][0]
-        if err is not None:
-            for idx, sc in items:
-                failed[idx] = _offline_error(sc, err)
-                hits[idx] = False
-                checkpoint(idx, failed[idx])
-            fail_fast_abort(err)
-            return
-        _accumulate_stage_s(offline_stage_s, totals)
-        offline_s[first_idx] += sum(totals.values())
-        # duplicates of a built design ride the group's artifact: a cache
-        # hit when a store holds it, plain build sharing when running
-        # cold (outcomes are unaffected, only the redundant rebuilds go)
-        for idx, _sc in items:
-            hits[idx] = hit if idx == first_idx else cache is not None
-        # lane batches launch the moment their design's build lands
-        for payload in _group_payloads(
-            [(idx, sc, stage) for idx, sc in items],
-            config.max_turns,
-            lane_width,
-        ):
-            submit_online(payload)
-
-    # -- offline tasks: one build unit per distinct design ---------------------
-    n_cold = 0
-    for gkey, items in groups.items():
-        if aborted["err"] is not None:
-            break
-        t0 = time.perf_counter()
-        created = _submit_design_build(
-            sched,
-            group_net[gkey],
-            config.flow,
-            config.with_physical,
-            cache,
-            gkey[:12],
-            pooled=workers > 1,
-            timeout_s=config.task_timeout_s,
-            max_retries=max(0, config.task_retries),
-            on_complete=(
-                lambda stage, hit, totals, err, g=gkey: design_done(
-                    g, stage, hit, totals, err
-                )
-            ),
-        )
-        offline_s[items[0][0]] += time.perf_counter() - t0
-        if created:
-            n_cold += 1
-
-    t_probes_done = time.perf_counter()
-    # one shared pool, sized for whichever phase needs more slots — the
-    # pool is created lazily at the first pooled dispatch, so fully
-    # inline configurations never pay process startup
-    sched.pool_size = max(
-        min(workers, max(1, n_cold)),
-        min(workers, expected_payloads) if use_online_pool else 1,
-    )
-
-    # -- drain -----------------------------------------------------------------
-    try:
-        sched.run()
-    finally:
-        sched.shutdown()
-        if journal is not None:
-            journal.close()
-
-    # -- fallback notes + effective pool size ----------------------------------
-    if "offline" in sched.inline_fallbacks:
-        notes.append(
-            "offline build pool unavailable "
-            f"({type(sched.pool_error).__name__}); built remaining cold "
-            "design(s) in-process"
-        )
-    if "online" in sched.inline_fallbacks:
-        notes.append(
-            f"worker pool unavailable ({type(sched.pool_error).__name__}); "
-            f"fell back to serial execution (effective workers: 1, requested "
-            f"{workers})"
-        )
-    ran_pooled = (workers > 1 and n_cold > 0) or (
-        use_online_pool and bool(payloads)
-    )
-    effective_workers = (
-        sched.pool_size if ran_pooled and not sched.inline_fallbacks else 1
-    )
-
-    # -- critical-path metrics -------------------------------------------------
-    off_ends = [e for k, _s, e in sched.intervals if k == "offline"]
-    offline_wall_s = max([t_probes_done, *off_ends]) - t_offline
-    sched_wall_s = sched.sched_wall_s
-    overlap = sched.overlap_s("offline", "online")
-    overlap_ratio = overlap / sched_wall_s if sched_wall_s > 0 else 0.0
-    stage_concurrency = sched.stage_concurrency()
-    online_spans = [(s, e) for k, s, e in sched.intervals if k == "online"]
-    if online_spans:
-        busy = sum(e - s for s, e in online_spans)
-        lo = min(s for s, _ in online_spans)
-        hi = max(e for _, e in online_spans)
-        stage_concurrency["online"] = (
-            round(busy / (hi - lo), 3) if hi > lo else 1.0
-        )
-
-    if aborted["err"] is not None:
-        notes.append(f"campaign aborted (fail-fast): {aborted['err']}")
-
-    # re-interleave results — journal replays, offline-failure and
-    # fail-fast placeholders — in scenario order
-    by_idx = dict(indexed)
-    results: list[ScenarioResult] = []
-    for idx in range(len(scenarios)):
-        if idx in failed:
-            results.append(failed[idx])
-        elif idx in resumed:
-            results.append(resumed[idx])
-        elif idx in by_idx:
-            results.append(by_idx[idx])
-        else:
-            # cancelled by a fail-fast abort before any outcome existed;
-            # deliberately not journaled (a resume recomputes it)
-            sc = scenarios[idx]
-            results.append(
-                ScenarioResult(
-                    scenario=sc.name,
-                    design=sc.spec.name,
-                    kind=sc.kind,
-                    status="error",
-                    error=f"aborted (fail-fast): {aborted['err']}",
-                )
-            )
-
-    for idx, r in enumerate(results):
-        if idx in resumed:
-            continue  # replayed records keep their original accounting
-        r.offline_s = offline_s.get(idx, 0.0)
-        r.offline_cache_hit = hits.get(idx, False)
-
+        finally:
+            if journal is not None:
+                journal.close()
     return CampaignReport(
         results=results,
-        wall_s=time.perf_counter() - t_wall,
-        workers=effective_workers,
-        offline_total_s=sum(offline_s.values()),
-        offline_wall_s=offline_wall_s,
-        offline_stage_s=offline_stage_s,
-        online_total_s=sum(r.online_s for r in results),
+        wall_s=trace.seconds()["campaign"],
+        workers=workers,
         cache_stats=cache.stats.as_dict() if cache is not None else None,
-        lane_width=lane_width,
-        lane_batches=[len(p[1]) for p in payloads],
+        lane_width=max(1, config.lane_width),
+        lane_batches=lane_batches,
         notes=notes,
-        sched_wall_s=sched_wall_s,
-        overlap_ratio=overlap_ratio,
-        stage_concurrency=stage_concurrency,
-        retries=sched.n_retries,
-        timeouts=sched.n_timeouts,
-        pool_respawns=sched.pool_respawns,
-        resumed_scenarios=len(resumed),
         journal_path=journal.path if journal is not None else "",
+        trace=trace,
     )

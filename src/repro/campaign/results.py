@@ -1,10 +1,10 @@
 """Structured results of campaign runs.
 
 Every scenario produces one :class:`ScenarioResult` — a flat, picklable
-record of what happened (status, localization outcome, per-phase timings
-via :class:`~repro.util.timing.PhaseTimer`, modeled online overhead) that
-travels back from worker processes.  :class:`CampaignReport` aggregates
-them and renders through :func:`repro.analysis.reporting.
+record of what happened (status, localization outcome, per-phase timings,
+modeled online overhead) that travels back from worker processes.
+:class:`CampaignReport` aggregates them with the run's
+:class:`~repro.util.trace.Trace` and renders through :func:`repro.analysis.reporting.
 render_campaign_report`, keeping one reporting surface for experiments and
 campaigns alike.
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 from repro.analysis.reporting import render_campaign_report, save_result
+from repro.util.trace import Trace
 
 __all__ = ["STATUSES", "ScenarioResult", "CampaignReport"]
 
@@ -99,15 +100,6 @@ class CampaignReport:
     workers: int = 1
     """Effective size of the shared worker pool (1 when nothing ran
     pooled or the pool fell back to in-process execution)."""
-    offline_total_s: float = 0.0
-    offline_wall_s: float = 0.0
-    """Wall-clock of the whole offline phase; less than
-    ``offline_total_s`` when cold designs built concurrently."""
-    offline_stage_s: dict[str, float] = field(default_factory=dict)
-    """Seconds spent *building* each offline stage this run (cache hits
-    excluded), summed across designs — the per-stage cost breakdown
-    behind ``offline_total_s``."""
-    online_total_s: float = 0.0
     cache_stats: dict | None = None
     """Snapshot of the store's :class:`~repro.pipeline.StoreStats`
     ``as_dict()``, including a ``per_stage`` breakdown.  ``None`` when
@@ -117,39 +109,14 @@ class CampaignReport:
     lane_batches: list[int] = field(default_factory=list)
     """Lane occupancy per online batch."""
     notes: list[str] = field(default_factory=list)
-    sched_wall_s: float = 0.0
-    """Wall-clock the dataflow scheduler's event loop ran — the
-    critical-path time all task execution (offline and online) fit in."""
-    overlap_ratio: float = 0.0
-    """Fraction of ``sched_wall_s`` during which offline and online work
-    executed simultaneously — 0 with nothing to overlap, approaching the
-    smaller phase's share of the wall when one hides behind the other."""
-    stage_concurrency: dict[str, float] = field(default_factory=dict)
-    """Per-stage busy-seconds / span-seconds over the campaign (pooled
-    builds only; includes an ``"online"`` pseudo-stage).  Values above 1
-    mean that stage ran concurrently across designs."""
-    retries: int = 0
-    """Supervised task retries performed (timeouts + task failures;
-    retries change wall clock only, never outcomes)."""
-    timeouts: int = 0
-    """Pooled task attempts that exceeded their wall-clock budget."""
-    pool_respawns: int = 0
-    """Worker-pool teardown/respawn cycles the supervisor performed."""
-    resumed_scenarios: int = 0
-    """Scenarios replayed from the campaign journal instead of re-run."""
     journal_path: str = ""
     """Checkpoint journal backing this campaign ('' = journaling off)."""
-
-    def resilience(self) -> dict:
-        """Supervision counters + checkpoint state, for the report's
-        ``resilience:`` line and the benchmark JSON."""
-        return {
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "pool_respawns": self.pool_respawns,
-            "resumed_scenarios": self.resumed_scenarios,
-            "journal_path": self.journal_path,
-        }
+    trace: Trace = field(default_factory=Trace)
+    """The run's record, which every timing line of :meth:`render` reads:
+    spans ``campaign`` (the whole run), ``offline`` (registration, store
+    probes, build tasks), ``online`` (lane batches), ``run`` (the
+    scheduler loop) and ``stage.<name>`` (a built stage), plus the
+    scheduler's counters and ``resumed_scenarios``."""
 
     def aggregate(self) -> dict:
         """Campaign aggregates — single source of truth is
@@ -177,18 +144,14 @@ class CampaignReport:
         """Human-readable campaign report (tables + aggregate lines)."""
         return render_campaign_report(
             [r.as_record() for r in self.results],
+            self.trace,
             wall_s=self.wall_s,
             workers=self.workers,
             cache=self.cache_stats,
             lane_width=self.lane_width,
             lane_batches=self.lane_batches,
-            offline_wall_s=self.offline_wall_s,
-            offline_stage_s=self.offline_stage_s,
             notes=self.notes,
-            sched_wall_s=self.sched_wall_s,
-            overlap_ratio=self.overlap_ratio,
-            stage_concurrency=self.stage_concurrency,
-            resilience=self.resilience(),
+            journal_path=self.journal_path,
         )
 
     def save(self, name: str = "campaign", base: str | None = None) -> str:

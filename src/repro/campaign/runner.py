@@ -30,7 +30,7 @@ from repro.campaign.results import ScenarioResult
 from repro.core.flow import OfflineStage
 from repro.engine import LaneEngine
 from repro.netlist.network import LogicNetwork
-from repro.util.timing import PhaseTimer
+from repro.util.trace import Trace
 from repro.workloads.scenarios import (
     DebugScenario,
     packed_signal_traces,
@@ -82,12 +82,12 @@ def run_scenario_batch(
 
     Per-scenario timing fields report the batch phase time divided by the
     batch size — the amortized cost actually paid per scenario, keeping
-    campaign-level ``online_total_s`` equal to wall clock spent.  The
+    the campaign's summed ``online_s`` equal to wall clock spent.  The
     deterministic outcome fields are byte-identical at every batch size.
     ``store`` persists compiled programs.  Never raises: per-lane
     failures degrade to ``status="error"`` results for their lane only.
     """
-    timers = PhaseTimer()
+    trace = Trace()
     n = len(scenarios)
     results = [
         ScenarioResult(
@@ -124,7 +124,7 @@ def run_scenario_batch(
             if sc.horizon != horizon:
                 raise ValueError("batched scenarios must share one horizon")
 
-        with timers.phase("setup"):
+        with trace.span("setup"):
             engine = LaneEngine(
                 offline,
                 n_lanes=n,
@@ -159,7 +159,7 @@ def run_scenario_batch(
         tap_names = [design.network.node_name(t) for t in design.taps]
         trace_names = tap_names + engine.user_po_names
 
-        with timers.phase("golden"):
+        with trace.span("golden"):
             # lanes sharing a golden design share one packed reference
             # pass — the common all-stuck-at batch pays for exactly one
             packed_golden: list[dict[str, np.ndarray] | None] = [None] * n
@@ -176,7 +176,7 @@ def run_scenario_batch(
                 for pos, l in enumerate(lanes):
                     packed_golden[l] = _lane_slice(packed, pos)
 
-        with timers.phase("detect"):
+        with trace.span("detect"):
             po_names = engine.user_po_names
             # word-packed golden PO values per (cycle, po), built from the
             # per-lane slices so lanes from different golden groups land
@@ -226,7 +226,7 @@ def run_scenario_batch(
                     results[lane].failing_po = po_names[j]
                     detected.append(lane)
 
-        with timers.phase("localize"):
+        with trace.span("localize"):
             engine.reset()
             walks = {}
             mapped_frontier = mapped_frontier_fn(engine)
@@ -287,10 +287,11 @@ def run_scenario_batch(
                 results[lane].error = f"{type(exc).__name__}: {exc}"
 
     share = 1.0 / max(1, n)
+    secs = trace.seconds()
     for r in results:
-        r.setup_s = timers.totals.get("setup", 0.0) * share
-        r.golden_s = timers.totals.get("golden", 0.0) * share
-        r.detect_s = timers.totals.get("detect", 0.0) * share
-        r.localize_s = timers.totals.get("localize", 0.0) * share
-        r.online_s = timers.total() * share
+        r.setup_s = secs.get("setup", 0.0) * share
+        r.golden_s = secs.get("golden", 0.0) * share
+        r.detect_s = secs.get("detect", 0.0) * share
+        r.localize_s = secs.get("localize", 0.0) * share
+        r.online_s = sum(secs.values()) * share
     return results

@@ -39,7 +39,7 @@ from repro.core.muxnet import InstrumentedDesign
 from repro.mapping import MappingResult
 from repro.netlist.blif import write_blif
 from repro.netlist.network import LogicNetwork
-from repro.util.timing import PhaseTimer
+from repro.util.trace import Trace
 
 __all__ = [
     "DebugFlowConfig",
@@ -86,16 +86,19 @@ class OfflineStage:
     instrumented: InstrumentedDesign
     mapping: MappingResult
     annotation: ParAnnotation
-    timers: PhaseTimer = field(default_factory=PhaseTimer)
+    trace: Trace = field(default_factory=Trace)
+    """The compile's record: one ``stage.<name>`` span per stage built
+    (none for stages the store served)."""
     physical: Any | None = None
     """Filled by :func:`run_physical_stage` (a PhysicalStage)."""
     cache_key: str | None = None
     """Content key identifying this artifact.
 
     Set to the terminal generic stage's (``tcon-map``) content key by the
-    pipeline assembler.  The whole dataclass is picklable (networks, mappings and timers are plain
-    containers), which is what lets campaign workers receive the artifact
-    and what the disk caches serialize.
+    pipeline assembler.  The whole dataclass is picklable (networks,
+    mappings and the trace are plain containers), which is what lets
+    campaign workers receive the artifact and what the disk caches
+    serialize.
     """
     stage_keys: dict[str, str] | None = None
     """Graph-native per-stage content keys this artifact was assembled

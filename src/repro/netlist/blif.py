@@ -139,7 +139,10 @@ def parse_blif(text: str, name_hint: str = "top") -> LogicNetwork:
                 if out_tok not in ("0", "1"):
                     raise BlifParseError(f"bad output token {out_tok!r}", line_no)
                 out_val = int(out_tok)
-                cube = Cube.from_blif(plane)
+                try:
+                    cube = Cube.from_blif(plane)
+                except ValueError as exc:
+                    raise BlifParseError(str(exc), line_no) from None
             if current.output_value is None:
                 current.output_value = out_val
             elif current.output_value != out_val:

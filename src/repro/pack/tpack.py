@@ -59,6 +59,10 @@ def _pair_bles(physical: PhysicalNetlist) -> list[Ble]:
     # PO signals have an external reader
     for s in physical.po_signals:
         readers[s] = readers.get(s, 0) + 1
+    # so does every debug-mux option: the mux reads it over the routing
+    for group in physical.tunable_groups.values():
+        for s, _cond in group.options:
+            readers[s] = readers.get(s, 0) + 1
 
     luts = {a.output: a for a in physical.atoms if a.kind == "lut"}
     ffs = [a for a in physical.atoms if a.kind == "ff"]

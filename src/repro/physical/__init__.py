@@ -3,7 +3,7 @@
 :func:`build_physical_stage` takes an offline-stage artifact (or any
 mapping result) through packing, placement, routing and configuration-bit
 generation, returning a :class:`PhysicalStage` with every intermediate
-plus phase timings — the data behind the compile-time experiment
+plus one span per phase — the data behind the compile-time experiment
 (§V-C.1).
 """
 
@@ -24,7 +24,7 @@ from repro.pack.cluster import build_atoms
 from repro.pack.tpack import PackedDesign, pack_design
 from repro.place.tplace import Placement, place_design
 from repro.route.troute import RoutingResult, route_design
-from repro.util.timing import PhaseTimer
+from repro.util.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.flow import OfflineStage
@@ -54,7 +54,8 @@ class PhysicalStage:
     routing: RoutingResult
     layout: ConfigLayout
     bitstream: GeneratedBitstream
-    timers: PhaseTimer = field(default_factory=PhaseTimer)
+    trace: Trace = field(default_factory=Trace)
+    """The compile's record: a ``stage.<name>`` span per stage built."""
 
     @property
     def n_clbs_used(self) -> int:
@@ -65,6 +66,8 @@ class PhysicalStage:
         return self.routing.total_wires_used()
 
     def summary(self) -> dict[str, float]:
+        from repro.pipeline.stages import PHYSICAL_STAGES
+
         s = self.routing.summary()
         s.update(
             {
@@ -73,7 +76,11 @@ class PhysicalStage:
                 "placement_hpwl": self.placement.cost,
                 "config_bits": float(self.layout.n_bits),
                 "tunable_bits": float(self.bitstream.pconf.n_tunable),
-                "pnr_runtime_s": self.timers.total(),
+                "pnr_runtime_s": sum(
+                    secs
+                    for name, secs in self.trace.seconds("stage.").items()
+                    if name in PHYSICAL_STAGES
+                ),
             }
         )
         return s
@@ -175,17 +182,17 @@ def physical_from_mapping(
     of :mod:`repro.pipeline` for cached/incremental compilation.
     """
     arch = arch or VIRTEX5_LIKE
-    timers = PhaseTimer()
+    trace = Trace()
 
-    with timers.phase("pack"):
+    with trace.span("stage.pack"):
         packed = pack_stage(mapping, design, arch)
-    with timers.phase("place"):
+    with trace.span("stage.place"):
         placement = place_stage(packed, grid, seed=seed, effort=effort)
-    with timers.phase("route"):
+    with trace.span("stage.route"):
         rr, routing = route_stage(
             placement, max_route_iterations=max_route_iterations
         )
-    with timers.phase("bitgen"):
+    with trace.span("stage.bitgen"):
         layout, bitstream = bitgen_stage(packed, placement, rr, routing, design)
     return PhysicalStage(
         arch=arch,
@@ -196,7 +203,7 @@ def physical_from_mapping(
         routing=routing,
         layout=layout,
         bitstream=bitstream,
-        timers=timers,
+        trace=trace,
     )
 
 

@@ -31,7 +31,7 @@ from repro.core.flow import FLOW_CACHE_VERSION, DebugFlowConfig
 from repro.errors import DebugFlowError
 from repro.netlist.blif import write_blif
 from repro.netlist.network import LogicNetwork
-from repro.util.timing import PhaseTimer
+from repro.util.trace import Trace
 
 __all__ = [
     "SOURCE",
@@ -118,7 +118,8 @@ class CompileResult:
     rooted in it — e.g. a physical-only run over preset artifacts)."""
     params: dict[str, Any] = field(default_factory=dict)
     artifacts: dict[str, Artifact] = field(default_factory=dict)
-    timers: PhaseTimer = field(default_factory=PhaseTimer)
+    trace: Trace = field(default_factory=Trace)
+    """A ``stage.<name>`` span per stage this run built (hits have none)."""
 
     def value(self, stage: str) -> Any:
         return self.artifacts[stage].value
@@ -208,9 +209,6 @@ class StageGraph:
 
     def __iter__(self):
         return iter(self.stages)
-
-    def stage_names(self) -> list[str]:
-        return [s.name for s in self.stages]
 
     def __getitem__(self, name: str) -> Stage:
         return self._by_name[name]
@@ -478,7 +476,7 @@ class StageGraph:
                 ctx = StageContext(
                     config=plan.config, params=plan.params, artifacts=values
                 )
-                with result.timers.phase(stage.name):
+                with result.trace.span(f"stage.{stage.name}"):
                     value = stage.fn(ctx)
                 if store is not None:
                     store.put(

@@ -60,7 +60,7 @@ from repro.pipeline.graph import (
     StagePlan,
 )
 from repro.util import chaos
-from repro.util.timing import PhaseTimer
+from repro.util.trace import Trace
 
 __all__ = [
     "ScheduledTask",
@@ -91,8 +91,8 @@ def _timed_call(fn: Callable[[Any], Any], payload: Any, label: str = ""):
 
     ``time.perf_counter`` is ``CLOCK_MONOTONIC`` system-wide on Linux, so
     worker-side timestamps are directly comparable with the parent's —
-    which is what makes the cross-process overlap/concurrency metrics
-    honest rather than estimated.  The :mod:`repro.util.chaos` hook is a
+    which is what lets the parent record them in its :class:`Trace` as
+    measured rather than estimated.  The :mod:`repro.util.chaos` hook is a
     no-op unless a test armed fault injection for this process tree.
     """
     chaos.on_pooled_task(label)
@@ -132,8 +132,6 @@ class ScheduledTask:
     attempts: int = 0
     """Pooled attempts charged so far (crash victims are not charged)."""
     result: Any = None
-    start_s: float = 0.0
-    end_s: float = 0.0
     done: bool = False
     cancelled: bool = False
     _n_deps: int = 0
@@ -156,6 +154,12 @@ class DataflowScheduler:
     configurations (``workers=1``, warm caches) never pay process
     startup — the serial path is literally this scheduler with no pooled
     tasks.
+
+    Its :attr:`trace` records every finished task's interval (named by
+    its ``kind``), every built compile stage (``stage.<name>``, see
+    :func:`submit_compile`), each :meth:`run` as a ``run`` span, and the
+    supervision counters ``retries``, ``timeouts``, ``pool_respawns`` and
+    ``reenqueued`` (in-flight victims put back after a pool teardown).
     """
 
     def __init__(
@@ -179,12 +183,7 @@ class DataflowScheduler:
         as a diagnostic; see :attr:`pool_broken` for the current state)."""
         self.inline_fallbacks: set[str] = set()
         """Task kinds that had a pooled task degrade to in-parent runs."""
-        self.pool_respawns = 0
-        """Pool teardowns observed (charged crashes + timeout kills)."""
-        self.n_retries = 0
-        self.n_timeouts = 0
-        self.n_reenqueued = 0
-        """In-flight victim tasks re-enqueued after a pool teardown."""
+        self.trace = Trace()
         self._respawns_charged = 0
         self._pool_dead = False
         self._ready: deque[ScheduledTask] = deque()
@@ -193,13 +192,6 @@ class DataflowScheduler:
         self._inflight: dict[Future, ScheduledTask] = {}
         self._tasks: list[ScheduledTask] = []
         self._n_pending = 0
-        self.intervals: list[tuple[str, float, float]] = []
-        """(kind, start, end) execution interval per completed task."""
-        self.stage_spans: dict[str, list[tuple[float, float]]] = {}
-        """Per-compile-stage execution spans, fed by segment completions."""
-        self.n_tasks: dict[str, int] = {}
-        """Tasks ever added, per kind."""
-        self.sched_wall_s = 0.0
 
     @property
     def pool_broken(self) -> bool:
@@ -216,7 +208,6 @@ class DataflowScheduler:
         task._n_deps = len(live)
         for d in live:
             d._children.append(task)
-        self.n_tasks[task.kind] = self.n_tasks.get(task.kind, 0) + 1
         self._tasks.append(task)
         self._n_pending += 1
         if task._n_deps == 0:
@@ -255,11 +246,10 @@ class DataflowScheduler:
 
         Callbacks may :meth:`add` further tasks (that is how online lane
         batches chain onto offline completions); the loop keeps going
-        until the whole transitive graph is drained.  Wall time across
-        all :meth:`run` calls accumulates in :attr:`sched_wall_s`.
+        until the whole transitive graph is drained.  Each call is one
+        ``run`` span of :attr:`trace`.
         """
-        t0 = time.perf_counter()
-        try:
+        with self.trace.span("run"):
             while self._n_pending:
                 self._promote_delayed()
                 self._dispatch_pooled()
@@ -288,59 +278,11 @@ class DataflowScheduler:
                     continue
                 else:  # pragma: no cover - defensive: bookkeeping drift
                     break
-        finally:
-            self.sched_wall_s += time.perf_counter() - t0
 
     def shutdown(self) -> None:
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-
-    # -- metrics ---------------------------------------------------------------
-
-    def overlap_s(self, kind_a: str = "offline", kind_b: str = "online") -> float:
-        """Seconds during which both kinds had work executing."""
-
-        def merged(kind: str) -> list[tuple[float, float]]:
-            spans = sorted(
-                (s, e) for k, s, e in self.intervals if k == kind and e > s
-            )
-            out: list[tuple[float, float]] = []
-            for s, e in spans:
-                if out and s <= out[-1][1]:
-                    out[-1] = (out[-1][0], max(out[-1][1], e))
-                else:
-                    out.append((s, e))
-            return out
-
-        a, b = merged(kind_a), merged(kind_b)
-        total, i, j = 0.0, 0, 0
-        while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
-            if hi > lo:
-                total += hi - lo
-            if a[i][1] <= b[j][1]:
-                i += 1
-            else:
-                j += 1
-        return total
-
-    def stage_concurrency(self) -> dict[str, float]:
-        """Per-stage busy-time / span-time — 1.0 means fully serialized.
-
-        A stage whose executions overlap across designs (busy seconds
-        exceeding its first-start-to-last-end span would be impossible;
-        instead *campaign-level* concurrency shows up as span ≪ sum of a
-        serial schedule) is reported as busy/span of the union timeline.
-        """
-        out: dict[str, float] = {}
-        for stage, spans in sorted(self.stage_spans.items()):
-            busy = sum(e - s for s, e in spans)
-            lo = min(s for s, _ in spans)
-            hi = max(e for _, e in spans)
-            out[stage] = round(busy / (hi - lo), 3) if hi > lo else 1.0
-        return out
 
     # -- internals -------------------------------------------------------------
 
@@ -383,7 +325,7 @@ class DataflowScheduler:
                 pool.shutdown(wait=False, cancel_futures=True)
             except Exception:  # noqa: BLE001
                 pass
-        self.pool_respawns += 1
+        self.trace.add("pool_respawns")
         if charge:
             self._respawns_charged += 1
             if self._respawns_charged > self.max_pool_respawns:
@@ -395,7 +337,7 @@ class DataflowScheduler:
                 continue
             if not task.cancelled:
                 task.attempts = max(0, task.attempts - 1)
-                self.n_reenqueued += 1
+                self.trace.add("reenqueued")
                 self._ready.append(task)
         self._inflight = salvaged
 
@@ -479,7 +421,7 @@ class DataflowScheduler:
                 # already running on a worker — only a pool teardown can
                 # actually stop it (see _respawn_pool)
                 respawn = True
-            self.n_timeouts += 1
+            self.trace.add("timeouts")
             if not task.cancelled:
                 self._retry_or_fail(
                     task,
@@ -491,7 +433,7 @@ class DataflowScheduler:
 
     def _retry_or_fail(self, task: ScheduledTask, msg: str) -> None:
         if task.attempts <= task.max_retries:
-            self.n_retries += 1
+            self.trace.add("retries")
             delay = retry_delay(
                 task.key or task.label, task.attempts, self.retry_backoff_s
             )
@@ -541,7 +483,7 @@ class DataflowScheduler:
             self._respawn_pool(exc, charge=True)
             if not task.cancelled:
                 task.attempts = max(0, task.attempts - 1)
-                self.n_reenqueued += 1
+                self.trace.add("reenqueued")
                 self._ready.append(task)
             return
         except Exception as exc:  # noqa: BLE001 - supervised task failure
@@ -555,10 +497,10 @@ class DataflowScheduler:
     def _complete(
         self, task: ScheduledTask, out: Any, t0: float, t1: float
     ) -> None:
-        task.result, task.start_s, task.end_s = out, t0, t1
+        task.result = out
         task.done = True
         self._n_pending -= 1
-        self.intervals.append((task.kind, t0, t1))
+        self.trace.record(task.kind, t0, t1)
         if task.on_done is not None:
             task.on_done(task, out)
         for child in task._children:
@@ -575,29 +517,23 @@ class DataflowScheduler:
 def _segment_worker(payload):
     """Run one fused chain of stage bodies (pool- or parent-side).
 
-    Returns ``("ok", values, times, spans)`` with absolute
-    ``perf_counter`` spans per stage, or ``("err", message)`` — stage
-    exceptions are marshalled, not raised, so a worker failure surfaces
-    as a normal completion the parent can route to the owning design.
+    Returns ``("ok", values, trace)`` with one ``stage.<name>`` span per
+    stage, or ``("err", message)`` — stage exceptions are marshalled, not
+    raised, so a worker failure surfaces as a normal completion the
+    parent can route to the owning design.
     """
     graph, config, params, names, values = payload
     values = dict(values)
     out: dict[str, Any] = {}
-    times: dict[str, float] = {}
-    spans: dict[str, tuple[float, float]] = {}
+    trace = Trace()
     try:
         for name in names:
-            stage = graph[name]
             ctx = StageContext(config=config, params=params, artifacts=values)
-            s0 = time.perf_counter()
-            value = stage.fn(ctx)
-            s1 = time.perf_counter()
-            values[name] = out[name] = value
-            times[name] = s1 - s0
-            spans[name] = (s0, s1)
+            with trace.span(f"stage.{name}"):
+                values[name] = out[name] = graph[name].fn(ctx)
     except Exception as exc:  # noqa: BLE001 - marshalled to the parent
         return ("err", f"{type(exc).__name__}: {exc}")
-    return ("ok", out, times, spans)
+    return ("ok", out, trace)
 
 
 def submit_compile(
@@ -632,12 +568,15 @@ def submit_compile(
     segment task (supervision: a hung or failing segment is retried with
     deterministic backoff, then reported through the normal error path).
 
+    Every built stage's span lands in the result's ``trace`` and in
+    ``sched.trace``.
+
     A fully-warm design never creates a task: ``on_complete`` fires
     synchronously before this returns.  Returns the created tasks.
     """
     values: dict[str, Any] = {SOURCE: net}
     artifacts: dict[str, Artifact] = {}
-    totals: dict[str, float] = {}
+    trace = Trace()
     for name, (key, value) in plan.preset.items():
         values[name] = value
         artifacts[name] = Artifact(name, key, value, hit=True)
@@ -661,9 +600,7 @@ def submit_compile(
             source_key=plan.source_key,
             params=dict(plan.params),
             artifacts=artifacts,
-            timers=PhaseTimer(
-                totals=dict(totals), counts={k: 1 for k in totals}
-            ),
+            trace=trace,
         )
         on_complete(result, None)
 
@@ -716,8 +653,11 @@ def submit_compile(
                 if not already:
                     on_complete(None, outcome[1])
                 return
-            _tag, out, times, spans = outcome
+            _tag, out, seg_trace = outcome
             values.update(out)
+            for name, start, end, _parent in seg_trace.spans:
+                trace.record(name, start, end)
+                sched.trace.record(name, start, end)
             for name in names:
                 key = plan.keys[name]
                 value = out[name]
@@ -732,8 +672,6 @@ def submit_compile(
                         ),
                     )
                 artifacts[name] = Artifact(name, key, value, hit=False)
-                totals[name] = times[name]
-                sched.stage_spans.setdefault(name, []).append(spans[name])
             state["left"] -= 1
             if state["left"] == 0 and not state["failed"]:
                 finish()

@@ -206,6 +206,9 @@ DEBUG_FLOW_GRAPH = StageGraph(
             _pack,
             inputs=("tcon-map", "signal-parameterisation"),
             param_fields=("arch",),
+            # v2: a LUT whose output is also a debug-mux option keeps its
+            # own BLE output instead of fusing into its FF's BLE
+            version=2,
         ),
         # depends only on pack, so it runs concurrently with the placement
         # anneal under the dataflow scheduler (the grid is a pure function
@@ -275,7 +278,7 @@ def assemble_offline(result: CompileResult) -> OfflineStage:
         instrumented=instrumented,
         mapping=result.value("tcon-map"),
         annotation=instrumented.annotation(),
-        timers=result.timers,
+        trace=result.trace,
         cache_key=result.artifacts["tcon-map"].key,
         stage_keys=result.keys(),
     )
@@ -285,27 +288,13 @@ def assemble_offline(result: CompileResult) -> OfflineStage:
 
 
 def assemble_physical(result: CompileResult, *, arch=None):
-    """Fold the physical-stage artifacts into a ``PhysicalStage``.
-
-    The stage's timers carry only the physical phases, so
-    ``summary()["pnr_runtime_s"]`` keeps its meaning even when ``result``
-    covers the whole graph.
-    """
+    """Fold the physical-stage artifacts into a ``PhysicalStage``."""
     from repro.arch.virtex5 import VIRTEX5_LIKE
     from repro.physical import PhysicalStage
-    from repro.util.timing import PhaseTimer
 
     placement = result.value("place")
     rr, routing = result.value("route")
     layout, bitstream = result.value("bitgen")
-    timers = PhaseTimer(
-        totals={
-            k: v for k, v in result.timers.totals.items() if k in PHYSICAL_STAGES
-        },
-        counts={
-            k: c for k, c in result.timers.counts.items() if k in PHYSICAL_STAGES
-        },
-    )
     return PhysicalStage(
         arch=arch or result.params.get("arch") or VIRTEX5_LIKE,
         packed=result.value("pack"),
@@ -315,7 +304,7 @@ def assemble_physical(result: CompileResult, *, arch=None):
         routing=routing,
         layout=layout,
         bitstream=bitstream,
-        timers=timers,
+        trace=result.trace,
     )
 
 

@@ -38,7 +38,7 @@ import struct
 import tempfile
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from repro.pipeline.graph import Artifact
 from repro.util import chaos
@@ -312,17 +312,6 @@ class ArtifactStore:
         if self.cache_dir is None:
             return False
         return os.path.exists(self._path(stage, key))
-
-    def get_or_run(
-        self, stage: str, key: str, builder: Callable[[], Any]
-    ) -> tuple[Any, bool]:
-        """Return the value for ``(stage, key)``, building it on a miss."""
-        found = self.get(stage, key)
-        if found is not None:
-            return found.value, True
-        value = builder()
-        self.put(stage, key, value)
-        return value, False
 
     def clear(self) -> None:
         """Drop in-memory entries (persisted files are left untouched)."""

@@ -75,9 +75,6 @@ class Placement:
                 return self.loc_of[b.index]
         raise PlacementError(f"{kind} for signal {signal} not placed")
 
-    def hpwl(self) -> float:
-        return self.cost
-
 
 def _build_nets(packed: PackedDesign, blocks: list[_Block]) -> tuple[list[list[int]], list[int]]:
     """Placement nets: driver block followed by reader blocks, per signal."""

@@ -9,7 +9,6 @@ what produces the paper's ≈3× wiring reduction (§V-C.1).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro.arch.routing_graph import RRGraph, RRNodeType, build_rr_graph
@@ -40,7 +39,6 @@ class RoutingResult:
     placement: Placement
     connections: list[RoutedConnection] = field(default_factory=list)
     iterations: int = 0
-    runtime_s: float = 0.0
 
     def total_wires_used(self) -> int:
         """Distinct channel wires used by any connection (shared count once)."""
@@ -78,7 +76,6 @@ class RoutingResult:
             "wires_used": float(self.total_wires_used()),
             "wire_visits": float(self.total_wire_visits()),
             "iterations": float(self.iterations),
-            "runtime_s": self.runtime_s,
         }
 
 
@@ -177,15 +174,9 @@ def route_design(
         conn_id += 1
 
     pf = pathfinder(rr, max_iterations=max_iterations)
-    t0 = time.perf_counter()
     trees = pf.route(requests)
-    runtime = time.perf_counter() - t0
-
     result = RoutingResult(
-        rr=rr,
-        placement=placement,
-        iterations=pf.iterations_run,
-        runtime_s=runtime,
+        rr=rr, placement=placement, iterations=pf.iterations_run
     )
     for req in requests:
         cond, sig, group = meta[req.conn_id]

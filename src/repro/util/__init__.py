@@ -6,7 +6,7 @@ it freely.
 """
 
 from repro.util.rng import RngHub, derive_seed
-from repro.util.timing import Stopwatch, PhaseTimer
+from repro.util.trace import Trace
 from repro.util.tables import TextTable
 from repro.util.pq import IndexedMinHeap
 from repro.util.dset import DisjointSet
@@ -20,8 +20,7 @@ from repro.util.bitops import (
 __all__ = [
     "RngHub",
     "derive_seed",
-    "Stopwatch",
-    "PhaseTimer",
+    "Trace",
     "TextTable",
     "IndexedMinHeap",
     "DisjointSet",

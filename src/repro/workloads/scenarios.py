@@ -137,9 +137,8 @@ def campaign_spec(
     """A synthetic benchmark spec for campaign tests and benchmarks.
 
     Unlike the Table I/II suite these carry no published reference numbers;
-    they exist so campaigns can be sized freely (the physical back-end
-    currently supports combinational designs only, hence the
-    ``n_latches=0`` default).
+    they exist so campaigns can be sized freely.  ``n_latches`` defaults
+    to 0: a combinational design.
     """
     return BenchmarkSpec(
         name=name,

@@ -43,10 +43,6 @@ class BenchmarkSpec:
     the ABC-mapped depth reproduces ``golden_depth``)."""
     seed_salt: str = ""
 
-    @property
-    def is_sequential(self) -> bool:
-        return self.n_latches > 0
-
 
 def _spec(
     name: str,

@@ -19,6 +19,7 @@ from repro.emu import FpgaEmulator
 from repro.errors import BitstreamError
 from repro.netlist import parse_blif
 from repro.netlist.simulate import SequentialSimulator
+from repro.workloads import campaign_spec, generate_circuit
 from tests.conftest import TINY_SEQ_BLIF
 
 
@@ -28,6 +29,22 @@ def physical_stage():
     offline = run_generic_stage(net, DebugFlowConfig(n_buffer_inputs=2))
     phys = run_physical_stage(offline)
     return offline, phys
+
+
+def _checked_taps(design) -> list[int]:
+    """Three taps: the first one driving a latch's D input, then the
+    first two others."""
+    drivers = {latch.driver for latch in design.network.latches}
+    first = [t for t in design.taps if t in drivers][:1]
+    assert first, "no tapped latch-driving LUT"
+    return first + [t for t in design.taps if t not in first][:2]
+
+
+def _random_stimulus(offline, rng) -> dict[str, int]:
+    return {
+        offline.source.node_name(p): int(rng.integers(0, 2))
+        for p in offline.source.pis
+    }
 
 
 def _reference_outputs(offline, values, stim_seq):
@@ -61,16 +78,13 @@ class TestEndToEnd:
     def test_emulator_matches_reference(self, physical_stage, tap_index, rng):
         offline, phys = physical_stage
         design = offline.instrumented
-        sig = design.network.node_name(design.taps[tap_index])
+        sig = design.network.node_name(_checked_taps(design)[tap_index])
         values = design.selection_for([sig])
         assign = design.param_space.assignment(values)
         bits, _stats = phys.bitstream.pconf.specialize(assign)
 
         emu = FpgaEmulator(bits, phys.bitstream, phys.rr)
-        stim_seq = [
-            {n: int(rng.integers(0, 2)) for n in ("a", "b", "c")}
-            for _ in range(20)
-        ]
+        stim_seq = [_random_stimulus(offline, rng) for _ in range(20)]
         full_values = {
             name: values.get(name, 0) for name in design.param_space.names
         }
@@ -84,30 +98,34 @@ class TestEndToEnd:
         """The decoded device really routes the selected signal to tb_*."""
         offline, phys = physical_stage
         design = offline.instrumented
-        tap = design.taps[0]
-        sig = design.network.node_name(tap)
-        group = design.group_of(tap)
-        values = design.selection_for([sig])
-        assign = design.param_space.assignment(values)
-        bits, _ = phys.bitstream.pconf.specialize(assign)
-        emu = FpgaEmulator(bits, phys.bitstream, phys.rr)
+        for tap in _checked_taps(design):
+            sig = design.network.node_name(tap)
+            group = design.group_of(tap)
+            values = design.selection_for([sig])
+            assign = design.param_space.assignment(values)
+            bits, _ = phys.bitstream.pconf.specialize(assign)
+            emu = FpgaEmulator(bits, phys.bitstream, phys.rr)
 
-        # reference: simulate the *source* network and read the signal
-        src_sim = SequentialSimulator(offline.source, n_words=1)
-        for _ in range(16):
-            stim = {n: int(rng.integers(0, 2)) for n in ("a", "b", "c")}
-            got = emu.step(stim)
-            vals = src_sim.step(
-                {
-                    p: np.array(
-                        [0xFFFFFFFFFFFFFFFF if stim[offline.source.node_name(p)] else 0],
-                        dtype=np.uint64,
-                    )
-                    for p in offline.source.pis
-                }
-            )
-            want = int(vals[offline.source.require(sig)][0] & np.uint64(1))
-            assert got[group.po_name] == want
+            # reference: simulate the *source* network and read the signal
+            src_sim = SequentialSimulator(offline.source, n_words=1)
+            for _ in range(16):
+                stim = _random_stimulus(offline, rng)
+                got = emu.step(stim)
+                vals = src_sim.step(
+                    {
+                        p: np.array(
+                            [
+                                0xFFFFFFFFFFFFFFFF
+                                if stim[offline.source.node_name(p)]
+                                else 0
+                            ],
+                            dtype=np.uint64,
+                        )
+                        for p in offline.source.pis
+                    }
+                )
+                want = int(vals[offline.source.require(sig)][0] & np.uint64(1))
+                assert got[group.po_name] == want, f"{sig}"
 
     def test_respecialization_touches_few_frames(self, physical_stage):
         offline, phys = physical_stage
@@ -149,6 +167,21 @@ class TestEndToEnd:
             decode_bitstream(
                 np.zeros(3, dtype=np.uint8), phys.bitstream, phys.rr
             )
+
+
+class TestSequentialEndToEnd(TestEndToEnd):
+    """The same checks on a 60-gate design with six latches, each D input
+    a LUT that is also a debug-mux option: packing must not fuse such a
+    LUT into its FF's BLE, or the router finds no source for the mux
+    input."""
+
+    @pytest.fixture(scope="class")
+    def physical_stage(self):
+        spec = campaign_spec(
+            n_gates=60, depth=6, n_latches=6, n_pis=8, n_pos=6
+        )
+        offline = run_generic_stage(generate_circuit(spec))
+        return offline, run_physical_stage(offline)
 
 
 class TestFrameDiff:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import BlifParseError
+from repro.errors import BlifParseError, ReproError
 from repro.netlist import (
     check_equivalent,
     parse_blif,
@@ -92,6 +92,90 @@ class TestParse:
                 ".model m\n.inputs a\n.outputs q\n"
                 ".latch a q 0\n.latch a q 0\n.end\n"
             )
+
+    def test_bad_cube_character(self):
+        with pytest.raises(BlifParseError) as e:
+            parse_blif(".model m\n.inputs a b\n.outputs f\n.names a b f\nx1 1\n")
+        assert e.value.line_no == 5
+
+
+#: A valid sequential BLIF the fuzzer below mutates: constants, a
+#: continuation line, an off-set cover and two latches.
+_FUZZ_BASE = """\
+.model fuzz
+.inputs a b \\
+ c
+.outputs f g
+.names a b t1
+11 1
+.names t1 c t2
+1- 1
+-1 1
+.names one
+1
+.latch t2 q 0
+.latch t1 r re clk 1
+.names q a one f
+101 1
+.names t2 r g
+11 0
+.end
+"""
+
+#: Tokens the fuzzer inserts or substitutes: the base's own words plus
+#: characters no BLIF construct accepts where they land.
+_FUZZ_TOKENS = st.sampled_from(
+    _FUZZ_BASE.split()
+    + ["x", "2", "-", "0", "11", "1x", "", "#", "\\", ".subckt", ".names"]
+)
+
+
+@st.composite
+def _mutated_blif(draw) -> str:
+    lines = _FUZZ_BASE.splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(lines)))
+        op = draw(
+            st.sampled_from(
+                ["delete", "insert", "substitute", "token-delete",
+                 "token-insert", "token-substitute"]
+            )
+        )
+        if op == "insert":
+            lines.insert(at, " ".join(draw(st.lists(_FUZZ_TOKENS, max_size=4))))
+            continue
+        if at == len(lines):
+            continue
+        if op == "delete":
+            del lines[at]
+        elif op == "substitute":
+            lines[at] = draw(st.sampled_from(lines))
+        else:
+            tokens = lines[at].split()
+            pos = draw(st.integers(0, len(tokens)))
+            if op == "token-insert":
+                tokens.insert(pos, draw(_FUZZ_TOKENS))
+            elif pos < len(tokens) and op == "token-delete":
+                del tokens[pos]
+            elif pos < len(tokens):
+                tokens[pos] = draw(_FUZZ_TOKENS)
+            lines[at] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+class TestMalformed:
+    def test_fuzz_base_is_valid(self):
+        validate_network(parse_blif(_FUZZ_BASE))
+
+    @settings(max_examples=400, deadline=None)
+    @given(_mutated_blif())
+    def test_only_typed_errors_escape(self, text):
+        # deleting, inserting and substituting lines and tokens may make
+        # the text invalid, but never an untyped crash
+        try:
+            parse_blif(text)
+        except ReproError:
+            pass
 
 
 class TestWrite:

@@ -16,6 +16,7 @@ from repro.campaign import (
 from repro.core.debug import DebugSession
 from repro.core.flow import DebugFlowConfig, offline_cache_key, run_generic_stage
 from repro.errors import DebugFlowError
+from repro.util.trace import Trace
 from repro.pipeline import GENERIC_STAGES
 from repro.workloads import (
     DebugScenario,
@@ -311,28 +312,20 @@ class TestDesignIdentity:
     @settings(max_examples=30, deadline=None)
     @given(_identity_scenarios)
     def test_offline_groups_equal_partition_by_key(self, scenarios):
-        import repro.campaign.orchestrator as orch
+        from repro.campaign.orchestrator import plan
 
-        def tag_group(*_args, on_complete, **_kw):
-            # fail each group's build with its own tag: a scenario's error
-            # names the offline group it was registered in
-            on_complete(None, False, {}, f"group{next(tags)}")
-            return []
-
-        tags = iter(range(len(scenarios)))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(orch, "_submit_design_build", tag_group)
-            report = run_campaign(scenarios, cache=None)
-        by_group: dict[str, set[int]] = {}
-        for idx, r in enumerate(report.results):
-            by_group.setdefault(r.error, set()).add(idx)
+        planned = plan(scenarios, CampaignConfig(), Trace())
+        assert planned.errors == {}
+        by_group = {
+            gkey: {idx for idx, _sc in items}
+            for gkey, items in planned.groups.items()
+        }
         by_key: dict[str, set[int]] = {}
         for idx, sc in enumerate(scenarios):
             key = offline_cache_key(sc.debug_network(), DebugFlowConfig())
             by_key.setdefault(key, set()).add(idx)
-        assert sorted(map(sorted, by_group.values())) == sorted(
-            map(sorted, by_key.values())
-        )
+        # the plan's group keys are the scenarios' offline cache keys
+        assert by_group == by_key
 
     def test_one_design_generated_and_keyed_once(self, monkeypatch):
         import repro.campaign.orchestrator as orch
@@ -462,7 +455,9 @@ class TestCli:
 
         calls = {"generate_circuit": 0, "_offline_group_key": 0}
         _count_calls(monkeypatch, calls, workloads, "generate_circuit")
-        _count_calls(monkeypatch, calls, cli, "_offline_group_key")
+        # the CLI keys no design itself: prebuild_offline keys each once
+        # and hands screening the artifacts in design order
+        assert not hasattr(cli, "_offline_group_key")
         _count_calls(monkeypatch, calls, orch, "_offline_group_key")
         args = cli._parser().parse_args(
             ["--designs", "stereov.", "--per-design", "2", "--horizon", "48"]

@@ -94,8 +94,8 @@ class TestWorkerFaults:
             kill_worker_at_task=1,
         )
         assert _outcomes_json(report) == baseline
-        assert report.offline_stage_s == {}
-        assert report.pool_respawns >= 1
+        assert report.trace.seconds("stage.") == {}
+        assert report.trace.counters.get("pool_respawns", 0) >= 1
 
     @pytest.mark.parametrize("workers", WORKERS)
     def test_injected_pool_error_recovers(
@@ -109,7 +109,7 @@ class TestWorkerFaults:
         )
         assert _outcomes_json(report) == baseline
         if workers > 1:
-            assert report.pool_respawns >= 1
+            assert report.trace.counters.get("pool_respawns", 0) >= 1
 
     @pytest.mark.parametrize("workers", WORKERS)
     def test_hung_online_task_times_out_and_retries(
@@ -128,8 +128,8 @@ class TestWorkerFaults:
         )
         assert _outcomes_json(report) == baseline
         if workers > 1:
-            assert report.timeouts >= 1
-            assert report.retries >= 1
+            assert report.trace.counters.get("timeouts", 0) >= 1
+            assert report.trace.counters.get("retries", 0) >= 1
 
 
 class TestStoreFaults:
@@ -201,7 +201,7 @@ class TestResume:
         first = run_campaign(
             scenarios, config=cfg, cache=ArtifactStore(cache_dir=cache_dir)
         )
-        assert first.resumed_scenarios == 0
+        assert first.trace.counters.get("resumed_scenarios", 0) == 0
         assert first.journal_path.endswith("camp.jsonl")
 
         second = run_campaign(
@@ -210,7 +210,7 @@ class TestResume:
             cache=ArtifactStore(cache_dir=cache_dir),
         )
         assert _outcomes_json(second) == _outcomes_json(first)
-        assert second.resumed_scenarios == len(scenarios)
+        assert second.trace.counters["resumed_scenarios"] == len(scenarios)
         assert "resilience:" in second.render()
 
     def test_resume_tolerates_different_worker_count(
@@ -230,7 +230,7 @@ class TestResume:
             cache=ArtifactStore(cache_dir=cache_dir),
         )
         assert _outcomes_json(second) == _outcomes_json(first)
-        assert second.resumed_scenarios == len(scenarios)
+        assert second.trace.counters["resumed_scenarios"] == len(scenarios)
 
 
 class TestParentKill:

@@ -25,6 +25,7 @@ import pytest
 
 from benchmarks.ref_place import _net_hpwl, place_design_ref
 from benchmarks.ref_route import PathFinderRef
+from repro.analysis.reporting import stage_busy_ratios
 from repro.arch import ArchSpec
 from repro.arch.routing_graph import build_rr_graph
 from repro.campaign import CampaignConfig, run_campaign
@@ -238,9 +239,9 @@ class TestOfflineWorkersParity:
         warm = run_campaign(
             scenarios, config=CampaignConfig(workers=4), cache=store
         )
-        assert warm.offline_stage_s == {}  # nothing was built
+        assert warm.trace.seconds("stage.") == {}  # nothing was built
         assert all(r.offline_cache_hit for r in warm.results)
-        assert set(warm.stage_concurrency) <= {"online"}
+        assert set(stage_busy_ratios(warm.trace)) <= {"online"}
 
     def test_single_design_campaign_groups_once(self):
         """Stuck-at scenarios share one design: one build group, and the
@@ -264,8 +265,9 @@ class TestOfflineWorkersParity:
             config=CampaignConfig(workers=2),
             cache=ArtifactStore(),
         )
-        assert "tcon-map" in report.offline_stage_s
-        assert report.offline_wall_s > 0.0
-        assert sum(report.offline_stage_s.values()) > 0.0
+        built = report.trace.seconds("stage.")
+        assert "tcon-map" in built
+        assert report.trace.window("offline") > 0.0
+        assert sum(built.values()) > 0.0
         # and the renderer surfaces them
         assert "offline stages built:" in report.render()

@@ -14,6 +14,7 @@ from repro.campaign import (
 )
 from repro.core.flow import DebugFlowConfig, run_generic_stage
 from repro.errors import DebugFlowError
+from repro.util.trace import Trace
 from repro.mapping import AbcMap, TconMap
 from repro.netlist.transforms import cleanup
 from repro.pipeline import (
@@ -247,7 +248,7 @@ class TestCompileDesign:
         warm = compile_design(net, store=store)
         assert warm.full_hit
         # the warm run did zero stage work
-        assert warm.timers.total() == 0.0
+        assert warm.trace.spans == []
 
     def test_store_does_not_alias_caller_network(self, net):
         # the cached source/cleanup artifacts must be copies: mutating the
@@ -304,8 +305,8 @@ class TestCompileDesign:
             mapping.n_luts,
             mapping.n_tcons,
         )
-        # stage timers keep the historical phase names
-        assert set(offline.timers.totals) == set(GENERIC_STAGES)
+        # one span per stage, under the stage's name
+        assert set(offline.trace.seconds("stage.")) == set(GENERIC_STAGES)
 
     def test_assemble_offline_equivalent_to_facade(self, net, offline):
         again = assemble_offline(compile_design(net))
@@ -398,27 +399,31 @@ class TestCampaignWithStageStore:
 
 class TestOrchestratorPolish:
     def test_payloads_deduped_per_cache_key(self, scenarios):
-        from repro.campaign.orchestrator import _group_payloads
+        from repro.campaign.orchestrator import _payloads, plan
 
-        store = ArtifactStore()
-        resolved = [
-            (i, sc, resolve_offline(sc.debug_network(), cache=store)[0])
-            for i, sc in enumerate(scenarios)
-        ]
+        def batches(lane_width):
+            config = CampaignConfig(lane_width=lane_width)
+            [lanes] = plan(scenarios, config, Trace()).batches.values()
+            return lanes
+
+        net = scenarios[0].debug_network()
+        stage, _hit = resolve_offline(net, with_physical=True)
         # the shared-artifact group packs into one 64-lane batch, its
         # artifact stripped of the physical stage and shipped once
-        lanes = _group_payloads(resolved, 48, lane_width=64)
+        lanes = _payloads(stage, batches(64), 48)
         assert len(lanes) == 1
         assert len(lanes[0]) == 3
-        stage, items, max_turns = lanes[0]
-        assert stage.physical is None and max_turns == 48
+        shipped, items, max_turns = lanes[0]
+        assert stage.physical is not None
+        assert shipped.physical is None and max_turns == 48
         assert [idx for idx, _ in items] == [0, 1, 2]
         # narrow lanes split the group into ceil(n / lane_width) batches
-        narrow = _group_payloads(resolved, 48, lane_width=2)
+        narrow = _payloads(stage, batches(2), 48)
         assert sorted(len(p[1]) for p in narrow) == [1, 2]
+        assert all(p[0] is narrow[0][0] for p in narrow)
         # lane_width=1: one one-lane batch per scenario
-        solo = _group_payloads(resolved, 48, lane_width=1)
-        assert [[idx for idx, _ in p[1]] for p in solo] == [[0], [1], [2]]
+        solo = batches(1)
+        assert [[idx for idx, _ in b] for b in solo] == [[0], [1], [2]]
 
     def test_pool_fallback_reports_effective_workers(
         self, scenarios, monkeypatch

@@ -5,9 +5,11 @@ at several worker counts."""
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
+from repro.analysis.reporting import stage_busy_ratios
 from repro.campaign import CampaignConfig, run_campaign
 from repro.campaign.cache import ArtifactStore
 from repro.core.flow import DebugFlowConfig
@@ -299,10 +301,40 @@ class TestScheduleParity:
             config=CampaignConfig(workers=2),
             cache=ArtifactStore(),
         )
-        assert report.sched_wall_s > 0
-        assert 0.0 <= report.overlap_ratio <= 1.0
-        assert "online" in report.stage_concurrency
+        task_wall = report.trace.seconds()["run"]
+        assert task_wall > 0
+        assert 0.0 <= report.trace.overlap("offline", "online") <= task_wall
+        assert "online" in stage_busy_ratios(report.trace)
         assert "scheduler: task wall" in report.render()
+
+    def test_built_stage_record_matches_serial_within_campaign_wall(
+        self, scenarios, serial
+    ):
+        pooled = run_campaign(
+            scenarios,
+            config=CampaignConfig(workers=2),
+            cache=ArtifactStore(),
+        )
+
+        def built(report) -> Counter:
+            return Counter(
+                name
+                for name, _s, _e, _p in report.trace.spans
+                if name.startswith("stage.")
+            )
+
+        # two cold designs: every generic stage built once per design
+        assert built(serial) == Counter(
+            {f"stage.{name}": 2 for name in GENERIC_STAGES}
+        )
+        assert built(pooled) == built(serial)
+        for report in (serial, pooled):
+            [(_name, lo, hi, _parent)] = [
+                s for s in report.trace.spans if s[0] == "campaign"
+            ]
+            for name, start, end, _parent in report.trace.spans:
+                if name.startswith("stage."):
+                    assert lo <= start <= end <= hi
 
     def test_failing_design_does_not_poison_others(self, scenarios):
         # a design whose generation fails leaves the other design's

@@ -103,7 +103,7 @@ class TestRetries:
         assert len(failures) == 1 and "ValueError" in failures[0]
         assert task.done and task.result[0] == "err"
         assert task.attempts == 2  # initial + one retry
-        assert sched.n_retries == 1
+        assert sched.trace.counters.get("retries", 0) == 1
         assert not sched.pool_broken  # a bad task is not a bad pool
 
     def test_without_on_fail_the_err_tuple_reaches_on_done(self):
@@ -152,11 +152,11 @@ class TestTimeouts:
         finally:
             sched.shutdown()
         assert results == [42]
-        assert sched.n_timeouts == 1
-        assert sched.n_retries == 1
+        assert sched.trace.counters.get("timeouts", 0) == 1
+        assert sched.trace.counters.get("retries", 0) == 1
         # a running pooled task can only be cancelled by pool teardown;
         # that teardown must not poison the pool permanently
-        assert sched.pool_respawns >= 1
+        assert sched.trace.counters.get("pool_respawns", 0) >= 1
         assert not sched.pool_broken
 
     def test_hung_task_with_no_retries_fails(self, tmp_path):
@@ -181,7 +181,8 @@ class TestTimeouts:
         finally:
             sched.shutdown()
         assert len(failures) == 1 and "timeout" in failures[0]
-        assert sched.n_timeouts == 1 and sched.n_retries == 0
+        assert sched.trace.counters.get("timeouts", 0) == 1
+        assert sched.trace.counters.get("retries", 0) == 0
 
 
 class TestPoolRespawn:
@@ -212,15 +213,15 @@ class TestPoolRespawn:
             tmp_path, kill_worker_at_task=2
         )
         assert sorted(results) == [0, 2, 4, 6, 8, 10]
-        assert sched.pool_respawns == 1
-        assert sched.n_reenqueued >= 1  # the in-flight victims came back
+        assert sched.trace.counters.get("pool_respawns", 0) == 1
+        assert sched.trace.counters.get("reenqueued", 0) >= 1  # the in-flight victims came back
         assert not sched.pool_broken  # one crash is within budget
         assert sched.inline_fallbacks == set()  # pool recovered, no inlining
 
     def test_injected_pool_error_recovers(self, tmp_path):
         sched, results = self._run_with_chaos(tmp_path, pool_error_at_task=2)
         assert sorted(results) == [0, 2, 4, 6, 8, 10]
-        assert sched.pool_respawns == 1
+        assert sched.trace.counters.get("pool_respawns", 0) == 1
         assert not sched.pool_broken
 
     def test_respawn_budget_exhaustion_degrades_inline(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import numpy as np
@@ -14,9 +15,8 @@ from repro.util import (
     DisjointSet,
     IndexedMinHeap,
     RngHub,
-    Stopwatch,
-    PhaseTimer,
     TextTable,
+    Trace,
     derive_seed,
     pack_bits,
     popcount64,
@@ -53,39 +53,122 @@ class TestRng:
         assert hub.child("a").seed != hub.child("b").seed
 
 
-class TestTiming:
-    def test_stopwatch(self):
-        sw = Stopwatch()
-        with sw:
-            pass
-        assert sw.elapsed >= 0.0
+def _hand_built(*spans: tuple[str, float, float]) -> Trace:
+    trace = Trace()
+    for name, start, end in spans:
+        trace.record(name, start, end)
+    return trace
 
-    def test_stopwatch_stop_before_start(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
 
-    def test_phase_timer_accumulates(self):
-        pt = PhaseTimer()
-        for _ in range(3):
-            with pt.phase("a"):
+class TestTrace:
+    def test_parent_indices_under_nesting(self):
+        trace = Trace()
+        with trace.span("campaign") as root:
+            with trace.span("plan") as plan:
+                with trace.span("design"):
+                    pass
+            with trace.span("run"):
                 pass
-        assert pt.counts["a"] == 3
-        assert pt.total() == pytest.approx(pt.totals["a"])
+        with trace.span("report"):
+            pass
+        assert root == 0 and plan == 1
+        assert [(n, p) for n, _s, _e, p in trace.spans] == [
+            ("campaign", -1),
+            ("plan", 0),
+            ("design", 1),
+            ("run", 0),
+            ("report", -1),
+        ]
+        for _name, start, end, parent in trace.spans:
+            assert start <= end
+            if parent >= 0:
+                _n, p_start, p_end, _p = trace.spans[parent]
+                assert p_start <= start <= end <= p_end
 
-    def test_phase_timer_merge(self):
-        a, b = PhaseTimer(), PhaseTimer()
-        with a.phase("x"):
-            pass
-        with b.phase("x"):
-            pass
-        a.merge(b)
-        assert a.counts["x"] == 2
+    def test_recorded_worker_interval_lands_under_open_span(self):
+        trace = Trace()
+        assert trace.record("early", 1.0, 2.0) == 0
+        with trace.span("run") as run:
+            idx = trace.record("stage.place", 5.0, 7.5)
+        assert trace.spans[0] == ["early", 1.0, 2.0, -1]
+        assert trace.spans[idx] == ["stage.place", 5.0, 7.5, run]
+        assert trace.duration(idx) == 2.5
 
-    def test_report_contains_phases(self):
-        pt = PhaseTimer()
-        with pt.phase("route"):
-            pass
-        assert "route" in pt.report() and "TOTAL" in pt.report()
+    def test_seconds_sum_per_name_in_first_seen_order(self):
+        trace = _hand_built(
+            ("stage.place", 0.0, 2.0),
+            ("online", 1.0, 1.5),
+            ("stage.pack", 3.0, 4.0),
+            ("stage.place", 5.0, 6.0),
+        )
+        assert trace.seconds() == {
+            "stage.place": 3.0,
+            "online": 0.5,
+            "stage.pack": 1.0,
+        }
+        assert list(trace.seconds("stage.").items()) == [
+            ("place", 3.0),
+            ("pack", 1.0),
+        ]
+
+    def test_counters(self):
+        trace = Trace()
+        trace.add("retries")
+        trace.add("retries", 2)
+        trace.add("resumed_scenarios", 0)
+        assert trace.counters == {"retries": 3, "resumed_scenarios": 0}
+
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            # disjoint
+            ([(0.0, 1.0)], [(2.0, 3.0)], 0.0),
+            # touching at one instant
+            ([(0.0, 1.0)], [(1.0, 2.0)], 0.0),
+            # nested: b inside a
+            ([(0.0, 10.0)], [(2.0, 5.0)], 3.0),
+            # partial, with a's own spans overlapping each other
+            ([(0.0, 4.0), (1.0, 6.0)], [(5.0, 8.0)], 1.0),
+            # several pieces on both sides
+            ([(0.0, 2.0), (4.0, 6.0)], [(1.0, 5.0)], 2.0),
+            # empty side
+            ([], [(0.0, 1.0)], 0.0),
+        ],
+    )
+    def test_overlap(self, a, b, expected):
+        trace = _hand_built(
+            *[("offline", s, e) for s, e in a],
+            *[("online", s, e) for s, e in b],
+        )
+        assert trace.overlap("offline", "online") == pytest.approx(expected)
+        assert trace.overlap("online", "offline") == pytest.approx(expected)
+
+    @pytest.mark.parametrize(
+        "spans, window, ratio",
+        [
+            # disjoint: busy 2 of a 4-second window
+            ([(0.0, 1.0), (3.0, 4.0)], 4.0, 0.5),
+            # touching: fully busy
+            ([(0.0, 1.0), (1.0, 3.0)], 3.0, 1.0),
+            # nested: both count as busy, so concurrency shows above 1
+            ([(0.0, 4.0), (1.0, 3.0)], 4.0, 1.5),
+            # empty window
+            ([], 0.0, 1.0),
+            ([(2.0, 2.0)], 0.0, 1.0),
+        ],
+    )
+    def test_window_and_busy_ratio(self, spans, window, ratio):
+        trace = _hand_built(*[("stage.place", s, e) for s, e in spans])
+        trace.record("other", -10.0, 10.0)
+        assert trace.window("stage.place") == pytest.approx(window)
+        assert trace.busy_ratio("stage.place") == pytest.approx(ratio)
+
+    def test_picklable(self):
+        trace = Trace()
+        with trace.span("campaign"):
+            trace.add("retries")
+        again = pickle.loads(pickle.dumps(trace))
+        assert again == trace
 
 
 class TestTextTable:
