@@ -40,14 +40,30 @@ from repro.workloads.scenarios import (
 __all__ = ["run_scenario_batch"]
 
 
-def _lane_slice(packed: dict[str, np.ndarray], lane: int) -> dict[str, np.ndarray]:
-    """One lane's ``uint8`` view of lane-packed golden traces."""
-    word, bit = lane >> 6, np.uint64(lane & 63)
-    one = np.uint64(1)
-    return {
-        n: ((arr[:, word] >> bit) & one).astype(np.uint8)
-        for n, arr in packed.items()
-    }
+_BIT_POSITIONS = np.arange(64, dtype=np.uint64)
+
+
+def _lane_slices(
+    packed: dict[str, np.ndarray], n_lanes: int
+) -> list[dict[str, np.ndarray]]:
+    """The first ``n_lanes`` lanes' ``uint8`` views of lane-packed golden
+    traces.
+
+    Each name is unpacked once for all lanes: shifting every word by each
+    of the 64 bit positions (arithmetic, so independent of host byte
+    order) puts lane ``64 * w + k`` in column ``64 * w + k``, and each lane
+    gets one row of the transposed result.
+    """
+    out: list[dict[str, np.ndarray]] = [{} for _ in range(n_lanes)]
+    for name, arr in packed.items():
+        bits = (arr[:, :, None] >> _BIT_POSITIONS) & np.uint64(1)
+        rows = np.ascontiguousarray(
+            bits.reshape(arr.shape[0], 64 * arr.shape[1])[:, :n_lanes].T,
+            dtype=np.uint8,
+        )
+        for lane, row in zip(out, rows):
+            lane[name] = row
+    return out
 
 
 def run_scenario_batch(
@@ -173,8 +189,8 @@ def run_scenario_batch(
                     [stims[l] for l in lanes],
                     trace_names,
                 )
-                for pos, l in enumerate(lanes):
-                    packed_golden[l] = _lane_slice(packed, pos)
+                for l, golden in zip(lanes, _lane_slices(packed, len(lanes))):
+                    packed_golden[l] = golden
 
         with trace.span("detect"):
             po_names = engine.user_po_names

@@ -141,11 +141,12 @@ class InstrumentedDesign:
         """
         out: dict[str, str] = {}
         net = self.network
+        muxes = self._mux_lookup
         for g in self.groups:
             node = g.root
             # walk the tree downward following select values
-            while node in self._mux_lookup:
-                a, b, sel_name = self._mux_lookup[node]
+            while node in muxes:
+                a, b, sel_name = muxes[node]
                 bit = values.get(sel_name, 0)
                 node = b if bit else a
             out[g.po_name] = net.node_name(node)

@@ -59,10 +59,13 @@ class SpecializedConfigGenerator:
         return -(-self.pconf.n_bits // self.frame_bits) if self.pconf.n_bits else 0
 
     def _frames_of_changes(self, old: np.ndarray, new: np.ndarray) -> tuple[int, ...]:
-        changed = np.nonzero(old != new)[0]
-        if changed.size == 0:
-            return ()
-        return tuple(sorted(set((changed // self.frame_bits).tolist())))
+        # changed bits come sorted, so their frame ids do too: keep the
+        # first id of each run (np.unique would sort again, and its first
+        # call in a process imports numpy.ma, about 14 ms)
+        frames = np.flatnonzero(old != new) // self.frame_bits
+        first = np.ones(frames.size, dtype=bool)
+        first[1:] = frames[1:] != frames[:-1]
+        return tuple(frames[first].tolist())
 
     def load_full(self, assignment: ParameterAssignment) -> SpecializationRecord:
         """Initial full configuration load (all frames written)."""

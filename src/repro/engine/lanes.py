@@ -117,10 +117,12 @@ class LaneEngine:
         )
 
         # -- shared directories (identical to the historical session's) ----
-        self._param_pi_values = {
-            self.mapped_net.require(name): 0
+        # parameter PI ids, in the order of an assignment's vector
+        self._param_pis = [
+            self.mapped_net.require(name)
             for name in self.design.param_space.names
-        }
+        ]
+        self._param_pi_values = dict.fromkeys(self._param_pis, 0)
         self._user_pis = [
             pi
             for pi in self.mapped_net.pis
@@ -247,12 +249,12 @@ class LaneEngine:
         self.assignments[lane] = assignment
         rec = self.scgs[lane].respecialize(assignment)
         bit = 1 << lane
-        for name in self.design.param_space.names:
-            nid = self.mapped_net.require(name)
-            if values.get(name, 0):
-                self._param_pi_values[nid] |= bit
+        packed = self._param_pi_values
+        for nid, on in zip(self._param_pis, assignment.vector.tolist()):
+            if on:
+                packed[nid] |= bit
             else:
-                self._param_pi_values[nid] &= ~bit
+                packed[nid] &= ~bit
         self._observed[lane] = self.design.observed_at(values)
         self.turns[lane].append(
             DebugTurnLog(

@@ -241,7 +241,11 @@ class CompiledProgram:
         need their table slots armed.
         """
         if self._kernels is None:
-            self._kernels = _codegen(self)
+            self._kernels = generate_kernels(
+                self.ops,
+                f"compiled-sim:{self.signature[:12]}",
+                ("clean", "forced"),
+            )
         return self._kernels
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -267,53 +271,59 @@ def _op_exprs(ops) -> "list[tuple[int, str]]":
                     lits.append(f"(M^v[{src}])")
             if lits:
                 terms.append("&".join(lits))
-            else:  # tautology cube (defensive; consts are folded earlier)
+            else:  # tautology cube: a constant-1 op
                 terms.append("M")
         out.append((node, "|".join(terms) if terms else "0"))
     return out
 
 
-def _codegen(program: CompiledProgram):
-    """Generate the straight-line clean/forced kernels for a program."""
-    exprs = _op_exprs(program.ops)
-    clean_chunks = []
-    forced_chunks = []
+#: Kernel kinds :func:`generate_kernels` emits: parameters and per-op statement.
+_KERNEL_KINDS = {
+    "clean": ("v, M", "v[{node}] = {expr}"),
+    "forced": ("v, M, f, nm", "v[{node}] = (({expr})&nm[{node}])|f[{node}]"),
+}
+
+
+def generate_kernels(
+    ops, label: str, kinds: "tuple[str, ...]" = ("clean",)
+) -> tuple:
+    """Generate one straight-line kernel of each kind in ``kinds`` over
+    ``ops`` (``(slot, fanins, cubes)`` triples, in evaluation order).
+
+    Each kernel rebinds the slots of a flat value list ``v`` in op order;
+    ``M`` is the all-lanes mask.  Long op lists are split into chunks of
+    :data:`_OPS_PER_CHUNK` ops, compiled under ``<label:first op>``.
+    """
+    exprs = _op_exprs(ops)
+    chunks: "dict[str, list]" = {kind: [] for kind in kinds}
     for base in range(0, max(1, len(exprs)), _OPS_PER_CHUNK):
         chunk = exprs[base : base + _OPS_PER_CHUNK]
-        clean_lines = [f"def _clean_{base}(v, M):"]
-        forced_lines = [f"def _forced_{base}(v, M, f, nm):"]
-        if not chunk:
-            clean_lines.append("    pass")
-            forced_lines.append("    pass")
-        for node, expr in chunk:
-            clean_lines.append(f"    v[{node}] = {expr}")
-            forced_lines.append(
-                f"    v[{node}] = (({expr})&nm[{node}])|f[{node}]"
-            )
+        lines = []
+        for kind in kinds:
+            params, stmt = _KERNEL_KINDS[kind]
+            lines.append(f"def _{kind}_{base}({params}):")
+            lines += [
+                "    " + stmt.format(node=node, expr=expr) for node, expr in chunk
+            ] or ["    pass"]
         ns: dict = {}
         exec(  # noqa: S102 — code generated from our own lowering, no user input
-            compile(
-                "\n".join(clean_lines + forced_lines),
-                f"<compiled-sim:{program.signature[:12]}:{base}>",
-                "exec",
-            ),
-            ns,
+            compile("\n".join(lines), f"<{label}:{base}>", "exec"), ns
         )
-        clean_chunks.append(ns[f"_clean_{base}"])
-        forced_chunks.append(ns[f"_forced_{base}"])
+        for kind in kinds:
+            chunks[kind].append(ns[f"_{kind}_{base}"])
+    return tuple(_chained(chunks[kind]) for kind in kinds)
 
-    if len(clean_chunks) == 1:
-        return clean_chunks[0], forced_chunks[0]
 
-    def clean(v, M, _chunks=tuple(clean_chunks)):
+def _chained(fns: list):
+    """One callable running every chunk kernel in order."""
+    if len(fns) == 1:
+        return fns[0]
+
+    def run(*args, _chunks=tuple(fns)):
         for fn in _chunks:
-            fn(v, M)
+            fn(*args)
 
-    def forced(v, M, f, nm, _chunks=tuple(forced_chunks)):
-        for fn in _chunks:
-            fn(v, M, f, nm)
-
-    return clean, forced
+    return run
 
 
 def compile_network(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from benchmarks import ref_scg
 from repro.bitgen.partial import changed_frames, frame_view
 from repro.core.costmodel import Virtex5Model
 from repro.core.flow import DebugFlowConfig, run_generic_stage, run_physical_stage
@@ -126,6 +127,27 @@ class TestEndToEnd:
                 )
                 want = int(vals[offline.source.require(sig)][0] & np.uint64(1))
                 assert got[group.po_name] == want, f"{sig}"
+
+    def test_specialize_matches_reference(self, physical_stage):
+        """The physical PConf's compiled plan against the reference
+        evaluator: bits, stats and frame sets for the checked taps."""
+        offline, phys = physical_stage
+        design = offline.instrumented
+        pconf = phys.bitstream.pconf
+        frame_bits = phys.layout.frame_bits
+        fast = SpecializedConfigGenerator(pconf, frame_bits=frame_bits)
+        ref = ref_scg.ReferenceSCG(pconf, frame_bits=frame_bits)
+        zeros = design.param_space.zeros()
+        assert fast.load_full(zeros).stats == ref.load_full(zeros).stats
+        for tap in _checked_taps(design):
+            assign = design.param_space.assignment(
+                design.selection_for([design.network.node_name(tap)])
+            )
+            bits, stats = pconf.specialize(assign)
+            want, want_stats = ref_scg.specialize(pconf, assign)
+            assert np.array_equal(bits, want) and stats == want_stats
+            got_rec, want_rec = fast.respecialize(assign), ref.respecialize(assign)
+            assert got_rec.frames_touched == want_rec.frames_touched
 
     def test_respecialization_touches_few_frames(self, physical_stage):
         offline, phys = physical_stage

@@ -9,6 +9,7 @@ import pytest
 
 from benchmarks.ref_simulate import ReferenceLaneEngine, apply_override
 from parity import random_network
+from repro.campaign.runner import _lane_slices
 from repro.campaign import (
     ArtifactStore,
     CampaignConfig,
@@ -196,6 +197,24 @@ class TestPackedGolden:
             assert np.array_equal(lane_bits, serial[n]), n
         with pytest.raises(Exception):
             packed_signal_traces(golden, [[{}], [{}, {}]], [])
+
+    def test_lane_slices_match_per_lane_formula(self):
+        # 130 lanes: three words, the last one partial
+        rng = np.random.default_rng(130)
+        packed = {
+            name: rng.integers(0, 1 << 64, size=(9, 3), dtype=np.uint64)
+            for name in ("a", "b", "c")
+        }
+        packed["empty"] = np.zeros((0, 3), dtype=np.uint64)
+        slices = _lane_slices(packed, 130)
+        assert len(slices) == 130
+        for lane, got in enumerate(slices):
+            word, bit = lane >> 6, np.uint64(lane & 63)
+            assert list(got) == list(packed)
+            for name, arr in packed.items():
+                want = ((arr[:, word] >> bit) & np.uint64(1)).astype(np.uint8)
+                assert got[name].dtype == np.uint8
+                assert np.array_equal(got[name], want), (lane, name)
 
 
 class TestLaneIsolation:
