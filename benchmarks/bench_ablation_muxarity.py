@@ -1,9 +1,9 @@
 """Ablation A1 — trace-buffer input budget sweep.
 
-DESIGN.md calls out the buffer-input count (B = #taps / 4 by default) as
-the central instrumentation knob: more buffer inputs mean more signals per
-debugging run but more TCONs and wiring.  This sweep quantifies that
-trade-off on stereov.
+The buffer-input count (B = #taps / 4 by default,
+``DebugFlowConfig.n_buffer_inputs``) is the central instrumentation
+knob: more buffer inputs mean more signals per debugging run but more
+TCONs and wiring.  This sweep quantifies that trade-off on stereov.
 """
 
 from __future__ import annotations

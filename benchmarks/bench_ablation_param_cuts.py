@@ -1,6 +1,6 @@
 """Ablation A2 — parameter-aware vs parameter-blind mapping.
 
-Why TCONMap wins (DESIGN.md decision #3): mapping the *same* instrumented
+Why TCONMap wins: mapping the *same* instrumented
 netlist with the select inputs treated as ordinary signals (parameter-
 blind) forces the whole mux network into LUTs.  This isolates the
 contribution of parameter folding from everything else in the flow.

@@ -36,8 +36,6 @@ from benchmarks.conftest import emit, emit_json
 from benchmarks.ref_place import place_design_ref
 from benchmarks.ref_route import PathFinderRef
 from repro.arch.routing_graph import build_rr_graph
-from repro.arch.virtex5 import VIRTEX5_LIKE
-from repro.physical import pack_stage
 from repro.place import place_design
 from repro.route import route_design
 from repro.workloads import get_spec, generate_circuit
@@ -50,11 +48,10 @@ WORKERS = 4
 @pytest.fixture(scope="module")
 def packed():
     """The paper-suite design, mapped and packed once."""
-    from repro.core.flow import run_generic_stage
+    from repro.pipeline import GENERIC_STAGES, compile_design
 
     net = generate_circuit(get_spec("stereov."))
-    offline = run_generic_stage(net)
-    return pack_stage(offline.mapping, offline.instrumented, VIRTEX5_LIKE)
+    return compile_design(net, stages=GENERIC_STAGES + ("pack",)).value("pack")
 
 
 def test_physical_stage_speedup(packed, results_dir):

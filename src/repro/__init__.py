@@ -18,8 +18,8 @@ Quick start::
     session.run(64, stimulus=lambda cycle: {"pi0": cycle & 1})
     print(session.waveforms())
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every table and figure.
+See ``docs/ARCHITECTURE.md`` for how the flow maps onto the code and the
+README for the experiments and their measured results.
 """
 
 from repro.errors import (

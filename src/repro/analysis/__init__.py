@@ -1,6 +1,6 @@
 """Experiment drivers and reporting.
 
-One entry point per paper artifact (see DESIGN.md §4):
+One entry point per paper artifact (see ``docs/ARCHITECTURE.md`` §2):
 
 * :func:`~repro.analysis.experiments.run_table1` — Table I (area)
 * :func:`~repro.analysis.experiments.run_table2` — Table II (depth)

@@ -1,16 +1,13 @@
 """Drivers regenerating every table and figure of the paper's §V.
 
 Per-benchmark flow artifacts are cached in-process so Table I, Table II
-and Fig. 7 (which share the same runs) cost one pass.  The drivers are
-embarrassingly parallel over benchmarks: pass ``map_fn`` (e.g. an MPI or
-multiprocessing pool's ``map``) to distribute them.
+and Fig. 7 (which share the same runs) cost one pass.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from repro.analysis.reporting import ascii_bar_chart
 from repro.baselines import ConventionalResult, RecompileModel, run_conventional_flow
@@ -35,16 +32,6 @@ __all__ = [
 ]
 
 _CACHE: dict[tuple[str, int], "BenchColumns"] = {}
-
-#: Per ``offline_fn``, the ``(benchmark, seed)`` pairs already offered to
-#: it.  A warm :data:`_CACHE` hit still offers the artifact to an explicit
-#: ``offline_fn`` once (the caller wants its cache populated), but Table
-#: I, Table II and Fig. 7 all replay the same columns — without this memo
-#: every driver would regenerate the circuit and re-offer per column.
-#: Weakly keyed so dropping the cache adapter also drops its memo.
-_OFFERED: "weakref.WeakKeyDictionary[Callable, set[tuple[str, int]]]" = (
-    weakref.WeakKeyDictionary()
-)
 
 
 @dataclass
@@ -87,39 +74,16 @@ class BenchColumns:
 
 
 def run_benchmark_columns(
-    spec: BenchmarkSpec,
-    seed: int = 2016,
-    *,
-    offline_fn: Callable[..., OfflineStage] | None = None,
+    spec: BenchmarkSpec, seed: int = 2016
 ) -> BenchColumns:
-    """Run Initial / SimpleMap / ABC / Proposed for one benchmark (cached).
-
-    ``offline_fn(net, config) -> OfflineStage`` overrides how the offline
-    artifact is produced; pass
-    :meth:`repro.pipeline.ArtifactStore.as_offline_fn` to share artifacts
-    with a debug campaign instead of re-running the generic stage here.
-    """
+    """Run Initial / SimpleMap / ABC / Proposed for one benchmark (cached)."""
     key = (spec.name, seed)
     got = _CACHE.get(key)
     if got is not None:
-        if offline_fn is not None:
-            # honor an explicit offline_fn even on a warm hit (the caller
-            # wants its own cache populated) without re-running the
-            # already-cached conventional flows — but offer each artifact
-            # to a given offline_fn only once, so replaying the columns
-            # across Table I/II/Fig. 7 doesn't regenerate the circuit and
-            # re-offer per driver
-            offered = _OFFERED.setdefault(offline_fn, set())
-            if key not in offered:
-                offered.add(key)
-                offline_fn(generate_circuit(spec, seed), DebugFlowConfig())
         return got
     net = generate_circuit(spec, seed)
     sinks = user_sink_names(net)
-    offline = (offline_fn or run_generic_stage)(net, DebugFlowConfig())
-    if offline_fn is not None:
-        # the build path already offered (net, config) to offline_fn
-        _OFFERED.setdefault(offline_fn, set()).add(key)
+    offline = run_generic_stage(net, DebugFlowConfig())
     sm = run_conventional_flow(net, "simplemap")
     abc = run_conventional_flow(net, "abc")
     cols = BenchColumns(
@@ -146,11 +110,10 @@ def run_table1(
     *,
     seed: int = 2016,
     small_only: bool = False,
-    map_fn: Callable = map,
 ) -> str:
     """Regenerate Table I: area results in #LUTs."""
     specs = _resolve_specs(specs, small_only)
-    cols = list(map_fn(lambda s: run_benchmark_columns(s, seed), specs))
+    cols = [run_benchmark_columns(s, seed) for s in specs]
     t = TextTable(
         ["Benchmark", "#Gate", "Initial", "SM", "ABC", "Proposed (TLUT/TCON)"],
         aligns="lrrrrr",
@@ -191,11 +154,10 @@ def run_table2(
     *,
     seed: int = 2016,
     small_only: bool = False,
-    map_fn: Callable = map,
 ) -> str:
     """Regenerate Table II: logic depth of the user design."""
     specs = _resolve_specs(specs, small_only)
-    cols = list(map_fn(lambda s: run_benchmark_columns(s, seed), specs))
+    cols = [run_benchmark_columns(s, seed) for s in specs]
     t = TextTable(
         ["Benchmark", "Golden", "SimpleMap", "ABC", "Proposed"],
         aligns="lrrrr",
@@ -237,11 +199,10 @@ def run_fig7(
     *,
     seed: int = 2016,
     small_only: bool = False,
-    map_fn: Callable = map,
 ) -> str:
     """Regenerate Fig. 7: the area comparison as an ASCII bar chart + CSV."""
     specs = _resolve_specs(specs, small_only)
-    cols = list(map_fn(lambda s: run_benchmark_columns(s, seed), specs))
+    cols = [run_benchmark_columns(s, seed) for s in specs]
     groups = [
         (
             c.spec.name,
@@ -278,7 +239,6 @@ def run_compile_time(
     specs: Sequence[BenchmarkSpec] | None = None,
     *,
     seed: int = 2016,
-    map_fn: Callable = map,
 ) -> str:
     """Regenerate §V-C.1: wires, CLBs and P&R runtime, both flows.
 
@@ -288,16 +248,14 @@ def run_compile_time(
     from repro.physical import physical_from_mapping
 
     specs = _resolve_specs(specs, small_only=True)
-
-    def one(spec: BenchmarkSpec):
+    rows = []
+    for spec in specs:
         cols = run_benchmark_columns(spec, seed)
         prop_phys = physical_from_mapping(
             cols.offline.mapping, cols.offline.instrumented, seed=seed
         )
         conv_phys = physical_from_mapping(cols.abc.final, None, seed=seed)
-        return spec, prop_phys, conv_phys
-
-    rows = list(map_fn(one, specs))
+        rows.append((spec, prop_phys, conv_phys))
     t = TextTable(
         [
             "Benchmark",

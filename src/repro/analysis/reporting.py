@@ -1,8 +1,8 @@
 """Plain-text rendering of experiment results.
 
 Every benchmark target writes its output both to stdout (visible with
-``pytest -s``) and to ``results/<name>.txt``, so the EXPERIMENTS.md record
-can be regenerated without scraping terminal logs.
+``pytest -s``) and to ``results/<name>.txt``, so the measured record of
+every table and figure can be regenerated without scraping terminal logs.
 """
 
 from __future__ import annotations

@@ -42,8 +42,7 @@ in-parent execution, reported in the notes.
 :func:`run_campaign` is journal set-up, :func:`plan` (design identities,
 networks, group keys, lane batches and the pool decision, with no
 scheduler and no store), :func:`execute` (registers the builds and lane
-batches on the scheduler and drains it) and the report — the campaign-level mirror of
-:meth:`~repro.pipeline.StageGraph.plan` / ``execute``.  Results aggregate
+batches on the scheduler and drains it) and the report.  Results aggregate
 into a :class:`~repro.campaign.results.CampaignReport`, whose ``workers``
 field reports the *effective* pool size (1 when nothing ran pooled or the
 pool fell back to serial), whose ``lane_batches`` field records per-batch
@@ -63,11 +62,7 @@ from repro.campaign.cache import ArtifactStore
 from repro.campaign.results import CampaignReport, ScenarioResult
 from repro.campaign.runner import run_scenario_batch
 from repro.core.flow import DebugFlowConfig, OfflineStage, offline_cache_key
-from repro.pipeline.scheduler import (
-    DataflowScheduler,
-    ScheduledTask,
-    submit_compile,
-)
+from repro.pipeline.scheduler import DataflowScheduler, ScheduledTask
 from repro.util.trace import Trace
 from repro.workloads.scenarios import DebugScenario
 
@@ -208,10 +203,10 @@ def _submit_design_build(
 ) -> list[ScheduledTask]:
     """Register one design's offline build as dataflow tasks.
 
-    :func:`~repro.pipeline.scheduler.submit_compile` probes ``store``
-    **now**, in the parent, one single-read lookup per stage — counted
-    exactly like a serial resolution.  A warm design fires
-    ``on_complete(stage, True, None)`` synchronously and creates no
+    :func:`~repro.pipeline.submit_design` probes ``store`` **now**, in
+    the parent, one single-read lookup per stage — the same probes
+    :func:`~repro.campaign.cache.resolve_offline` makes.  A warm design
+    fires ``on_complete(stage, True, None)`` synchronously and creates no
     task; a cold design becomes fused segment tasks whose completion
     lands every built stage in the store parent-side, assembles the
     artifact (its ``trace`` holds the stages built) and fires
@@ -220,20 +215,11 @@ def _submit_design_build(
     (empty when the design resolved warm or failed to plan).
     """
     from repro.pipeline import (
-        DEBUG_FLOW_GRAPH,
         GENERIC_STAGES,
         PHYSICAL_STAGES,
         assemble_offline,
+        submit_design,
     )
-
-    stages = (
-        GENERIC_STAGES + PHYSICAL_STAGES if with_physical else GENERIC_STAGES
-    )
-    try:
-        stage_plan = DEBUG_FLOW_GRAPH.plan(net, flow, stages=stages)
-    except Exception as exc:  # noqa: BLE001 — one bad design ≠ dead campaign
-        on_complete(None, False, f"{type(exc).__name__}: {exc}")
-        return []
 
     def complete(result, err):
         stage = None
@@ -247,18 +233,26 @@ def _submit_design_build(
         else:
             on_complete(stage, result.full_hit, None)
 
-    return submit_compile(
-        sched,
-        DEBUG_FLOW_GRAPH,
-        net,
-        stage_plan,
-        store=store,
-        pooled=pooled,
-        label=label,
-        timeout_s=timeout_s,
-        max_retries=max_retries,
-        on_complete=complete,
-    )
+    try:
+        return submit_design(
+            sched,
+            net,
+            flow,
+            stages=(
+                GENERIC_STAGES + PHYSICAL_STAGES
+                if with_physical
+                else GENERIC_STAGES
+            ),
+            store=store,
+            pooled=pooled,
+            label=label,
+            timeout_s=timeout_s,
+            max_retries=max_retries,
+            on_complete=complete,
+        )
+    except Exception as exc:  # noqa: BLE001 — one bad design ≠ dead campaign
+        on_complete(None, False, f"{type(exc).__name__}: {exc}")
+        return []
 
 
 def prebuild_offline(
@@ -276,8 +270,8 @@ def prebuild_offline(
     *before* a campaign exists — e.g. stuck-at screening, which picks
     fault sites from each design's tap directory.  Designs are deduped by
     offline cache key; cold ones build on a pool of up to ``workers``,
-    under the keys a serial :func:`~repro.campaign.cache.resolve_offline`
-    would use.  Returns each net's artifact, ``None`` where its build
+    under the keys :func:`~repro.campaign.cache.resolve_offline` would
+    use.  Returns each net's artifact, ``None`` where its build
     failed; ``notes`` collects fallback messages (pool unavailable etc.).
     """
     flow = flow or DebugFlowConfig()

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, dataclass, field
-from typing import Any
+from typing import Any, Mapping
 
 from repro.core.annotate import ParAnnotation
 from repro.core.muxnet import InstrumentedDesign
@@ -86,25 +86,18 @@ class OfflineStage:
     instrumented: InstrumentedDesign
     mapping: MappingResult
     annotation: ParAnnotation
+    stage_keys: dict[str, str]
+    """Graph-native per-stage content keys this artifact was assembled
+    from; ``stage_keys["tcon-map"]`` identifies the artifact.
+    :func:`run_physical_stage` reuses them so its physical-stage cache
+    entries are shared with full-graph compiles.  The whole dataclass is
+    picklable (networks, mappings and the trace are plain containers),
+    which is what lets campaign workers receive the artifact."""
     trace: Trace = field(default_factory=Trace)
     """The compile's record: one ``stage.<name>`` span per stage built
     (none for stages the store served)."""
     physical: Any | None = None
     """Filled by :func:`run_physical_stage` (a PhysicalStage)."""
-    cache_key: str | None = None
-    """Content key identifying this artifact.
-
-    Set to the terminal generic stage's (``tcon-map``) content key by the
-    pipeline assembler.  The whole dataclass is picklable (networks,
-    mappings and the trace are plain containers), which is what lets
-    campaign workers receive the artifact and what the disk caches
-    serialize.
-    """
-    stage_keys: dict[str, str] | None = None
-    """Graph-native per-stage content keys this artifact was assembled
-    from (set by the pipeline assembler; ``None`` for artifacts unpickled
-    from older caches).  :func:`run_physical_stage` reuses them so its
-    physical-stage cache entries are shared with full-graph compiles."""
 
     @property
     def taps(self) -> list[int]:
@@ -169,17 +162,48 @@ def run_generic_stage(
     )
 
 
-def run_physical_stage(offline: OfflineStage, arch=None, *, store=None):
+def run_physical_stage(
+    offline: OfflineStage,
+    arch=None,
+    *,
+    store=None,
+    params: Mapping[str, Any] | None = None,
+):
     """TPaR + bitstream generation: pack, place, route, emit the PConf.
 
     Returns the :class:`~repro.physical.PhysicalStage` and stores it on
     ``offline.physical``.  A façade over the physical sub-graph of
     :mod:`repro.pipeline` (imported lazily so mapping-level users don't
-    pay for the physical subpackages); ``store`` enables per-stage
-    caching keyed off the offline artifact's content key.
+    pay for the physical subpackages).  The offline artifact's mapping
+    and instrumented design are injected as preset upstream artifacts
+    under their graph-native keys (``offline.stage_keys``), so with a
+    ``store`` the physical stages share cache entries with full-graph
+    compiles.  ``params`` are per-stage parameters (placement ``seed``,
+    ``effort``, ``max_route_iterations``).
     """
-    from repro.pipeline import run_physical_stages
+    from repro.pipeline import (
+        PHYSICAL_STAGES,
+        assemble_physical,
+        compile_design,
+    )
 
-    stage = run_physical_stages(offline, arch=arch, store=store)
-    offline.physical = stage
-    return stage
+    run_params = dict(params or {})
+    if arch is not None:
+        run_params["arch"] = arch
+    keys = offline.stage_keys
+    result = compile_design(
+        offline.source,
+        offline.config,
+        store=store,
+        params=run_params,
+        stages=PHYSICAL_STAGES,
+        preset={
+            "signal-parameterisation": (
+                keys["signal-parameterisation"],
+                offline.instrumented,
+            ),
+            "tcon-map": (keys["tcon-map"], offline.mapping),
+        },
+    )
+    offline.physical = assemble_physical(result)
+    return offline.physical

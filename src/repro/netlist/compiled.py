@@ -387,7 +387,9 @@ def program_for(net: LogicNetwork, *, store=None) -> CompiledProgram:
     if store is not None:
         # looked up even when memoized, so store statistics do not
         # depend on this process's history
-        found = store.get(COMPILED_SIM_STAGE, sig, expect=CompiledProgram)
+        found = store.get_if_present(
+            COMPILED_SIM_STAGE, sig, expect=CompiledProgram
+        )
         if found is None:
             if program is None:
                 program = compile_network(net, signature=sig)

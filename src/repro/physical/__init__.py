@@ -1,22 +1,21 @@
 """Physical design orchestration: TPaR + bitstream generation.
 
-:func:`build_physical_stage` takes an offline-stage artifact (or any
-mapping result) through packing, placement, routing and configuration-bit
-generation, returning a :class:`PhysicalStage` with every intermediate
-plus one span per phase — the data behind the compile-time experiment
-(§V-C.1).
+The stage bodies of the physical back-end (``pack``, ``rr-graph``,
+``place``, ``route``, ``bitgen``), which the stage graph of
+:mod:`repro.pipeline` runs, and the :class:`PhysicalStage` container it
+assembles from their artifacts.  :func:`physical_from_mapping` takes any
+mapping result through that sub-graph — the data behind the compile-time
+experiment (§V-C.1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.arch.config_cells import ConfigLayout, build_config_layout
 from repro.arch.device import DeviceGrid
 from repro.arch.routing_graph import RRGraph, build_rr_graph
 from repro.arch.spec import ArchSpec
-from repro.arch.virtex5 import VIRTEX5_LIKE
 from repro.bitgen.genbit import GeneratedBitstream, generate_bitstream
 from repro.core.muxnet import InstrumentedDesign
 from repro.mapping.result import MappingResult
@@ -26,12 +25,8 @@ from repro.place.tplace import Placement, place_design
 from repro.route.troute import RoutingResult, route_design
 from repro.util.trace import Trace
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.flow import OfflineStage
-
 __all__ = [
     "PhysicalStage",
-    "build_physical_stage",
     "physical_from_mapping",
     "grid_for_packed",
     "pack_stage",
@@ -117,14 +112,10 @@ def grid_for_packed(
 
 
 def place_stage(
-    packed: PackedDesign,
-    grid: DeviceGrid | None = None,
-    *,
-    seed: int = 2016,
-    effort: float = 4.0,
+    packed: PackedDesign, *, seed: int = 2016, effort: float = 4.0
 ) -> Placement:
     """The ``place`` stage body: simulated-annealing placement."""
-    return place_design(packed, grid, seed=seed, effort=effort)
+    return place_design(packed, seed=seed, effort=effort)
 
 
 def rr_graph_stage(packed: PackedDesign) -> RRGraph:
@@ -137,19 +128,10 @@ def rr_graph_stage(packed: PackedDesign) -> RRGraph:
 
 
 def route_stage(
-    placement: Placement,
-    rr: RRGraph | None = None,
-    *,
-    max_route_iterations: int = 40,
+    placement: Placement, rr: RRGraph, *, max_route_iterations: int = 40
 ) -> tuple[RRGraph, RoutingResult]:
-    """The ``route`` stage body: PathFinder over the RR graph.
-
-    ``rr`` is normally the ``rr-graph`` stage's artifact (built from the
-    identical, pack-derived grid); when absent it is built here — the
-    historical single-call path.
-    """
-    if rr is None:
-        rr = build_rr_graph(placement.grid)
+    """The ``route`` stage body: PathFinder over the ``rr-graph`` artifact
+    (built from the identical, pack-derived grid)."""
     return rr, route_design(placement, rr, max_iterations=max_route_iterations)
 
 
@@ -170,50 +152,37 @@ def physical_from_mapping(
     design: InstrumentedDesign | None = None,
     *,
     arch: ArchSpec | None = None,
-    grid: DeviceGrid | None = None,
     seed: int = 2016,
     effort: float = 4.0,
     max_route_iterations: int = 40,
 ) -> PhysicalStage:
     """Pack, place, route and generate bits for any mapping result.
 
-    This is the direct, uncached path (conventional-flow experiments, ad
-    hoc mapping results); the same stage bodies run behind the stage graph
-    of :mod:`repro.pipeline` for cached/incremental compilation.
+    Serves both flows of the compile-time experiment: the proposed one
+    (``design`` is the instrumented design the mapping implements) and the
+    conventional one (``design=None``).  Runs the stage graph's physical
+    sub-graph with ``mapping`` and ``design`` preset as the ``tcon-map``
+    and ``signal-parameterisation`` artifacts, without a store — so their
+    keys are placeholders.
     """
-    arch = arch or VIRTEX5_LIKE
-    trace = Trace()
-
-    with trace.span("stage.pack"):
-        packed = pack_stage(mapping, design, arch)
-    with trace.span("stage.place"):
-        placement = place_stage(packed, grid, seed=seed, effort=effort)
-    with trace.span("stage.route"):
-        rr, routing = route_stage(
-            placement, max_route_iterations=max_route_iterations
-        )
-    with trace.span("stage.bitgen"):
-        layout, bitstream = bitgen_stage(packed, placement, rr, routing, design)
-    return PhysicalStage(
-        arch=arch,
-        packed=packed,
-        grid=placement.grid,
-        placement=placement,
-        rr=rr,
-        routing=routing,
-        layout=layout,
-        bitstream=bitstream,
-        trace=trace,
+    from repro.pipeline.stages import (
+        PHYSICAL_STAGES,
+        assemble_physical,
+        compile_design,
     )
 
-
-def build_physical_stage(offline: "OfflineStage", arch: ArchSpec | None = None) -> PhysicalStage:
-    """Physical back-end for an offline-stage artifact (the proposed flow).
-
-    A façade over the stage graph's physical sub-graph — see
-    :func:`repro.pipeline.run_physical_stages`, which also accepts an
-    artifact store for per-stage caching.
-    """
-    from repro.pipeline import run_physical_stages
-
-    return run_physical_stages(offline, arch=arch)
+    result = compile_design(
+        None,
+        params={
+            "arch": arch,
+            "seed": seed,
+            "effort": effort,
+            "max_route_iterations": max_route_iterations,
+        },
+        stages=PHYSICAL_STAGES,
+        preset={
+            "tcon-map": ("", mapping),
+            "signal-parameterisation": ("", design),
+        },
+    )
+    return assemble_physical(result)

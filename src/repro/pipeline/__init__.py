@@ -21,8 +21,11 @@ Quick start::
     print(store.stats.as_dict()["per_stage"])
 
 ``run_generic_stage`` / ``run_physical_stage`` in :mod:`repro.core.flow`
-are thin façades over this graph; the campaign layer threads an
-:class:`ArtifactStore` through whole debug campaigns.
+are thin façades over this graph.  Every compile — a façade, a
+``compile_design`` call or a campaign's build — runs through the one
+executor, :func:`submit_compile` on a :class:`DataflowScheduler`; the
+campaign layer threads an :class:`ArtifactStore` through whole debug
+campaigns.
 """
 
 from repro.pipeline.graph import (
@@ -48,7 +51,7 @@ from repro.pipeline.stages import (
     assemble_offline,
     assemble_physical,
     compile_design,
-    run_physical_stages,
+    submit_design,
 )
 from repro.pipeline.store import ArtifactStore, StageStats, StoreStats
 
@@ -78,7 +81,7 @@ __all__ = [
     "assemble_offline",
     "assemble_physical",
     "compile_design",
-    "run_physical_stages",
+    "submit_design",
     "ArtifactStore",
     "StageStats",
     "StoreStats",

@@ -1,4 +1,4 @@
-"""The stage-graph compiler core: declared stages, derived keys, one runner.
+"""The stage-graph compiler core: declared stages and derived keys.
 
 The paper's incremental-recompilation advantage — change the
 instrumentation, keep the compile — becomes an architectural property
@@ -9,9 +9,10 @@ from (a) the stage's own declaration (name + version), (b) the subset of
 (c) any extra per-stage parameters (tap overrides, placement seed, ...)
 and (d) the keys of its upstream artifacts.  A knob change therefore
 invalidates exactly the stages downstream of the knob and nothing
-upstream; running the same graph against a
+upstream; compiling the same graph against a
 :class:`~repro.pipeline.store.ArtifactStore` turns that key algebra into
-cache hits.
+cache hits.  The graph itself only plans (:meth:`StageGraph.plan`); the
+one executor is :func:`repro.pipeline.scheduler.submit_compile`.
 
 Keys chain derivations rather than hashing intermediate artifacts: the
 only content ever serialized for hashing is the source network (its
@@ -110,7 +111,7 @@ class Artifact:
 
 @dataclass
 class CompileResult:
-    """Everything one :meth:`StageGraph.run` produced."""
+    """Everything one compile of a :class:`StagePlan` produced."""
 
     config: DebugFlowConfig
     source_key: str
@@ -138,15 +139,14 @@ class CompileResult:
 
 @dataclass
 class StagePlan:
-    """The execution-independent half of a :meth:`StageGraph.run`.
+    """The execution-independent half of a compile.
 
     Which stages will run, under which derived content keys, against which
     store lookup group — everything the dataflow scheduler needs to probe
     the store, partition the remaining work into segments and ship those
     segments to workers, without executing anything.  Produced by
-    :meth:`StageGraph.plan`; consumed by :meth:`StageGraph.execute` (the
-    serial path) and :func:`repro.pipeline.scheduler.submit_compile` (the
-    overlapped path) so both derive byte-identical keys.
+    :meth:`StageGraph.plan`; consumed by
+    :func:`repro.pipeline.scheduler.submit_compile`, the one executor.
     """
 
     config: DebugFlowConfig
@@ -284,16 +284,7 @@ class StageGraph:
         conventional-recompile baseline, tests) can ask "what *would* a
         config change rebuild?" in microseconds.
         """
-        config = config or DebugFlowConfig()
-        params = params or {}
-        selected = (
-            self.prefix(stages) if stages is not None else list(self.stages)
-        )
-        keys: dict[str, str] = {SOURCE: source_key(net)}
-        for stage in selected:
-            keys[stage.name] = self._stage_key(stage, config, params, keys)
-        del keys[SOURCE]
-        return keys
+        return self.plan(net, config, params=params, stages=stages).keys
 
     # -- planning --------------------------------------------------------------
 
@@ -308,10 +299,11 @@ class StageGraph:
     ) -> StagePlan:
         """Derive keys, selection and lookup group without running anything.
 
-        The pure key-algebra half of :meth:`run`, factored out so the
-        dataflow scheduler and the serial executor share one derivation —
-        identical inputs yield identical keys by construction, which is
-        what makes scheduled and serial store statistics comparable.
+        ``stages`` defaults to the whole graph.  ``preset`` maps artifact
+        names to ``(key, value)`` pairs injected as already-available
+        upstream artifacts — how the physical sub-graph runs over an
+        existing offline artifact.  Every compile and every speculative
+        key query (:meth:`stage_keys`) goes through this one derivation.
         """
         config = config or DebugFlowConfig()
         params = dict(params or {})
@@ -410,104 +402,3 @@ class StageGraph:
                 segs[target].append(s.name)
                 anc[target] |= (dep_segs - {target}) | new_anc
         return [tuple(seg) for seg in segs]
-
-    # -- execution -------------------------------------------------------------
-
-    def run(
-        self,
-        net: LogicNetwork,
-        config: DebugFlowConfig | None = None,
-        *,
-        store=None,
-        params: Mapping[str, Any] | None = None,
-        stages: Sequence[str] | None = None,
-        preset: Mapping[str, tuple[str, Any]] | None = None,
-    ) -> CompileResult:
-        """Execute the graph (or a dependency-closed subset of it).
-
-        Parameters
-        ----------
-        store:
-            Optional :class:`~repro.pipeline.store.ArtifactStore`.  Each
-            stage is looked up under its derived key before running; built
-            artifacts are stored back.  ``None`` runs everything.
-        params:
-            Per-run extra parameters (see :attr:`Stage.param_fields`).
-        stages:
-            Stage names to execute; defaults to the whole graph.
-        preset:
-            ``{artifact name: (key, value)}`` entries injected as
-            already-available upstream artifacts — how the
-            :func:`~repro.core.flow.run_physical_stage` façade feeds an
-            existing offline artifact into the physical sub-graph.
-        """
-        return self.execute(
-            self.plan(net, config, params=params, stages=stages, preset=preset),
-            net,
-            store=store,
-        )
-
-    def execute(
-        self, plan: StagePlan, net: LogicNetwork, *, store=None
-    ) -> CompileResult:
-        """Serially execute a :meth:`plan` — the barrier-free reference path.
-
-        One stage at a time in topological order: probe the store, build
-        on a miss, store the result.  The dataflow scheduler reproduces
-        exactly this store interaction (same keys, same probe order, same
-        puts), just spread over segment tasks.
-        """
-        result = CompileResult(
-            config=plan.config, source_key=plan.source_key, params=dict(plan.params)
-        )
-        values: dict[str, Any] = {SOURCE: net}
-        for name, (key, value) in plan.preset.items():
-            values[name] = value
-            result.artifacts[name] = Artifact(name, key, value, hit=True)
-        for stage in plan.selected:
-            key = plan.keys[stage.name]
-            value = None
-            hit = False
-            if store is not None:
-                found = store.get(stage.name, key, group=plan.group)
-                if found is not None:
-                    value, hit = found.value, True
-            if not hit:
-                ctx = StageContext(
-                    config=plan.config, params=plan.params, artifacts=values
-                )
-                with result.trace.span(f"stage.{stage.name}"):
-                    value = stage.fn(ctx)
-                if store is not None:
-                    store.put(
-                        stage.name,
-                        key,
-                        value,
-                        group=plan.group,
-                        ref=self._passthrough_ref(stage, value, values, plan.keys),
-                    )
-            values[stage.name] = value
-            result.artifacts[stage.name] = Artifact(stage.name, key, value, hit)
-        return result
-
-    @staticmethod
-    def _passthrough_ref(
-        stage: Stage,
-        value: Any,
-        values: Mapping[str, Any],
-        keys: Mapping[str, str],
-    ):
-        """An alias target when ``stage`` passed an input through untouched.
-
-        A stage returning one of its upstream artifacts *by identity*
-        (``cleanup`` with ``run_cleanup=False``) holds no content of its
-        own — persisting a :class:`~repro.pipeline.store.StoreRef` to the
-        upstream entry instead of a second pickle halves the disk cost of
-        that configuration.
-        """
-        from repro.pipeline.store import StoreRef
-
-        for dep in stage.inputs:
-            if dep != SOURCE and values.get(dep) is value:
-                return StoreRef(dep, keys[dep])
-        return None

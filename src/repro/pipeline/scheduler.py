@@ -10,14 +10,14 @@ completion callbacks the moment results land, so a design's online work
 launches while other designs are still building and a design's
 independent stages (``rr-graph`` vs ``place``) run concurrently.
 
-Store semantics are kept *exactly* equal to the serial path by
-construction: the parent — never a worker — performs every
-:class:`~repro.pipeline.store.ArtifactStore` probe and put, under the
-same keys and in the same per-design order the serial executor uses
-(:func:`submit_compile` probes with
-:meth:`~repro.pipeline.store.ArtifactStore.get_if_present` in topological
-order, then ships only the missing suffix to workers).  Hit/miss/
-invalidation counters therefore match the serial path at any worker
+:func:`submit_compile` is the one compile executor: every caller — a
+campaign on its shared pool, :func:`repro.pipeline.compile_design` on a
+fresh unpooled scheduler — reaches the stage bodies through it.  The
+parent, never a worker, performs every
+:class:`~repro.pipeline.store.ArtifactStore` probe and put: it probes
+with :meth:`~repro.pipeline.store.ArtifactStore.get_if_present` in
+topological order, then ships only the missing suffix to workers.
+Hit/miss/invalidation counters are therefore the same at any worker
 count, and outcomes are byte-identical.
 
 Failure isolation: a segment raising cancels only the *same design's*
@@ -55,10 +55,12 @@ from repro.pipeline.graph import (
     SOURCE,
     Artifact,
     CompileResult,
+    Stage,
     StageContext,
     StageGraph,
     StagePlan,
 )
+from repro.pipeline.store import StoreRef
 from repro.util import chaos
 from repro.util.trace import Trace
 
@@ -151,9 +153,8 @@ class DataflowScheduler:
     The parent owns all bookkeeping (dependency counts, store access via
     task callbacks); only task bodies run in workers.  The pool is
     created lazily at the first pooled dispatch, so fully-inline
-    configurations (``workers=1``, warm caches) never pay process
-    startup — the serial path is literally this scheduler with no pooled
-    tasks.
+    configurations (``workers=1``, warm caches, a scheduler built
+    without an ``executor_factory``) never pay process startup.
 
     Its :attr:`trace` records every finished task's interval (named by
     its ``kind``), every built compile stage (``stage.<name>``, see
@@ -517,10 +518,13 @@ class DataflowScheduler:
 def _segment_worker(payload):
     """Run one fused chain of stage bodies (pool- or parent-side).
 
-    Returns ``("ok", values, trace)`` with one ``stage.<name>`` span per
-    stage, or ``("err", message)`` — stage exceptions are marshalled, not
-    raised, so a worker failure surfaces as a normal completion the
-    parent can route to the owning design.
+    The only caller of stage bodies.  Returns ``("ok", values, trace)``
+    with one ``stage.<name>`` span per stage, or ``("err", message,
+    exc)`` — stage exceptions are marshalled, not raised, so a worker
+    failure surfaces as a normal completion the parent can route to the
+    owning design, and an in-process caller can re-raise ``exc`` itself
+    (library and builtin exceptions pickle, so pooled results carry it
+    too).
     """
     graph, config, params, names, values = payload
     values = dict(values)
@@ -532,8 +536,25 @@ def _segment_worker(payload):
             with trace.span(f"stage.{name}"):
                 values[name] = out[name] = graph[name].fn(ctx)
     except Exception as exc:  # noqa: BLE001 - marshalled to the parent
-        return ("err", f"{type(exc).__name__}: {exc}")
+        return ("err", f"{type(exc).__name__}: {exc}", exc)
     return ("ok", out, trace)
+
+
+def _passthrough_ref(
+    stage: Stage, value: Any, values: dict[str, Any], keys: dict[str, str]
+) -> StoreRef | None:
+    """An alias target when ``stage`` passed an input through untouched.
+
+    A stage returning one of its upstream artifacts *by identity*
+    (``cleanup`` with ``run_cleanup=False``) holds no content of its
+    own — persisting a :class:`~repro.pipeline.store.StoreRef` to the
+    upstream entry instead of a second pickle halves the disk cost of
+    that configuration.
+    """
+    for dep in stage.inputs:
+        if dep != SOURCE and values.get(dep) is value:
+            return StoreRef(dep, keys[dep])
+    return None
 
 
 def submit_compile(
@@ -552,17 +573,17 @@ def submit_compile(
 ) -> list[ScheduledTask]:
     """Register one design's compile as dataflow tasks on ``sched``.
 
-    Probes the store for every planned stage **now**, in the parent, in
-    topological order — exactly the serial executor's lookup sequence, so
-    hit/miss statistics are identical by construction.  Missing stages
-    are fused into segments (:meth:`StageGraph.segments`) and submitted
-    as tasks wired by their true dependencies; segment completions store
-    built artifacts (again parent-side, same keys, same pass-through-ref
-    aliasing) and, when the last segment lands, ``on_complete(result,
-    None)`` fires.  A failing segment cancels only the segments
-    *downstream of it* (independent siblings of the same design still
-    complete and store their artifacts) and fires
-    ``on_complete(None, message)`` once.
+    The one compile executor.  Probes the store for every planned stage
+    **now**, in the parent, in topological order.  Missing stages are
+    fused into segments (:meth:`StageGraph.segments`) and submitted as
+    tasks wired by their true dependencies; segment completions store
+    built artifacts (again parent-side, with pass-through-ref aliasing)
+    and, when the last segment lands, ``on_complete(result, None)``
+    fires.  A failing segment stores none of its stages, cancels only the
+    segments *downstream of it* (independent siblings of the same design
+    still complete and store their artifacts) and fires
+    ``on_complete(None, message)`` once; the failed task's ``result`` is
+    ``("err", message, exc)``.
 
     ``timeout_s`` and ``max_retries`` are applied to every created
     segment task (supervision: a hung or failing segment is retried with
@@ -667,7 +688,7 @@ def submit_compile(
                         key,
                         value,
                         group=plan.group,
-                        ref=graph._passthrough_ref(
+                        ref=_passthrough_ref(
                             graph[name], value, values, plan.keys
                         ),
                     )

@@ -19,7 +19,8 @@ the derived keys encode the paper's incrementality:
   re-runs everything.
 
 :func:`compile_design` runs the graph (optionally against an
-:class:`~repro.pipeline.store.ArtifactStore`);
+:class:`~repro.pipeline.store.ArtifactStore`) through the one executor,
+:func:`~repro.pipeline.scheduler.submit_compile`;
 :func:`assemble_offline` / :func:`assemble_physical` fold the artifacts
 back into the historical :class:`~repro.core.flow.OfflineStage` /
 :class:`~repro.physical.PhysicalStage` containers the rest of the system
@@ -29,7 +30,7 @@ consumes — which is what lets ``run_generic_stage`` and
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.flow import DebugFlowConfig, OfflineStage
 from repro.core.muxnet import build_trace_network
@@ -39,15 +40,20 @@ from repro.netlist.network import LogicNetwork
 from repro.netlist.transforms import cleanup
 from repro.netlist.validate import validate_network
 from repro.pipeline.graph import CompileResult, Stage, StageContext, StageGraph
+from repro.pipeline.scheduler import (
+    DataflowScheduler,
+    ScheduledTask,
+    submit_compile,
+)
 
 __all__ = [
     "GENERIC_STAGES",
     "PHYSICAL_STAGES",
     "DEBUG_FLOW_GRAPH",
+    "submit_design",
     "compile_design",
     "assemble_offline",
     "assemble_physical",
-    "run_physical_stages",
 ]
 
 GENERIC_STAGES = (
@@ -242,14 +248,49 @@ DEBUG_FLOW_GRAPH = StageGraph(
 )
 
 
-def compile_design(
+def submit_design(
+    sched: DataflowScheduler,
     net: LogicNetwork,
+    config: DebugFlowConfig | None = None,
+    *,
+    stages: Sequence[str],
+    on_complete: Callable[[CompileResult | None, str | None], None],
+    store=None,
+    params: Mapping[str, Any] | None = None,
+    preset: Mapping[str, tuple[str, Any]] | None = None,
+    **task: Any,
+) -> list[ScheduledTask]:
+    """Plan one design's compile over ``stages`` and register it on ``sched``.
+
+    How every caller reaches the stage bodies: :func:`compile_design`
+    drains a fresh unpooled scheduler, a campaign registers each design on
+    its shared one.  ``task`` carries
+    :func:`~repro.pipeline.scheduler.submit_compile`'s task options
+    (``pooled``, ``label``, ``timeout_s``, ``max_retries``).
+    """
+    plan = DEBUG_FLOW_GRAPH.plan(
+        net, config, params=params, stages=stages, preset=preset
+    )
+    return submit_compile(
+        sched,
+        DEBUG_FLOW_GRAPH,
+        net,
+        plan,
+        store=store,
+        on_complete=on_complete,
+        **task,
+    )
+
+
+def compile_design(
+    net: LogicNetwork | None,
     config: DebugFlowConfig | None = None,
     *,
     store=None,
     with_physical: bool = False,
     params: Mapping[str, Any] | None = None,
     stages: Sequence[str] | None = None,
+    preset: Mapping[str, tuple[str, Any]] | None = None,
 ) -> CompileResult:
     """Run the debug-flow stage graph on a synthesized network.
 
@@ -257,15 +298,37 @@ def compile_design(
     ``with_physical``.  Pass an
     :class:`~repro.pipeline.store.ArtifactStore` to reuse every stage
     whose derived key is unchanged — a warm single-knob config change
-    rebuilds only the invalidated suffix.
+    rebuilds only the invalidated suffix.  ``preset`` injects upstream
+    artifacts (see :meth:`~repro.pipeline.graph.StageGraph.plan`); ``net``
+    may be ``None`` when no stage to run reads the source.
+
+    The design runs on a fresh unpooled
+    :class:`~repro.pipeline.scheduler.DataflowScheduler`, in this process.
+    A failing stage's own exception propagates, and none of its segment's
+    stages are stored.
     """
     if stages is None:
         stages = (
             GENERIC_STAGES + PHYSICAL_STAGES if with_physical else GENERIC_STAGES
         )
-    return DEBUG_FLOW_GRAPH.run(
-        net, config, store=store, params=params, stages=stages
+    sched = DataflowScheduler()
+    results: list[CompileResult | None] = []  # on_complete fires once
+    tasks = submit_design(
+        sched,
+        net,
+        config,
+        stages=stages,
+        store=store,
+        params=params,
+        preset=preset,
+        on_complete=lambda result, _err: results.append(result),
     )
+    sched.run()
+    [result] = results
+    if result is None:
+        failed = next(t for t in tasks if t.done and t.result[0] == "err")
+        raise failed.result[2]
+    return result
 
 
 def assemble_offline(result: CompileResult) -> OfflineStage:
@@ -278,16 +341,15 @@ def assemble_offline(result: CompileResult) -> OfflineStage:
         instrumented=instrumented,
         mapping=result.value("tcon-map"),
         annotation=instrumented.annotation(),
-        trace=result.trace,
-        cache_key=result.artifacts["tcon-map"].key,
         stage_keys=result.keys(),
+        trace=result.trace,
     )
     if "bitgen" in result.artifacts:
         offline.physical = assemble_physical(result)
     return offline
 
 
-def assemble_physical(result: CompileResult, *, arch=None):
+def assemble_physical(result: CompileResult):
     """Fold the physical-stage artifacts into a ``PhysicalStage``."""
     from repro.arch.virtex5 import VIRTEX5_LIKE
     from repro.physical import PhysicalStage
@@ -296,7 +358,7 @@ def assemble_physical(result: CompileResult, *, arch=None):
     rr, routing = result.value("route")
     layout, bitstream = result.value("bitgen")
     return PhysicalStage(
-        arch=arch or result.params.get("arch") or VIRTEX5_LIKE,
+        arch=result.params.get("arch") or VIRTEX5_LIKE,
         packed=result.value("pack"),
         grid=placement.grid,
         placement=placement,
@@ -306,51 +368,3 @@ def assemble_physical(result: CompileResult, *, arch=None):
         bitstream=bitstream,
         trace=result.trace,
     )
-
-
-def run_physical_stages(
-    offline: OfflineStage,
-    *,
-    arch=None,
-    store=None,
-    params: Mapping[str, Any] | None = None,
-):
-    """Physical sub-graph over an existing offline artifact.
-
-    The offline artifact's mapping and instrumented design are injected as
-    preset upstream artifacts under their graph-native stage keys
-    (recorded on ``offline.stage_keys`` by the assembler), so the façade
-    path shares physical-stage cache entries with full-graph compiles
-    when a ``store`` is supplied.  Artifacts from older caches that carry
-    no stage keys fall back to keys derived from the artifact's
-    ``cache_key`` — still content-stable, just a disjoint key space.
-    """
-    from repro.core.flow import offline_cache_key
-
-    run_params = dict(params or {})
-    if arch is not None:
-        run_params["arch"] = arch
-    keys = getattr(offline, "stage_keys", None) or {}
-    if "tcon-map" not in keys or "signal-parameterisation" not in keys:
-        base = offline.cache_key or offline_cache_key(
-            offline.source, offline.config
-        )
-        keys = {
-            "signal-parameterisation": f"{base}/signal-parameterisation",
-            "tcon-map": f"{base}/tcon-map",
-        }
-    result = DEBUG_FLOW_GRAPH.run(
-        offline.source,
-        offline.config,
-        store=store,
-        params=run_params,
-        stages=PHYSICAL_STAGES,
-        preset={
-            "signal-parameterisation": (
-                keys["signal-parameterisation"],
-                offline.instrumented,
-            ),
-            "tcon-map": (keys["tcon-map"], offline.mapping),
-        },
-    )
-    return assemble_physical(result, arch=run_params.get("arch"))

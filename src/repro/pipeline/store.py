@@ -61,7 +61,8 @@ class StoreRef:
     ``run_cleanup=False``) would otherwise pickle the identical value a
     second time under their own key.  Storing a tiny ``StoreRef`` instead
     keeps the two keys independently addressable while the bytes exist
-    once; :meth:`ArtifactStore.get` resolves refs transparently.
+    once; :meth:`ArtifactStore.get_if_present` resolves refs
+    transparently.
     """
 
     stage: str
@@ -204,7 +205,7 @@ class ArtifactStore:
     _groups: dict[tuple[str, str], set[str]] = field(default_factory=dict)
     """Keys seen per ``(stage, lookup group)`` — the invalidation ledger."""
 
-    def get(
+    def get_if_present(
         self,
         stage: str,
         key: str,
@@ -213,6 +214,9 @@ class ArtifactStore:
         group: str | None = None,
     ) -> Artifact | None:
         """Look up ``(stage, key)``; ``None`` on miss (stats updated).
+
+        One memory probe, at most one disk read: a warm lookup costs
+        exactly one load no matter who asks.
 
         ``expect`` guards the disk layer: a persisted entry that unpickles
         to the wrong type (stale artifact from an incompatible version, a
@@ -225,31 +229,6 @@ class ArtifactStore:
         a warm store" (a cold build).  Without a group the old
         conservative heuristic applies: any other key under the stage
         counts as an invalidation.
-        """
-        return self.get_if_present(stage, key, expect=expect, group=group)
-
-    def get_if_present(
-        self,
-        stage: str,
-        key: str,
-        *,
-        expect: type | None = None,
-        group: str | None = None,
-        record_miss: bool = True,
-    ) -> Artifact | None:
-        """The single-read lookup behind :meth:`get` — one memory probe,
-        at most one disk read.
-
-        This replaced the orchestrator's warm-probe pattern of
-        ``contains()`` *followed by* ``get()``, which read (and unpickled)
-        every warm disk artifact twice.  Both the dataflow scheduler and
-        the serial resolve path go through this method, so a warm lookup
-        costs exactly one load no matter who asks.
-
-        ``record_miss=False`` turns the call into a *peek*: a found entry
-        still counts as a hit (it was genuinely served), but an absent one
-        leaves the miss/invalidation counters untouched — for speculative
-        probes that don't imply a rebuild.
         """
         st = self.stats.for_stage(stage)
         mem_key = (stage, key)
@@ -267,11 +246,10 @@ class ArtifactStore:
                 self._memory[mem_key] = value
             self._record_group(stage, key, group)
             return Artifact(stage, key, value, hit=True)
-        if record_miss:
-            st.misses += 1
-            if self._is_invalidation(stage, key, group):
-                st.invalidations += 1
-            self._record_group(stage, key, group)
+        st.misses += 1
+        if self._is_invalidation(stage, key, group):
+            st.invalidations += 1
+        self._record_group(stage, key, group)
         return None
 
     def put(
@@ -303,7 +281,7 @@ class ArtifactStore:
         loading it and without touching the hit/miss stats.
 
         Prefer :meth:`get_if_present` when the value will be consumed on a
-        hit — ``contains()`` followed by ``get()`` reads warm disk
+        hit — ``contains()`` followed by a lookup reads warm disk
         artifacts twice.  This stays for pure existence checks (admin
         tooling, tests).
         """
@@ -323,22 +301,6 @@ class ArtifactStore:
     def count(self, stage: str) -> int:
         """In-memory entries held for one stage."""
         return sum(1 for s, _ in self._memory if s == stage)
-
-    def as_offline_fn(self):
-        """Adapter for :func:`repro.analysis.experiments.run_benchmark_columns`.
-
-        Returns ``fn(net, config) -> OfflineStage`` that resolves the
-        generic flow through this store, stage by stage.
-        """
-        from repro.core.flow import DebugFlowConfig, OfflineStage
-        from repro.netlist.network import LogicNetwork
-
-        def fn(net: LogicNetwork, config: DebugFlowConfig) -> OfflineStage:
-            from repro.pipeline.stages import assemble_offline, compile_design
-
-            return assemble_offline(compile_design(net, config, store=self))
-
-        return fn
 
     # -- invalidation accounting -----------------------------------------------
 

@@ -3,8 +3,8 @@
 The paper evaluates on ISCAS89 and VTR benchmark netlists, which are not
 redistributable here.  This package generates *synthetic stand-ins* with the
 same published structural statistics (gate count, logic depth, latch count,
-I/O width) per benchmark, deterministically from a seed — see DESIGN.md §2
-for why this substitution preserves the experiments' behaviour.
+I/O width) per benchmark, deterministically from a seed — see
+``docs/ARCHITECTURE.md`` §2 for the experiments that run on them.
 """
 
 from repro.workloads.suites import (

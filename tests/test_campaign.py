@@ -84,7 +84,7 @@ class TestOfflineCache:
         second, hit2 = resolve_offline(generate_circuit(SPEC), cache=store)
         assert (hit1, hit2) == (False, True)
         assert second.mapping is first.mapping
-        assert second.cache_key == first.cache_key
+        assert second.stage_keys["tcon-map"] == first.stage_keys["tcon-map"]
         n = len(GENERIC_STAGES)
         assert store.stats.hits == n and store.stats.misses == n
 
@@ -109,7 +109,8 @@ class TestOfflineCache:
         d = str(tmp_path / "cache")
         warm = ArtifactStore(cache_dir=d)
         stage, _ = resolve_offline(generate_circuit(SPEC), cache=warm)
-        with open(warm._path("tcon-map", stage.cache_key), "wb") as fh:
+        path = warm._path("tcon-map", stage.stage_keys["tcon-map"])
+        with open(path, "wb") as fh:
             fh.write(b"not a pickle")
         cold = ArtifactStore(cache_dir=d)
         _, hit = resolve_offline(generate_circuit(SPEC), cache=cold)
@@ -371,53 +372,6 @@ class TestReportingAggregation:
         assert agg["counts"]["localized"] == len(scenarios)
         assert agg["cache_hits"] == len(scenarios) - 1
         assert agg["localization_rate"] == 1.0
-
-    def test_experiments_accept_offline_fn(self):
-        from repro.analysis.experiments import _CACHE, run_benchmark_columns
-        from repro.workloads import get_spec
-
-        store = ArtifactStore()
-        spec = get_spec("stereov.")
-        _CACHE.pop((spec.name, 2016), None)
-        try:
-            cols = run_benchmark_columns(spec, offline_fn=store.as_offline_fn())
-            assert store.stats.stores == len(GENERIC_STAGES)
-            assert cols.offline.cache_key is not None
-        finally:
-            _CACHE.pop((spec.name, 2016), None)
-
-    def test_warm_offline_fn_offer_memoized(self):
-        # a warm in-process hit offers the artifact to an explicit
-        # offline_fn once — not once per Table I/II/Fig. 7 column replay
-        from repro.analysis.experiments import _CACHE, run_benchmark_columns
-        from repro.core.flow import run_generic_stage
-        from repro.workloads import get_spec
-
-        spec = get_spec("stereov.")
-        _CACHE.pop((spec.name, 2016), None)
-        calls = []
-
-        def offline_fn(net, config):
-            calls.append(net.name)
-            return run_generic_stage(net, config)
-
-        try:
-            run_benchmark_columns(spec, offline_fn=offline_fn)
-            assert len(calls) == 1  # the build itself
-            for _ in range(3):  # warm replays: no further offers
-                run_benchmark_columns(spec, offline_fn=offline_fn)
-            assert len(calls) == 1
-            # a *different* offline_fn still gets its one offer
-            other_calls = []
-
-            def other_fn(net, config):
-                other_calls.append(net.name)
-                return run_generic_stage(net, config)
-
-            run_benchmark_columns(spec, offline_fn=other_fn)
-            assert len(other_calls) == 1
-        finally:
-            _CACHE.pop((spec.name, 2016), None)
 
 
 class TestCli:

@@ -1,6 +1,6 @@
 """Dataflow scheduler semantics: segment fusion, failure isolation,
-store-stats parity with the serial executor, and campaign equivalence
-at several worker counts."""
+store statistics and typed errors of the one compile executor, and
+campaign equivalence at several worker counts."""
 
 from __future__ import annotations
 
@@ -12,7 +12,12 @@ import pytest
 from repro.analysis.reporting import stage_busy_ratios
 from repro.campaign import CampaignConfig, run_campaign
 from repro.campaign.cache import ArtifactStore
-from repro.core.flow import DebugFlowConfig
+from repro.core.flow import (
+    DebugFlowConfig,
+    run_generic_stage,
+    run_physical_stage,
+)
+from repro.errors import PlacementError
 from repro.pipeline import (
     DEBUG_FLOW_GRAPH,
     GENERIC_STAGES,
@@ -21,6 +26,7 @@ from repro.pipeline import (
     ScheduledTask,
     Stage,
     StageGraph,
+    compile_design,
     submit_compile,
 )
 from repro.workloads import campaign_spec, generate_circuit, stuck_at_scenarios
@@ -232,42 +238,63 @@ class TestFailureIsolation:
         assert calls[0][0] is None
 
 
-class TestStoreStatsParity:
-    """The scheduler's probe/put discipline must be indistinguishable
-    from the serial executor's — cold, warm, and across an invalidating
-    config change."""
+class TestStoreStats:
+    """One store across cold, warm and an invalidating config change over
+    the five generic stages: every probe and every put counts once."""
 
-    def _scheduled(self, net, config, store):
-        sched = DataflowScheduler()
-        out = {}
-        submit_compile(
-            sched,
-            DEBUG_FLOW_GRAPH,
-            net,
-            DEBUG_FLOW_GRAPH.plan(net, config, stages=GENERIC_STAGES),
-            store=store,
-            on_complete=lambda res, err: out.update(res=res, err=err),
-        )
-        sched.run()
-        assert out["err"] is None
-        return out["res"]
-
-    def test_cold_warm_and_invalidation_stats_match_serial(self):
+    def test_cold_warm_and_invalidation_totals(self):
         net = generate_circuit(SPEC_B)
-        serial_store, sched_store = ArtifactStore(), ArtifactStore()
-        configs = [
-            DebugFlowConfig(),
-            DebugFlowConfig(),  # fully warm repeat
-            DebugFlowConfig(fold_polarity=False),  # invalidates tcon-map
-        ]
-        for config in configs:
-            serial = DEBUG_FLOW_GRAPH.run(
-                net, config, store=serial_store, stages=GENERIC_STAGES
-            )
-            scheduled = self._scheduled(net, config, sched_store)
-            assert scheduled.keys() == serial.keys()
-            assert scheduled.hits() == serial.hits()
-            assert sched_store.stats.as_dict() == serial_store.stats.as_dict()
+        store = ArtifactStore()
+
+        def totals():
+            st = store.stats
+            return st.hits, st.misses, st.stores, st.invalidations
+
+        assert len(GENERIC_STAGES) == 5
+        compile_design(net, store=store)
+        assert totals() == (0, 5, 5, 0)
+        compile_design(net, store=store)  # fully warm repeat
+        assert totals() == (5, 5, 5, 0)
+        # invalidates tcon-map only
+        compile_design(net, DebugFlowConfig(fold_polarity=False), store=store)
+        assert totals() == (9, 6, 6, 1)
+        tcon = store.stats.for_stage("tcon-map")
+        assert (tcon.misses, tcon.stores, tcon.invalidations) == (2, 2, 1)
+
+
+class TestTypedStageErrors:
+    """An in-process compile raises the failing stage's own exception; a
+    campaign reports the same failure as its ``Type: message`` string."""
+
+    MESSAGE = "no legal site for block 3"
+
+    @pytest.fixture
+    def failing_place(self, monkeypatch):
+        import repro.physical
+
+        def place_stage(packed, **_kw):
+            raise PlacementError(self.MESSAGE)
+
+        monkeypatch.setattr(repro.physical, "place_stage", place_stage)
+
+    def test_run_physical_stage_raises_placement_error(self, failing_place):
+        offline = run_generic_stage(generate_circuit(SPEC_B))
+        with pytest.raises(PlacementError) as info:
+            run_physical_stage(offline)
+        assert type(info.value) is PlacementError
+        assert str(info.value) == self.MESSAGE
+
+    def test_campaign_reports_type_and_message(self, scenarios, failing_place):
+        report = run_campaign(
+            [scenarios[3]],
+            config=CampaignConfig(with_physical=True),
+            cache=ArtifactStore(),
+        )
+        [result] = report.results
+        assert result.status == "error"
+        assert result.error == (
+            f"offline stage failed: PlacementError: {self.MESSAGE}"
+        )
 
 
 class TestScheduleParity:

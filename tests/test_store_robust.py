@@ -47,13 +47,13 @@ class TestCorruptEntries:
         damage(_entry_path(store, "place", "k1"))
 
         reader = _fresh_reader(store)
-        assert reader.get("place", "k1") is None
+        assert reader.get_if_present("place", "k1") is None
         st = reader.stats.for_stage("place").as_dict()
         assert st["corrupt"] == 1
         assert st["misses"] == 1
         # the consumer rebuilds exactly as after an invalidation-style miss
         reader.put("place", "k1", {"value": 42})
-        again = _fresh_reader(store).get("place", "k1")
+        again = _fresh_reader(store).get_if_present("place", "k1")
         assert again is not None and again.value == {"value": 42}
 
     def test_corrupt_entry_is_quarantined_not_deleted(self, tmp_path):
@@ -63,7 +63,7 @@ class TestCorruptEntries:
         _truncate_half(path)
 
         reader = _fresh_reader(store)
-        assert reader.get("route", "k9") is None
+        assert reader.get_if_present("route", "k9") is None
         assert not os.path.exists(path)
         qdir = os.path.join(store.cache_dir, "quarantine")
         assert os.listdir(qdir) == ["route__k9.pkl"]
@@ -74,8 +74,8 @@ class TestCorruptEntries:
             store.put("pack", key, key * 3)
             _truncate(_entry_path(store, "pack", key), 1)
         reader = _fresh_reader(store)
-        assert reader.get("pack", "a") is None
-        assert reader.get("pack", "b") is None
+        assert reader.get_if_present("pack", "a") is None
+        assert reader.get_if_present("pack", "b") is None
         assert reader.stats.corrupt == 2
         assert reader.stats.as_dict()["corrupt"] == 2
 
@@ -89,19 +89,19 @@ class TestCompatibilityAndDurability:
         path = store._path("validate", "legacy")
         with open(path, "wb") as fh:
             fh.write(pickle.dumps({"legacy": True}))
-        got = _fresh_reader(store).get("validate", "legacy")
+        got = _fresh_reader(store).get_if_present("validate", "legacy")
         assert got is not None and got.value == {"legacy": True}
 
     def test_fsync_round_trip(self, tmp_path):
         store = ArtifactStore(cache_dir=str(tmp_path / "c"), fsync=True)
         store.put("place", "k", ("durable",))
-        got = _fresh_reader(store).get("place", "k")
+        got = _fresh_reader(store).get_if_present("place", "k")
         assert got is not None and got.value == ("durable",)
 
     def test_memory_only_store_never_corrupts(self):
         store = ArtifactStore()
         store.put("place", "k", 1)
-        assert store.get("place", "k").value == 1
+        assert store.get_if_present("place", "k").value == 1
         assert store.stats.corrupt == 0
 
 
@@ -118,7 +118,7 @@ class TestStaleTmpSweep:
             os.path.basename(_entry_path(store, "place", "good"))
         ]
         # entries survive, repeat sweep is a no-op
-        assert _fresh_reader(store).get("place", "good").value == 7
+        assert _fresh_reader(store).get_if_present("place", "good").value == 7
         assert store.sweep_stale_tmp() == 0
 
     def test_stale_tmp_never_shadows_a_lookup(self, tmp_path):
@@ -130,7 +130,7 @@ class TestStaleTmpSweep:
         with open(os.path.join(stage_dir, "ghost.pkl.tmp"), "wb") as fh:
             fh.write(b"\x00\x01")
         reader = _fresh_reader(store)
-        assert reader.get("place", "ghost") is None
+        assert reader.get_if_present("place", "ghost") is None
         st = reader.stats.for_stage("place").as_dict()
         assert st["corrupt"] == 0 and st["misses"] == 1
 

@@ -2,10 +2,8 @@
 """Regenerate every paper artifact without pytest.
 
 Runs the five experiment drivers (Tables I/II, Fig. 7, §V-C.1, §V-C.2)
-and writes the results under ``results/``.  With MPI available, pass
-``--parallel`` to distribute the per-benchmark runs with mpi4py's
-``MPIPoolExecutor`` (the drivers are embarrassingly parallel over
-benchmarks; see DESIGN.md §7).
+and writes the results under ``results/`` (see ``docs/ARCHITECTURE.md``
+§2 for what each driver regenerates).
 
 Usage::
 
@@ -33,28 +31,13 @@ from repro.workloads import paper_suite
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--small", action="store_true", help="small benchmarks only")
-    ap.add_argument(
-        "--parallel",
-        action="store_true",
-        help="distribute benchmarks with mpi4py.futures (if installed)",
-    )
     args = ap.parse_args(argv)
-
-    map_fn = map
-    if args.parallel:
-        try:
-            from mpi4py.futures import MPIPoolExecutor  # type: ignore
-
-            pool = MPIPoolExecutor()
-            map_fn = pool.map
-        except ImportError:
-            print("mpi4py not available; running serially", file=sys.stderr)
 
     specs = paper_suite(small_only=args.small)
     jobs = [
-        ("table1_area", lambda: run_table1(specs, map_fn=map_fn)),
-        ("table2_depth", lambda: run_table2(specs, map_fn=map_fn)),
-        ("fig7_area_chart", lambda: run_fig7(specs, map_fn=map_fn)),
+        ("table1_area", lambda: run_table1(specs)),
+        ("table2_depth", lambda: run_table2(specs)),
+        ("fig7_area_chart", lambda: run_fig7(specs)),
         ("compile_time", lambda: run_compile_time(
             [s for s in specs if s.n_gates < 300] or specs[:1]
         )),
