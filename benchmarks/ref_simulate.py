@@ -257,15 +257,22 @@ class ReferenceLaneEngine(LaneEngine):
 def reference_online():
     """Run campaigns' online phase on the reference simulator: lane
     batches emulate on :class:`ReferenceLaneEngine` and golden passes
-    step :class:`SequentialSimulator`.  Patches in-process names only,
-    so campaigns must run with ``workers=1``."""
+    (:func:`repro.workloads.scenarios.packed_signal_traces`) step
+    :class:`ReferenceKernel` on the golden network itself.  Patches
+    in-process names only, so campaigns must run with ``workers=1``."""
     import repro.campaign.runner as runner
     import repro.workloads.scenarios as scenarios
 
-    saved = runner.LaneEngine, scenarios.SequentialSimulator
-    runner.LaneEngine = ReferenceLaneEngine
-    scenarios.SequentialSimulator = SequentialSimulator
+    names = [
+        (runner, "LaneEngine", ReferenceLaneEngine),
+        (scenarios, "CompiledSimulator", ReferenceKernel),
+        (scenarios, "program_for", lambda net, **_: net),
+    ]
+    saved = [getattr(module, name) for module, name, _ in names]
+    for module, name, value in names:
+        setattr(module, name, value)
     try:
         yield
     finally:
-        runner.LaneEngine, scenarios.SequentialSimulator = saved
+        for (module, name, _), value in zip(names, saved):
+            setattr(module, name, value)

@@ -21,8 +21,10 @@ This script walks ONE bug interactively.  For batch runs over many
 (design, bug) pairs — with the offline stage cached per design and the
 online sessions fanned out over worker processes — use the campaign API
 (:mod:`repro.campaign`, ``python -m repro.campaign``, and
-``examples/campaign_demo.py``), which drives this same localization loop
-via :func:`repro.campaign.localize_divergence`.
+``examples/campaign_demo.py``), which automates this same walk as lanes
+of one packed emulation (:func:`repro.campaign.run_scenario_batch`).
+Golden values here come from the campaign's golden simulator,
+:func:`repro.workloads.scenarios.signal_traces`.
 
 Run:  python examples/bug_hunt.py
 """
@@ -47,10 +49,9 @@ from repro import (
     inject_bug,
     run_generic_stage,
 )
-from repro.campaign import GoldenOracle
 from repro.campaign.localize import observable_frontier, untapped_region
 from repro.workloads import stimulus_script as _campaign_stimulus
-from repro.workloads.scenarios import po_trace
+from repro.workloads.scenarios import signal_traces
 
 
 def main() -> None:
@@ -78,7 +79,6 @@ def main() -> None:
     offline = run_generic_stage(buggy)
     session = DebugSession(offline)
     design = offline.instrumented
-    golden_sim = GoldenOracle(golden)
     stim = _stimulus_script(golden, fail_cycle + 1, seed=7)
 
     def diverges(signals: list[str]) -> dict[str, bool]:
@@ -105,7 +105,7 @@ def main() -> None:
             session.reset()
             session.run(fail_cycle + 1, stimulus=lambda c: stim[c])
             waves = session.waveforms()
-            expected = golden_sim.signals(stim, batch)
+            expected = signal_traces(golden, stim, batch)
             for s in batch:
                 exp = expected.get(s)
                 got = waves.get(s)
@@ -120,7 +120,7 @@ def main() -> None:
     # walk the divergence backward: a signal whose *observable* fan-in
     # frontier (the nearest tapped signals, crossing gates the mapper
     # absorbed) fully matches the golden model is the bug region's root
-    # (the same walk repro.campaign.localize_divergence automates)
+    # (the same walk repro.campaign.run_scenario_batch automates)
     net_b = design.network
     tapped = set(design.taps)
 
@@ -169,26 +169,29 @@ def _stimulus_script(net, n_cycles: int, seed: int) -> list[dict[str, int]]:
     return _campaign_stimulus(net, n_cycles, seed)
 
 
-def _run_pos(net, stim) -> list[dict[str, int]]:
-    return po_trace(net, stim)
+def _po_mismatches(golden, buggy, horizon: int) -> "list[tuple[int, str]]":
+    """Every ``(cycle, PO)`` where the two designs' outputs differ, in
+    cycle order (PO order within a cycle)."""
+    stim = _stimulus_script(golden, horizon, seed=7)
+    pos = list(golden.po_names)
+    a = signal_traces(golden, stim, pos)
+    b = signal_traces(buggy, stim, pos)
+    return [
+        (cyc, po)
+        for cyc in range(horizon)
+        for po in pos
+        if a[po][cyc] != b[po][cyc]
+    ]
 
 
 def _mismatch_cycle(golden, buggy, horizon: int) -> int | None:
-    stim = _stimulus_script(golden, horizon, seed=7)
-    a = _run_pos(golden, stim)
-    b = _run_pos(buggy, stim)
-    for cyc, (ra, rb) in enumerate(zip(a, b)):
-        if ra != rb:
-            return cyc
-    return None
+    hits = _po_mismatches(golden, buggy, horizon)
+    return hits[0][0] if hits else None
 
 
 def _failing_po(golden, buggy, cycle: int) -> str:
-    stim = _stimulus_script(golden, cycle + 1, seed=7)
-    a = _run_pos(golden, stim)[cycle]
-    b = _run_pos(buggy, stim)[cycle]
-    for po in a:
-        if a[po] != b[po]:
+    for cyc, po in _po_mismatches(golden, buggy, cycle + 1):
+        if cyc == cycle:
             return po
     raise RuntimeError("no failing PO at the mismatch cycle")
 

@@ -14,10 +14,10 @@ package exploits that asymmetry at batch scale:
 * :mod:`~repro.workloads.scenarios` — deterministic (design, bug) scenario
   generators: emulation-level stuck-at faults (shared offline artifact)
   and netlist mutations (per-revision artifacts);
-* :func:`run_scenario_batch` / :func:`localize_divergence` — the
-  automated online loop: detect the failure at the primary outputs, then
-  walk the divergence back through observable-frontier batches to the bug
-  region, many scenarios per packed emulation;
+* :func:`run_scenario_batch` — the automated online loop: detect the
+  failure at the primary outputs, then walk the divergence back through
+  observable-frontier batches to the bug region, many scenarios per
+  packed emulation (a lone scenario is a one-lane batch);
 * :func:`run_campaign` — the orchestrator: one build per distinct design
   and lane batches launched as builds land, on one dataflow scheduler and
   one worker pool, aggregated into a :class:`CampaignReport`;
@@ -34,13 +34,7 @@ Quick start::
 """
 
 from repro.campaign.cache import ArtifactStore, StoreStats, resolve_offline
-from repro.campaign.localize import (
-    GoldenOracle,
-    Localization,
-    divergence_walk,
-    golden_signal_traces,
-    localize_divergence,
-)
+from repro.campaign.localize import Localization, divergence_walk
 from repro.campaign.orchestrator import CampaignConfig, run_campaign
 from repro.campaign.results import STATUSES, CampaignReport, ScenarioResult
 from repro.campaign.runner import run_scenario_batch
@@ -56,12 +50,9 @@ __all__ = [
     "ArtifactStore",
     "StoreStats",
     "resolve_offline",
-    "GoldenOracle",
     "LaneEngine",
     "Localization",
     "divergence_walk",
-    "golden_signal_traces",
-    "localize_divergence",
     "CampaignConfig",
     "run_campaign",
     "STATUSES",

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from repro.campaign.cache import ArtifactStore, resolve_offline
@@ -102,11 +103,17 @@ def _parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="replace --designs with one synthetic N-gate campaign design "
-        "(sized freely — how the CI jobs build >64-scenario campaigns "
-        "without a paper benchmark large enough)",
+        help="replace --designs with one synthetic N-gate campaign design, "
+        "N >= 1 (sized freely — how the CI jobs build >64-scenario "
+        "campaigns without a paper benchmark large enough)",
     )
-    p.add_argument("--seed", type=int, default=2016)
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=2016,
+        help="root seed of scenario selection, a signed 128-bit integer "
+        "(default 2016)",
+    )
     p.add_argument(
         "--horizon",
         type=int,
@@ -184,9 +191,9 @@ def _parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="wall-clock budget per pooled task attempt, > 0; a timed-out "
-        "task is retried (see --task-retries) then reported as an error "
-        "result (default: no timeout)",
+        help="wall-clock budget per pooled task attempt, finite and > 0; "
+        "a timed-out task is retried (see --task-retries) then reported "
+        "as an error result (default: no timeout)",
     )
     p.add_argument(
         "--task-retries",
@@ -301,7 +308,8 @@ def _make_cache(args: argparse.Namespace) -> ArtifactStore | None:
     return None if args.no_cache else ArtifactStore(cache_dir=args.cache_dir)
 
 
-#: Lower bound of every integer option, checked before any work starts.
+#: Lower bound of every integer option, checked before any work starts
+#: (an unset ``--synthetic-gates`` is not checked).
 _MINIMUMS = {
     "workers": 1,
     "lane_width": 1,
@@ -309,18 +317,25 @@ _MINIMUMS = {
     "horizon": 1,
     "max_turns": 1,
     "task_retries": 0,
+    "synthetic_gates": 1,
 }
+
+#: Seeds are hashed as signed 128-bit integers (``util.rng.derive_seed``).
+_SEED_BOUND = 1 << 127
 
 
 def _usage_error(args: argparse.Namespace) -> str | None:
     """The first invalid option or option combination, else ``None``."""
     for name, low in _MINIMUMS.items():
         value = getattr(args, name)
-        if value < low:
+        if value is not None and value < low:
             flag = "--" + name.replace("_", "-")
             return f"{flag} must be at least {low}, got {value}"
-    if args.task_timeout is not None and args.task_timeout <= 0:
-        return f"--task-timeout must be positive, got {args.task_timeout:g}"
+    if not -_SEED_BOUND <= args.seed < _SEED_BOUND:
+        return f"--seed must be a signed 128-bit integer, got {args.seed}"
+    timeout = args.task_timeout
+    if timeout is not None and not (0 < timeout and math.isfinite(timeout)):
+        return f"--task-timeout must be positive and finite, got {timeout:g}"
     if args.assert_warm and args.no_cache:
         return "--assert-warm requires a cache (drop --no-cache)"
     if args.resume is not None and args.campaign_id is not None:

@@ -1,4 +1,4 @@
-"""Automatic bug localization over a debug session.
+"""Automatic bug localization: the frontier walk and its graph helpers.
 
 This is the campaign-grade version of the hunt ``examples/bug_hunt.py``
 narrates: starting from a failing primary output, repeatedly observe the
@@ -8,6 +8,11 @@ against a golden reference simulation, and walk to the first diverging
 frontier signal until the divergence has no diverging inputs — that signal
 roots the bug region.  Every frontier batch costs one debugging turn
 (an online respecialization), never a recompilation.
+
+:func:`divergence_walk` makes the walk's decisions as a generator; the
+campaign runner (:func:`repro.campaign.runner.run_scenario_batch`) is the
+only code that runs it, serving every lane of a batch from one packed
+emulation.
 """
 
 from __future__ import annotations
@@ -16,15 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.debug import DebugSession
 from repro.netlist.network import LogicNetwork
 
 __all__ = [
-    "GoldenOracle",
     "Localization",
     "divergence_walk",
-    "golden_signal_traces",
-    "localize_divergence",
     "mapped_frontier_fn",
     "observable_frontier",
     "untapped_region",
@@ -47,42 +48,6 @@ class Localization:
     """Frontier signals whose waveforms were compared against golden."""
     exhausted: bool = False
     """True when the walk stopped on its turn budget, not on convergence."""
-
-
-class GoldenOracle:
-    """Replays stimulus on the golden design, reading any internal signal.
-
-    The golden design is the *specification*: a plain simulation with full
-    visibility, standing in for the reference model an engineer diffs
-    waveforms against.
-    """
-
-    def __init__(self, net: LogicNetwork) -> None:
-        self.net = net
-
-    def signals(
-        self, stim: list[dict[str, int]], names: list[str]
-    ) -> dict[str, np.ndarray]:
-        """Golden traces (one uint8 array per signal) for ``names``."""
-        return golden_signal_traces(self.net, stim, names)
-
-
-def golden_signal_traces(
-    net: LogicNetwork,
-    stim: list[dict[str, int]],
-    names: list[str],
-) -> dict[str, np.ndarray]:
-    """Simulate ``net`` under ``stim`` recording the named signals.
-
-    One simulation pass serves any number of signals, so campaign runners
-    precompute the golden traces of *every* observable tap once per
-    scenario instead of re-simulating per frontier batch.  Delegates to
-    :func:`repro.workloads.scenarios.signal_traces` — the same loop PO
-    traces use, so golden and observed packing can never diverge.
-    """
-    from repro.workloads.scenarios import signal_traces
-
-    return signal_traces(net, stim, names)
 
 
 def _frontier_walk(net: LogicNetwork, is_tap, nid: int) -> list[str]:
@@ -188,15 +153,22 @@ def divergence_walk(
     waveforms (``{signal: uint8 array}``) back in; the generator's return
     value (via ``StopIteration``) is the :class:`Localization`.
 
-    Decoupling the walk's *decisions* from its *execution* is what lets
-    one code path serve both drivers: :func:`localize_divergence` runs a
-    single session turn per yield, while the lane-parallel batch runner
-    (:func:`repro.campaign.runner.run_scenario_batch`) advances up to 64
-    of these generators against one packed emulation — every still-active
-    lane gets one turn per emulation replay, and lanes retire as their
-    generators converge.  Because both drivers execute the identical
-    decision sequence, lane-batched campaigns produce byte-identical
-    outcomes to serial ones.
+    ``golden_traces`` holds reference waveforms (one ``uint8`` array per
+    signal) for at least every tapped signal the walk may touch;
+    ``frontier_fn`` (``name -> [frontier signal names]``) defaults to the
+    source-level :func:`observable_frontier` — pass
+    :func:`mapped_frontier_fn` for emulation-level faults.  The walk
+    reports ``exhausted=True`` instead of looping when it runs out of its
+    ``max_turns`` budget.
+
+    Decoupling the walk's *decisions* from its *execution* lets the
+    lane-parallel batch runner
+    (:func:`repro.campaign.runner.run_scenario_batch`, its only caller)
+    advance any number of these generators against one packed emulation:
+    every still-active lane gets one turn per emulation replay, and lanes
+    retire as their generators converge.  Each lane's decision sequence
+    depends only on its own waveforms, so outcomes are byte-identical at
+    every lane width.
     """
     net = design.network
     tapped = set(design.taps)
@@ -282,60 +254,3 @@ def divergence_walk(
         signals_checked=checked,
         exhausted=exhausted,
     )
-
-
-def localize_divergence(
-    session: DebugSession,
-    golden_traces: dict[str, np.ndarray],
-    failing_po: str,
-    stim: list[dict[str, int]],
-    *,
-    max_turns: int = 48,
-    frontier_fn=None,
-) -> Localization:
-    """Walk the divergence from ``failing_po`` back to its root cause.
-
-    A driver over :func:`divergence_walk`: every batch the walk yields
-    costs one observe + replay turn on ``session``.
-
-    Parameters
-    ----------
-    session:
-        An online debug session on the design under test; any active
-        :meth:`~repro.core.debug.DebugSession.force` faults stay in effect,
-        so emulation-level bug scenarios localize with the same machinery
-        as netlist-level ones.
-    golden_traces:
-        Reference waveforms for (at least) every tapped signal the walk may
-        touch — see :func:`golden_signal_traces`.
-    failing_po:
-        Name of the primary output where the failure was first seen.
-    stim:
-        Per-cycle stimulus up to and including the failure cycle.
-    max_turns:
-        Budget of debugging turns; the walk reports ``exhausted=True``
-        instead of looping when a pathological design exceeds it.
-    frontier_fn:
-        ``name -> [frontier signal names]`` override; defaults to the
-        source-level :func:`observable_frontier`.  Pass
-        :func:`mapped_frontier_fn` for emulation-level faults.
-    """
-    n_cycles = len(stim)
-    walk = divergence_walk(
-        session.design,
-        golden_traces,
-        failing_po,
-        n_cycles,
-        max_turns=max_turns,
-        frontier_fn=frontier_fn,
-    )
-    waves = None
-    while True:
-        try:
-            batch = walk.send(waves)
-        except StopIteration as stop:
-            return stop.value
-        session.observe(batch)
-        session.reset()
-        session.run(n_cycles, stimulus=lambda c: stim[c])
-        waves = session.waveforms()

@@ -387,10 +387,10 @@ def plan(
     out.batches = {
         gkey: [
             items[base : base + width]
-            for items in by_golden.values()
+            for items in keyed.values()
             for base in range(0, len(items), width)
         ]
-        for gkey, by_golden in lanes.items()
+        for gkey, keyed in lanes.items()
     }
     out.pooled_online = config.workers > 1 and out.n_batches > 1
     return out

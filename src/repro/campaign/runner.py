@@ -1,19 +1,21 @@
 """Scenario execution: detection + localization as lanes of one engine.
 
-:func:`run_scenario_batch` binds any number of scenarios *sharing one
-offline artifact* (and one horizon) to the lanes of a single
+:func:`run_scenario_batch` is the only code that runs the online loop.
+It binds any number of scenarios *sharing one offline artifact, one golden
+design and one horizon* to the lanes of a single
 :class:`~repro.engine.LaneEngine` — 64 per packed word, further words
-added beyond that — one packed golden pass, one packed detection run
-(with a per-lane early exit: the moment every live lane has diverged, the
-rest of the horizon is skipped), and a batched frontier walk where every
-observe+replay turn advances every still-active lane, retiring lanes as
-their walks converge.  A lone scenario is a one-lane batch.
+added beyond that — then runs one packed golden pass
+(:func:`~repro.workloads.scenarios.packed_signal_traces`), one packed
+detection run through the shared detector
+(:func:`~repro.workloads.scenarios.first_divergence`, which stops the
+moment every live lane has diverged) and a batched frontier walk where
+every observe+replay turn advances every still-active lane, retiring
+lanes as their walks converge.  A lone scenario is a one-lane batch.
 
 It is a pure function of ``(scenarios, offline artifact)`` — stimulus,
 golden model and bug reproduction all derive deterministically from the
-scenario — and every lane drives the same
-:func:`~repro.campaign.localize.divergence_walk` decision generator the
-interactive :func:`~repro.campaign.localize.localize_divergence` does,
+scenario — and every lane drives its own
+:func:`~repro.campaign.localize.divergence_walk` decision generator,
 which is what guarantees byte-identical outcomes at every lane width and
 worker count.
 """
@@ -29,10 +31,10 @@ from repro.campaign.localize import (
 from repro.campaign.results import ScenarioResult
 from repro.core.flow import OfflineStage
 from repro.engine import LaneEngine
-from repro.netlist.network import LogicNetwork
 from repro.util.trace import Trace
 from repro.workloads.scenarios import (
     DebugScenario,
+    first_divergence,
     packed_signal_traces,
     stimulus_script,
 )
@@ -75,21 +77,22 @@ def run_scenario_batch(
 ) -> list[ScenarioResult]:
     """Run many scenarios' online loops as lanes of one packed engine.
 
-    Every scenario must share ``offline`` (the orchestrator groups by
-    offline cache key) and the same horizon — lanes advance in lockstep,
-    so one replay length must serve the whole batch.  Batches wider than
-    64 simply span multiple packed words (lane *k* = word ``k // 64``,
-    bit ``k % 64``).  Phases:
+    Every scenario must share ``offline``, the golden design (spec and
+    design seed) and the horizon — the orchestrator batches by all
+    three, and lanes advance in lockstep, so one replay length must serve
+    the whole batch; a mixed batch yields an error result per lane.
+    Batches wider than 64 simply span multiple packed words (lane *k* =
+    word ``k // 64``, bit ``k % 64``).  Phases:
 
     1. *setup* — one :class:`~repro.engine.LaneEngine`; each ``stuck_at``
        scenario's fault is armed on its lane only (``lane_mask``);
-    2. *golden* — **one** packed reference pass over the shared golden
-       design, every lane's stimulus in its bit of the packed words;
-    3. *detect* — one packed emulation compared cycle by cycle against
-       the packed golden PO words, with a per-lane early exit: the run
-       stops the moment every live lane has diverged (lanes that never
-       diverge keep it going to the full horizon, so ``undetected``
-       verdicts are unchanged);
+    2. *golden* — **one** packed reference pass over the golden design,
+       lane *k*'s stimulus in bit *k* of the packed words;
+    3. *detect* — :func:`~repro.workloads.scenarios.first_divergence`:
+       one packed emulation compared cycle by cycle against the packed
+       golden PO words, stopping the moment every live lane has diverged
+       (lanes that never diverge keep it going to the full horizon, so
+       ``undetected`` verdicts are unchanged);
     4. *localize* — a batched frontier walk: each detected lane runs its
        own :func:`~repro.campaign.localize.divergence_walk` generator,
        and every observe+replay turn serves all still-active lanes at
@@ -120,22 +123,21 @@ def run_scenario_batch(
     if not scenarios:
         return results
     horizon = scenarios[0].horizon
+    golden_id = (scenarios[0].spec, scenarios[0].design_seed)
     live: list[int] = []
 
     try:
-        # a golden design is a pure function of (spec, design_seed) and a
-        # stimulus of (golden, stimulus_seed): generate each distinct one
-        # once and share it (read-only) among its lanes
-        by_design: dict[tuple, LogicNetwork] = {}
-        goldens: list[LogicNetwork] = []
-        for sc in scenarios:
-            key = (sc.spec, sc.design_seed)
-            if key not in by_design:
-                by_design[key] = sc.golden_network()
-            goldens.append(by_design[key])
+        # the orchestrator batches by golden design and horizon: one
+        # golden network (a pure function of spec and design seed) and
+        # one stimulus per stimulus seed serve every lane
+        golden = scenarios[0].golden_network()
         for lane, sc in enumerate(scenarios):
+            if (sc.spec, sc.design_seed) != golden_id:
+                raise ValueError(
+                    "batched scenarios must share one golden design"
+                )
             if sc.kind == "mutation":
-                bug = sc.reproduce_bug(goldens[lane].copy())
+                bug = sc.reproduce_bug(golden.copy())
                 results[lane].truth = bug.node_name
             if sc.horizon != horizon:
                 raise ValueError("batched scenarios must share one horizon")
@@ -147,15 +149,14 @@ def run_scenario_batch(
                 trace_depth=max(horizon, offline.config.trace_depth),
                 program_store=store,
             )
-            by_stim: dict[tuple, list[dict[str, int]]] = {}
+            by_seed: dict[int, list[dict[str, int]]] = {}
             stims: list[list[dict[str, int]]] = []
             for lane, sc in enumerate(scenarios):
-                key = (sc.spec, sc.design_seed, sc.stimulus_seed)
-                if key not in by_stim:
-                    by_stim[key] = stimulus_script(
-                        goldens[lane], horizon, sc.stimulus_seed
+                if sc.stimulus_seed not in by_seed:
+                    by_seed[sc.stimulus_seed] = stimulus_script(
+                        golden, horizon, sc.stimulus_seed
                     )
-                stims.append(by_stim[key])
+                stims.append(by_seed[sc.stimulus_seed])
                 engine.bind_stimulus(lane, stims[lane])
                 try:
                     if sc.kind == "stuck_at":
@@ -173,67 +174,19 @@ def run_scenario_batch(
 
         design = engine.design
         tap_names = [design.network.node_name(t) for t in design.taps]
-        trace_names = tap_names + engine.user_po_names
+        po_names = engine.user_po_names
 
         with trace.span("golden"):
-            # lanes sharing a golden design share one packed reference
-            # pass — the common all-stuck-at batch pays for exactly one
-            packed_golden: list[dict[str, np.ndarray] | None] = [None] * n
-            by_golden: dict[tuple, list[int]] = {}
-            for lane in live:
-                sc = scenarios[lane]
-                by_golden.setdefault((sc.spec, sc.design_seed), []).append(lane)
-            for lanes in by_golden.values():
-                packed = packed_signal_traces(
-                    goldens[lanes[0]],
-                    [stims[l] for l in lanes],
-                    trace_names,
-                )
-                for l, golden in zip(lanes, _lane_slices(packed, len(lanes))):
-                    packed_golden[l] = golden
+            # one packed pass: lane k's golden values are bit k, the
+            # layout of the engine the detector compares against
+            packed = packed_signal_traces(golden, stims, tap_names + po_names)
+            lane_golden = _lane_slices(packed, n)
 
         with trace.span("detect"):
-            po_names = engine.user_po_names
-            # word-packed golden PO values per (cycle, po), built from the
-            # per-lane slices so lanes from different golden groups land
-            # on their own bits; po_lane_masks[j] marks the lanes whose
-            # golden model drives that PO at all (absent ⇒ cannot diverge)
-            n_pos = len(po_names)
-            golden_words = [[0] * n_pos for _ in range(horizon)]
-            po_lane_masks = [0] * n_pos
-            for j, po in enumerate(po_names):
-                for lane in live:
-                    exp = packed_golden[lane].get(po)
-                    if exp is None:
-                        continue
-                    po_lane_masks[j] |= 1 << lane
-                    lane_bit = 1 << lane
-                    for c in np.flatnonzero(exp[:horizon]):
-                        golden_words[int(c)][j] |= lane_bit
-
-            undiverged = 0
-            for lane in live:
-                undiverged |= 1 << lane
-            first_div: dict[int, tuple[int, int]] = {}
-
-            def _all_diverged(c: int, row_ints: "list[int]") -> bool:
-                # scanning POs in order and retiring a lane at its first
-                # hit records its earliest (cycle, po), ties by PO order
-                nonlocal undiverged
-                gw = golden_words[c]
-                for j, got in enumerate(row_ints):
-                    d = (got ^ gw[j]) & po_lane_masks[j] & undiverged
-                    while d:
-                        low = d & -d
-                        first_div[low.bit_length() - 1] = (c, j)
-                        undiverged &= ~low
-                        d ^= low
-                return undiverged == 0
-
-            engine.run_outputs(horizon, lanes=live, stop=_all_diverged)
+            hits = first_divergence(engine, packed, live, horizon)
             detected: list[int] = []
             for lane in live:
-                hit = first_div.get(lane)
+                hit = hits.get(lane)
                 if hit is None:
                     results[lane].status = "undetected"
                 else:
@@ -249,7 +202,7 @@ def run_scenario_batch(
             for lane in detected:
                 walks[lane] = divergence_walk(
                     design,
-                    packed_golden[lane],
+                    lane_golden[lane],
                     results[lane].failing_po,
                     horizon,
                     max_turns=max_turns,

@@ -5,8 +5,11 @@ Boolean functions of the parameterized configuration for the chosen
 parameter values and swaps the changed configuration frames into the FPGA
 through the HWICAP.  Here it wraps a
 :class:`~repro.core.pconf.ParameterizedBitstream` plus a frame geometry,
-tracks the currently-loaded configuration, and reports both the measured
-software cost and the modeled on-device cost of every respecialization.
+tracks the currently-loaded configuration, and reports the modeled
+on-device cost of every respecialization.  Records carry no host time:
+the §V-C.2 experiment (``analysis.experiments.run_runtime_overhead``) and
+``benchmarks/bench_runtime_overhead.py`` time
+:meth:`~repro.core.pconf.ParameterizedBitstream.specialize` themselves.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ class SpecializationRecord:
     stats: SpecializeStats
     frames_touched: tuple[int, ...]
     device_cost: ReconfigCostReport
-    software_seconds: float
 
 
 @dataclass
@@ -69,11 +71,7 @@ class SpecializedConfigGenerator:
 
     def load_full(self, assignment: ParameterAssignment) -> SpecializationRecord:
         """Initial full configuration load (all frames written)."""
-        import time
-
-        t0 = time.perf_counter()
         bits, stats = self.pconf.specialize(assignment)
-        sw = time.perf_counter() - t0
         self.current_bits = bits
         frames = tuple(range(self.n_frames))
         cost = ReconfigCostReport(
@@ -93,8 +91,7 @@ class SpecializedConfigGenerator:
             debug_turn_s=self.model.debug_turn_s(),
         )
         rec = SpecializationRecord(
-            stats=stats, frames_touched=frames, device_cost=cost,
-            software_seconds=sw,
+            stats=stats, frames_touched=frames, device_cost=cost
         )
         self.history.append(rec)
         return rec
@@ -108,11 +105,7 @@ class SpecializedConfigGenerator:
         """
         if self.current_bits is None:
             raise SpecializationError("no configuration loaded; call load_full")
-        import time
-
-        t0 = time.perf_counter()
         bits, stats = self.pconf.specialize(assignment)
-        sw = time.perf_counter() - t0
         frames = self._frames_of_changes(self.current_bits, bits)
         self.current_bits = bits
         cost = self.model.report(
@@ -121,8 +114,7 @@ class SpecializedConfigGenerator:
             n_frames_touched=len(frames),
         )
         rec = SpecializationRecord(
-            stats=stats, frames_touched=frames, device_cost=cost,
-            software_seconds=sw,
+            stats=stats, frames_touched=frames, device_cost=cost
         )
         self.history.append(rec)
         return rec

@@ -77,7 +77,6 @@ class DebugTurnLog:
     cycles_run: int
     modeled_overhead_s: float
     frames_touched: int
-    software_s: float
 
 
 class LaneEngine:
@@ -262,7 +261,6 @@ class LaneEngine:
                 cycles_run=0,
                 modeled_overhead_s=rec.device_cost.specialization_s,
                 frames_touched=len(rec.frames_touched),
-                software_s=rec.software_seconds,
             )
         )
         return dict(self._observed[lane])

@@ -371,7 +371,7 @@ def program_for(net: LogicNetwork, *, store=None) -> CompiledProgram:
     """The compiled program for ``net``, through every cache level.
 
     ``store`` (an :class:`~repro.pipeline.ArtifactStore` or anything with
-    its ``get``/``put`` protocol) persists programs under the
+    its ``get_if_present``/``put`` protocol) persists programs under the
     :data:`COMPILED_SIM_STAGE` pseudo-stage keyed by the structural
     signature, so a warm campaign restart pays zero compilations; in-
     process, programs are memoized per network instance (signature-
@@ -447,9 +447,11 @@ class CompiledSimulator:
     across resets, and feeds a block's later cycles the recorded states
     (see :meth:`run_block`).
 
-    The lane engine steps this class directly; the dict-of-arrays API
-    is :class:`repro.netlist.simulate.SequentialSimulator`, which wraps
-    this class and converts at its boundary.
+    The lane engine and golden passes
+    (:func:`repro.workloads.scenarios.packed_signal_traces`) step this
+    class directly on word-packed integers; the dict-of-arrays API is
+    :class:`repro.netlist.simulate.SequentialSimulator`, which wraps this
+    class and converts at its boundary.
     """
 
     #: The kernel backend, as reports name it (see :func:`resolve_backend`).

@@ -13,11 +13,12 @@ node's value back as an array:
 
 * :func:`simulate_combinational` — evaluate every node given source values;
 * :class:`SequentialSimulator` — cycle-accurate simulation with latch state,
-  used by golden reference passes, the bitstream emulator and the
-  debug-loop examples.
+  used by the bitstream emulator, fault injection and equivalence checks.
 
-The lane engine steps a :class:`~repro.netlist.compiled.CompiledSimulator`
-directly and never builds the per-node arrays.
+The lane engine and the golden pass
+(:func:`repro.workloads.scenarios.packed_signal_traces`) step a
+:class:`~repro.netlist.compiled.CompiledSimulator` directly and never
+build the per-node arrays.
 """
 
 from __future__ import annotations

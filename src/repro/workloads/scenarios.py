@@ -20,18 +20,25 @@ never lands — and mutations on a source-level simulation of the mutated
 copy.  The campaign runner still reports a scenario whose fault stays
 invisible on the emulated design as ``undetected`` (the paper's
 motivating problem).
+
+The module also holds the scenario path's two shared halves:
+:func:`packed_signal_traces`, the one golden simulator (many stimuli as
+the lanes of one compiled pass; :func:`signal_traces` is its lane 0), and
+:func:`first_divergence`, the one detector comparing a lane engine's
+primary outputs with those golden words — used by stuck-at screening
+here and by :func:`repro.campaign.runner.run_scenario_batch`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.netlist.compiled import int_to_words
+from repro.netlist.compiled import CompiledSimulator, program_for, words_to_int
 from repro.netlist.network import LogicNetwork
-from repro.netlist.simulate import SequentialSimulator
 from repro.util.bitops import pack_lane_scripts, words_for_bits
 from repro.util.rng import RngHub, derive_seed
 from repro.workloads.generator import generate_circuit
@@ -44,12 +51,10 @@ __all__ = [
     "stimulus_script",
     "signal_traces",
     "packed_signal_traces",
-    "po_trace",
+    "first_divergence",
     "stuck_at_scenarios",
     "mutation_scenarios",
 ]
-
-_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 @dataclass(frozen=True)
@@ -176,29 +181,14 @@ def signal_traces(
 ) -> dict[str, np.ndarray]:
     """Simulate ``net`` under ``stim`` recording the named signals.
 
-    The single per-cycle PI-packing loop every reference trace derives
-    from — golden oracles (:func:`repro.campaign.golden_signal_traces`)
-    and PO traces (:func:`po_trace`) are views over it, so value packing
-    can never diverge between them.  One simulation pass serves any
-    number of signals; names absent from ``net`` are skipped.
+    Lane 0 of :func:`packed_signal_traces`, one ``uint8`` array (one
+    entry per cycle) per signal.  Names absent from ``net`` are skipped;
+    PIs missing from a stimulus row read 0.
     """
-    sim = SequentialSimulator(net, n_words=1)
-    traces: dict[str, list[int]] = {
-        n: [] for n in names if net.find(n) is not None
+    return {
+        n: (arr[:, 0] & np.uint64(1)).astype(np.uint8)
+        for n, arr in packed_signal_traces(net, [stim], names).items()
     }
-    for cyc_stim in stim:
-        values = sim.step(
-            {
-                p: np.array(
-                    [_ALL_ONES if cyc_stim[net.node_name(p)] else 0],
-                    dtype=np.uint64,
-                )
-                for p in net.pis
-            }
-        )
-        for n in traces:
-            traces[n].append(int(values[net.require(n)][0] & np.uint64(1)))
-    return {n: np.array(v, dtype=np.uint8) for n, v in traces.items()}
 
 
 def packed_signal_traces(
@@ -208,103 +198,92 @@ def packed_signal_traces(
 ) -> dict[str, np.ndarray]:
     """Lane-packed golden traces: one simulation pass for many stimuli.
 
-    ``stims`` holds one per-cycle stimulus script per lane (all the same
-    length); every 64 lanes occupy one ``uint64`` word, so the returned
-    arrays have shape ``(n_cycles, n_words)``.  Bit ``k % 64`` of word
-    ``k // 64`` of ``traces[name][cyc]`` is what :func:`signal_traces`
-    would report for ``name`` on cycle ``cyc`` under ``stims[k]`` — the
-    simulator evaluates every lane's golden reference in the same bitwise
-    operations, which is what lets the lane-parallel campaign runner pay
-    for one golden pass per *batch* instead of one per scenario.  Extract
-    lane ``k`` with ``((arr[:, k // 64] >> (k % 64)) & 1).astype(np.uint8)``.
+    The one golden simulator — campaign batches, stuck-at and mutation
+    screening and :func:`signal_traces` all read their reference values
+    from it.  ``stims`` holds one per-cycle ``{pi name: 0/1}`` script per
+    lane (all the same length; missing PIs read 0); every 64 lanes occupy
+    one ``uint64`` word, so the returned arrays have shape ``(n_cycles,
+    n_words)`` and bit ``k % 64`` of word ``k // 64`` of
+    ``traces[name][cyc]`` is lane ``k``'s value of ``name`` on cycle
+    ``cyc``.  Names absent from ``net`` are skipped.
+
+    The pass steps the network's
+    :class:`~repro.netlist.compiled.CompiledSimulator` directly on the
+    word-packed PI integers of
+    :func:`~repro.util.bitops.pack_lane_scripts` and reads only the named
+    nodes each cycle.
     """
     n_words = max(1, words_for_bits(len(stims)))
-    if not stims:
-        return {n: np.zeros((0, n_words), dtype=np.uint64) for n in names}
-    n_cycles = len(stims[0])
+    n_cycles = len(stims[0]) if stims else 0
     if any(len(s) != n_cycles for s in stims):
         raise WorkloadError("stimulus lanes must share one horizon")
-    sim = SequentialSimulator(net, n_words=n_words)
     names = [n for n in names if net.find(n) is not None]
-    traces = {n: np.zeros((n_cycles, n_words), dtype=np.uint64) for n in names}
-    name_ids = {n: net.require(n) for n in names}
-    # pack each PI's whole script once: one word-packed integer per cycle
-    packed_pis = pack_lane_scripts(
+    nodes = [net.require(n) for n in names]
+    pi_words = pack_lane_scripts(
         stims, {p: net.node_name(p) for p in net.pis}, n_cycles
     )
+    sim = CompiledSimulator(program_for(net), n_words=n_words)
+    rows = []
     for cyc in range(n_cycles):
-        values = sim.step(
-            {
-                p: int_to_words(script[cyc], n_words)
-                for p, script in packed_pis.items()
-            }
-        )
-        for n, nid in name_ids.items():
-            traces[n][cyc] = values[nid]
-    return traces
+        sim.step({p: words[cyc] for p, words in pi_words.items()})
+        rows.append(sim.node_ints(nodes))
+    wb = 8 * n_words
+    data = bytearray().join(
+        x.to_bytes(wb, "little") for column in zip(*rows) for x in column
+    )
+    packed = np.frombuffer(data, dtype=np.uint64).reshape(
+        len(names), n_cycles, n_words
+    )
+    return {n: packed[i] for i, n in enumerate(names)}
 
 
-def po_trace(
-    net: LogicNetwork, stim: list[dict[str, int]]
-) -> list[dict[str, int]]:
-    """Primary-output values per cycle of ``net`` under ``stim``.
+def first_divergence(
+    engine,
+    golden: dict[str, np.ndarray],
+    lanes: Sequence[int],
+    horizon: int,
+) -> dict[int, tuple[int, int]]:
+    """Where each of ``lanes`` first leaves the golden primary outputs.
 
-    The golden reference trace failure detection and scenario screening
-    compare against (stuck-at candidates themselves are screened on the
-    mapped emulation, as forced faults on the lanes of a
-    :class:`~repro.engine.LaneEngine`).
+    The one divergence detector: campaign batches and stuck-at screening
+    both call it.  ``golden`` holds lane-packed traces in ``engine``'s
+    lane layout (:func:`packed_signal_traces`, at least ``horizon``
+    cycles); one :meth:`~repro.engine.LaneEngine.run_outputs` call from
+    the engine's current state compares every cycle's PO words with them
+    and stops the moment every lane of ``lanes`` has diverged — a lane
+    that never diverges keeps it going to ``horizon``.  POs missing from
+    ``golden`` cannot diverge.
+
+    Returns ``{lane: (cycle, PO index)}`` for every diverged lane: its
+    earliest cycle, ties broken by the order of ``engine.user_po_names``.
     """
-    traces = signal_traces(net, stim, list(net.po_names))
-    return [
-        {po: int(traces[po][cyc]) for po in traces}
-        for cyc in range(len(stim))
+    checked = [
+        (j, [words_to_int(row) for row in golden[po]])
+        for j, po in enumerate(engine.user_po_names)
+        if po in golden
     ]
+    undiverged = 0
+    for lane in lanes:
+        undiverged |= 1 << lane
+    first: dict[int, tuple[int, int]] = {}
+
+    def all_diverged(cycle: int, row_ints: list[int]) -> bool:
+        nonlocal undiverged
+        for j, want in checked:
+            d = (row_ints[j] ^ want[cycle]) & undiverged
+            undiverged ^= d
+            while d:
+                low = d & -d
+                first[low.bit_length() - 1] = (cycle, j)
+                d ^= low
+        return undiverged == 0
+
+    engine.run_outputs(horizon, lanes=lanes, stop=all_diverged)
+    return first
 
 
 def _resolve_spec(spec: BenchmarkSpec | str) -> BenchmarkSpec:
     return get_spec(spec) if isinstance(spec, str) else spec
-
-
-def _observable_faults(
-    engine,
-    signals: list[str],
-    golden_pos: list[dict[str, int]],
-    po_names: set[str],
-    horizon: int,
-) -> list[tuple[bool, bool]]:
-    """Which stuck values of ``signals`` show at a golden primary output.
-
-    Lane ``2 * i + v`` of ``engine`` forces ``signals[i]`` to ``v`` (any
-    further lanes stay clean and unchecked); one packed run from reset
-    compares every lane's primary outputs with ``golden_pos`` and stops
-    once every forced lane has diverged.  Returns ``(stuck-at-0
-    observable, stuck-at-1 observable)`` per signal.
-    """
-    live = (1 << 2 * len(signals)) - 1
-    for lane in range(engine.n_lanes):
-        engine.clear_forces(lane)
-    for i, signal in enumerate(signals):
-        for value in (0, 1):
-            engine.force(signal, value, lane=2 * i + value)
-    engine.reset()
-    checked = [
-        (j, po) for j, po in enumerate(engine.user_po_names) if po in po_names
-    ]
-    undiverged = live
-
-    def all_diverged(cycle: int, row_ints: "list[int]") -> bool:
-        nonlocal undiverged
-        want = golden_pos[cycle]
-        for j, po in checked:
-            undiverged &= ~(row_ints[j] ^ (live if want[po] else 0))
-        return undiverged == 0
-
-    engine.run_outputs(horizon, stop=all_diverged)
-    diverged = live & ~undiverged
-    return [
-        (bool(diverged >> (2 * i) & 1), bool(diverged >> (2 * i + 1) & 1))
-        for i in range(len(signals))
-    ]
 
 
 def stuck_at_scenarios(
@@ -330,12 +309,13 @@ def stuck_at_scenarios(
     Screening runs as packed lanes of one
     :class:`~repro.engine.LaneEngine`: each round takes the next
     ``n − accepted`` candidates, forces both stuck values of each on a
-    lane of its own and emulates them together
-    (:func:`_observable_faults`).  The seeded selection then reads those
-    verdicts candidate by candidate; a round can accept at most one fault
-    per candidate, so it never screens a candidate the selection would
-    not visit, and the accepted list equals a one-candidate-at-a-time
-    screen's.
+    lane of its own and emulates them together against one golden pass
+    (the scenario stimulus in every lane), through the campaign runner's
+    detector (:func:`first_divergence`).  The seeded selection then reads
+    those verdicts candidate by candidate; a round can accept at most one
+    fault per candidate, so it never screens a candidate the selection
+    would not visit, and the accepted list equals a
+    one-candidate-at-a-time screen's.
 
     ``offline`` optionally supplies the design's offline artifact (e.g.
     from a campaign cache); by default one generic-stage run is performed
@@ -348,7 +328,6 @@ def stuck_at_scenarios(
     spec = _resolve_spec(spec)
     golden = generate_circuit(spec, design_seed)
     stim = stimulus_script(golden, horizon, stimulus_seed)
-    golden_pos = po_trace(golden, stim)
     if offline is None:
         offline = run_generic_stage(golden)
     po_names = set(golden.po_names)
@@ -365,17 +344,28 @@ def stuck_at_scenarios(
         engine = LaneEngine(offline, n_lanes=2 * min(n, len(order)))
         for lane in range(engine.n_lanes):
             engine.bind_stimulus(lane, stim)
+        golden_pos = packed_signal_traces(
+            golden, [stim] * engine.n_lanes, list(golden.po_names)
+        )
         screened = 0
         while len(scenarios) < n and screened < len(order):
             batch = order[screened : screened + n - len(scenarios)]
             screened += len(batch)
-            verdicts = _observable_faults(
-                engine, batch, golden_pos, po_names, horizon
+            # lane 2 * i + v forces batch[i] to v; further lanes stay clean
+            for lane in range(engine.n_lanes):
+                engine.clear_forces(lane)
+            for i, signal in enumerate(batch):
+                for value in (0, 1):
+                    engine.force(signal, value, lane=2 * i + value)
+            engine.reset()
+            diverged = first_divergence(
+                engine, golden_pos, range(2 * len(batch)), horizon
             )
-            for signal, observable in zip(batch, verdicts):
+            for i, signal in enumerate(batch):
                 first = int(rng.integers(0, 2))
                 value = next(
-                    (v for v in (first, 1 - first) if observable[v]), None
+                    (v for v in (first, 1 - first) if 2 * i + v in diverged),
+                    None,
                 )
                 if value is None:
                     continue
@@ -426,7 +416,8 @@ def mutation_scenarios(
     spec = _resolve_spec(spec)
     golden = generate_circuit(spec, design_seed)
     stim = stimulus_script(golden, horizon, stimulus_seed)
-    golden_pos = po_trace(golden, stim)
+    po_names = list(golden.po_names)
+    golden_pos = signal_traces(golden, stim, po_names)
 
     scenarios: list[DebugScenario] = []
     attempt = 0
@@ -436,8 +427,11 @@ def mutation_scenarios(
         attempt += 1
         trial = golden.copy()
         bug = inject_bug(trial, np.random.default_rng(bug_seed))
-        buggy_pos = po_trace(trial, stim)
-        if all(a == b for a, b in zip(golden_pos, buggy_pos)):
+        buggy_pos = signal_traces(trial, stim, po_names)
+        if all(
+            np.array_equal(buggy_pos[po], want)
+            for po, want in golden_pos.items()
+        ):
             continue
         if cleanup(trial).find(bug.node_name) is None:
             continue

@@ -18,7 +18,9 @@ share:
   path;
 * a **one-candidate-at-a-time stuck-at screen**
   (:func:`reference_stuck_at_scenarios`) — the oracle for the packed
-  screening of :func:`repro.workloads.scenarios.stuck_at_scenarios`.
+  screening of :func:`repro.workloads.scenarios.stuck_at_scenarios`,
+  its golden outputs from :func:`reference_traces` (the reference
+  evaluator, not the package's golden simulator).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "reference_eval",
     "reference_sequential",
     "reference_stuck_at_scenarios",
+    "reference_traces",
 ]
 
 
@@ -218,6 +221,30 @@ def reference_sequential(
     return out
 
 
+def reference_traces(
+    net: LogicNetwork,
+    stims: "list[list[dict[str, int]]]",
+    names: "list[str]",
+    n_words: int,
+) -> dict[str, list[int]]:
+    """Golden traces from :func:`reference_sequential`: per name, one
+    word-packed integer per cycle, lane *k* driven by the per-cycle
+    ``{pi name: 0/1}`` script ``stims[k]`` (PIs missing from a row read
+    0)."""
+    rows = [
+        {
+            p: sum(
+                (int(stim[c].get(net.node_name(p), 0)) & 1) << k
+                for k, stim in enumerate(stims)
+            )
+            for p in net.pis
+        }
+        for c in range(len(stims[0]))
+    ]
+    values = reference_sequential(net, rows, n_words)
+    return {n: [v[net.require(n)] for v in values] for n in names}
+
+
 def reference_stuck_at_scenarios(
     spec,
     n: int,
@@ -243,17 +270,13 @@ def reference_stuck_at_scenarios(
     from repro.errors import WorkloadError
     from repro.util.rng import RngHub
     from repro.workloads.generator import generate_circuit
-    from repro.workloads.scenarios import (
-        DebugScenario,
-        po_trace,
-        stimulus_script,
-    )
+    from repro.workloads.scenarios import DebugScenario, stimulus_script
     from repro.workloads.suites import get_spec
 
     spec = get_spec(spec) if isinstance(spec, str) else spec
     golden = generate_circuit(spec, design_seed)
     stim = stimulus_script(golden, horizon, stimulus_seed)
-    golden_pos = po_trace(golden, stim)
+    golden_pos = reference_traces(golden, [stim], list(golden.po_names), 1)
     if offline is None:
         offline = run_generic_stage(golden)
     session = DebugSession(offline)
@@ -272,9 +295,9 @@ def reference_stuck_at_scenarios(
         session.reset()
         observed = session.output_trace(horizon, stimulus=lambda c: stim[c])
         return any(
-            po in want and row[po] != want[po]
-            for row, want in zip(observed, golden_pos)
-            for po in row
+            po in golden_pos and got != golden_pos[po][cycle] & 1
+            for cycle, row in enumerate(observed)
+            for po, got in row.items()
         )
 
     scenarios = []

@@ -226,6 +226,38 @@ def _compiled_vs_reference(scenarios) -> None:
     assert compiled == reference
 
 
+def test_reference_online_golden_pass_steps_reference_kernel(monkeypatch):
+    """Under ``reference_online`` the golden pass steps the reference
+    simulator, cycle by cycle, and matches the compiled pass word for
+    word (96 lanes of a sequential network)."""
+    from repro.workloads.scenarios import packed_signal_traces
+
+    net = _seq_net(11)
+    rng = random.Random(11)
+    stims = [
+        [
+            {net.node_name(p): rng.randrange(2) for p in net.pis}
+            for _ in range(N_CYCLES)
+        ]
+        for _ in range(96)
+    ]
+    names = [net.node_name(n) for n in net.topo_order()]
+    compiled = packed_signal_traces(net, stims, names)
+    steps = []
+    real_step = ref_simulate.ReferenceKernel.step
+
+    def counted(self, *args, **kwargs):
+        steps.append(self)
+        return real_step(self, *args, **kwargs)
+
+    monkeypatch.setattr(ref_simulate.ReferenceKernel, "step", counted)
+    with ref_simulate.reference_online():
+        reference = packed_signal_traces(net, stims, names)
+    assert len(steps) == N_CYCLES
+    for name in names:
+        assert np.array_equal(compiled[name], reference[name]), name
+
+
 def test_campaign_outcomes_identical_multiword():
     """96-scenario stuck-at campaign (two-word batch at ``lane_width=1024``)
     on the compiled kernels and on the reference simulator."""

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.campaign import (
     ArtifactStore,
@@ -374,6 +377,20 @@ class TestReportingAggregation:
         assert agg["localization_rate"] == 1.0
 
 
+#: The CLI's numeric flags and their documented ranges.
+_NUMERIC_FLAGS = {
+    "--workers": lambda v: v >= 1,
+    "--lane-width": lambda v: v >= 1,
+    "--per-design": lambda v: v >= 1,
+    "--horizon": lambda v: v >= 1,
+    "--max-turns": lambda v: v >= 1,
+    "--task-retries": lambda v: v >= 0,
+    "--task-timeout": lambda v: v is None or (math.isfinite(v) and v > 0),
+    "--synthetic-gates": lambda v: v is None or v >= 1,
+    "--seed": lambda v: -(2**127) <= v < 2**127,
+}
+
+
 class TestCli:
     @pytest.mark.parametrize(
         "flag, value",
@@ -387,6 +404,10 @@ class TestCli:
             ("--task-retries", "-2"),
             ("--task-timeout", "0"),
             ("--task-timeout", "-1"),
+            ("--task-timeout", "nan"),
+            ("--task-timeout", "inf"),
+            ("--synthetic-gates", "0"),
+            ("--seed", str(2**127)),
         ],
     )
     def test_bad_numbers_exit_2_before_any_work(
@@ -401,6 +422,49 @@ class TestCli:
         assert cli.main(["--physical", flag, value]) == 2
         assert generated == []
         assert flag in capsys.readouterr().err
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        flag=st.sampled_from(sorted(_NUMERIC_FLAGS)),
+        value=st.one_of(
+            st.integers(),
+            st.sampled_from([0, -1, 1, 2**63, -(2**100), 10**40]),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.text(max_size=8),
+        ).map(str),
+    )
+    @example(flag="--task-timeout", value="nan")
+    @example(flag="--task-timeout", value="inf")
+    @example(flag="--seed", value=str(2**127))
+    def test_numeric_flags_end_in_usage_error_or_documented_range(
+        self, flag, value
+    ):
+        """Any value of a numeric flag is rejected by argparse, rejected
+        by ``main`` with status 2 before any work, or reaches the work
+        with every numeric option in its documented range — never an
+        escaping exception.  The work itself is stubbed out, so no drawn
+        value (say a huge ``--workers``) can build a pool."""
+        import repro.campaign.cli as cli
+
+        class Reached(Exception):
+            pass
+
+        def stop(args, cache):
+            raise Reached(args)
+
+        with mock.patch.object(cli, "_build_scenarios", stop):
+            try:
+                rc = cli.main(["--no-cache", f"{flag}={value}"])
+            except SystemExit as exc:
+                assert exc.code == 2  # argparse could not convert it
+                return
+            except Reached as reached:
+                args = reached.args[0]
+                for name, in_range in _NUMERIC_FLAGS.items():
+                    got = getattr(args, name[2:].replace("-", "_"))
+                    assert in_range(got), (name, got)
+                return
+        assert rc == 2
 
     def test_screening_reuses_the_prebuilt_design_and_key(self, monkeypatch):
         import repro.campaign.cli as cli

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from benchmarks.ref_simulate import ReferenceLaneEngine, apply_override
-from parity import random_network
+from parity import random_network, reference_traces
 from repro.campaign.runner import _lane_slices
 from repro.campaign import (
     ArtifactStore,
@@ -31,6 +31,7 @@ from repro.netlist.compiled import (
 )
 from repro.netlist.simulate import simulate_combinational
 from repro.workloads import (
+    DebugScenario,
     campaign_spec,
     generate_circuit,
     mutation_scenarios,
@@ -171,6 +172,8 @@ class TestLaneTraceBuffer:
 
 class TestPackedGolden:
     def test_packed_signal_traces_match_serial_per_lane(self, golden):
+        # both golden views against the reference evaluator, one lane at
+        # a time (signal_traces is lane 0 of the packed pass)
         stims = [stimulus_script(golden, 16, seed) for seed in (1, 2, 9)]
         names = [golden.node_name(p) for p in golden.pis][:2] + list(
             golden.po_names
@@ -178,11 +181,40 @@ class TestPackedGolden:
         packed = packed_signal_traces(golden, stims, names)
         for lane, stim in enumerate(stims):
             serial = signal_traces(golden, stim, names)
-            for n in serial:
+            ref = reference_traces(golden, [stim], names, 1)
+            assert list(serial) == names
+            for n in names:
+                want = [w & 1 for w in ref[n]]
                 lane_bits = (
                     (packed[n][:, 0] >> np.uint64(lane)) & np.uint64(1)
                 ).astype(np.uint8)
-                assert np.array_equal(lane_bits, serial[n]), n
+                assert lane_bits.tolist() == want, n
+                assert serial[n].tolist() == want, n
+
+    def test_sequential_golden_matches_reference_at_70_lanes(self):
+        # a design with latches, 70 distinct stimuli over two words:
+        # every word of every signal, including the idle lanes 70..127
+        spec = campaign_spec(
+            "golden-seq", n_gates=100, depth=7, n_latches=6, n_pis=16, n_pos=8
+        )
+        net = generate_circuit(spec)
+        assert net.latches
+        stims = [stimulus_script(net, 10, seed) for seed in range(70)]
+        names = [net.node_name(n) for n in net.topo_order()]
+        packed = packed_signal_traces(net, stims, names)
+        want = reference_traces(net, stims, names, 2)
+        for n in names:
+            assert packed[n].shape == (10, 2)
+            assert [words_to_int(row) for row in packed[n]] == want[n], n
+
+    def test_missing_pi_reads_zero(self, golden):
+        pos = list(golden.po_names)
+        zeros = [{golden.node_name(p): 0 for p in golden.pis}] * 4
+        got = signal_traces(golden, [{}] * 4, pos)
+        ref = reference_traces(golden, [zeros], pos, 1)
+        assert {n: a.tolist() for n, a in got.items()} == {
+            n: [w & 1 for w in words] for n, words in ref.items()
+        }
 
     def test_multiword_lanes_and_horizon_check(self, golden):
         # 65 lanes span two packed words; lane 64 = word 1, bit 0
@@ -473,6 +505,95 @@ class TestFacade:
 def _one_lane(sc, offline, **kw):
     (result,) = run_scenario_batch([sc], offline, **kw)
     return result
+
+
+DETECT_SPEC = campaign_spec(
+    "detect-seq", n_gates=100, depth=7, n_latches=6, n_pis=16, n_pos=8
+)
+DETECT_HORIZON = 24
+
+
+class TestDetector:
+    def test_batch_verdicts_match_one_lane_sessions(self):
+        """A two-word batch of detected and silent stuck-at lanes under
+        three stimuli, a lane whose fault starts past the horizon and a
+        lane whose force fails: each lane's ``(fail_cycle, failing_po)``
+        is the first mismatch of a one-lane session's outputs against the
+        reference evaluator's golden outputs, and a lane without one is
+        ``undetected``."""
+        import dataclasses
+
+        golden = generate_circuit(DETECT_SPEC)
+        offline = run_generic_stage(golden)
+        stims = [stimulus_script(golden, DETECT_HORIZON, s) for s in range(3)]
+        pos = list(golden.po_names)
+        golden_pos = [reference_traces(golden, [st], pos, 1) for st in stims]
+        session = DebugSession(offline)
+
+        def first_mismatch(sc):
+            stim = stims[sc.stimulus_seed]
+            session.clear_forces()
+            session.force(
+                sc.fault_signal,
+                sc.fault_value,
+                first_cycle=sc.fault_from_cycle,
+            )
+            session.reset()
+            rows = session.output_trace(
+                DETECT_HORIZON, stimulus=lambda c: stim[c]
+            )
+            want = golden_pos[sc.stimulus_seed]
+            for cycle, row in enumerate(rows):
+                for po, got in row.items():
+                    if po in want and got != want[po][cycle] & 1:
+                        return cycle, po
+            return None
+
+        taps = [t for t in offline.annotation.tap_names if t not in pos]
+        lanes = [
+            DebugScenario(
+                name=f"sa{value}@{tap}",
+                kind="stuck_at",
+                spec=DETECT_SPEC,
+                horizon=DETECT_HORIZON,
+                stimulus_seed=(2 * i + value) % len(stims),
+                fault_signal=tap,
+                fault_value=value,
+            )
+            for i, tap in enumerate(taps[:34])
+            for value in (0, 1)
+        ]
+        expected = [first_mismatch(sc) for sc in lanes]
+        seen = next(sc for sc, hit in zip(lanes, expected) if hit)
+        late = dataclasses.replace(
+            seen, name="late", fault_from_cycle=DETECT_HORIZON + 3
+        )
+        broken = dataclasses.replace(seen, name="broken", fault_signal="nope")
+        lanes[40:40] = [late, broken]
+        expected[40:40] = [first_mismatch(late), "error"]
+        assert len(lanes) > 64 and expected[40] is None
+        assert sum(hit is None for hit in expected) > 1
+        assert sum(isinstance(hit, tuple) for hit in expected) > 10
+
+        results = run_scenario_batch(lanes, offline, max_turns=4)
+        for sc, hit, r in zip(lanes, expected, results):
+            if hit == "error":
+                assert r.status == "error" and "nope" in r.error
+            elif hit is None:
+                assert r.status == "undetected", sc.name
+            else:
+                assert r.status in ("localized", "missed"), sc.name
+                assert (r.fail_cycle, r.failing_po) == hit, sc.name
+
+    def test_mixed_golden_batch_errors_every_lane(self, offline, scenarios):
+        import dataclasses
+
+        other = dataclasses.replace(
+            scenarios[1], design_seed=scenarios[1].design_seed + 1
+        )
+        batch = run_scenario_batch([scenarios[0], other], offline)
+        assert [r.status for r in batch] == ["error", "error"]
+        assert all("share one golden design" in r.error for r in batch)
 
 
 class TestBatchEquivalence:

@@ -24,6 +24,7 @@ from repro.workloads import (
     generate_circuit,
     get_spec,
     inject_bug,
+    mutation_scenarios,
     paper_suite,
     stuck_at_scenarios,
 )
@@ -196,3 +197,27 @@ class TestStuckAtScreening:
         with pytest.raises(WorkloadError) as err:
             stuck_at_scenarios(spec, 10**6, **kw)
         assert str(err.value) == str(ref_err.value)
+
+
+#: ``mutation_scenarios(spec, 4, horizon=24)`` on :data:`SCREEN_SPECS`,
+#: as the screen reported them when it compared per-cycle PO dicts.
+PINNED_MUTATIONS = {
+    "screen-comb": [
+        ("screen-comb/mut0@n28", 326106389458363528),
+        ("screen-comb/mut1@n64", 2010118297860347158),
+        ("screen-comb/mut2@n99", 1479175961360232369),
+        ("screen-comb/mut3@n44", 115482815152818469),
+    ],
+    "screen-seq": [
+        ("screen-seq/mut0@n56", 7510586229833405295),
+        ("screen-seq/mut1@n9", 5180865771552256908),
+        ("screen-seq/mut2@n50", 3215104495583153778),
+        ("screen-seq/mut3@n81", 6830428637065935318),
+    ],
+}
+
+
+@pytest.mark.parametrize("spec", SCREEN_SPECS, ids=lambda s: s.name)
+def test_mutation_screen_pinned(spec):
+    got = mutation_scenarios(spec, 4, horizon=24)
+    assert [(sc.name, sc.bug_seed) for sc in got] == PINNED_MUTATIONS[spec.name]
