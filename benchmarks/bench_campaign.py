@@ -47,8 +47,8 @@ def test_campaign_cache_speedup(scenarios, results_dir):
         run_campaign([sc], config=config, cache=None) for sc in scenarios
     ]
     cold_wall_s = sum(r.wall_s for r in cold)
-    cold_offline_s = sum(r.aggregate()["offline_s"] for r in cold)
-    cold_online_s = sum(r.aggregate()["online_s"] for r in cold)
+    cold_offline_s = sum(r.trace.seconds()["offline"] for r in cold)
+    cold_online_s = sum(r.trace.seconds()["online"] for r in cold)
     # cached: the design builds once, the other seven scenarios share it
     store = ArtifactStore()
     warm = run_campaign(scenarios, config=config, cache=store)
@@ -64,7 +64,7 @@ def test_campaign_cache_speedup(scenarios, results_dir):
     assert "error" not in statuses and "undetected" not in statuses
 
     speedup = cold_wall_s / warm.wall_s
-    warm_agg = warm.aggregate()
+    warm_secs = warm.trace.seconds()
     text = (
         "CAMPAIGN OFFLINE-STAGE AMORTIZATION (measured)\n"
         f"{N_SCENARIOS}-scenario stuck-at campaign on "
@@ -73,8 +73,8 @@ def test_campaign_cache_speedup(scenarios, results_dir):
         f"cold, one build per scenario: {cold_wall_s:8.2f} s  "
         f"({cold_offline_s:.2f} s offline, {cold_online_s:.2f} s online)\n"
         f"content-keyed cache:          {warm.wall_s:8.2f} s  "
-        f"({warm_agg['offline_s']:.2f} s offline, "
-        f"{warm_agg['online_s']:.2f} s online)\n\n"
+        f"({warm_secs['offline']:.2f} s offline, "
+        f"{warm_secs['online']:.2f} s online)\n\n"
         f"cache-hit speedup: {speedup:.2f}x "
         f"(1 build + {N_SCENARIOS - 1} shared)\n\n"
         "warm-campaign report:\n" + warm.render()

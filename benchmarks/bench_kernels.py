@@ -154,8 +154,8 @@ def test_online_phase_speedup(results_dir):
     )
     assert "error" not in {r.status for r in compiled.results}
 
-    interp_online_s = interp.aggregate()["online_s"]
-    compiled_online_s = compiled.aggregate()["online_s"]
+    interp_online_s = interp.trace.seconds()["online"]
+    compiled_online_s = compiled.trace.seconds()["online"]
     speedup = interp_online_s / compiled_online_s
     text = (
         "COMPILED SIMULATION KERNELS — online phase (measured)\n"

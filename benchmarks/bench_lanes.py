@@ -78,9 +78,9 @@ def test_lane_engine_speedup(scenarios, results_dir):
     statuses = {r.status for r in lanes.results}
     assert "error" not in statuses
 
-    baseline_online_s = baseline.aggregate()["online_s"]
-    serial_online_s = serial.aggregate()["online_s"]
-    lane_online_s = lanes.aggregate()["online_s"]
+    baseline_online_s = baseline.trace.seconds()["online"]
+    serial_online_s = serial.trace.seconds()["online"]
+    lane_online_s = lanes.trace.seconds()["online"]
     speedup = baseline_online_s / lane_online_s
     packing_speedup = serial_online_s / lane_online_s
     wall_speedup = baseline.wall_s / lanes.wall_s

@@ -93,13 +93,7 @@ def aggregate_campaign(records: Sequence[Mapping]) -> dict:
         "n_scenarios": len(records),
         "counts": counts,
         "localization_rate": len(localized) / len(done) if done else 0.0,
-        "offline_s": sum(r.get("offline_s", 0.0) for r in records),
-        "online_s": sum(r.get("online_s", 0.0) for r in records),
         "cache_hits": sum(bool(r.get("offline_cache_hit")) for r in records),
-        "offline_builds": sum(
-            not r.get("offline_cache_hit") and r.get("offline_ok", True)
-            for r in records
-        ),
         "turns": sum(r.get("turns", 0) for r in records),
         "modeled_overhead_s": sum(
             r.get("modeled_overhead_s", 0.0) for r in records
@@ -142,7 +136,6 @@ def render_campaign_report(
     records: Sequence[Mapping],
     trace,
     *,
-    wall_s: float | None = None,
     workers: int | None = None,
     cache: Mapping | None = None,
     lane_width: int | None = None,
@@ -155,8 +148,9 @@ def render_campaign_report(
 
     The same conventions as the Table I/II drivers: a ``TextTable`` block,
     aggregate lines below, persistable via :func:`save_result`.  Every
-    timing line below the table reads the run's ``trace`` (see
-    :class:`~repro.campaign.results.CampaignReport`).
+    timing line below the table, and the build count, reads the run's
+    ``trace`` (see :class:`~repro.campaign.results.CampaignReport`); the
+    records carry no host time.
     """
     from repro.util.tables import TextTable
 
@@ -171,11 +165,9 @@ def render_campaign_report(
             "Turns",
             "Frames",
             "Spec (us)",
-            "Online (s)",
-            "Offline (s)",
             "Hit",
         ],
-        aligns="llllrrrrrrrl",
+        aligns="llllrrrrrl",
     )
     for r in records:
         fail = (
@@ -194,8 +186,6 @@ def render_campaign_report(
                 r.get("turns", 0),
                 r.get("frames_touched", 0),
                 f"{1e6 * r.get('modeled_overhead_s', 0.0):.1f}",
-                f"{r.get('online_s', 0.0):.2f}",
-                f"{r.get('offline_s', 0.0):.2f}",
                 "y" if r.get("offline_cache_hit") else "n",
             ]
         )
@@ -208,27 +198,33 @@ def render_campaign_report(
         f"scenarios: {agg['n_scenarios']} ({counts}); "
         f"localization rate {100 * agg['localization_rate']:.0f}%"
     )
-    builds = agg["offline_builds"]
+    secs = trace.seconds()
     lines.append(
-        f"offline stage: {builds} build(s) + {agg['cache_hits']} cache "
-        f"hit(s), {agg['offline_s']:.2f} s total; "
-        f"online: {agg['online_s']:.2f} s over {agg['turns']} debugging "
-        f"turn(s), {1e6 * agg['modeled_overhead_s']:.1f} us modeled "
-        "specialization"
+        f"offline stage: {trace.counters.get('builds', 0)} build(s) + "
+        f"{agg['cache_hits']} cache hit(s), "
+        f"{secs.get('offline', 0.0):.2f} s total; "
+        f"online: {secs.get('online', 0.0):.2f} s over {agg['turns']} "
+        f"debugging turn(s), {1e6 * agg['modeled_overhead_s']:.1f} us "
+        "modeled specialization"
     )
+    phases = trace.seconds("online.")
+    if phases:
+        lines.append(
+            "online phases: "
+            + ", ".join(f"{name}={s:.2f}s" for name, s in phases.items())
+        )
     built = trace.seconds("stage.")
     if built:
         breakdown = ", ".join(
-            f"{name}={secs:.2f}s" for name, secs in built.items()
+            f"{name}={s:.2f}s" for name, s in built.items()
         )
         lines.append(
             f"offline stages built: {breakdown} "
             f"({trace.window('offline'):.2f} s wall)"
         )
-    if wall_s is not None:
-        par = f", {workers} worker(s)" if workers else ""
-        lines.append(f"wall clock: {wall_s:.2f} s{par}")
-    task_wall = trace.seconds().get("run", 0.0)
+    par = f", {workers} worker(s)" if workers else ""
+    lines.append(f"wall clock: {secs.get('campaign', 0.0):.2f} s{par}")
+    task_wall = secs.get("run", 0.0)
     overlap = trace.overlap("offline", "online")
     line = (
         f"scheduler: task wall {task_wall:.2f} s, offline/online "

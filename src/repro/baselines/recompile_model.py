@@ -7,9 +7,7 @@ size, "minutes to hours" in practice, which is what makes recompilation the
 bottleneck of FPGA debugging.
 
 :class:`RecompileModel` provides that cost analytically — calibrated so a
-mid-size (~25k LUT) design recompiles in about one hour — and can also be
-anchored to a *measured* place-and-route runtime from our own TPaR so the
-runtime-overhead benchmark can report both views.
+mid-size (~25k LUT) design recompiles in about one hour.
 """
 
 from __future__ import annotations
@@ -37,21 +35,3 @@ class RecompileModel:
         if n_luts < 0:
             raise ValueError("n_luts must be non-negative")
         return self.base_s + self.coeff_s * float(n_luts) ** self.exponent
-
-    def scaled_to_measurement(
-        self, n_luts: int, measured_s: float
-    ) -> "RecompileModel":
-        """Rescale the model so ``compile_time_s(n_luts) == measured_s``.
-
-        Used to anchor the analytic curve to our own measured TPaR runtime
-        for a given design, keeping the exponent (growth shape) intact.
-        """
-        cur = self.compile_time_s(n_luts)
-        if cur <= self.base_s:
-            return self
-        scale = max(0.0, (measured_s - self.base_s)) / (cur - self.base_s)
-        return RecompileModel(
-            base_s=self.base_s,
-            coeff_s=self.coeff_s * scale,
-            exponent=self.exponent,
-        )

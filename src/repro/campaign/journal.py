@@ -18,7 +18,10 @@ the scenario count and a :func:`campaign_fingerprint` of the scenario
 list + outcome-relevant config; a resume against a journal whose
 fingerprint does not match the requested campaign is refused rather than
 silently mixing incompatible outcomes.  Scenario records carry the full
-:meth:`~repro.campaign.results.ScenarioResult.as_record` dict.
+:meth:`~repro.campaign.results.ScenarioResult.as_record` dict, which
+holds no host time since format v2 (a campaign's time lives in its run
+record), so a resumed campaign's timings are its own; a v1 journal,
+whose records carried per-scenario timings, is refused.
 
 Crash consistency: every line is written with a single buffered write
 followed by a flush (and an ``fsync`` when enabled), so the only
@@ -51,7 +54,7 @@ __all__ = [
     "CampaignJournal",
 ]
 
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
 
 
 def campaign_fingerprint(scenarios: Sequence, config) -> str:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.netlist.network import LogicNetwork
+from repro.util.bitops import lane_bits
 
 __all__ = [
     "Localization",
@@ -138,7 +139,8 @@ def untapped_region(
 
 def divergence_walk(
     design,
-    golden_traces: dict[str, np.ndarray],
+    golden: dict[str, np.ndarray],
+    lane: int,
     failing_po: str,
     n_cycles: int,
     *,
@@ -153,8 +155,11 @@ def divergence_walk(
     waveforms (``{signal: uint8 array}``) back in; the generator's return
     value (via ``StopIteration``) is the :class:`Localization`.
 
-    ``golden_traces`` holds reference waveforms (one ``uint8`` array per
-    signal) for at least every tapped signal the walk may touch;
+    ``golden`` holds lane-packed reference traces
+    (:func:`~repro.workloads.scenarios.packed_signal_traces`) for at
+    least every tapped signal the walk may touch, and ``lane`` is this
+    walk's bit of them: only the signals the walk compares are unpacked,
+    one lane at a time (:func:`~repro.util.bitops.lane_bits`);
     ``frontier_fn`` (``name -> [frontier signal names]``) defaults to the
     source-level :func:`observable_frontier` — pass
     :func:`mapped_frontier_fn` for emulation-level faults.  The walk
@@ -216,14 +221,14 @@ def divergence_walk(
             waves = yield batch
             for s in batch:
                 checked += 1
-                exp = golden_traces.get(s)
+                exp = golden.get(s)
                 got = waves.get(s)
                 if exp is None or got is None:
                     verdict = False
                 else:
                     # the trace buffer keeps the LAST `depth` of the
                     # n_cycles run — align the golden slice to that window
-                    ref = exp[:n_cycles]
+                    ref = lane_bits(exp[:n_cycles], lane)
                     ref = ref[max(0, len(ref) - len(got)) :]
                     verdict = not np.array_equal(got[: len(ref)], ref)
                 out[s] = scored[s] = verdict

@@ -139,12 +139,18 @@ GroupPayload = tuple[OfflineStage, "list[tuple[int, DebugScenario]]", int]
 
 def _online_group_worker(
     payload: GroupPayload, store=None
-) -> list[tuple[int, ScenarioResult]]:
+) -> tuple[list[tuple[int, ScenarioResult]], Trace]:
+    """One lane batch: its indexed results and the trace of its phases."""
     offline, items, max_turns = payload
+    trace = Trace()
     results = run_scenario_batch(
-        [sc for _idx, sc in items], offline, max_turns=max_turns, store=store
+        [sc for _idx, sc in items],
+        offline,
+        max_turns=max_turns,
+        store=store,
+        trace=trace,
     )
-    return [(idx, result) for (idx, _sc), result in zip(items, results)]
+    return [(idx, r) for (idx, _sc), r in zip(items, results)], trace
 
 
 def _payloads(
@@ -322,8 +328,6 @@ class CampaignPlan:
     """Offline group key -> the design's debug network."""
     errors: dict[int, str] = field(default_factory=dict)
     """Scenario index -> why its design could not be derived."""
-    spans: dict[int, int] = field(default_factory=dict)
-    """Scenario index -> its registration span in the trace."""
     batches: dict = field(default_factory=dict)
     """Offline group key -> its lane batches: scenarios sharing one
     packed emulation (one artifact, golden design and horizon), at most
@@ -362,7 +366,7 @@ def plan(
     for idx, sc in enumerate(scenarios):
         if idx in skip:
             continue
-        with trace.span("offline") as out.spans[idx]:
+        with trace.span("offline"):
             identity = sc.design_identity()
             if identity not in designs:
                 try:
@@ -410,50 +414,41 @@ def execute(
     """Register the builds and lane batches of ``campaign`` on ``sched``
     and drain it; ``campaign`` must be planned into ``sched.trace``.
 
-    Each design's store probe is one ``offline`` span of ``sched.trace``;
-    lane batches launch the moment their design's build lands.  Every
-    final outcome is journaled (when ``journal`` is given) as it lands.
-    Returns every scenario's result in scenario order (``resumed`` ones
-    as replayed), the lanes of each launched batch and the effective
-    pool size.
+    Each design's store probe is one ``offline`` span of ``sched.trace``,
+    each design whose build ran adds one to its ``builds`` counter, and
+    each lane batch's phases land in it as ``online.<phase>`` spans,
+    pooled or not; lane batches launch the moment their design's build
+    lands.  Every final outcome is journaled (when ``journal`` is given)
+    as it lands.  Returns every scenario's result in scenario order
+    (``resumed`` ones as replayed), the lanes of each launched batch and
+    the effective pool size.
     """
     trace = sched.trace
     workers = max(1, config.workers)
-    first_of = {items[0][0]: gkey for gkey, items in campaign.groups.items()}
-    probes: dict[str, int] = {}  # group key -> its store-probe span
-    built: dict[str, OfflineStage] = {}
     hits: dict[int, bool] = {}
     done: dict[int, ScenarioResult] = {}
     payloads: list[GroupPayload] = []
     aborted: list[str] = []
 
-    def offline_s(idx: int) -> float:
-        """Registration, plus the design's probe and stage builds for the
-        first scenario of each design."""
-        secs = trace.duration(campaign.spans[idx])
-        gkey = first_of.get(idx)
-        if gkey in probes:
-            secs += trace.duration(probes[gkey])
-        if gkey in built:
-            secs += sum(built[gkey].trace.seconds().values())
-        return secs
-
     def keep(idx: int, result: ScenarioResult, journaled: bool = True):
+        result.offline_cache_hit = hits.get(idx, False)
         done[idx] = result
         if journal is not None and journaled:
             # the full record a resumed campaign replays
-            record = result.as_record()
-            record["offline_s"] = offline_s(idx)
-            record["offline_cache_hit"] = hits.get(idx, False)
-            journal.append_scenario(idx, record)
+            journal.append_scenario(idx, result.as_record())
 
     def abort(err: str) -> None:
         if config.fail_fast and not aborted:
             aborted.append(err)
             sched.abort()
 
-    def online_done(_task, out: "list[tuple[int, ScenarioResult]]"):
-        for idx, res in out:
+    def online_done(_task, out) -> None:
+        indexed, batch_trace = out
+        # the batch's phases were measured on this clock (in a pool
+        # worker or here), so they are recorded as they are
+        for name, start, end, _parent in batch_trace.spans:
+            trace.record(f"online.{name}", start, end)
+        for idx, res in indexed:
             keep(idx, res)
 
     def online_failed(payload: GroupPayload, _task, msg: str) -> None:
@@ -472,7 +467,8 @@ def execute(
                 keep(idx, _offline_error(sc, err))
             abort(err)
             return
-        built[gkey] = stage
+        if not hit:
+            trace.add("builds")
         # duplicates of a built design ride the group's artifact: a cache
         # hit when a store holds it, plain build sharing when running
         # cold (outcomes are unaffected, only the redundant rebuilds go)
@@ -519,7 +515,7 @@ def execute(
     for gkey in campaign.groups:
         if aborted:
             break
-        with trace.span("offline") as span:
+        with trace.span("offline"):
             created = _submit_design_build(
                 sched,
                 campaign.nets[gkey],
@@ -532,7 +528,6 @@ def execute(
                 max_retries=max(0, config.task_retries),
                 on_complete=partial(design_done, gkey),
             )
-        probes[gkey] = span
         n_cold += bool(created)
 
     # one shared pool, sized for whichever phase needs more slots — the
@@ -580,10 +575,14 @@ def execute(
             continue
         # absent: cancelled by a fail-fast abort before any outcome
         # existed; deliberately not journaled (a resume recomputes it)
-        r = done.get(idx) or _error(sc, f"aborted (fail-fast): {abort_err}")
-        r.offline_s = offline_s(idx)
-        r.offline_cache_hit = hits.get(idx, False)
-        results.append(r)
+        results.append(
+            done.get(idx)
+            or _error(
+                sc,
+                f"aborted (fail-fast): {abort_err}",
+                offline_cache_hit=hits.get(idx, False),
+            )
+        )
     return results, [len(p[1]) for p in payloads], effective_workers
 
 
@@ -695,7 +694,6 @@ def run_campaign(
                 journal.close()
     return CampaignReport(
         results=results,
-        wall_s=trace.seconds()["campaign"],
         workers=workers,
         cache_stats=cache.stats.as_dict() if cache is not None else None,
         lane_width=max(1, config.lane_width),

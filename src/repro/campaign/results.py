@@ -1,10 +1,11 @@
 """Structured results of campaign runs.
 
 Every scenario produces one :class:`ScenarioResult` — a flat, picklable
-record of what happened (status, localization outcome, per-phase timings,
-modeled online overhead) that travels back from worker processes.
-:class:`CampaignReport` aggregates them with the run's
-:class:`~repro.util.trace.Trace` and renders through :func:`repro.analysis.reporting.
+record of what happened (status, localization outcome, modeled online
+overhead) that travels back from worker processes; it carries no host
+time.  :class:`CampaignReport` aggregates them with the run's
+:class:`~repro.util.trace.Trace`, where all of the campaign's time lives,
+and renders through :func:`repro.analysis.reporting.
 render_campaign_report`, keeping one reporting surface for experiments and
 campaigns alike.
 """
@@ -48,14 +49,6 @@ class ScenarioResult:
     offline_cache_hit: bool = False
     offline_ok: bool = True
     """False when the offline stage itself failed (no artifact was built)."""
-    offline_s: float = 0.0
-    """Wall-clock the orchestrator spent obtaining this scenario's offline
-    artifact (≈0 on a cache hit)."""
-    setup_s: float = 0.0
-    golden_s: float = 0.0
-    detect_s: float = 0.0
-    localize_s: float = 0.0
-    online_s: float = 0.0
     modeled_overhead_s: float = 0.0
     """Modeled device-side specialization time summed over all turns."""
     frames_touched: int = 0
@@ -96,7 +89,6 @@ class CampaignReport:
     """Aggregated outcome of one campaign run."""
 
     results: list[ScenarioResult]
-    wall_s: float = 0.0
     workers: int = 1
     """Effective size of the shared worker pool (1 when nothing ran
     pooled or the pool fell back to in-process execution)."""
@@ -112,11 +104,19 @@ class CampaignReport:
     journal_path: str = ""
     """Checkpoint journal backing this campaign ('' = journaling off)."""
     trace: Trace = field(default_factory=Trace)
-    """The run's record, which every timing line of :meth:`render` reads:
-    spans ``campaign`` (the whole run), ``offline`` (registration, store
-    probes, build tasks), ``online`` (lane batches), ``run`` (the
+    """The run's record, the one place a campaign's time lives and which
+    every timing line of :meth:`render` reads: spans ``campaign`` (the
+    whole run), ``offline`` (registration, store probes, build tasks),
+    ``online`` (lane batches), ``online.<phase>`` (a lane batch's
+    ``setup``, ``golden``, ``detect`` and ``localize``), ``run`` (the
     scheduler loop) and ``stage.<name>`` (a built stage), plus the
-    scheduler's counters and ``resumed_scenarios``."""
+    scheduler's counters, ``builds`` (designs whose build ran) and
+    ``resumed_scenarios``."""
+
+    @property
+    def wall_s(self) -> float:
+        """Seconds of the ``campaign`` span."""
+        return self.trace.seconds().get("campaign", 0.0)
 
     def aggregate(self) -> dict:
         """Campaign aggregates — single source of truth is
@@ -145,7 +145,6 @@ class CampaignReport:
         return render_campaign_report(
             [r.as_record() for r in self.results],
             self.trace,
-            wall_s=self.wall_s,
             workers=self.workers,
             cache=self.cache_stats,
             lane_width=self.lane_width,

@@ -22,8 +22,6 @@ worker count.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.campaign.localize import (
     divergence_walk,
     mapped_frontier_fn,
@@ -42,38 +40,13 @@ from repro.workloads.scenarios import (
 __all__ = ["run_scenario_batch"]
 
 
-_BIT_POSITIONS = np.arange(64, dtype=np.uint64)
-
-
-def _lane_slices(
-    packed: dict[str, np.ndarray], n_lanes: int
-) -> list[dict[str, np.ndarray]]:
-    """The first ``n_lanes`` lanes' ``uint8`` views of lane-packed golden
-    traces.
-
-    Each name is unpacked once for all lanes: shifting every word by each
-    of the 64 bit positions (arithmetic, so independent of host byte
-    order) puts lane ``64 * w + k`` in column ``64 * w + k``, and each lane
-    gets one row of the transposed result.
-    """
-    out: list[dict[str, np.ndarray]] = [{} for _ in range(n_lanes)]
-    for name, arr in packed.items():
-        bits = (arr[:, :, None] >> _BIT_POSITIONS) & np.uint64(1)
-        rows = np.ascontiguousarray(
-            bits.reshape(arr.shape[0], 64 * arr.shape[1])[:, :n_lanes].T,
-            dtype=np.uint8,
-        )
-        for lane, row in zip(out, rows):
-            lane[name] = row
-    return out
-
-
 def run_scenario_batch(
     scenarios: "list[DebugScenario]",
     offline: OfflineStage,
     *,
     max_turns: int = 48,
     store=None,
+    trace: Trace | None = None,
 ) -> list[ScenarioResult]:
     """Run many scenarios' online loops as lanes of one packed engine.
 
@@ -82,10 +55,14 @@ def run_scenario_batch(
     three, and lanes advance in lockstep, so one replay length must serve
     the whole batch; a mixed batch yields an error result per lane.
     Batches wider than 64 simply span multiple packed words (lane *k* =
-    word ``k // 64``, bit ``k % 64``).  Phases:
+    word ``k // 64``, bit ``k % 64``).  Phases, each one span of
+    ``trace`` (the orchestrator merges them into the campaign's record
+    as ``online.<phase>``):
 
-    1. *setup* — one :class:`~repro.engine.LaneEngine`; each ``stuck_at``
-       scenario's fault is armed on its lane only (``lane_mask``);
+    1. *setup* — the golden design regenerated once (checking that the
+       batch shares it) and one :class:`~repro.engine.LaneEngine`; each
+       ``stuck_at`` scenario's fault is armed on its lane only
+       (``lane_mask``);
     2. *golden* — **one** packed reference pass over the golden design,
        lane *k*'s stimulus in bit *k* of the packed words;
     3. *detect* — :func:`~repro.workloads.scenarios.first_divergence`:
@@ -99,14 +76,11 @@ def run_scenario_batch(
        once (each lane observing its *own* frontier batch via per-lane
        select parameters); lanes retire as their walks converge.
 
-    Per-scenario timing fields report the batch phase time divided by the
-    batch size — the amortized cost actually paid per scenario, keeping
-    the campaign's summed ``online_s`` equal to wall clock spent.  The
-    deterministic outcome fields are byte-identical at every batch size.
-    ``store`` persists compiled programs.  Never raises: per-lane
+    The deterministic outcome fields are byte-identical at every batch
+    size.  ``store`` persists compiled programs.  Never raises: per-lane
     failures degrade to ``status="error"`` results for their lane only.
     """
-    trace = Trace()
+    trace = trace if trace is not None else Trace()
     n = len(scenarios)
     results = [
         ScenarioResult(
@@ -127,22 +101,24 @@ def run_scenario_batch(
     live: list[int] = []
 
     try:
-        # the orchestrator batches by golden design and horizon: one
-        # golden network (a pure function of spec and design seed) and
-        # one stimulus per stimulus seed serve every lane
-        golden = scenarios[0].golden_network()
-        for lane, sc in enumerate(scenarios):
-            if (sc.spec, sc.design_seed) != golden_id:
-                raise ValueError(
-                    "batched scenarios must share one golden design"
-                )
-            if sc.kind == "mutation":
-                bug = sc.reproduce_bug(golden.copy())
-                results[lane].truth = bug.node_name
-            if sc.horizon != horizon:
-                raise ValueError("batched scenarios must share one horizon")
-
         with trace.span("setup"):
+            # the orchestrator batches by golden design and horizon: one
+            # golden network (a pure function of spec and design seed)
+            # and one stimulus per stimulus seed serve every lane
+            golden = scenarios[0].golden_network()
+            for lane, sc in enumerate(scenarios):
+                if (sc.spec, sc.design_seed) != golden_id:
+                    raise ValueError(
+                        "batched scenarios must share one golden design"
+                    )
+                if sc.kind == "mutation":
+                    bug = sc.reproduce_bug(golden.copy())
+                    results[lane].truth = bug.node_name
+                if sc.horizon != horizon:
+                    raise ValueError(
+                        "batched scenarios must share one horizon"
+                    )
+
             engine = LaneEngine(
                 offline,
                 n_lanes=n,
@@ -180,7 +156,6 @@ def run_scenario_batch(
             # one packed pass: lane k's golden values are bit k, the
             # layout of the engine the detector compares against
             packed = packed_signal_traces(golden, stims, tap_names + po_names)
-            lane_golden = _lane_slices(packed, n)
 
         with trace.span("detect"):
             hits = first_divergence(engine, packed, live, horizon)
@@ -202,7 +177,8 @@ def run_scenario_batch(
             for lane in detected:
                 walks[lane] = divergence_walk(
                     design,
-                    lane_golden[lane],
+                    packed,
+                    lane,
                     results[lane].failing_po,
                     horizon,
                     max_turns=max_turns,
@@ -254,13 +230,4 @@ def run_scenario_batch(
         for lane in range(n):
             if results[lane].status == "error" and not results[lane].error:
                 results[lane].error = f"{type(exc).__name__}: {exc}"
-
-    share = 1.0 / max(1, n)
-    secs = trace.seconds()
-    for r in results:
-        r.setup_s = secs.get("setup", 0.0) * share
-        r.golden_s = secs.get("golden", 0.0) * share
-        r.detect_s = secs.get("detect", 0.0) * share
-        r.localize_s = secs.get("localize", 0.0) * share
-        r.online_s = sum(secs.values()) * share
     return results

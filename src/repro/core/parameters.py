@@ -123,15 +123,6 @@ class ParameterAssignment:
             and np.array_equal(self.vector, other.vector)
         )
 
-    def with_values(self, values: Mapping[str, int]) -> "ParameterAssignment":
-        """A copy with some parameters overridden."""
-        out = ParameterAssignment(self.space, self.vector)
-        for name, v in values.items():
-            if v not in (0, 1):
-                raise ParameterError(f"value for {name!r} must be 0/1")
-            out.vector[self.space.index_of(name)] = v
-        return out
-
     def diff(self, other: "ParameterAssignment") -> list[str]:
         """Names of parameters whose values differ."""
         if self.space is not other.space:

@@ -359,16 +359,6 @@ class LogicNetwork:
         out.po_names = list(self.po_names)
         return out
 
-    def rename_node(self, nid: int, new_name: str) -> None:
-        """Rename a signal, keeping PO references consistent."""
-        if new_name in self._name2node:
-            raise NetlistError(f"duplicate signal name {new_name!r}")
-        old_name = self._names[nid]
-        del self._name2node[old_name]
-        self._names[nid] = new_name
-        self._name2node[new_name] = nid
-        self.po_names = [new_name if p == old_name else p for p in self.po_names]
-
     def fresh_name(self, stem: str) -> str:
         """A signal name not yet used, derived from ``stem``."""
         if stem not in self._name2node:

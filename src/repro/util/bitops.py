@@ -20,6 +20,7 @@ __all__ = [
     "popcount64",
     "xor_popcount",
     "pack_lane_scripts",
+    "lane_bits",
 ]
 
 _POP8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
@@ -119,3 +120,18 @@ def pack_lane_scripts(
                 if int(row.get(name, 0)) & 1:
                     packed[i][cyc] |= mask
     return packed
+
+
+def lane_bits(words: np.ndarray, lane: int) -> np.ndarray:
+    """Lane ``lane``'s bits of lane-packed ``uint64`` rows, as ``uint8``.
+
+    ``words`` has shape ``(n, n_words)`` with lane *k* in bit ``k % 64``
+    of word ``k // 64`` (the layout of :func:`pack_lane_scripts` and of
+    lane-packed traces); the result has one 0/1 entry per row.
+
+    >>> rows = np.array([[5, 2], [2, 1]], dtype=np.uint64)
+    >>> [lane_bits(rows, k).tolist() for k in (0, 1, 2, 64, 65)]
+    [[1, 0], [0, 1], [1, 0], [0, 1], [1, 0]]
+    """
+    shift = np.uint64(lane & 63)
+    return ((words[:, lane >> 6] >> shift) & np.uint64(1)).astype(np.uint8)

@@ -60,10 +60,6 @@ class Trace:
 
     # -- readers ---------------------------------------------------------------
 
-    def duration(self, idx: int) -> float:
-        _name, start, end, _parent = self.spans[idx]
-        return end - start
-
     def seconds(self, prefix: str = "") -> dict[str, float]:
         """Summed seconds per span name, in first-seen order; with a
         ``prefix``, only the names carrying it, with it stripped."""

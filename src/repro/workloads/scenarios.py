@@ -39,7 +39,7 @@ import numpy as np
 from repro.errors import WorkloadError
 from repro.netlist.compiled import CompiledSimulator, program_for, words_to_int
 from repro.netlist.network import LogicNetwork
-from repro.util.bitops import pack_lane_scripts, words_for_bits
+from repro.util.bitops import lane_bits, pack_lane_scripts, words_for_bits
 from repro.util.rng import RngHub, derive_seed
 from repro.workloads.generator import generate_circuit
 from repro.workloads.perturb import InjectedBug, inject_bug
@@ -186,7 +186,7 @@ def signal_traces(
     PIs missing from a stimulus row read 0.
     """
     return {
-        n: (arr[:, 0] & np.uint64(1)).astype(np.uint8)
+        n: lane_bits(arr, 0)
         for n, arr in packed_signal_traces(net, [stim], names).items()
     }
 

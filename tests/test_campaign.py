@@ -43,10 +43,14 @@ def offline():
     return run_generic_stage(generate_circuit(SPEC))
 
 
-def run_scenario(sc, offline):
+def run_scenario(sc, offline, trace=None):
     """One scenario's online loop: a one-lane batch."""
-    (result,) = run_scenario_batch([sc], offline)
+    (result,) = run_scenario_batch([sc], offline, trace=trace)
     return result
+
+
+#: The phases of a lane batch, in the order the runner records them.
+PHASES = ("setup", "golden", "detect", "localize")
 
 
 def _count_calls(monkeypatch, calls: dict, owner, name: str) -> None:
@@ -191,12 +195,15 @@ class TestSessionForce:
 
 class TestRunScenario:
     def test_stuck_at_localizes(self, offline, scenarios):
-        result = run_scenario(scenarios[0], offline)
+        trace = Trace()
+        result = run_scenario(scenarios[0], offline, trace)
         assert result.status == "localized"
         assert result.truth == scenarios[0].fault_signal
         assert result.turns >= 1
         assert result.fail_cycle >= 0 and result.failing_po
-        assert result.online_s > 0 and result.detect_s > 0
+        # one span per phase, in order, each of them timed
+        assert [name for name, *_ in trace.spans] == list(PHASES)
+        assert all(secs > 0 for secs in trace.seconds().values())
         assert (result.lane, result.lane_batch) == (0, 1)
 
     def test_mutation_localizes(self, scenarios):
@@ -258,8 +265,45 @@ class TestCampaign:
         assert len(built) == 1
         assert report.cache_stats is None
         assert all(not r.offline_cache_hit for r in report.results)
-        assert all(r.offline_s > 0 for r in report.results)
+        # the one build is in the run's record: its counter, every
+        # generic stage's span and the offline seconds they add up to
+        assert report.trace.counters["builds"] == 1
+        assert set(report.trace.seconds("stage.")) == set(GENERIC_STAGES)
+        assert report.trace.seconds()["offline"] >= sum(
+            report.trace.seconds("stage.").values()
+        )
         assert report.counts().get("localized") == len(scenarios)
+
+    def test_cold_report_counts_builds_per_design(self, scenarios):
+        one = run_campaign(scenarios, cache=None)
+        assert "offline stage: 1 build(s) + 0 cache hit(s)" in one.render()
+        # a mutation is its own design revision: a second build
+        two = run_campaign(
+            [*scenarios, *mutation_scenarios(SPEC, 1, horizon=HORIZON)],
+            cache=None,
+        )
+        assert "offline stage: 2 build(s) + 0 cache hit(s)" in two.render()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_batch_phases_reach_the_record(self, scenarios, workers):
+        """Inline and pooled, every lane batch's four phases land in the
+        campaign's record, inside the batch's ``online`` interval."""
+        report = run_campaign(
+            scenarios,
+            config=CampaignConfig(workers=workers, lane_width=2),
+            cache=ArtifactStore(),
+        )
+        assert report.lane_batches == [2, 1]
+        assert report.workers == workers  # 2: the lane batches ran pooled
+        batches = [(s, e) for n, s, e, _p in report.trace.spans if n == "online"]
+        phases = [s for s in report.trace.spans if s[0].startswith("online.")]
+        assert len(batches) == 2
+        assert sorted(name for name, *_ in phases) == sorted(
+            f"online.{p}" for p in PHASES for _ in batches
+        )
+        for _name, start, end, _parent in phases:
+            assert any(lo <= start <= end <= hi for lo, hi in batches)
+        assert "online phases: setup=" in report.render()
 
     def test_report_renders_and_saves(self, scenarios, tmp_path):
         report = run_campaign(scenarios, cache=ArtifactStore())

@@ -211,7 +211,60 @@ class TestResume:
         )
         assert _outcomes_json(second) == _outcomes_json(first)
         assert second.trace.counters["resumed_scenarios"] == len(scenarios)
+        # nothing ran again, so this run's record holds no online time
+        assert not [
+            name
+            for name, *_ in second.trace.spans
+            if name.split(".")[0] == "online"
+        ]
         assert "resilience:" in second.render()
+
+    def test_v1_journal_refused(
+        self, scenarios, tmp_path, monkeypatch, capsys
+    ):
+        """A v1 journal (its records carried per-scenario timings) is
+        refused by the format check, in the library and by the CLI."""
+        import zlib
+
+        import repro.campaign.cli as cli
+        from repro.campaign.journal import campaign_fingerprint, journal_path
+
+        cache_dir = str(tmp_path / "c")
+        config = CampaignConfig(campaign_id="old", resume=True)
+        records = [
+            {
+                "t": "header",
+                "v": 1,
+                "campaign": "old",
+                "fingerprint": campaign_fingerprint(scenarios, config),
+                "n": len(scenarios),
+            },
+            {
+                "t": "scenario",
+                "idx": 0,
+                "result": {
+                    "scenario": scenarios[0].name,
+                    "status": "localized",
+                    "offline_s": 0.5,
+                    "online_s": 0.1,
+                },
+            },
+        ]
+        path = journal_path(cache_dir, "old")
+        os.makedirs(os.path.dirname(path))
+        with open(path, "wb") as fh:
+            for record in records:
+                text = json.dumps(record, sort_keys=True).encode()
+                fh.write(b"%08x %s\n" % (zlib.crc32(text), text))
+        with pytest.raises(ValueError, match=r"format v1, expected v2"):
+            run_campaign(
+                scenarios,
+                config=config,
+                cache=ArtifactStore(cache_dir=cache_dir),
+            )
+        monkeypatch.setattr(cli, "_build_scenarios", lambda *a: scenarios)
+        assert cli.main(["--cache-dir", cache_dir, "--resume", "old"]) == 2
+        assert "format v1, expected v2" in capsys.readouterr().err
 
     def test_resume_tolerates_different_worker_count(
         self, scenarios, tmp_path

@@ -9,7 +9,6 @@ import pytest
 
 from benchmarks.ref_simulate import ReferenceLaneEngine, apply_override
 from parity import random_network, reference_traces
-from repro.campaign.runner import _lane_slices
 from repro.campaign import (
     ArtifactStore,
     CampaignConfig,
@@ -30,6 +29,7 @@ from repro.netlist.compiled import (
     words_to_int,
 )
 from repro.netlist.simulate import simulate_combinational
+from repro.util.bitops import lane_bits, unpack_bits
 from repro.workloads import (
     DebugScenario,
     campaign_spec,
@@ -230,23 +230,26 @@ class TestPackedGolden:
         with pytest.raises(Exception):
             packed_signal_traces(golden, [[{}], [{}, {}]], [])
 
-    def test_lane_slices_match_per_lane_formula(self):
-        # 130 lanes: three words, the last one partial
+    def test_lane_bits_match_per_lane_formula(self):
+        # 130 lanes: three words, the last one partial; the lanes at
+        # both ends of the first word, the second word's first and the
+        # last lane
         rng = np.random.default_rng(130)
         packed = {
             name: rng.integers(0, 1 << 64, size=(9, 3), dtype=np.uint64)
             for name in ("a", "b", "c")
         }
         packed["empty"] = np.zeros((0, 3), dtype=np.uint64)
-        slices = _lane_slices(packed, 130)
-        assert len(slices) == 130
-        for lane, got in enumerate(slices):
+        for lane in (0, 63, 64, 129):
             word, bit = lane >> 6, np.uint64(lane & 63)
-            assert list(got) == list(packed)
             for name, arr in packed.items():
+                got = lane_bits(arr, lane)
                 want = ((arr[:, word] >> bit) & np.uint64(1)).astype(np.uint8)
-                assert got[name].dtype == np.uint8
-                assert np.array_equal(got[name], want), (lane, name)
+                assert got.dtype == np.uint8
+                assert np.array_equal(got, want), (lane, name)
+                # the same bits through the bitstream unpacker
+                unpacked = [unpack_bits(row, 130)[lane] for row in arr]
+                assert got.tolist() == unpacked, (lane, name)
 
 
 class TestLaneIsolation:
@@ -606,6 +609,29 @@ class TestBatchEquivalence:
         ]
         assert all(r.lane_batch == len(scenarios) for r in batch)
         assert [r.lane for r in batch] == list(range(len(scenarios)))
+
+    def test_distinct_stimuli_walk_their_own_golden_lane(
+        self, offline, scenarios
+    ):
+        """Each lane's walk reads its own lane of the packed golden
+        traces: lanes running distinct stimuli, over two packed words,
+        localize as they do in one-lane batches."""
+        import dataclasses
+
+        batch = [
+            dataclasses.replace(
+                scenarios[k % len(scenarios)],
+                name=f"distinct{k}",
+                stimulus_seed=100 + k,
+            )
+            for k in range(66)
+        ]
+        results = run_scenario_batch(batch, offline, max_turns=48)
+        lanes = (0, 1, 2, 3, 64, 65)
+        for lane in lanes:
+            solo = _one_lane(batch[lane], offline, max_turns=48)
+            assert results[lane].outcome() == solo.outcome(), lane
+        assert {results[lane].status for lane in lanes} >= {"localized"}
 
     def test_bad_lane_degrades_alone(self, offline, scenarios):
         import dataclasses

@@ -53,10 +53,6 @@ class TestRecompileModel:
         t = RecompileModel().compile_time_s(25_000)
         assert 1800 < t < 7200
 
-    def test_scaled_to_measurement(self):
-        m = RecompileModel().scaled_to_measurement(5000, measured_s=100.0)
-        assert m.compile_time_s(5000) == pytest.approx(100.0, rel=0.01)
-
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             RecompileModel().compile_time_s(-1)

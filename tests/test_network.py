@@ -122,17 +122,6 @@ class TestMutation:
         net.replace_uses(g, h)
         assert net.po_names == ["h"]
 
-    def test_rename_node(self):
-        net = small_net()
-        net.rename_node(net.require("g"), "out")
-        assert net.po_names == ["out"]
-        assert net.find("g") is None
-
-    def test_rename_collision(self):
-        net = small_net()
-        with pytest.raises(NetlistError):
-            net.rename_node(net.require("g"), "f")
-
     def test_fresh_name(self):
         net = small_net()
         assert net.fresh_name("zz") == "zz"

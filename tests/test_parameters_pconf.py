@@ -50,12 +50,6 @@ class TestParameterSpace:
         with pytest.raises(ParameterError):
             sp.assignment({"a": 2})
 
-    def test_with_values_copy(self):
-        sp = ParameterSpace(["a"])
-        base = sp.zeros()
-        mod = base.with_values({"a": 1})
-        assert base["a"] == 0 and mod["a"] == 1
-
     def test_diff(self):
         sp = ParameterSpace(["a", "b", "c"])
         x = sp.assignment({"a": 1})

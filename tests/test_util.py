@@ -92,7 +92,6 @@ class TestTrace:
             idx = trace.record("stage.place", 5.0, 7.5)
         assert trace.spans[0] == ["early", 1.0, 2.0, -1]
         assert trace.spans[idx] == ["stage.place", 5.0, 7.5, run]
-        assert trace.duration(idx) == 2.5
 
     def test_seconds_sum_per_name_in_first_seen_order(self):
         trace = _hand_built(
