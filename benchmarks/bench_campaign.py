@@ -22,7 +22,7 @@ import pytest
 from benchmarks.conftest import emit, emit_json
 from repro.analysis.reporting import RESILIENCE_COUNTERS
 from repro.campaign import ArtifactStore, CampaignConfig, run_campaign
-from repro.pipeline import GENERIC_STAGES, PHYSICAL_STAGES
+from repro.pipeline import debug_stages
 from repro.workloads import campaign_spec, stuck_at_scenarios
 
 #: Combinational design sized so one full offline stage costs seconds while
@@ -56,7 +56,7 @@ def test_campaign_cache_speedup(scenarios, results_dir):
     assert warm.outcomes() == [o for r in cold for o in r.outcomes()], (
         "caching changed results"
     )
-    stages = GENERIC_STAGES + PHYSICAL_STAGES
+    stages = debug_stages(with_physical=True)
     assert all(store.stats.for_stage(s).misses == 1 for s in stages)
     hits = [r.offline_cache_hit for r in warm.results]
     assert hits == [False] + [True] * (N_SCENARIOS - 1)

@@ -33,11 +33,12 @@ same scheduler with nothing pooled.
 Store semantics are identical at any worker count: the parent process
 performs every compile-stage probe and store put, under the same
 content-addressed keys and in the same per-design order, so outcomes are
-byte-identical and the compile stages' hit/miss/invalidation statistics
-match exactly.  (Compiled simulation programs are stored only by lane
-batches that run in the parent; a pooled batch compiles its own.)  A
-pool that cannot start (sandboxes, restricted containers) falls back to
-in-parent execution, reported in the notes.
+byte-identical and every stage's hit/miss/invalidation statistics match
+exactly.  Each design's build includes the ``emulation`` stage (the
+compiled program and the lowered virtual PConf), which travels to pooled
+lane batches inside the artifact, so no lane batch compiles or touches
+the store.  A pool that cannot start (sandboxes, restricted containers)
+falls back to in-parent execution, reported in the notes.
 
 :func:`run_campaign` is journal set-up, :func:`plan` (design identities,
 networks, group keys, lane batches and the pool decision, with no
@@ -62,6 +63,7 @@ from repro.campaign.cache import ArtifactStore
 from repro.campaign.results import CampaignReport, ScenarioResult
 from repro.campaign.runner import run_scenario_batch
 from repro.core.flow import DebugFlowConfig, OfflineStage, offline_cache_key
+from repro.netlist.network import LogicNetwork
 from repro.pipeline.scheduler import DataflowScheduler, ScheduledTask
 from repro.util.trace import Trace
 from repro.workloads.scenarios import DebugScenario
@@ -131,37 +133,55 @@ class CampaignConfig:
     against power loss, at a per-scenario I/O cost)."""
 
 
-#: One pool task: a stripped offline artifact, the scenarios of one lane
-#: batch and the turn budget.  Each distinct artifact is pickled once per
-#: batch instead of once per scenario.
-GroupPayload = tuple[OfflineStage, "list[tuple[int, DebugScenario]]", int]
+#: One pool task: a stripped offline artifact, the batch's golden network
+#: when the plan already holds it (``None``: the batch regenerates it),
+#: the scenarios of one lane batch and the turn budget.  Each distinct
+#: artifact is pickled once per batch instead of once per scenario.
+GroupPayload = tuple[
+    OfflineStage,
+    "LogicNetwork | None",
+    "list[tuple[int, DebugScenario]]",
+    int,
+]
 
 
 def _online_group_worker(
-    payload: GroupPayload, store=None
+    payload: GroupPayload,
 ) -> tuple[list[tuple[int, ScenarioResult]], Trace]:
     """One lane batch: its indexed results and the trace of its phases."""
-    offline, items, max_turns = payload
+    offline, golden, items, max_turns = payload
     trace = Trace()
     results = run_scenario_batch(
         [sc for _idx, sc in items],
         offline,
         max_turns=max_turns,
-        store=store,
         trace=trace,
+        golden=golden,
     )
     return [(idx, r) for (idx, _sc), r in zip(items, results)], trace
 
 
 def _payloads(
-    stage: OfflineStage, batches: "list[list[tuple[int, DebugScenario]]]",
+    stage: OfflineStage,
+    net: LogicNetwork,
+    batches: "list[list[tuple[int, DebugScenario]]]",
     max_turns: int,
 ) -> list[GroupPayload]:
     """One payload per lane batch of a built design.  The online loop runs
     against the virtual PConf: the artifact is stripped of its physical
-    stage (MBs of placement/routing state) once, not shipped per batch."""
+    stage (MBs of placement/routing state) once, not shipped per batch.
+    A ``stuck_at`` batch's golden network is the design's own network
+    ``net``, so it rides along instead of being regenerated."""
     stripped = replace(stage, physical=None)
-    return [(stripped, batch, max_turns) for batch in batches]
+    return [
+        (
+            stripped,
+            net if all(sc.kind == "stuck_at" for _i, sc in batch) else None,
+            batch,
+            max_turns,
+        )
+        for batch in batches
+    ]
 
 
 def _make_pool(n: int):
@@ -220,12 +240,7 @@ def _submit_design_build(
     ``on_complete(None, False, message)``.  Returns the created tasks
     (empty when the design resolved warm or failed to plan).
     """
-    from repro.pipeline import (
-        GENERIC_STAGES,
-        PHYSICAL_STAGES,
-        assemble_offline,
-        submit_design,
-    )
+    from repro.pipeline import assemble_offline, debug_stages, submit_design
 
     def complete(result, err):
         stage = None
@@ -244,11 +259,7 @@ def _submit_design_build(
             sched,
             net,
             flow,
-            stages=(
-                GENERIC_STAGES + PHYSICAL_STAGES
-                if with_physical
-                else GENERIC_STAGES
-            ),
+            stages=debug_stages(with_physical),
             store=store,
             pooled=pooled,
             label=label,
@@ -455,7 +466,7 @@ def execute(
         # supervision gave up on this lane batch (timeout/retries
         # exhausted).  The error message is wall-clock-dependent, so the
         # results are NOT journaled — a resumed campaign re-runs them.
-        for idx, sc in payload[1]:
+        for idx, sc in payload[2]:
             error = _error(sc, f"online stage failed: {msg}")
             keep(idx, error, journaled=False)
         abort(msg)
@@ -476,28 +487,25 @@ def execute(
             hits[idx] = hit if idx == items[0][0] else cache is not None
         # lane batches launch the moment their design's build lands
         for payload in _payloads(
-            stage, campaign.batches[gkey], config.max_turns
+            stage, campaign.nets[gkey], campaign.batches[gkey],
+            config.max_turns,
         ):
             if aborted:
                 return
+            items = payload[2]
             payloads.append(payload)
             sched.add(
                 ScheduledTask(
                     kind="online",
-                    label=f"lanes[{len(payload[1])}]",
+                    label=f"lanes[{len(items)}]",
                     worker_fn=_online_group_worker,
                     payload=payload,
-                    # compiled programs persist in the stage store when
-                    # one is in play — worker processes compile their own
-                    # (the store isn't shipped), but in-parent runs and
-                    # warm restarts skip compilation entirely
-                    inline_fn=partial(_online_group_worker, payload, cache),
                     pooled=campaign.pooled_online,
                     on_done=online_done,
                     on_fail=partial(online_failed, payload),
                     timeout_s=config.task_timeout_s,
                     max_retries=max(0, config.task_retries),
-                    key=f"online:{payload[1][0][0]}",
+                    key=f"online:{items[0][0]}",
                 )
             )
 
@@ -583,7 +591,7 @@ def execute(
                 offline_cache_hit=hits.get(idx, False),
             )
         )
-    return results, [len(p[1]) for p in payloads], effective_workers
+    return results, [len(p[2]) for p in payloads], effective_workers
 
 
 def _open_journal(

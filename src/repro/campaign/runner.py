@@ -29,6 +29,7 @@ from repro.campaign.localize import (
 from repro.campaign.results import ScenarioResult
 from repro.core.flow import OfflineStage
 from repro.engine import LaneEngine
+from repro.netlist.network import LogicNetwork
 from repro.util.trace import Trace
 from repro.workloads.scenarios import (
     DebugScenario,
@@ -45,8 +46,8 @@ def run_scenario_batch(
     offline: OfflineStage,
     *,
     max_turns: int = 48,
-    store=None,
     trace: Trace | None = None,
+    golden: LogicNetwork | None = None,
 ) -> list[ScenarioResult]:
     """Run many scenarios' online loops as lanes of one packed engine.
 
@@ -59,9 +60,10 @@ def run_scenario_batch(
     ``trace`` (the orchestrator merges them into the campaign's record
     as ``online.<phase>``):
 
-    1. *setup* — the golden design regenerated once (checking that the
-       batch shares it) and one :class:`~repro.engine.LaneEngine`; each
-       ``stuck_at`` scenario's fault is armed on its lane only
+    1. *setup* — the golden design (``golden`` when the caller holds
+       it, else regenerated once; every lane is checked to share it) and
+       one :class:`~repro.engine.LaneEngine`, which compiles nothing;
+       each ``stuck_at`` scenario's fault is armed on its lane only
        (``lane_mask``);
     2. *golden* — **one** packed reference pass over the golden design,
        lane *k*'s stimulus in bit *k* of the packed words;
@@ -76,9 +78,11 @@ def run_scenario_batch(
        once (each lane observing its *own* frontier batch via per-lane
        select parameters); lanes retire as their walks converge.
 
-    The deterministic outcome fields are byte-identical at every batch
-    size.  ``store`` persists compiled programs.  Never raises: per-lane
-    failures degrade to ``status="error"`` results for their lane only.
+    ``golden`` must be the network of the scenarios' golden design (a
+    ``stuck_at`` batch's debug network is), and is only read.  The
+    deterministic outcome fields are byte-identical at every batch size.
+    Never raises: per-lane failures degrade to ``status="error"`` results
+    for their lane only.
     """
     trace = trace if trace is not None else Trace()
     n = len(scenarios)
@@ -105,7 +109,8 @@ def run_scenario_batch(
             # the orchestrator batches by golden design and horizon: one
             # golden network (a pure function of spec and design seed)
             # and one stimulus per stimulus seed serve every lane
-            golden = scenarios[0].golden_network()
+            if golden is None:
+                golden = scenarios[0].golden_network()
             for lane, sc in enumerate(scenarios):
                 if (sc.spec, sc.design_seed) != golden_id:
                     raise ValueError(
@@ -123,7 +128,6 @@ def run_scenario_batch(
                 offline,
                 n_lanes=n,
                 trace_depth=max(horizon, offline.config.trace_depth),
-                program_store=store,
             )
             by_seed: dict[int, list[dict[str, int]]] = {}
             stims: list[list[dict[str, int]]] = []

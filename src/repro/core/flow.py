@@ -19,6 +19,13 @@ The physical back-end (TPaR placement/routing and PConf bitstream
 generation) lives in :func:`run_physical_stage`, which imports the physical
 design subpackages lazily so mapping-level users don't pay for them.
 
+What the online stage runs — the mapped network's compiled program and
+the virtual PConf with its specialization plan — is the ``emulation``
+stage's :class:`Emulation` (:func:`build_emulation`).  Debug campaigns
+build and store it with the generic flow; an :class:`OfflineStage`
+assembled without it builds it on first use
+(:meth:`OfflineStage.ensure_emulation`).
+
 Both entry points are thin façades over the **stage graph** of
 :mod:`repro.pipeline`: each phase is a declared stage with a
 content-addressed key, so passing ``store=ArtifactStore(...)`` makes
@@ -36,14 +43,19 @@ from typing import Any, Mapping
 
 from repro.core.annotate import ParAnnotation
 from repro.core.muxnet import InstrumentedDesign
+from repro.core.virtual import VirtualPConf, build_virtual_pconf
+from repro.errors import DebugFlowError
 from repro.mapping import MappingResult
 from repro.netlist.blif import write_blif
+from repro.netlist.compiled import CompiledProgram, program_for
 from repro.netlist.network import LogicNetwork
 from repro.util.trace import Trace
 
 __all__ = [
     "DebugFlowConfig",
+    "Emulation",
     "OfflineStage",
+    "build_emulation",
     "FLOW_CACHE_VERSION",
     "offline_cache_key",
     "run_generic_stage",
@@ -77,6 +89,50 @@ class DebugFlowConfig:
 
 
 @dataclass
+class Emulation:
+    """The ``emulation`` stage's artifact: what a lane engine runs.
+
+    ``program`` is the mapped LUT network's compiled program with both
+    kernel kinds generated; ``pconf`` is the virtual PConf with its
+    specialization plan lowered.  Both pickle their generated code (see
+    :class:`~repro.netlist.compiled.KernelCode`), so an engine over a
+    store-loaded artifact lowers and compiles nothing.
+    """
+
+    program: CompiledProgram
+    pconf: VirtualPConf
+
+    def bind(self, design: InstrumentedDesign) -> "Emulation":
+        """Give the PConf ``design``'s parameter space.
+
+        ``specialize`` accepts only assignments over the PConf's own
+        space object, and a PConf unpickled apart from its design holds
+        a copy; the copy is replaced once its names are checked.
+        """
+        pb = self.pconf.bitstream
+        if pb.space is not design.param_space:
+            if pb.space.names != design.param_space.names:
+                raise DebugFlowError(
+                    "emulation artifact's parameters differ from the "
+                    "instrumented design's"
+                )
+            pb.space = design.param_space
+        return self
+
+
+def build_emulation(
+    mapping: MappingResult, design: InstrumentedDesign
+) -> Emulation:
+    """The ``emulation`` stage body, paid once per design: compile the
+    mapped network (both kernel kinds) and lower its virtual PConf."""
+    program = program_for(mapping.to_lut_network())
+    program.code.generate("clean", "forced")
+    pconf = build_virtual_pconf(mapping, design)
+    pconf.bitstream.lower()
+    return Emulation(program=program, pconf=pconf)
+
+
+@dataclass
 class OfflineStage:
     """Everything the online stage needs, produced once per design."""
 
@@ -98,10 +154,20 @@ class OfflineStage:
     (none for stages the store served)."""
     physical: Any | None = None
     """Filled by :func:`run_physical_stage` (a PhysicalStage)."""
+    emulation: Emulation | None = None
+    """The ``emulation`` stage's artifact, when the compile ran that stage
+    (see :meth:`ensure_emulation`)."""
 
     @property
     def taps(self) -> list[int]:
         return self.instrumented.taps
+
+    def ensure_emulation(self) -> Emulation:
+        """The emulation artifact, built through the stage body on first
+        use when this artifact was assembled without it."""
+        if self.emulation is None:
+            self.emulation = build_emulation(self.mapping, self.instrumented)
+        return self.emulation
 
     def summary(self) -> str:
         m = self.mapping

@@ -16,23 +16,25 @@ plan: one value slot per parameter and per distinct expression DAG node,
 the nodes as ``(slot, fanins, cubes)`` ops in topological order, and each
 tunable bit's source slot.  The ops become one straight-line kernel from
 the code generator of the simulation kernels
-(:func:`repro.netlist.compiled.generate_kernels`), so a call is one
-kernel run and two numpy scatters.  The work accounting the §V-C.2
-timing model reads (each distinct expression's node count, every
-tunable bit) is a constant of the plan.
+(:class:`repro.netlist.compiled.KernelCode`), so a call is one kernel run
+and two numpy scatters.  The work accounting the §V-C.2 timing model
+reads (each distinct expression's node count, every tunable bit) is a
+constant of the plan.  A PConf pickles with its plan, whose kernel code
+follows :class:`~repro.netlist.compiled.KernelCode`'s ``.pyc`` rule — the
+pipeline's ``emulation`` stage persists the virtual PConf lowered.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import SpecializationError
 from repro.core.boolfunc import BoolExpr
 from repro.core.parameters import ParameterAssignment, ParameterSpace
-from repro.netlist.compiled import generate_kernels
+from repro.netlist.compiled import KernelCode
 
 __all__ = ["ParameterizedBitstream", "SpecializeStats"]
 
@@ -70,7 +72,7 @@ def _cubes(e: BoolExpr, k: int) -> tuple:
 class _Plan(NamedTuple):
     """A PConf lowered for :meth:`ParameterizedBitstream.specialize`."""
 
-    kernel: Callable  # generated: evaluates every internal slot of ``v``
+    code: KernelCode  # its clean kernel evaluates every internal slot of ``v``
     pad: list  # zeros for the internal slots after the parameters
     idx: np.ndarray  # tunable bit indices
     src: np.ndarray  # each tunable bit's value slot
@@ -159,10 +161,10 @@ class ParameterizedBitstream:
             raise SpecializationError(
                 "assignment belongs to a different parameter space"
             )
-        plan = self._plan or self._lower()
+        plan = self._plan or self.lower()
         v = (assignment.vector & 1).tolist()
         v += plan.pad
-        plan.kernel(v, 1)
+        plan.code.kernel("clean")(v, 1)
         values = np.frombuffer(bytes(v), dtype=np.uint8)[plan.src]  # 0/1 slots
         bits = self.baseline.copy()
         bits[plan.idx] = values
@@ -173,8 +175,9 @@ class ParameterizedBitstream:
         )
         return bits, stats
 
-    def _lower(self) -> _Plan:
-        """Build (and keep) the flat plan :meth:`specialize` runs."""
+    def lower(self) -> _Plan:
+        """Build (and keep) the flat plan :meth:`specialize` runs, its
+        kernel generated."""
         n_params = len(self.space)
         slot_of: dict[int, int] = {}  # id(non-var node) -> its value slot
         ops: list[tuple] = []
@@ -209,8 +212,10 @@ class ParameterizedBitstream:
 
         order = sorted(self.tunable)
         idx = np.array(order, dtype=np.intp)
+        code = KernelCode(tuple(ops), "pconf")
+        code.generate("clean")
         self._plan = _Plan(
-            kernel=generate_kernels(ops, "pconf")[0],
+            code=code,
             pad=[0] * (n_slots - n_params),
             idx=idx,
             src=np.array(
@@ -221,17 +226,6 @@ class ParameterizedBitstream:
             n_expr_nodes=sum(e.n_nodes() for e in roots.values()),
         )
         return self._plan
-
-    # -- pickling (the plan holds a generated kernel; rebuilt on first use) --
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        del state["_plan"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._plan = None
 
     def __repr__(self) -> str:
         return (

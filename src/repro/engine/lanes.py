@@ -10,10 +10,11 @@ scenario owns — stimulus, forced faults, the current observation
 per lane.
 
 The emulation step executes the mapped network's
-:class:`~repro.netlist.compiled.CompiledProgram` (built once per network
-content key, optionally persisted through an
-:class:`~repro.pipeline.ArtifactStore`): per cycle the engine hands the
-kernel word-packed integer
+:class:`~repro.netlist.compiled.CompiledProgram`, taken with the virtual
+PConf from the offline artifact's ``emulation`` stage
+(:class:`~repro.core.flow.Emulation`, built once per design and persisted
+with the other stages): per cycle the engine hands the kernel word-packed
+integer
 stimulus and lane-blended override indices, and reads trace samples and
 PO words straight out of the kernel state — no per-node dicts, no
 per-cycle array allocation.  Because a word-packed integer spans
@@ -52,10 +53,13 @@ from repro.core.flow import OfflineStage
 from repro.core.parameters import ParameterAssignment
 from repro.core.scg import SpecializedConfigGenerator
 from repro.core.tracebuffer import LaneTraceBuffer
-from repro.core.virtual import build_virtual_pconf
 from repro.emu.fault import NEVER_ENDS, ForcedFault, active_override_ints
 from repro.errors import DebugFlowError
-from repro.netlist.compiled import CompiledSimulator, int_to_words, program_for
+from repro.netlist.compiled import (
+    CompiledSimulator,
+    int_to_words,
+    network_signature,
+)
 from repro.util.bitops import pack_lane_scripts, words_for_bits
 
 __all__ = ["DebugTurnLog", "LaneEngine", "Stimulus"]
@@ -84,7 +88,10 @@ class LaneEngine:
 
     ``n_lanes`` is unbounded above (words are added every 64 lanes);
     memory and per-cycle cost grow linearly with the word count, so
-    campaigns pick the width that saturates their batch sizes.
+    campaigns pick the width that saturates their batch sizes.  The
+    compiled program and the virtual PConf come from
+    :meth:`~repro.core.flow.OfflineStage.ensure_emulation`, checked
+    against the signature of the mapped network the engine names.
     """
 
     def __init__(
@@ -94,7 +101,6 @@ class LaneEngine:
         n_lanes: int = 1,
         model: Virtex5Model | None = None,
         trace_depth: int | None = None,
-        program_store=None,
     ) -> None:
         if n_lanes < 1:
             raise DebugFlowError("lane count must be at least 1")
@@ -104,12 +110,15 @@ class LaneEngine:
         self.n_lanes = n_lanes
         self.n_words = max(1, words_for_bits(n_lanes))
         self.mapped_net = offline.mapping.to_lut_network()
-        self.sim = CompiledSimulator(
-            program_for(self.mapped_net, store=program_store),
-            n_words=self.n_words,
-        )
+        emulation = offline.ensure_emulation()
+        if emulation.program.signature != network_signature(self.mapped_net):
+            raise DebugFlowError(
+                "the offline artifact's emulation program was not compiled "
+                "from its mapped network"
+            )
+        self.sim = CompiledSimulator(emulation.program, n_words=self.n_words)
         self.backend = self.sim.backend
-        self.pconf = build_virtual_pconf(offline.mapping, self.design)
+        self.pconf = emulation.pconf
         depth = trace_depth or offline.config.trace_depth
         self.trace = LaneTraceBuffer(
             width=self.design.n_buffer_inputs, depth=depth, n_lanes=n_lanes

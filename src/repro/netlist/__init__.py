@@ -22,7 +22,6 @@ from repro.netlist.simulate import (
     check_equivalent,
 )
 from repro.netlist.compiled import (
-    COMPILED_SIM_STAGE,
     CompiledProgram,
     CompiledSimulator,
     compile_network,
@@ -51,7 +50,6 @@ __all__ = [
     "SequentialSimulator",
     "random_stimulus",
     "check_equivalent",
-    "COMPILED_SIM_STAGE",
     "CompiledProgram",
     "CompiledSimulator",
     "compile_network",

@@ -39,29 +39,33 @@ Overrides (fault forcing) resolve through precomputed node indices: gate
 overrides blend inside a second generated kernel via per-node
 ``(forced, ~mask)`` tables (``value = (clean & ~mask) | (forced & mask)``
 per lane), while source and folded-constant overrides blend before the
-kernel runs.
+kernel runs.  Each kernel kind is generated on first use, so a pass that
+never arms a gate override (every golden pass) compiles only ``clean``.
 
 Program caching
 ---------------
-Compilation costs one cover extraction + codegen pass per network, so
-programs are cached at three levels by :func:`program_for`:
-
-* a ``WeakKeyDictionary`` keyed by network *instance* (revalidated
-  against the structural signature — in-place rewires miss instead of
-  returning a stale program);
-* a bounded signature-keyed LRU, so regenerated-but-identical networks
-  (every ``mapping.to_lut_network()`` call builds a fresh object) share
-  one program;
-* optionally an :class:`~repro.pipeline.ArtifactStore` under the
-  :data:`COMPILED_SIM_STAGE` pseudo-stage, so warm campaign restarts
-  skip compilation the way they skip every other pipeline stage.
+Compilation costs one cover extraction + codegen pass per network.  In a
+process, :func:`program_for` memoizes programs per network *instance*
+(revalidated against the structural signature, so in-place rewires
+recompile) and per signature in a bounded LRU (every
+``mapping.to_lut_network()`` call builds a fresh but identical network).
+Across processes, the mapped network's program is part of the pipeline's
+``emulation`` stage artifact (:mod:`repro.pipeline.stages`): its
+:class:`KernelCode` pickles the generated code objects as :mod:`marshal`
+bytes tagged with :data:`importlib.util.MAGIC_NUMBER` — Python's own
+``.pyc`` rule — so a warm store serves kernels that need no ``compile()``,
+and a store written by another bytecode version regenerates them from the
+ops on first use.
 """
 
 from __future__ import annotations
 
 import hashlib
+import marshal
 from collections import OrderedDict
-from typing import Mapping
+from importlib.util import MAGIC_NUMBER
+from types import CodeType
+from typing import Callable, Mapping
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -71,22 +75,20 @@ from repro.netlist.network import LogicNetwork, NodeKind
 from repro.netlist.sop import truthtable_to_cover
 
 __all__ = [
-    "COMPILED_SIM_STAGE",
     "PROGRAM_VERSION",
     "CompiledProgram",
     "CompiledSimulator",
+    "KernelCode",
     "compile_network",
     "network_signature",
     "program_for",
     "resolve_backend",
 ]
 
-#: ArtifactStore pseudo-stage name compiled programs persist under (the
-#: online-phase analogue of the offline pipeline's stage entries).
-COMPILED_SIM_STAGE = "compiled-sim"
-
-#: Folded into :func:`network_signature`; bump when program lowering or
-#: kernel semantics change so persisted programs from older versions miss.
+#: Folded into :func:`network_signature` and the version of the pipeline's
+#: ``emulation`` stage; bump when program lowering, kernel semantics or the
+#: PConf plan change so persisted programs and plans from older versions
+#: miss.
 PROGRAM_VERSION = 1
 
 #: Straight-line ops per generated kernel function; very large networks
@@ -129,7 +131,7 @@ def network_signature(net: LogicNetwork) -> str:
     relative to compilation: one linear pass, no cover extraction.
     """
     h = hashlib.sha256()
-    h.update(f"{COMPILED_SIM_STAGE}-v{PROGRAM_VERSION}:{net.n_nodes}\n".encode())
+    h.update(f"program-v{PROGRAM_VERSION}:{net.n_nodes}\n".encode())
     h.update(repr(tuple(net.pis)).encode())
     h.update(
         repr([(l.driver, l.q, l.init) for l in net.latches]).encode()
@@ -168,11 +170,13 @@ class CompiledProgram:
         re-evaluated per cycle.
     pi_nodes / latch_qs / latch_drivers / latch_inits / po_nodes:
         Integer index tables for the simulator's per-cycle bookkeeping.
+    code:
+        The :class:`KernelCode` over ``ops``: the ``clean`` and ``forced``
+        kernels, each generated on first use.
 
-    Programs are picklable (generated kernels are dropped from the state
-    and regenerated lazily on first use), which is what lets an
-    :class:`~repro.pipeline.ArtifactStore` persist them as pipeline
-    artifacts.
+    Programs pickle with whatever kernel code they have generated (see
+    :class:`KernelCode`), which is what lets the pipeline's ``emulation``
+    stage persist them.
     """
 
     def __init__(
@@ -197,6 +201,7 @@ class CompiledProgram:
         self.latch_drivers = latch_drivers
         self.latch_inits = latch_inits
         self.po_nodes = po_nodes
+        self.code = KernelCode(ops, f"program:{signature[:12]}")
         self._finish_init()
 
     def _finish_init(self) -> None:
@@ -206,9 +211,8 @@ class CompiledProgram:
             is_op[node] = True
         self.is_op = is_op
         self.const_value = dict(self.const_nodes)
-        self._kernels: "tuple | None" = None
 
-    # -- pickling (kernels are exec-generated functions; regenerate) --------
+    # -- pickling (derived tables are rebuilt) ---------------------------------
 
     def __getstate__(self) -> dict:
         return {
@@ -221,32 +225,12 @@ class CompiledProgram:
             "latch_drivers": self.latch_drivers,
             "latch_inits": self.latch_inits,
             "po_nodes": self.po_nodes,
+            "code": self.code,
         }
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._finish_init()
-
-    # -- kernel generation ---------------------------------------------------
-
-    def kernels(self):
-        """The generated ``(clean, forced)`` kernel pair (cached).
-
-        ``clean(v, M)`` evaluates every gate op into the flat value list
-        ``v`` (``M`` is the all-lanes mask).  ``forced(v, M, f, nm)``
-        additionally blends each result through the per-node forced/
-        not-mask tables: ``v[n] = (expr & nm[n]) | f[n]`` — with the
-        tables at their neutral values (``0`` / ``M``) this reduces to
-        the clean result, so only the nodes an override actually targets
-        need their table slots armed.
-        """
-        if self._kernels is None:
-            self._kernels = generate_kernels(
-                self.ops,
-                f"compiled-sim:{self.signature[:12]}",
-                ("clean", "forced"),
-            )
-        return self._kernels
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -277,41 +261,99 @@ def _op_exprs(ops) -> "list[tuple[int, str]]":
     return out
 
 
-#: Kernel kinds :func:`generate_kernels` emits: parameters and per-op statement.
+#: Kernel kinds :class:`KernelCode` generates: parameters and per-op statement.
+#: ``clean(v, M)`` evaluates every op into the flat value list ``v`` (``M``
+#: is the all-lanes mask); ``forced(v, M, f, nm)`` additionally blends each
+#: result through the per-node forced/not-mask tables — ``v[n] = (expr &
+#: nm[n]) | f[n]``, which with the tables at their neutral values (``0`` /
+#: ``M``) is the clean result, so only overridden nodes need armed slots.
 _KERNEL_KINDS = {
     "clean": ("v, M", "v[{node}] = {expr}"),
     "forced": ("v, M, f, nm", "v[{node}] = (({expr})&nm[{node}])|f[{node}]"),
 }
 
 
-def generate_kernels(
-    ops, label: str, kinds: "tuple[str, ...]" = ("clean",)
-) -> tuple:
-    """Generate one straight-line kernel of each kind in ``kinds`` over
-    ``ops`` (``(slot, fanins, cubes)`` triples, in evaluation order).
+class KernelCode:
+    """Straight-line kernels over ``ops``, one per kind, generated on first
+    use.
 
-    Each kernel rebinds the slots of a flat value list ``v`` in op order;
-    ``M`` is the all-lanes mask.  Long op lists are split into chunks of
-    :data:`_OPS_PER_CHUNK` ops, compiled under ``<label:first op>``.
+    ``ops`` are ``(slot, fanins, cubes)`` triples in evaluation order; each
+    kernel rebinds the slots of a flat value list ``v`` in op order.  Long
+    op lists are split into chunks of :data:`_OPS_PER_CHUNK` ops, compiled
+    under ``<label:kind:first op>``.
+
+    Pickling keeps the ops and every generated code object, as
+    :mod:`marshal` bytes tagged with :data:`importlib.util.MAGIC_NUMBER`
+    (the ``.pyc`` rule): unpickled under the same bytecode magic, a kernel
+    links without ``compile()``; under another, the code is dropped and
+    regenerates from the ops on first use.
     """
-    exprs = _op_exprs(ops)
-    chunks: "dict[str, list]" = {kind: [] for kind in kinds}
-    for base in range(0, max(1, len(exprs)), _OPS_PER_CHUNK):
-        chunk = exprs[base : base + _OPS_PER_CHUNK]
-        lines = []
-        for kind in kinds:
+
+    def __init__(self, ops: tuple, label: str) -> None:
+        self.ops = ops
+        self.label = label
+        self._code: "dict[str, tuple[CodeType, ...]]" = {}
+        self._fns: "dict[str, Callable]" = {}
+
+    def generate(self, *kinds: str) -> None:
+        """Generate the code of every kind in ``kinds`` not generated yet
+        (one expression pass shared by all of them)."""
+        missing = [kind for kind in kinds if kind not in self._code]
+        if not missing:
+            return
+        exprs = _op_exprs(self.ops)
+        for kind in missing:
             params, stmt = _KERNEL_KINDS[kind]
-            lines.append(f"def _{kind}_{base}({params}):")
-            lines += [
-                "    " + stmt.format(node=node, expr=expr) for node, expr in chunk
-            ] or ["    pass"]
-        ns: dict = {}
-        exec(  # noqa: S102 — code generated from our own lowering, no user input
-            compile("\n".join(lines), f"<{label}:{base}>", "exec"), ns
+            chunks = []
+            for base in range(0, max(1, len(exprs)), _OPS_PER_CHUNK):
+                lines = [f"def kernel({params}):"]
+                lines += [
+                    "    " + stmt.format(node=node, expr=expr)
+                    for node, expr in exprs[base : base + _OPS_PER_CHUNK]
+                ] or ["    pass"]
+                chunks.append(
+                    compile(
+                        "\n".join(lines), f"<{self.label}:{kind}:{base}>", "exec"
+                    )
+                )
+            self._code[kind] = tuple(chunks)
+
+    def kernel(self, kind: str) -> Callable:
+        """The ``kind`` kernel, generated and linked on first use."""
+        fn = self._fns.get(kind)
+        if fn is None:
+            self.generate(kind)
+            fns = []
+            for code in self._code[kind]:
+                ns: dict = {}
+                exec(code, ns)  # noqa: S102 — code generated from our own lowering
+                fns.append(ns["kernel"])
+            fn = self._fns[kind] = _chained(fns)
+        return fn
+
+    def __getstate__(self) -> dict:
+        return {
+            "ops": self.ops,
+            "label": self.label,
+            "magic": MAGIC_NUMBER,
+            "code": {
+                kind: [marshal.dumps(c) for c in codes]
+                for kind, codes in self._code.items()
+            },
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self.ops = state["ops"]
+        self.label = state["label"]
+        self._fns = {}
+        self._code = (
+            {
+                kind: tuple(marshal.loads(b) for b in blobs)
+                for kind, blobs in state["code"].items()
+            }
+            if state["magic"] == MAGIC_NUMBER
+            else {}
         )
-        for kind in kinds:
-            chunks[kind].append(ns[f"_{kind}_{base}"])
-    return tuple(_chained(chunks[kind]) for kind in kinds)
 
 
 def _chained(fns: list):
@@ -367,36 +409,20 @@ _BY_KEY: "OrderedDict[str, CompiledProgram]" = OrderedDict()
 _BY_KEY_LIMIT = 64
 
 
-def program_for(net: LogicNetwork, *, store=None) -> CompiledProgram:
-    """The compiled program for ``net``, through every cache level.
+def program_for(net: LogicNetwork) -> CompiledProgram:
+    """The compiled program for ``net``, memoized in this process.
 
-    ``store`` (an :class:`~repro.pipeline.ArtifactStore` or anything with
-    its ``get_if_present``/``put`` protocol) persists programs under the
-    :data:`COMPILED_SIM_STAGE` pseudo-stage keyed by the structural
-    signature, so a warm campaign restart pays zero compilations; in-
-    process, programs are memoized per network instance (signature-
-    revalidated, so in-place rewires recompile) and per signature (so
-    regenerated identical networks — every ``to_lut_network()`` call —
-    share one program and its generated kernels, store hit or not).
+    Programs are memoized per network instance (signature-revalidated, so
+    in-place rewires recompile) and per signature (so regenerated
+    identical networks — every ``to_lut_network()`` call — share one
+    program and its generated kernels).
     """
     sig = network_signature(net)
     hit = _BY_NET.get(net)
     if hit is not None and hit.signature == sig:
         return hit
     program = _BY_KEY.get(sig)
-    if store is not None:
-        # looked up even when memoized, so store statistics do not
-        # depend on this process's history
-        found = store.get_if_present(
-            COMPILED_SIM_STAGE, sig, expect=CompiledProgram
-        )
-        if found is None:
-            if program is None:
-                program = compile_network(net, signature=sig)
-            store.put(COMPILED_SIM_STAGE, sig, program)
-        elif program is None:
-            program = found.value
-    elif program is None:
+    if program is None:
         program = compile_network(net, signature=sig)
     _BY_KEY[sig] = program
     _BY_KEY.move_to_end(sig)
@@ -496,7 +522,8 @@ class CompiledSimulator:
         self._notmask: list[int] = [self.full_mask] * n
         self._blk_notmask: list[int] = []
         self._armed: list[int] = []
-        self._clean_kernel, self._forced_kernel = program.kernels()
+        self._clean_kernel = program.code.kernel("clean")
+        self._forced_kernel: "Callable | None" = None  # linked when armed
         self.reset()
 
     # -- state ---------------------------------------------------------------
@@ -595,7 +622,8 @@ class CompiledSimulator:
         blend into ``v`` before the kernel runs (overridden constants are
         noted in ``dirty``); gate overrides blend through the forced
         kernel's per-node tables the moment the gate is evaluated, so its
-        fanouts see the forced value.
+        fanouts see the forced value (the forced kernel is linked on the
+        first armed gate override).
         """
         if not overrides:
             self._clean_kernel(v, full)
@@ -616,6 +644,8 @@ class CompiledSimulator:
                 if node in const_value:
                     dirty.append(node)
         if armed:
+            if self._forced_kernel is None:
+                self._forced_kernel = self.program.code.kernel("forced")
             self._forced_kernel(v, full, f, nm)
             for node in armed:
                 f[node] = 0

@@ -2,13 +2,14 @@
 
 The compile flow as an explicit DAG (:data:`DEBUG_FLOW_GRAPH`): each phase
 — validate, cleanup, initial-map, signal-parameterisation, tcon-map,
-pack, place, route, bitgen — is a declared :class:`Stage` with typed
-input/output artifacts and a content-addressed key derived from the
-config fields it reads plus its upstream artifacts' keys.  Running the
-graph against an :class:`ArtifactStore` makes recompilation incremental:
-a warm single-knob change rebuilds only the invalidated suffix of the
-graph, a cold design runs everything — the architectural form of the
-paper's "change the instrumentation without recompiling the design".
+emulation, pack, rr-graph, place, route, bitgen — is a declared
+:class:`Stage` with typed input/output artifacts and a content-addressed
+key derived from the config fields it reads plus its upstream artifacts'
+keys.  Running the graph against an :class:`ArtifactStore` makes
+recompilation incremental: a warm single-knob change rebuilds only the
+invalidated suffix of the graph, a cold design runs everything — the
+architectural form of the paper's "change the instrumentation without
+recompiling the design".
 
 Quick start::
 
@@ -51,18 +52,12 @@ from repro.pipeline.stages import (
     assemble_offline,
     assemble_physical,
     compile_design,
+    debug_stages,
     submit_design,
 )
 from repro.pipeline.store import ArtifactStore, StageStats, StoreStats
 
-# The online phase persists compiled simulation programs
-# (:mod:`repro.netlist.compiled`) in the same store, under a pseudo-stage
-# alongside the offline pipeline's entries — re-exported here so store
-# administrators can enumerate every stage name the system writes.
-from repro.netlist.compiled import COMPILED_SIM_STAGE
-
 __all__ = [
-    "COMPILED_SIM_STAGE",
     "SOURCE",
     "Artifact",
     "CompileResult",
@@ -81,6 +76,7 @@ __all__ = [
     "assemble_offline",
     "assemble_physical",
     "compile_design",
+    "debug_stages",
     "submit_design",
     "ArtifactStore",
     "StageStats",

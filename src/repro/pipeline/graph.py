@@ -357,7 +357,8 @@ class StageGraph:
         * segments only depend on earlier segments.
 
         For the full debug flow this yields the linear generic prefix
-        through ``pack`` as one segment, ``rr-graph`` and ``place`` as two
+        through ``tcon-map`` as one segment, ``emulation`` and ``pack``
+        (both consume ``tcon-map``) and then ``rr-graph`` and ``place`` as
         independent segments (the concurrency inside one design), and
         ``route``+``bitgen`` fused at the join.
         """

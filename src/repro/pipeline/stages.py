@@ -1,10 +1,12 @@
 """The debug flow declared as a stage graph (§IV-A, end to end).
 
-Ten stages — ``validate``, ``cleanup``, ``initial-map``,
-``signal-parameterisation``, ``tcon-map`` (the generic flow) and ``pack``,
-``rr-graph``, ``place``, ``route``, ``bitgen`` (the physical back-end,
-where ``rr-graph`` and ``place`` both hang off ``pack`` and are
-independent of each other) — each declaring
+Eleven stages — ``validate``, ``cleanup``, ``initial-map``,
+``signal-parameterisation``, ``tcon-map`` (the generic flow),
+``emulation`` (the mapped network's compiled program and the lowered
+virtual PConf the online stage runs) and ``pack``, ``rr-graph``,
+``place``, ``route``, ``bitgen`` (the physical back-end, where
+``rr-graph`` and ``place`` both hang off ``pack`` and are independent of
+each other) — each declaring
 exactly the :class:`~repro.core.flow.DebugFlowConfig` fields it reads, so
 the derived keys encode the paper's incrementality:
 
@@ -16,7 +18,15 @@ the derived keys encode the paper's incrementality:
   at ``signal-parameterisation``: only parameterisation-downstream stages
   re-run;
 * a changed design (or even a renamed one — the source key hashes names)
-  re-runs everything.
+  re-runs everything;
+* ``emulation`` is versioned by
+  :data:`~repro.netlist.compiled.PROGRAM_VERSION`: bumping it rebuilds
+  only the emulation artifact.
+
+Debug campaigns and :func:`~repro.campaign.cache.resolve_offline` build
+:func:`debug_stages` (the generic flow plus ``emulation``, and the
+physical back-end on request); ``run_generic_stage`` stops at the generic
+flow, because the §V area experiments never emulate.
 
 :func:`compile_design` runs the graph (optionally against an
 :class:`~repro.pipeline.store.ArtifactStore`) through the one executor,
@@ -32,10 +42,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.core.flow import DebugFlowConfig, OfflineStage
+from repro.core.flow import DebugFlowConfig, OfflineStage, build_emulation
 from repro.core.muxnet import build_trace_network
 from repro.errors import DebugFlowError
 from repro.mapping import AbcMap, TconMap
+from repro.netlist.compiled import PROGRAM_VERSION
 from repro.netlist.network import LogicNetwork
 from repro.netlist.transforms import cleanup
 from repro.netlist.validate import validate_network
@@ -52,6 +63,7 @@ __all__ = [
     "DEBUG_FLOW_GRAPH",
     "submit_design",
     "compile_design",
+    "debug_stages",
     "assemble_offline",
     "assemble_physical",
 ]
@@ -64,6 +76,16 @@ GENERIC_STAGES = (
     "tcon-map",
 )
 PHYSICAL_STAGES = ("pack", "rr-graph", "place", "route", "bitgen")
+
+
+def debug_stages(with_physical: bool = False) -> tuple[str, ...]:
+    """The stages a debug session's offline artifact is built from: the
+    generic flow, ``emulation`` and, ``with_physical``, the back-end."""
+    return (
+        GENERIC_STAGES
+        + ("emulation",)
+        + (PHYSICAL_STAGES if with_physical else ())
+    )
 
 
 # -- generic-flow stage bodies -------------------------------------------------
@@ -123,6 +145,10 @@ def _tcon_map(ctx: StageContext):
         taps=set(instrumented.taps),
         fold_polarity=ctx.config.fold_polarity,
     ).map(instrumented.network)
+
+
+def _emulation(ctx: StageContext):
+    return build_emulation(ctx["tcon-map"], ctx["signal-parameterisation"])
 
 
 # -- physical back-end stage bodies (lazy imports, see repro.physical) ---------
@@ -206,6 +232,12 @@ DEBUG_FLOW_GRAPH = StageGraph(
             _tcon_map,
             inputs=("initial-map", "signal-parameterisation"),
             config_fields=("k", "cut_limit", "area_rounds", "fold_polarity"),
+        ),
+        Stage(
+            "emulation",
+            _emulation,
+            inputs=("tcon-map", "signal-parameterisation"),
+            version=PROGRAM_VERSION,
         ),
         Stage(
             "pack",
@@ -308,9 +340,7 @@ def compile_design(
     stages are stored.
     """
     if stages is None:
-        stages = (
-            GENERIC_STAGES + PHYSICAL_STAGES if with_physical else GENERIC_STAGES
-        )
+        stages = debug_stages(True) if with_physical else GENERIC_STAGES
     sched = DataflowScheduler()
     results: list[CompileResult | None] = []  # on_complete fires once
     tasks = submit_design(
@@ -332,8 +362,12 @@ def compile_design(
 
 
 def assemble_offline(result: CompileResult) -> OfflineStage:
-    """Fold a compile result into the historical ``OfflineStage`` artifact."""
+    """Fold a compile result into the historical ``OfflineStage`` artifact.
+
+    An ``emulation`` artifact is bound to the instrumented design's
+    parameter space (:meth:`~repro.core.flow.Emulation.bind`)."""
     instrumented = result.value("signal-parameterisation")
+    emulation = result.artifacts.get("emulation")
     offline = OfflineStage(
         source=result.value("cleanup"),
         config=result.config,
@@ -343,6 +377,9 @@ def assemble_offline(result: CompileResult) -> OfflineStage:
         annotation=instrumented.annotation(),
         stage_keys=result.keys(),
         trace=result.trace,
+        emulation=(
+            emulation.value.bind(instrumented) if emulation is not None else None
+        ),
     )
     if "bitgen" in result.artifacts:
         offline.physical = assemble_physical(result)

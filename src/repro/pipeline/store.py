@@ -23,11 +23,11 @@ still load (pickle ignores trailing bytes, absent trailers fall back to
 a plain parse); anything unparseable is quarantined the same way.  A
 lookup never raises on bad disk state.
 
-Besides the nine compile-graph stages, the online phase stores compiled
-simulation programs (:func:`repro.netlist.compiled.program_for`) under
-the ``"compiled-sim"`` pseudo-stage keyed by network structural
-signature, so a warm campaign restart skips kernel compilation the same
-way it skips every offline stage.
+Every entry is a compile-graph stage's artifact — the ``emulation``
+stage's included: the mapped network's compiled program and the lowered
+virtual PConf, whose generated code pickles as :mod:`marshal` bytes
+(:class:`repro.netlist.compiled.KernelCode`), so a warm campaign restart
+skips kernel compilation the same way it skips every other stage.
 """
 
 from __future__ import annotations

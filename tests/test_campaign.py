@@ -20,7 +20,7 @@ from repro.core.debug import DebugSession
 from repro.core.flow import DebugFlowConfig, offline_cache_key, run_generic_stage
 from repro.errors import DebugFlowError
 from repro.util.trace import Trace
-from repro.pipeline import GENERIC_STAGES
+from repro.pipeline import debug_stages
 from repro.workloads import (
     DebugScenario,
     campaign_spec,
@@ -92,7 +92,7 @@ class TestOfflineCache:
         assert (hit1, hit2) == (False, True)
         assert second.mapping is first.mapping
         assert second.stage_keys["tcon-map"] == first.stage_keys["tcon-map"]
-        n = len(GENERIC_STAGES)
+        n = len(debug_stages())
         assert store.stats.hits == n and store.stats.misses == n
 
     def test_config_miss(self):
@@ -230,7 +230,7 @@ class TestCampaign:
         assert hits == [False, True, True]
         # one build: every compile stage missed exactly once
         per_stage = store.stats.as_dict()["per_stage"]
-        assert all(per_stage[s]["misses"] == 1 for s in GENERIC_STAGES)
+        assert all(per_stage[s]["misses"] == 1 for s in debug_stages())
         assert report.counts().get("localized") == len(scenarios)
 
     def test_serial_parallel_deterministic(self, scenarios):
@@ -266,9 +266,9 @@ class TestCampaign:
         assert report.cache_stats is None
         assert all(not r.offline_cache_hit for r in report.results)
         # the one build is in the run's record: its counter, every
-        # generic stage's span and the offline seconds they add up to
+        # built stage's span and the offline seconds they add up to
         assert report.trace.counters["builds"] == 1
-        assert set(report.trace.seconds("stage.")) == set(GENERIC_STAGES)
+        assert set(report.trace.seconds("stage.")) == set(debug_stages())
         assert report.trace.seconds()["offline"] >= sum(
             report.trace.seconds("stage.").values()
         )
@@ -389,11 +389,15 @@ class TestDesignIdentity:
         _count_calls(monkeypatch, calls, flow, "offline_cache_key")
         _count_calls(monkeypatch, calls, orch, "offline_cache_key")
         report = run_campaign(
-            scenarios, config=CampaignConfig(max_turns=16), cache=None
+            scenarios,
+            config=CampaignConfig(max_turns=16, lane_width=8),
+            cache=None,
         )
         assert report.counts().get("error") is None
-        # one debug network at registration, one golden for the lane batch
-        assert calls["generate_circuit"] <= 2
+        assert report.lane_batches == [8, 8, 8]
+        # one debug network at registration, which is also the golden
+        # network of each of the three stuck-at lane batches
+        assert calls["generate_circuit"] == 1
         assert calls["offline_cache_key"] == 1
 
     def test_failing_design_fails_each_of_its_scenarios(self):

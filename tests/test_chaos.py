@@ -12,6 +12,7 @@ import os
 import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -291,8 +292,12 @@ class TestParentKill:
     mid-campaign, ``--resume`` it, and diff the outcomes JSON against an
     uninterrupted run byte-for-byte."""
 
+    #: The checkout these tests belong to: the CLI runs its code, from
+    #: wherever the suite was checked out.
+    ROOT = Path(__file__).resolve().parents[1]
+
     def _cli(self, tmp_path, extra, chaos_spec=None):
-        env = {**os.environ, "PYTHONPATH": "src"}
+        env = {**os.environ, "PYTHONPATH": str(self.ROOT / "src")}
         env.pop(chaos.ENV_VAR, None)
         if chaos_spec is not None:
             env[chaos.ENV_VAR] = json.dumps(
@@ -310,7 +315,7 @@ class TestParentKill:
                 *extra,
             ],
             env=env,
-            cwd="/root/repo",
+            cwd=self.ROOT,
             capture_output=True,
             text=True,
             timeout=300,

@@ -32,7 +32,6 @@ from parity import (
     reference_sequential,
 )
 from repro.netlist.compiled import (
-    COMPILED_SIM_STAGE,
     CompiledProgram,
     CompiledSimulator,
     compile_network,
@@ -192,13 +191,13 @@ class TestProgramCache:
         sim1 = CompiledSimulator(p1, 2)
         stim = {p: 0x5A5A_5A5A_5A5A_5A5A for p in net.pis}
         sim1.step(stim)
-        kernels1 = p1.kernels()
+        kernel1 = p1.code.kernel("clean")
 
         gate = next(net.gates())
         net.rewire(gate, net.fanins(gate), ~net.func(gate))
         p2 = program_for(net)
         assert p2 is not p1
-        assert p2.kernels() is not kernels1  # fresh kernels, not the stale pair
+        assert p2.code.kernel("clean") is not kernel1  # fresh, not the stale kernel
         sim2 = CompiledSimulator(p2, 2)
         sim2.step(stim)
         nodes = list(net.nodes())
@@ -208,63 +207,70 @@ class TestProgramCache:
         # have kept serving the old function
         assert sim2.value(gate) == sim1.value(gate) ^ sim1.full_mask
 
-    def test_store_hit_keeps_in_process_program(self):
-        """A store hit returns the program this process already holds for
-        the signature, kernels built, and still counts as a hit."""
-        spec = campaign_spec("cache-w", n_gates=40, depth=5, n_pis=8, n_pos=4)
-        a = generate_circuit(spec, 5)
-        b = generate_circuit(spec, 5)  # structurally identical
-        assert a is not b
-        warm = ArtifactStore()
-        # the store's copy is another instance, as if a process filled it
-        warm.put(COMPILED_SIM_STAGE, network_signature(a), compile_network(a))
-        p = program_for(a)
-        kernels = p.kernels()
-        hits, misses = warm.stats.hits, warm.stats.misses
-        q = program_for(b, store=warm)
-        assert q is p
-        assert q._kernels is kernels
-        assert (warm.stats.hits, warm.stats.misses) == (hits + 1, misses)
-        # another signature is compiled and stored as before
-        c = generate_circuit(spec, 6)
-        r = program_for(c, store=warm)
-        assert r.signature == network_signature(c) != p.signature
-        assert (warm.stats.hits, warm.stats.misses) == (hits + 1, misses + 1)
-        assert warm.count(COMPILED_SIM_STAGE) == 2
-
-    def test_store_persistence_round_trip(self, tmp_path):
-        spec = campaign_spec("cache-d", n_gates=40, depth=5, n_pis=8, n_pos=4)
-        net = generate_circuit(spec, 3)
-        store = ArtifactStore(cache_dir=str(tmp_path))
-        program = program_for(net, store=store)
-        assert store.count(COMPILED_SIM_STAGE) == 1
-        # a fresh store over the same directory (fresh process model) must
-        # serve the program from disk — and it must still execute
-        import repro.netlist.compiled as compiled_mod
-
-        compiled_mod._BY_KEY.clear()
-        compiled_mod._BY_NET.clear()
-        restarted = ArtifactStore(cache_dir=str(tmp_path))
-        again = program_for(net, store=restarted)
-        assert restarted.stats.for_stage(COMPILED_SIM_STAGE).disk_hits == 1
-        assert again.signature == program.signature
-        sim = CompiledSimulator(again)
-        sim.step({p: U64MAX for p in net.pis})
-
-    def test_program_pickles_without_kernels(self):
+    def test_program_pickles_without_kernels(self, monkeypatch):
+        """Linked kernels never pickle; their generated code does, as
+        marshal bytes: a clone links its kernels without ``compile()``,
+        and a clone pickled under another bytecode magic drops the code
+        and regenerates it on first use."""
         import pickle
+
+        import repro.netlist.compiled as compiled_mod
 
         net = parse_blif(
             ".model m\n.inputs a b\n.outputs y\n.names a b y\n10 1\n01 1\n.end"
         )
         program = compile_network(net)
-        program.kernels()  # generate, then ensure pickling drops them
-        clone = pickle.loads(pickle.dumps(program))
+        program.code.generate("clean", "forced")
+        same = pickle.dumps(program)
+        monkeypatch.setattr(compiled_mod, "MAGIC_NUMBER", b"\x00\x00\r\n")
+        other = pickle.dumps(program)
+        monkeypatch.undo()
+
+        def boom(*_a, **_k):
+            raise AssertionError("kernel code was compiled")
+
+        monkeypatch.setattr(compiled_mod, "compile", boom, raising=False)
+        clone = pickle.loads(same)
         assert isinstance(clone, CompiledProgram)
         assert clone.ops == program.ops
+        assert set(clone.code._code) == {"clean", "forced"}
         sim = CompiledSimulator(clone)
+        y = net.require("y")
         sim.step({net.pis[0]: 0b1100, net.pis[1]: 0b1010})
-        assert sim.value(net.require("y")) == 0b0110
+        assert sim.value(y) == 0b0110
+        sim.step(
+            {net.pis[0]: 0b1100, net.pis[1]: 0b1010},
+            overrides={y: (0b1111, 0b0011)},
+        )
+        assert sim.value(y) == 0b0111
+        monkeypatch.undo()
+
+        stale = pickle.loads(other)
+        assert stale.code._code == {}
+        sim = CompiledSimulator(stale)
+        sim.step({net.pis[0]: 0b1100, net.pis[1]: 0b1010})
+        assert sim.value(y) == 0b0110
+        assert set(stale.code._code) == {"clean"}
+
+    def test_golden_pass_generates_clean_kernel_only(self):
+        """A pass that never arms a gate override compiles one kernel
+        kind; the first armed override links ``forced``."""
+        from repro.workloads.scenarios import packed_signal_traces
+
+        spec = campaign_spec("cache-g", n_gates=40, depth=5, n_pis=8, n_pos=4)
+        net = generate_circuit(spec, 11)
+        program = program_for(net)
+        assert program.code._code == {}
+        stim = stimulus_script(net, 8, 3)
+        packed_signal_traces(net, [stim, stim], list(net.po_names))
+        SequentialSimulator(net).step(
+            {p: np.zeros(1, np.uint64) for p in net.pis}
+        )
+        assert set(program.code._code) == {"clean"}
+        sim = CompiledSimulator(program)
+        gate = next(net.gates())
+        sim.step({p: 0 for p in net.pis}, overrides={gate: (1, 1)})
+        assert set(program.code._code) == {"clean", "forced"}
 
 
 class TestBlockEvaluation:

@@ -32,7 +32,6 @@ from repro.campaign import CampaignConfig, run_campaign
 from repro.campaign.cache import ArtifactStore
 from repro.core.muxnet import build_trace_network
 from repro.mapping import TconMap
-from repro.netlist.compiled import COMPILED_SIM_STAGE
 from repro.pack import build_atoms, pack_design
 from repro.place import place_design
 from repro.route import route_design
@@ -170,13 +169,10 @@ def _outcomes_json(report) -> str:
 
 
 def _build_stats(report) -> dict:
-    """Per-stage store counters of the compile stages.  Compiled
-    simulation programs are stored only by lane batches that run in the
-    parent (a pooled batch compiles its own), so that pseudo-stage is
-    left out of worker-count comparisons."""
-    per_stage = dict(report.cache_stats["per_stage"])
-    per_stage.pop(COMPILED_SIM_STAGE, None)
-    return per_stage
+    """Per-stage store counters — every stage, ``emulation`` included:
+    lane batches never touch the store, so they match at any worker
+    count."""
+    return report.cache_stats["per_stage"]
 
 
 class TestOfflineWorkersParity:

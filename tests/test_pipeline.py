@@ -25,11 +25,12 @@ from repro.pipeline import (
     StageGraph,
     assemble_offline,
     compile_design,
+    debug_stages,
 )
 from repro.workloads import campaign_spec, generate_circuit, stuck_at_scenarios
 
 SPEC = campaign_spec("pipe-test", n_gates=100, depth=7, n_pis=16, n_pos=8)
-ALL_STAGES = GENERIC_STAGES + PHYSICAL_STAGES
+ALL_STAGES = debug_stages(with_physical=True)
 HORIZON = 48
 
 
@@ -356,18 +357,16 @@ class TestResolveOfflineParams:
         import os
         import pickle
 
-        from repro.netlist.compiled import COMPILED_SIM_STAGE, CompiledProgram
+        from repro.core.flow import Emulation
 
         d = str(tmp_path / "cache")
         store = ArtifactStore(cache_dir=d)
-        os.makedirs(os.path.join(d, COMPILED_SIM_STAGE))
-        with open(store._path(COMPILED_SIM_STAGE, "k"), "wb") as fh:
-            pickle.dump({"not": "a compiled program"}, fh)
-        found = store.get_if_present(
-            COMPILED_SIM_STAGE, "k", expect=CompiledProgram
-        )
+        os.makedirs(os.path.join(d, "emulation"))
+        with open(store._path("emulation", "k"), "wb") as fh:
+            pickle.dump({"not": "an emulation artifact"}, fh)
+        found = store.get_if_present("emulation", "k", expect=Emulation)
         assert found is None
-        assert store.stats.for_stage(COMPILED_SIM_STAGE).misses == 1
+        assert store.stats.for_stage("emulation").misses == 1
 
 
 class TestCampaignWithStageStore:
@@ -412,17 +411,19 @@ class TestOrchestratorPolish:
         net = scenarios[0].debug_network()
         stage, _hit = resolve_offline(net, with_physical=True)
         # the shared-artifact group packs into one 64-lane batch, its
-        # artifact stripped of the physical stage and shipped once
-        lanes = _payloads(stage, batches(64), 48)
+        # artifact stripped of the physical stage and shipped once, with
+        # the design's network as the stuck-at batch's golden network
+        lanes = _payloads(stage, net, batches(64), 48)
         assert len(lanes) == 1
-        assert len(lanes[0]) == 3
-        shipped, items, max_turns = lanes[0]
+        assert len(lanes[0]) == 4
+        shipped, golden, items, max_turns = lanes[0]
         assert stage.physical is not None
         assert shipped.physical is None and max_turns == 48
+        assert golden is net
         assert [idx for idx, _ in items] == [0, 1, 2]
         # narrow lanes split the group into ceil(n / lane_width) batches
-        narrow = _payloads(stage, batches(2), 48)
-        assert sorted(len(p[1]) for p in narrow) == [1, 2]
+        narrow = _payloads(stage, net, batches(2), 48)
+        assert sorted(len(p[2]) for p in narrow) == [1, 2]
         assert all(p[0] is narrow[0][0] for p in narrow)
         # lane_width=1: one one-lane batch per scenario
         solo = batches(1)
