@@ -93,8 +93,10 @@ class Emulation:
     """The ``emulation`` stage's artifact: what a lane engine runs.
 
     ``program`` is the mapped LUT network's compiled program with both
-    kernel kinds generated; ``pconf`` is the virtual PConf with its
-    specialization plan lowered.  Both pickle their generated code (see
+    kernel kinds generated, split at the select parameters (so a block
+    pass that changes only what is observed re-runs only the select
+    cone); ``pconf`` is the virtual PConf with its specialization plan
+    lowered.  Both pickle their generated code (see
     :class:`~repro.netlist.compiled.KernelCode`), so an engine over a
     store-loaded artifact lowers and compiles nothing.
     """
@@ -124,8 +126,12 @@ def build_emulation(
     mapping: MappingResult, design: InstrumentedDesign
 ) -> Emulation:
     """The ``emulation`` stage body, paid once per design: compile the
-    mapped network (both kernel kinds) and lower its virtual PConf."""
-    program = program_for(mapping.to_lut_network())
+    mapped network (both kernel kinds), with the design's select
+    parameters as its late sources, and lower its virtual PConf."""
+    net = mapping.to_lut_network()
+    program = program_for(
+        net, late=[net.require(name) for name in design.param_space.names]
+    )
     program.code.generate("clean", "forced")
     pconf = build_virtual_pconf(mapping, design)
     pconf.bitstream.lower()

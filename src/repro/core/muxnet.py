@@ -23,6 +23,7 @@ pre-synthesized macros, so all instrumentation nodes are reported in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.errors import DebugFlowError
 from repro.netlist.network import LogicNetwork, NodeKind
@@ -30,7 +31,13 @@ from repro.netlist.truthtable import TruthTable
 from repro.core.annotate import ParAnnotation
 from repro.core.parameters import ParameterSpace
 
-__all__ = ["TraceGroup", "InstrumentedDesign", "build_trace_network", "default_taps"]
+__all__ = [
+    "TapSelect",
+    "TraceGroup",
+    "InstrumentedDesign",
+    "build_trace_network",
+    "default_taps",
+]
 
 #: mux function over fan-in order (a, b, sel): sel=0 → a, sel=1 → b
 _MUX_TT = TruthTable.mux(
@@ -53,6 +60,16 @@ class TraceGroup:
     #: per tapped node: select literals (param name, required value) on the
     #: path from that leaf to the tree root.
     path: dict[int, list[tuple[str, int]]] = field(default_factory=dict)
+
+
+class TapSelect(NamedTuple):
+    """One row of :attr:`InstrumentedDesign.select_table`: what observing
+    one tapped signal asserts."""
+
+    group: int  # index of the tap's trace group
+    selects: tuple  # parameter indices on the tap's leaf-to-root path
+    bits: tuple  # the value each of those selects takes
+    observed: str  # the signal the group's buffer input then sees
 
 
 @dataclass
@@ -104,34 +121,65 @@ class InstrumentedDesign:
             object.__setattr__(self, "_group_lookup_cache", cache)
         return cache
 
-    def selection_for(self, signals: list[str]) -> dict[str, int]:
-        """Parameter values observing the named signals simultaneously.
+    @property
+    def select_table(self) -> dict[str, TapSelect]:
+        """Tapped signal name → its :class:`TapSelect` row, built once per
+        design: the one select-resolution table :meth:`picks` (and so
+        :meth:`selection_for` and the lane engine's ``observe``) reads."""
+        cache = getattr(self, "_select_table_cache", None)
+        if cache is None:
+            index = {name: i for i, name in enumerate(self.param_space.names)}
+            net = self.network
+            cache = {}
+            for tap, group in self._group_lookup.items():
+                path = group.path[tap]
+                name = net.node_name(tap)
+                cache[name] = TapSelect(
+                    group=group.index,
+                    selects=tuple(index[p] for p, _bit in path),
+                    bits=tuple(bit for _p, bit in path),
+                    observed=name,
+                )
+            object.__setattr__(self, "_select_table_cache", cache)
+        return cache
+
+    def picks(self, signals: list[str]) -> list[TapSelect]:
+        """The :attr:`select_table` rows observing ``signals`` at once, in
+        request order.
 
         Each trace-buffer input can observe one signal at a time, so at
-        most one requested signal may live in any group.  Unconstrained
-        selects are returned as 0.
+        most one requested signal may live in any group.  Every mux has
+        its own select parameter, so picks in distinct groups never
+        constrain the same select.
         """
-        values: dict[str, int] = {}
-        used_groups: set[int] = set()
+        table = self.select_table
+        rows = []
+        used: set[int] = set()
         for name in signals:
-            nid = self.network.find(name)
-            if nid is None:
-                raise DebugFlowError(f"unknown signal {name!r}")
-            group = self.group_of(nid)
-            if group.index in used_groups:
+            row = table.get(name)
+            if row is None:
+                if self.network.find(name) is None:
+                    raise DebugFlowError(f"unknown signal {name!r}")
+                raise DebugFlowError(f"signal {name!r} is not tapped")
+            if row.group in used:
                 raise DebugFlowError(
                     f"signals {signals!r} collide in trace group "
-                    f"{group.index} (one signal per buffer input)"
+                    f"{row.group} (one signal per buffer input)"
                 )
-            used_groups.add(group.index)
-            for pname, bit in group.path[nid]:
-                prev = values.get(pname)
-                if prev is not None and prev != bit:
-                    raise DebugFlowError(
-                        f"conflicting select requirement on {pname!r}"
-                    )
-                values[pname] = bit
-        return values
+            used.add(row.group)
+            rows.append(row)
+        return rows
+
+    def selection_for(self, signals: list[str]) -> dict[str, int]:
+        """Parameter values observing the named signals simultaneously
+        (see :meth:`picks`); selects no pick constrains are left out (an
+        assignment reads them as 0)."""
+        names = self.param_space.names
+        return {
+            names[i]: bit
+            for row in self.picks(signals)
+            for i, bit in zip(row.selects, row.bits)
+        }
 
     def observed_at(self, values: dict[str, int]) -> dict[str, str]:
         """Inverse of :meth:`selection_for`: buffer PO → observed signal.

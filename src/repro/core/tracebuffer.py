@@ -17,6 +17,9 @@ from repro.errors import DebugFlowError
 
 __all__ = ["TraceBuffer", "LaneTraceBuffer", "LaneView"]
 
+#: Bit position of each lane within its 64-lane word.
+_BIT_SHIFTS = np.arange(64, dtype=np.uint64)
+
 
 class TraceBuffer:
     """Circular capture memory.
@@ -113,7 +116,9 @@ class LaneTraceBuffer:
     ``mem = (mem & ~active) | (sample & active)``, so a stopped lane's
     bits survive later wraps of the ring untouched.  :meth:`window`
     extracts one lane's history bit-for-bit identical to what a solo
-    :class:`TraceBuffer` would have recorded.
+    :class:`TraceBuffer` would have recorded.  A window reads only rows
+    captured since the last :meth:`reset` while its lane was active, so a
+    reset rewinds the counters and leaves the memory as it is.
     """
 
     def __init__(
@@ -136,15 +141,16 @@ class LaneTraceBuffer:
         self._mem = np.zeros((depth, width, self.n_words), dtype=np.uint64)
         self.reset()
 
-    def _lane_masks(self, lanes: np.ndarray) -> np.ndarray:
-        """``(n_words,)`` word mask covering the given lane indices."""
-        mask = np.zeros(self.n_words, dtype=np.uint64)
-        for lane in lanes:
-            mask[int(lane) >> 6] |= np.uint64(1) << np.uint64(int(lane) & 63)
-        return mask
+    def _lane_masks(self, active: np.ndarray) -> np.ndarray:
+        """``(n_words,)`` word mask of the lanes ``active`` (a per-lane
+        bool array) marks."""
+        bits = np.zeros(64 * self.n_words, dtype=np.uint64)
+        bits[: self.n_lanes] = active
+        return np.bitwise_or.reduce(
+            bits.reshape(self.n_words, 64) << _BIT_SHIFTS, axis=1
+        )
 
     def reset(self) -> None:
-        self._mem[:] = 0
         self._head = 0
         self._cycle = 0
         self._count = np.zeros(self.n_lanes, dtype=np.int64)
@@ -152,7 +158,7 @@ class LaneTraceBuffer:
         self._remaining = np.full(self.n_lanes, -1, dtype=np.int64)
         self._stopped = np.zeros(self.n_lanes, dtype=bool)
         self._stop_head = np.zeros(self.n_lanes, dtype=np.int64)
-        self._active_mask = self._lane_masks(np.arange(self.n_lanes))
+        self._active_mask = self._lane_masks(~self._stopped)
 
     @property
     def cycle(self) -> int:
@@ -213,9 +219,35 @@ class LaneTraceBuffer:
             if newly.any():
                 self._stopped |= newly
                 self._stop_head[newly] = self._head
-                self._active_mask = self._lane_masks(
-                    np.flatnonzero(~self._stopped)
-                )
+                self._active_mask = self._lane_masks(~self._stopped)
+
+    def capture_block(self, samples: np.ndarray) -> None:
+        """Record consecutive cycles' packed samples with no trigger:
+        ``samples[c]`` is cycle *c*'s ``(width, n_words)`` row.  The same
+        state as one :meth:`capture` per row; while a lane counts down a
+        post-trigger stop (which may end inside the block) it is that."""
+        n = len(samples)
+        if (self._remaining[~self._stopped] >= 0).any():
+            for row in samples:
+                self.capture(row)
+            return
+        self._cycle += n
+        amask = self._active_mask
+        if not n or not amask.any():
+            return
+        rows = np.asarray(samples, dtype=np.uint64)
+        if rows.shape[1:] != (self.width, self.n_words):
+            raise DebugFlowError(
+                f"sample shape {rows.shape[1:]} != buffer shape "
+                f"({self.width}, {self.n_words})"
+            )
+        keep = min(n, self.depth)  # a longer block wraps over its own rows
+        idx = (self._head + n - keep + np.arange(keep)) % self.depth
+        self._mem[idx] = (self._mem[idx] & ~amask) | (rows[n - keep :] & amask)
+        self._head = (self._head + n) % self.depth
+        np.minimum(
+            self._count + n, self.depth, out=self._count, where=~self._stopped
+        )
 
     def window(self, lane: int = 0) -> np.ndarray:
         """Lane ``lane``'s captured samples, oldest first, ``uint8``."""

@@ -30,8 +30,17 @@ sequential design as far as the kernel's latch record predicts) and
 consumes the exact prefix the kernel's prediction check accepts, so the
 loops advance by the cycles each pass consumed.  Block stimulus is built
 without per-cycle dicts: select-parameter words are replicated across
-the block, script words are sliced out of the packed script, and only
-callable stimuli are consulted cycle by cycle.
+the block (once per observation and block length), script words are
+sliced out of the packed script, and only callable stimuli are
+consulted cycle by cycle.
+
+A debug turn changes only what is observed.  :meth:`LaneEngine.observe`
+resolves its signals through the design's per-tap select table
+(:meth:`~repro.core.muxnet.InstrumentedDesign.picks`) and lands them in
+the assignment vector with one scatter; the emulation program is split
+at the select parameters, so a replay whose stimulus, start state and
+faults repeat re-runs only the select cone (see
+:meth:`~repro.netlist.compiled.CompiledSimulator.run_block`).
 
 Correctness bar: lane *k* of a packed run is bit-for-bit what a solo
 :class:`~repro.core.debug.DebugSession` produces for the same scenario,
@@ -125,12 +134,17 @@ class LaneEngine:
         )
 
         # -- shared directories (identical to the historical session's) ----
-        # parameter PI ids, in the order of an assignment's vector
+        # parameter PI ids, in the order of an assignment's vector, and
+        # their lane-packed values: row i, word w, bit k = lane 64*w + k's
+        # value of parameter i (as integers once per observation)
         self._param_pis = [
             self.mapped_net.require(name)
             for name in self.design.param_space.names
         ]
-        self._param_pi_values = dict.fromkeys(self._param_pis, 0)
+        self._param_bits = np.zeros(
+            (len(self._param_pis), self.n_words), dtype=np.uint64
+        )
+        self._param_words: dict[int, dict[int, int]] = {}
         self._user_pis = [
             pi
             for pi in self.mapped_net.pis
@@ -188,9 +202,12 @@ class LaneEngine:
             for _ in range(n_lanes)
         ]
         self.assignments: list[ParameterAssignment] = [zeros] * n_lanes
-        observed = self.design.observed_at({})
+        # what each buffer input sees with every select at 0: a group no
+        # pick routes keeps it
+        self._unrouted = self.design.observed_at({})
+        self._group_pos = [g.po_name for g in self.design.groups]
         self._observed: list[dict[str, str]] = [
-            dict(observed) for _ in range(n_lanes)
+            dict(self._unrouted) for _ in range(n_lanes)
         ]
         self.turns: list[list[DebugTurnLog]] = [[] for _ in range(n_lanes)]
         self._forces: list[list[ForcedFault]] = [[] for _ in range(n_lanes)]
@@ -201,7 +218,6 @@ class LaneEngine:
         # packed scripts as per-PI little-endian bytes, one word per
         # cycle (block stimulus slices them); rebuilt when a script changes
         self._script_words: dict[int, bytes] | None = None
-        self._reps: dict[int, int] = {}
 
     # -- lanes ------------------------------------------------------------------
 
@@ -249,21 +265,29 @@ class LaneEngine:
         lane*), packs the lane's select-parameter values into its bit of
         the packed parameter-PI words, and logs the turn.  Other lanes'
         observations are untouched — each lane can watch a different
-        signal set in the same packed emulation.
+        signal set in the same packed emulation.  The picks come from
+        the design's per-tap select table
+        (:meth:`~repro.core.muxnet.InstrumentedDesign.picks`) and land in
+        the assignment vector in one scatter.
         """
         self._check_lane(lane)
-        values = self.design.selection_for(signals)
-        assignment = self.design.param_space.assignment(values)
+        rows = self.design.picks(signals)
+        vector = np.zeros(len(self._param_pis), dtype=np.uint8)
+        vector[[i for row in rows for i in row.selects]] = [
+            bit for row in rows for bit in row.bits
+        ]
+        assignment = ParameterAssignment(self.design.param_space, vector)
         self.assignments[lane] = assignment
         rec = self.scgs[lane].respecialize(assignment)
-        bit = 1 << lane
-        packed = self._param_pi_values
-        for nid, on in zip(self._param_pis, assignment.vector.tolist()):
-            if on:
-                packed[nid] |= bit
-            else:
-                packed[nid] &= ~bit
-        self._observed[lane] = self.design.observed_at(values)
+        column = self._param_bits[:, lane >> 6]
+        shift = np.uint64(lane & 63)
+        column &= ~(np.uint64(1) << shift)
+        column |= vector.astype(np.uint64) << shift
+        self._param_words.clear()
+        observed = dict(self._unrouted)
+        for row in rows:
+            observed[self._group_pos[row.group]] = row.observed
+        self._observed[lane] = observed
         self.turns[lane].append(
             DebugTurnLog(
                 observed=list(signals),
@@ -386,17 +410,32 @@ class LaneEngine:
             }
         return self._script_words
 
+    def _block_param_words(self, n_cycles: int) -> dict[int, int]:
+        """Select-parameter words replicated across ``n_cycles`` cycles,
+        built once per observation and block length."""
+        words = self._param_words.get(n_cycles)
+        if words is None:
+            wb = self._word_bytes
+            one = b"\x01" + bytes(wb - 1)
+            rep = int.from_bytes(one * n_cycles, "little")
+            if self.n_words == 1:
+                values = self._param_bits[:, 0].tolist()
+            else:
+                data = self._param_bits.tobytes()
+                values = [
+                    int.from_bytes(data[i : i + wb], "little")
+                    for i in range(0, len(data), wb)
+                ]
+            words = self._param_words[n_cycles] = {
+                pid: v and v * rep for pid, v in zip(self._param_pis, values)
+            }
+        return words
+
     def _block_pi_words(self, cycle: int, n_cycles: int) -> dict[int, int]:
         """Block-wide PI words for ``n_cycles`` cycles from ``cycle``:
         select parameters replicated across the block, lane stimulus
         from the packed scripts, callable stimuli row by row."""
-        rep = self._reps.get(n_cycles)
-        if rep is None:
-            one = b"\x01" + bytes(self._word_bytes - 1)
-            rep = self._reps[n_cycles] = int.from_bytes(
-                one * n_cycles, "little"
-            )
-        words = {pid: v * rep for pid, v in self._param_pi_values.items()}
+        words = dict(self._block_param_words(n_cycles))
         lo = cycle * self._word_bytes
         hi = lo + n_cycles * self._word_bytes
         for pi, data in self._packed_script_words().items():
@@ -497,19 +536,22 @@ class LaneEngine:
             n_batch = self._advance(base + done, n_cycles - done)
             if n_batch == 1:
                 sim.export_words(tb_nodes, self._sample_buf)
-                samples = (self._sample_view,)
+                samples = self._sample_view[None]
             else:
                 sim.block_export(tb_nodes, self._blk_tb)
                 samples = self._blk_tb.reshape(
                     len(tb_nodes), blk, self.n_words
                 ).swapaxes(0, 1)[:n_batch]
-            for c, sample in enumerate(samples):
-                self.trace.capture(
-                    sample,
-                    trigger_mask=self._trigger_mask(
-                        triggers, base + done + c, sample
-                    ),
-                )
+            if triggers:
+                for c, sample in enumerate(samples):
+                    self.trace.capture(
+                        sample,
+                        trigger_mask=self._trigger_mask(
+                            triggers, base + done + c, sample
+                        ),
+                    )
+            else:
+                self.trace.capture_block(samples)
             done += n_batch
         self._account_cycles(n_cycles, lanes)
 
@@ -593,13 +635,11 @@ class LaneEngine:
     def waveforms(self, lane: int = 0) -> dict[str, np.ndarray]:
         """Lane's captured windows keyed by its observed *signal* names."""
         self._check_lane(lane)
-        window = self.trace.window(lane)
-        out: dict[str, np.ndarray] = {}
-        for i, g in enumerate(self.design.groups):
-            sig = self._observed[lane].get(g.po_name)
-            if sig is not None:
-                out[sig] = window[:, i]
-        return out
+        observed = self._observed[lane]
+        return {
+            observed[po]: column
+            for po, column in zip(self._group_pos, self.trace.window(lane).T)
+        }
 
     # -- accounting ------------------------------------------------------------
 

@@ -35,6 +35,19 @@ the latch state at the start of every cycle since reset, feeds a block's
 later cycles the recorded states, and consumes only the prefix whose
 predictions its latch drivers confirm (:meth:`CompiledSimulator.run_block`).
 
+A program may be split at a set of *late* sources
+(:func:`compile_network`'s ``late``): every op in their fanout — closed
+through any latch whose driver it reaches — is late, every other op is
+early and runs first, and no generated chunk mixes the two.  Early ops
+read only early sources, so a block pass whose early inputs (start
+cycle, span, latch state, latch record, early PI words and overrides)
+equal the last pass's would recompute exactly the early values the block
+state still holds: the simulator then rewrites only the late PI words,
+runs only the late chunks, and restores the last pass's consumed count,
+latch state and driver rows.  The lane engine's emulation programs are
+split at the select parameters, so a debug turn that changes only what
+is observed re-evaluates only the select cone.
+
 Overrides (fault forcing) resolve through precomputed node indices: gate
 overrides blend inside a second generated kernel via per-node
 ``(forced, ~mask)`` tables (``value = (clean & ~mask) | (forced & mask)``
@@ -88,12 +101,13 @@ __all__ = [
 #: Folded into :func:`network_signature` and the version of the pipeline's
 #: ``emulation`` stage; bump when program lowering, kernel semantics or the
 #: PConf plan change so persisted programs and plans from older versions
-#: miss.
-PROGRAM_VERSION = 1
+#: miss.  v2: emulation programs are split at the select parameters.
+PROGRAM_VERSION = 2
 
-#: Straight-line ops per generated kernel function; very large networks
-#: are split into several functions to keep CPython's compiler happy.
-_OPS_PER_CHUNK = 2000
+#: Straight-line ops per generated kernel function; larger networks are
+#: split into several functions, which bounds ``compile()``'s peak memory
+#: (about 30 MB for a chunk of or1200's LUT ops).
+_OPS_PER_CHUNK = 1000
 
 #: Cycle batching targets this total state width per evaluation pass,
 #: capped at :data:`MAX_BLOCK_CYCLES` cycles.
@@ -170,9 +184,14 @@ class CompiledProgram:
         re-evaluated per cycle.
     pi_nodes / latch_qs / latch_drivers / latch_inits / po_nodes:
         Integer index tables for the simulator's per-cycle bookkeeping.
+    late_sources / late_qs / n_early:
+        The early/late split (see :func:`compile_network`): the late PIs,
+        the latches their fanout reaches, and how many leading ops are
+        early (all of them when nothing is late).
     code:
         The :class:`KernelCode` over ``ops``: the ``clean`` and ``forced``
-        kernels, each generated on first use.
+        kernels, each generated on first use, chunked so that no chunk
+        holds both early and late ops.
 
     Programs pickle with whatever kernel code they have generated (see
     :class:`KernelCode`), which is what lets the pipeline's ``emulation``
@@ -191,6 +210,9 @@ class CompiledProgram:
         latch_drivers: tuple,
         latch_inits: tuple,
         po_nodes: tuple,
+        late_sources: tuple = (),
+        late_qs: tuple = (),
+        n_early: int | None = None,
     ) -> None:
         self.signature = signature
         self.n_nodes = n_nodes
@@ -201,7 +223,12 @@ class CompiledProgram:
         self.latch_drivers = latch_drivers
         self.latch_inits = latch_inits
         self.po_nodes = po_nodes
-        self.code = KernelCode(ops, f"program:{signature[:12]}")
+        self.late_sources = late_sources
+        self.late_qs = late_qs
+        self.n_early = len(ops) if n_early is None else n_early
+        self.code = KernelCode(
+            ops, f"program:{signature[:12]}", n_early=self.n_early
+        )
         self._finish_init()
 
     def _finish_init(self) -> None:
@@ -211,6 +238,21 @@ class CompiledProgram:
             is_op[node] = True
         self.is_op = is_op
         self.const_value = dict(self.const_nodes)
+        # PIs early first, then late: the order a block pass reads them in
+        late = set(self.late_sources)
+        self.pi_order = tuple(
+            sorted(self.pi_nodes, key=lambda pi: pi in late)
+        )
+        self.n_early_pis = len(self.pi_nodes) - len(late)
+        # a pass may reuse its early half when something is late and the
+        # latch state cannot depend on it
+        self.reusable = bool(late) and not self.late_qs
+        is_late = [False] * self.n_nodes
+        for node in self.late_sources:
+            is_late[node] = True
+        for node, _fanins, _cubes in self.ops[self.n_early :]:
+            is_late[node] = True
+        self.is_late = is_late
 
     # -- pickling (derived tables are rebuilt) ---------------------------------
 
@@ -225,6 +267,9 @@ class CompiledProgram:
             "latch_drivers": self.latch_drivers,
             "latch_inits": self.latch_inits,
             "po_nodes": self.po_nodes,
+            "late_sources": self.late_sources,
+            "late_qs": self.late_qs,
+            "n_early": self.n_early,
             "code": self.code,
         }
 
@@ -235,7 +280,8 @@ class CompiledProgram:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"CompiledProgram(n_nodes={self.n_nodes}, ops={len(self.ops)}, "
-            f"consts={len(self.const_nodes)}, sig={self.signature[:12]}...)"
+            f"early={self.n_early}, consts={len(self.const_nodes)}, "
+            f"sig={self.signature[:12]}...)"
         )
 
 
@@ -280,7 +326,9 @@ class KernelCode:
     ``ops`` are ``(slot, fanins, cubes)`` triples in evaluation order; each
     kernel rebinds the slots of a flat value list ``v`` in op order.  Long
     op lists are split into chunks of :data:`_OPS_PER_CHUNK` ops, compiled
-    under ``<label:kind:first op>``.
+    under ``<label:kind:first op>``; the first ``n_early`` ops and the rest
+    never share a chunk, so the late ops run alone as
+    ``kernel(kind, late=True)``.
 
     Pickling keeps the ops and every generated code object, as
     :mod:`marshal` bytes tagged with :data:`importlib.util.MAGIC_NUMBER`
@@ -289,11 +337,22 @@ class KernelCode:
     regenerates from the ops on first use.
     """
 
-    def __init__(self, ops: tuple, label: str) -> None:
+    def __init__(
+        self, ops: tuple, label: str, *, n_early: int | None = None
+    ) -> None:
         self.ops = ops
         self.label = label
+        self.n_early = len(ops) if n_early is None else n_early
         self._code: "dict[str, tuple[CodeType, ...]]" = {}
-        self._fns: "dict[str, Callable]" = {}
+        self._fns: "dict[tuple[str, bool], Callable]" = {}
+
+    def _chunk_starts(self) -> "tuple[list[int], list[int]]":
+        """First op of every early chunk and of every late chunk."""
+        n, cut = len(self.ops), self.n_early
+        return (
+            list(range(0, cut, _OPS_PER_CHUNK)),
+            list(range(cut, n, _OPS_PER_CHUNK)),
+        )
 
     def generate(self, *kinds: str) -> None:
         """Generate the code of every kind in ``kinds`` not generated yet
@@ -302,14 +361,20 @@ class KernelCode:
         if not missing:
             return
         exprs = _op_exprs(self.ops)
+        early, late = self._chunk_starts()
+        bounds = [
+            (base, min(base + _OPS_PER_CHUNK, end))
+            for starts, end in ((early, self.n_early), (late, len(exprs)))
+            for base in starts
+        ] or [(0, 0)]
         for kind in missing:
             params, stmt = _KERNEL_KINDS[kind]
             chunks = []
-            for base in range(0, max(1, len(exprs)), _OPS_PER_CHUNK):
+            for base, end in bounds:
                 lines = [f"def kernel({params}):"]
                 lines += [
                     "    " + stmt.format(node=node, expr=expr)
-                    for node, expr in exprs[base : base + _OPS_PER_CHUNK]
+                    for node, expr in exprs[base:end]
                 ] or ["    pass"]
                 chunks.append(
                     compile(
@@ -318,23 +383,28 @@ class KernelCode:
                 )
             self._code[kind] = tuple(chunks)
 
-    def kernel(self, kind: str) -> Callable:
-        """The ``kind`` kernel, generated and linked on first use."""
-        fn = self._fns.get(kind)
+    def kernel(self, kind: str, *, late: bool = False) -> Callable:
+        """The ``kind`` kernel, generated and linked on first use; with
+        ``late``, only the chunks of the ops after the first ``n_early``."""
+        fn = self._fns.get((kind, late))
         if fn is None:
             self.generate(kind)
+            codes = self._code[kind]
+            if late:
+                codes = codes[len(self._chunk_starts()[0]) :]
             fns = []
-            for code in self._code[kind]:
+            for code in codes:
                 ns: dict = {}
                 exec(code, ns)  # noqa: S102 — code generated from our own lowering
                 fns.append(ns["kernel"])
-            fn = self._fns[kind] = _chained(fns)
+            fn = self._fns[(kind, late)] = _chained(fns)
         return fn
 
     def __getstate__(self) -> dict:
         return {
             "ops": self.ops,
             "label": self.label,
+            "n_early": self.n_early,
             "magic": MAGIC_NUMBER,
             "code": {
                 kind: [marshal.dumps(c) for c in codes]
@@ -345,6 +415,7 @@ class KernelCode:
     def __setstate__(self, state: dict) -> None:
         self.ops = state["ops"]
         self.label = state["label"]
+        self.n_early = state["n_early"]
         self._fns = {}
         self._code = (
             {
@@ -358,6 +429,8 @@ class KernelCode:
 
 def _chained(fns: list):
     """One callable running every chunk kernel in order."""
+    if not fns:
+        return _no_ops
     if len(fns) == 1:
         return fns[0]
 
@@ -368,14 +441,57 @@ def _chained(fns: list):
     return run
 
 
+def _no_ops(*_args) -> None:
+    """The kernel of an empty op range."""
+
+
+def _late_nodes(net: LogicNetwork, order: list, late_pis) -> "list[bool]":
+    """Which nodes depend on ``late_pis``: their combinational fanout,
+    closed through every latch whose driver it reaches (one topological
+    pass per round of newly reached latches, so one pass when none is)."""
+    late = [False] * net.n_nodes
+    for pi in late_pis:
+        late[pi] = True
+    while True:
+        for nid in order:
+            if (
+                not late[nid]
+                and net.kind(nid) == NodeKind.GATE
+                and any(late[f] for f in net.fanins(nid))
+            ):
+                late[nid] = True
+        reached = [
+            l.q
+            for l in net.latches
+            if l.driver >= 0 and late[l.driver] and not late[l.q]
+        ]
+        if not reached:
+            return late
+        for q in reached:
+            late[q] = True
+
+
 def compile_network(
-    net: LogicNetwork, *, signature: str | None = None
+    net: LogicNetwork, *, signature: str | None = None, late=()
 ) -> CompiledProgram:
     """Lower ``net`` into a :class:`CompiledProgram` (no caching here —
-    use :func:`program_for` for the cached entry point)."""
-    ops = []
+    use :func:`program_for` for the cached entry point).
+
+    ``late`` names PIs whose values are expected to change while the
+    others repeat (the lane engine passes the select parameters).  Every
+    op in their fanout, closed through latches, is *late*; the early ops
+    come first, both halves in topological order, so early ops read only
+    early sources and a block pass can re-run the late half alone (see
+    :meth:`CompiledSimulator.run_block`).
+    """
+    late_pis = set(late)
+    if any(net.kind(pi) != NodeKind.PI for pi in late_pis):
+        raise SimulationError("late sources must be primary inputs")
+    order = net.topo_order()
+    is_late = _late_nodes(net, order, late_pis)
+    ops: "tuple[list, list]" = ([], [])
     const_nodes = []
-    for nid in net.topo_order():
+    for nid in order:
         if net.kind(nid) != NodeKind.GATE:
             continue
         func = net.func(nid)
@@ -386,11 +502,12 @@ def compile_network(
             continue
         cover = truthtable_to_cover(func)
         cubes = tuple((c.mask, c.polarity) for c in cover.cubes)
-        ops.append((nid, net.fanins(nid), cubes))
+        ops[is_late[nid]].append((nid, net.fanins(nid), cubes))
+    early, late_ops = ops
     return CompiledProgram(
         signature=signature or network_signature(net),
         n_nodes=net.n_nodes,
-        ops=tuple(ops),
+        ops=tuple(early + late_ops),
         const_nodes=tuple(const_nodes),
         pi_nodes=tuple(net.pis),
         latch_qs=tuple(l.q for l in net.latches),
@@ -399,33 +516,39 @@ def compile_network(
         po_nodes=tuple(
             net.require(name) for name in net.po_names
         ),
+        late_sources=tuple(sorted(late_pis)),
+        late_qs=tuple(l.q for l in net.latches if is_late[l.q]),
+        n_early=len(early),
     )
 
 
 # -- program caches ----------------------------------------------------------
 
 _BY_NET: "WeakKeyDictionary[LogicNetwork, CompiledProgram]" = WeakKeyDictionary()
-_BY_KEY: "OrderedDict[str, CompiledProgram]" = OrderedDict()
+_BY_KEY: "OrderedDict[tuple, CompiledProgram]" = OrderedDict()
 _BY_KEY_LIMIT = 64
 
 
-def program_for(net: LogicNetwork) -> CompiledProgram:
-    """The compiled program for ``net``, memoized in this process.
+def program_for(net: LogicNetwork, *, late=()) -> CompiledProgram:
+    """The compiled program for ``net``, split at the ``late`` PIs (see
+    :func:`compile_network`), memoized in this process.
 
     Programs are memoized per network instance (signature-revalidated, so
     in-place rewires recompile) and per signature (so regenerated
     identical networks — every ``to_lut_network()`` call — share one
-    program and its generated kernels).
+    program and its generated kernels), each under its split.
     """
     sig = network_signature(net)
+    late = tuple(sorted(set(late)))
     hit = _BY_NET.get(net)
-    if hit is not None and hit.signature == sig:
+    if hit is not None and hit.signature == sig and hit.late_sources == late:
         return hit
-    program = _BY_KEY.get(sig)
+    key = (sig, late)
+    program = _BY_KEY.get(key)
     if program is None:
-        program = compile_network(net, signature=sig)
-    _BY_KEY[sig] = program
-    _BY_KEY.move_to_end(sig)
+        program = compile_network(net, signature=sig, late=late)
+    _BY_KEY[key] = program
+    _BY_KEY.move_to_end(key)
     while len(_BY_KEY) > _BY_KEY_LIMIT:
         _BY_KEY.popitem(last=False)
     try:
@@ -508,10 +631,16 @@ class CompiledSimulator:
         self._last_block = 0
         self._blk_drivers: "np.ndarray | None" = None
         self._slot: "int | None" = None
+        # the early inputs of the last full pass of a split program and
+        # what that pass left: (consumed, latch state, driver rows)
+        self._key: "tuple | None" = None
+        self._after: "tuple | None" = None
         # latch state at the start of every cycle since reset: entries up
-        # to the current cycle are true, later ones predictions
+        # to the current cycle are true, later ones predictions; the
+        # version changes with every write that may change an entry
         self._rec: "np.ndarray | None" = None
         self._rec_len = 0
+        self._rec_version = 0
         self._rec_cap = (
             RECORD_MAX_WORDS // (n_latches * self.n_words) if n_latches else 0
         )
@@ -523,7 +652,6 @@ class CompiledSimulator:
         self._blk_notmask: list[int] = []
         self._armed: list[int] = []
         self._clean_kernel = program.code.kernel("clean")
-        self._forced_kernel: "Callable | None" = None  # linked when armed
         self.reset()
 
     # -- state ---------------------------------------------------------------
@@ -613,8 +741,11 @@ class CompiledSimulator:
             v[node] = full if cv[node] else 0
         self._dirty_consts.clear()
 
-    def _eval(self, v, full: int, nm, dirty, overrides) -> None:
-        """Run one combinational settle of value list ``v``.
+    def _eval(
+        self, v, full: int, nm, dirty, overrides, late: bool = False
+    ) -> None:
+        """Run one combinational settle of value list ``v`` (with
+        ``late``, only the program's late ops).
 
         Values are ``full`` wide and ``nm`` is the not-mask table neutral
         at ``full``.  ``overrides`` maps node → ``(forced, mask)``
@@ -626,7 +757,10 @@ class CompiledSimulator:
         first armed gate override).
         """
         if not overrides:
-            self._clean_kernel(v, full)
+            if late:
+                self.program.code.kernel("clean", late=True)(v, full)
+            else:
+                self._clean_kernel(v, full)
             return
         is_op = self.program.is_op
         const_value = self.program.const_value
@@ -644,15 +778,13 @@ class CompiledSimulator:
                 if node in const_value:
                     dirty.append(node)
         if armed:
-            if self._forced_kernel is None:
-                self._forced_kernel = self.program.code.kernel("forced")
-            self._forced_kernel(v, full, f, nm)
+            self.program.code.kernel("forced", late=late)(v, full, f, nm)
             for node in armed:
                 f[node] = 0
                 nm[node] = full
             armed.clear()
         else:
-            self._clean_kernel(v, full)
+            self.program.code.kernel("clean", late=late)(v, full)
 
     # -- stepping -------------------------------------------------------------
 
@@ -734,6 +866,7 @@ class CompiledSimulator:
             return
         self._rec[c] = rows
         self._rec_len = c + 1
+        self._rec_version += 1
 
     # -- cycle batching ----------------------------------------------------------
 
@@ -786,6 +919,15 @@ class CompiledSimulator:
         :meth:`node_ints`, :meth:`export_words`, :meth:`dense`) see the
         last consumed cycle and :meth:`block_export` serves every
         evaluated cycle's values.
+
+        A program split at late PIs (:func:`compile_network`) whose late
+        cone reaches no latch keeps the early inputs of its last full
+        pass — start cycle, span, latch state, latch-record version,
+        early PI words and overrides.  A pass with equal early inputs
+        writes only the late PI words, runs only the late ops and takes
+        the last pass's consumed count, latch state and driver rows: the
+        early ops read only early sources, so they would recompute the
+        values the block state still holds.
         """
         return self._run_block(n_cycles, pi_words, None, overrides)
 
@@ -823,27 +965,97 @@ class CompiledSimulator:
         program = self.program
         n = self.block_span(n_cycles)
         mask = (1 << (64 * self.n_words * n)) - 1
+        if stim is not None:
+            pi_words = self._stim_ints(stim, n)
+        early = self._pi_ints(
+            pi_words, program.pi_order[: program.n_early_pis], mask
+        )
+        overrides = dict(overrides) if overrides else None
+        key = None
+        if program.reusable:
+            key = (
+                self.cycle, n, self._rec_version, self.latch_state, early,
+                overrides,
+            )
+            if key == self._key:
+                return self._rerun_late(pi_words, n, mask, overrides)
+            # keep a copy of the start state: the latch state moves on
+            key = (*key[:3], list(self.latch_state), *key[4:])
+            self._key = None  # the block state is about to change
         self._blk_begin(mask)
-        if pi_words is None:
-            self._blk_write(program.pi_nodes, stim, n)
-        else:
-            self._blk_write_ints(program.pi_nodes, pi_words, mask)
+        bv = self._bv
+        for x, w in zip(program.pi_order, early):
+            bv[x] = w
+        self._write_late(pi_words, mask)
         pred = self._predict(n) if program.latch_qs else None
         if pred is not None:
             self._blk_write(program.latch_qs, pred, n)
         self._eval(
-            self._bv, mask, self._blk_notmask, self._dirty_consts_blk,
-            overrides,
+            bv, mask, self._blk_notmask, self._dirty_consts_blk, overrides
         )
         consumed = n
         if pred is not None:
             drivers = self._blk_rows(program.latch_drivers, n)
             consumed = self._check(pred, drivers, n)
+        if key is not None:
+            self._key = key
+            self._after = (consumed, list(self.latch_state), self._blk_drivers)
+        return self._finish_block(n, consumed)
+
+    def _rerun_late(self, pi_words, n: int, mask: int, overrides) -> int:
+        """The pass the last one was, but for the late PI words: the
+        early values it left in the block state are what this pass would
+        compute, so only the late ops run, and its consumed cycles, latch
+        state and driver rows are the last pass's."""
+        self._write_late(pi_words, mask)
+        if overrides:
+            is_late = self.program.is_late
+            overrides = {x: ov for x, ov in overrides.items() if is_late[x]}
+        self._eval(
+            self._bv, mask, self._blk_notmask, self._dirty_consts_blk,
+            overrides, late=True,
+        )
+        consumed, state, self._blk_drivers = self._after
+        self.latch_state[:] = state
+        return self._finish_block(n, consumed)
+
+    def _finish_block(self, n: int, consumed: int) -> int:
         self._blk_len = n
         self._last_block = consumed
         self._slot = consumed - 1
         self.cycle += consumed
         return consumed
+
+    def _pi_ints(self, pi_words, nodes, mask: int) -> "list[int]":
+        """``nodes``' block-wide PI integers."""
+        try:
+            return [pi_words[x] & mask for x in nodes]
+        except KeyError:
+            missing = next(
+                x for x in self.program.pi_nodes if x not in pi_words
+            )
+            raise SimulationError(
+                f"cycle {self.cycle}: no value for PI node {missing}"
+            ) from None
+
+    def _write_late(self, pi_words, mask: int) -> None:
+        """Land the late PIs' block-wide integers on the block values."""
+        bv = self._bv
+        late = self.program.pi_order[self.program.n_early_pis :]
+        try:
+            for x in late:
+                bv[x] = pi_words[x] & mask
+        except KeyError:
+            self._pi_ints(pi_words, late, mask)  # raises the missing PI
+
+    def _stim_ints(self, stim: "np.ndarray", n: int) -> "dict[int, int]":
+        """A dense stimulus matrix's first ``n`` cycles as PI integers."""
+        nb = n * self._word_bytes
+        data = np.ascontiguousarray(stim[:, : n * self.n_words]).tobytes()
+        return {
+            x: int.from_bytes(data[i * nb : (i + 1) * nb], "little")
+            for i, x in enumerate(self.program.pi_nodes)
+        }
 
     def _predict(self, n: int) -> "np.ndarray":
         """Latch-output rows for an ``n``-cycle block: the true state in
@@ -877,6 +1089,7 @@ class CompiledSimulator:
             rec[b + 1 : top] = got[:, : top - b - 1].transpose(1, 0, 2)
             if not agrees:  # the rest of the record left this trajectory
                 self._rec_len = top
+                self._rec_version += 1
         self._blk_drivers = got
         self._set_state_rows(got[:, consumed - 1])
         return consumed
@@ -897,17 +1110,6 @@ class CompiledSimulator:
             for node in self._dirty_consts_blk:
                 bv[node] = mask if cv[node] else 0
         self._dirty_consts_blk.clear()
-
-    def _blk_write_ints(self, nodes, words, mask: int) -> None:
-        """Land block-wide integer source values (``words[node]``)."""
-        bv = self._bv
-        try:
-            for x in nodes:
-                bv[x] = words[x] & mask
-        except KeyError as exc:
-            raise SimulationError(
-                f"cycle {self.cycle}: no value for PI node {exc.args[0]}"
-            ) from exc
 
     def _blk_write(self, nodes, rows: "np.ndarray", n: int) -> None:
         """Land ``(len(nodes), >= n * n_words)`` source rows on the block

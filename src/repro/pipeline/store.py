@@ -210,18 +210,12 @@ class ArtifactStore:
         stage: str,
         key: str,
         *,
-        expect: type | None = None,
         group: str | None = None,
     ) -> Artifact | None:
         """Look up ``(stage, key)``; ``None`` on miss (stats updated).
 
         One memory probe, at most one disk read: a warm lookup costs
         exactly one load no matter who asks.
-
-        ``expect`` guards the disk layer: a persisted entry that unpickles
-        to the wrong type (stale artifact from an incompatible version, a
-        foreign file sharing the directory) degrades to a miss and rebuild
-        instead of crashing the consumer later.
 
         ``group`` identifies the *design* behind the lookup (the pipeline
         passes the source content key) so invalidation accounting can tell
@@ -237,8 +231,6 @@ class ArtifactStore:
             self._record_group(stage, key, group)
             return Artifact(stage, key, self._memory[mem_key], hit=True)
         value = self._load_from_disk(stage, key)
-        if value is not None and expect is not None and not isinstance(value, expect):
-            value = None
         if value is not None:
             st.hits += 1
             st.disk_hits += 1

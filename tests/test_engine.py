@@ -6,6 +6,7 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from benchmarks.ref_simulate import ReferenceLaneEngine, apply_override
 from parity import random_network, reference_traces
@@ -891,3 +892,112 @@ class TestScriptPacking:
         session.reset()
         session.output_trace(12, stimulus=script)
         assert len(calls) == 4
+
+
+def _walk_selection(design, signals):
+    """Select values the way the per-group walk resolved them: name →
+    tap → group, then the tap's path, one signal per group."""
+    values: dict[str, int] = {}
+    used: set[int] = set()
+    for name in signals:
+        nid = design.network.find(name)
+        if nid is None:
+            raise DebugFlowError(f"unknown signal {name!r}")
+        group = design.group_of(nid)
+        if group.index in used:
+            raise DebugFlowError(
+                f"signals {signals!r} collide in trace group "
+                f"{group.index} (one signal per buffer input)"
+            )
+        used.add(group.index)
+        for pname, bit in group.path[nid]:
+            prev = values.get(pname)
+            if prev is not None and prev != bit:
+                raise DebugFlowError(
+                    f"conflicting select requirement on {pname!r}"
+                )
+            values[pname] = bit
+    return values
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # noqa: BLE001 — the error is the outcome
+        return (type(exc), str(exc))
+
+
+@functools.lru_cache(maxsize=None)
+def _observe_engine(n_latches: int):
+    spec = campaign_spec(
+        f"observe-{n_latches}", n_gates=40, depth=5, n_pis=8, n_pos=4,
+        n_latches=n_latches,
+    )
+    return LaneEngine(run_generic_stage(generate_circuit(spec, 31)), n_lanes=66)
+
+
+class TestObserveTable:
+    """``observe`` resolves picks from the per-tap select table and packs
+    them with one scatter; its assignment vector, observed map and errors
+    equal the walk's composition (``selection_for`` → ``assignment`` →
+    ``observed_at``), kept here as the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_latches=st.sampled_from([0, 3]),
+        lane=st.sampled_from([0, 1, 64, 65]),
+        picks=st.lists(st.integers(0, 10_000), max_size=8),
+        kinds=st.lists(
+            st.sampled_from(["tap", "tap", "tap", "node", "unknown"]),
+            min_size=8,
+            max_size=8,
+        ),
+    )
+    def test_observe_matches_the_walk(self, n_latches, lane, picks, kinds):
+        engine = _observe_engine(n_latches)
+        design = engine.design
+        net = design.network
+        taps = [net.node_name(t) for t in design.taps]
+        tapped = set(design.taps)
+        untapped = [net.node_name(n) for n in net.nodes() if n not in tapped]
+        signals = []
+        for i, pick in enumerate(picks):
+            kind = kinds[i]
+            if kind == "tap":
+                signals.append(taps[pick % len(taps)])
+            elif kind == "node":
+                signals.append(untapped[pick % len(untapped)])
+            else:
+                signals.append(f"nope_{pick}")
+        word, bit = lane >> 6, np.uint64(lane & 63)
+        others = engine._param_bits.copy()
+        before = engine.observed(lane)
+        want = _outcome(lambda: _walk_selection(design, signals))
+        got = _outcome(lambda: engine.observe(signals, lane=lane))
+        assert _outcome(lambda: design.selection_for(signals)) == want
+        if isinstance(want, tuple):
+            assert got == want
+            assert engine.observed(lane) == before
+            return
+        assignment = design.param_space.assignment(want)
+        assert got == design.observed_at(want)
+        assert engine.observed(lane) == got
+        assert engine.assignments[lane] == assignment
+        # the lane's bit of the packed select words, and no other bit
+        packed = engine._param_bits
+        assert np.array_equal(
+            (packed[:, word] >> bit) & np.uint64(1), assignment.vector
+        )
+        mask = ~(np.uint64(1) << bit)
+        assert np.array_equal(packed[:, word] & mask, others[:, word] & mask)
+        rest = [w for w in range(engine.n_words) if w != word]
+        assert np.array_equal(packed[:, rest], others[:, rest])
+
+    def test_two_picks_in_one_group(self):
+        engine = _observe_engine(0)
+        design = engine.design
+        g = next(g for g in design.groups if len(g.leaves) >= 2)
+        names = [design.network.node_name(leaf) for leaf in g.leaves[:2]]
+        want = _outcome(lambda: _walk_selection(design, names))
+        assert want[0] is DebugFlowError and "collide" in want[1]
+        assert _outcome(lambda: engine.observe(names)) == want

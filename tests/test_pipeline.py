@@ -353,20 +353,37 @@ class TestResolveOfflineParams:
         # a params-bearing request may not be served the default-taps hit
         assert not hit and staged.instrumented.taps == list(sub)
 
-    def test_wrong_typed_disk_entry_degrades_to_miss(self, net, tmp_path):
+    def test_emulation_entry_of_program_version_1_misses(
+        self, net, offline, tmp_path
+    ):
+        """A store holding an ``emulation`` artifact under the version-1
+        stage key serves nothing to version 2: the stage misses, rebuilds
+        and stores under its own key."""
         import os
-        import pickle
 
-        from repro.core.flow import Emulation
+        from repro.netlist.compiled import PROGRAM_VERSION
 
+        assert PROGRAM_VERSION == 2
+        config = DebugFlowConfig()
+        v1 = StageGraph(
+            [
+                replace(s, version=1) if s.name == "emulation" else s
+                for s in DEBUG_FLOW_GRAPH
+            ]
+        )
+        old_key = v1.stage_keys(net, config)["emulation"]
+        new_key = DEBUG_FLOW_GRAPH.stage_keys(net, config)["emulation"]
+        assert old_key != new_key
         d = str(tmp_path / "cache")
+        stale = offline.ensure_emulation()
+        ArtifactStore(cache_dir=d).put("emulation", old_key, stale)
         store = ArtifactStore(cache_dir=d)
-        os.makedirs(os.path.join(d, "emulation"))
-        with open(store._path("emulation", "k"), "wb") as fh:
-            pickle.dump({"not": "an emulation artifact"}, fh)
-        found = store.get_if_present("emulation", "k", expect=Emulation)
-        assert found is None
-        assert store.stats.for_stage("emulation").misses == 1
+        rebuilt, hit = resolve_offline(net, config, cache=store)
+        assert not hit
+        st = store.stats.for_stage("emulation")
+        assert (st.hits, st.misses, st.stores) == (0, 1, 1)
+        assert rebuilt.emulation is not stale
+        assert os.path.exists(store._path("emulation", new_key))
 
 
 class TestCampaignWithStageStore:

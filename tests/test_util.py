@@ -361,16 +361,26 @@ class TestLaneTraceBufferLayout:
     """Multi-word row-layout property: every lane of a packed
     :class:`LaneTraceBuffer` reads back bit-for-bit what a solo
     :class:`TraceBuffer` fed the same per-lane bits would hold —
-    including ring wrap-around and per-lane post-trigger freezes."""
+    including ring wrap-around, per-lane post-trigger freezes, untriggered
+    cycles captured as one block, and resets between runs (a reset keeps
+    the memory, so a window that read a row from before it would show the
+    earlier run's bits)."""
 
     @given(
         width=st.integers(1, 4),
         depth=st.integers(2, 5),
         n_lanes=st.sampled_from([1, 2, 63, 64, 65, 130]),
         seed=st.integers(0, 2**32 - 1),
+        runs=st.lists(
+            st.lists(st.tuples(st.integers(1, 13), st.booleans()), max_size=3),
+            min_size=1,
+            max_size=4,
+        ),
     )
-    @settings(max_examples=30, deadline=None)
-    def test_lane_windows_match_solo_buffers(self, width, depth, n_lanes, seed):
+    @settings(max_examples=40, deadline=None)
+    def test_lane_windows_match_solo_buffers(
+        self, width, depth, n_lanes, seed, runs
+    ):
         rng = random.Random(seed)
         n_words = (n_lanes + 63) >> 6
         # probe a boundary-heavy lane subset (first/last/middle and the
@@ -380,25 +390,40 @@ class TestLaneTraceBufferLayout:
         solos = {lane: TraceBuffer(width, depth) for lane in probes}
         assert ltb.n_words == n_words
 
-        for _ in range(depth + 3):  # +3 exercises the ring wrap
-            bits = [
-                [rng.getrandbits(1) for _ in range(width)]
-                for _ in range(n_lanes)
-            ]
-            sample = np.zeros((width, n_words), dtype=np.uint64)
-            for lane in range(n_lanes):
-                w, b = lane >> 6, lane & 63
-                for ch in range(width):
-                    if bits[lane][ch]:
-                        sample[ch, w] |= np.uint64(1) << np.uint64(b)
-            trig = {lane for lane in probes if rng.random() < 0.2}
-            ltb.capture(
-                sample, trigger_mask=sum(1 << lane for lane in trig)
-            )
-            for lane, solo in solos.items():
-                solo.capture(bits[lane], trigger=lane in trig)
+        for run, chunks in enumerate(runs):
+            if run:
+                ltb.reset()
+                for solo in solos.values():
+                    solo.reset()
+            # each chunk: cycles captured one by one with random triggers,
+            # or as one untriggered block; past depth the ring wraps
+            for n_captures, as_block in chunks:
+                block = []
+                for _ in range(n_captures):
+                    bits = [
+                        [rng.getrandbits(1) for _ in range(width)]
+                        for _ in range(n_lanes)
+                    ]
+                    sample = np.zeros((width, n_words), dtype=np.uint64)
+                    for lane in range(n_lanes):
+                        w, b = lane >> 6, lane & 63
+                        for ch in range(width):
+                            if bits[lane][ch]:
+                                sample[ch, w] |= np.uint64(1) << np.uint64(b)
+                    trig = set()
+                    if not as_block:
+                        trig = {lane for lane in probes if rng.random() < 0.2}
+                    if as_block:
+                        block.append(sample)
+                    else:
+                        mask = sum(1 << lane for lane in trig)
+                        ltb.capture(sample, trigger_mask=mask)
+                    for lane, solo in solos.items():
+                        solo.capture(bits[lane], trigger=lane in trig)
+                if block:
+                    ltb.capture_block(np.stack(block))
 
-        for lane, solo in solos.items():
-            assert ltb.window(lane).tolist() == solo.window().tolist()
-            assert ltb.stopped(lane) == solo.stopped
-            assert ltb.triggered_at(lane) == solo.triggered_at
+            for lane, solo in solos.items():
+                assert ltb.window(lane).tolist() == solo.window().tolist()
+                assert ltb.stopped(lane) == solo.stopped
+                assert ltb.triggered_at(lane) == solo.triggered_at
