@@ -210,15 +210,20 @@ class SequentialSimulator:
 class ReferenceKernel:
     """The reference simulator behind the part of
     :class:`~repro.netlist.compiled.CompiledSimulator`'s API the lane
-    engine steps through: word-packed integer stimulus and overrides in,
-    word-packed node values out, one cycle per pass."""
+    engine steps through: lane-packed integer stimulus and overrides in,
+    lane-packed node values out, one cycle per pass.  Like the compiled
+    simulator it serves exactly ``n_lanes`` lanes: it evaluates whole
+    words and reads back only the lanes it has."""
 
     backend = "interpreted"
     block_cycles = 1
 
-    def __init__(self, net: LogicNetwork, n_words: int = 1) -> None:
-        self.n_words = n_words
-        self._sim = SequentialSimulator(net, n_words)
+    def __init__(self, net: LogicNetwork, n_lanes: int = 64) -> None:
+        self.n_lanes = n_lanes
+        self.n_words = (n_lanes + 63) // 64
+        self._full = (1 << n_lanes) - 1
+        self._word_lanes = int_to_words(self._full, self.n_words)
+        self._sim = SequentialSimulator(net, self.n_words)
         self._values: dict[int, np.ndarray] = {}
 
     @property
@@ -235,12 +240,13 @@ class ReferenceKernel:
         self._values = self._sim.step(pi_values, overrides=overrides)
 
     def node_ints(self, nodes) -> list[int]:
-        return [words_to_int(self._values[n]) for n in nodes]
+        return [words_to_int(self._values[n]) & self._full for n in nodes]
 
     def export_words(self, nodes, buf: bytearray) -> None:
         width = 8 * self.n_words
         for i, n in enumerate(nodes):
-            buf[i * width : (i + 1) * width] = self._values[n].tobytes()
+            row = self._values[n] & self._word_lanes
+            buf[i * width : (i + 1) * width] = row.tobytes()
 
 
 class ReferenceLaneEngine(LaneEngine):
@@ -249,7 +255,7 @@ class ReferenceLaneEngine(LaneEngine):
 
     def __init__(self, offline, **kwargs) -> None:
         super().__init__(offline, **kwargs)
-        self.sim = ReferenceKernel(self.mapped_net, self.n_words)
+        self.sim = ReferenceKernel(self.mapped_net, self.n_lanes)
         self.backend = self.sim.backend
 
 

@@ -18,9 +18,9 @@ enter the emulation as the PIs they physically are.
 
 Since the lane-parallel refactor the session is a **one-lane facade**
 over :class:`repro.engine.LaneEngine`: the exact same engine that packs
-whole campaign batches (64 scenarios per word, words added beyond that)
-into one compiled-kernel emulation serves a single interactive session
-bound to lane 0.  The public API is unchanged; batch users who want many
+whole campaign batches (one bit per scenario) into one compiled-kernel
+emulation serves a single interactive session bound to lane 0, whose
+kernel evaluates one bit per cycle.  The public API is unchanged; batch users who want many
 scenarios per emulation step should use the engine (or the campaign
 layer) directly.  :attr:`DebugSession.sim` is the engine's
 :class:`~repro.netlist.compiled.CompiledSimulator`.
@@ -95,7 +95,7 @@ class DebugSession:
 
     @property
     def sim(self):
-        """The engine's compiled simulator (one word, lane 0)."""
+        """The engine's compiled simulator (one lane: lane 0)."""
         return self._engine.sim
 
     @property

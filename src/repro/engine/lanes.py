@@ -13,26 +13,30 @@ The emulation step executes the mapped network's
 :class:`~repro.netlist.compiled.CompiledProgram`, taken with the virtual
 PConf from the offline artifact's ``emulation`` stage
 (:class:`~repro.core.flow.Emulation`, built once per design and persisted
-with the other stages): per cycle the engine hands the kernel word-packed
-integer
-stimulus and lane-blended override indices, and reads trace samples and
-PO words straight out of the kernel state — no per-node dicts, no
-per-cycle array allocation.  Because a word-packed integer spans
-``n_words`` 64-lane words, ``n_lanes`` may exceed 64: lane *k* lives at
-word ``k // 64``, bit ``k % 64`` everywhere (stimulus, faults, trace
-memory, PO captures).  :meth:`LaneEngine.run` and
-:meth:`LaneEngine.run_outputs` each have one emulation loop over kernel
-passes: each pass covers
-:meth:`~repro.netlist.compiled.CompiledSimulator.block_span` cycles
-(up to
-:attr:`~repro.netlist.compiled.CompiledSimulator.block_cycles`; for a
+with the other stages), on a simulator of exactly ``n_lanes`` lanes: a
+node's per-cycle value is an ``n_lanes``-bit integer (lane *k* at bit
+*k*), so a one-lane session evaluates one bit per cycle.  The engine
+hands the kernel lane-packed integer stimulus and lane-masked override
+indices, and reads trace samples and PO words straight out of the kernel
+state — no per-node dicts, no per-cycle array allocation.  Every array
+view (stimulus scripts, select bits, trace memory, PO captures) keeps
+``n_words = ceil(n_lanes / 64)`` ``uint64`` words per value, lane *k* at
+word ``k // 64``, bit ``k % 64``; the conversion to and from a block's
+integers is the simulator's row helpers'
+(:func:`~repro.netlist.compiled.block_ints` and friends).
+:meth:`LaneEngine.run` and :meth:`LaneEngine.run_outputs` each have one
+emulation loop over kernel passes: each pass covers
+:meth:`~repro.netlist.compiled.CompiledSimulator.block_span` cycles (up
+to :attr:`~repro.netlist.compiled.CompiledSimulator.block_cycles`; for a
 sequential design as far as the kernel's latch record predicts) and
 consumes the exact prefix the kernel's prediction check accepts, so the
-loops advance by the cycles each pass consumed.  Block stimulus is built
-without per-cycle dicts: select-parameter words are replicated across
-the block (once per observation and block length), script words are
-sliced out of the packed script, and only callable stimuli are
-consulted cycle by cycle.
+loops advance by the cycles each pass consumed.  Block stimulus is one
+list in the program's PI order, cycle *c* of the block at bits ``[c *
+n_lanes, (c+1) * n_lanes)``: the user PIs' words are packed out of the
+script rows in one step, callable stimuli are consulted cycle by cycle,
+and the select-parameter words — in the program's late-PI order — are
+held across the block in one vectorised step per observation and block
+length.
 
 A debug turn changes only what is observed.  :meth:`LaneEngine.observe`
 resolves its signals through the design's per-tap select table
@@ -66,6 +70,9 @@ from repro.emu.fault import NEVER_ENDS, ForcedFault, active_override_ints
 from repro.errors import DebugFlowError
 from repro.netlist.compiled import (
     CompiledSimulator,
+    block_ints,
+    block_rows,
+    held_block_ints,
     int_to_words,
     network_signature,
 )
@@ -95,9 +102,10 @@ class DebugTurnLog:
 class LaneEngine:
     """Many concurrent debug scenarios over one offline artifact.
 
-    ``n_lanes`` is unbounded above (words are added every 64 lanes);
-    memory and per-cycle cost grow linearly with the word count, so
-    campaigns pick the width that saturates their batch sizes.  The
+    ``n_lanes`` is unbounded above (row views add a word every 64
+    lanes); the kernel evaluates exactly ``n_lanes`` bits per cycle, so
+    its cost grows with the lane count and a narrow batch costs less
+    than a full word.  The
     compiled program and the virtual PConf come from
     :meth:`~repro.core.flow.OfflineStage.ensure_emulation`, checked
     against the signature of the mapped network the engine names.
@@ -120,12 +128,13 @@ class LaneEngine:
         self.n_words = max(1, words_for_bits(n_lanes))
         self.mapped_net = offline.mapping.to_lut_network()
         emulation = offline.ensure_emulation()
-        if emulation.program.signature != network_signature(self.mapped_net):
+        program = emulation.program
+        if program.signature != network_signature(self.mapped_net):
             raise DebugFlowError(
                 "the offline artifact's emulation program was not compiled "
                 "from its mapped network"
             )
-        self.sim = CompiledSimulator(emulation.program, n_words=self.n_words)
+        self.sim = CompiledSimulator(program, n_lanes)
         self.backend = self.sim.backend
         self.pconf = emulation.pconf
         depth = trace_depth or offline.config.trace_depth
@@ -136,20 +145,30 @@ class LaneEngine:
         # -- shared directories (identical to the historical session's) ----
         # parameter PI ids, in the order of an assignment's vector, and
         # their lane-packed values: row i, word w, bit k = lane 64*w + k's
-        # value of parameter i (as integers once per observation)
+        # value of parameter i.  The program is split at exactly these
+        # PIs: block PI words list the user PIs (early) and then the
+        # select words in the program's late-PI order, built once per
+        # observation and block length.
         self._param_pis = [
             self.mapped_net.require(name)
             for name in self.design.param_space.names
         ]
+        self._pi_order = program.pi_order
+        self._user_pis = list(self._pi_order[: program.n_early_pis])
+        late = self._pi_order[program.n_early_pis :]
+        if sorted(late) != sorted(self._param_pis):
+            raise DebugFlowError(
+                "the offline artifact's emulation program is not split at "
+                "its select parameters"
+            )
+        param_row = {pi: i for i, pi in enumerate(self._param_pis)}
+        self._late_rows = np.array(
+            [param_row[pi] for pi in late], dtype=np.intp
+        )
         self._param_bits = np.zeros(
             (len(self._param_pis), self.n_words), dtype=np.uint64
         )
-        self._param_words: dict[int, dict[int, int]] = {}
-        self._user_pis = [
-            pi
-            for pi in self.mapped_net.pis
-            if self.mapped_net.node_name(pi) not in self.design.param_nodes
-        ]
+        self._param_words: dict[int, list[int]] = {}
         self._user_pi_names = {
             pi: self.mapped_net.node_name(pi) for pi in self._user_pis
         }
@@ -215,9 +234,11 @@ class LaneEngine:
         self._stim_scripts: list[Sequence[Mapping[str, int]] | None] = [
             None
         ] * n_lanes
-        # packed scripts as per-PI little-endian bytes, one word per
-        # cycle (block stimulus slices them); rebuilt when a script changes
-        self._script_words: dict[int, bytes] | None = None
+        # packed scripts as one row of words per user PI, a row of
+        # ``n_words`` per cycle and a block of zero cycles past the
+        # longest script (block stimulus packs a slice of them); rebuilt
+        # when a script changes
+        self._script_rows: np.ndarray | None = None
 
     # -- lanes ------------------------------------------------------------------
 
@@ -243,13 +264,13 @@ class LaneEngine:
         if stimulus is not None and not callable(stimulus):
             if self._stim_scripts[lane] is not stimulus:
                 self._stim_scripts[lane] = stimulus
-                self._script_words = None
+                self._script_rows = None
             self._stim_fns[lane] = None
         else:
             self._stim_fns[lane] = stimulus
             if self._stim_scripts[lane] is not None:
                 self._stim_scripts[lane] = None
-                self._script_words = None
+                self._script_rows = None
 
     # -- observation ------------------------------------------------------------
 
@@ -364,11 +385,11 @@ class LaneEngine:
 
     def _block_overrides(self, cycle: int, n_cycles: int):
         """Block-wide blended overrides for all lanes' faults: cycle *c*
-        of the block on bits ``[c * W, (c+1) * W)``."""
+        of the block on bits ``[c * L, (c+1) * L)``."""
         flat = [f for lane_faults in self._forces for f in lane_faults]
         if not flat:
             return None
-        width = 64 * self.n_words
+        width = self.n_lanes
         acc: dict[int, tuple[int, int]] | None = None
         for c in range(n_cycles):
             ov = active_override_ints(flat, cycle + c, n_words=self.n_words)
@@ -393,65 +414,62 @@ class LaneEngine:
         """Reset only the (shared) trace memory."""
         self.trace.reset()
 
-    def _packed_script_words(self) -> dict[int, bytes]:
-        """Every user PI's packed script words as little-endian bytes
-        (prepared once per packing)."""
-        if self._script_words is None:
+    def _packed_scripts(self) -> np.ndarray:
+        """Every user PI's packed script as one row of words (prepared
+        once per packing; see ``_script_rows``)."""
+        if self._script_rows is None:
             horizon = max(
                 (len(s) for s in self._stim_scripts if s is not None),
                 default=0,
             )
-            wb = self._word_bytes
-            self._script_words = {
-                pi: b"".join([w.to_bytes(wb, "little") for w in words])
-                for pi, words in pack_lane_scripts(
-                    self._stim_scripts, self._user_pi_names, horizon
-                ).items()
-            }
-        return self._script_words
+            packed = pack_lane_scripts(
+                self._stim_scripts, self._user_pi_names, horizon
+            )
+            k, nw = len(self._user_pis), self.n_words
+            rows = np.zeros(
+                (k, (horizon + self.sim.block_cycles) * nw), dtype=np.uint64
+            )
+            flat = [w for pi in self._user_pis for w in packed[pi]]
+            rows[:, : horizon * nw] = block_rows(
+                flat, 1, self.n_lanes
+            ).reshape(k, horizon * nw)
+            self._script_rows = rows
+        return self._script_rows
 
-    def _block_param_words(self, n_cycles: int) -> dict[int, int]:
-        """Select-parameter words replicated across ``n_cycles`` cycles,
-        built once per observation and block length."""
+    def _block_param_words(self, n_cycles: int) -> list[int]:
+        """Select-parameter words held across ``n_cycles`` cycles, in the
+        program's late-PI order: one vectorised step per observation and
+        block length."""
         words = self._param_words.get(n_cycles)
         if words is None:
-            wb = self._word_bytes
-            one = b"\x01" + bytes(wb - 1)
-            rep = int.from_bytes(one * n_cycles, "little")
-            if self.n_words == 1:
-                values = self._param_bits[:, 0].tolist()
-            else:
-                data = self._param_bits.tobytes()
-                values = [
-                    int.from_bytes(data[i : i + wb], "little")
-                    for i in range(0, len(data), wb)
-                ]
-            words = self._param_words[n_cycles] = {
-                pid: v and v * rep for pid, v in zip(self._param_pis, values)
-            }
+            words = self._param_words[n_cycles] = held_block_ints(
+                self._param_bits[self._late_rows], n_cycles, self.n_lanes
+            )
         return words
 
-    def _block_pi_words(self, cycle: int, n_cycles: int) -> dict[int, int]:
-        """Block-wide PI words for ``n_cycles`` cycles from ``cycle``:
-        select parameters replicated across the block, lane stimulus
-        from the packed scripts, callable stimuli row by row."""
-        words = dict(self._block_param_words(n_cycles))
-        lo = cycle * self._word_bytes
-        hi = lo + n_cycles * self._word_bytes
-        for pi, data in self._packed_script_words().items():
-            words[pi] = int.from_bytes(data[lo:hi], "little")
+    def _block_pi_words(self, cycle: int, n_cycles: int) -> list[int]:
+        """Block-wide PI words for ``n_cycles`` cycles from ``cycle``, in
+        the program's PI order: lane stimulus from the packed scripts and
+        callable stimuli row by row (the user PIs), then the select
+        parameters held across the block."""
+        rows = self._packed_scripts()
+        lo, hi = cycle * self.n_words, (cycle + n_cycles) * self.n_words
+        if hi <= rows.shape[1]:
+            words = block_ints(rows[:, lo:hi], n_cycles, self.n_lanes)
+        else:  # past every script
+            words = [0] * len(self._user_pis)
         fns = [(lane, fn) for lane, fn in enumerate(self._stim_fns) if fn]
-        width = 64 * self.n_words
+        width = self.n_lanes
         for c in range(n_cycles if fns else 0):
-            rows = [(1 << lane, fn(cycle + c)) for lane, fn in fns]
-            for pi in self._user_pis:
+            rows_c = [(1 << lane, fn(cycle + c)) for lane, fn in fns]
+            for i, pi in enumerate(self._user_pis):
                 name = self._user_pi_names[pi]
                 bits = 0
-                for bit, row in rows:
+                for bit, row in rows_c:
                     if int(row.get(name, 0)) & 1:
                         bits |= bit
-                words[pi] |= bits << (c * width)
-        return words
+                words[i] |= bits << (c * width)
+        return words + self._block_param_words(n_cycles)
 
     def _advance(self, cycle: int, n_cycles: int) -> int:
         """Emulate up to ``n_cycles`` cycles from ``cycle`` with every
@@ -463,7 +481,9 @@ class LaneEngine:
         pi_words = self._block_pi_words(cycle, n)
         overrides = self._block_overrides(cycle, n)
         if n == 1:
-            self.sim.step(pi_words, overrides=overrides)
+            self.sim.step(
+                dict(zip(self._pi_order, pi_words)), overrides=overrides
+            )
             return 1
         return self.sim.run_block(pi_words, n, overrides)
 

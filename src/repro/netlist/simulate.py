@@ -133,7 +133,7 @@ def simulate_combinational(
         ints[nid] = words_to_int(arr)
     if n_words is None:
         raise SimulationError("network has no sources")
-    csim = CompiledSimulator(program_for(net), n_words=n_words)
+    csim = CompiledSimulator(program_for(net), 64 * n_words)
     csim.eval_combinational(
         ints, overrides=_overrides_to_ints(overrides, n_words)
     )
@@ -174,7 +174,7 @@ class SequentialSimulator:
     def __init__(self, net: LogicNetwork, n_words: int = 1) -> None:
         self.net = net
         self.n_words = int(n_words)
-        self.compiled = CompiledSimulator(program_for(net), n_words=self.n_words)
+        self.compiled = CompiledSimulator(program_for(net), 64 * self.n_words)
 
     @property
     def cycle(self) -> int:

@@ -205,15 +205,17 @@ def packed_signal_traces(
     one ``uint64`` word, so the returned arrays have shape ``(n_cycles,
     n_words)`` and bit ``k % 64`` of word ``k // 64`` of
     ``traces[name][cyc]`` is lane ``k``'s value of ``name`` on cycle
-    ``cyc``.  Names absent from ``net`` are skipped.
+    ``cyc`` (bits past the last lane read 0).  Names absent from ``net``
+    are skipped.
 
     The pass steps the network's
-    :class:`~repro.netlist.compiled.CompiledSimulator` directly on the
-    word-packed PI integers of
-    :func:`~repro.util.bitops.pack_lane_scripts` and reads only the named
-    nodes each cycle.
+    :class:`~repro.netlist.compiled.CompiledSimulator` over exactly
+    ``len(stims)`` lanes, directly on the lane-packed PI integers of
+    :func:`~repro.util.bitops.pack_lane_scripts`, and reads only the
+    named nodes each cycle.
     """
-    n_words = max(1, words_for_bits(len(stims)))
+    n_lanes = max(1, len(stims))
+    n_words = words_for_bits(n_lanes)
     n_cycles = len(stims[0]) if stims else 0
     if any(len(s) != n_cycles for s in stims):
         raise WorkloadError("stimulus lanes must share one horizon")
@@ -222,7 +224,7 @@ def packed_signal_traces(
     pi_words = pack_lane_scripts(
         stims, {p: net.node_name(p) for p in net.pis}, n_cycles
     )
-    sim = CompiledSimulator(program_for(net), n_words=n_words)
+    sim = CompiledSimulator(program_for(net), n_lanes)
     rows = []
     for cyc in range(n_cycles):
         sim.step({p: words[cyc] for p, words in pi_words.items()})

@@ -45,24 +45,25 @@ __all__ = [
 
 
 def block_words(
-    rows: "list[dict[int, int]]", nodes, n_words: int
+    rows: "list[dict[int, int]]", nodes, n_lanes: int
 ) -> dict[int, int]:
     """Per-cycle ``{node: int}`` rows side by side as the block-wide
     integers ``CompiledSimulator.run_block`` takes: cycle *c* on bits
-    ``[c * W, (c+1) * W)``, ``W = 64 * n_words``."""
-    width = 64 * n_words
+    ``[c * L, (c+1) * L)``, ``L = n_lanes`` (each row cut to its lanes)."""
+    full = (1 << n_lanes) - 1
     return {
-        x: sum(row[x] << (c * width) for c, row in enumerate(rows))
+        x: sum((row[x] & full) << (c * n_lanes) for c, row in enumerate(rows))
         for x in nodes
     }
 
 
 def block_overrides(
-    rows: "list[dict[int, tuple[int, int]] | None]", n_words: int
+    rows: "list[dict[int, tuple[int, int]] | None]", n_lanes: int
 ) -> "dict[int, tuple[int, int]] | None":
     """Per-cycle ``node -> (forced, mask)`` overrides (``None`` for a
-    clean cycle) as one block-wide override mapping."""
-    width = 64 * n_words
+    clean cycle) as one block-wide override mapping over ``n_lanes``
+    lanes."""
+    width = n_lanes
     full = (1 << width) - 1
     out: dict[int, tuple[int, int]] = {}
     for c, row in enumerate(rows):
@@ -117,16 +118,16 @@ def random_network(
 
 
 def random_stimulus_ints(
-    rng: random.Random, net: LogicNetwork, n_words: int
+    rng: random.Random, net: LogicNetwork, n_lanes: int
 ) -> dict[int, int]:
-    """One cycle of word-packed integer stimulus for every PI."""
-    return {pi: rng.getrandbits(64 * n_words) for pi in net.pis}
+    """One cycle of lane-packed integer stimulus for every PI."""
+    return {pi: rng.getrandbits(n_lanes) for pi in net.pis}
 
 
 def random_override_ints(
     rng: random.Random,
     net: LogicNetwork,
-    n_words: int,
+    n_lanes: int,
     *,
     n_nodes: int = 3,
     lane_masked: bool = True,
@@ -137,12 +138,12 @@ def random_override_ints(
     the fault-injection surface.  ``lane_masked=False`` forces all lanes
     (a full replacement, mask = all-ones), the mutation-style override.
     """
-    full = (1 << (64 * n_words)) - 1
+    full = (1 << n_lanes) - 1
     picks = rng.sample(range(net.n_nodes), min(n_nodes, net.n_nodes))
     return {
         nid: (
-            rng.getrandbits(64 * n_words),
-            rng.getrandbits(64 * n_words) if lane_masked else full,
+            rng.getrandbits(n_lanes),
+            rng.getrandbits(n_lanes) if lane_masked else full,
         )
         for nid in picks
     }
@@ -151,18 +152,18 @@ def random_override_ints(
 def reference_eval(
     net: LogicNetwork,
     source_ints: "dict[int, int]",
-    n_words: int,
+    n_lanes: int,
     overrides: "dict[int, tuple[int, int]] | None" = None,
 ) -> dict[int, int]:
     """Independent big-int evaluation of every node for one settle.
 
     Walks the topo order evaluating each gate's ISOP cover literal by
-    literal over word-packed integers.  Overrides are ``(forced, mask)``
+    literal over ``n_lanes``-bit lane-packed integers.  Overrides are ``(forced, mask)``
     integer pairs blended as ``(clean & ~mask) | (forced & mask)`` — on
     any node kind, exactly the engine's fault semantics.  Shares no
     evaluation code with the simulators under test.
     """
-    full = (1 << (64 * n_words)) - 1
+    full = (1 << n_lanes) - 1
     ov = overrides or {}
 
     def blend(nid: int, clean: int) -> int:
@@ -193,7 +194,7 @@ def reference_eval(
 def reference_sequential(
     net: LogicNetwork,
     stim_rows: "list[dict[int, int]]",
-    n_words: int,
+    n_lanes: int,
     overrides_by_cycle: "dict[int, dict[int, tuple[int, int]]] | None" = None,
 ) -> list[dict[int, int]]:
     """Cycle-accurate big-int reference: one value dict per cycle.
@@ -202,7 +203,7 @@ def reference_sequential(
     the stored state during the settle, next state latches from the
     drivers' settled values (post-override, like the real kernels).
     """
-    full = (1 << (64 * n_words)) - 1
+    full = (1 << n_lanes) - 1
     state = {
         latch.q: full if latch.init == 1 else 0 for latch in net.latches
     }
@@ -213,7 +214,7 @@ def reference_sequential(
         values = reference_eval(
             net,
             sources,
-            n_words,
+            n_lanes,
             (overrides_by_cycle or {}).get(cycle),
         )
         state = {latch.q: values[latch.driver] for latch in net.latches}
@@ -225,12 +226,12 @@ def reference_traces(
     net: LogicNetwork,
     stims: "list[list[dict[str, int]]]",
     names: "list[str]",
-    n_words: int,
+    n_lanes: int,
 ) -> dict[str, list[int]]:
     """Golden traces from :func:`reference_sequential`: per name, one
-    word-packed integer per cycle, lane *k* driven by the per-cycle
-    ``{pi name: 0/1}`` script ``stims[k]`` (PIs missing from a row read
-    0)."""
+    ``n_lanes``-bit lane-packed integer per cycle, lane *k* driven by the
+    per-cycle ``{pi name: 0/1}`` script ``stims[k]`` (PIs missing from a
+    row read 0)."""
     rows = [
         {
             p: sum(
@@ -241,7 +242,7 @@ def reference_traces(
         }
         for c in range(len(stims[0]))
     ]
-    values = reference_sequential(net, rows, n_words)
+    values = reference_sequential(net, rows, n_lanes)
     return {n: [v[net.require(n)] for v in values] for n in names}
 
 

@@ -7,8 +7,10 @@ big-int reference evaluator that shares no lowering code with either.
 Both simulators must agree with that evaluator **bit-for-bit**:
 
 * a seeded random-network sweep over unmapped/mapped × combinational/
-  sequential shapes at lane widths 1, 64, 96, 128 and 1024, with
-  fault-style (lane-masked) and mutation-style (full-mask) overrides;
+  sequential shapes on simulators of 1, 64, 96, 128 and 1024 lanes, with
+  fault-style (lane-masked) and mutation-style (full-mask) overrides,
+  stepped and in ``run_block`` passes of random spans (sequential
+  passes on predicted latch states);
 * backend resolution rules (``"python"`` at every width, unknown names
   rejected);
 * full-campaign outcome diffs: the same stuck-at campaign run on the
@@ -29,6 +31,8 @@ import numpy as np
 
 from benchmarks import ref_simulate
 from parity import (
+    block_overrides,
+    block_words,
     random_network,
     random_override_ints,
     random_stimulus_ints,
@@ -48,10 +52,6 @@ WIDTHS = (1, 64, 96, 128, 1024)
 N_CYCLES = 6
 
 
-def _n_words(width: int) -> int:
-    return (width + 63) // 64
-
-
 def _scenario(net, width: int, seed: int):
     """Deterministic stimulus + per-cycle overrides for one sweep case.
 
@@ -60,20 +60,20 @@ def _scenario(net, width: int, seed: int):
     blending is exercised in every combination.
     """
     rng = random.Random(seed * 7919 + width)
-    nw = _n_words(width)
-    stim_rows = [random_stimulus_ints(rng, net, nw) for _ in range(N_CYCLES)]
+    stim_rows = [random_stimulus_ints(rng, net, width) for _ in range(N_CYCLES)]
     overrides = {}
     for cyc in range(N_CYCLES):
         if cyc % 3 == 1:
-            overrides[cyc] = random_override_ints(rng, net, nw, lane_masked=True)
+            overrides[cyc] = random_override_ints(rng, net, width, lane_masked=True)
         elif cyc % 3 == 2:
-            overrides[cyc] = random_override_ints(rng, net, nw, lane_masked=False)
-    return nw, stim_rows, overrides
+            overrides[cyc] = random_override_ints(rng, net, width, lane_masked=False)
+    return stim_rows, overrides
 
 
-def _compiled_cycles(net, nw, stim_rows, overrides):
-    """Per-cycle, per-node word-packed values from the compiled kernels."""
-    sim = CompiledSimulator(program_for(net), nw)
+def _compiled_cycles(net, width, stim_rows, overrides):
+    """Per-cycle, per-node lane-packed values from the compiled kernels,
+    one step per cycle on a ``width``-lane simulator."""
+    sim = CompiledSimulator(program_for(net), width)
     out = []
     for cyc, stim in enumerate(stim_rows):
         sim.step(stim, overrides=overrides.get(cyc))
@@ -81,8 +81,48 @@ def _compiled_cycles(net, nw, stim_rows, overrides):
     return out
 
 
-def _interpreted_cycles(net, nw, stim_rows, overrides):
-    """Same trace from the reference per-gate simulator."""
+def _block_cycles(net, width, stim_rows, overrides, seed):
+    """The same trace from ``run_block`` passes of random spans on a
+    ``width``-lane simulator.  A clean stepped run first records a latch
+    trajectory, so a sequential network's passes run on predicted latch
+    states that the overrides may refute (a pass then consumes only its
+    exact prefix)."""
+    rng = random.Random(seed)
+    sim = CompiledSimulator(program_for(net), width)
+    for stim in stim_rows:
+        sim.step(stim)
+    sim.reset()
+    nodes = list(net.nodes())
+    nw = sim.n_words
+    rows = np.empty((len(nodes), sim.block_cycles * nw), dtype=np.uint64)
+    out = []
+    while sim.cycle < len(stim_rows):
+        base = sim.cycle
+        span = min(rng.randint(1, N_CYCLES), len(stim_rows) - base)
+        consumed = sim.run_block(
+            block_words(stim_rows[base : base + span], net.pis, width),
+            span,
+            block_overrides(
+                [overrides.get(c) for c in range(base, base + span)], width
+            ),
+        )
+        sim.block_export(nodes, rows)
+        for c in range(consumed):
+            cells = rows[:, c * nw : (c + 1) * nw]
+            out.append(
+                {
+                    nid: int.from_bytes(cells[i].tobytes(), "little")
+                    for i, nid in enumerate(nodes)
+                }
+            )
+    return out
+
+
+def _interpreted_cycles(net, width, stim_rows, overrides):
+    """Same trace from the reference per-gate simulator (whole words,
+    read back over the ``width`` lanes)."""
+    nw = (width + 63) // 64
+    full = (1 << width) - 1
 
     def row(v):
         return np.frombuffer(v.to_bytes(8 * nw, "little"), dtype=np.uint64)
@@ -104,6 +144,7 @@ def _interpreted_cycles(net, nw, stim_rows, overrides):
                 nid: int.from_bytes(
                     np.ascontiguousarray(values[nid]).tobytes(), "little"
                 )
+                & full
                 for nid in net.nodes()
             }
         )
@@ -121,13 +162,15 @@ def _assert_traces_equal(net, got, want, label: str):
 
 
 def _sweep(net, width: int, seed: int) -> None:
-    """Every node, every cycle: the compiled kernels and the reference
-    per-gate simulator each equal the independent reference evaluator."""
-    nw, stim, ov = _scenario(net, width, seed)
-    want = reference_sequential(net, stim, nw, ov)
+    """Every node, every cycle: the compiled kernels (stepped and in
+    blocks) and the reference per-gate simulator each equal the
+    independent reference evaluator, lane for lane."""
+    stim, ov = _scenario(net, width, seed)
+    want = reference_sequential(net, stim, width, ov)
     for label, got in (
-        ("compiled", _compiled_cycles(net, nw, stim, ov)),
-        ("interpreted", _interpreted_cycles(net, nw, stim, ov)),
+        ("compiled", _compiled_cycles(net, width, stim, ov)),
+        ("compiled-block", _block_cycles(net, width, stim, ov, seed)),
+        ("interpreted", _interpreted_cycles(net, width, stim, ov)),
     ):
         _assert_traces_equal(net, got, want, f"{label} w={width}")
 
@@ -193,8 +236,8 @@ class TestBackendResolution:
             assert resolve_backend(None, n_words=n_words) == "python"
             assert resolve_backend("auto", n_words=n_words) == "python"
         net = _comb_net(1)
-        for n_words in (1, 4, 16):
-            sim = CompiledSimulator(program_for(net), n_words)
+        for n_lanes in (1, 24, 256, 1024):
+            sim = CompiledSimulator(program_for(net), n_lanes)
             assert sim.backend == "python"
 
 

@@ -34,7 +34,10 @@ from parity import (
 from repro.netlist.compiled import (
     CompiledProgram,
     CompiledSimulator,
+    block_ints,
+    block_rows,
     compile_network,
+    held_block_ints,
     network_signature,
     program_for,
 )
@@ -188,7 +191,7 @@ class TestProgramCache:
         spec = campaign_spec("cache-b", n_gates=40, depth=5, n_pis=8, n_pos=4)
         net = generate_circuit(spec, 2)
         p1 = program_for(net)
-        sim1 = CompiledSimulator(p1, 2)
+        sim1 = CompiledSimulator(p1, 128)
         stim = {p: 0x5A5A_5A5A_5A5A_5A5A for p in net.pis}
         sim1.step(stim)
         kernel1 = p1.code.kernel("clean")
@@ -198,10 +201,10 @@ class TestProgramCache:
         p2 = program_for(net)
         assert p2 is not p1
         assert p2.code.kernel("clean") is not kernel1  # fresh, not the stale kernel
-        sim2 = CompiledSimulator(p2, 2)
+        sim2 = CompiledSimulator(p2, 128)
         sim2.step(stim)
         nodes = list(net.nodes())
-        want = reference_sequential(net, [stim], 2)[0]
+        want = reference_sequential(net, [stim], 128)[0]
         assert sim2.node_ints(nodes) == [want[x] for x in nodes]
         # the inverted gate actually changed value — a stale program would
         # have kept serving the old function
@@ -294,14 +297,37 @@ class TestBlockEvaluation:
             for c in range(n_cycles)
         ]
 
+    @pytest.mark.parametrize("lanes", [1, 3, 5, 24, 63, 64, 65, 96, 128])
+    def test_row_helpers_restride_every_cycle(self, lanes):
+        """Block integers at stride ``lanes`` and ``n_words`` word rows
+        convert into each other cycle for cycle, on every path (one numpy
+        shift, whole bytes, re-packed bits)."""
+        import random
+
+        rng = random.Random(lanes)
+        nw, full = (lanes + 63) // 64, (1 << lanes) - 1
+        for n in (1, 2, 13, 64):
+            ints = [rng.getrandbits(n * lanes) for _ in range(5)]
+            rows = block_rows(ints, n, lanes)
+            assert rows.shape == (5, n * nw) and rows.dtype == np.uint64
+            for x, row in zip(ints, rows):
+                assert self._cycles(row[None], [x], nw, n) == [
+                    [(x >> (c * lanes)) & full] for c in range(n)
+                ]
+            assert block_ints(rows, n, lanes) == ints
+            held = held_block_ints(rows[:, :nw], n, lanes)
+            assert held == [
+                sum((x & full) << (c * lanes) for c in range(n)) for x in ints
+            ]
+
     def test_run_block_matches_stepwise(self):
         net, program = self._program()
         nw = 4
         gate = int(next(net.gates()))
         nodes = list(net.nodes())
         rng = np.random.default_rng(9)
-        stepper = CompiledSimulator(program, nw)
-        blocker = CompiledSimulator(program, nw)
+        stepper = CompiledSimulator(program, 64 * nw)
+        blocker = CompiledSimulator(program, 64 * nw)
         full = stepper.full_mask
         rows, ovr = [], []
         for c in range(blocker.block_cycles):
@@ -326,9 +352,9 @@ class TestBlockEvaluation:
             stepper.step(row, overrides=ov)
             expected.append(stepper.node_ints(nodes))
         consumed = blocker.run_block(
-            block_words(rows, net.pis, nw),
+            block_words(rows, net.pis, 64 * nw),
             len(rows),
-            block_overrides(ovr, nw),
+            block_overrides(ovr, 64 * nw),
         )
         assert consumed == len(rows) == blocker.block_cycles > 1
         assert blocker.cycle == stepper.cycle
@@ -351,8 +377,8 @@ class TestBlockEvaluation:
         nw = 4
         nodes = list(net.nodes())
         rng = np.random.default_rng(10)
-        a = CompiledSimulator(program, nw)
-        b = CompiledSimulator(program, nw)
+        a = CompiledSimulator(program, 64 * nw)
+        b = CompiledSimulator(program, 64 * nw)
         n_cycles = a.block_cycles
         stim = rng.integers(
             0,
@@ -383,8 +409,8 @@ class TestBlockEvaluation:
         stim = rng.integers(
             0, U64MAX, size=(n_pis, 3 * 4), dtype=np.uint64, endpoint=True
         )
-        arr = CompiledSimulator(program, 4)
-        ref = CompiledSimulator(program, 4)
+        arr = CompiledSimulator(program, 256)
+        ref = CompiledSimulator(program, 256)
         assert arr.run_block_array(stim) == 3
         ref.run_block(
             {
@@ -396,7 +422,7 @@ class TestBlockEvaluation:
         nodes = list(net.nodes())
         assert arr.cycle == ref.cycle == 3
         assert arr.node_ints(nodes) == ref.node_ints(nodes)
-        sim = CompiledSimulator(program, 4)
+        sim = CompiledSimulator(program, 256)
         with pytest.raises(SimulationError, match="shape"):
             sim.run_block_array(np.zeros((n_pis + 1, 4), dtype=np.uint64))
         with pytest.raises(SimulationError, match="shape"):
@@ -420,6 +446,7 @@ class TestLatchPrediction:
 
     HORIZON = 24
     N_WORDS = 2
+    N_LANES = 64 * N_WORDS
     N_LATCHES = 6
 
     def _case(self, seed):
@@ -432,10 +459,10 @@ class TestLatchPrediction:
             )
             rng = random.Random(seed)
             rows = [
-                random_stimulus_ints(rng, net, self.N_WORDS)
+                random_stimulus_ints(rng, net, self.N_LANES)
                 for _ in range(self.HORIZON)
             ]
-            values = reference_sequential(net, rows, self.N_WORDS)
+            values = reference_sequential(net, rows, self.N_LANES)
             states = [
                 [v[latch.driver] for latch in net.latches] for v in values
             ]
@@ -463,7 +490,7 @@ class TestLatchPrediction:
         while sim.cycle < self.HORIZON:
             base = sim.cycle
             n = sim.block_span(self.HORIZON - base)
-            words = block_words(rows[base : base + n], net.pis, self.N_WORDS)
+            words = block_words(rows[base : base + n], net.pis, self.N_LANES)
             consumed = sim.run_block(words, n)
             assert consumed == n  # an exact record predicts every cycle
             self._assert_pass(sim, net, values, states, base, consumed)
@@ -486,7 +513,7 @@ class TestLatchPrediction:
     def test_corrupted_record(self, seed, corruptions):
         net, rows, values, states = self._case(seed)
         H = self.HORIZON
-        sim = CompiledSimulator(program_for(net), self.N_WORDS)
+        sim = CompiledSimulator(program_for(net), self.N_LANES)
         for row in rows:  # stepping records the true trajectory
             sim.step(row)
         sim.reset()
@@ -494,7 +521,7 @@ class TestLatchPrediction:
         for cycle, latch, word, flip in corruptions:
             sim._rec[cycle, latch, word] ^= np.uint64(flip)
         first_wrong = min(cycle for cycle, *_ in corruptions)
-        consumed = sim.run_block(block_words(rows, net.pis, self.N_WORDS), H)
+        consumed = sim.run_block(block_words(rows, net.pis, self.N_LANES), H)
         assert consumed == first_wrong
         self._assert_pass(sim, net, values, states, 0, consumed)
         # the record ends at the corrected state: nothing is predicted
@@ -516,7 +543,7 @@ class TestLatchPrediction:
             "RECORD_MAX_WORDS",
             cap * self.N_LATCHES * self.N_WORDS,
         )
-        sim = CompiledSimulator(program_for(net), self.N_WORDS)
+        sim = CompiledSimulator(program_for(net), self.N_LANES)
         assert sim._rec.shape == (cap, self.N_LATCHES, self.N_WORDS)
         self._run_to_horizon(sim, net, rows, values, states)
         sim.reset()

@@ -194,7 +194,7 @@ class TestPackedGolden:
 
     def test_sequential_golden_matches_reference_at_70_lanes(self):
         # a design with latches, 70 distinct stimuli over two words:
-        # every word of every signal, including the idle lanes 70..127
+        # every word of every signal, whose idle lanes 70..127 read 0
         spec = campaign_spec(
             "golden-seq", n_gates=100, depth=7, n_latches=6, n_pis=16, n_pos=8
         )
@@ -203,7 +203,7 @@ class TestPackedGolden:
         stims = [stimulus_script(net, 10, seed) for seed in range(70)]
         names = [net.node_name(n) for n in net.topo_order()]
         packed = packed_signal_traces(net, stims, names)
-        want = reference_traces(net, stims, names, 2)
+        want = reference_traces(net, stims, names, 70)
         for n in names:
             assert packed[n].shape == (10, 2)
             assert [words_to_int(row) for row in packed[n]] == want[n], n
@@ -373,10 +373,14 @@ class TestLaneIsolation:
 
 
 def _latch_ints(engine) -> list[int]:
-    """Latch state of a compiled or reference engine, as integers."""
+    """Latch state of a compiled or reference engine, as integers over
+    the engine's lanes."""
     if isinstance(engine, ReferenceLaneEngine):
         state = engine.sim._sim.state
-        return [words_to_int(state[l.q]) for l in engine.mapped_net.latches]
+        lanes = (1 << engine.n_lanes) - 1
+        return [
+            words_to_int(state[l.q]) & lanes for l in engine.mapped_net.latches
+        ]
     return list(engine.sim.latch_state)
 
 

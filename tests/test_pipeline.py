@@ -503,15 +503,17 @@ class TestFaultUnification:
         sig = session.observable_signals[0]
         fault = session.force(sig, 1, first_cycle=2, last_cycle=3)
         # the session's per-cycle overrides are exactly active_override_ints,
-        # and a block's are the per-cycle ones side by side
+        # and a block's are the per-cycle ones side by side, one lane apart
         packed = {}
+        width = session.engine.n_lanes
         for cycle in range(5):
             direct = active_override_ints([fault], cycle, n_words=1)
             assert (direct is not None) == (2 <= cycle <= 3)
             assert session.engine._block_overrides(cycle, 1) == direct
             for node, (forced, mask) in (direct or {}).items():
                 f0, m0 = packed.get(node, (0, 0))
-                packed[node] = (f0 | forced << 64 * cycle, m0 | mask << 64 * cycle)
+                sh = width * cycle
+                packed[node] = (f0 | forced << sh, m0 | mask << sh)
         assert session.engine._block_overrides(0, 5) == packed
         fi = FaultInjector(offline.source)
         returned = fi.stuck_at(sig, 1, first_cycle=2, last_cycle=3)

@@ -74,16 +74,17 @@ class SplitPair:
     part later), late PIs one of three, and overrides one of a small pool,
     so equal early inputs recur and the reuse fires."""
 
-    def __init__(self, net, late, n_words: int, seed: int, *, cap=None):
+    def __init__(self, net, late, n_lanes: int, seed: int, *, cap=None):
         rng = random.Random(seed)
         self.net = net
-        self.nw = n_words
+        self.lanes = n_lanes
+        self.nw = n_words = (n_lanes + 63) // 64
         self.nodes = list(net.nodes())
         early = [p for p in net.pis if p not in set(late)]
 
         def tape(pis):
             return [
-                {p: rng.getrandbits(64 * n_words) for p in pis}
+                {p: rng.getrandbits(n_lanes) for p in pis}
                 for _ in range(HORIZON)
             ]
 
@@ -92,17 +93,17 @@ class SplitPair:
         second = first[:part_from] + tape(early)[part_from:]
         self.early_tapes = [first, second]
         self.late_tapes = [tape(late) for _ in range(3)]
-        full = (1 << (64 * n_words)) - 1
+        full = (1 << n_lanes) - 1
         gates, consts = [], []
         for n in net.gates():
             (gates if net.func(n).const_value() is None else consts).append(n)
         sources = list(net.pis) + [latch.q for latch in net.latches]
 
         def forced():  # all lanes, or a random lane mask
-            value = rng.getrandbits(64 * n_words)
+            value = rng.getrandbits(n_lanes)
             if rng.random() < 0.5:
                 return value, full
-            return value, rng.getrandbits(64 * n_words)
+            return value, rng.getrandbits(n_lanes)
 
         # gate + source overrides, and gate + folded-constant overrides
         self.override_pool = [None] + [
@@ -115,8 +116,8 @@ class SplitPair:
             (cap or HORIZON + 1) * max(1, len(net.latches)) * n_words,
         ):
             split = compile_network(net, late=late)
-            self.part = CompiledSimulator(split, n_words)
-            self.ref = CompiledSimulator(program_for(net), n_words)
+            self.part = CompiledSimulator(split, n_lanes)
+            self.ref = CompiledSimulator(program_for(net), n_lanes)
         assert self.part.program.late_sources == tuple(sorted(late))
         self.last = 0  # cycles the last block pass consumed (0: no rewind)
         self.blocks = 0
@@ -141,8 +142,8 @@ class SplitPair:
             return self.reset()
         n = min(span, HORIZON - cycle, self.ref.block_cycles)
         rows = self._rows(tape, late, cycle, n)
-        words = block_words(rows, self.net.pis, self.nw)
-        overrides = block_overrides([self.override_pool[ov]] * n, self.nw)
+        words = block_words(rows, self.net.pis, self.lanes)
+        overrides = block_overrides([self.override_pool[ov]] * n, self.lanes)
         got = self.part.run_block(words, n, overrides)
         want = self.ref.run_block(words, n, overrides)
         assert got == want
@@ -237,12 +238,12 @@ class TestSplitProgram:
         n_latches=st.sampled_from([0, 3]),
         late_drives_latch=st.booleans(),
         extra_late=st.integers(0, 2),
-        n_words=st.sampled_from([1, 2]),
+        n_lanes=st.sampled_from([1, 3, 64, 65]),
         cap=st.sampled_from([None, 3]),
         actions=ACTIONS,
     )
     def test_runs_like_the_unsplit_program(
-        self, seed, n_latches, late_drives_latch, extra_late, n_words, cap,
+        self, seed, n_latches, late_drives_latch, extra_late, n_lanes, cap,
         actions,
     ):
         net, sels = split_network(
@@ -250,7 +251,7 @@ class TestSplitProgram:
         )
         rng = random.Random(seed)
         late = sels + rng.sample(net.pis[: -len(sels)], extra_late)
-        SplitPair(net, late, n_words, seed, cap=cap).run(actions)
+        SplitPair(net, late, n_lanes, seed, cap=cap).run(actions)
 
     def test_partition(self):
         net, sels = split_network(3, 3)
@@ -281,7 +282,7 @@ class TestSplitProgram:
         assert all(program.is_late[node] for node in readers)
         # a late-only change moves the latch trajectory: the unsplit
         # program consumes fewer predicted cycles the second time
-        pair = SplitPair(net, sels, 1, 3)
+        pair = SplitPair(net, sels, 64, 3)
         pair.run(
             [("step", 0, 0, 0)] * HORIZON
             + [("reset",), ("block", 8, 0, 0, 0)]
@@ -292,7 +293,7 @@ class TestSplitProgram:
     @pytest.mark.parametrize("n_latches", [0, 3])
     def test_late_only_change_reruns_late_ops(self, n_latches):
         net, sels = split_network(5, n_latches)
-        pair = SplitPair(net, sels, 2, 5)
+        pair = SplitPair(net, sels, 128, 5)
         pair.run(
             [("step", 0, 0, 0)] * HORIZON + [("reset",), ("block", 8, 0, 0, 0)]
         )
@@ -307,7 +308,7 @@ class TestSplitProgram:
         """Steps along another trajectory rewrite the latch record: the
         same block then predicts other states and must not be reused."""
         net, sels = split_network(7, 3)
-        pair = SplitPair(net, sels, 1, 7)
+        pair = SplitPair(net, sels, 64, 7)
         pair.early_tapes[1] = [
             {p: ~w & ((1 << 64) - 1) for p, w in row.items()}
             for row in pair.early_tapes[0]
@@ -328,7 +329,7 @@ class TestSplitProgram:
         """Past the record's memory cap nothing is recorded: two runs can
         reach one cycle with the record unchanged and different states."""
         net, sels = split_network(12, 3)
-        pair = SplitPair(net, sels, 1, 12, cap=2)
+        pair = SplitPair(net, sels, 64, 12, cap=2)
         pair.early_tapes[1] = pair.early_tapes[0][:2] + [
             {p: ~w & ((1 << 64) - 1) for p, w in row.items()}
             for row in pair.early_tapes[0][2:]
@@ -346,7 +347,7 @@ class TestSplitProgram:
 
     def test_overrides_key_the_reuse(self):
         net, sels = split_network(13, 0)
-        pair = SplitPair(net, sels, 1, 13)
+        pair = SplitPair(net, sels, 64, 13)
         pair.run(
             [("block", 8, 0, 0, 1), ("reset",), ("block", 8, 0, 1, 2)]
             + [("reset",), ("block", 8, 0, 2, 0)]
@@ -401,3 +402,31 @@ class TestDebugTurnReuse:
         finally:
             session.sim._clean_kernel = full
         assert session.sim.cycle == 16
+
+
+class TestLaneExactBlocks:
+    def test_one_lane_session_block_values_are_32_bits(self):
+        """A one-lane session evaluates one bit per cycle: after a
+        32-cycle run on a sequential design every block value fits in
+        32 bits (64 lanes' worth of bits per cycle would be 2,048)."""
+        spec = campaign_spec(
+            "lane-exact", n_gates=60, depth=5, n_pis=8, n_pos=4, n_latches=4
+        )
+        net = generate_circuit(spec, 29)
+        session = DebugSession(run_generic_stage(net))
+        stim = stimulus_script(net, 32, 3)
+        taps = [
+            sorted(session.design.network.node_name(t) for t in g.path)
+            for g in session.design.groups
+        ]
+        golden = signal_traces(net, stim, [s for names in taps for s in names])
+        for k in range(3):  # steps and records, then 32-cycle block passes
+            picks = [names[k % len(names)] for names in taps]
+            session.observe(picks)
+            session.reset()
+            session.run(32, stimulus=stim)
+            for sig in picks:
+                assert np.array_equal(session.waveforms()[sig], golden[sig])
+        sim = session.sim
+        assert sim._blk_len == 32
+        assert max(sim._bv) < 2**32
