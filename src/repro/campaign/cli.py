@@ -326,6 +326,11 @@ _SEED_BOUND = 1 << 127
 
 def _usage_error(args: argparse.Namespace) -> str | None:
     """The first invalid option or option combination, else ``None``."""
+    # ``--opt=--``: argparse before Python 3.12 drops the ``--`` and
+    # hands back an empty list where one value belongs
+    empty = [name for name, value in vars(args).items() if value == []]
+    if empty:
+        return f"--{empty[0].replace('_', '-')} needs a value"
     for name, low in _MINIMUMS.items():
         value = getattr(args, name)
         if value is not None and value < low:

@@ -63,7 +63,6 @@ from repro.campaign.cache import ArtifactStore
 from repro.campaign.results import CampaignReport, ScenarioResult
 from repro.campaign.runner import run_scenario_batch
 from repro.core.flow import DebugFlowConfig, OfflineStage, offline_cache_key
-from repro.netlist.network import LogicNetwork
 from repro.pipeline.scheduler import DataflowScheduler, ScheduledTask
 from repro.util.trace import Trace
 from repro.workloads.scenarios import DebugScenario
@@ -133,55 +132,35 @@ class CampaignConfig:
     against power loss, at a per-scenario I/O cost)."""
 
 
-#: One pool task: a stripped offline artifact, the batch's golden network
-#: when the plan already holds it (``None``: the batch regenerates it),
-#: the scenarios of one lane batch and the turn budget.  Each distinct
-#: artifact is pickled once per batch instead of once per scenario.
-GroupPayload = tuple[
-    OfflineStage,
-    "LogicNetwork | None",
-    "list[tuple[int, DebugScenario]]",
-    int,
-]
+#: One pool task: a stripped offline artifact, the scenarios of one lane
+#: batch and the turn budget.  Each distinct artifact is pickled once per
+#: batch instead of once per scenario; the batch's golden network is not
+#: shipped, since generation is memoized per process.
+GroupPayload = tuple[OfflineStage, "list[tuple[int, DebugScenario]]", int]
 
 
 def _online_group_worker(
     payload: GroupPayload,
 ) -> tuple[list[tuple[int, ScenarioResult]], Trace]:
     """One lane batch: its indexed results and the trace of its phases."""
-    offline, golden, items, max_turns = payload
+    offline, items, max_turns = payload
     trace = Trace()
     results = run_scenario_batch(
-        [sc for _idx, sc in items],
-        offline,
-        max_turns=max_turns,
-        trace=trace,
-        golden=golden,
+        [sc for _idx, sc in items], offline, max_turns=max_turns, trace=trace
     )
     return [(idx, r) for (idx, _sc), r in zip(items, results)], trace
 
 
 def _payloads(
     stage: OfflineStage,
-    net: LogicNetwork,
     batches: "list[list[tuple[int, DebugScenario]]]",
     max_turns: int,
 ) -> list[GroupPayload]:
     """One payload per lane batch of a built design.  The online loop runs
     against the virtual PConf: the artifact is stripped of its physical
-    stage (MBs of placement/routing state) once, not shipped per batch.
-    A ``stuck_at`` batch's golden network is the design's own network
-    ``net``, so it rides along instead of being regenerated."""
+    stage (MBs of placement/routing state) once, not shipped per batch."""
     stripped = replace(stage, physical=None)
-    return [
-        (
-            stripped,
-            net if all(sc.kind == "stuck_at" for _i, sc in batch) else None,
-            batch,
-            max_turns,
-        )
-        for batch in batches
-    ]
+    return [(stripped, batch, max_turns) for batch in batches]
 
 
 def _make_pool(n: int):
@@ -466,7 +445,7 @@ def execute(
         # supervision gave up on this lane batch (timeout/retries
         # exhausted).  The error message is wall-clock-dependent, so the
         # results are NOT journaled — a resumed campaign re-runs them.
-        for idx, sc in payload[2]:
+        for idx, sc in payload[1]:
             error = _error(sc, f"online stage failed: {msg}")
             keep(idx, error, journaled=False)
         abort(msg)
@@ -487,12 +466,11 @@ def execute(
             hits[idx] = hit if idx == items[0][0] else cache is not None
         # lane batches launch the moment their design's build lands
         for payload in _payloads(
-            stage, campaign.nets[gkey], campaign.batches[gkey],
-            config.max_turns,
+            stage, campaign.batches[gkey], config.max_turns
         ):
             if aborted:
                 return
-            items = payload[2]
+            items = payload[1]
             payloads.append(payload)
             sched.add(
                 ScheduledTask(
@@ -591,7 +569,7 @@ def execute(
                 offline_cache_hit=hits.get(idx, False),
             )
         )
-    return results, [len(p[2]) for p in payloads], effective_workers
+    return results, [len(p[1]) for p in payloads], effective_workers
 
 
 def _open_journal(

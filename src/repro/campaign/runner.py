@@ -29,7 +29,6 @@ from repro.campaign.localize import (
 from repro.campaign.results import ScenarioResult
 from repro.core.flow import OfflineStage
 from repro.engine import LaneEngine
-from repro.netlist.network import LogicNetwork
 from repro.util.trace import Trace
 from repro.workloads.scenarios import (
     DebugScenario,
@@ -47,7 +46,6 @@ def run_scenario_batch(
     *,
     max_turns: int = 48,
     trace: Trace | None = None,
-    golden: LogicNetwork | None = None,
 ) -> list[ScenarioResult]:
     """Run many scenarios' online loops as lanes of one packed engine.
 
@@ -60,13 +58,17 @@ def run_scenario_batch(
     ``trace`` (the orchestrator merges them into the campaign's record
     as ``online.<phase>``):
 
-    1. *setup* — the golden design (``golden`` when the caller holds
-       it, else regenerated once; every lane is checked to share it) and
-       one :class:`~repro.engine.LaneEngine`, which compiles nothing;
-       each ``stuck_at`` scenario's fault is armed on its lane only
-       (``lane_mask``);
+    1. *setup* — the golden design (the first scenario's
+       :meth:`~repro.workloads.scenarios.DebugScenario.golden_network`;
+       generation is memoized per process, so this copies the network
+       the campaign's plan already built, or builds it once in a pool
+       worker that did not inherit it; every lane is checked to share
+       it) and one :class:`~repro.engine.LaneEngine`, which compiles
+       nothing; each ``stuck_at`` scenario's fault is armed on its lane
+       only (``lane_mask``);
     2. *golden* — **one** packed reference pass over the golden design,
-       lane *k*'s stimulus in bit *k* of the packed words;
+       lane *k*'s stimulus in bit *k* of the packed words, in blocks of
+       cycles (:func:`~repro.workloads.scenarios.packed_signal_traces`);
     3. *detect* — :func:`~repro.workloads.scenarios.first_divergence`:
        one packed emulation compared cycle by cycle against the packed
        golden PO words, stopping the moment every live lane has diverged
@@ -78,11 +80,9 @@ def run_scenario_batch(
        once (each lane observing its *own* frontier batch via per-lane
        select parameters); lanes retire as their walks converge.
 
-    ``golden`` must be the network of the scenarios' golden design (a
-    ``stuck_at`` batch's debug network is), and is only read.  The
-    deterministic outcome fields are byte-identical at every batch size.
-    Never raises: per-lane failures degrade to ``status="error"`` results
-    for their lane only.
+    The deterministic outcome fields are byte-identical at every batch
+    size.  Never raises: per-lane failures degrade to ``status="error"``
+    results for their lane only.
     """
     trace = trace if trace is not None else Trace()
     n = len(scenarios)
@@ -109,8 +109,7 @@ def run_scenario_batch(
             # the orchestrator batches by golden design and horizon: one
             # golden network (a pure function of spec and design seed)
             # and one stimulus per stimulus seed serve every lane
-            if golden is None:
-                golden = scenarios[0].golden_network()
+            golden = scenarios[0].golden_network()
             for lane, sc in enumerate(scenarios):
                 if (sc.spec, sc.design_seed) != golden_id:
                     raise ValueError(

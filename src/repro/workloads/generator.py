@@ -12,9 +12,26 @@ Construction invariants (tested in ``tests/test_workloads.py``):
 * gate-level depth equals ``spec.gate_depth_target`` exactly;
 * every gate output is read by something (no dead logic inflating counts);
 * generation is a pure function of ``(spec, seed)``.
+
+Because it is pure, each process builds a design once: the build sits
+behind a bounded memo (:data:`_BUILD_LIMIT` designs) keyed by ``(spec,
+seed)`` — :class:`BenchmarkSpec` is frozen and hashable and
+:class:`TruthTable` immutable — and :func:`generate_circuit` returns a
+fresh :meth:`~repro.netlist.network.LogicNetwork.copy` of the stored
+network, so callers own what they mutate (``inject_bug``, ``rewire``,
+``net.name``).  A campaign that names its design in the caller, in
+stuck-at screening and in its plan pays one build.
+
+Weighted gate picks bisect a precomputed CDF with one ``rng.random()``
+draw.  The CDF is built exactly as ``Generator.choice(n, p=...)`` builds
+it, which also consumes one double, so every stream position and every
+network equal what ``choice`` gave, bit for bit.
 """
 
 from __future__ import annotations
+
+import bisect
+import functools
 
 import numpy as np
 
@@ -45,6 +62,20 @@ def _two_input_library() -> list[TruthTable]:
 #: selection weights: AND/OR family dominates real synthesis output, XORs
 #: appear in datapaths (diffeq/clma) at a modest rate.
 _TWO_INPUT_WEIGHTS = np.array([0.26, 0.24, 0.12, 0.08, 0.10, 0.06, 0.08, 0.06])
+
+
+def _choice_cdf(p: np.ndarray) -> list[float]:
+    """The CDF ``Generator.choice`` searches for weights ``p``, built the
+    way it builds it (a draw ``u`` picks ``bisect_right(cdf, u)``)."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+_TWO_INPUT_CDF = _choice_cdf(_TWO_INPUT_WEIGHTS)
+
+#: Designs :func:`generate_circuit` keeps built per process.
+_BUILD_LIMIT = 16
 
 
 def _three_input_library() -> list[TruthTable]:
@@ -89,9 +120,7 @@ def _level_sizes(n_gates: int, depth: int, rng: np.random.Generator) -> list[int
     return sizes.tolist()
 
 
-def generate_circuit(
-    spec: BenchmarkSpec, seed: int = 2016, *, name: str | None = None
-) -> LogicNetwork:
+def generate_circuit(spec: BenchmarkSpec, seed: int = 2016) -> LogicNetwork:
     """Generate the synthetic stand-in circuit for ``spec``.
 
     Parameters
@@ -102,14 +131,23 @@ def generate_circuit(
         Root seed; the per-benchmark stream is salted with ``spec.seed_salt``
         so different benchmarks are independent under one experiment seed.
 
+    Returns a new copy of the process's one build of ``(spec, seed)``
+    (see the module docstring), so the caller may mutate it.
+
     >>> from repro.workloads.suites import get_spec
     >>> net = generate_circuit(get_spec("stereov."))
     >>> net.n_gates == get_spec("stereov.").n_gates
     True
     """
+    return _build(spec, seed).copy()
+
+
+@functools.lru_cache(maxsize=_BUILD_LIMIT)
+def _build(spec: BenchmarkSpec, seed: int) -> LogicNetwork:
+    """The one build of ``(spec, seed)``; never handed out (only copies)."""
     hub = RngHub(seed)
     rng = hub.stream(f"workload/{spec.seed_salt or spec.name}")
-    net = LogicNetwork(name or spec.name)
+    net = LogicNetwork(spec.name)
 
     lib2 = _two_input_library()
     lib3 = _three_input_library()
@@ -181,9 +219,8 @@ def generate_circuit(
                     fanins = [first]
                     func = inv
                 elif n_extra == 1:
-                    func = lib2[
-                        int(rng.choice(len(lib2), p=_TWO_INPUT_WEIGHTS))
-                    ]
+                    u = rng.random()
+                    func = lib2[bisect.bisect_right(_TWO_INPUT_CDF, u)]
                 else:
                     func = lib3[int(rng.integers(0, len(lib3)))]
 

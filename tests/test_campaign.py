@@ -378,14 +378,14 @@ class TestDesignIdentity:
     def test_one_design_generated_and_keyed_once(self, monkeypatch):
         import repro.campaign.orchestrator as orch
         import repro.core.flow as flow
-        import repro.workloads.scenarios as scenarios_mod
+        from repro.workloads import generator
 
         spec = campaign_spec(
             "ident-24", n_gates=300, depth=8, n_pis=32, n_pos=24
         )
+        generator._build.cache_clear()
         scenarios = stuck_at_scenarios(spec, 24, horizon=24)
-        calls = {"generate_circuit": 0, "offline_cache_key": 0}
-        _count_calls(monkeypatch, calls, scenarios_mod, "generate_circuit")
+        calls = {"offline_cache_key": 0}
         _count_calls(monkeypatch, calls, flow, "offline_cache_key")
         _count_calls(monkeypatch, calls, orch, "offline_cache_key")
         report = run_campaign(
@@ -395,9 +395,10 @@ class TestDesignIdentity:
         )
         assert report.counts().get("error") is None
         assert report.lane_batches == [8, 8, 8]
-        # one debug network at registration, which is also the golden
-        # network of each of the three stuck-at lane batches
-        assert calls["generate_circuit"] == 1
+        # screening's golden network, the debug network at registration
+        # and the golden network of each of the three lane batches are
+        # copies of one build
+        assert generator._build.cache_info().misses == 1
         assert calls["offline_cache_key"] == 1
 
     def test_failing_design_fails_each_of_its_scenarios(self):
@@ -484,6 +485,7 @@ class TestCli:
     @example(flag="--task-timeout", value="nan")
     @example(flag="--task-timeout", value="inf")
     @example(flag="--seed", value=str(2**127))
+    @example(flag="--horizon", value="--")
     def test_numeric_flags_end_in_usage_error_or_documented_range(
         self, flag, value
     ):

@@ -27,6 +27,7 @@ from repro.netlist.compiled import (
     BLOCK_TARGET_WORDS,
     MAX_BLOCK_CYCLES,
     CompiledSimulator,
+    program_for,
     words_to_int,
 )
 from repro.netlist.simulate import simulate_combinational
@@ -206,6 +207,35 @@ class TestPackedGolden:
         want = reference_traces(net, stims, names, 70)
         for n in names:
             assert packed[n].shape == (10, 2)
+            assert [words_to_int(row) for row in packed[n]] == want[n], n
+
+    @pytest.mark.parametrize("lanes", [1, 3, 64, 65])
+    def test_combinational_golden_runs_in_blocks(
+        self, golden, lanes, monkeypatch
+    ):
+        # a horizon crossing two block boundaries: one run_block pass per
+        # block and no step, every cycle equal to the reference
+        blk = CompiledSimulator(program_for(golden), lanes).block_cycles
+        horizon = 2 * blk + 5
+        passes = []
+        real = CompiledSimulator.run_block
+
+        def counted(self, *args, **kwargs):
+            passes.append(real(self, *args, **kwargs))
+            return passes[-1]
+
+        def no_step(self, *args, **kwargs):
+            raise AssertionError("a combinational golden pass stepped")
+
+        monkeypatch.setattr(CompiledSimulator, "run_block", counted)
+        monkeypatch.setattr(CompiledSimulator, "step", no_step)
+        stims = [stimulus_script(golden, horizon, seed) for seed in range(lanes)]
+        names = [golden.node_name(n) for n in golden.topo_order()]
+        packed = packed_signal_traces(golden, stims, names)
+        assert passes == [blk, blk, 5]
+        want = reference_traces(golden, stims, names, lanes)
+        for n in names:
+            assert packed[n].shape == (horizon, (lanes + 63) // 64)
             assert [words_to_int(row) for row in packed[n]] == want[n], n
 
     def test_missing_pi_reads_zero(self, golden):

@@ -428,19 +428,19 @@ class TestOrchestratorPolish:
         net = scenarios[0].debug_network()
         stage, _hit = resolve_offline(net, with_physical=True)
         # the shared-artifact group packs into one 64-lane batch, its
-        # artifact stripped of the physical stage and shipped once, with
-        # the design's network as the stuck-at batch's golden network
-        lanes = _payloads(stage, net, batches(64), 48)
+        # artifact stripped of the physical stage and shipped once; no
+        # network rides along (each batch takes its golden network from
+        # the generator's per-process memo)
+        lanes = _payloads(stage, batches(64), 48)
         assert len(lanes) == 1
-        assert len(lanes[0]) == 4
-        shipped, golden, items, max_turns = lanes[0]
+        assert len(lanes[0]) == 3
+        shipped, items, max_turns = lanes[0]
         assert stage.physical is not None
         assert shipped.physical is None and max_turns == 48
-        assert golden is net
         assert [idx for idx, _ in items] == [0, 1, 2]
         # narrow lanes split the group into ceil(n / lane_width) batches
-        narrow = _payloads(stage, net, batches(2), 48)
-        assert sorted(len(p[2]) for p in narrow) == [1, 2]
+        narrow = _payloads(stage, batches(2), 48)
+        assert sorted(len(p[1]) for p in narrow) == [1, 2]
         assert all(p[0] is narrow[0][0] for p in narrow)
         # lane_width=1: one one-lane batch per scenario
         solo = batches(1)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import hashlib
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parity import reference_stuck_at_scenarios
 from repro.core.flow import run_generic_stage
@@ -26,8 +28,10 @@ from repro.workloads import (
     inject_bug,
     mutation_scenarios,
     paper_suite,
+    stimulus_script,
     stuck_at_scenarios,
 )
+from repro.workloads import generator
 from repro.workloads.perturb import BUG_KINDS
 from repro.workloads.suites import PAPER_SUITE
 
@@ -65,6 +69,42 @@ PAPER_SUITE_BLIF_SHA256 = {
     "s38584": "31ea207ebf4c95c778b35c16b673bf842f4854778e475d7c090bac184bfe34b0",
 }
 
+#: The campaign designs the benchmark and the CLI build: perfbench's
+#: warm-campaign (``parity-camp``) and cold-physical (``synth150``)
+#: designs, ``--synthetic-gates 400`` and a sequential synthetic design.
+CAMPAIGN_SPECS = {
+    "parity-camp": campaign_spec(
+        "parity-camp", n_gates=300, depth=8, n_pis=32, n_pos=24
+    ),
+    "synth150": campaign_spec(
+        "synth150", n_gates=150, depth=10, n_pis=20, n_pos=10
+    ),
+    "synthetic-400": campaign_spec(
+        "synthetic-400", n_gates=400, depth=8, n_pis=25, n_pos=12
+    ),
+    "seq-12": campaign_spec(
+        "seq-12", n_gates=200, depth=8, n_latches=12, n_pis=16, n_pos=8
+    ),
+}
+
+#: sha256 of ``write_blif(generate_circuit(spec, seed))`` for each campaign
+#: design at three seeds, recorded from the generator that drew its gate
+#: functions with ``Generator.choice``: the CDF draw must keep them.
+CAMPAIGN_BLIF_SHA256 = {
+    ("parity-camp", 2016): "5a41f14eec36af6322b6f16fce2f323a600cae10186372caec2d7a03e04f18b5",
+    ("parity-camp", 7): "b72ed668899aabc962c3cb89e194fc166bdc87e6b5efb328307fcf92a67b77f9",
+    ("parity-camp", 123): "c285c709a8eddcdf188bf593a2cdbbacc4a7ac011485a53cd10aafc8708cf954",
+    ("synth150", 2016): "fe74e3f0b57bb56e710cc95375ad56ad87fd9dba77ce272084264eb10b94050a",
+    ("synth150", 7): "c30f769f48c779dd7d96e2cd2a5aa3b0e50a0de09320f3a7ee17f283858134b6",
+    ("synth150", 123): "3a1c9c82c3da7fc3886af4fbafcb830b2c6cb72d26963f10f8e7815052d6f7ca",
+    ("synthetic-400", 2016): "ffdeb8d20df2d2f25ce07d5b576875b6c4ffdf84630e847dbd52f4597089578f",
+    ("synthetic-400", 7): "1a219c349da2566d88cad4f79e89ca805f2073c7d47061f44dd1489c54e04096",
+    ("synthetic-400", 123): "7d97dafa0ea77e7f23a05c1cbe244e2268456a2b1abffdfbb97733ae6689db14",
+    ("seq-12", 2016): "0908c235342d4dd9c2884b4c9159ae0fc362f5f611ae9b6fd023d9859c71db4c",
+    ("seq-12", 7): "d27c21037482de6e5ab65c32e612bf7926a0b662b2fa0e7e7f113a4d1d2690a5",
+    ("seq-12", 123): "d6399201d3ef6ac031dccc9f79c16bc18aeb1f94bf0c476fdfc8266142a9c489",
+}
+
 
 class TestGenerator:
     @pytest.mark.parametrize("spec", paper_suite(), ids=lambda s: s.name)
@@ -72,6 +112,14 @@ class TestGenerator:
         blif = write_blif(generate_circuit(spec))
         digest = hashlib.sha256(blif.encode()).hexdigest()
         assert digest == PAPER_SUITE_BLIF_SHA256[spec.name]
+
+    @pytest.mark.parametrize(
+        "name,seed", list(CAMPAIGN_BLIF_SHA256), ids=lambda v: str(v)
+    )
+    def test_campaign_designs_blif_pinned(self, name, seed):
+        blif = write_blif(generate_circuit(CAMPAIGN_SPECS[name], seed))
+        digest = hashlib.sha256(blif.encode()).hexdigest()
+        assert digest == CAMPAIGN_BLIF_SHA256[name, seed]
 
     @pytest.mark.parametrize("spec", SMALL, ids=lambda s: s.name)
     def test_exact_gate_count(self, spec):
@@ -117,6 +165,30 @@ class TestGenerator:
         with pytest.raises(WorkloadError):
             generate_circuit(spec)
 
+    def test_weighted_draw_equals_generator_choice(self):
+        # the CDF draw consumes one double, exactly as choice does, so
+        # interleaved draws keep both streams in step
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        weights = generator._TWO_INPUT_WEIGHTS
+        for _ in range(20000):
+            want = int(a.choice(len(weights), p=weights))
+            got = bisect.bisect_right(generator._TWO_INPUT_CDF, b.random())
+            assert got == want
+            assert a.integers(0, 97) == b.integers(0, 97)
+        assert a.random() == b.random()
+
+    def test_stimulus_script_equals_per_bit_draws(self):
+        # the reference: one scalar integers(0, 2) per PI per cycle
+        net = generate_circuit(CAMPAIGN_SPECS["seq-12"], 7)
+        names = [net.node_name(p) for p in net.pis]
+        for seed, n_cycles in ((7, 24), (0, 1), (2016, 65), (3, 0)):
+            rng = np.random.default_rng(seed)
+            want = [
+                {n: int(rng.integers(0, 2)) for n in names}
+                for _ in range(n_cycles)
+            ]
+            assert stimulus_script(net, n_cycles, seed) == want
+
     def test_golden_depth_calibration(self, stereov_offline):
         # the generator + ABC mapping reproduce the paper's Golden depth
         spec = get_spec("stereov.")
@@ -124,6 +196,69 @@ class TestGenerator:
 
         sinks = user_sink_names(stereov_offline.source)
         assert stereov_offline.initial.depth_to(sinks) == spec.golden_depth
+
+
+def _mutate(net, how: str, seed: int) -> None:
+    """Mutate ``net`` in place the ways campaign code does."""
+    gate = max(net.gates())
+    if how == "rewire":
+        net.rewire(gate, net.fanins(gate), ~net.func(gate))
+    elif how == "latch" and net.latches:
+        net.set_latch_driver(net.latches[0].q, gate)
+    elif how == "add_po":
+        net.add_po(net.node_name(gate))
+    elif how == "inject_bug":
+        inject_bug(net, np.random.default_rng(seed))
+    else:  # "rename", and "latch" on a design without latches
+        net.name = f"{net.name}_renamed"
+
+
+class TestGeneratorMemo:
+    """``generate_circuit`` builds each ``(spec, seed)`` once per process
+    and hands out copies: the memo must serve exactly what a rebuild
+    would, whatever callers did to earlier copies."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_gates=st.integers(20, 60),
+        depth=st.integers(2, 6),
+        n_latches=st.sampled_from([0, 3]),
+        seed=st.integers(0, 2**31),
+        how=st.sampled_from(
+            ["rewire", "latch", "add_po", "inject_bug", "rename"]
+        ),
+    )
+    def test_memo_serves_the_uncached_build(
+        self, n_gates, depth, n_latches, seed, how
+    ):
+        spec = campaign_spec(
+            f"memo-{n_latches}",
+            n_gates=n_gates,
+            depth=depth,
+            n_latches=n_latches,
+            n_pis=6,
+            n_pos=3,
+        )
+        fresh = write_blif(generator._build.__wrapped__(spec, seed))
+        first = generate_circuit(spec, seed)
+        assert write_blif(first) == fresh
+        _mutate(first, how, seed)
+        again = generate_circuit(spec, seed)
+        assert again is not first
+        assert write_blif(again) == fresh
+
+    def test_key_is_the_spec_value_and_the_seed(self):
+        spec = campaign_spec("memo-key", n_gates=40, depth=5)
+        generator._build.cache_clear()
+        generate_circuit(spec, 3)
+        # an equal spec built separately is the same design
+        generate_circuit(campaign_spec("memo-key", n_gates=40, depth=5), 3)
+        info = generator._build.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        generate_circuit(dataclasses.replace(spec, n_pos=11), 3)
+        generate_circuit(spec, 4)
+        info = generator._build.cache_info()
+        assert (info.hits, info.misses) == (1, 3)
 
 
 class TestBugInjection:
