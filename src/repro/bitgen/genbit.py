@@ -28,7 +28,7 @@ from repro.core.boolfunc import BoolExpr, bf_const, bf_or
 from repro.core.muxnet import InstrumentedDesign
 from repro.core.parameters import ParameterSpace
 from repro.core.pconf import ParameterizedBitstream
-from repro.core.virtual import tlut_bit_expr
+from repro.core.virtual import tlut_bit_exprs
 from repro.errors import BitstreamError
 from repro.pack.tpack import PackedDesign
 from repro.place.tplace import Placement
@@ -187,13 +187,10 @@ def generate_bitstream(
                 root_lut = physical.mapping.luts.get(atom.output)
                 n_bits = 1 << spec.k
                 if root_lut is not None and root_lut.is_tlut:
-                    n_phys = len(root_lut.physical_inputs)
+                    exprs = tlut_bit_exprs(root_lut, param_index_of)
+                    phys_mask = len(exprs) - 1
                     for i in range(n_bits):
-                        phys_idx = i & ((1 << n_phys) - 1)
-                        pb.set_tunable(
-                            lut_base + i,
-                            tlut_bit_expr(root_lut, phys_idx, param_index_of),
-                        )
+                        pb.set_tunable(lut_base + i, exprs[i & phys_mask])
                 else:
                     n_in = len(inputs)
                     for i in range(n_bits):

@@ -92,17 +92,24 @@ class DebugFlowConfig:
 class Emulation:
     """The ``emulation`` stage's artifact: what a lane engine runs.
 
-    ``program`` is the mapped LUT network's compiled program with both
-    kernel kinds generated, split at the select parameters (so a block
-    pass that changes only what is observed re-runs only the select
-    cone); ``pconf`` is the virtual PConf with its specialization plan
-    lowered.  Both pickle their generated code (see
+    ``program`` is the mapped LUT network's compiled program, split at the
+    select parameters (so a block pass that changes only what is observed
+    re-runs only the select cone); ``pconf`` is the virtual PConf with its
+    specialization plan lowered.  The program's kernels are generated when
+    they are linked — ``clean`` when a simulator is built, ``forced`` on
+    the first armed gate override — or when the artifact pickles (a store
+    put or a pool payload), which generates both kinds first.  Both parts
+    pickle their generated code (see
     :class:`~repro.netlist.compiled.KernelCode`), so an engine over a
-    store-loaded artifact lowers and compiles nothing.
+    store-loaded or shipped artifact lowers and compiles nothing.
     """
 
     program: CompiledProgram
     pconf: VirtualPConf
+
+    def __getstate__(self) -> dict:
+        self.program.code.generate("clean", "forced")
+        return self.__dict__
 
     def bind(self, design: InstrumentedDesign) -> "Emulation":
         """Give the PConf ``design``'s parameter space.
@@ -125,14 +132,14 @@ class Emulation:
 def build_emulation(
     mapping: MappingResult, design: InstrumentedDesign
 ) -> Emulation:
-    """The ``emulation`` stage body, paid once per design: compile the
-    mapped network (both kernel kinds), with the design's select
-    parameters as its late sources, and lower its virtual PConf."""
+    """The ``emulation`` stage body, paid once per design: lower the
+    mapped network to its program, with the design's select parameters
+    as its late sources, and lower its virtual PConf.  No kernel code is
+    generated here (see :class:`Emulation`)."""
     net = mapping.to_lut_network()
     program = program_for(
         net, late=[net.require(name) for name in design.param_space.names]
     )
-    program.code.generate("clean", "forced")
     pconf = build_virtual_pconf(mapping, design)
     pconf.bitstream.lower()
     return Emulation(program=program, pconf=pconf)

@@ -27,8 +27,9 @@ from repro.core.pconf import ParameterizedBitstream
 from repro.errors import SpecializationError
 from repro.mapping.result import LutImpl, MappingResult
 from repro.netlist.sop import truthtable_to_cover
+from repro.netlist.truthtable import TruthTable, _full_mask, _var_mask
 
-__all__ = ["VirtualPConf", "build_virtual_pconf", "tlut_bit_expr"]
+__all__ = ["VirtualPConf", "build_virtual_pconf", "tlut_bit_exprs"]
 
 
 @dataclass
@@ -46,53 +47,60 @@ class VirtualPConf:
         return self.bitstream.n_bits
 
 
-def tlut_bit_expr(
-    lut: LutImpl,
-    phys_index: int,
-    param_index_of: dict[int, int],
-) -> BoolExpr:
-    """Configuration-bit expression for one TLUT truth-table entry.
+def tlut_bit_exprs(
+    lut: LutImpl, param_index_of: dict[int, int]
+) -> list[BoolExpr]:
+    """Configuration-bit expressions of every TLUT truth-table entry.
 
-    ``phys_index`` packs the physical-input assignment (bit ``i`` equals
-    physical input ``i``).  Cofactoring the mixed function on that
-    assignment leaves a function of the parameter leaves only, which is
-    converted to a BoolExpr through its ISOP cover.
+    Entry ``i`` packs a physical-input assignment (bit ``j`` of ``i``
+    equals physical input ``j``).  One cofactor tree over the physical
+    variables, in leaf order, yields each entry's function of the
+    parameter leaves: a level doubles the list as the 0-cofactors of the
+    previous level followed by its 1-cofactors, so bit ``j`` of a leaf's
+    position is the value of physical input ``j``.  Each distinct
+    cofactor becomes one BoolExpr, through its ISOP cover.
     """
-    func = lut.func
-    phys = lut.physical_inputs
+    n = lut.func.n_vars
     pset = set(lut.param_leaves)
-    # fix each physical variable to its bit in phys_index
-    tt = func
-    phys_pos = 0
+    cofs = [lut.func.bits]
     for var, leaf in enumerate(lut.leaves):
         if leaf in pset:
             continue
-        tt = tt.cofactor(var, (phys_index >> phys_pos) & 1)
-        phys_pos += 1
-    # remaining support is over parameter variables
-    const = tt.const_value()
-    if const is not None:
-        return bf_const(const)
-    cover = truthtable_to_cover(tt)
-    terms = []
-    param_var_of: dict[int, int] = {}
-    for var, leaf in enumerate(lut.leaves):
-        if leaf in pset:
-            param_var_of[var] = param_index_of[leaf]
-    for cube in cover.cubes:
-        lits = []
-        for var in range(func.n_vars):
-            if (cube.mask >> var) & 1:
-                if var not in param_var_of:
-                    raise SpecializationError(
-                        "cofactored TLUT function depends on a physical var"
-                    )
-                lits.append((param_var_of[var], (cube.polarity >> var) & 1))
-        terms.append(bf_conj(lits))
-    expr = terms[0]
-    for t in terms[1:]:
-        expr = expr | t
-    return expr
+        vmask, shift = _var_mask(n, var), 1 << var
+        c0 = []
+        c1 = []
+        for bits in cofs:
+            lo, hi = bits & ~vmask, bits & vmask
+            c0.append(lo | (lo << shift))
+            c1.append(hi | (hi >> shift))
+        cofs = c0 + c1
+    full = _full_mask(n)
+    param_var_of = {
+        var: param_index_of[leaf]
+        for var, leaf in enumerate(lut.leaves)
+        if leaf in pset
+    }
+    exprs: dict[int, BoolExpr] = {}
+    for bits in cofs:
+        if bits in exprs:
+            continue
+        if bits == 0 or bits == full:
+            exprs[bits] = bf_const(int(bits == full))
+            continue
+        expr = None
+        for cube in truthtable_to_cover(TruthTable(n, bits)).cubes:
+            lits = []
+            for var in range(n):
+                if (cube.mask >> var) & 1:
+                    if var not in param_var_of:
+                        raise SpecializationError(
+                            "cofactored TLUT function depends on a physical var"
+                        )
+                    lits.append((param_var_of[var], (cube.polarity >> var) & 1))
+            term = bf_conj(lits)
+            expr = term if expr is None else expr | term
+        exprs[bits] = expr
+    return [exprs[bits] for bits in cofs]
 
 
 def build_virtual_pconf(
@@ -125,8 +133,8 @@ def build_virtual_pconf(
             for i in range(n):
                 pb.set_constant(base + i, lut.func.eval_index(i))
             continue
-        for i in range(n):
-            pb.set_tunable(base + i, tlut_bit_expr(lut, i, param_index_of))
+        for i, expr in enumerate(tlut_bit_exprs(lut, param_index_of)):
+            pb.set_tunable(base + i, expr)
 
     for root, (base, _n) in tcon_regions.items():
         t = mapping.tcons[root]

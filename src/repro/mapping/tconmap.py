@@ -123,9 +123,12 @@ class TconMap(PriorityCutMapper):
         self._find_param_muxes(net)
         if self._latch_adjacent is None:
             self._latch_adjacent = self._compute_latch_adjacent(net)
-        # Mux nodes never participate in LUT cut enumeration: they are
-        # routing-level objects.  Making them boundaries keeps downstream
-        # (other mux nodes / trace-buffer POs) from absorbing through them.
+        # Mux nodes are routing-level objects, emitted as TCONs rather than
+        # LUTs.  Making them boundaries keeps downstream (other mux nodes /
+        # trace-buffer POs) from absorbing through them: a boundary exposes
+        # only its trivial cut.  They still sit in the gate order, so the
+        # forward and recovery passes merge their own fan-ins' cuts, and
+        # the cut chosen there sets the mux's arrival and area flow.
         self.boundary = frozenset(self.boundary) | frozenset(self._mux_nodes)
         result = super().map(net)
         if self.fold_polarity:

@@ -73,12 +73,14 @@ process, :func:`program_for` memoizes programs per network *instance*
 recompile) and per signature in a bounded LRU (every
 ``mapping.to_lut_network()`` call builds a fresh but identical network).
 Across processes, the mapped network's program is part of the pipeline's
-``emulation`` stage artifact (:mod:`repro.pipeline.stages`): its
-:class:`KernelCode` pickles the generated code objects as :mod:`marshal`
-bytes tagged with :data:`importlib.util.MAGIC_NUMBER` — Python's own
-``.pyc`` rule — so a warm store serves kernels that need no ``compile()``,
-and a store written by another bytecode version regenerates them from the
-ops on first use.
+``emulation`` stage artifact (:mod:`repro.pipeline.stages`), which
+generates both kernel kinds only when it pickles: its :class:`KernelCode`
+pickles the generated code objects as :mod:`marshal` bytes tagged with
+:data:`importlib.util.MAGIC_NUMBER` — Python's own ``.pyc`` rule — so a
+warm store serves kernels that need no ``compile()``, and a store written
+by another bytecode version regenerates them from the ops on first use.
+Generated code is split into chunks bounded by the code they hold
+(:data:`_LITERALS_PER_CHUNK`), which bounds ``compile()``'s peak memory.
 """
 
 from __future__ import annotations
@@ -113,15 +115,22 @@ __all__ = [
 ]
 
 #: Folded into :func:`network_signature` and the version of the pipeline's
-#: ``emulation`` stage; bump when program lowering, kernel semantics or the
-#: PConf plan change so persisted programs and plans from older versions
-#: miss.  v2: emulation programs are split at the select parameters.
-PROGRAM_VERSION = 2
+#: ``emulation`` stage; bump when program lowering, kernel semantics, the
+#: chunk layout or the PConf plan change so persisted programs and plans
+#: from older versions miss.  v2: emulation programs are split at the
+#: select parameters.  v3: chunks are bounded by
+#: :data:`_LITERALS_PER_CHUNK` (a stored kernel's late chunks are sliced
+#: by the current layout).
+PROGRAM_VERSION = 3
 
-#: Straight-line ops per generated kernel function; larger networks are
-#: split into several functions, which bounds ``compile()``'s peak memory
-#: (about 30 MB for a chunk of or1200's LUT ops).
-_OPS_PER_CHUNK = 1000
+#: Fanin literals per generated kernel function, each op's assignment
+#: counting as one more (a tautology cube counts as one literal).  Longer
+#: op lists are split into several functions, which bounds
+#: ``compile()``'s peak memory by the code a chunk holds rather than by
+#: its op count: or1200's early ops average 11 literals and its late
+#: (select-cone) ops 5.  A single op over the budget gets a chunk of its
+#: own.
+_LITERALS_PER_CHUNK = 2000
 
 #: Cycle batching targets this total state width per evaluation pass,
 #: capped at :data:`MAX_BLOCK_CYCLES` cycles.
@@ -339,10 +348,15 @@ class KernelCode:
 
     ``ops`` are ``(slot, fanins, cubes)`` triples in evaluation order; each
     kernel rebinds the slots of a flat value list ``v`` in op order.  Long
-    op lists are split into chunks of :data:`_OPS_PER_CHUNK` ops, compiled
-    under ``<label:kind:first op>``; the first ``n_early`` ops and the rest
-    never share a chunk, so the late ops run alone as
-    ``kernel(kind, late=True)``.
+    op lists are split into chunks whose code fits
+    :data:`_LITERALS_PER_CHUNK` (:meth:`_chunk_starts`, computed once from
+    the ops), compiled under ``<label:kind:first op>``; the first
+    ``n_early`` ops and the rest never share a chunk, so the late ops run
+    alone as ``kernel(kind, late=True)``.  Which kinds exist is the owner's
+    choice: a simulator links ``clean`` when it is built and ``forced``
+    on its first armed gate override, and the pipeline's ``emulation``
+    artifact generates both before it pickles
+    (:class:`repro.core.flow.Emulation`).
 
     Pickling keeps the ops and every generated code object, as
     :mod:`marshal` bytes tagged with :data:`importlib.util.MAGIC_NUMBER`
@@ -359,14 +373,17 @@ class KernelCode:
         self.n_early = len(ops) if n_early is None else n_early
         self._code: "dict[str, tuple[CodeType, ...]]" = {}
         self._fns: "dict[tuple[str, bool], Callable]" = {}
+        self._starts: "tuple[list[int], list[int]] | None" = None
 
     def _chunk_starts(self) -> "tuple[list[int], list[int]]":
-        """First op of every early chunk and of every late chunk."""
-        n, cut = len(self.ops), self.n_early
-        return (
-            list(range(0, cut, _OPS_PER_CHUNK)),
-            list(range(cut, n, _OPS_PER_CHUNK)),
-        )
+        """First op of every early chunk and of every late chunk (a pure
+        function of the ops and ``n_early``, computed once)."""
+        if self._starts is None:
+            self._starts = (
+                _split_chunks(self.ops, 0, self.n_early),
+                _split_chunks(self.ops, self.n_early, len(self.ops)),
+            )
+        return self._starts
 
     def generate(self, *kinds: str) -> None:
         """Generate the code of every kind in ``kinds`` not generated yet
@@ -377,9 +394,9 @@ class KernelCode:
         exprs = _op_exprs(self.ops)
         early, late = self._chunk_starts()
         bounds = [
-            (base, min(base + _OPS_PER_CHUNK, end))
-            for starts, end in ((early, self.n_early), (late, len(exprs)))
-            for base in starts
+            (base, end)
+            for starts, last in ((early, self.n_early), (late, len(exprs)))
+            for base, end in zip(starts, starts[1:] + [last])
         ] or [(0, 0)]
         for kind in missing:
             params, stmt = _KERNEL_KINDS[kind]
@@ -431,6 +448,7 @@ class KernelCode:
         self.label = state["label"]
         self.n_early = state["n_early"]
         self._fns = {}
+        self._starts = None
         self._code = (
             {
                 kind: tuple(marshal.loads(b) for b in blobs)
@@ -439,6 +457,20 @@ class KernelCode:
             if state["magic"] == MAGIC_NUMBER
             else {}
         )
+
+
+def _split_chunks(ops, first: int, end: int) -> "list[int]":
+    """First op of every chunk of ``ops[first:end]``: each chunk takes ops
+    while their code fits :data:`_LITERALS_PER_CHUNK`."""
+    starts: list[int] = []
+    held = 0
+    for i in range(first, end):
+        size = 1 + sum([max(1, mask.bit_count()) for mask, _pol in ops[i][2]])
+        if not starts or held + size > _LITERALS_PER_CHUNK:
+            starts.append(i)
+            held = 0
+        held += size
+    return starts
 
 
 def _chained(fns: list):

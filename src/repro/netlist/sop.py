@@ -14,18 +14,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.netlist.truthtable import TruthTable, _full_mask
+from repro.netlist.truthtable import TruthTable, _full_mask, _var_mask
 
 __all__ = ["Cube", "Cover", "cover_to_truthtable", "truthtable_to_cover"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cube:
     """A product term: ``mask`` selects bound variables, ``polarity`` their phase.
 
     Variable ``i`` appears as a positive literal iff ``mask>>i & 1`` and
     ``polarity>>i & 1``; as a negative literal iff ``mask>>i & 1`` and not
-    ``polarity>>i & 1``; otherwise it is unbound (``-``).
+    ``polarity>>i & 1``; otherwise it is unbound (``-``).  Slotted: the
+    ISOP cache keeps every cover's cubes for the life of the process.
     """
 
     mask: int
@@ -135,66 +136,70 @@ def cover_to_truthtable(cover: Cover) -> TruthTable:
 # ---------------------------------------------------------------------------
 
 
-def _cof(bits: int, n: int, var: int, value: int) -> int:
-    from repro.netlist.truthtable import _var_mask
-
-    mask = _var_mask(n, var)
-    shift = 1 << var
-    if value:
-        hi = bits & mask
-        return hi | (hi >> shift)
-    lo = bits & ~mask
-    return (lo | (lo << shift)) & _full_mask(n)
+@lru_cache(maxsize=None)
+def _var_masks(n: int) -> tuple[int, ...]:
+    """Truth-table positions where each of ``n`` variables is 1."""
+    return tuple(_var_mask(n, var) for var in range(n))
 
 
-def _isop(lower: int, upper: int, n: int, var: int) -> tuple[tuple[Cube, ...], int]:
-    """Return (cover, function_bits) with lower ⊆ function ⊆ upper.
+def _isop(
+    lower: int, upper: int, n: int
+) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Return ``(cubes, function_bits)`` with lower ⊆ function ⊆ upper.
 
-    ``var`` is the highest variable index still eligible for splitting.
+    ``cubes`` are ``(mask, polarity)`` pairs over ``n`` variables.  The
+    recursion splits on the highest variable either bound depends on,
+    covering the cubes that need its 0 literal, then its 1 literal, then
+    neither (in that order).
     """
-    if lower == 0:
-        return (), 0
-    if upper == _full_mask(n):
-        return (Cube(0, 0),), _full_mask(n)
-    # find a splitting variable that matters
-    while var >= 0:
-        if (
-            _cof(lower, n, var, 0) != _cof(lower, n, var, 1)
-            or _cof(upper, n, var, 0) != _cof(upper, n, var, 1)
-        ):
-            break
-        var -= 1
-    if var < 0:
-        # No dependence left: lower != 0 and upper != all is impossible here
-        # because both are then constants with lower ⊆ upper.
-        return (Cube(0, 0),), _full_mask(n)
+    full = _full_mask(n)
+    masks = _var_masks(n)
 
-    l0, l1 = _cof(lower, n, var, 0), _cof(lower, n, var, 1)
-    u0, u1 = _cof(upper, n, var, 0), _cof(upper, n, var, 1)
+    def rec(lower: int, upper: int, var: int):
+        if lower == 0:
+            return (), 0
+        if upper == full:
+            return ((0, 0),), full
+        # find a splitting variable that matters: a bound depends on
+        # ``var`` iff its var=1 half, shifted down, differs from its
+        # var=0 half
+        while var >= 0:
+            vmask, shift = masks[var], 1 << var
+            if (lower & vmask) >> shift != lower & ~vmask:
+                break
+            if (upper & vmask) >> shift != upper & ~vmask:
+                break
+            var -= 1
+        else:
+            # No dependence left: lower != 0 and upper != all is
+            # impossible here because both are then constants with
+            # lower ⊆ upper.
+            return ((0, 0),), full
+        hi, lo = lower & vmask, lower & ~vmask
+        l0, l1 = lo | (lo << shift), hi | (hi >> shift)
+        hi, lo = upper & vmask, upper & ~vmask
+        u0, u1 = lo | (lo << shift), hi | (hi >> shift)
 
-    c0, f0 = _isop(l0 & ~u1, u0, n, var - 1)
-    c1, f1 = _isop(l1 & ~u0, u1, n, var - 1)
-    l_rest = (l0 & ~f0) | (l1 & ~f1)
-    c2, f2 = _isop(l_rest, u0 & u1, n, var - 1)
+        c0, f0 = rec(l0 & ~u1, u0, var - 1)
+        c1, f1 = rec(l1 & ~u0, u1, var - 1)
+        c2, f2 = rec((l0 & ~f0) | (l1 & ~f1), u0 & u1, var - 1)
 
-    bit = 1 << var
-    cubes = (
-        tuple(Cube(c.mask | bit, c.polarity) for c in c0)
-        + tuple(Cube(c.mask | bit, c.polarity | bit) for c in c1)
-        + c2
-    )
-    from repro.netlist.truthtable import _var_mask
+        bit = 1 << var
+        cubes = (
+            tuple([(m | bit, p) for m, p in c0])
+            + tuple([(m | bit, p | bit) for m, p in c1])
+            + c2
+        )
+        return cubes, (f0 & ~vmask) | (f1 & vmask) | f2
 
-    vmask = _var_mask(n, var)
-    func = (f0 & ~vmask) | (f1 & vmask) | f2
-    return cubes, func
+    return rec(lower, upper, n - 1)
 
 
 @lru_cache(maxsize=65536)
 def _isop_cached(bits: int, n_vars: int) -> tuple[Cube, ...]:
-    cubes, func = _isop(bits, bits, n_vars, n_vars - 1)
+    cubes, func = _isop(bits, bits, n_vars)
     assert func == bits, "ISOP must be exact when lower == upper"
-    return cubes
+    return tuple([Cube(mask, pol) for mask, pol in cubes])
 
 
 def truthtable_to_cover(tt: TruthTable) -> Cover:

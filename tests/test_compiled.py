@@ -11,6 +11,8 @@ sweeps, then cover the program caches, the >64-lane engine and the
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -274,6 +276,129 @@ class TestProgramCache:
         gate = next(net.gates())
         sim.step({p: 0 for p in net.pis}, overrides={gate: (1, 1)})
         assert set(program.code._code) == {"clean", "forced"}
+
+
+def _code_size(op) -> int:
+    """An op's code as the chunk budget counts it: its assignment and its
+    fanin literals, a tautology cube counting as one."""
+    return 1 + sum(max(1, mask.bit_count()) for mask, _pol in op[2])
+
+
+def _eval_ops(ops, v: list, full: int) -> list:
+    """Evaluate ``ops`` in order into ``v`` straight from their cubes."""
+    for node, fanins, cubes in ops:
+        acc = 0
+        for cmask, cpol in cubes:
+            term = full
+            for pos, src in enumerate(fanins):
+                if (cmask >> pos) & 1:
+                    term &= v[src] if (cpol >> pos) & 1 else full ^ v[src]
+            acc |= term
+        v[node] = acc
+    return v
+
+
+@st.composite
+def _op_lists(draw):
+    """Random ``(ops, n_early, n_sources)``: ops over 1–6 fanins with 0–5
+    cubes each (tautology and empty covers included)."""
+    n_sources = 4
+    n_ops = draw(st.integers(0, 40))
+    ops = []
+    for i in range(n_ops):
+        node = n_sources + i
+        k = draw(st.integers(1, 6))
+        fanins = tuple(
+            draw(st.lists(st.integers(0, node - 1), min_size=k, max_size=k))
+        )
+        cubes = []
+        for _ in range(draw(st.integers(0, 5))):
+            mask = draw(st.integers(0, (1 << k) - 1))
+            cubes.append((mask, draw(st.integers(0, (1 << k) - 1)) & mask))
+        ops.append((node, fanins, tuple(cubes)))
+    return tuple(ops), draw(st.integers(0, n_ops)), n_sources
+
+
+class TestChunkLayout:
+    """Kernel chunks are bounded by the code they hold, not by op count."""
+
+    def test_generate_peak_memory_is_bounded_by_code(self):
+        """``compile()``'s peak follows a chunk's code: 1,000 dense 4-input
+        LUT ops (about 12 literals each, like or1200's early LUT ops)
+        peak near 5 MB under the chunk budget and near 27 MB as one
+        1,000-op chunk."""
+        import tracemalloc
+
+        from repro.netlist.compiled import KernelCode
+        from repro.netlist.sop import truthtable_to_cover
+        from repro.netlist.truthtable import TruthTable
+
+        rng = random.Random(2000)
+        ops = []
+        for i in range(1000):
+            node = 64 + i
+            cover = truthtable_to_cover(TruthTable(4, rng.getrandbits(16)))
+            ops.append((
+                node,
+                tuple(rng.randrange(node) for _ in range(4)),
+                tuple((c.mask, c.polarity) for c in cover.cubes),
+            ))
+        code = KernelCode(tuple(ops), "dense")
+        tracemalloc.start()
+        try:
+            code.generate("clean")
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+        # the chunks still evaluate every op, in order
+        full = (1 << 64) - 1
+        v = [rng.getrandbits(64) for _ in range(64 + len(ops))]
+        want = _eval_ops(ops, list(v), full)
+        code.kernel("clean")(v, full)
+        assert v == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_op_lists(), budget=st.sampled_from([1, 6, 20, 2000]))
+    def test_layout_invariants(self, case, budget):
+        import pickle
+        from unittest import mock
+
+        import repro.netlist.compiled as compiled_mod
+        from repro.netlist.compiled import KernelCode
+
+        ops, n_early, n_sources = case
+        with mock.patch.object(compiled_mod, "_LITERALS_PER_CHUNK", budget):
+            code = KernelCode(ops, "layout", n_early=n_early)
+            early, late = code._chunk_starts()
+            # a pure function of the ops: another label, copied ops and a
+            # pickled clone lay out alike
+            copied = tuple((n, tuple(f), tuple(c)) for n, f, c in ops)
+            other = KernelCode(copied, "other", n_early=n_early)
+            assert other._chunk_starts() == (early, late)
+            clone = pickle.loads(pickle.dumps(code))
+            assert clone._chunk_starts() == (early, late)
+            full = (1 << 8) - 1
+            rng = random.Random(len(ops))
+            v = [rng.getrandbits(8) for _ in range(n_sources + len(ops))]
+            want = _eval_ops(ops, list(v), full)
+            got = list(v)
+            code.kernel("clean")(got, full)
+            assert got == want
+            # the late kernel recomputes exactly the late ops
+            stale = want[: n_sources + n_early] + [0] * (len(ops) - n_early)
+            code.kernel("clean", late=True)(stale, full)
+            assert stale == want
+        # no chunk mixes early and late ops
+        assert early[:1] == ([0] if n_early else [])
+        assert all(start < n_early for start in early)
+        assert late[:1] == ([n_early] if len(ops) > n_early else [])
+        assert all(start >= n_early for start in late)
+        for starts, last in ((early, n_early), (late, len(ops))):
+            for start, end in zip(starts, starts[1:] + [last]):
+                size = sum(_code_size(op) for op in ops[start:end])
+                assert end > start
+                assert end - start == 1 or size <= budget
 
 
 class TestBlockEvaluation:

@@ -8,6 +8,9 @@ Its proof obligations, over small random designs and configs:
   engine over it observes and specializes;
 * a program or plan pickled under another bytecode magic loads without
   code, regenerates it, and simulates and specializes identically;
+* kernel kinds are generated when linked or stored: the stage generates
+  none, a session's turns link ``clean`` and its first forced fault
+  ``forced``, and a pickled artifact carries both kinds of its program;
 * ``PROGRAM_VERSION`` keys the ``emulation`` stage and nothing upstream;
 * a warm restart compiles nothing: with ``compile_network`` and
   ``compile()`` patched to raise, a lane engine, a stuck-at screen and a
@@ -28,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 import repro.netlist.compiled as compiled
 from repro.campaign import ArtifactStore, CampaignConfig, run_campaign
 from repro.campaign.cache import resolve_offline
+from repro.core.debug import DebugSession
 from repro.core.flow import DebugFlowConfig, run_generic_stage
 from repro.core.virtual import build_virtual_pconf
 from repro.engine import LaneEngine
@@ -143,11 +147,41 @@ class TestEmulationStage:
         assert set(plan.code._code) == {"clean"}
 
     def test_same_magic_keeps_code(self):
+        """The stage generates no kernel code; pickling the artifact (a
+        store put or a pool payload) generates both kinds of its program
+        first, and its plan keeps the one kind it runs."""
         _spec, net = _design(5, 3)
+        _clear_memos()
         offline, _hit = resolve_offline(net)
+        assert offline.emulation.program.code._code == {}
         clone = pickle.loads(pickle.dumps(offline.emulation))
         assert set(clone.program.code._code) == {"clean", "forced"}
         assert set(clone.pconf.bitstream._plan.code._code) == {"clean"}
+
+    def test_turns_generate_clean_and_a_fault_forced(self):
+        """A session over an unstored artifact runs its turns on the
+        ``clean`` kernel alone; its first forced fault generates
+        ``forced``."""
+        _spec, net = _design(23, 3)
+        _clear_memos()
+        offline, _hit = resolve_offline(net)
+        program = offline.emulation.program
+        session = DebugSession(offline)
+        stim = stimulus_script(net, 8, 5)
+        signals = session.observable_signals
+        for picks in ([signals[0]], [signals[-1]]):
+            session.observe(picks)
+            session.reset()
+            session.run(8, stimulus=stim)
+            assert picks[0] in session.waveforms()
+        assert set(program.code._code) == {"clean"}
+        gate = next(
+            s for s in signals if program.is_op[session.mapped_net.require(s)]
+        )
+        session.force(gate, 1)
+        session.reset()
+        session.run(8, stimulus=stim)
+        assert set(program.code._code) == {"clean", "forced"}
 
     @settings(max_examples=10, deadline=None)
     @given(

@@ -353,30 +353,33 @@ class TestResolveOfflineParams:
         # a params-bearing request may not be served the default-taps hit
         assert not hit and staged.instrumented.taps == list(sub)
 
-    def test_emulation_entry_of_program_version_1_misses(
+    def test_emulation_entry_of_older_program_version_misses(
         self, net, offline, tmp_path
     ):
-        """A store holding an ``emulation`` artifact under the version-1
-        stage key serves nothing to version 2: the stage misses, rebuilds
-        and stores under its own key."""
+        """A store holding ``emulation`` artifacts under the stage keys of
+        every older program version (1: unsplit programs; 2: kernel chunks
+        of 1,000 ops, which the current layout would slice wrongly) serves
+        nothing to the current version: the stage misses, rebuilds and
+        stores under its own key."""
         import os
 
         from repro.netlist.compiled import PROGRAM_VERSION
 
-        assert PROGRAM_VERSION == 2
+        assert PROGRAM_VERSION == 3
         config = DebugFlowConfig()
-        v1 = StageGraph(
-            [
-                replace(s, version=1) if s.name == "emulation" else s
-                for s in DEBUG_FLOW_GRAPH
-            ]
-        )
-        old_key = v1.stage_keys(net, config)["emulation"]
         new_key = DEBUG_FLOW_GRAPH.stage_keys(net, config)["emulation"]
-        assert old_key != new_key
         d = str(tmp_path / "cache")
         stale = offline.ensure_emulation()
-        ArtifactStore(cache_dir=d).put("emulation", old_key, stale)
+        for version in range(1, PROGRAM_VERSION):
+            old = StageGraph(
+                [
+                    replace(s, version=version) if s.name == "emulation" else s
+                    for s in DEBUG_FLOW_GRAPH
+                ]
+            )
+            old_key = old.stage_keys(net, config)["emulation"]
+            assert old_key != new_key
+            ArtifactStore(cache_dir=d).put("emulation", old_key, stale)
         store = ArtifactStore(cache_dir=d)
         rebuilt, hit = resolve_offline(net, config, cache=store)
         assert not hit

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.costmodel import Virtex5Model
 from repro.core.scg import SpecializedConfigGenerator
-from repro.core.virtual import build_virtual_pconf, tlut_bit_expr
+from repro.core.virtual import build_virtual_pconf, tlut_bit_exprs
 from repro.errors import SpecializationError
 from repro.mapping.result import LutImpl
 from repro.netlist.truthtable import TruthTable
@@ -70,9 +70,9 @@ class TestVirtualPConf:
         p = TruthTable.var(1, 3)
         func = (~p & a) | (p & b)
         lut = LutImpl(root=99, leaves=(10, 20, 30), func=func, param_leaves=(20,))
-        param_index_of = {20: 0}
-        for phys_idx in range(4):  # 2 physical inputs: leaves 10 and 30
-            expr = tlut_bit_expr(lut, phys_idx, param_index_of)
+        exprs = tlut_bit_exprs(lut, {20: 0})
+        assert len(exprs) == 4  # 2 physical inputs: leaves 10 and 30
+        for phys_idx, expr in enumerate(exprs):
             for p_val in (0, 1):
                 # full function evaluated with vars (a, p, b)
                 a_val = phys_idx & 1
