@@ -3,11 +3,12 @@
 Three measurements, one per acceptance criterion:
 
 * **per-step** (fast; the CI bench-smoke floor): a single packed
-  emulation step of the mapped campaign design, compiled
-  (:mod:`repro.netlist.compiled` — generated straight-line kernel over
-  word-packed integers) vs interpreted (the per-gate numpy cover
-  evaluation of ``benchmarks/ref_simulate.py``).  Target: **≥5×
-  single-word step speedup**.
+  emulation step of the mapped campaign design at 64 lanes, compiled
+  (:class:`~repro.netlist.compiled.CompiledSimulator` — generated
+  straight-line kernel over lane-packed integers) vs interpreted (the
+  per-gate numpy cover evaluation of
+  ``benchmarks/ref_simulate.py::ReferenceKernel``), both fed the same
+  integers.  Target: **≥5× single-word step speedup**.
 * **block axis** (fast; the CI block floor): per-cycle cost of one
   compiled program stepped a cycle at a time vs evaluated in
   cycle-batched blocks (``run_block``), on a larger mapped design at
@@ -37,7 +38,7 @@ from benchmarks import ref_simulate
 from benchmarks.conftest import emit, emit_json
 from repro.campaign import ArtifactStore, CampaignConfig, run_campaign
 from repro.core.flow import run_generic_stage
-from repro.netlist.simulate import SequentialSimulator
+from repro.netlist.compiled import CompiledSimulator, program_for, words_to_int
 from repro.workloads import campaign_spec, generate_circuit, stuck_at_scenarios
 
 SPEC = campaign_spec("kernels-bench", n_gates=150, depth=8, n_pis=20, n_pos=10)
@@ -82,26 +83,28 @@ def test_step_kernel_speedup(mapped_net, results_dir):
     rng = np.random.default_rng(0)
     stims = [
         {
-            p: rng.integers(
-                0,
-                np.iinfo(np.uint64).max,
-                size=1,
-                dtype=np.uint64,
-                endpoint=True,
+            p: words_to_int(
+                rng.integers(
+                    0,
+                    np.iinfo(np.uint64).max,
+                    size=1,
+                    dtype=np.uint64,
+                    endpoint=True,
+                )
             )
             for p in mapped_net.pis
         }
         for _ in range(STEP_CYCLES)
     ]
 
-    interp = ref_simulate.SequentialSimulator(mapped_net)
-    compiled = SequentialSimulator(mapped_net)
+    interp = ref_simulate.ReferenceKernel(mapped_net)
+    compiled = CompiledSimulator(program_for(mapped_net))
 
     # parity spot-check before timing: same stimulus, identical values
-    vi = interp.step(stims[0])
-    vc = compiled.step(stims[0])
-    for nid in mapped_net.nodes():
-        assert np.array_equal(vi[nid], vc[nid]), mapped_net.node_name(nid)
+    nodes = list(mapped_net.nodes())
+    interp.step(stims[0])
+    compiled.step(stims[0])
+    assert interp.node_ints(nodes) == compiled.node_ints(nodes)
     interp.reset()
     compiled.reset()
 

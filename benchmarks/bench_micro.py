@@ -16,7 +16,7 @@ from repro.core.boolfunc import bf_conj, bf_var
 from repro.core.parameters import ParameterSpace
 from repro.core.pconf import ParameterizedBitstream
 from repro.bitgen.partial import changed_frames
-from repro.netlist.simulate import random_stimulus, simulate_combinational
+from repro.netlist.compiled import CompiledSimulator, program_for, words_to_int
 from repro.workloads import generate_circuit, get_spec
 from repro.util.rng import RngHub
 
@@ -64,15 +64,33 @@ def test_frame_diff_speed(benchmark):
     assert 1 <= len(frames) <= 40
 
 
-def test_bit_parallel_simulation_speed(benchmark, results_dir):
+#: Lanes of the simulation-throughput legs.
+SIM_LANES = 4096
+
+
+def _stereov_stimulus():
+    """stereov. and one cycle of random stimulus for every PI, lane-packed
+    over :data:`SIM_LANES` lanes."""
     net = generate_circuit(get_spec("stereov."))
     rng = RngHub(5).stream("sim")
-    stim_named = random_stimulus(net, n_vectors=4096, rng=rng)
-    stim = {net.require(k): v for k, v in stim_named.items()}
-    for latch in net.latches:
-        stim[latch.q] = np.zeros(64, dtype=np.uint64)
-    values = benchmark(simulate_combinational, net, stim)
-    assert len(values) == net.n_nodes
+    n_words = SIM_LANES // 64
+    stim = {
+        pi: words_to_int(
+            rng.integers(
+                0, np.iinfo(np.uint64).max, size=n_words, dtype=np.uint64,
+                endpoint=True,
+            )
+        )
+        for pi in net.pis
+    }
+    return net, stim
+
+
+def test_bit_parallel_simulation_speed(benchmark, results_dir):
+    net, stim = _stereov_stimulus()
+    sim = CompiledSimulator(program_for(net), SIM_LANES)
+    benchmark(sim.step, stim)
+    assert len(sim.values) == net.n_nodes
     emit_json(
         results_dir,
         "micro",
@@ -84,14 +102,10 @@ def test_interpreted_simulation_speed(benchmark, results_dir):
     """The reference per-gate simulator on the same workload — the
     denominator of the compiled-kernel speedup tracked in
     BENCH_micro.json."""
-    net = generate_circuit(get_spec("stereov."))
-    rng = RngHub(5).stream("sim")
-    stim_named = random_stimulus(net, n_vectors=4096, rng=rng)
-    stim = {net.require(k): v for k, v in stim_named.items()}
-    for latch in net.latches:
-        stim[latch.q] = np.zeros(64, dtype=np.uint64)
-    values = benchmark(ref_simulate.simulate_combinational, net, stim)
-    assert len(values) == net.n_nodes
+    net, stim = _stereov_stimulus()
+    sim = ref_simulate.ReferenceKernel(net, SIM_LANES)
+    benchmark(sim.step, stim)
+    assert sim.node_ints(net.pis) == [stim[pi] for pi in net.pis]
     emit_json(
         results_dir,
         "micro",

@@ -9,8 +9,9 @@ words.  It shares no lowering or code generation with the compiled
 kernels, which makes it useful twice:
 
 * as an **independent oracle** — ``tests/test_compiled.py`` and
-  ``tests/test_backend_parity.py`` diff the compiled kernels against it
-  node for node, cycle for cycle;
+  ``tests/test_backend_parity.py`` feed it and the compiled kernels the
+  same lane-packed integers and diff them node for node, cycle for
+  cycle;
 * as a **benchmark denominator** — ``bench_kernels.py`` (per step and
   per campaign), ``bench_lanes.py`` and ``bench_micro.py`` measure the
   compiled path against it.  :func:`reference_online` runs a whole
@@ -28,7 +29,6 @@ from typing import Mapping
 import numpy as np
 
 from repro.engine import LaneEngine
-from repro.errors import SimulationError
 from repro.netlist.compiled import int_to_words, words_to_int
 from repro.netlist.network import LogicNetwork, NodeKind
 from repro.netlist.sop import truthtable_to_cover
@@ -36,10 +36,8 @@ from repro.netlist.sop import truthtable_to_cover
 __all__ = [
     "ReferenceKernel",
     "ReferenceLaneEngine",
-    "SequentialSimulator",
     "apply_override",
     "reference_online",
-    "simulate_combinational",
 ]
 
 
@@ -82,162 +80,65 @@ def _eval_gate(
     return acc
 
 
-def _override_to_arrays(override, n_words: int):
-    """Normalize integer-form overrides to array forms (arrays pass
-    through untouched)."""
-    if isinstance(override, tuple):
-        forced, mask = override
-        if isinstance(forced, int):
-            forced = int_to_words(forced, n_words)
-        if isinstance(mask, int):
-            mask = int_to_words(mask, n_words)
-        return forced, mask
-    if isinstance(override, int):
-        return int_to_words(override, n_words)
-    return override
-
-
-def simulate_combinational(
-    net: LogicNetwork,
-    source_values: Mapping[int, np.ndarray],
-    *,
-    overrides=None,
-) -> dict[int, np.ndarray]:
-    """Evaluate all nodes given packed words for every PI and latch
-    output; ``overrides`` takes every form
-    :func:`repro.netlist.simulate.simulate_combinational` accepts.
-    Returns a dict mapping every node id to its packed value array."""
-    values: dict[int, np.ndarray] = {}
-    n_words: int | None = None
-    for nid in net.sources():
-        if nid not in source_values:
-            raise SimulationError(
-                f"no stimulus for source {net.node_name(nid)!r}"
-            )
-        arr = np.asarray(source_values[nid], dtype=np.uint64)
-        if n_words is None:
-            n_words = arr.size
-        elif arr.size != n_words:
-            raise SimulationError("stimulus arrays must share length")
-        values[nid] = arr
-    if n_words is None:
-        raise SimulationError("network has no sources")
-    overrides = {
-        nid: _override_to_arrays(ov, n_words)
-        for nid, ov in (overrides or {}).items()
-    }
-
-    for nid in net.topo_order():
-        ov = overrides.get(nid)
-        if nid in values and ov is None:
-            continue
-        kind = net.kind(nid)
-        if kind != NodeKind.GATE:
-            if ov is not None:
-                clean = values.get(nid)
-                if clean is None and isinstance(ov, tuple):
-                    clean = np.zeros(n_words, dtype=np.uint64)
-                values[nid] = apply_override(clean, ov)
-            continue
-        if ov is not None and not isinstance(ov, tuple):
-            values[nid] = np.asarray(ov, dtype=np.uint64)
-            continue
-        func = net.func(nid)
-        assert func is not None
-        fanin_vals = [values[f] for f in net.fanins(nid)]
-        clean = _eval_gate(func, fanin_vals, n_words)
-        values[nid] = apply_override(clean, ov) if ov is not None else clean
-    return values
-
-
-class SequentialSimulator:
-    """Cycle-accurate reference simulation with D flip-flop latches.
-
-    Same API as :class:`repro.netlist.simulate.SequentialSimulator`:
-    :meth:`step` takes packed arrays (or word-packed integers) per PI and
-    returns every node's packed value array for the cycle.
-    """
-
-    def __init__(self, net: LogicNetwork, n_words: int = 1) -> None:
-        self.net = net
-        self.n_words = int(n_words)
-        self.cycle = 0
-        self.state: dict[int, np.ndarray] = {}
-        self.reset()
-
-    def reset(self) -> None:
-        """Load latch initial values (init=1 → all-ones, else zeros)."""
-        self.cycle = 0
-        self.state = {}
-        ones = np.full(self.n_words, np.iinfo(np.uint64).max, dtype=np.uint64)
-        for latch in self.net.latches:
-            if latch.init == 1:
-                self.state[latch.q] = ones.copy()
-            else:
-                self.state[latch.q] = np.zeros(self.n_words, dtype=np.uint64)
-
-    def step(
-        self,
-        pi_values: Mapping[int, np.ndarray],
-        *,
-        overrides=None,
-    ) -> dict[int, np.ndarray]:
-        """Advance one clock cycle; returns every node's value this cycle."""
-        sources: dict[int, np.ndarray] = {}
-        for pi in self.net.pis:
-            if pi not in pi_values:
-                raise SimulationError(
-                    f"cycle {self.cycle}: no value for PI "
-                    f"{self.net.node_name(pi)!r}"
-                )
-            val = pi_values[pi]
-            if isinstance(val, int):
-                val = int_to_words(val, self.n_words)
-            arr = np.asarray(val, dtype=np.uint64)
-            if arr.size != self.n_words:
-                raise SimulationError("PI value width mismatch")
-            sources[pi] = arr
-        sources.update(self.state)
-        values = simulate_combinational(self.net, sources, overrides=overrides)
-        next_state: dict[int, np.ndarray] = {}
-        for latch in self.net.latches:
-            next_state[latch.q] = values[latch.driver].copy()
-        self.state = next_state
-        self.cycle += 1
-        return values
-
-
 class ReferenceKernel:
     """The reference simulator behind the part of
-    :class:`~repro.netlist.compiled.CompiledSimulator`'s API the lane
-    engine steps through: lane-packed integer stimulus and overrides in,
-    lane-packed node values out, one cycle per pass.  Like the compiled
-    simulator it serves exactly ``n_lanes`` lanes: it evaluates whole
-    words and reads back only the lanes it has."""
+    :class:`~repro.netlist.compiled.CompiledSimulator`'s API the tests,
+    the benchmarks and the lane engine step through: lane-packed integer
+    stimulus and ``(forced, mask)`` overrides in, lane-packed node values
+    out, one cycle per pass.  Like the compiled simulator it serves
+    exactly ``n_lanes`` lanes: it evaluates whole ``uint64`` words and
+    reads back only the lanes it has."""
 
     backend = "interpreted"
     block_cycles = 1
 
     def __init__(self, net: LogicNetwork, n_lanes: int = 64) -> None:
+        self.net = net
         self.n_lanes = n_lanes
         self.n_words = (n_lanes + 63) // 64
         self._full = (1 << n_lanes) - 1
         self._word_lanes = int_to_words(self._full, self.n_words)
-        self._sim = SequentialSimulator(net, self.n_words)
         self._values: dict[int, np.ndarray] = {}
-
-    @property
-    def cycle(self) -> int:
-        return self._sim.cycle
+        self.reset()
 
     def block_span(self, n_cycles: int) -> int:
         return 1
 
     def reset(self) -> None:
-        self._sim.reset()
+        """Load latch initial values (init=1 → all-ones, else zeros)."""
+        self.cycle = 0
+        nw = self.n_words
+        self._state = {
+            latch.q: np.full(nw, np.iinfo(np.uint64).max, dtype=np.uint64)
+            if latch.init == 1
+            else np.zeros(nw, dtype=np.uint64)
+            for latch in self.net.latches
+        }
 
     def step(self, pi_values: Mapping[int, int], *, overrides=None) -> None:
-        self._values = self._sim.step(pi_values, overrides=overrides)
+        """Advance one clock cycle: walk the topological order, evaluating
+        every gate's ISOP cover and blending overrides as it goes."""
+        net, nw = self.net, self.n_words
+        values = {pi: int_to_words(pi_values[pi], nw) for pi in net.pis}
+        values.update(self._state)
+        ovs = {
+            nid: (int_to_words(forced, nw), int_to_words(mask, nw))
+            for nid, (forced, mask) in (overrides or {}).items()
+        }
+        for nid in net.topo_order():
+            ov = ovs.get(nid)
+            if net.kind(nid) != NodeKind.GATE:
+                if ov is not None:
+                    values[nid] = apply_override(values[nid], ov)
+                continue
+            fanin_vals = [values[f] for f in net.fanins(nid)]
+            clean = _eval_gate(net.func(nid), fanin_vals, nw)
+            values[nid] = apply_override(clean, ov) if ov is not None else clean
+        self._state = {
+            latch.q: values[latch.driver].copy() for latch in net.latches
+        }
+        self.cycle += 1
+        self._values = values
 
     def node_ints(self, nodes) -> list[int]:
         return [words_to_int(self._values[n]) & self._full for n in nodes]

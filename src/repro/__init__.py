@@ -34,7 +34,6 @@ from repro.errors import (
 from repro.netlist import (
     LogicNetwork,
     TruthTable,
-    check_equivalent,
     parse_blif,
     parse_blif_file,
     write_blif,
@@ -70,7 +69,6 @@ __all__ = [
     "parse_blif",
     "parse_blif_file",
     "write_blif",
-    "check_equivalent",
     "generate_circuit",
     "get_spec",
     "paper_suite",

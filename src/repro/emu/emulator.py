@@ -10,8 +10,10 @@
 
 The decoded network's signals are named after the pinout (pads) and the
 BLE name directory, so it can be simulated against the original design
-name-for-name.  :class:`FpgaEmulator` wraps decode + sequential simulation
-into a device-like object with a clock-step interface.
+name-for-name.  :class:`FpgaEmulator` wraps decode and a
+:class:`~repro.netlist.compiled.CompiledSimulator` of the decoded network
+into a device-like object with a clock-step interface, one stimulus per
+lane.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ import numpy as np
 from repro.arch.config_cells import ConfigLayout
 from repro.arch.routing_graph import RRGraph, RRNodeType
 from repro.bitgen.genbit import GeneratedBitstream
-from repro.errors import BitstreamError, SimulationError
+from repro.errors import BitstreamError
+from repro.netlist.compiled import CompiledSimulator, program_for
 from repro.netlist.network import LogicNetwork
-from repro.netlist.simulate import SequentialSimulator
 from repro.netlist.truthtable import TruthTable
 
 __all__ = ["DecodedDesign", "decode_bitstream", "FpgaEmulator"]
@@ -238,36 +240,31 @@ def decode_bitstream(
 
 
 class FpgaEmulator:
-    """A configured device with a clock-step interface.
+    """A configured device with a clock-step interface over ``n_lanes``
+    lanes: every pad and output carries one lane-packed integer, lane *k*
+    at bit *k*, so one step runs ``n_lanes`` independent stimuli.
 
-    >>> # emu = FpgaEmulator(bits, generated, rr); emu.step({"pi0": 1})
+    >>> # emu = FpgaEmulator(bits, generated, rr, n_lanes=64)
+    >>> # emu.step({"pi0": 0b1010})  # pi0 high in lanes 1 and 3
     """
 
     def __init__(
         self, bits: np.ndarray, gen: GeneratedBitstream, rr: RRGraph,
-        *, n_words: int = 1,
+        *, n_lanes: int = 1,
     ) -> None:
         self.decoded = decode_bitstream(bits, gen, rr)
-        self.sim = SequentialSimulator(self.decoded.network, n_words=n_words)
+        net = self.decoded.network
+        self.sim = CompiledSimulator(program_for(net), n_lanes)
+        self._pads = [(pi, net.node_name(pi)) for pi in net.pis]
+        self._pos = [net.require(name) for name in net.po_names]
 
     def reset(self) -> None:
         self.sim.reset()
 
     def step(self, pi_values: Mapping[str, int]) -> dict[str, int]:
-        """Advance one cycle; returns PO name → bit (first word, bit 0)."""
-        net = self.decoded.network
-        stim: dict[int, np.ndarray] = {}
-        for pi in net.pis:
-            name = net.node_name(pi)
-            bit = int(pi_values.get(name, 0)) & 1
-            word = np.full(
-                self.sim.n_words,
-                np.uint64(0xFFFFFFFFFFFFFFFF) if bit else np.uint64(0),
-                dtype=np.uint64,
-            )
-            stim[pi] = word
-        values = self.sim.step(stim)
-        return {
-            name: int(values[net.require(name)][0] & np.uint64(1))
-            for name in net.po_names
-        }
+        """Advance one cycle: pad name → lane-packed input (a missing pad
+        reads 0); returns PO name → lane-packed output."""
+        self.sim.step({pi: pi_values.get(name, 0) for pi, name in self._pads})
+        return dict(
+            zip(self.decoded.network.po_names, self.sim.node_ints(self._pos))
+        )

@@ -93,7 +93,6 @@ StimulusLike = "Stimulus | Sequence[Mapping[str, int]] | None"
 class DebugTurnLog:
     """Bookkeeping for one observe+run round (of one lane)."""
 
-    observed: list[str]
     cycles_run: int
     modeled_overhead_s: float
     frames_touched: int
@@ -311,7 +310,6 @@ class LaneEngine:
         self._observed[lane] = observed
         self.turns[lane].append(
             DebugTurnLog(
-                observed=list(signals),
                 cycles_run=0,
                 modeled_overhead_s=rec.device_cost.specialization_s,
                 frames_touched=len(rec.frames_touched),
@@ -392,7 +390,7 @@ class LaneEngine:
         width = self.n_lanes
         acc: dict[int, tuple[int, int]] | None = None
         for c in range(n_cycles):
-            ov = active_override_ints(flat, cycle + c, n_words=self.n_words)
+            ov = active_override_ints(flat, cycle + c, n_lanes=width)
             if not ov:
                 continue
             if acc is None:

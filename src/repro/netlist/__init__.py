@@ -2,8 +2,9 @@
 
 This package provides the gate-level data structures the whole flow is built
 on: truth tables, sum-of-products covers, the :class:`LogicNetwork` DAG,
-BLIF reading/writing, structural validation, cleanup transforms and a
-bit-parallel functional simulator.
+BLIF reading/writing, structural validation, cleanup transforms and the
+compiled simulation kernels (:mod:`repro.netlist.compiled`), which step
+networks over lane-packed integers.
 
 It corresponds to the front half of the paper's tool flow (Fig. 5): the
 synthesized ``.blif`` netlist that enters signal parameterisation.
@@ -15,12 +16,6 @@ from repro.netlist.network import LogicNetwork, NodeKind, Latch
 from repro.netlist.blif import parse_blif, parse_blif_file, write_blif
 from repro.netlist.validate import validate_network
 from repro.netlist.transforms import sweep_dead, propagate_constants, remove_buffers
-from repro.netlist.simulate import (
-    simulate_combinational,
-    SequentialSimulator,
-    random_stimulus,
-    check_equivalent,
-)
 from repro.netlist.compiled import (
     CompiledProgram,
     CompiledSimulator,
@@ -46,10 +41,6 @@ __all__ = [
     "sweep_dead",
     "propagate_constants",
     "remove_buffers",
-    "simulate_combinational",
-    "SequentialSimulator",
-    "random_stimulus",
-    "check_equivalent",
     "CompiledProgram",
     "CompiledSimulator",
     "compile_network",

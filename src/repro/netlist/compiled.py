@@ -23,11 +23,9 @@ values, not 64-bit ones.
 
 Every array view keeps the word layout of ``n_words = ceil(L / 64)``
 ``uint64`` words per value: lane *k* is bit ``k % 64`` of word ``k // 64``
-(bits past lane ``L - 1`` read 0).  :meth:`CompiledSimulator.dense`
-exports the contiguous ``(n_nodes, n_words)`` matrix (into a
-preallocated buffer), and the block export, the dense stimulus of
-:meth:`~CompiledSimulator.run_block_array` and the latch-state record use
-one ``(..., n_words)`` row per cycle.  The conversion between integers
+(bits past lane ``L - 1`` read 0).  The block export, the dense stimulus
+of :meth:`~CompiledSimulator.run_block_array` and the latch-state record
+use one ``(..., n_words)`` row per cycle.  The conversion between integers
 and rows lives in one place, the row helpers :func:`block_rows`,
 :func:`block_ints` and :func:`held_block_ints`, which the simulator and
 the lane engine share: ``64 * n_words`` lanes give the word layout bit
@@ -255,7 +253,6 @@ class CompiledProgram:
         self._finish_init()
 
     def _finish_init(self) -> None:
-        self.source_nodes = self.pi_nodes + self.latch_qs
         is_op = [False] * self.n_nodes
         for node, _fanins, _cubes in self.ops:
             is_op[node] = True
@@ -729,27 +726,26 @@ class CompiledSimulator:
 
     The generated big-int kernels are the one kernel implementation.  All
     per-cycle state lives in preallocated containers: the flat value list
-    (one ``n_lanes``-bit integer per node), the latch-state list, the
-    forced/not-mask override tables and the dense export buffer.  A step
-    is: write PI and latch-output slots, run the generated kernel,
-    capture next latch state — nothing allocates an array.
+    (one ``n_lanes``-bit integer per node), the latch-state list and the
+    forced/not-mask override tables.  A step is: write PI and latch-output
+    slots, run the generated kernel, capture next latch state — nothing
+    allocates an array.
 
     :meth:`run_block` batches cycles (up to :attr:`block_cycles` per
-    pass), and :attr:`values`, :meth:`value`, :meth:`node_ints`,
-    :meth:`export_words` and :meth:`dense` serve node values.  Sequential
-    programs batch by checked prediction: the simulator records the latch
-    state at the start of every cycle since reset, keeps that record
-    across resets, and feeds a block's later cycles the recorded states
-    (see :meth:`run_block`).
+    pass), and :attr:`values`, :meth:`value`, :meth:`node_ints` and
+    :meth:`export_words` serve node values.  Sequential programs batch by
+    checked prediction: the simulator records the latch state at the
+    start of every cycle since reset, keeps that record across resets,
+    and feeds a block's later cycles the recorded states (see
+    :meth:`run_block`).
 
     ``n_lanes`` (default: one 64-lane word) fixes the value width;
     ``n_words`` is derived from it and sizes every ``uint64`` row view.
     ``64 * n_words`` lanes give the historical word-packed layout bit for
-    bit.  The lane engine and golden passes
-    (:func:`repro.workloads.scenarios.packed_signal_traces`) step this
-    class directly on lane-packed integers; the dict-of-arrays API is
-    :class:`repro.netlist.simulate.SequentialSimulator`, which wraps this
-    class and converts at its boundary.
+    bit.  It is the package's one simulator API: the lane engine, golden
+    passes (:func:`repro.workloads.scenarios.packed_signal_traces`) and
+    the bitstream emulator (:class:`repro.emu.FpgaEmulator`) all step it
+    on lane-packed integers.
     """
 
     #: The kernel backend, as reports name it (see :func:`resolve_backend`).
@@ -777,8 +773,6 @@ class CompiledSimulator:
         self._dirty_consts: list[int] = []
         self._dirty_consts_blk: list[int] = []
         self._word_bytes = 8 * self.n_words
-        self._dense_buf = bytearray(n * self._word_bytes)
-        self._dense = None  # numpy view over _dense_buf, built on demand
         self._block_cycles = max(
             1, min(MAX_BLOCK_CYCLES, BLOCK_TARGET_WORDS // self.n_words)
         )
@@ -864,28 +858,13 @@ class CompiledSimulator:
 
     def export_words(self, nodes, buf: bytearray) -> None:
         """Serialize ``nodes``' per-cycle values into ``buf``
-        (little-endian, ``8 * n_words`` bytes per node) — the one
-        int→uint64 conversion loop shared by :meth:`dense` and the
-        engine's per-cycle trace-sample capture."""
+        (little-endian, ``8 * n_words`` bytes per node) — the engine's
+        per-cycle trace-sample capture."""
         bl = self._word_bytes
         pos = 0
         for x in self.node_ints(nodes):
             buf[pos : pos + bl] = x.to_bytes(bl, "little")
             pos += bl
-
-    def dense(self) -> "np.ndarray":
-        """Export state as the contiguous ``(n_nodes, n_words)`` matrix.
-
-        Fills the preallocated buffer in place — callers that keep the
-        result across steps must copy.  Row ``n`` word ``w`` bit ``k`` is
-        lane ``64*w + k`` of node ``n``.
-        """
-        if self._dense is None:
-            self._dense = np.frombuffer(
-                self._dense_buf, dtype=np.uint64
-            ).reshape(self.program.n_nodes, self.n_words)
-        self.export_words(range(self.program.n_nodes), self._dense_buf)
-        return self._dense
 
     # -- evaluation ----------------------------------------------------------
 
@@ -974,27 +953,6 @@ class CompiledSimulator:
         self.cycle += 1
         self._record_state()
 
-    def eval_combinational(
-        self,
-        source_values: "Mapping[int, int]",
-        *,
-        overrides: "Mapping[int, tuple[int, int]] | None" = None,
-    ) -> None:
-        """One combinational settle from explicit source values (PIs and
-        latch outputs alike), without touching latch state or the cycle
-        counter — the compiled counterpart of
-        :func:`repro.netlist.simulate.simulate_combinational`."""
-        self._restore_consts()
-        self._slot = None
-        self._last_block = 0
-        v = self._v
-        full = self.full_mask
-        for src in self.program.source_nodes:
-            if src not in source_values:
-                raise SimulationError(f"no stimulus for source node {src}")
-            v[src] = source_values[src] & full
-        self._eval(v, full, self._notmask, self._dirty_consts, overrides)
-
     # -- latch-state record ----------------------------------------------------
 
     def _state_rows(self) -> "np.ndarray":
@@ -1069,7 +1027,7 @@ class CompiledSimulator:
         evaluated one per pass.
 
         After the call, per-cycle reads (:attr:`values`, :meth:`value`,
-        :meth:`node_ints`, :meth:`export_words`, :meth:`dense`) see the
+        :meth:`node_ints`, :meth:`export_words`) see the
         last consumed cycle and :meth:`block_export` serves every
         evaluated cycle's values.
 

@@ -1,10 +1,11 @@
 """Bit packing helpers on numpy arrays.
 
-Bitstreams (:mod:`repro.bitgen`) and bit-parallel simulation
-(:mod:`repro.netlist.simulate`) both store bits densely in ``uint64`` words;
-these helpers convert between boolean vectors and packed words, count
-differing bits — the inner loop of partial-reconfiguration diffing — and
-pack per-lane stimulus scripts into lane-packed integers.
+Bitstreams (:mod:`repro.bitgen`) and the word views of the compiled
+simulator (:mod:`repro.netlist.compiled`) both store bits densely in
+``uint64`` words; these helpers convert between boolean vectors and
+packed words, count differing bits — the inner loop of
+partial-reconfiguration diffing — and pack per-lane stimulus scripts
+into lane-packed integers.
 """
 
 from __future__ import annotations

@@ -21,12 +21,20 @@ share:
   screening of :func:`repro.workloads.scenarios.stuck_at_scenarios`,
   its golden outputs from :func:`reference_traces` (the reference
   evaluator, not the package's golden simulator).
+
+It also holds :func:`check_equivalent`, the random-simulation check the
+transform and mapping tests use.  That one runs *on* the compiled
+kernels and is not one of the oracles.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
+
+from repro.errors import SimulationError
+from repro.netlist.compiled import CompiledSimulator, program_for, words_to_int
 from repro.netlist.network import LogicNetwork, NodeKind
 from repro.netlist.sop import truthtable_to_cover
 from repro.netlist.truthtable import TruthTable
@@ -34,6 +42,7 @@ from repro.netlist.truthtable import TruthTable
 __all__ = [
     "block_overrides",
     "block_words",
+    "check_equivalent",
     "random_network",
     "random_stimulus_ints",
     "random_override_ints",
@@ -328,3 +337,56 @@ def reference_stuck_at_scenarios(
             f"for {spec.name} within {horizon} cycles"
         )
     return scenarios
+
+
+def check_equivalent(
+    net_a: LogicNetwork,
+    net_b: LogicNetwork,
+    *,
+    n_vectors: int = 256,
+    n_cycles: int = 8,
+    rng: "np.random.Generator | None" = None,
+) -> bool:
+    """Random-simulation equivalence check between two networks.
+
+    PIs and POs are matched by *name*; both networks must agree on the PI
+    name set, and every PO name they share is compared.  Sequential
+    networks are compared over ``n_cycles`` cycles from their initial
+    states.  Both run on :class:`CompiledSimulator` with exactly
+    ``n_vectors`` lanes, so this checks a transform *with* the kernels and
+    is not one of the oracles above.  Each cycle draws every PI's words in
+    ``net_a.pis`` order, so the vectors depend on ``rng`` alone.  A
+    falsifier, not a prover: tests that want proof use exhaustive vectors.
+    """
+    rng = rng or np.random.default_rng(0)
+    names = [net_a.node_name(p) for p in net_a.pis]
+    pis_b = {net_b.node_name(p): p for p in net_b.pis}
+    only_a, only_b = set(names) - set(pis_b), set(pis_b) - set(names)
+    if only_a or only_b:
+        raise SimulationError(
+            f"PI name mismatch: only in A {sorted(only_a)[:4]}, "
+            f"only in B {sorted(only_b)[:4]}"
+        )
+    pos = [n for n in net_a.po_names if n in set(net_b.po_names)]
+    if not pos:
+        raise SimulationError("no common primary outputs to compare")
+    sim_a = CompiledSimulator(program_for(net_a), n_vectors)
+    sim_b = CompiledSimulator(program_for(net_b), n_vectors)
+    pos_a = [net_a.require(n) for n in pos]
+    pos_b = [net_b.require(n) for n in pos]
+    n_words = (n_vectors + 63) // 64
+    for _ in range(n_cycles if net_a.latches or net_b.latches else 1):
+        words = [
+            words_to_int(
+                rng.integers(
+                    0, np.iinfo(np.uint64).max, size=n_words,
+                    dtype=np.uint64, endpoint=True,
+                )
+            )
+            for _ in names
+        ]
+        sim_a.step(dict(zip(net_a.pis, words)))
+        sim_b.step({pis_b[name]: w for name, w in zip(names, words)})
+        if sim_a.node_ints(pos_a) != sim_b.node_ints(pos_b):
+            return False
+    return True

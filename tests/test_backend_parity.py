@@ -121,33 +121,12 @@ def _block_cycles(net, width, stim_rows, overrides, seed):
 def _interpreted_cycles(net, width, stim_rows, overrides):
     """Same trace from the reference per-gate simulator (whole words,
     read back over the ``width`` lanes)."""
-    nw = (width + 63) // 64
-    full = (1 << width) - 1
-
-    def row(v):
-        return np.frombuffer(v.to_bytes(8 * nw, "little"), dtype=np.uint64)
-
-    sim = ref_simulate.SequentialSimulator(net, n_words=nw)
+    sim = ref_simulate.ReferenceKernel(net, width)
+    nodes = list(net.nodes())
     out = []
     for cyc, stim in enumerate(stim_rows):
-        ov = overrides.get(cyc)
-        values = sim.step(
-            {pid: row(v) for pid, v in stim.items()},
-            overrides=(
-                None
-                if ov is None
-                else {n: (row(f), row(m)) for n, (f, m) in ov.items()}
-            ),
-        )
-        out.append(
-            {
-                nid: int.from_bytes(
-                    np.ascontiguousarray(values[nid]).tobytes(), "little"
-                )
-                & full
-                for nid in net.nodes()
-            }
-        )
+        sim.step(stim, overrides=overrides.get(cyc))
+        out.append(dict(zip(nodes, sim.node_ints(nodes))))
     return out
 
 

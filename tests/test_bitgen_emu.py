@@ -3,7 +3,8 @@
 These are the strongest tests in the suite: what the emulator runs is
 reconstructed *purely from configuration bits*, so agreement with the
 reference simulation proves mapping, packing, placement, routing, bitgen
-and the SCG simultaneously.
+and the SCG simultaneously.  The emulator and the references run 64
+independent stimuli per cycle, lane for lane.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from repro.core.flow import DebugFlowConfig, run_generic_stage, run_physical_sta
 from repro.core.scg import SpecializedConfigGenerator
 from repro.emu import FpgaEmulator
 from repro.errors import BitstreamError
-from repro.netlist import parse_blif
-from repro.netlist.simulate import SequentialSimulator
+from repro.netlist import CompiledSimulator, parse_blif, program_for
 from repro.workloads import campaign_spec, generate_circuit
 from tests.conftest import TINY_SEQ_BLIF
 
@@ -41,32 +41,30 @@ def _checked_taps(design) -> list[int]:
     return first + [t for t in design.taps if t not in first][:2]
 
 
+#: Independent stimuli per emulated cycle, one per lane.
+LANES = 64
+
+
 def _random_stimulus(offline, rng) -> dict[str, int]:
+    """One cycle of every source PI, lane-packed over :data:`LANES`."""
     return {
-        offline.source.node_name(p): int(rng.integers(0, 2))
+        offline.source.node_name(p): int.from_bytes(rng.bytes(8), "little")
         for p in offline.source.pis
     }
 
 
 def _reference_outputs(offline, values, stim_seq):
+    """The mapped network's lane-packed POs per cycle, with the select
+    parameters held at ``values`` in every lane."""
     mapped = offline.mapping.to_lut_network()
-    sim = SequentialSimulator(mapped, n_words=1)
+    sim = CompiledSimulator(program_for(mapped), LANES)
+    held = {nm: sim.full_mask * bit for nm, bit in values.items()}
+    pis = [(pi, mapped.node_name(pi)) for pi in mapped.pis]
+    pos = [mapped.require(po) for po in mapped.po_names]
     out = []
     for stim in stim_seq:
-        pi_vals = {}
-        for pi in sim.net.pis:
-            nm = sim.net.node_name(pi)
-            bit = values.get(nm, stim.get(nm, 0))
-            pi_vals[pi] = np.array(
-                [0xFFFFFFFFFFFFFFFF if bit else 0], dtype=np.uint64
-            )
-        vals = sim.step(pi_vals)
-        out.append(
-            {
-                po: int(vals[sim.net.require(po)][0] & np.uint64(1))
-                for po in sim.net.po_names
-            }
-        )
+        sim.step({pi: held.get(nm, stim.get(nm, 0)) for pi, nm in pis})
+        out.append(dict(zip(mapped.po_names, sim.node_ints(pos))))
     return out
 
 
@@ -84,7 +82,7 @@ class TestEndToEnd:
         assign = design.param_space.assignment(values)
         bits, _stats = phys.bitstream.pconf.specialize(assign)
 
-        emu = FpgaEmulator(bits, phys.bitstream, phys.rr)
+        emu = FpgaEmulator(bits, phys.bitstream, phys.rr, n_lanes=LANES)
         stim_seq = [_random_stimulus(offline, rng) for _ in range(20)]
         full_values = {
             name: values.get(name, 0) for name in design.param_space.names
@@ -105,27 +103,16 @@ class TestEndToEnd:
             values = design.selection_for([sig])
             assign = design.param_space.assignment(values)
             bits, _ = phys.bitstream.pconf.specialize(assign)
-            emu = FpgaEmulator(bits, phys.bitstream, phys.rr)
+            emu = FpgaEmulator(bits, phys.bitstream, phys.rr, n_lanes=LANES)
 
             # reference: simulate the *source* network and read the signal
-            src_sim = SequentialSimulator(offline.source, n_words=1)
+            source = offline.source
+            src_sim = CompiledSimulator(program_for(source), LANES)
             for _ in range(16):
                 stim = _random_stimulus(offline, rng)
                 got = emu.step(stim)
-                vals = src_sim.step(
-                    {
-                        p: np.array(
-                            [
-                                0xFFFFFFFFFFFFFFFF
-                                if stim[offline.source.node_name(p)]
-                                else 0
-                            ],
-                            dtype=np.uint64,
-                        )
-                        for p in offline.source.pis
-                    }
-                )
-                want = int(vals[offline.source.require(sig)][0] & np.uint64(1))
+                src_sim.step({p: stim[source.node_name(p)] for p in source.pis})
+                want = src_sim.value(source.require(sig))
                 assert got[group.po_name] == want, f"{sig}"
 
     def test_specialize_matches_reference(self, physical_stage):

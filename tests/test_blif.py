@@ -5,13 +5,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parity import check_equivalent
 from repro.errors import BlifParseError, ReproError
-from repro.netlist import (
-    check_equivalent,
-    parse_blif,
-    validate_network,
-    write_blif,
-)
+from repro.netlist import parse_blif, validate_network, write_blif
 from repro.workloads import generate_circuit
 from repro.workloads.suites import BenchmarkSpec
 

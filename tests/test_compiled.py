@@ -1,7 +1,8 @@
 """Compiled simulation kernels: parity, caching, multi-word lanes.
 
 The compiled path must be **bit-identical** to the reference per-gate
-simulator (``benchmarks/ref_simulate.py``) over every node, every cycle,
+simulator (``benchmarks/ref_simulate.py::ReferenceKernel``), fed the same
+lane-packed integers, over every node, every cycle,
 for every network shape the stack produces — mapped and unmapped,
 sequential and combinational, with and without lane-masked overrides,
 single- and multi-word.  These tests pin that down with randomized
@@ -20,7 +21,7 @@ from benchmarks import ref_simulate
 from repro.campaign import ArtifactStore, CampaignConfig, run_campaign
 from repro.core.debug import DebugSession
 from repro.core.flow import run_generic_stage
-from repro.emu.fault import FaultInjector, active_override_ints, ForcedFault
+from repro.emu.fault import active_override_ints, ForcedFault
 from repro.engine import LaneEngine
 from repro.errors import SimulationError
 from repro.netlist import parse_blif
@@ -42,47 +43,52 @@ from repro.netlist.compiled import (
     held_block_ints,
     network_signature,
     program_for,
+    words_to_int,
 )
-from repro.netlist.simulate import SequentialSimulator, simulate_combinational
 from repro.workloads import campaign_spec, generate_circuit, stuck_at_scenarios
 from repro.workloads.scenarios import stimulus_script
 
 U64MAX = np.iinfo(np.uint64).max
 
 
-def _rand_words(rng, n_words):
-    return rng.integers(0, U64MAX, size=n_words, dtype=np.uint64, endpoint=True)
+def _rand_int(rng, n_words):
+    return words_to_int(
+        rng.integers(0, U64MAX, size=n_words, dtype=np.uint64, endpoint=True)
+    )
 
 
 def _rand_overrides(rng, net, n_words, *, lane_masked: bool):
-    """A random override dict over gates, PIs and latch outputs."""
+    """A random ``node -> (forced, mask)`` dict over gates, PIs and latch
+    outputs (``lane_masked=False``: every lane forced)."""
     nodes = list(net.nodes())
     picks = rng.choice(nodes, size=min(4, len(nodes)), replace=False)
+    full = (1 << (64 * n_words)) - 1
     out = {}
     for nid in picks:
         if lane_masked:
-            out[int(nid)] = (_rand_words(rng, n_words), _rand_words(rng, n_words))
+            out[int(nid)] = (_rand_int(rng, n_words), _rand_int(rng, n_words))
         else:
-            out[int(nid)] = _rand_words(rng, n_words)
+            out[int(nid)] = (_rand_int(rng, n_words), full)
     return out
 
 
 def _assert_step_parity(net, n_words, rng, n_cycles=10, *, lane_masked=True):
-    interp = ref_simulate.SequentialSimulator(net, n_words=n_words)
-    compiled = SequentialSimulator(net, n_words=n_words)
+    interp = ref_simulate.ReferenceKernel(net, 64 * n_words)
+    compiled = CompiledSimulator(program_for(net), 64 * n_words)
+    nodes = list(net.nodes())
     for cyc in range(n_cycles):
-        stim = {p: _rand_words(rng, n_words) for p in net.pis}
+        stim = {p: _rand_int(rng, n_words) for p in net.pis}
         ov = None
         if cyc % 3 == 1:
             ov = _rand_overrides(rng, net, n_words, lane_masked=lane_masked)
         elif cyc % 3 == 2:
             ov = _rand_overrides(rng, net, n_words, lane_masked=False)
-        vi = interp.step(stim, overrides=ov)
-        vc = compiled.step(stim, overrides=ov)
-        for nid in net.nodes():
-            assert np.array_equal(vi[nid], vc[nid]), (
-                f"cycle {cyc}, node {net.node_name(nid)!r}"
-            )
+        interp.step(stim, overrides=ov)
+        compiled.step(stim, overrides=ov)
+        for nid, vi, vc in zip(
+            nodes, interp.node_ints(nodes), compiled.node_ints(nodes)
+        ):
+            assert vi == vc, f"cycle {cyc}, node {net.node_name(nid)!r}"
 
 
 class TestRandomizedParity:
@@ -117,19 +123,23 @@ class TestRandomizedParity:
         _assert_step_parity(mapped, 2, np.random.default_rng(8))
 
     def test_combinational_entry_point_parity(self):
+        """One settle of a combinational network from the same stimulus,
+        clean, lane-masked and fully forced."""
         spec = campaign_spec("par-cmb", n_gates=70, depth=6, n_pis=10, n_pos=5)
         net = generate_circuit(spec, 11)
         rng = np.random.default_rng(11)
-        stim = {s: _rand_words(rng, 1) for s in net.sources()}
+        stim = {p: _rand_int(rng, 1) for p in net.pis}
+        nodes = list(net.nodes())
+        interp = ref_simulate.ReferenceKernel(net)
+        compiled = CompiledSimulator(program_for(net))
         for ov in (
             None,
             _rand_overrides(rng, net, 1, lane_masked=True),
             _rand_overrides(rng, net, 1, lane_masked=False),
         ):
-            vi = ref_simulate.simulate_combinational(net, stim, overrides=ov)
-            vc = simulate_combinational(net, stim, overrides=ov)
-            for nid in net.nodes():
-                assert np.array_equal(vi[nid], vc[nid])
+            interp.step(stim, overrides=ov)
+            compiled.step(stim, overrides=ov)
+            assert interp.node_ints(nodes) == compiled.node_ints(nodes)
 
     def test_constant_gate_override_parity(self):
         # constants are folded out of the kernel; an override on one must
@@ -139,25 +149,21 @@ class TestRandomizedParity:
             "\n.names a k y\n11 1\n.end"
         )
         k = net.require("k")
-        stim = {net.pis[0]: np.array([U64MAX], dtype=np.uint64)}
-        forced = (
-            np.array([np.uint64(0xFF)], dtype=np.uint64),
-            np.array([np.uint64(0xFF)], dtype=np.uint64),
-        )
-        for ov in ({k: forced}, None, {k: forced}, None):
-            vi = ref_simulate.simulate_combinational(net, stim, overrides=ov)
-            vc = simulate_combinational(net, stim, overrides=ov)
-            for nid in net.nodes():
-                assert np.array_equal(vi[nid], vc[nid]), (ov, nid)
+        nodes = list(net.nodes())
+        stim = {net.pis[0]: U64MAX}
+        interp = ref_simulate.ReferenceKernel(net)
+        compiled = CompiledSimulator(program_for(net))
+        for ov in ({k: (0xFF, 0xFF)}, None, {k: (0xFF, 0xFF)}, None):
+            interp.step(stim, overrides=ov)
+            compiled.step(stim, overrides=ov)
+            assert interp.node_ints(nodes) == compiled.node_ints(nodes), ov
 
     def test_missing_source_raises(self):
         net = parse_blif(
             ".model m\n.inputs a b\n.outputs y\n.names a b y\n11 1\n.end"
         )
         with pytest.raises(SimulationError):
-            simulate_combinational(net, {net.pis[0]: np.zeros(1, np.uint64)})
-        with pytest.raises(SimulationError):
-            SequentialSimulator(net).step({net.pis[0]: np.zeros(1, np.uint64)})
+            CompiledSimulator(program_for(net)).step({net.pis[0]: 0})
 
 
 class TestProgramCache:
@@ -268,11 +274,9 @@ class TestProgramCache:
         assert program.code._code == {}
         stim = stimulus_script(net, 8, 3)
         packed_signal_traces(net, [stim, stim], list(net.po_names))
-        SequentialSimulator(net).step(
-            {p: np.zeros(1, np.uint64) for p in net.pis}
-        )
-        assert set(program.code._code) == {"clean"}
         sim = CompiledSimulator(program)
+        sim.step({p: 0 for p in net.pis})
+        assert set(program.code._code) == {"clean"}
         gate = next(net.gates())
         sim.step({p: 0 for p in net.pis}, overrides={gate: (1, 1)})
         assert set(program.code._code) == {"clean", "forced"}
@@ -484,7 +488,6 @@ class TestBlockEvaluation:
         assert consumed == len(rows) == blocker.block_cycles > 1
         assert blocker.cycle == stepper.cycle
         assert blocker.node_ints(nodes) == expected[-1]
-        assert blocker.dense().tolist() == stepper.dense().tolist()
         out = np.empty(
             (len(nodes), blocker.block_cycles * nw), dtype=np.uint64
         )
@@ -679,41 +682,46 @@ class TestLatchPrediction:
 
 
 class TestMultiWordLanes:
-    def test_fault_injector_lane_mask_isolates_lanes(self):
+    @staticmethod
+    def _buffer_stuck_at_0(lane_mask: int) -> int:
+        """``y = a`` over 128 lanes, ``a`` all ones but stuck at 0 on
+        ``lane_mask``: returns ``y``."""
         net = parse_blif(
             ".model m\n.inputs a\n.outputs y\n.names a y\n1 1\n.end"
         )
-        fi = FaultInjector(net, n_words=2)
-        fi.stuck_at("a", 0, lane_mask=1 << 77)
-        vals = fi.step({net.pis[0]: np.full(2, U64MAX, dtype=np.uint64)})
-        y = vals[net.require("y")]
-        assert y[0] == U64MAX  # word 0 untouched
-        assert y[1] == U64MAX ^ np.uint64(1 << 13)  # lane 77 = word 1 bit 13
+        sim = CompiledSimulator(program_for(net), 128)
+        a = net.pis[0]
+        fault = ForcedFault(node=a, value=0, lane_mask=lane_mask)
+        sim.step(
+            {a: (1 << 128) - 1},
+            overrides=active_override_ints([fault], 0, n_lanes=128),
+        )
+        return sim.value(net.require("y"))
+
+    def test_fault_injector_lane_mask_isolates_lanes(self):
+        y = self._buffer_stuck_at_0(1 << 77)
+        assert y == ((1 << 128) - 1) ^ (1 << 77)  # lane 77 only
 
     def test_active_override_ints_all_lanes_expands_to_every_word(self):
-        f = ForcedFault(node=3, value=1)
-        ov = active_override_ints([f], 0, n_words=2)
-        forced, mask = ov[3]
-        assert forced == mask == (1 << 128) - 1
+        for lanes in (1, 5, 64, 96, 128):
+            f = ForcedFault(node=3, value=1)
+            forced, mask = active_override_ints([f], 0, n_lanes=lanes)[3]
+            assert forced == mask == (1 << lanes) - 1, lanes
+            off = ForcedFault(node=3, value=0)
+            forced, mask = active_override_ints([off], 0, n_lanes=lanes)[3]
+            assert forced == 0 and mask == (1 << lanes) - 1, lanes
         lane70 = ForcedFault(node=3, value=1, lane_mask=1 << 70)
-        forced, mask = active_override_ints([lane70], 0, n_words=2)[3]
+        forced, mask = active_override_ints([lane70], 0, n_lanes=128)[3]
         assert mask == 1 << 70
-        assert active_override_ints([f], 5, n_words=1)[3][1] == (1 << 64) - 1
+        assert active_override_ints([lane70], 0, n_lanes=64) == {3: (0, 0)}
 
     def test_word0_lane_mask_stays_in_word0(self):
         # a literal mask of word 0's 64 lanes is a mask, not "all lanes"
         word0 = (1 << 64) - 1
         f = ForcedFault(node=3, value=1, lane_mask=word0)
-        forced, mask = active_override_ints([f], 0, n_words=2)[3]
+        forced, mask = active_override_ints([f], 0, n_lanes=128)[3]
         assert forced == mask == word0
-        net = parse_blif(
-            ".model m\n.inputs a\n.outputs y\n.names a y\n1 1\n.end"
-        )
-        fi = FaultInjector(net, n_words=2)
-        fi.stuck_at("a", 0, lane_mask=word0)
-        vals = fi.step({net.pis[0]: np.full(2, U64MAX, dtype=np.uint64)})
-        y = vals[net.require("y")]
-        assert y[0] == 0 and y[1] == U64MAX
+        assert self._buffer_stuck_at_0(word0) == ((1 << 128) - 1) ^ word0
 
     def test_engine_lane_beyond_64_matches_solo_session(self):
         spec = campaign_spec("wide-eng", n_gates=100, depth=7, n_pis=16, n_pos=8)

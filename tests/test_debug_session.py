@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.debug import DebugSession
@@ -14,8 +13,7 @@ from repro.core.selection import (
 )
 from repro.core.tracebuffer import TraceBuffer
 from repro.errors import DebugFlowError
-from repro.netlist import parse_blif
-from repro.netlist.simulate import SequentialSimulator
+from repro.netlist import CompiledSimulator, parse_blif, program_for
 from tests.conftest import TINY_SEQ_BLIF
 
 
@@ -93,19 +91,12 @@ class TestSession:
         session.run(24, stimulus=lambda c: stim_script[c])
         wave = session.waveforms()[sig]
 
-        ref = SequentialSimulator(offline.source, n_words=1)
+        source = offline.source
+        ref = CompiledSimulator(program_for(source), 1)
         expected = []
         for stim in stim_script:
-            vals = ref.step(
-                {
-                    p: np.array(
-                        [0xFFFFFFFFFFFFFFFF if stim[ref.net.node_name(p)] else 0],
-                        dtype=np.uint64,
-                    )
-                    for p in ref.net.pis
-                }
-            )
-            expected.append(int(vals[ref.net.require(sig)][0] & np.uint64(1)))
+            ref.step({p: stim[source.node_name(p)] for p in source.pis})
+            expected.append(ref.value(source.require(sig)))
         assert wave.tolist() == expected
 
     def test_turn_accounting(self, session):

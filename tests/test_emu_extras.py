@@ -5,56 +5,43 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.emu.fault import FaultInjector
+from repro.emu.fault import ForcedFault, active_override_ints
 from repro.emu.vcd import VcdWriter, write_vcd
-from repro.errors import DebugFlowError, SimulationError
+from repro.errors import DebugFlowError
+from repro.netlist import CompiledSimulator, program_for
 
-ONES = np.array([np.uint64(0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
-ZERO = np.array([np.uint64(0)], dtype=np.uint64)
+ONES = (1 << 64) - 1
 
 
 class TestFaultInjector:
+    """A :class:`ForcedFault` applied as :func:`active_override_ints`
+    overrides of a compiled simulator step."""
+
+    STIM = {"x": ONES, "y": 0, "z": ONES}
+
+    def _run(self, net, faults, n_cycles):
+        """``out1`` on each of ``n_cycles`` cycles of :data:`STIM` with
+        ``faults`` armed."""
+        sim = CompiledSimulator(program_for(net), 64)
+        out1 = []
+        for cycle in range(n_cycles):
+            sim.step(
+                {net.require(n): v for n, v in self.STIM.items()},
+                overrides=active_override_ints(faults, cycle, n_lanes=64),
+            )
+            out1.append(sim.value(net.require("out1")))
+        return out1
+
     def test_stuck_at_changes_output(self, tiny_comb):
-        net = tiny_comb
-        clean = FaultInjector(net)
-        faulty = FaultInjector(net)
-        faulty.stuck_at("w", 0)
-        stim = {
-            net.require("x"): ONES,
-            net.require("y"): ZERO,
-            net.require("z"): ONES,
-        }
-        v_clean = clean.step(stim)
-        v_faulty = faulty.step(stim)
-        assert v_clean[net.require("out1")][0] != v_faulty[net.require("out1")][0]
+        w = ForcedFault(node=tiny_comb.require("w"), value=0)
+        assert self._run(tiny_comb, [], 1) != self._run(tiny_comb, [w], 1)
 
     def test_fault_window(self, tiny_comb):
-        net = tiny_comb
-        fi = FaultInjector(net)
-        fi.stuck_at("w", 0, first_cycle=1, last_cycle=1)
-        stim = {
-            net.require("x"): ONES,
-            net.require("y"): ZERO,
-            net.require("z"): ONES,
-        }
-        first = fi.step(stim)[net.require("out1")][0]
-        second = fi.step(stim)[net.require("out1")][0]
-        third = fi.step(stim)[net.require("out1")][0]
+        w = ForcedFault(
+            node=tiny_comb.require("w"), value=0, first_cycle=1, last_cycle=1
+        )
+        first, second, third = self._run(tiny_comb, [w], 3)
         assert first == third and second != first
-
-    def test_clear(self, tiny_comb):
-        fi = FaultInjector(tiny_comb)
-        fi.stuck_at("w", 1)
-        fi.clear()
-        assert fi._faults == []
-
-    def test_unknown_signal(self, tiny_comb):
-        with pytest.raises(SimulationError):
-            FaultInjector(tiny_comb).stuck_at("ghost", 0)
-
-    def test_bad_value(self, tiny_comb):
-        with pytest.raises(SimulationError):
-            FaultInjector(tiny_comb).stuck_at("w", 2)
 
 
 class TestVcd:

@@ -30,7 +30,6 @@ from repro.netlist.compiled import (
     program_for,
     words_to_int,
 )
-from repro.netlist.simulate import simulate_combinational
 from repro.util.bitops import lane_bits, unpack_bits
 from repro.workloads import (
     DebugScenario,
@@ -82,52 +81,40 @@ class TestMaskedOverrides:
         )
         a, b = net.pis
         y = net.require("y")
-        ones = np.array([np.uint64(0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
+        ones = (1 << 64) - 1
+        sim = CompiledSimulator(program_for(net), 64)
         # force y to 1 in lane 3 only, while a&b computes 0 everywhere
-        forced = (
-            np.array([np.uint64(1 << 3)], dtype=np.uint64),
-            np.array([np.uint64(1 << 3)], dtype=np.uint64),
-        )
-        vals = simulate_combinational(
-            net,
-            {a: ones.copy() * 0, b: ones.copy()},
-            overrides={y: forced},
-        )
-        assert int(vals[y][0]) == 1 << 3
+        sim.step({a: 0, b: ones}, overrides={y: (1 << 3, 1 << 3)})
+        assert sim.value(y) == 1 << 3
         # the pair blend is (clean & ~mask) | (forced & mask), lane by lane:
         # y computes 0b1100 from a=0b1100, b=ones
-        pair = (
-            np.array([0b0011], dtype=np.uint64),
-            np.array([0b1010], dtype=np.uint64),
-        )
-        stim = {a: np.array([0b1100], dtype=np.uint64), b: ones.copy()}
-        vals = simulate_combinational(net, stim, overrides={y: pair})
-        assert int(vals[y][0]) == 0b0110
-        # a plain array replaces the value wholesale
-        vals = simulate_combinational(net, stim, overrides={y: pair[0]})
-        assert int(vals[y][0]) == 0b0011
+        sim.step({a: 0b1100, b: ones}, overrides={y: (0b0011, 0b1010)})
+        assert sim.value(y) == 0b0110
+        # an all-lanes mask replaces the value wholesale
+        sim.step({a: 0b1100, b: ones}, overrides={y: (0b0011, ones)})
+        assert sim.value(y) == 0b0011
 
     def test_active_overrides_full_vs_masked_forms(self):
         full = ForcedFault(node=7, value=1)
-        forced, mask = active_override_ints([full], 0)[7]
+        forced, mask = active_override_ints([full], 0, n_lanes=64)[7]
         assert forced == mask == (1 << 64) - 1
 
         lane5 = ForcedFault(node=7, value=1, lane_mask=1 << 5)
-        forced, mask = active_override_ints([lane5], 0)[7]
+        forced, mask = active_override_ints([lane5], 0, n_lanes=64)[7]
         assert forced == mask == 1 << 5
 
     def test_active_overrides_accumulates_lanes_per_node(self):
         f0 = ForcedFault(node=3, value=1, lane_mask=1 << 0)
         f1 = ForcedFault(node=3, value=0, lane_mask=1 << 1)
-        forced, mask = active_override_ints([f0, f1], 0)[3]
+        forced, mask = active_override_ints([f0, f1], 0, n_lanes=64)[3]
         assert mask == 0b11
         assert forced == 0b01  # lane 0 forced high, lane 1 low
 
     def test_window_respected(self):
         f = ForcedFault(node=1, value=1, first_cycle=2, last_cycle=3)
-        assert active_override_ints([f], 1) is None
-        assert active_override_ints([f], 2) is not None
-        assert active_override_ints([f], 4) is None
+        assert active_override_ints([f], 1, n_lanes=64) is None
+        assert active_override_ints([f], 2, n_lanes=64) is not None
+        assert active_override_ints([f], 4, n_lanes=64) is None
 
 
 class TestLaneTraceBuffer:
@@ -406,7 +393,7 @@ def _latch_ints(engine) -> list[int]:
     """Latch state of a compiled or reference engine, as integers over
     the engine's lanes."""
     if isinstance(engine, ReferenceLaneEngine):
-        state = engine.sim._sim.state
+        state = engine.sim._state
         lanes = (1 << engine.n_lanes) - 1
         return [
             words_to_int(state[l.q]) & lanes for l in engine.mapped_net.latches

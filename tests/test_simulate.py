@@ -1,66 +1,50 @@
-"""Bit-parallel simulation."""
+"""Simulation on lane-packed integers, and the equivalence helper."""
 
 from __future__ import annotations
 
-import numpy as np
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+from parity import check_equivalent
 from repro.errors import SimulationError
-from repro.netlist import (
-    SequentialSimulator,
-    check_equivalent,
-    parse_blif,
-    random_stimulus,
-    simulate_combinational,
-)
+from repro.netlist import CompiledSimulator, parse_blif, program_for
 from repro.netlist.transforms import cleanup
 
-ONES = np.array([np.uint64(0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
-ZERO = np.array([np.uint64(0)], dtype=np.uint64)
+ONES = (1 << 64) - 1
+
+
+def _sim(net) -> CompiledSimulator:
+    return CompiledSimulator(program_for(net), 64)
 
 
 class TestCombinational:
     def test_known_vectors(self, tiny_comb):
         net = tiny_comb
-        stim = {
-            net.require("x"): ONES,
-            net.require("y"): ZERO,
-            net.require("z"): ONES,
-        }
-        vals = simulate_combinational(net, stim)
-        assert vals[net.require("out1")][0] == ONES[0]  # (x^y)&z
-        assert vals[net.require("out2")][0] == ZERO[0]  # ~x&~z
+        sim = _sim(net)
+        sim.step(
+            {net.require("x"): ONES, net.require("y"): 0, net.require("z"): ONES}
+        )
+        assert sim.value(net.require("out1")) == ONES  # (x^y)&z
+        assert sim.value(net.require("out2")) == 0  # ~x&~z
 
     def test_missing_source(self, tiny_comb):
         with pytest.raises(SimulationError):
-            simulate_combinational(tiny_comb, {})
-
-    def test_length_mismatch(self, tiny_comb):
-        net = tiny_comb
-        stim = {
-            net.require("x"): ONES,
-            net.require("y"): np.zeros(2, dtype=np.uint64),
-            net.require("z"): ONES,
-        }
-        with pytest.raises(SimulationError):
-            simulate_combinational(net, stim)
+            _sim(tiny_comb).step({})
 
     def test_override_forces_value(self, tiny_comb):
         net = tiny_comb
-        stim = {
-            net.require("x"): ONES,
-            net.require("y"): ZERO,
-            net.require("z"): ONES,
-        }
+        sim = _sim(net)
         w = net.require("w")
-        vals = simulate_combinational(net, stim, overrides={w: ZERO})
-        assert vals[w][0] == ZERO[0]
-        assert vals[net.require("out1")][0] == ZERO[0]
-
-    def test_random_stimulus_shape(self, tiny_comb, rng):
-        stim = random_stimulus(tiny_comb, 200, rng)
-        assert set(stim) == {"x", "y", "z"}
-        assert all(v.shape == (4,) for v in stim.values())
+        sim.step(
+            {net.require("x"): ONES, net.require("y"): 0, net.require("z"): ONES},
+            overrides={w: (0, ONES)},
+        )
+        assert sim.value(w) == 0
+        assert sim.value(net.require("out1")) == 0
 
 
 class TestSequential:
@@ -69,37 +53,59 @@ class TestSequential:
             ".model c\n.inputs en\n.outputs q\n.latch d q 0\n"
             ".names en q d\n01 1\n10 1\n.end\n"
         )
-        sim = SequentialSimulator(net, n_words=1)
+        sim = CompiledSimulator(program_for(net), 1)
         seen = []
         for _ in range(4):
-            vals = sim.step({net.pis[0]: ONES})
-            seen.append(int(vals[net.require("q")][0] & np.uint64(1)))
+            sim.step({net.pis[0]: 1})
+            seen.append(sim.value(net.require("q")))
         assert seen == [0, 1, 0, 1]
 
     def test_init_one(self):
         net = parse_blif(
             ".model c\n.inputs a\n.outputs q\n.latch a q 1\n.end\n"
         )
-        sim = SequentialSimulator(net)
-        vals = sim.step({net.pis[0]: ZERO})
-        assert vals[net.require("q")][0] == ONES[0]
+        sim = _sim(net)
+        sim.step({net.pis[0]: 0})
+        assert sim.value(net.require("q")) == ONES
 
     def test_reset_restores_state(self):
         net = parse_blif(
             ".model c\n.inputs a\n.outputs q\n.latch a q 0\n.end\n"
         )
-        sim = SequentialSimulator(net)
+        sim = _sim(net)
         sim.step({net.pis[0]: ONES})
         sim.step({net.pis[0]: ONES})
         sim.reset()
         assert sim.cycle == 0
-        vals = sim.step({net.pis[0]: ZERO})
-        assert vals[net.require("q")][0] == ZERO[0]
+        sim.step({net.pis[0]: 0})
+        assert sim.value(net.require("q")) == 0
 
     def test_missing_pi(self, tiny_seq):
-        sim = SequentialSimulator(tiny_seq)
         with pytest.raises(SimulationError):
-            sim.step({})
+            _sim(tiny_seq).step({})
+
+
+#: Runs ``check_equivalent`` on the tiny sequential design with every
+#: simulator step recorded, and prints the words each PI received.
+_RECORD_PI_WORDS = """
+import json
+import parity
+from conftest import TINY_SEQ_BLIF
+from repro.netlist import parse_blif
+
+net = parse_blif(TINY_SEQ_BLIF)
+words = {}
+step = parity.CompiledSimulator.step
+
+def recording_step(sim, pi_values, **kwargs):
+    for pi, w in pi_values.items():
+        words.setdefault(net.node_name(pi), []).append(w)
+    return step(sim, pi_values, **kwargs)
+
+parity.CompiledSimulator.step = recording_step
+assert parity.check_equivalent(net, net.copy(), n_vectors=64, n_cycles=4)
+print(json.dumps(words, sort_keys=True))
+"""
 
 
 class TestEquivalence:
@@ -112,8 +118,6 @@ class TestEquivalence:
 
     def test_detects_difference(self, tiny_comb):
         other = tiny_comb.copy()
-        from repro.netlist.truthtable import TruthTable
-
         f = other.require("out1")
         other.rewire(f, other.fanins(f), ~other.func(f))
         assert not check_equivalent(tiny_comb, other, n_vectors=128)
@@ -131,3 +135,25 @@ class TestEquivalence:
             ".names x d\n0 1\n.end\n"
         )
         assert not check_equivalent(a, b, n_vectors=64, n_cycles=4)
+
+    def test_pi_words_do_not_depend_on_hash_seed(self):
+        """Every PI receives the same words under any ``PYTHONHASHSEED``:
+        the vectors follow the PI order, not a set's iteration order."""
+        tests = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(tests), "src")
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", _RECORD_PI_WORDS],
+                env={
+                    **os.environ,
+                    "PYTHONHASHSEED": seed,
+                    "PYTHONPATH": os.pathsep.join([src, tests]),
+                },
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert set(json.loads(runs[0])) == {"a", "b", "c"}
+        assert runs[0] == runs[1]

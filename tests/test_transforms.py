@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from parity import check_equivalent
 from repro.netlist import (
     LogicNetwork,
-    check_equivalent,
     parse_blif,
     propagate_constants,
     remove_buffers,

@@ -288,12 +288,12 @@ class TestBitops:
 
 
 class TestLaneMaskAlgebra:
-    """Property tests for the word-packed lane-mask accumulation that
-    the compiled kernels and the reference simulator consume
+    """Property tests for the lane-mask accumulation that the compiled
+    kernels and the reference simulator consume
     (``active_override_ints``)."""
 
     @given(
-        n_words=st.integers(1, 3),
+        n_lanes=st.sampled_from([1, 5, 63, 64, 65, 96, 128, 192]),
         raw=st.lists(
             st.tuples(
                 st.integers(0, 2),  # node
@@ -310,7 +310,7 @@ class TestLaneMaskAlgebra:
         ),
         cycle=st.integers(0, 3),
     )
-    def test_accumulation_matches_per_lane_reference(self, n_words, raw, cycle):
+    def test_accumulation_matches_per_lane_reference(self, n_lanes, raw, cycle):
         faults = [
             ForcedFault(
                 node=n,
@@ -321,18 +321,18 @@ class TestLaneMaskAlgebra:
             )
             for n, v, lm, fc, lc in raw
         ]
-        got = active_override_ints(faults, cycle, n_words=n_words)
+        got = active_override_ints(faults, cycle, n_lanes=n_lanes)
 
         # naive reference: walk every lane of every in-window fault in
         # order; the last fault covering a lane decides its forced bit
-        full = (1 << (64 * n_words)) - 1
+        full = (1 << n_lanes) - 1
         ref: dict[int, tuple[int, int]] = {}
         for f in faults:
             if not f.first_cycle <= cycle <= f.last_cycle:
                 continue
             lm = full if f.lane_mask == ALL_LANES else f.lane_mask & full
             forced, mask = ref.get(f.node, (0, 0))
-            for lane in range(64 * n_words):
+            for lane in range(n_lanes):
                 if (lm >> lane) & 1:
                     mask |= 1 << lane
                     if f.value:
@@ -348,7 +348,7 @@ class TestLaneMaskAlgebra:
         ov = active_override_ints(
             [ForcedFault(node=0, value=1, lane_mask=1 << lane)],
             0,
-            n_words=n_words,
+            n_lanes=64 * n_words,
         )
         forced, mask = ov[0]
         words = [(mask >> (64 * w)) & ((1 << 64) - 1) for w in range(n_words)]

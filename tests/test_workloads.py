@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parity import reference_stuck_at_scenarios
+from parity import check_equivalent, reference_stuck_at_scenarios
 from repro.core.flow import run_generic_stage
 from repro.errors import WorkloadError
 from repro.netlist import (
-    check_equivalent,
     logic_depth,
     network_stats,
     validate_network,
