@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
 from repro.errors import DebugFlowError
 from repro.netlist.network import LogicNetwork, NodeKind
 from repro.netlist.truthtable import TruthTable
@@ -32,6 +34,7 @@ from repro.core.annotate import ParAnnotation
 from repro.core.parameters import ParameterSpace
 
 __all__ = [
+    "PickTable",
     "TapSelect",
     "TraceGroup",
     "InstrumentedDesign",
@@ -70,6 +73,17 @@ class TapSelect(NamedTuple):
     selects: tuple  # parameter indices on the tap's leaf-to-root path
     bits: tuple  # the value each of those selects takes
     observed: str  # the signal the group's buffer input then sees
+
+
+class PickTable(NamedTuple):
+    """:attr:`InstrumentedDesign.pick_table`: the :attr:`~InstrumentedDesign.
+    select_table` as arrays with one row per tapped signal, so the lane
+    engine's ``observe`` combines its picks in a few array operations."""
+
+    row: dict  # signal name → its row
+    group: np.ndarray  # the tap's trace group
+    name: np.ndarray  # the tap's name (objects): what its group then sees
+    ones: np.ndarray  # the selects its path sets to 1, padded with n_params
 
 
 @dataclass
@@ -141,6 +155,35 @@ class InstrumentedDesign:
                     observed=name,
                 )
             object.__setattr__(self, "_select_table_cache", cache)
+        return cache
+
+    @property
+    def pick_table(self) -> PickTable:
+        """The :attr:`select_table` as a :class:`PickTable`, built once
+        per design.  Picks in distinct groups set distinct selects, so
+        one scatter of their ``ones`` rows into zeros fills an assignment
+        vector of ``n_params + 1`` entries (the padding lands on the
+        last); errors are :meth:`picks`'s to report."""
+        cache = getattr(self, "_pick_table_cache", None)
+        if cache is None:
+            table = self.select_table
+            ones = [
+                [i for i, bit in zip(r.selects, r.bits) if bit]
+                for r in table.values()
+            ]
+            cache = PickTable(
+                row={name: i for i, name in enumerate(table)},
+                group=np.array([r.group for r in table.values()], np.intp),
+                name=np.array([r.observed for r in table.values()], object),
+                ones=np.full(
+                    (len(table), max(map(len, ones), default=0)),
+                    len(self.param_space),
+                    np.intp,
+                ),
+            )
+            for i, row in enumerate(ones):
+                cache.ones[i, : len(row)] = row
+            object.__setattr__(self, "_pick_table_cache", cache)
         return cache
 
     def picks(self, signals: list[str]) -> list[TapSelect]:

@@ -6,7 +6,10 @@ parameter values and swaps the changed configuration frames into the FPGA
 through the HWICAP.  Here it wraps a
 :class:`~repro.core.pconf.ParameterizedBitstream` plus a frame geometry,
 tracks the currently-loaded configuration, and reports the modeled
-on-device cost of every respecialization.  Records carry no host time:
+on-device cost of every respecialization.  A generator keeps two records
+however long a session runs (the initial load and the latest one) and a
+running overhead total, so a debug session's memory does not grow with
+its turns.  Records carry no host time:
 the §V-C.2 experiment (``analysis.experiments.run_runtime_overhead``) and
 ``benchmarks/bench_runtime_overhead.py`` time
 :meth:`~repro.core.pconf.ParameterizedBitstream.specialize` themselves.
@@ -48,13 +51,21 @@ class SpecializedConfigGenerator:
         reconfiguration (HWICAP writes whole frames).
     model:
         Device timing model used to price each operation.
+
+    ``initial`` is the first record (the initial full load) and
+    ``latest`` the most recent one; ``modeled_overhead_s`` sums the
+    modeled specialization time of every record after the first.  A
+    copy (``dataclasses.replace``) shares the records and the loaded
+    bits; specializing replaces them, never writes into them.
     """
 
     pconf: ParameterizedBitstream
     frame_bits: int = 1312
     model: Virtex5Model = field(default_factory=Virtex5Model)
     current_bits: np.ndarray | None = None
-    history: list[SpecializationRecord] = field(default_factory=list)
+    initial: SpecializationRecord | None = None
+    latest: SpecializationRecord | None = None
+    modeled_overhead_s: float = 0.0
 
     @property
     def n_frames(self) -> int:
@@ -68,6 +79,14 @@ class SpecializedConfigGenerator:
         first = np.ones(frames.size, dtype=bool)
         first[1:] = frames[1:] != frames[:-1]
         return tuple(frames[first].tolist())
+
+    def _keep(self, rec: SpecializationRecord) -> SpecializationRecord:
+        if self.initial is None:
+            self.initial = rec
+        else:
+            self.modeled_overhead_s += rec.device_cost.specialization_s
+        self.latest = rec
+        return rec
 
     def load_full(self, assignment: ParameterAssignment) -> SpecializationRecord:
         """Initial full configuration load (all frames written)."""
@@ -90,11 +109,11 @@ class SpecializedConfigGenerator:
             ),
             debug_turn_s=self.model.debug_turn_s(),
         )
-        rec = SpecializationRecord(
-            stats=stats, frames_touched=frames, device_cost=cost
+        return self._keep(
+            SpecializationRecord(
+                stats=stats, frames_touched=frames, device_cost=cost
+            )
         )
-        self.history.append(rec)
-        return rec
 
     def respecialize(self, assignment: ParameterAssignment) -> SpecializationRecord:
         """Specialize for a new signal set; only changed frames are rewritten.
@@ -113,12 +132,12 @@ class SpecializedConfigGenerator:
             n_tunable_bits=stats.n_tunable_bits,
             n_frames_touched=len(frames),
         )
-        rec = SpecializationRecord(
-            stats=stats, frames_touched=frames, device_cost=cost
+        return self._keep(
+            SpecializationRecord(
+                stats=stats, frames_touched=frames, device_cost=cost
+            )
         )
-        self.history.append(rec)
-        return rec
 
     def total_modeled_overhead_s(self) -> float:
         """Summed device-side specialization time over the session."""
-        return sum(r.device_cost.specialization_s for r in self.history[1:])
+        return self.modeled_overhead_s

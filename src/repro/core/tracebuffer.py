@@ -9,6 +9,7 @@ the window brackets the event of interest — the standard ELA behaviour.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,9 +17,6 @@ import numpy as np
 from repro.errors import DebugFlowError
 
 __all__ = ["TraceBuffer", "LaneTraceBuffer", "LaneView"]
-
-#: Bit position of each lane within its 64-lane word.
-_BIT_SHIFTS = np.arange(64, dtype=np.uint64)
 
 
 class TraceBuffer:
@@ -103,13 +101,16 @@ class LaneTraceBuffer:
     """Lane-packed capture memory: one :class:`TraceBuffer` per SIMD lane.
 
     The lane-parallel debug engine runs many scenarios through one packed
-    emulation; each cell of this buffer is a row of ``n_words`` ``uint64``
-    words whose bit *k* of word *w* is lane ``64*w + k``'s sample for
-    that (cycle, channel).  One :meth:`capture` call per cycle records
-    *every* lane — O(width × words) regardless of lane count, which is
-    what keeps trace capture off the per-scenario cost sheet.  Lane
-    counts beyond 64 simply widen the rows (the multi-word addressing the
-    compiled-kernel engine uses for >64-lane campaigns).
+    emulation; each sample it hands over is a row of ``n_words``
+    ``uint64`` words per channel whose bit *k* of word *w* is lane
+    ``64*w + k``'s sample for that (cycle, channel).  The memory keeps
+    each cell's lanes as ``ceil(n_lanes / 8)`` bytes (the words' low
+    bytes: lane *k* is bit ``k % 8`` of byte ``k // 8``), so a one-lane
+    buffer stores a byte per sample.  One :meth:`capture` call per cycle
+    records *every* lane — O(width × words) regardless of lane count,
+    which is what keeps trace capture off the per-scenario cost sheet.
+    Lane counts beyond 64 simply widen the rows (the multi-word
+    addressing the compiled-kernel engine uses for >64-lane campaigns).
 
     Per-lane trigger/stop state is tracked so one lane can freeze its
     post-trigger window while the others keep recording: captures blend
@@ -118,7 +119,8 @@ class LaneTraceBuffer:
     extracts one lane's history bit-for-bit identical to what a solo
     :class:`TraceBuffer` would have recorded.  A window reads only rows
     captured since the last :meth:`reset` while its lane was active, so a
-    reset rewinds the counters and leaves the memory as it is.
+    reset rewinds the counters and leaves the memory as it is.  Memory
+    bits past the last lane are never written and stay zero.
     """
 
     def __init__(
@@ -138,27 +140,38 @@ class LaneTraceBuffer:
         self.n_lanes = n_lanes
         self.n_words = (n_lanes + 63) >> 6
         self.post_trigger = depth // 2 if post_trigger is None else post_trigger
-        self._mem = np.zeros((depth, width, self.n_words), dtype=np.uint64)
+        # an anonymous mapping: rows no capture reaches stay out of the
+        # resident set, however small the memory (the allocator zeroes
+        # small blocks it hands out from its heap)
+        self._n_bytes = (n_lanes + 7) >> 3
+        self._mem = np.frombuffer(
+            mmap.mmap(-1, depth * width * self._n_bytes), dtype=np.uint8
+        ).reshape(depth, width, self._n_bytes)
+        self._count = np.zeros(n_lanes, dtype=np.int64)
+        self._triggered_at = np.empty(n_lanes, dtype=np.int64)
+        self._remaining = np.empty(n_lanes, dtype=np.int64)
+        self._stopped = np.zeros(n_lanes, dtype=bool)
+        self._stop_head = np.zeros(n_lanes, dtype=np.int64)
+        self._all_lanes = np.packbits(~self._stopped, bitorder="little")
         self.reset()
 
-    def _lane_masks(self, active: np.ndarray) -> np.ndarray:
-        """``(n_words,)`` word mask of the lanes ``active`` (a per-lane
-        bool array) marks."""
-        bits = np.zeros(64 * self.n_words, dtype=np.uint64)
-        bits[: self.n_lanes] = active
-        return np.bitwise_or.reduce(
-            bits.reshape(self.n_words, 64) << _BIT_SHIFTS, axis=1
-        )
+    def _cells(self, rows: np.ndarray) -> np.ndarray:
+        """The lane bytes of ``(..., n_words)`` ``uint64`` word rows."""
+        if rows.strides[-1] != rows.itemsize:
+            rows = np.ascontiguousarray(rows)
+        return rows.view(np.uint8)[..., : self._n_bytes]
 
     def reset(self) -> None:
+        """Rewind every lane's counters and trigger state in place; the
+        memory keeps its rows (no window reads them again)."""
         self._head = 0
         self._cycle = 0
-        self._count = np.zeros(self.n_lanes, dtype=np.int64)
-        self._triggered_at = np.full(self.n_lanes, -1, dtype=np.int64)
-        self._remaining = np.full(self.n_lanes, -1, dtype=np.int64)
-        self._stopped = np.zeros(self.n_lanes, dtype=bool)
-        self._stop_head = np.zeros(self.n_lanes, dtype=np.int64)
-        self._active_mask = self._lane_masks(~self._stopped)
+        self._count.fill(0)
+        self._triggered_at.fill(-1)
+        self._remaining.fill(-1)
+        self._stopped.fill(False)
+        self._stop_head.fill(0)
+        self._active_mask = self._all_lanes
 
     @property
     def cycle(self) -> int:
@@ -194,8 +207,9 @@ class LaneTraceBuffer:
                 f"sample shape {row.shape} != buffer shape "
                 f"({self.width}, {self.n_words})"
             )
-        self._mem[self._head] = (self._mem[self._head] & ~amask) | (row & amask)
-        self._head = (self._head + 1) % self.depth
+        mem, head = self._mem, self._head
+        mem[head] = (mem[head] & ~amask) | (self._cells(row) & amask)
+        self._head = (head + 1) % self.depth
         active = ~self._stopped
         np.minimum(self._count + 1, self.depth, out=self._count, where=active)
         if trigger_mask:
@@ -219,15 +233,21 @@ class LaneTraceBuffer:
             if newly.any():
                 self._stopped |= newly
                 self._stop_head[newly] = self._head
-                self._active_mask = self._lane_masks(~self._stopped)
+                self._active_mask = np.packbits(
+                    ~self._stopped, bitorder="little"
+                )
 
     def capture_block(self, samples: np.ndarray) -> None:
         """Record consecutive cycles' packed samples with no trigger:
         ``samples[c]`` is cycle *c*'s ``(width, n_words)`` row.  The same
         state as one :meth:`capture` per row; while a lane counts down a
-        post-trigger stop (which may end inside the block) it is that."""
+        post-trigger stop (which may end inside the block) it is that.
+        With no lane stopped and no wrap of the ring the block lands as
+        one slice store; otherwise each row is blended into the memory
+        so stopped lanes keep their bits."""
         n = len(samples)
-        if (self._remaining[~self._stopped] >= 0).any():
+        active = ~self._stopped
+        if (self._remaining[active] >= 0).any():
             for row in samples:
                 self.capture(row)
             return
@@ -241,26 +261,34 @@ class LaneTraceBuffer:
                 f"sample shape {rows.shape[1:]} != buffer shape "
                 f"({self.width}, {self.n_words})"
             )
-        keep = min(n, self.depth)  # a longer block wraps over its own rows
-        idx = (self._head + n - keep + np.arange(keep)) % self.depth
-        self._mem[idx] = (self._mem[idx] & ~amask) | (rows[n - keep :] & amask)
-        self._head = (self._head + n) % self.depth
-        np.minimum(
-            self._count + n, self.depth, out=self._count, where=~self._stopped
-        )
+        mem, cells, head = self._mem, self._cells(rows), self._head
+        if head + n <= self.depth and active.all():
+            np.bitwise_and(cells, amask, out=mem[head : head + n])
+        else:
+            keep = min(n, self.depth)  # a longer block wraps over its own rows
+            idx = (head + n - keep + np.arange(keep)) % self.depth
+            mem[idx] = (mem[idx] & ~amask) | (cells[n - keep :] & amask)
+        self._head = (head + n) % self.depth
+        np.minimum(self._count + n, self.depth, out=self._count, where=active)
 
     def window(self, lane: int = 0) -> np.ndarray:
-        """Lane ``lane``'s captured samples, oldest first, ``uint8``."""
+        """Lane ``lane``'s captured samples, oldest first: a fresh
+        ``(n_captured, width)`` ``uint8`` array, read as a slice unless
+        the window wraps the ring."""
         if not 0 <= lane < self.n_lanes:
             raise DebugFlowError(f"lane {lane} out of range")
         count = int(self._count[lane])
         end = int(self._stop_head[lane]) if self._stopped[lane] else self._head
-        start = (end - count) % self.depth
-        idx = (start + np.arange(count)) % self.depth
-        word, bit = lane >> 6, lane & 63
-        return (
-            (self._mem[idx, :, word] >> np.uint64(bit)) & np.uint64(1)
-        ).astype(np.uint8)
+        start = end - count
+        byte, bit = lane >> 3, lane & 7
+        if start >= 0:
+            cells = self._mem[start:end, :, byte]
+        else:
+            idx = (start + np.arange(count)) % self.depth
+            cells = self._mem[idx, :, byte]
+        if bit:
+            cells = cells >> bit
+        return cells & 1
 
     def channel(self, index: int, lane: int = 0) -> np.ndarray:
         """One channel's captured history for one lane, oldest first."""

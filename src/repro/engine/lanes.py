@@ -19,7 +19,7 @@ node's per-cycle value is an ``n_lanes``-bit integer (lane *k* at bit
 hands the kernel lane-packed integer stimulus and lane-masked override
 indices, and reads trace samples and PO words straight out of the kernel
 state — no per-node dicts, no per-cycle array allocation.  Every array
-view (stimulus scripts, select bits, trace memory, PO captures) keeps
+view (stimulus scripts, select bits, trace samples, PO captures) keeps
 ``n_words = ceil(n_lanes / 64)`` ``uint64`` words per value, lane *k* at
 word ``k // 64``, bit ``k % 64``; the conversion to and from a block's
 integers is the simulator's row helpers'
@@ -36,14 +36,15 @@ n_lanes, (c+1) * n_lanes)``: the user PIs' words are packed out of the
 script rows in one step, callable stimuli are consulted cycle by cycle,
 and the select-parameter words — in the program's late-PI order — are
 held across the block in one vectorised step per observation and block
-length.
+length.  The user PIs' words of a ``(cycle, n_cycles)`` block are kept
+until a lane rebinds a script, so a replay from cycle 0 packs nothing.
 
 A debug turn changes only what is observed.  :meth:`LaneEngine.observe`
-resolves its signals through the design's per-tap select table
-(:meth:`~repro.core.muxnet.InstrumentedDesign.picks`) and lands them in
-the assignment vector with one scatter; the emulation program is split
-at the select parameters, so a replay whose stimulus, start state and
-faults repeat re-runs only the select cone (see
+looks its signals up in the design's per-tap table
+(:attr:`~repro.core.muxnet.InstrumentedDesign.pick_table`) and lands
+them in the assignment vector with one scatter; the emulation program is
+split at the select parameters, so a replay whose stimulus, start state
+and faults repeat re-runs only the select cone (see
 :meth:`~repro.netlist.compiled.CompiledSimulator.run_block`).
 
 Correctness bar: lane *k* of a packed run is bit-for-bit what a solo
@@ -89,7 +90,7 @@ Stimulus = Callable[[int], Mapping[str, int]]
 StimulusLike = "Stimulus | Sequence[Mapping[str, int]] | None"
 
 
-@dataclass
+@dataclass(slots=True)
 class DebugTurnLog:
     """Bookkeeping for one observe+run round (of one lane)."""
 
@@ -216,16 +217,18 @@ class LaneEngine:
         initial.load_full(zeros)
         initial.current_bits.flags.writeable = False
         self.scgs: list[SpecializedConfigGenerator] = [
-            replace(initial, history=list(initial.history))
-            for _ in range(n_lanes)
+            replace(initial) for _ in range(n_lanes)
         ]
         self.assignments: list[ParameterAssignment] = [zeros] * n_lanes
         # what each buffer input sees with every select at 0: a group no
         # pick routes keeps it
-        self._unrouted = self.design.observed_at({})
-        self._group_pos = [g.po_name for g in self.design.groups]
-        self._observed: list[dict[str, str]] = [
-            dict(self._unrouted) for _ in range(n_lanes)
+        unrouted = self.design.observed_at({})
+        self._group_pos = list(unrouted)
+        self._unrouted_names = np.array(list(unrouted.values()), object)
+        # each lane's observed signals in buffer order: its observed map's
+        # values and its waveforms' keys
+        self._observed: list[list[str]] = [
+            list(unrouted.values()) for _ in range(n_lanes)
         ]
         self.turns: list[list[DebugTurnLog]] = [[] for _ in range(n_lanes)]
         self._forces: list[list[ForcedFault]] = [[] for _ in range(n_lanes)]
@@ -235,9 +238,11 @@ class LaneEngine:
         ] * n_lanes
         # packed scripts as one row of words per user PI, a row of
         # ``n_words`` per cycle and a block of zero cycles past the
-        # longest script (block stimulus packs a slice of them); rebuilt
-        # when a script changes
+        # longest script (block stimulus packs a slice of them), and the
+        # user PI words of each ``(cycle, n_cycles)`` block packed from
+        # them; both dropped when a lane rebinds a script
         self._script_rows: np.ndarray | None = None
+        self._script_words: dict[tuple[int, int], list[int]] = {}
 
     # -- lanes ------------------------------------------------------------------
 
@@ -263,13 +268,17 @@ class LaneEngine:
         if stimulus is not None and not callable(stimulus):
             if self._stim_scripts[lane] is not stimulus:
                 self._stim_scripts[lane] = stimulus
-                self._script_rows = None
+                self._drop_packed_scripts()
             self._stim_fns[lane] = None
         else:
             self._stim_fns[lane] = stimulus
             if self._stim_scripts[lane] is not None:
                 self._stim_scripts[lane] = None
-                self._script_rows = None
+                self._drop_packed_scripts()
+
+    def _drop_packed_scripts(self) -> None:
+        self._script_rows = None
+        self._script_words.clear()
 
     # -- observation ------------------------------------------------------------
 
@@ -285,29 +294,44 @@ class LaneEngine:
         lane*), packs the lane's select-parameter values into its bit of
         the packed parameter-PI words, and logs the turn.  Other lanes'
         observations are untouched — each lane can watch a different
-        signal set in the same packed emulation.  The picks come from
-        the design's per-tap select table
-        (:meth:`~repro.core.muxnet.InstrumentedDesign.picks`) and land in
-        the assignment vector in one scatter.
+        signal set in the same packed emulation.  Each signal is one
+        lookup in the design's per-tap table
+        (:attr:`~repro.core.muxnet.InstrumentedDesign.pick_table`); the
+        picks' rows then fill the assignment vector in one scatter and
+        the lane's observed names in another.  An unknown or untapped
+        signal, or two picks in one trace group, fall back to
+        :meth:`~repro.core.muxnet.InstrumentedDesign.picks`, which raises
+        the error.
         """
         self._check_lane(lane)
-        rows = self.design.picks(signals)
-        vector = np.zeros(len(self._param_pis), dtype=np.uint8)
-        vector[[i for row in rows for i in row.selects]] = [
-            bit for row in rows for bit in row.bits
-        ]
+        table = self.design.pick_table
+        try:
+            rows = np.fromiter(
+                map(table.row.__getitem__, signals), np.intp, len(signals)
+            )
+        except KeyError:
+            rows = None
+        if rows is None or self._collide(table.group.take(rows)):
+            # picks raises its unknown, untapped or collision error
+            rows = np.array(
+                [table.row[r.observed] for r in self.design.picks(signals)],
+                dtype=np.intp,
+            )
+        vector = np.zeros(len(self._param_pis) + 1, dtype=np.uint8)
+        vector[table.ones.take(rows, axis=0)] = 1
+        vector = vector[:-1]
         assignment = ParameterAssignment(self.design.param_space, vector)
         self.assignments[lane] = assignment
         rec = self.scgs[lane].respecialize(assignment)
-        column = self._param_bits[:, lane >> 6]
         shift = np.uint64(lane & 63)
+        column = self._param_bits[:, lane >> 6]
         column &= ~(np.uint64(1) << shift)
-        column |= vector.astype(np.uint64) << shift
+        column |= np.left_shift(vector, shift, dtype=np.uint64)
         self._param_words.clear()
-        observed = dict(self._unrouted)
-        for row in rows:
-            observed[self._group_pos[row.group]] = row.observed
-        self._observed[lane] = observed
+        names = self._unrouted_names.copy()
+        names[table.group.take(rows)] = table.name.take(rows)
+        names = names.tolist()
+        self._observed[lane] = names
         self.turns[lane].append(
             DebugTurnLog(
                 cycles_run=0,
@@ -315,12 +339,18 @@ class LaneEngine:
                 frames_touched=len(rec.frames_touched),
             )
         )
-        return dict(self._observed[lane])
+        return self.observed(lane)
+
+    def _collide(self, groups: np.ndarray) -> bool:
+        """Whether two picks share a trace group."""
+        hit = np.zeros(len(self._group_pos), dtype=bool)
+        hit[groups] = True
+        return int(np.count_nonzero(hit)) != len(groups)
 
     def observed(self, lane: int = 0) -> dict[str, str]:
         """Lane's current buffer input → observed signal name."""
         self._check_lane(lane)
-        return dict(self._observed[lane])
+        return dict(zip(self._group_pos, self._observed[lane]))
 
     # -- fault forcing ------------------------------------------------------------
 
@@ -441,7 +471,9 @@ class LaneEngine:
         words = self._param_words.get(n_cycles)
         if words is None:
             words = self._param_words[n_cycles] = held_block_ints(
-                self._param_bits[self._late_rows], n_cycles, self.n_lanes
+                self._param_bits.take(self._late_rows, axis=0),
+                n_cycles,
+                self.n_lanes,
             )
         return words
 
@@ -450,13 +482,19 @@ class LaneEngine:
         the program's PI order: lane stimulus from the packed scripts and
         callable stimuli row by row (the user PIs), then the select
         parameters held across the block."""
-        rows = self._packed_scripts()
-        lo, hi = cycle * self.n_words, (cycle + n_cycles) * self.n_words
-        if hi <= rows.shape[1]:
-            words = block_ints(rows[:, lo:hi], n_cycles, self.n_lanes)
-        else:  # past every script
-            words = [0] * len(self._user_pis)
+        words = self._script_words.get((cycle, n_cycles))
+        if words is None:
+            rows = self._packed_scripts()
+            lo, hi = cycle * self.n_words, (cycle + n_cycles) * self.n_words
+            if hi <= rows.shape[1]:
+                words = self._script_words[cycle, n_cycles] = block_ints(
+                    rows[:, lo:hi], n_cycles, self.n_lanes
+                )
+            else:  # past every script
+                words = [0] * len(self._user_pis)
         fns = [(lane, fn) for lane, fn in enumerate(self._stim_fns) if fn]
+        if fns:
+            words = list(words)  # callable stimulus is never kept
         width = self.n_lanes
         for c in range(n_cycles if fns else 0):
             rows_c = [(1 << lane, fn(cycle + c)) for lane, fn in fns]
@@ -651,13 +689,11 @@ class LaneEngine:
     # -- results --------------------------------------------------------------------
 
     def waveforms(self, lane: int = 0) -> dict[str, np.ndarray]:
-        """Lane's captured windows keyed by its observed *signal* names."""
+        """Lane's captured windows keyed by its observed *signal* names:
+        rows of one fresh array, so later turns leave them as they are."""
         self._check_lane(lane)
-        observed = self._observed[lane]
-        return {
-            observed[po]: column
-            for po, column in zip(self._group_pos, self.trace.window(lane).T)
-        }
+        channels = np.ascontiguousarray(self.trace.window(lane).T)
+        return dict(zip(self._observed[lane], channels))
 
     # -- accounting ------------------------------------------------------------
 

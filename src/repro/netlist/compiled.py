@@ -804,6 +804,9 @@ class CompiledSimulator:
         self._blk_notmask: list[int] = []
         self._armed: list[int] = []
         self._clean_kernel = program.code.kernel("clean")
+        self._latch_inits = [
+            self.full_mask if init == 1 else 0 for init in program.latch_inits
+        ]
         self.reset()
 
     # -- state ---------------------------------------------------------------
@@ -821,8 +824,7 @@ class CompiledSimulator:
         self._blk_mask = 0  # re-fold block constants on the next block
         self._dirty_consts.clear()
         self._dirty_consts_blk.clear()
-        for i, init in enumerate(self.program.latch_inits):
-            self.latch_state[i] = full if init == 1 else 0
+        self.latch_state[:] = self._latch_inits
         if self._rec_cap and self._rec is None:
             self._rec = np.zeros(
                 (self._rec_cap, len(self.latch_state), self.n_words),

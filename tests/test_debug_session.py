@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.core.debug import DebugSession
@@ -129,6 +132,38 @@ class TestSession:
         session.run(5, stimulus=lambda c: {"a": 1})
         session.reset()
         assert session.trace.cycle == 0
+
+    def test_turns_retain_little_memory(self, offline):
+        # a session keeps one small log per turn, not every turn's SCG
+        # record (frames, stats and cost report: about 0.6 KB here)
+        session = DebugSession(offline, trace_depth=16)
+        design = session.design
+        groups = [
+            [design.network.node_name(t) for t in g.path]
+            for g in design.groups
+        ]
+        script = [{"a": c & 1, "b": c >> 1 & 1, "c": 1} for c in range(8)]
+
+        def turn(i):
+            session.observe([names[i % len(names)] for names in groups])
+            session.reset()
+            session.run(8, stimulus=script)
+            session.waveforms()
+
+        for i in range(20):
+            turn(i)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(200):
+                turn(i)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(session.turns) == 220
+        assert retained / 200 < 200
 
 
 class TestStrategies:

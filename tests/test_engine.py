@@ -364,17 +364,20 @@ class TestLaneIsolation:
         engine = LaneEngine(offline, n_lanes=2)
         first, second = engine.scgs
         # one initial load serves every lane
-        assert first.history[0] is second.history[0]
-        bits, history = second.current_bits.copy(), list(second.history)
+        assert first.initial is second.initial
+        assert first.latest is first.initial
+        bits, latest = second.current_bits.copy(), second.latest
         sig = next(
             s
             for s in engine.observable_signals
             if any(engine.design.selection_for([s]).values())
         )
         engine.observe([sig], lane=0)
-        assert len(first.history) == 2
+        assert first.latest is not first.initial
+        assert first.modeled_overhead_s > 0
         assert not np.array_equal(first.current_bits, bits)
-        assert second.history == history
+        assert second.latest is latest
+        assert second.modeled_overhead_s == 0
         assert np.array_equal(second.current_bits, bits)
         # the shared bits are read-only: no lane can write through them
         assert not second.current_bits.flags.writeable
@@ -913,6 +916,79 @@ class TestScriptPacking:
         session.reset()
         session.output_trace(12, stimulus=script)
         assert len(calls) == 4
+
+
+class TestTurnReuse:
+    """What one turn keeps for the next: user PI words per ``(cycle,
+    n_cycles)`` until a lane rebinds a script, select words until the
+    next observation, and the trace memory.  Kept words equal a fresh
+    engine's pack, and a turn's waveforms keep their values."""
+
+    def test_kept_block_words_equal_a_fresh_pack(self, offline, golden):
+        stims = [stimulus_script(golden, 12, seed) for seed in (1, 2, 3)]
+        taps = DebugSession(offline).observable_signals
+        observed: dict[int, list[str]] = {}
+        engine = LaneEngine(offline, n_lanes=3)
+        for lane, stim in enumerate(stims):
+            engine.bind_stimulus(lane, stim)
+
+        def assert_fresh(cycle, n_cycles):
+            fresh = LaneEngine(offline, n_lanes=3)
+            for lane, stim in enumerate(stims):
+                fresh.bind_stimulus(lane, stim)
+            for lane, signals in observed.items():
+                fresh.observe(signals, lane=lane)
+            got = engine._block_pi_words(cycle, n_cycles)
+            assert got == fresh._block_pi_words(cycle, n_cycles)
+
+        assert_fresh(0, 8)
+        # one lane of three rebinds its script
+        stims[1] = stimulus_script(golden, 12, 9)
+        engine.bind_stimulus(1, stims[1])
+        assert_fresh(0, 8)
+        # an observation rebuilds the select words only
+        observed[2] = [taps[3]]
+        engine.observe(observed[2], lane=2)
+        assert_fresh(0, 8)
+        # another block start and length
+        assert_fresh(4, 5)
+        assert_fresh(0, 8)
+        # a callable stimulus is consulted on every pack, never kept
+        flips = [0]
+
+        def flipping(cycle):
+            return {pi: bit ^ flips[0] for pi, bit in stims[1][cycle].items()}
+
+        stims[0] = flipping
+        engine.bind_stimulus(0, flipping)
+        assert_fresh(0, 8)
+        flips[0] = 1
+        assert_fresh(0, 8)
+
+    def test_waveforms_keep_their_values_after_the_next_turn(
+        self, offline, golden
+    ):
+        session = DebugSession(offline)
+        signals = session.observable_signals[:1]
+        session.observe(signals)
+        session.reset()
+        window = session.run(16, stimulus=stimulus_script(golden, 16, 4))
+        waves = session.waveforms()
+        kept = {name: wave.copy() for name, wave in waves.items()}
+        kept_window = window.copy()
+        changed = False
+        for seed in (5, 6, 7):
+            session.observe(signals)
+            session.reset()
+            session.run(16, stimulus=stimulus_script(golden, 16, seed))
+            later = session.waveforms()
+            changed |= any(
+                not np.array_equal(later[name], kept[name]) for name in kept
+            )
+        assert changed  # the later turns wrote other values
+        assert np.array_equal(window, kept_window)
+        for name, wave in kept.items():
+            assert np.array_equal(waves[name], wave)
 
 
 def _walk_selection(design, signals):

@@ -88,14 +88,22 @@ class TestScg:
         with pytest.raises(SpecializationError):
             scg.respecialize(offline.instrumented.param_space.zeros())
 
-    def test_history_grows(self, offline):
+    def test_keeps_initial_and_latest_records(self, offline):
+        # a session keeps two records and a running total, not one
+        # record per turn
         vp = build_virtual_pconf(offline.mapping, offline.instrumented)
         scg = SpecializedConfigGenerator(vp.bitstream)
         space = offline.instrumented.param_space
-        scg.load_full(space.zeros())
-        scg.respecialize(space.zeros())
-        assert len(scg.history) == 2
-        assert scg.total_modeled_overhead_s() >= 0
+        first = scg.load_full(space.zeros())
+        assert scg.initial is first and scg.latest is first
+        assert scg.total_modeled_overhead_s() == 0
+        recs = [scg.respecialize(space.zeros()) for _ in range(3)]
+        assert scg.initial is first
+        assert scg.latest is recs[-1]
+        want = 0
+        for rec in recs:
+            want += rec.device_cost.specialization_s
+        assert scg.total_modeled_overhead_s() == want > 0
 
     def test_frames_count(self, offline):
         vp = build_virtual_pconf(offline.mapping, offline.instrumented)

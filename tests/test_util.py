@@ -427,3 +427,31 @@ class TestLaneTraceBufferLayout:
                 assert ltb.window(lane).tolist() == solo.window().tolist()
                 assert ltb.stopped(lane) == solo.stopped
                 assert ltb.triggered_at(lane) == solo.triggered_at
+
+    @pytest.mark.parametrize("post_trigger", [2, 9])
+    def test_block_over_an_armed_lane_matches_row_captures(
+        self, post_trigger
+    ):
+        # lane 1 triggers on cycle 0.  With a post-trigger of 2 it stops
+        # after cycle 1, and the ring wraps so the block lands on its two
+        # rows; with 9 its countdown ends inside the block.
+        width, depth, n_lanes = 2, 8, 3
+        ones = np.full((width, 1), 0b111, dtype=np.uint64)
+        block = np.full((4, width, 1), 0b101, dtype=np.uint64)
+        rows, blocked = (
+            LaneTraceBuffer(width, depth, n_lanes=n_lanes,
+                            post_trigger=post_trigger)
+            for _ in range(2)
+        )
+        for buf in (rows, blocked):
+            for cycle in range(depth):
+                buf.capture(ones, trigger_mask=0b010 if cycle == 0 else 0)
+        for sample in block:
+            rows.capture(sample)
+        blocked.capture_block(block)
+        assert blocked.cycle == rows.cycle
+        for lane in range(n_lanes):
+            assert blocked.window(lane).tolist() == rows.window(lane).tolist()
+            assert blocked.stopped(lane) == rows.stopped(lane)
+            assert blocked.triggered_at(lane) == rows.triggered_at(lane)
+        assert rows.stopped(1) and not rows.stopped(0)
