@@ -4,16 +4,17 @@ Three measurements, one per acceptance criterion:
 
 * **per-step** (fast; the CI bench-smoke floor): a single packed
   emulation step of the mapped campaign design at 64 lanes, compiled
-  (:class:`~repro.netlist.compiled.CompiledSimulator` — generated
-  straight-line kernel over lane-packed integers) vs interpreted (the
-  per-gate numpy cover evaluation of
+  (:class:`~repro.netlist.compiled.CompiledSimulator` — a one-cycle
+  pass of the generated straight-line kernel over lane-packed integers)
+  vs interpreted (the per-gate numpy cover evaluation of
   ``benchmarks/ref_simulate.py::ReferenceKernel``), both fed the same
   integers.  Target: **≥5× single-word step speedup**.
 * **block axis** (fast; the CI block floor): per-cycle cost of one
-  compiled program stepped a cycle at a time vs evaluated in
-  cycle-batched blocks (``run_block``), on a larger mapped design at
-  1, 24, 64, 256, 512 and 1024 lanes (a simulator carries exactly its
-  lanes, so the narrow legs evaluate narrower values).  Target: **≥3×
+  compiled program stepped a cycle at a time (one-cycle passes) vs
+  evaluated in cycle-batched blocks (``run_block``), on a larger mapped
+  design at 1, 24, 64, 256, 512 and 1024 lanes (a simulator carries
+  exactly its lanes, so the narrow legs evaluate narrower values).
+  Target: **≥3×
   block-over-step throughput at 512 lanes**, recorded as
   ``block_speedup`` next to its ``block_floor`` so
   ``tools/bench_report.py --check`` re-enforces it.
@@ -192,8 +193,8 @@ def test_online_phase_speedup(results_dir):
 
 
 def test_backend_axis_block_legs(results_dir):
-    """Block axis: per-cycle kernel cost of python steps and python
-    blocks on the wide design at 1 to 1024 lanes.  Block stimulus is
+    """Block axis: per-cycle kernel cost of python steps (one-cycle
+    passes) and python blocks on the wide design at 1 to 1024 lanes.  Block stimulus is
     prepared up front as block-wide integers, so only kernel passes are
     timed."""
     import random

@@ -15,7 +15,7 @@ from benchmarks.conftest import emit_json
 from repro.core.boolfunc import bf_conj, bf_var
 from repro.core.parameters import ParameterSpace
 from repro.core.pconf import ParameterizedBitstream
-from repro.bitgen.partial import changed_frames
+from repro.core.scg import SpecializedConfigGenerator
 from repro.netlist.compiled import CompiledSimulator, program_for, words_to_int
 from repro.workloads import generate_circuit, get_spec
 from repro.util.rng import RngHub
@@ -55,12 +55,16 @@ def test_boolfunc_eval_speed(benchmark):
 
 
 def test_frame_diff_speed(benchmark):
+    """The SCG's diff of two configurations into rewritten frames."""
     rng = np.random.default_rng(3)
     old = rng.integers(0, 2, size=200_000).astype(np.uint8)
     new = old.copy()
     flips = rng.integers(0, old.size, size=40)
     new[flips] ^= 1
-    frames = benchmark(changed_frames, old, new, 1312)
+    scg = SpecializedConfigGenerator(
+        ParameterizedBitstream(ParameterSpace(), n_bits=old.size)
+    )
+    frames = benchmark(scg._frames_of_changes, old, new)
     assert 1 <= len(frames) <= 40
 
 

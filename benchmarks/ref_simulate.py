@@ -24,7 +24,7 @@ Not part of the package — the program simulates through
 from __future__ import annotations
 
 import contextlib
-from typing import Mapping
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -83,19 +83,26 @@ def _eval_gate(
 class ReferenceKernel:
     """The reference simulator behind the part of
     :class:`~repro.netlist.compiled.CompiledSimulator`'s API the tests,
-    the benchmarks and the lane engine step through: lane-packed integer
-    stimulus and ``(forced, mask)`` overrides in, lane-packed node values
-    out, one cycle per pass.  Like the compiled simulator it serves
-    exactly ``n_lanes`` lanes: it evaluates whole ``uint64`` words and
-    reads back only the lanes it has."""
+    the benchmarks, the golden pass and the lane engine run: lane-packed
+    integer stimulus and ``(forced, mask)`` overrides in, lane-packed
+    node values out, one cycle per pass (:meth:`step`, or
+    :meth:`run_block` with a block span of one).  Like the compiled
+    simulator it serves exactly ``n_lanes`` lanes: it evaluates whole
+    ``uint64`` words and reads back only the lanes it has.
+
+    :meth:`run_block` takes its PI words as a mapping, or as a list in
+    ``pi_order`` (the lane engine's program PI order)."""
 
     backend = "interpreted"
     block_cycles = 1
 
-    def __init__(self, net: LogicNetwork, n_lanes: int = 64) -> None:
+    def __init__(
+        self, net: LogicNetwork, n_lanes: int = 64, *, pi_order=None
+    ) -> None:
         self.net = net
         self.n_lanes = n_lanes
         self.n_words = (n_lanes + 63) // 64
+        self.pi_order = tuple(net.pis if pi_order is None else pi_order)
         self._full = (1 << n_lanes) - 1
         self._word_lanes = int_to_words(self._full, self.n_words)
         self._values: dict[int, np.ndarray] = {}
@@ -140,14 +147,23 @@ class ReferenceKernel:
         self.cycle += 1
         self._values = values
 
+    def run_block(self, pi_words, n_cycles: int, overrides=None) -> int:
+        """A pass of the block span, one cycle: :meth:`step` on
+        ``pi_words`` (a PI mapping, or a list in ``pi_order``) and
+        ``overrides``; returns the one cycle consumed."""
+        if not isinstance(pi_words, Mapping):
+            pi_words = dict(zip(self.pi_order, pi_words))
+        self.step(pi_words, overrides=overrides)
+        return 1
+
     def node_ints(self, nodes) -> list[int]:
         return [words_to_int(self._values[n]) & self._full for n in nodes]
 
-    def export_words(self, nodes, buf: bytearray) -> None:
-        width = 8 * self.n_words
+    def block_export(self, nodes, out: np.ndarray) -> None:
+        """The last cycle's rows for ``nodes`` on the first ``n_words``
+        columns of ``out``."""
         for i, n in enumerate(nodes):
-            row = self._values[n] & self._word_lanes
-            buf[i * width : (i + 1) * width] = row.tobytes()
+            out[i, : self.n_words] = self._values[n] & self._word_lanes
 
 
 class ReferenceLaneEngine(LaneEngine):
@@ -156,7 +172,9 @@ class ReferenceLaneEngine(LaneEngine):
 
     def __init__(self, offline, **kwargs) -> None:
         super().__init__(offline, **kwargs)
-        self.sim = ReferenceKernel(self.mapped_net, self.n_lanes)
+        self.sim = ReferenceKernel(
+            self.mapped_net, self.n_lanes, pi_order=self._pi_order
+        )
         self.backend = self.sim.backend
 
 
@@ -164,7 +182,7 @@ class ReferenceLaneEngine(LaneEngine):
 def reference_online():
     """Run campaigns' online phase on the reference simulator: lane
     batches emulate on :class:`ReferenceLaneEngine` and golden passes
-    (:func:`repro.workloads.scenarios.packed_signal_traces`) step
+    (:func:`repro.workloads.scenarios.packed_signal_traces`) run
     :class:`ReferenceKernel` on the golden network itself.  Patches
     in-process names only, so campaigns must run with ``workers=1``."""
     import repro.campaign.runner as runner

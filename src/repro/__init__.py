@@ -46,7 +46,6 @@ from repro.core import (
     OfflineStage,
     ParameterizedBitstream,
     SpecializedConfigGenerator,
-    TraceBuffer,
     Virtex5Model,
     build_trace_network,
     run_generic_stage,
@@ -83,7 +82,6 @@ __all__ = [
     "OfflineStage",
     "ParameterizedBitstream",
     "SpecializedConfigGenerator",
-    "TraceBuffer",
     "Virtex5Model",
     "build_trace_network",
     "run_generic_stage",

@@ -1,18 +1,16 @@
-"""Bitstream generation and partial reconfiguration.
+"""Bitstream generation.
 
 Lowers a packed/placed/routed design onto the device's configuration
 cells, producing a :class:`~repro.core.pconf.ParameterizedBitstream` whose
-tunable bits realize the TCON/TLUT machinery, plus frame-diff utilities
-for dynamic partial reconfiguration.
+tunable bits realize the TCON/TLUT machinery.  The frames a
+respecialization rewrites are the SCG's
+(:class:`~repro.core.scg.SpecializedConfigGenerator`).
 """
 
 from repro.bitgen.genbit import IoMap, generate_bitstream, GeneratedBitstream
-from repro.bitgen.partial import changed_frames, frame_view
 
 __all__ = [
     "IoMap",
     "generate_bitstream",
     "GeneratedBitstream",
-    "changed_frames",
-    "frame_view",
 ]

@@ -23,7 +23,6 @@ from repro.core.muxnet import (
     TraceGroup,
     build_trace_network,
 )
-from repro.core.tracebuffer import TraceBuffer
 from repro.core.pconf import ParameterizedBitstream
 from repro.core.scg import SpecializedConfigGenerator
 from repro.core.flow import DebugFlowConfig, OfflineStage, run_generic_stage
@@ -53,7 +52,6 @@ __all__ = [
     "InstrumentedDesign",
     "TraceGroup",
     "build_trace_network",
-    "TraceBuffer",
     "ParameterizedBitstream",
     "SpecializedConfigGenerator",
     "DebugFlowConfig",

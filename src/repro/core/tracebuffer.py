@@ -2,9 +2,10 @@
 
 A trace buffer is an embedded memory that records, every cycle, the value
 of each of its inputs (§I of the paper).  The model is a circular buffer of
-``depth`` samples × ``width`` channels with an optional trigger: once the
-trigger fires, capture continues for ``post_trigger`` samples and stops, so
-the window brackets the event of interest — the standard ELA behaviour.
+``depth`` samples × ``width`` channels per lane with an optional trigger:
+once a lane's trigger fires, its capture continues for ``post_trigger``
+samples and stops, so its window brackets the event of interest — the
+standard ELA behaviour.
 """
 
 from __future__ import annotations
@@ -16,89 +17,12 @@ import numpy as np
 
 from repro.errors import DebugFlowError
 
-__all__ = ["TraceBuffer", "LaneTraceBuffer", "LaneView"]
-
-
-class TraceBuffer:
-    """Circular capture memory.
-
-    >>> tb = TraceBuffer(width=2, depth=4)
-    >>> for t in range(6):
-    ...     tb.capture([t % 2, 1])
-    >>> tb.window().shape
-    (4, 2)
-    >>> tb.window()[-1].tolist()   # most recent sample last
-    [1, 1]
-    """
-
-    def __init__(self, width: int, depth: int, *, post_trigger: int | None = None):
-        if width <= 0 or depth <= 0:
-            raise DebugFlowError("trace buffer width/depth must be positive")
-        self.width = width
-        self.depth = depth
-        self.post_trigger = depth // 2 if post_trigger is None else post_trigger
-        self._mem = np.zeros((depth, width), dtype=np.uint8)
-        self._head = 0
-        self._count = 0
-        self._triggered_at: int | None = None
-        self._remaining: int | None = None
-        self.stopped = False
-        self._cycle = 0
-
-    def reset(self) -> None:
-        self._mem[:] = 0
-        self._head = 0
-        self._count = 0
-        self._triggered_at = None
-        self._remaining = None
-        self.stopped = False
-        self._cycle = 0
-
-    @property
-    def cycle(self) -> int:
-        """Cycles observed since reset (captured or not)."""
-        return self._cycle
-
-    @property
-    def triggered_at(self) -> int | None:
-        return self._triggered_at
-
-    def capture(self, sample, *, trigger: bool = False) -> None:
-        """Record one cycle's sample unless capture already stopped."""
-        self._cycle += 1
-        if self.stopped:
-            return
-        row = np.asarray(sample, dtype=np.uint8)
-        if row.shape != (self.width,):
-            raise DebugFlowError(
-                f"sample width {row.shape} != buffer width {self.width}"
-            )
-        self._mem[self._head] = row
-        self._head = (self._head + 1) % self.depth
-        self._count = min(self._count + 1, self.depth)
-        if trigger and self._triggered_at is None:
-            self._triggered_at = self._cycle - 1
-            self._remaining = self.post_trigger
-        if self._remaining is not None:
-            self._remaining -= 1
-            if self._remaining <= 0:
-                self.stopped = True
-
-    def window(self) -> np.ndarray:
-        """Captured samples, oldest first, shape ``(n_captured, width)``."""
-        if self._count < self.depth:
-            return self._mem[: self._count].copy()
-        return np.roll(self._mem, -self._head, axis=0).copy()
-
-    def channel(self, index: int) -> np.ndarray:
-        """One channel's captured history, oldest first."""
-        if not 0 <= index < self.width:
-            raise DebugFlowError(f"channel {index} out of range")
-        return self.window()[:, index]
+__all__ = ["LaneTraceBuffer", "LaneView"]
 
 
 class LaneTraceBuffer:
-    """Lane-packed capture memory: one :class:`TraceBuffer` per SIMD lane.
+    """Lane-packed capture memory: one circular trace buffer per SIMD
+    lane.
 
     The lane-parallel debug engine runs many scenarios through one packed
     emulation; each sample it hands over is a row of ``n_words``
@@ -116,8 +40,9 @@ class LaneTraceBuffer:
     post-trigger window while the others keep recording: captures blend
     ``mem = (mem & ~active) | (sample & active)``, so a stopped lane's
     bits survive later wraps of the ring untouched.  :meth:`window`
-    extracts one lane's history bit-for-bit identical to what a solo
-    :class:`TraceBuffer` would have recorded.  A window reads only rows
+    extracts one lane's history bit-for-bit identical to what a one-lane
+    buffer fed that lane's samples would have recorded (the tests check
+    it against ``benchmarks/ref_tracebuffer.py``).  A window reads only rows
     captured since the last :meth:`reset` while its lane was active, so a
     reset rewinds the counters and leaves the memory as it is.  Memory
     bits past the last lane are never written and stay zero.
@@ -192,8 +117,8 @@ class LaneTraceBuffer:
         channel (bit *k* of word *w* = lane ``64*w + k``); a flat
         ``(width,)`` array is accepted for single-word buffers.
         ``trigger_mask`` arms the post-trigger stop for the lanes whose
-        bits are set, mirroring ``TraceBuffer.capture(trigger=...)`` lane
-        by lane.
+        bits are set: such a lane captures ``post_trigger`` samples from
+        this one on, then stops.
         """
         self._cycle += 1
         amask = self._active_mask
@@ -298,10 +223,11 @@ class LaneTraceBuffer:
 
 
 class LaneView:
-    """A single lane of a :class:`LaneTraceBuffer`, with the solo
-    :class:`TraceBuffer` read API — what :class:`~repro.core.debug.
-    DebugSession` hands back as its ``trace`` now that the session is a
-    one-lane facade over the engine.  ``reset`` clears the *shared*
+    """A single lane of a :class:`LaneTraceBuffer`, read as a one-lane
+    buffer (``window``, ``channel``, ``stopped``, ``triggered_at``) —
+    what :class:`~repro.core.debug.DebugSession` hands back as its
+    ``trace`` now that the session is a one-lane facade over the
+    engine.  ``reset`` clears the *shared*
     buffer, which is exact for the facade (one lane) and what batch
     drivers want anyway (all lanes re-arm together each turn)."""
 

@@ -74,7 +74,6 @@ from repro.netlist.compiled import (
     block_ints,
     block_rows,
     held_block_ints,
-    int_to_words,
     network_signature,
 )
 from repro.util.bitops import pack_lane_scripts, words_for_bits
@@ -193,16 +192,8 @@ class LaneEngine:
             self.mapped_net.require(po) for po in self._user_po_names
         ]
 
-        # preallocated packed-sample row the trace capture reads through
-        # (rebound per cycle from the kernel's integer values; zero numpy
-        # allocation on the emulation fast path)
-        self._word_bytes = 8 * self.n_words
-        self._sample_buf = bytearray(len(self._tb_nodes) * self._word_bytes)
-        self._sample_view = np.frombuffer(
-            self._sample_buf, dtype=np.uint64
-        ).reshape(len(self._tb_nodes), self.n_words)
-        # block gather buffers: allocated on the first run with more than
-        # one cycle per block
+        # the passes' export buffers, ``block_cycles`` cycles wide, each
+        # allocated by the first call of the loop that reads it
         self._blk_tb: np.ndarray | None = None
         self._blk_po: np.ndarray | None = None
 
@@ -509,19 +500,16 @@ class LaneEngine:
 
     def _advance(self, cycle: int, n_cycles: int) -> int:
         """Emulate up to ``n_cycles`` cycles from ``cycle`` with every
-        lane's stimulus and active faults; return the cycles consumed.
-        One kernel step when the kernel's block span is one cycle, else
-        one :meth:`~repro.netlist.compiled.CompiledSimulator.run_block`
-        pass, which may consume fewer cycles than it evaluated."""
+        lane's stimulus and active faults in one
+        :meth:`~repro.netlist.compiled.CompiledSimulator.run_block` pass
+        of the kernel's block span; return the cycles consumed, which may
+        be fewer than the pass evaluated."""
         n = self.sim.block_span(n_cycles)
-        pi_words = self._block_pi_words(cycle, n)
-        overrides = self._block_overrides(cycle, n)
-        if n == 1:
-            self.sim.step(
-                dict(zip(self._pi_order, pi_words)), overrides=overrides
-            )
-            return 1
-        return self.sim.run_block(pi_words, n, overrides)
+        return self.sim.run_block(
+            self._block_pi_words(cycle, n),
+            n,
+            self._block_overrides(cycle, n),
+        )
 
     def _trigger_mask(self, triggers, cycle: int, sample: np.ndarray) -> int:
         """Evaluate each lane's trigger against its view of this cycle's
@@ -582,22 +570,19 @@ class LaneEngine:
         sim = self.sim
         tb_nodes = self._tb_nodes
         blk = sim.block_cycles
-        if blk > 1 and self._blk_tb is None:
+        if self._blk_tb is None:
             self._blk_tb = np.empty(
                 (len(tb_nodes), blk * self.n_words), dtype=np.uint64
             )
+        per_cycle = self._blk_tb.reshape(
+            len(tb_nodes), blk, self.n_words
+        ).swapaxes(0, 1)
         done = 0
         base = sim.cycle
         while done < n_cycles:
             n_batch = self._advance(base + done, n_cycles - done)
-            if n_batch == 1:
-                sim.export_words(tb_nodes, self._sample_buf)
-                samples = self._sample_view[None]
-            else:
-                sim.block_export(tb_nodes, self._blk_tb)
-                samples = self._blk_tb.reshape(
-                    len(tb_nodes), blk, self.n_words
-                ).swapaxes(0, 1)[:n_batch]
+            sim.block_export(tb_nodes, self._blk_tb)
+            samples = per_cycle[:n_batch]
             if triggers:
                 for c, sample in enumerate(samples):
                     self.trace.capture(
@@ -650,33 +635,22 @@ class LaneEngine:
         nw = self.n_words
         out = np.zeros((n_cycles, n_po, nw), dtype=np.uint64)
         blk = sim.block_cycles
-        if blk > 1 and self._blk_po is None:
+        if self._blk_po is None:
             self._blk_po = np.empty((n_po, blk * nw), dtype=np.uint64)
+        block = self._blk_po.reshape(n_po, blk, nw)
         ran = 0
         base = sim.cycle
         stopped = False
         while ran < n_cycles and not stopped:
             n_batch = self._advance(base + ran, n_cycles - ran)
-            if n_batch == 1:
-                block = None
-                row = sim.node_ints(po_ids)
-                if nw == 1:
-                    for j, x in enumerate(row):
-                        out[ran, j, 0] = x
-                else:
-                    for j, x in enumerate(row):
-                        out[ran, j] = int_to_words(x, nw)
-            else:
-                sim.block_export(po_ids, self._blk_po)
-                block = self._blk_po.reshape(n_po, blk, nw)
-                out[ran : ran + n_batch] = block[:, :n_batch].swapaxes(0, 1)
+            sim.block_export(po_ids, self._blk_po)
+            out[ran : ran + n_batch] = block[:, :n_batch].swapaxes(0, 1)
             if stop is not None:
                 for c in range(n_batch):
-                    if block is not None:
-                        row = [
-                            int.from_bytes(block[j, c].tobytes(), "little")
-                            for j in range(n_po)
-                        ]
+                    row = [
+                        int.from_bytes(block[j, c].tobytes(), "little")
+                        for j in range(n_po)
+                    ]
                     if stop(ran + c, row):
                         if c + 1 < n_batch:
                             sim.rewind_block(c + 1)

@@ -37,7 +37,9 @@ Cycle batching
 The simulator evaluates *blocks* of cycles in one pass: cycle *c* of a
 block occupies bits ``[c * L, (c+1) * L)`` of every value, so the same
 generated kernels run over ``C * L``-bit integers with ``M`` set to the
-block mask (a one-lane 32-cycle block is a 32-bit value).
+block mask (a one-lane 32-cycle block is a 32-bit value).  A pass is the
+simulator's one evaluation path over its one node-value list: a step is
+a one-cycle pass.
 Sequential programs batch by checked prediction: the simulator records
 the latch state at the start of every cycle since reset, feeds a block's
 later cycles the recorded states, and consumes only the prefix whose
@@ -49,8 +51,8 @@ through any latch whose driver it reaches — is late, every other op is
 early and runs first, and no generated chunk mixes the two.  Early ops
 read only early sources, so a block pass whose early inputs (start
 cycle, span, latch state, latch record, early PI words and overrides)
-equal the last pass's would recompute exactly the early values the block
-state still holds: the simulator then rewrites only the late PI words,
+equal the last pass's would recompute exactly the early values the node
+values still hold: the simulator then rewrites only the late PI words,
 runs only the late chunks, and restores the last pass's consumed count,
 latch state and driver rows.  The lane engine's emulation programs are
 split at the select parameters, so a debug turn that changes only what
@@ -59,17 +61,19 @@ is observed re-evaluates only the select cone.
 Overrides (fault forcing) resolve through precomputed node indices: gate
 overrides blend inside a second generated kernel via per-node
 ``(forced, ~mask)`` tables (``value = (clean & ~mask) | (forced & mask)``
-per lane), while source and folded-constant overrides blend before the
-kernel runs.  Each kernel kind is generated on first use, so a pass that
-never arms a gate override (every golden pass) compiles only ``clean``.
+per lane; a node's neutral entries, ``0`` and ``-1``, leave its value as
+it is at any pass width), while source and folded-constant overrides
+blend before the kernel runs.  Each kernel kind is generated on first
+use, so a pass that never arms a gate override (every golden pass)
+compiles only ``clean``.
 
 Program caching
 ---------------
 Compilation costs one cover extraction + codegen pass per network.  In a
-process, :func:`program_for` memoizes programs per network *instance*
-(revalidated against the structural signature, so in-place rewires
-recompile) and per signature in a bounded LRU (every
-``mapping.to_lut_network()`` call builds a fresh but identical network).
+process, :func:`program_for` memoizes programs per structural signature
+and split in a bounded LRU: every ``mapping.to_lut_network()`` call
+builds a fresh but identical network, which shares the program, and an
+in-place rewire changes the signature, which recompiles.
 Across processes, the mapped network's program is part of the pipeline's
 ``emulation`` stage artifact (:mod:`repro.pipeline.stages`), which
 generates both kernel kinds only when it pickles: its :class:`KernelCode`
@@ -90,7 +94,6 @@ from collections.abc import Mapping, Sequence
 from importlib.util import MAGIC_NUMBER
 from types import CodeType
 from typing import Callable
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -332,7 +335,8 @@ def _op_exprs(ops) -> "list[tuple[int, str]]":
 #: is the all-lanes mask); ``forced(v, M, f, nm)`` additionally blends each
 #: result through the per-node forced/not-mask tables — ``v[n] = (expr &
 #: nm[n]) | f[n]``, which with the tables at their neutral values (``0`` /
-#: ``M``) is the clean result, so only overridden nodes need armed slots.
+#: ``-1``, every bit set) is the clean result at any width, so only
+#: overridden nodes need armed slots.
 _KERNEL_KINDS = {
     "clean": ("v, M", "v[{node}] = {expr}"),
     "forced": ("v, M, f, nm", "v[{node}] = (({expr})&nm[{node}])|f[{node}]"),
@@ -565,9 +569,8 @@ def compile_network(
     )
 
 
-# -- program caches ----------------------------------------------------------
+# -- program cache -----------------------------------------------------------
 
-_BY_NET: "WeakKeyDictionary[LogicNetwork, CompiledProgram]" = WeakKeyDictionary()
 _BY_KEY: "OrderedDict[tuple, CompiledProgram]" = OrderedDict()
 _BY_KEY_LIMIT = 64
 
@@ -576,28 +579,19 @@ def program_for(net: LogicNetwork, *, late=()) -> CompiledProgram:
     """The compiled program for ``net``, split at the ``late`` PIs (see
     :func:`compile_network`), memoized in this process.
 
-    Programs are memoized per network instance (signature-revalidated, so
-    in-place rewires recompile) and per signature (so regenerated
-    identical networks — every ``to_lut_network()`` call — share one
-    program and its generated kernels), each under its split.
+    Programs are memoized per structural signature and split, so
+    regenerated identical networks — every ``to_lut_network()`` call —
+    share one program and its generated kernels, and an in-place rewire
+    (a new signature) recompiles.
     """
-    sig = network_signature(net)
-    late = tuple(sorted(set(late)))
-    hit = _BY_NET.get(net)
-    if hit is not None and hit.signature == sig and hit.late_sources == late:
-        return hit
-    key = (sig, late)
+    key = (network_signature(net), tuple(sorted(set(late))))
     program = _BY_KEY.get(key)
     if program is None:
-        program = compile_network(net, signature=sig, late=late)
+        program = compile_network(net, signature=key[0], late=key[1])
     _BY_KEY[key] = program
     _BY_KEY.move_to_end(key)
     while len(_BY_KEY) > _BY_KEY_LIMIT:
         _BY_KEY.popitem(last=False)
-    try:
-        _BY_NET[net] = program
-    except TypeError:  # pragma: no cover — un-weakref-able network subclass
-        pass
     return program
 
 
@@ -722,29 +716,30 @@ def _runs(nodes, at: int) -> "list[tuple[int, int, int]]":
 
 class CompiledSimulator:
     """Executes a :class:`CompiledProgram` over ``n_lanes`` SIMD lanes,
-    one cycle or one block of cycles per evaluation pass.
+    one evaluation pass of one or more cycles at a time.
 
-    The generated big-int kernels are the one kernel implementation.  All
-    per-cycle state lives in preallocated containers: the flat value list
-    (one ``n_lanes``-bit integer per node), the latch-state list and the
-    forced/not-mask override tables.  A step is: write PI and latch-output
-    slots, run the generated kernel, capture next latch state — nothing
-    allocates an array.
+    The generated big-int kernels are the one kernel implementation, and
+    one pass runs them: :meth:`run_block` evaluates up to
+    :attr:`block_cycles` cycles, and :meth:`step` is a one-cycle pass.
+    All state lives in preallocated containers: one node-value list (a
+    ``C * n_lanes``-bit integer per node after a ``C``-cycle pass), the
+    latch-state list and one forced/not-mask override table, neutral at
+    every pass width.  A pass writes the PI and latch-output slots, runs
+    the generated kernel and captures the next latch state.
 
-    :meth:`run_block` batches cycles (up to :attr:`block_cycles` per
-    pass), and :attr:`values`, :meth:`value`, :meth:`node_ints` and
-    :meth:`export_words` serve node values.  Sequential programs batch by
-    checked prediction: the simulator records the latch state at the
-    start of every cycle since reset, keeps that record across resets,
-    and feeds a block's later cycles the recorded states (see
-    :meth:`run_block`).
+    :attr:`values`, :meth:`value` and :meth:`node_ints` serve the last
+    consumed cycle and :meth:`block_export` every evaluated cycle.
+    Sequential programs batch by checked prediction: the simulator
+    records the latch state at the start of every cycle since reset,
+    keeps that record across resets, and feeds a block's later cycles the
+    recorded states (see :meth:`run_block`).
 
     ``n_lanes`` (default: one 64-lane word) fixes the value width;
     ``n_words`` is derived from it and sizes every ``uint64`` row view.
     ``64 * n_words`` lanes give the historical word-packed layout bit for
     bit.  It is the package's one simulator API: the lane engine, golden
     passes (:func:`repro.workloads.scenarios.packed_signal_traces`) and
-    the bitstream emulator (:class:`repro.emu.FpgaEmulator`) all step it
+    the bitstream emulator (:class:`repro.emu.FpgaEmulator`) all run it
     on lane-packed integers.
     """
 
@@ -770,19 +765,15 @@ class CompiledSimulator:
         self._late_runs = _runs(order[n_early:], n_early)
         at = {x: i for i, x in enumerate(program.pi_nodes)}
         self._stim_rows = np.array([at[x] for x in order], dtype=np.intp)
-        self._dirty_consts: list[int] = []
-        self._dirty_consts_blk: list[int] = []
-        self._word_bytes = 8 * self.n_words
         self._block_cycles = max(
             1, min(MAX_BLOCK_CYCLES, BLOCK_TARGET_WORDS // self.n_words)
         )
-        # the last run_block pass: cycles evaluated and consumed, its
-        # latch-driver rows, and the slot per-cycle reads see (None: the
-        # per-cycle state of the last step)
+        # the last pass: cycles evaluated and consumed, its latch-driver
+        # rows, and the slot per-cycle reads see
         self._blk_len = 0
         self._last_block = 0
         self._blk_drivers: "np.ndarray | None" = None
-        self._slot: "int | None" = None
+        self._slot = 0
         # the early inputs of the last full pass of a split program and
         # what that pass left: (consumed, latch state, driver rows)
         self._key: "tuple | None" = None
@@ -796,34 +787,32 @@ class CompiledSimulator:
         self._rec_cap = (
             RECORD_MAX_WORDS // (n_latches * self.n_words) if n_latches else 0
         )
-        self._v: list[int] = [0] * n
-        self._bv: list[int] = [0] * n  # block values, C cycles wide
-        self._blk_mask = 0  # the block width _bv's constants hold
+        # node values, C cycles wide after a C-cycle pass, and the width
+        # their constants are folded at
+        self._bv: list[int] = [0] * n
+        self._blk_mask = 0
+        self._dirty_consts: list[int] = []
+        # gate-override tables, neutral at every width: f = 0, nm = -1
+        # (every bit set, so expr & nm == expr)
         self._forced: list[int] = [0] * n
-        self._notmask: list[int] = [self.full_mask] * n
-        self._blk_notmask: list[int] = []
+        self._notmask: list[int] = [-1] * n
         self._armed: list[int] = []
         self._clean_kernel = program.code.kernel("clean")
         self._latch_inits = [
             self.full_mask if init == 1 else 0 for init in program.latch_inits
         ]
+        self._blk_begin(self.full_mask)  # reads before a pass see constants
         self.reset()
 
     # -- state ---------------------------------------------------------------
 
     def reset(self) -> None:
-        """Reload latch initial values and re-fold constants (the latch
-        record is kept: it predicts the next run from this reset)."""
+        """Reload latch initial values (the latch record is kept: it
+        predicts the next run from this reset).  The node values stay as
+        the last pass left them: a repeated pass of a split program
+        reuses them."""
         self.cycle = 0
-        self._slot = None
         self._last_block = 0
-        full = self.full_mask
-        v = self._v
-        for node, const in self.program.const_nodes:
-            v[node] = full if const else 0
-        self._blk_mask = 0  # re-fold block constants on the next block
-        self._dirty_consts.clear()
-        self._dirty_consts_blk.clear()
         self.latch_state[:] = self._latch_inits
         if self._rec_cap and self._rec is None:
             self._rec = np.zeros(
@@ -835,10 +824,8 @@ class CompiledSimulator:
 
     @property
     def values(self) -> "list[int]":
-        """Every node's lane-packed value on the current cycle (after a
-        :meth:`run_block`, a fresh read-only list)."""
-        if self._slot is None:
-            return self._v
+        """Every node's lane-packed value on the current cycle, as a
+        fresh read-only list."""
         sh = self.n_lanes * self._slot
         full = self.full_mask
         return [(x >> sh) & full for x in self._bv]
@@ -850,51 +837,26 @@ class CompiledSimulator:
     def node_ints(self, nodes) -> "list[int]":
         """Lane-packed integer values for a list of node ids, without
         materializing the full state."""
-        if self._slot is None:
-            v = self._v
-            return [v[n] for n in nodes]
         bv = self._bv
         sh = self.n_lanes * self._slot
         full = self.full_mask
         return [(bv[n] >> sh) & full for n in nodes]
 
-    def export_words(self, nodes, buf: bytearray) -> None:
-        """Serialize ``nodes``' per-cycle values into ``buf``
-        (little-endian, ``8 * n_words`` bytes per node) — the engine's
-        per-cycle trace-sample capture."""
-        bl = self._word_bytes
-        pos = 0
-        for x in self.node_ints(nodes):
-            buf[pos : pos + bl] = x.to_bytes(bl, "little")
-            pos += bl
-
     # -- evaluation ----------------------------------------------------------
 
-    def _restore_consts(self) -> None:
-        if not self._dirty_consts:
-            return
-        full = self.full_mask
-        cv = self.program.const_value
-        v = self._v
-        for node in self._dirty_consts:
-            v[node] = full if cv[node] else 0
-        self._dirty_consts.clear()
+    def _eval(self, full: int, overrides, late: bool = False) -> None:
+        """Run one combinational settle of the node values, ``full``
+        wide (with ``late``, only the program's late ops).
 
-    def _eval(
-        self, v, full: int, nm, dirty, overrides, late: bool = False
-    ) -> None:
-        """Run one combinational settle of value list ``v`` (with
-        ``late``, only the program's late ops).
-
-        Values are ``full`` wide and ``nm`` is the not-mask table neutral
-        at ``full``.  ``overrides`` maps node → ``(forced, mask)``
-        word-packed integer pairs: source and folded-constant overrides
-        blend into ``v`` before the kernel runs (overridden constants are
-        noted in ``dirty``); gate overrides blend through the forced
+        ``overrides`` maps node → ``(forced, mask)`` word-packed integer
+        pairs: source and folded-constant overrides blend into the values
+        before the kernel runs (overridden constants are noted for the
+        next pass to refold); gate overrides blend through the forced
         kernel's per-node tables the moment the gate is evaluated, so its
         fanouts see the forced value (the forced kernel is linked on the
         first armed gate override).
         """
+        v = self._bv
         if not overrides:
             if late:
                 self.program.code.kernel("clean", late=True)(v, full)
@@ -904,7 +866,7 @@ class CompiledSimulator:
         is_op = self.program.is_op
         const_value = self.program.const_value
         armed = self._armed
-        f = self._forced
+        f, nm = self._forced, self._notmask
         for node, (forced, mask) in overrides.items():
             forced &= full
             mask &= full
@@ -915,47 +877,17 @@ class CompiledSimulator:
             else:
                 v[node] = (v[node] & (full ^ mask)) | (forced & mask)
                 if node in const_value:
-                    dirty.append(node)
+                    self._dirty_consts.append(node)
         if armed:
             self.program.code.kernel("forced", late=late)(v, full, f, nm)
             for node in armed:
                 f[node] = 0
-                nm[node] = full
+                nm[node] = -1
             armed.clear()
         else:
             self.program.code.kernel("clean", late=late)(v, full)
 
-    # -- stepping -------------------------------------------------------------
-
-    def step(
-        self,
-        pi_values: "Mapping[int, int]",
-        *,
-        overrides: "Mapping[int, tuple[int, int]] | None" = None,
-    ) -> None:
-        """Advance one clock cycle over lane-packed integer stimulus."""
-        self._restore_consts()
-        self._slot = None
-        self._last_block = 0
-        full = self.full_mask
-        state = self.latch_state
-        v = self._v
-        try:
-            for pid in self.program.pi_nodes:
-                v[pid] = pi_values[pid] & full
-        except KeyError as exc:
-            raise SimulationError(
-                f"cycle {self.cycle}: no value for PI node {exc.args[0]}"
-            ) from exc
-        for i, q in enumerate(self.program.latch_qs):
-            v[q] = state[i]
-        self._eval(v, full, self._notmask, self._dirty_consts, overrides)
-        for i, d in enumerate(self.program.latch_drivers):
-            state[i] = v[d]
-        self.cycle += 1
-        self._record_state()
-
-    # -- latch-state record ----------------------------------------------------
+    # -- latch-state rows ----------------------------------------------------
 
     def _state_rows(self) -> "np.ndarray":
         """The current latch state as an ``(n_latches, n_words)`` array."""
@@ -964,21 +896,7 @@ class CompiledSimulator:
     def _set_state_rows(self, rows: "np.ndarray") -> None:
         self.latch_state[:] = block_ints(rows, 1, self.n_lanes)
 
-    def _record_state(self) -> None:
-        """Record the state a step reached; a state that differs from the
-        recorded one ends the record there (what follows was predicted
-        from another trajectory)."""
-        c = self.cycle
-        if c >= self._rec_cap:
-            return
-        rows = self._state_rows()
-        if c < self._rec_len and np.array_equal(self._rec[c], rows):
-            return
-        self._rec[c] = rows
-        self._rec_len = c + 1
-        self._rec_version += 1
-
-    # -- cycle batching ----------------------------------------------------------
+    # -- passes --------------------------------------------------------------
 
     @property
     def block_cycles(self) -> int:
@@ -991,12 +909,22 @@ class CompiledSimulator:
         """Cycles of the next ``n_cycles`` that one :meth:`run_block`
         pass evaluates: up to :attr:`block_cycles`, and for sequential
         programs only as far as the latch record predicts (the current
-        cycle plus the recorded states ahead of it).  ``1`` means the
-        next cycle is best stepped."""
+        cycle plus the recorded states ahead of it)."""
         span = min(n_cycles, self._block_cycles)
         if self.program.latch_qs:
             span = min(span, self._rec_len - self.cycle)
         return max(1, span)
+
+    def step(
+        self,
+        pi_values: "Mapping[int, int]",
+        *,
+        overrides: "Mapping[int, tuple[int, int]] | None" = None,
+    ) -> None:
+        """Advance one clock cycle: a one-cycle :meth:`run_block` pass
+        over ``pi_values``, a mapping of every PI node to its lane-packed
+        integer, with per-cycle ``(forced, mask)`` overrides."""
+        self._run_block(1, pi_values, None, overrides)
 
     def run_block(
         self,
@@ -1026,12 +954,12 @@ class CompiledSimulator:
         rest rewound, and the corrected state recorded.  A wrong
         prediction costs a pass, never a wrong value.  The pass covers
         :meth:`block_span` cycles, so cycles with no prediction are
-        evaluated one per pass.
+        evaluated one per pass; a one-cycle pass records the state it
+        reached the same way.
 
         After the call, per-cycle reads (:attr:`values`, :meth:`value`,
-        :meth:`node_ints`, :meth:`export_words`) see the
-        last consumed cycle and :meth:`block_export` serves every
-        evaluated cycle's values.
+        :meth:`node_ints`) see the last consumed cycle and
+        :meth:`block_export` serves every evaluated cycle's values.
 
         A program split at late PIs (:func:`compile_network`) whose late
         cone reaches no latch keeps the early inputs of its last full
@@ -1039,8 +967,9 @@ class CompiledSimulator:
         early PI words and overrides.  A pass with equal early inputs
         writes only the late PI words, runs only the late ops and takes
         the last pass's consumed count, latch state and driver rows: the
-        early ops read only early sources, so they would recompute the
-        values the block state still holds.
+        early ops read only early sources, so they would recompute what
+        the node values still hold.  Every pass, a one-cycle pass
+        included, keeps or clears those inputs before it writes a value.
         """
         return self._run_block(n_cycles, pi_words, None, overrides)
 
@@ -1114,10 +1043,7 @@ class CompiledSimulator:
         pred = self._predict(n) if program.latch_qs else None
         if pred is not None:
             self._blk_write(program.latch_qs, pred, n)
-        self._eval(
-            self._bv, mask, self._blk_notmask, self._dirty_consts_blk,
-            overrides,
-        )
+        self._eval(mask, overrides)
         consumed = n
         if pred is not None:
             drivers = self._blk_rows(program.latch_drivers, n)
@@ -1129,17 +1055,14 @@ class CompiledSimulator:
 
     def _rerun_late(self, words, n: int, mask: int, overrides) -> int:
         """The pass the last one was, but for the late PI words: the
-        early values it left in the block state are what this pass would
+        early values it left in the node values are what this pass would
         compute, so only the late ops run, and its consumed cycles, latch
         state and driver rows are the last pass's."""
         self._write(self._late_runs, words)
         if overrides:
             is_late = self.program.is_late
             overrides = {x: ov for x, ov in overrides.items() if is_late[x]}
-        self._eval(
-            self._bv, mask, self._blk_notmask, self._dirty_consts_blk,
-            overrides, late=True,
-        )
+        self._eval(mask, overrides, late=True)
         consumed, state, self._blk_drivers = self._after
         self.latch_state[:] = state
         return self._finish_block(n, consumed)
@@ -1210,19 +1133,19 @@ class CompiledSimulator:
     # -- block state -----------------------------------------------------------
 
     def _blk_begin(self, mask: int) -> None:
-        """Ready the block values for ``mask``-wide evaluation: constants
-        folded and the not-mask table neutral at ``mask``."""
+        """Ready the node values for ``mask``-wide evaluation: constants
+        folded at ``mask`` (only the overridden ones when the width
+        repeats)."""
         bv = self._bv
         if mask != self._blk_mask:
             for node, const in self.program.const_nodes:
                 bv[node] = mask if const else 0
-            self._blk_notmask = [mask] * self.program.n_nodes
             self._blk_mask = mask
         else:
             cv = self.program.const_value
-            for node in self._dirty_consts_blk:
+            for node in self._dirty_consts:
                 bv[node] = mask if cv[node] else 0
-        self._dirty_consts_blk.clear()
+        self._dirty_consts.clear()
 
     def _blk_write(self, nodes, rows: "np.ndarray", n: int) -> None:
         """Land ``(len(nodes), >= n * n_words)`` source rows on the block
@@ -1238,11 +1161,11 @@ class CompiledSimulator:
 
     def rewind_block(self, n_consumed: int) -> None:
         """Declare that only the first ``n_consumed`` cycles of the last
-        :meth:`run_block` pass were used (an early-stop predicate fired
-        mid-block): the cycle counter and latch state rewind past the
-        overshoot and per-cycle reads see cycle ``n_consumed - 1`` —
-        exactly the state a cycle-by-cycle run stopping there would
-        leave."""
+        pass were used (an early-stop predicate fired mid-block): the
+        cycle counter and latch state rewind past the overshoot and
+        per-cycle reads see cycle ``n_consumed - 1`` — exactly the state
+        a cycle-by-cycle run stopping there would leave.  After a
+        one-cycle pass, ``rewind_block(1)`` changes nothing."""
         last = self._last_block
         if not 0 < n_consumed <= last:
             raise SimulationError(
@@ -1255,12 +1178,18 @@ class CompiledSimulator:
         self._slot = n_consumed - 1
 
     def block_export(self, nodes, out: "np.ndarray") -> None:
-        """Gather the last :meth:`run_block` pass's rows for ``nodes``
-        into preallocated ``out`` of shape ``(len(nodes), block_cycles *
-        n_words)`` — reshape to ``(len(nodes), block_cycles, n_words)``
-        for per-cycle views.  Only the consumed cycles are meaningful."""
+        """Gather the last pass's rows for ``nodes`` into preallocated
+        ``out``: its ``C`` evaluated cycles land on the first ``C *
+        n_words`` columns of ``(len(nodes), >= C * n_words)`` ``out``.  A
+        ``(len(nodes), block_cycles * n_words)`` buffer holds any pass
+        (reshape it to ``(len(nodes), block_cycles, n_words)`` for
+        per-cycle views), and a view of a longer array at the pass's
+        first cycle exports in place.  Only the consumed cycles are
+        meaningful: a pass may evaluate more cycles than it consumes, and
+        the next pass, exported at its own first cycle, overwrites
+        them."""
         if not self._blk_len:
-            raise SimulationError("block_export before any run_block")
+            raise SimulationError("block_export before any pass")
         out[:, : self._blk_len * self.n_words] = self._blk_rows(
             nodes, self._blk_len
         )

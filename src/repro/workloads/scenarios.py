@@ -226,8 +226,10 @@ def packed_signal_traces(
     pass per :meth:`~repro.netlist.compiled.CompiledSimulator.block_span`
     cycles (a combinational horizon of up to ``block_cycles`` cycles is
     one pass; a sequential network's first run has no latch record to
-    predict from, so it steps), reading only the named nodes' rows
-    (:meth:`~repro.netlist.compiled.CompiledSimulator.block_export`).
+    predict from, so it runs one-cycle passes).  Each pass exports only
+    the named nodes' rows
+    (:meth:`~repro.netlist.compiled.CompiledSimulator.block_export`),
+    straight into the result at the pass's first cycle.
     """
     n_lanes = max(1, len(stims))
     n_words = words_for_bits(n_lanes)
@@ -245,23 +247,16 @@ def packed_signal_traces(
         [w for p in pis for w in pi_words[p]], 1, n_lanes
     ).reshape(len(pis), n_cycles * n_words)
     sim = CompiledSimulator(program_for(net), n_lanes)
-    blk = sim.block_cycles
-    buf = np.empty((len(nodes), blk * n_words), dtype=np.uint64)
-    block = buf.reshape(len(nodes), blk, n_words)
     packed = np.zeros((len(nodes), n_cycles, n_words), dtype=np.uint64)
+    rows = packed.reshape(len(nodes), n_cycles * n_words)
     cyc = 0
     while cyc < n_cycles:
         n = sim.block_span(n_cycles - cyc)
-        if n == 1:
-            sim.step({p: words[cyc] for p, words in pi_words.items()})
-            packed[:, cyc] = block_rows(sim.node_ints(nodes), 1, n_lanes)
-        else:
-            lo, hi = cyc * n_words, (cyc + n) * n_words
-            words = block_ints(pi_rows[:, lo:hi], n, n_lanes)
-            n = sim.run_block(dict(zip(pis, words)), n)
-            sim.block_export(nodes, buf)
-            packed[:, cyc : cyc + n] = block[:, :n]
-        cyc += n
+        lo, hi = cyc * n_words, (cyc + n) * n_words
+        words = block_ints(pi_rows[:, lo:hi], n, n_lanes)
+        consumed = sim.run_block(dict(zip(pis, words)), n)
+        sim.block_export(nodes, rows[:, lo:])
+        cyc += consumed
     return {n: packed[i] for i, n in enumerate(names)}
 
 

@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 from benchmarks import ref_scg
-from repro.bitgen.partial import changed_frames, frame_view
+from repro.core.boolfunc import bf_var
 from repro.core.costmodel import Virtex5Model
 from repro.core.flow import DebugFlowConfig, run_generic_stage, run_physical_stage
+from repro.core.parameters import ParameterSpace
+from repro.core.pconf import ParameterizedBitstream
 from repro.core.scg import SpecializedConfigGenerator
 from repro.emu import FpgaEmulator
 from repro.errors import BitstreamError
@@ -194,24 +196,26 @@ class TestSequentialEndToEnd(TestEndToEnd):
 
 
 class TestFrameDiff:
+    """The SCG's frame diff: the frames a respecialization rewrites."""
+
+    @staticmethod
+    def _loaded_scg():
+        """A 100-bit PConf whose bits 5 and 77 follow ``p0``, loaded with
+        ``p0 = 0`` on 32-bit frames."""
+        space = ParameterSpace(["p0"])
+        pconf = ParameterizedBitstream(space, n_bits=100)
+        for bit in (5, 77):
+            pconf.set_tunable(bit, bf_var(0))
+        scg = SpecializedConfigGenerator(pconf, frame_bits=32)
+        scg.load_full(space.assignment({"p0": 0}))
+        return space, scg
+
     def test_changed_frames_basic(self):
-        a = np.zeros(100, dtype=np.uint8)
-        b = a.copy()
-        b[5] = 1
-        b[77] = 1
-        assert changed_frames(a, b, 32) == [0, 2]
+        space, scg = self._loaded_scg()
+        rec = scg.respecialize(space.assignment({"p0": 1}))
+        assert rec.frames_touched == (0, 2)
 
     def test_no_change(self):
-        a = np.ones(10, dtype=np.uint8)
-        assert changed_frames(a, a.copy(), 4) == []
-
-    def test_length_mismatch(self):
-        with pytest.raises(BitstreamError):
-            changed_frames(
-                np.zeros(4, np.uint8), np.zeros(5, np.uint8), 2
-            )
-
-    def test_frame_view_pads(self):
-        v = frame_view(np.ones(5, dtype=np.uint8), 4)
-        assert v.shape == (2, 4)
-        assert v[1].tolist() == [1, 0, 0, 0]
+        space, scg = self._loaded_scg()
+        rec = scg.respecialize(space.assignment({"p0": 0}))
+        assert rec.frames_touched == ()

@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+from benchmarks.ref_tracebuffer import TraceBuffer
 from repro.core.debug import DebugSession
 from repro.core.flow import DebugFlowConfig, run_generic_stage
 from repro.core.selection import (
@@ -14,7 +15,6 @@ from repro.core.selection import (
     ManualSelection,
     RoundRobinSweep,
 )
-from repro.core.tracebuffer import TraceBuffer
 from repro.errors import DebugFlowError
 from repro.netlist import CompiledSimulator, parse_blif, program_for
 from tests.conftest import TINY_SEQ_BLIF

@@ -64,7 +64,6 @@ def _design(seed: int, n_latches: int):
 def _clear_memos() -> None:
     """Forget every program this process compiled (a fresh process)."""
     compiled._BY_KEY.clear()
-    compiled._BY_NET.clear()
 
 
 def _assert_same_simulation(a, b, rng, n_cycles: int = 6) -> None:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from benchmarks.ref_simulate import ReferenceLaneEngine, apply_override
+from benchmarks.ref_tracebuffer import TraceBuffer
 from parity import random_network, reference_traces
 from repro.campaign import (
     ArtifactStore,
@@ -18,7 +19,7 @@ from repro.campaign import (
 )
 from repro.core.debug import DebugSession
 from repro.core.flow import run_generic_stage
-from repro.core.tracebuffer import LaneTraceBuffer, TraceBuffer
+from repro.core.tracebuffer import LaneTraceBuffer
 from repro.emu.fault import ForcedFault, active_override_ints
 from repro.engine import LaneEngine
 from repro.errors import DebugFlowError
@@ -700,7 +701,6 @@ class TestBatchEquivalence:
         assert max(narrow.lane_batches) <= 2
 
 
-@pytest.mark.slow
 class TestAcceptance:
     def test_32_scenario_mixed_campaign_byte_identical(self):
         """The PR's correctness bar: ≥32 mixed scenarios, lane-batched
@@ -874,9 +874,9 @@ class TestPredictedBlocks:
             if r["outputs"] is not None:
                 assert np.array_equal(g["outputs"], r["outputs"]), label
         passes = dict((label, s["passes"]) for label, s in got)
-        # the first run has nothing to predict from: one step per
-        # cycle; the repeat is predicted whole: full blocks only
-        assert passes["first run, no record"] == {"step": C, "run_block": 0}
+        # the first run has nothing to predict from: one one-cycle pass
+        # per cycle; the repeat is predicted whole: full blocks only
+        assert passes["first run, no record"] == {"step": 0, "run_block": C}
         assert passes["repeat"] == {"step": 0, "run_block": -(-C // boundary)}
 
 class TestScriptPacking:

@@ -521,7 +521,6 @@ class TestFaultUnification:
         assert fault.active_at(2) and not fault.active_at(4)
 
 
-@pytest.mark.slow
 class TestPhysicalPipeline:
     SPEC = campaign_spec("pipe-phys", n_gates=60, depth=6, n_pis=12, n_pos=6)
 
@@ -559,7 +558,6 @@ class TestPhysicalPipeline:
 
 
 class TestCliCacheCorrectness:
-    @pytest.mark.slow
     def test_second_run_is_all_stage_hits_with_identical_outcomes(
         self, tmp_path
     ):

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.tracebuffer import LaneTraceBuffer, TraceBuffer
+from benchmarks.ref_tracebuffer import TraceBuffer
+from repro.core.tracebuffer import LaneTraceBuffer
 from repro.emu.fault import ALL_LANES, ForcedFault, active_override_ints
 from repro.util import (
     DisjointSet,
@@ -359,8 +360,8 @@ class TestLaneMaskAlgebra:
 
 class TestLaneTraceBufferLayout:
     """Multi-word row-layout property: every lane of a packed
-    :class:`LaneTraceBuffer` reads back bit-for-bit what a solo
-    :class:`TraceBuffer` fed the same per-lane bits would hold —
+    :class:`LaneTraceBuffer` reads back bit-for-bit what the reference
+    one-lane :class:`TraceBuffer` fed the same per-lane bits would hold —
     including ring wrap-around, per-lane post-trigger freezes, untriggered
     cycles captured as one block, and resets between runs (a reset keeps
     the memory, so a window that read a row from before it would show the
